@@ -279,5 +279,8 @@ def quotient_dim(numerator_constraints: RationalMatrix,
     # ker(A B^T), and ker(B^T) sits inside ker(A B^T).
     inter = rank_exact(B) - rank_exact(A @ B.transpose())
     dim = ker_dim - inter
-    assert dim >= 0
+    if dim < 0:
+        raise ArithmeticError(
+            f"negative quotient dimension {dim}: kernel {ker_dim}, "
+            f"intersection {inter}")
     return dim

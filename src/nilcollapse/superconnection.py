@@ -5,12 +5,15 @@ monodromy Phi are grid functions with a Phi-twisted wraparound. Exterior
 derivatives are forward differences on the staggered (vertex / edge / face)
 grids, which keeps d^2 = 0 exact at the discrete level, and metrics enter
 through staggered mass matrices, giving an h-symmetric Galerkin Laplacian.
+For metrics built from the holonomy's logarithms a gauge change makes that
+Laplacian translation invariant, and `spectrum` solves it one Fourier mode
+of the grid at a time.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -19,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from . import lie
 from .numerics import InputError
-from .report import SpectrumReport, epsilon_close  # noqa: F401 (re-export)
+from .report import SpectrumReport
 
 
 class FlatnessError(ValueError):
@@ -136,18 +139,37 @@ class MetricField:
     Stored as a callable (b, points) -> stack of SPD matrices; the bundle's
     monodromy fixes the required equivariance across the seam, which
     `check_equivariance` verifies on sample points.
+
+    `identity` (over a bundle whose monodromies are all the identity),
+    `equivariant` and `conformal` of either also record `logs[gen][b]`, real
+    logarithms X of the monodromies with h(x) = c G(x)^T G(x) for
+    G(x) = exp(-sum_g x_g X_g / L_g), and the `base` they were built for
+    (None for any base). `spectrum` uses them to gauge the bundle to constant
+    coefficients; a metric built from a bare callable has neither and is
+    only ever assembled.
     """
 
     def __init__(self, bundle: GradedBundle, func):
         self.bundle = bundle
         self._func = func
+        self.logs = None
+        self.base: BaseModel | None = None
+
+    def _with_gauge(self, logs, base: BaseModel | None = None) -> "MetricField":
+        self.logs, self.base = logs, base
+        return self
 
     @classmethod
     def identity(cls, bundle: GradedBundle) -> "MetricField":
         def func(b, pts):
             return np.broadcast_to(np.eye(bundle.rank(b)),
                                    (len(pts), bundle.rank(b), bundle.rank(b)))
-        return cls(bundle, func)
+        logs = None
+        if all(np.array_equal(m, np.eye(len(m)))
+               for gen in bundle.monodromies for m in gen):
+            logs = [[np.zeros((r, r)) for r in bundle.ranks]
+                    for _ in bundle.monodromies]
+        return cls(bundle, func)._with_gauge(logs)
 
     @classmethod
     def equivariant(cls, bundle: GradedBundle, base: BaseModel) -> "MetricField":
@@ -174,11 +196,13 @@ class MetricField:
                 M = scipy.linalg.expm(A)
                 out[i] = M.T @ M
             return out
-        return cls(bundle, func)
+        return cls(bundle, func)._with_gauge(logs, base)
 
     @classmethod
     def conformal(cls, other: "MetricField", factor: float) -> "MetricField":
-        return cls(other.bundle, lambda b, pts: factor * other._func(b, pts))
+        # a constant positive factor cancels from the pencil (K, M)
+        h = cls(other.bundle, lambda b, pts: factor * other._func(b, pts))
+        return h._with_gauge(other.logs if factor > 0 else None, other.base)
 
     def sample(self, b: int, pts: np.ndarray) -> np.ndarray:
         h = np.asarray(self._func(b, np.atleast_2d(pts)), dtype=float)
@@ -254,7 +278,7 @@ class Superconnection:
 class FlatnessReport:
     """Max violation of each flatness identity."""
 
-    squares: float           # (a0)^2 = 0 and (a2)^2 = 0
+    squares: float           # (a0)^2 = 0; (a2)^2 lands in 4-forms, absent here
     parallel_a0: float       # a0 commutes with the holonomy
     parallel_a2: float       # a2 commutes with the holonomy
     curvature: float         # (nabla)^2 + a0 a2 + a2 a0 = 0
@@ -278,8 +302,6 @@ def check_flatness(sc: Superconnection) -> FlatnessReport:
     sq = 0.0
     for b in range(m - 1):
         sq = max(sq, _absmax(sc.a0_block(b + 1) @ sc.a0_block(b)))
-    for b in range(2, m + 1):
-        sq = max(sq, 0.0)  # (a2)^2 lands in 4-forms, absent on dim <= 2 bases
     pa0 = pa2 = 0.0
     for gen in range(len(bundle.monodromies)):
         for b in range(m):
@@ -514,7 +536,8 @@ def _pointwise(base: BaseModel, mat: np.ndarray) -> sp.csr_matrix:
 
 
 class DiscreteComplex:
-    """Assembled total differential and mass matrices on the staggered grids."""
+    """Total differential and mass matrices on the staggered grids, assembled
+    as sparse matrices or, for a gauged metric, as per-mode Fourier symbols."""
 
     def __init__(self, sc: Superconnection, h: MetricField,
                  check_metric: bool = True):
@@ -547,51 +570,128 @@ class DiscreteComplex:
     def dim(self, p: int) -> int:
         return sum(self.component_size(c) for c in self.components(p))
 
-    def _offsets(self, p: int) -> dict:
-        out, off = {}, 0
-        for comp in self.components(p):
-            out[comp] = off
-            off += self.component_size(comp)
-        return out
-
     # -- differential -------------------------------------------------------
 
-    def differential(self, p: int) -> sp.csr_matrix:
-        if p in self._diff_cache:
-            return self._diff_cache[p]
+    def terms(self, p: int) -> list[tuple[int, int, int | None, object]]:
+        """Nonzero blocks of the degree-p differential as (dst, src, gen, coeff).
+
+        dst and src index components(p + 1) and components(p). A block with
+        gen set is coeff (a sign) times the twisted forward difference in
+        direction gen; with gen None it is the pointwise fiber map coeff.
+        `differential` and the Bloch symbol both read this list.
+        """
         src = self.components(p)
-        dst = self.components(p + 1)
-        src_off, dst_off = self._offsets(p), self._offsets(p + 1)
-        n_src, n_dst = self.dim(p), self.dim(p + 1)
-        D = sp.lil_matrix((n_dst, n_src))
-        for dirs, b in src:
+        dst = {comp: i for i, comp in enumerate(self.components(p + 1))}
+        out = []
+        for j, (dirs, b) in enumerate(src):
             a = len(dirs)
-            col = src_off[(dirs, b)]
-            w = self.component_size((dirs, b))
             # base exterior derivative
             for gen in range(self.base.dim):
                 if gen in dirs:
                     continue
                 new_dirs = tuple(sorted(dirs + (gen,)))
-                sign = (-1) ** new_dirs.index(gen)
-                if (new_dirs, b) in dst_off:
-                    row = dst_off[(new_dirs, b)]
-                    blk = sign * _derivative(self.base, gen,
-                                             self.bundle.monodromy(gen, b))
-                    D[row:row + blk.shape[0], col:col + w] = blk
+                if (new_dirs, b) in dst:
+                    out.append((dst[(new_dirs, b)], j, gen,
+                                (-1) ** new_dirs.index(gen)))
             # fiber differential, with the Koszul sign on a-forms
-            if (dirs, b + 1) in dst_off:
-                row = dst_off[(dirs, b + 1)]
-                blk = (-1) ** a * _pointwise(self.base, self.sc.a0_block(b))
-                D[row:row + blk.shape[0], col:col + w] = blk
+            if (dirs, b + 1) in dst:
+                out.append((dst[(dirs, b + 1)], j, None,
+                            (-1) ** a * self.sc.a0_block(b)))
             # curvature term: 0-forms to area forms
-            if a == 0 and self.base.dim == 2 and ((0, 1), b - 1) in dst_off:
-                row = dst_off[((0, 1), b - 1)]
-                blk = _pointwise(self.base, self.sc.a2_block(b))
-                D[row:row + blk.shape[0], col:col + w] = blk
-        out = D.tocsr()
+            if a == 0 and self.base.dim == 2 and ((0, 1), b - 1) in dst:
+                out.append((dst[((0, 1), b - 1)], j, None, self.sc.a2_block(b)))
+        return out
+
+    def differential(self, p: int) -> sp.csr_matrix:
+        if p in self._diff_cache:
+            return self._diff_cache[p]
+        src, dst = self.components(p), self.components(p + 1)
+        if not src or not dst:
+            out = sp.csr_matrix((self.dim(p + 1), self.dim(p)))
+        else:
+            blocks = [[None] * len(src) for _ in dst]
+            for i, j, gen, c in self.terms(p):
+                b = src[j][1]
+                blocks[i][j] = (_pointwise(self.base, c) if gen is None else
+                                c * _derivative(self.base, gen,
+                                                self.bundle.monodromy(gen, b)))
+            # sp.bmat reads each block row's height and column's width off
+            # its blocks, so block row 0 and column 0 get explicit zeros
+            for i, j in [(i, 0) for i in range(len(dst))] + \
+                        [(0, j) for j in range(len(src))]:
+                if blocks[i][j] is None:
+                    blocks[i][j] = sp.csr_matrix((self.component_size(dst[i]),
+                                                  self.component_size(src[j])))
+            out = sp.bmat(blocks, format="csr")
+            out.eliminate_zeros()
         self._diff_cache[p] = out
         return out
+
+    # -- Bloch reduction ----------------------------------------------------
+
+    def bloch_ready(self) -> bool:
+        """Whether the gauge w = G(x) v of the metric's recorded holonomy
+        logarithms makes every Laplacian translation invariant on the grid.
+
+        It does when the metric recorded logarithms of exactly this bundle's
+        monodromies, for this base, and a0 and a2 intertwine them (which
+        flatness implies for principal logarithms). Then each mass block is
+        vol * I in the gauge and the fiber maps stay constant.
+        """
+        h, d = self.h, self.base.dim
+        if h.logs is None or h.base not in (None, self.base):
+            return False
+        if min(len(h.logs), len(self.bundle.monodromies)) < d:
+            return False
+        for g in range(d):
+            X = h.logs[g]
+            for b in range(len(self.bundle.ranks)):
+                if not np.array_equal(self.bundle.monodromy(g, b),
+                                      h.bundle.monodromy(g, b)):
+                    return False
+            for b in range(self.bundle.top):
+                if not (_intertwines(self.sc.a0_block(b), X[b + 1], X[b]) and
+                        _intertwines(self.sc.a2_block(b + 1), X[b], X[b + 1])):
+                    return False
+        return True
+
+    def _bloch_symbol(self, p: int, phase: np.ndarray) -> np.ndarray:
+        """Fourier symbol of the gauged degree-p differential: one block per
+        grid mode, phase[m, g] = exp(i theta_g) of mode m."""
+        src, dst = self.components(p), self.components(p + 1)
+        ranks = self.bundle.ranks
+        src_off = np.cumsum([0] + [ranks[b] for _, b in src])
+        dst_off = np.cumsum([0] + [ranks[b] for _, b in dst])
+        out = np.zeros((len(phase), dst_off[-1], src_off[-1]), dtype=complex)
+        N, X = self.base.resolution, self.h.logs
+        for i, j, gen, c in self.terms(p):
+            dirs, b = src[j]
+            blk = out[:, dst_off[i]:dst_off[i + 1], src_off[j]:src_off[j + 1]]
+            if gen is None:
+                # a2 reads vertex values at face centres, half a step on in
+                # both directions: G(y) a2 G(x)^-1 = a2 G(y - x)
+                half = [g for g in range(self.base.dim)
+                        if (g in dst[i][0]) != (g in dirs)]
+                blk += c @ scipy.linalg.expm(
+                    -sum(X[g][b] for g in half) / (2 * N)) if half else c
+            else:
+                # (Phi^{1/2N} e^{i theta} - Phi^{-1/2N}) / h
+                up = scipy.linalg.expm(X[gen][b] / (2 * N))
+                blk += (c / self.base.steps[gen]) * (
+                    phase[:, gen, None, None] * up - np.linalg.inv(up))
+        return out
+
+    def bloch_eigenvalues(self, p: int) -> np.ndarray:
+        """Every eigenvalue of the degree-p Laplacian, ascending, from its
+        N^d Hermitian Fourier blocks D^H D + D' D'^H (needs bloch_ready)."""
+        N, d = self.base.resolution, self.base.dim
+        theta = np.meshgrid(*[2 * np.pi * np.arange(N) / N] * d, indexing="ij")
+        phase = np.exp(1j * np.stack(theta, axis=-1).reshape(-1, d))
+        Dp = self._bloch_symbol(p, phase)
+        Dm = self._bloch_symbol(p - 1, phase)
+        L = (np.conj(Dp.transpose(0, 2, 1)) @ Dp
+             + Dm @ np.conj(Dm.transpose(0, 2, 1)))
+        return np.sort(np.linalg.eigvalsh(L).ravel())
 
     # -- mass ---------------------------------------------------------------
 
@@ -665,6 +765,14 @@ class DiscreteComplex:
         return worst
 
 
+def _intertwines(a: np.ndarray, X_dst: np.ndarray, X_src: np.ndarray) -> bool:
+    """X_dst a = a X_src up to rounding."""
+    if a.size == 0:
+        return True
+    scale = max(1.0, _absmax(a)) * max(1.0, _absmax(X_dst), _absmax(X_src))
+    return _absmax(X_dst @ a - a @ X_src) <= 1e-10 * scale
+
+
 def _block_diag_sparse(blocks) -> sp.csr_matrix:
     mats = []
     for blk in blocks:
@@ -702,20 +810,34 @@ def laplacian(sc: Superconnection, h: MetricField, p: int,
 
 def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
              tol: float = 1e-10, check_metric: bool = True) -> SpectrumReport:
-    """Lowest eigenvalues of the degree-p Laplacian with the gap-rule split."""
+    """Lowest eigenvalues of the degree-p Laplacian with the gap-rule split.
+
+    When the metric gauges the bundle to constant coefficients
+    (`DiscreteComplex.bloch_ready`), the Laplacian splits into one small
+    Hermitian block per Fourier mode of the grid and all blocks are solved in
+    one batch. Otherwise it is assembled and solved densely below a size
+    cutoff, with ARPACK shift-invert above it.
+    """
     dc = DiscreteComplex(sc, h, check_metric=check_metric)
-    L = dc.laplacian(p)
-    n = L.shape[0]
+    n = dc.dim(p)
     if n == 0:
         return SpectrumReport.from_eigenvalues(p, [])
     k = min(count, n)
-    if n <= _DENSE_LIMIT:
-        lam = np.linalg.eigvalsh(L.toarray())[:k]
+    if dc.bloch_ready():
+        lam = dc.bloch_eigenvalues(p)[:k]
     else:
-        scale = max(1.0, float(abs(L).max()))
-        lam = spla.eigsh(L, k=k, sigma=-1e-3 * scale, which="LM",
-                         return_eigenvectors=False)
-        lam = np.sort(lam)
+        L = dc.laplacian(p)
+        if n <= _DENSE_LIMIT:
+            lam = np.linalg.eigvalsh(L.toarray())[:k]
+        else:
+            scale = max(1.0, float(abs(L).max()))
+            # a fixed start vector makes the Lanczos run repeatable; not the
+            # constant vector, which spans an invariant subspace of every
+            # translation-invariant operator
+            lam = spla.eigsh(L, k=k, sigma=-1e-3 * scale, which="LM",
+                             v0=np.random.default_rng(0).standard_normal(n),
+                             return_eigenvectors=False)
+            lam = np.sort(lam)
     lam = np.where(np.abs(lam) < tol * max(1.0, np.abs(lam).max()),
                    np.maximum(lam, 0.0), lam)
     if lam.min(initial=0.0) < -1e-6:

@@ -193,3 +193,13 @@ def test_quotient_dim_matches_brute_force(cols, brows, seed):
 def test_quotient_dim_dimension_mismatch():
     with pytest.raises(InputError):
         quotient_dim(RationalMatrix.zeros(1, 2), RationalMatrix.zeros(1, 3))
+
+
+def test_quotient_dim_negative_raises_even_without_asserts(monkeypatch):
+    # ranks no real matrix pair has: rank A = 2 leaves no kernel in 2 columns,
+    # yet rank B - rank(A B^T) = 1 claims a one-dimensional intersection
+    from nilcollapse import numerics
+    ranks = iter([2, 1, 0])
+    monkeypatch.setattr(numerics, "rank_exact", lambda M: next(ranks))
+    with pytest.raises(ArithmeticError, match="negative quotient dimension"):
+        quotient_dim(RationalMatrix.identity(2), RationalMatrix.identity(2))

@@ -1,10 +1,12 @@
 """Superconnection layer: flatness identities, the discretized complex, and
 spectra checked against closed forms for flat and monodromy-twisted circles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from nilcollapse import lie
+from nilcollapse import lab, lie
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError
 
@@ -222,6 +224,143 @@ def test_spectrum_empty_degree():
     h = sconn.MetricField.identity(bundle)
     rep = sconn.spectrum(sc, h, 5)
     assert rep.eigenvalues.size == 0
+
+
+# ---------------------------------------------------------------------------
+# Bloch solve against the assembled oracle
+# ---------------------------------------------------------------------------
+
+UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+def bare(h):
+    """The same metric as a bare callable, which `spectrum` always assembles."""
+    return sconn.MetricField(h.bundle, h.sample)
+
+
+def assert_bloch_matches_assembled(sc, h, p, count=8):
+    assert sconn.DiscreteComplex(sc, h).bloch_ready()
+    bloch = sconn.spectrum(sc, h, p, count=count).eigenvalues
+    oracle = sconn.spectrum(sc, bare(h), p, count=count).eigenvalues
+    scale = max(1.0, float(abs(sconn.laplacian(sc, h, p)).max()))
+    assert bloch.shape == oracle.shape
+    assert np.abs(bloch - oracle).max(initial=0.0) <= 1e-10 * scale
+    assert (np.sum(bloch <= lab.ZERO_TOL)
+            == np.sum(oracle <= lab.ZERO_TOL))
+
+
+def preset_bundles(name, torus_resolution=12):
+    """(sc, h) at every sweep point of a numerical preset, built as `lab.run`
+    builds them; torus presets at a smaller resolution."""
+    cfg = lab.load_scenario(name)
+    if cfg.kind == "circle_bundle_adiabatic":
+        base = sconn.BaseModel("torus2", torus_resolution)
+        for delta in cfg.sweep_values:
+            sc = sconn.circle_bundle_model(base, delta)
+            yield sc, sconn.MetricField.identity(sc.bundle)
+    else:
+        algebra = lie.load_algebra(cfg.model["algebra"])
+        phi = np.array([[float(Fraction(x)) for x in row]
+                        for row in cfg.model["monodromy"]])
+        weights = np.array(cfg.model["gauge_weights"], dtype=float)
+        base = sconn.BaseModel("circle", cfg.resolution)
+        for t in cfg.sweep_values:
+            G = np.diag(t ** weights)
+            sc = sconn.from_affine_bundle(
+                algebra, base, monodromy_action=[G @ phi @ np.linalg.inv(G)])
+            yield sc, sconn.MetricField.equivariant(sc.bundle, base)
+
+
+@pytest.mark.parametrize("name", [n for n, cfg in lab.PRESETS.items()
+                                  if cfg["kind"] != "nil_rescale"])
+def test_bloch_matches_assembled_on_presets(name):
+    for sc, h in preset_bundles(name):
+        for p in range(sc.base.dim + sc.bundle.top + 1):
+            assert_bloch_matches_assembled(sc, h, p)
+
+
+def test_bloch_matches_assembled_twisted_circles():
+    base = circle(64)
+    bundle = sconn.GradedBundle([2], [[SOL]])
+    assert_bloch_matches_assembled(sconn.Superconnection(bundle, base),
+                                   sconn.MetricField.equivariant(bundle, base), 0)
+    for phi in (SOL, UNIPOTENT):
+        sc = sconn.from_affine_bundle(lie.abelian(2), base,
+                                      monodromy_action=[phi])
+        h = sconn.MetricField.equivariant(sc.bundle, base)
+        for p in range(4):
+            assert_bloch_matches_assembled(sc, h, p)
+
+
+def test_bloch_matches_assembled_heisenberg_over_torus():
+    base = torus(8)
+    sc = sconn.from_affine_bundle(lie.heisenberg(3), base, T=[0, 0, 1])
+    h = sconn.MetricField.identity(sc.bundle)
+    for p in range(5):
+        assert_bloch_matches_assembled(sc, h, p, count=12)
+
+
+def test_bloch_matches_assembled_twisted_torus_with_curvature():
+    # commuting hyperbolic holonomies that fix the curvature direction e3:
+    # the a2 term then reads vertex values across a half-step gauge twist
+    base = torus(8)
+    sc = sconn.from_affine_bundle(
+        lie.heisenberg(3), base, T=[0, 0, 1],
+        monodromy_action=[np.diag([2.0, 0.5, 1.0]), np.diag([4.0, 0.25, 1.0])])
+    h = sconn.MetricField.equivariant(sc.bundle, base)
+    for p in range(5):
+        assert_bloch_matches_assembled(sc, h, p, count=12)
+
+
+def test_bloch_matches_assembled_conformal_metrics():
+    base = circle(48)
+    sc = sconn.from_affine_bundle(lie.abelian(2), base, monodromy_action=[SOL])
+    h = sconn.MetricField.conformal(
+        sconn.MetricField.equivariant(sc.bundle, base), 2.5)
+    for p in range(3):
+        assert_bloch_matches_assembled(sc, h, p)
+    sc = sconn.circle_bundle_model(torus(10), 0.5)
+    h = sconn.MetricField.conformal(sconn.MetricField.identity(sc.bundle), np.e)
+    assert_bloch_matches_assembled(sc, h, 1)
+
+
+def test_bloch_path_only_for_recorded_gauges(monkeypatch):
+    assembled = []
+    laplacian = sconn.DiscreteComplex.laplacian
+    monkeypatch.setattr(sconn.DiscreteComplex, "laplacian",
+                        lambda dc, p: assembled.append(p) or laplacian(dc, p))
+    base = circle(32)
+    bundle = sconn.GradedBundle([2], [[SOL]])
+    sc = sconn.Superconnection(bundle, base)
+    h = sconn.MetricField.equivariant(bundle, base)
+    want = sconn.spectrum(sc, h, 0, count=4).eigenvalues
+    assert assembled == []
+    others = [
+        (bare(h), True),
+        # same circumference, so an equivariant metric, but another base
+        (sconn.MetricField.equivariant(bundle, circle(16)), True),
+        # identity metric of an untwisted bundle with the same ranks
+        (sconn.MetricField.identity(sconn.GradedBundle([2])), False),
+    ]
+    for other, check in others:
+        got = sconn.spectrum(sc, other, 0, count=4, check_metric=check)
+        assert assembled == [0]
+        assembled.clear()
+        if check:
+            assert np.allclose(got.eigenvalues, want, rtol=1e-9)
+    assert sconn.MetricField.identity(bundle).logs is None
+
+
+def test_arpack_path_is_repeatable_and_matches_bloch():
+    # 3 * 28^2 = 2352 unknowns in degree 1: above the dense cutoff
+    sc = sconn.circle_bundle_model(torus(28), 0.3)
+    h = sconn.MetricField.identity(sc.bundle)
+    first = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
+    again = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
+    assert np.array_equal(first, again)
+    bloch = sconn.spectrum(sc, h, 1, count=6).eigenvalues
+    scale = float(abs(sconn.laplacian(sc, h, 1)).max())
+    assert np.abs(bloch - first).max() <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
