@@ -71,10 +71,7 @@ def lie_group():
 
 
 def _load_algebra_arg(spec):
-    if Path(spec).exists():
-        algebra = lie.load_algebra(spec)
-    else:
-        algebra = lie.load_algebra(spec)  # preset string like "heisenberg:3"
+    algebra = lie.load_algebra(spec)  # a JSON path or a preset like "heisenberg:3"
     rep = lie.validate(algebra)
     if not rep.ok():
         raise InputError(f"algebra invalid: {rep}")

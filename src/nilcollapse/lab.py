@@ -282,11 +282,6 @@ def _degree_report(p, values, spectra, predicted, count) -> DegreeReport:
 # scenario kinds
 # ---------------------------------------------------------------------------
 
-def _rational(rows) -> RationalMatrix:
-    return RationalMatrix([[Fraction(x) if isinstance(x, str) else x
-                            for x in row] for row in rows])
-
-
 def _run_nil_rescale(cfg: ScenarioConfig) -> ScenarioReport:
     algebra = lie.load_algebra(cfg.model.get("algebra", cfg.model))
     rep = lie.validate(algebra)
@@ -308,7 +303,7 @@ def _run_monodromy_degeneration(cfg: ScenarioConfig) -> ScenarioReport:
     phi_rows = cfg.model.get("monodromy")
     if phi_rows is None:
         raise InputError("monodromy_degeneration needs a 'monodromy' matrix")
-    phi_exact = _rational(phi_rows)
+    phi_exact = RationalMatrix(phi_rows)
     phi = phi_exact.to_numpy()
     weights = np.array(cfg.model.get("gauge_weights", [0] * algebra.n),
                        dtype=float)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (InputError, RationalMatrix, nullspace_exact,
-                       rank_exact, sym_eig)
+                       rank_exact, row_reduce, sym_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +226,8 @@ def _float_colspace(A: np.ndarray, tol: float) -> np.ndarray:
 
 def _span_union(mats: list[RationalMatrix], n: int) -> RationalMatrix:
     """Column span of a collection of exact matrices, as an n x r basis."""
-    cols = []
-    for m in mats:
-        mt = m.transpose()
-        cols.extend(mt.data)
-    if not cols:
-        return RationalMatrix.zeros(n, 0)
-    data = [row[:] for row in cols]
-    from .numerics import _row_echelon
-    pivots = _row_echelon(data)
-    basis = data[:len(pivots)]
+    cols = [col for m in mats for col in m.transpose().data]
+    basis, _ = row_reduce(RationalMatrix(cols, cols=n))
     return RationalMatrix(basis, cols=n).transpose()
 
 
@@ -506,19 +498,31 @@ class FiniteSymmetryGroup:
                     raise InputError("group not closed under products")
 
 
-def compound_matrix(A: np.ndarray, p: int) -> np.ndarray:
-    """Induced action on Lambda^p (p-th compound), lexicographic basis."""
-    n = A.shape[0]
+def compound_matrix(rows, p: int) -> list[list]:
+    """p-th compound of a square matrix given as rows: its p x p minors in
+    the lexicographic multi-index basis, i.e. its action on Lambda^p.
+
+    Each minor is expanded along its first row into (p-1)-minors of the rows
+    below, so only + and * are used: exact on Fractions, plain arithmetic on
+    floats.
+    """
+    n = len(rows)
+    minors = {((), ()): 1}
+    for k in range(1, p + 1):
+        cols = multi_indices(n, k)
+        # a p x p minor only ever expands into the last k of its rows
+        row_sets = [I for I in cols if I[0] >= p - k]
+        minors = {(I, J): sum((-1) ** t * rows[I[0]][j]
+                              * minors[(I[1:], J[:t] + J[t + 1:])]
+                              for t, j in enumerate(J) if rows[I[0]][j])
+                  for I in row_sets for J in cols}
     idx = multi_indices(n, p)
-    out = np.empty((len(idx), len(idx)))
-    for r, I in enumerate(idx):
-        for cidx, J in enumerate(idx):
-            out[r, cidx] = np.linalg.det(A[np.ix_(I, J)]) if p else 1.0
-    return out
+    return [[minors[(I, J)] for J in idx] for I in idx]
 
 
 def invariant_projector(F: FiniteSymmetryGroup, p: int) -> np.ndarray:
-    mats = [compound_matrix(e, p) for e in F.elements]
+    mats = [np.array(compound_matrix(e.tolist(), p), dtype=float)
+            for e in F.elements]
     return sum(mats) / len(mats)
 
 

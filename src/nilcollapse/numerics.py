@@ -195,52 +195,49 @@ class RationalMatrix:
         return RationalMatrix(self.data + other.data, cols=self.cols)
 
 
-def _row_echelon(data):
-    """In-place Gaussian elimination over Q; returns pivot column list."""
-    rows = len(data)
-    cols = len(data[0]) if rows else 0
+def row_reduce(A: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of A over Q, leaving A untouched.
+
+    Returns (rows, pivots): the nonzero rows of the reduced form, one per
+    pivot, and the pivot column of each.
+    """
+    data = [row[:] for row in A.data]
     pivots = []
     r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if data[i][c] != 0), None)
+    for c in range(A.cols):
+        if r == A.rows:
+            break
+        pr = next((i for i in range(r, A.rows) if data[i][c] != 0), None)
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
         inv = 1 / data[r][c]
         data[r] = [x * inv for x in data[r]]
-        for i in range(rows):
+        for i in range(A.rows):
             if i != r and data[i][c] != 0:
                 f = data[i][c]
                 data[i] = [a - f * b for a, b in zip(data[i], data[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    return pivots
+    return data[:r], pivots
 
 
 def rank_exact(A: RationalMatrix) -> int:
     """Exact rank over the rationals."""
-    if A.rows == 0 or A.cols == 0:
-        return 0
-    data = [row[:] for row in A.data]
-    return len(_row_echelon(data))
+    return len(row_reduce(A)[1])
 
 
 def nullspace_exact(A: RationalMatrix) -> RationalMatrix:
     """Exact basis of ker(A), returned as columns of a cols x nullity matrix."""
     n = A.cols
-    if A.rows == 0:
-        return RationalMatrix.identity(n)
-    data = [row[:] for row in A.data]
-    pivots = _row_echelon(data)
+    rows, pivots = row_reduce(A)
     free = [c for c in range(n) if c not in pivots]
     basis_cols = []
     for fc in free:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -data[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis_cols.append(v)
     return RationalMatrix([[col[i] for col in basis_cols] for i in range(n)],
                           cols=len(basis_cols))
@@ -250,15 +247,12 @@ def solve_exact(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
     """One exact solution X of A X = B; raises InputError if inconsistent."""
     if A.rows != B.rows:
         raise InputError("row mismatch in solve")
-    aug = [ra + rb for ra, rb in zip(A.data, B.data)]
-    if not aug:
-        return RationalMatrix.zeros(A.cols, B.cols)
-    pivots = _row_echelon(aug)
+    rows, pivots = row_reduce(A.hstack(B))
     X = RationalMatrix.zeros(A.cols, B.cols)
-    for r, pc in enumerate(pivots):
+    for row, pc in zip(rows, pivots):
         if pc >= A.cols:
             raise InputError("inconsistent linear system")
-        X.data[pc] = aug[r][A.cols:]
+        X.data[pc] = row[A.cols:]
     return X
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import lie
 from .numerics import (InputError, RationalMatrix, nullspace_exact,
-                       quotient_dim, rank_exact, solve_exact)
+                       quotient_dim, rank_exact, row_reduce, solve_exact)
 
 
 class BigradedComplex:
@@ -87,12 +87,27 @@ class BigradedComplex:
     def total_dim(self, p: int) -> int:
         return sum(self.dim(a, b) for a, b in self.total_spots(p))
 
+    def block(self, row_spots, col_spots) -> RationalMatrix:
+        """The total differential from the spots `col_spots` to the spots
+        `row_spots`, one total degree higher, stacked in the order given:
+        the block from s to t is D_{t_a - s_a} at s, and zero if t_a < s_a."""
+        out = RationalMatrix.zeros(sum(self.dim(*t) for t in row_spots),
+                                   sum(self.dim(*s) for s in col_spots))
+        r0 = 0
+        for t in row_spots:
+            c0 = 0
+            for s in col_spots:
+                mat = (self.maps.get(t[0] - s[0], {}).get(s)
+                       if t[0] >= s[0] else None)
+                if mat is not None:
+                    for i, row in enumerate(mat.data):
+                        out.data[r0 + i][c0:c0 + mat.cols] = row
+                c0 += self.dim(*s)
+            r0 += self.dim(*t)
+        return out
+
     def total_differential(self, p: int) -> RationalMatrix:
-        src = self.total_spots(p)
-        dst = self.total_spots(p + 1)
-        return _assemble(dst, src, self.dims,
-                         lambda t, s: self.D(t[0] - s[0], s[0], s[1])
-                         if t[0] >= s[0] else None)
+        return self.block(self.total_spots(p + 1), self.total_spots(p))
 
     def total_cohomology(self, p: int) -> int:
         dim = self.total_dim(p)
@@ -145,23 +160,6 @@ def save_complex(cx: BigradedComplex, path) -> None:
         json.dump(cx.to_dict(), fh, indent=1)
 
 
-def _assemble(row_spots, col_spots, dims, block_fn) -> RationalMatrix:
-    nrows = sum(dims.get(s, 0) for s in row_spots)
-    ncols = sum(dims.get(s, 0) for s in col_spots)
-    out = RationalMatrix.zeros(nrows, ncols)
-    r0 = 0
-    for rs in row_spots:
-        c0 = 0
-        for cs in col_spots:
-            blk = block_fn(rs, cs)
-            if blk is not None and blk.rows and blk.cols:
-                for i in range(blk.rows):
-                    out.data[r0 + i][c0:c0 + blk.cols] = blk.data[i][:]
-            c0 += dims.get(cs, 0)
-        r0 += dims.get(rs, 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # pages
 # ---------------------------------------------------------------------------
@@ -203,19 +201,14 @@ class _TupleSpace:
         self.ambient = sum(cx.dim(*s) for s in self.spots)
         self.lead_dim = cx.dim(a, b)
 
-        def block(t, s):
-            return cx.D(t[0] - s[0], s[0], s[1]) if t[0] - s[0] >= 0 else None
-
-        con_rows = [(a + s, b - s + 1) for s in range(r)]
-        self.constraints = _assemble(
-            con_rows, self.spots, _spot_dims(cx, con_rows + self.spots), block)
+        self.constraints = cx.block([(a + s, b - s + 1) for s in range(r)],
+                                    self.spots)
         # admissible boundaries: d(y) for y reaching down to filtration
         # a - r + 1 with d(y) supported in filtration >= a
         hat = [(a + t, b - 1 - t) for t in range(-(r - 1), r)]
         low_rows = [(a + s, b - s) for s in range(-(r - 1), 0)]
-        H = _assemble(low_rows, hat, _spot_dims(cx, low_rows + hat), block)
-        G = _assemble(self.spots, hat, _spot_dims(cx, self.spots + hat), block)
-        self.boundary_cols = G @ nullspace_exact(H)
+        self.boundary_cols = (cx.block(self.spots, hat)
+                              @ nullspace_exact(cx.block(low_rows, hat)))
 
     def _deep_selector(self) -> RationalMatrix:
         """Rows picking out the leading-component coordinates."""
@@ -253,19 +246,6 @@ class _TupleSpace:
         return self.boundary_cols.hstack(deep_ker)
 
 
-def _spot_dims(cx, spots):
-    return {s: cx.dim(*s) for s in spots}
-
-
-def _page_map(cx: BigradedComplex, r: int, src: _TupleSpace,
-              dst: _TupleSpace) -> RationalMatrix:
-    """Ambient matrix of the page-r differential between two tuple spaces."""
-    a, b = src.a, src.b
-    return _assemble(
-        dst.spots, src.spots, _spot_dims(cx, dst.spots + src.spots),
-        lambda t, s: cx.D(t[0] - s[0], s[0], s[1]) if t[0] - s[0] >= 0 else None)
-
-
 def page(cx: BigradedComplex, r: int) -> Page:
     """Dimensions of page r together with the ranks of its differential.
 
@@ -294,7 +274,7 @@ def page(cx: BigradedComplex, r: int) -> Page:
         if dst is None or dst.dimension() == 0:
             continue
         src = spaces[(a, b)]
-        L = _page_map(cx, r, src, dst)
+        L = cx.block(dst.spots, src.spots)
         Z = src.cycle_basis()
         LZ = L @ Z
         if not (dst.constraints @ LZ).is_zero():
@@ -375,15 +355,6 @@ def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
     monos = [[_ratmat(x, ranks[b], ranks[b]) for b, x in enumerate(gen)]
              for gen in monodromies]
 
-    def a0_blk(b):
-        if 0 <= b < m:
-            return a0[b]
-        return RationalMatrix.zeros(ranks[b + 1] if b + 1 <= m else 0,
-                                    ranks[b] if 0 <= b <= m else 0)
-
-    def hol(g, b):
-        return monos[g][b]
-
     eye = [RationalMatrix.identity(r) for r in ranks]
     dims, d0, d1, d2 = {}, {}, {}, {}
     if base_kind == "point":
@@ -399,7 +370,7 @@ def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
             if b < m:
                 d0[(0, b)] = a0[b]
                 d0[(1, b)] = -a0[b]
-            d1[(0, b)] = hol(0, b) - eye[b]
+            d1[(0, b)] = monos[0][b] - eye[b]
     elif base_kind == "torus2":
         if len(monos) != 2:
             raise InputError("torus base needs two monodromy generators")
@@ -413,8 +384,8 @@ def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
                 bot = z.hstack(-a0[b])
                 d0[(1, b)] = top.vstack(bot)
                 d0[(2, b)] = a0[b]
-            d1[(0, b)] = (hol(0, b) - eye[b]).vstack(hol(1, b) - eye[b])
-            d1[(1, b)] = (hol(1, b) - eye[b]).hstack(-(hol(0, b) - eye[b]))
+            d1[(0, b)] = (monos[0][b] - eye[b]).vstack(monos[1][b] - eye[b])
+            d1[(1, b)] = (monos[1][b] - eye[b]).hstack(-(monos[0][b] - eye[b]))
         if a2 is not None:
             for b in range(1, m + 1):
                 blk = _ratmat(a2[b - 1], ranks[b - 1], ranks[b]).scale(area)
@@ -432,9 +403,7 @@ def _ratmat(x, rows, cols) -> RationalMatrix:
     if isinstance(x, RationalMatrix):
         mat = x
     else:
-        mat = RationalMatrix([[Fraction(v) if isinstance(v, str) else v
-                               for v in row] for row in np.asarray(x, dtype=object)],
-                             cols=cols) if np.asarray(x).size else \
+        mat = RationalMatrix(x, cols=cols) if np.asarray(x).size else \
             RationalMatrix.zeros(rows, cols)
     if (mat.rows, mat.cols) != (rows, cols):
         raise InputError(f"block has shape {(mat.rows, mat.cols)}, "
@@ -540,15 +509,6 @@ def unipotent_factor(Phi: RationalMatrix) -> HolonomyFactorReport:
     return HolonomyFactorReport(bool(unip), len(g) <= 1, tuple(m))
 
 
-def generalized_one_eigenspace_dim(Phi: RationalMatrix) -> int:
-    n = Phi.rows
-    A = Phi - RationalMatrix.identity(n)
-    P = RationalMatrix.identity(n)
-    for _ in range(n):
-        P = P @ A
-    return n - rank_exact(P)
-
-
 def joint_generalized_one_eigenspace_dim(phis: list[RationalMatrix]) -> int:
     if not phis:
         raise InputError("need at least one holonomy")
@@ -563,37 +523,6 @@ def joint_generalized_one_eigenspace_dim(phis: list[RationalMatrix]) -> int:
     return n - rank_exact(stacked)
 
 
-def compound_exact(A: RationalMatrix, p: int) -> RationalMatrix:
-    """p-th compound matrix (minor determinants) over the rationals."""
-    n = A.rows
-    idx = lie.multi_indices(n, p)
-    out = RationalMatrix.zeros(len(idx), len(idx))
-    for r, I in enumerate(idx):
-        for c, J in enumerate(idx):
-            out.data[r][c] = _det_exact([[A.data[i][j] for j in J] for i in I])
-    return out
-
-
-def _det_exact(rows) -> Fraction:
-    rows = [row[:] for row in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
-
-
 def inverse_exact(A: RationalMatrix) -> RationalMatrix:
     if A.rows != A.cols:
         raise InputError("inverse needs a square matrix")
@@ -603,7 +532,8 @@ def inverse_exact(A: RationalMatrix) -> RationalMatrix:
 def form_action(g: RationalMatrix, b: int) -> RationalMatrix:
     """Induced action of the automorphism g on degree-b exterior forms
     (compound of the inverse transpose)."""
-    return compound_exact(inverse_exact(g).transpose(), b)
+    return RationalMatrix(
+        lie.compound_matrix(inverse_exact(g).transpose().data, b))
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +564,10 @@ def _invariant_sector_dims(algebra, F, b: int):
 def contraction_blocks(v, n: int) -> list[RationalMatrix]:
     """Exact interior-multiplication blocks Lambda^b -> Lambda^{b-1} for a
     vector with rational components, b = 1..n."""
-    v = [Fraction(x) if not isinstance(x, Fraction) else x for x in v]
+    if len(v) != n:
+        raise InputError(f"contraction vector has {len(v)} components, "
+                         f"expected {n}")
+    v = [Fraction(x) for x in v]
     out = []
     for b in range(1, n + 1):
         src = lie.multi_indices(n, b)
@@ -683,8 +616,6 @@ def predict_small_count(algebra, base_kind: str, p: int,
             return full
         acts = [form_action(g, b) for g in monodromy_action]
         if trivial_F:
-            if gens == 1:
-                return generalized_one_eigenspace_dim(acts[0])
             return joint_generalized_one_eigenspace_dim(acts)
         # restricted to a float invariant basis: count eigenvalues at 1
         mats = [U.T @ a.to_numpy() @ U for a in acts]
@@ -721,12 +652,10 @@ def classify_obstruction(algebra, base_kind: str, p: int,
     n = algebra.n
     trivial_F = F is None or len(F.elements) == 1
     # case 1: fiber cochain complex not already harmonic
+    betti = lie.betti_numbers(algebra) if trivial_F else None
     for q in range(min(p, n) + 1):
-        full, U = _invariant_sector_dims(algebra, F, q)
-        if trivial_F:
-            bq = lie.betti_numbers(algebra)[q]
-        else:
-            bq = _invariant_betti(algebra, F, q)
+        full, _ = _invariant_sector_dims(algebra, F, q)
+        bq = betti[q] if trivial_F else _invariant_betti(algebra, F, q)
         if bq < full:
             return 1
     if gens == 0 or monodromy_action is None:
@@ -781,11 +710,7 @@ def cohomology_action(algebra, form_act: RationalMatrix, q: int) -> RationalMatr
         else RationalMatrix.identity(amb)
     Im = d_in if d_in is not None else RationalMatrix.zeros(amb, 0)
     # pick cycle columns independent modulo the image
-    data = [[Im.data[i][j] for j in range(Im.cols)]
-            + [K.data[i][j] for j in range(K.cols)] for i in range(amb)]
-    from .numerics import _row_echelon
-    work = [row[:] for row in data]
-    pivots = _row_echelon(work)
+    _, pivots = row_reduce(Im.hstack(K))
     reps = [c - Im.cols for c in pivots if c >= Im.cols]
     R = RationalMatrix([[K.data[i][j] for j in reps] for i in range(amb)],
                        cols=len(reps))

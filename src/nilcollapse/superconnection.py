@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import lie
+from . import lie, spectral
 from .numerics import InputError
 from .report import SpectrumReport
 
@@ -241,6 +241,10 @@ class Superconnection:
                  a0=None, a2=None):
         self.bundle = bundle
         self.base = base
+        if len(bundle.monodromies) != base.dim:
+            raise InputError(
+                f"a {base.kind} base needs {base.dim} monodromy generators, "
+                f"the bundle has {len(bundle.monodromies)}")
         m = bundle.top
         if a0 is None:
             a0 = [np.zeros((bundle.rank(b + 1), bundle.rank(b)))
@@ -331,18 +335,6 @@ def _absmax(A) -> float:
 # constructors
 # ---------------------------------------------------------------------------
 
-def contraction_matrix(v: np.ndarray, p: int) -> np.ndarray:
-    """Interior multiplication by the vector v: Lambda^p -> Lambda^{p-1}."""
-    n = len(v)
-    src = lie.multi_indices(n, p)
-    dst = {idx: r for r, idx in enumerate(lie.multi_indices(n, p - 1))}
-    out = np.zeros((len(dst), len(src)))
-    for c, I in enumerate(src):
-        for a, ia in enumerate(I):
-            out[dst[I[:a] + I[a + 1:]], c] += (-1) ** a * v[ia]
-    return out
-
-
 def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
                        T=None, F=None, grading=None,
                        tol: float = 1e-12) -> Superconnection:
@@ -375,16 +367,16 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
     for g in monodromy_action:
         g = np.asarray(g, dtype=float)
         ginv_t = np.linalg.inv(g).T
-        per_degree = [restrict(lie.compound_matrix(ginv_t, b), b, b)
+        per_degree = [restrict(np.array(lie.compound_matrix(ginv_t.tolist(), b),
+                                        dtype=float), b, b)
                       for b in range(n + 1)]
         monos.append(per_degree)
     bundle = GradedBundle(ranks, monos, generators=gens)
     a0 = [restrict(lie.ce_matrix(algebra, b), b, b + 1) for b in range(n)]
     a2 = None
     if T is not None:
-        v = np.asarray(T, dtype=float)
-        a2 = [restrict(contraction_matrix(v, b), b, b - 1)
-              for b in range(1, n + 1)]
+        a2 = [restrict(blk.to_numpy(), b, b - 1) for b, blk
+              in enumerate(spectral.contraction_blocks(T, n), start=1)]
     sc = Superconnection(bundle, base, a0=a0, a2=a2)
     rep = check_flatness(sc)
     if not rep.ok(tol):

@@ -106,6 +106,18 @@ def test_spectrum_command(runner, bundle_file):
     assert payload["eigenvalues"] == sorted(payload["eigenvalues"])
 
 
+def test_spectrum_rejects_wrong_monodromy_count(runner, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "base": {"kind": "torus2", "resolution": 8},
+        "ranks": [1],
+        "monodromy": [[[["1"]]]],
+    }))
+    res = runner.invoke(main, ["spectrum", str(path)])
+    assert res.exit_code == 1
+    assert "torus2 base needs 2 monodromy generators" in res.output
+
+
 def test_ss_command(runner, complex_file):
     res = runner.invoke(main, ["ss", complex_file])
     assert res.exit_code == 0

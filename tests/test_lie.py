@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcollapse import lie
-from nilcollapse.numerics import InputError, rank_exact
+from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
 from tests.conftest import random_orthogonal
 
 
@@ -188,11 +188,42 @@ def test_compound_matrix_properties():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 4))
     B = rng.standard_normal((4, 4))
+
+    def compound(M, p):
+        return np.array(lie.compound_matrix(M.tolist(), p), dtype=float)
+
     for p in range(5):
-        lhs = lie.compound_matrix(A @ B, p)
-        rhs = lie.compound_matrix(A, p) @ lie.compound_matrix(B, p)
+        lhs = compound(A @ B, p)
+        rhs = compound(A, p) @ compound(B, p)
         assert np.allclose(lhs, rhs, atol=1e-10)
-    assert lie.compound_matrix(A, 4)[0, 0] == pytest.approx(np.linalg.det(A))
+    assert compound(A, 4)[0, 0] == pytest.approx(np.linalg.det(A))
+
+
+@given(st.integers(0, 4), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_compound_matrix_same_over_fractions_and_floats(n, seed):
+    rng = np.random.default_rng(seed)
+    A, B = rng.integers(-3, 4, size=(2, n, n))
+
+    def exact(M, p):
+        return lie.compound_matrix([[Fraction(int(x)) for x in row]
+                                    for row in M], p)
+
+    for p in range(n + 1):
+        ce = exact(A, p)
+        cf = lie.compound_matrix(A.astype(float).tolist(), p)
+        assert not any(isinstance(x, float) for row in ce for x in row)
+        # integer entries keep every float step exact
+        assert np.array_equal(np.array(ce, dtype=float), np.array(cf))
+        # Cauchy-Binet: C_p(AB) = C_p(A) C_p(B), exactly and in floats
+        assert RationalMatrix(exact(A @ B, p)) \
+            == RationalMatrix(ce) @ RationalMatrix(exact(B, p))
+        cf_ab = lie.compound_matrix((A @ B).astype(float).tolist(), p)
+        cf_b = lie.compound_matrix(B.astype(float).tolist(), p)
+        assert np.allclose(np.array(cf_ab, dtype=float),
+                           np.array(cf) @ np.array(cf_b, dtype=float))
+    if n:
+        assert exact(A, n)[0][0] == round(np.linalg.det(A.astype(float)))
 
 
 # ---------------------------------------------------------------------------

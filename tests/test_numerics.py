@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilcollapse.numerics import (EigenResult, InputError, RationalMatrix,
                                   gen_sym_eig, nullspace_exact, quotient_dim,
-                                  rank_exact, solve_exact, sym_eig)
+                                  rank_exact, row_reduce, solve_exact, sym_eig)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,36 @@ def test_solve_exact_consistent_and_inconsistent():
     assert (A @ X) == B
     with pytest.raises(InputError):
         solve_exact(A, RationalMatrix([[3], [7]]))
+
+
+def test_row_reduce_returns_reduced_copy():
+    A = RationalMatrix([[0, 2, 4], [1, 1, 1], [1, 2, 3]])
+    before = [row[:] for row in A.data]
+    rows, pivots = row_reduce(A)
+    assert A.data == before
+    assert pivots == [0, 1]
+    assert rows == [[1, 0, -1], [0, 1, 2]]
+
+
+def test_row_reduce_edge_shapes():
+    # 0 x n: no rows, no pivots; the kernel is everything
+    empty_rows = RationalMatrix.zeros(0, 3)
+    assert row_reduce(empty_rows) == ([], [])
+    assert rank_exact(empty_rows) == 0
+    assert nullspace_exact(empty_rows) == RationalMatrix.identity(3)
+    assert solve_exact(empty_rows, RationalMatrix.zeros(0, 2)) \
+        == RationalMatrix.zeros(3, 2)
+    # n x 0: no columns, no pivots, an empty kernel basis
+    empty_cols = RationalMatrix.zeros(3, 0)
+    assert row_reduce(empty_cols) == ([], [])
+    assert rank_exact(empty_cols) == 0
+    ns = nullspace_exact(empty_cols)
+    assert (ns.rows, ns.cols) == (0, 0)
+    assert solve_exact(empty_cols, RationalMatrix.zeros(3, 1)) \
+        == RationalMatrix.zeros(0, 1)
+    # nothing maps onto a nonzero right-hand side
+    with pytest.raises(InputError, match="inconsistent"):
+        solve_exact(empty_cols, RationalMatrix([[0], [1], [0]]))
 
 
 def _quotient_oracle(Amat, Bmat):

@@ -4,6 +4,7 @@ closed-form circle answer (invariants plus coinvariants), and page-by-page
 recursion on randomly generated flat complexes."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -57,6 +58,51 @@ def test_total_complex_bookkeeping():
     assert cx.total_dim(1) == 3
     assert cx.top_total_degree() == 3
     assert [cx.total_cohomology(p) for p in range(4)] == [1, 2, 2, 1]
+
+
+def test_block_matches_total_differential_with_d2():
+    # filiform:4 over the torus with a2 the contraction by e_4 has D_0, D_1, D_2
+    alg = lie.filiform(4)
+    ranks = [comb(4, b) for b in range(5)]
+    eye = [RationalMatrix.identity(r) for r in ranks]
+    cx = spectral.flat_bundle_complex(
+        ranks, [lie.ce_differential(alg, b) for b in range(4)], [eye, eye],
+        "torus2", a2=spectral.contraction_blocks([0, 0, 0, 1], 4))
+    assert cx.shifts() == [0, 1, 2]
+
+    def offsets(spots):
+        out, k = {}, 0
+        for s in spots:
+            out[s] = k
+            k += cx.dim(*s)
+        return out
+
+    for p in range(cx.top_total_degree()):
+        rows, cols = cx.total_spots(p + 1), cx.total_spots(p)
+        full = cx.total_differential(p)
+        assert full == cx.block(rows, cols)
+        # the same matrix placed block by block from the D_i
+        oracle = np.zeros((full.rows, full.cols))
+        r_off, c_off = offsets(rows), offsets(cols)
+        for s in cols:
+            for i in cx.shifts():
+                t = (s[0] + i, s[1] + 1 - i)
+                if t in r_off:
+                    oracle[r_off[t]:r_off[t] + cx.dim(*t),
+                           c_off[s]:c_off[s] + cx.dim(*s)] = cx.D(i, *s).to_numpy()
+        assert np.array_equal(full.to_numpy(), oracle)
+        # any spot order and any single pair give the matching sub-blocks
+        rev = cx.block(rows[::-1], cols[::-1]).to_numpy()
+        r_rev, c_rev = offsets(rows[::-1]), offsets(cols[::-1])
+        for t in rows:
+            for s in cols:
+                sub = oracle[r_off[t]:r_off[t] + cx.dim(*t),
+                             c_off[s]:c_off[s] + cx.dim(*s)]
+                assert np.array_equal(cx.block([t], [s]).to_numpy(), sub)
+                assert np.array_equal(rev[r_rev[t]:r_rev[t] + cx.dim(*t),
+                                          c_rev[s]:c_rev[s] + cx.dim(*s)], sub)
+        if p + 1 < cx.top_total_degree():
+            assert (cx.total_differential(p + 1) @ full).is_zero()
 
 
 def test_serialization_round_trip(tmp_path):
@@ -214,9 +260,10 @@ def test_unipotent_factor_conjugation_invariant():
 
 
 def test_generalized_one_eigenspace_dims():
-    assert spectral.generalized_one_eigenspace_dim(UNIP) == 2
-    assert spectral.generalized_one_eigenspace_dim(SOL) == 0
-    assert spectral.generalized_one_eigenspace_dim(RationalMatrix.identity(3)) == 3
+    assert spectral.joint_generalized_one_eigenspace_dim([UNIP]) == 2
+    assert spectral.joint_generalized_one_eigenspace_dim([SOL]) == 0
+    assert spectral.joint_generalized_one_eigenspace_dim(
+        [RationalMatrix.identity(3)]) == 3
     assert spectral.joint_generalized_one_eigenspace_dim(
         [UNIP, RationalMatrix.identity(2)]) == 2
     assert spectral.joint_generalized_one_eigenspace_dim([UNIP, SOL]) == 0
@@ -226,12 +273,15 @@ def test_exact_matrix_helpers():
     g = SOL
     ginv = spectral.inverse_exact(g)
     assert g @ ginv == RationalMatrix.identity(2)
-    # compound is multiplicative and matches the float version
+    # the exact compound holds the minors' determinants
     rng = np.random.default_rng(2)
     A = RationalMatrix.from_numpy(rng.integers(-2, 3, size=(3, 3)))
     for p in range(4):
-        cf = spectral.compound_exact(A, p).to_numpy()
-        assert np.allclose(cf, lie.compound_matrix(A.to_numpy(), p))
+        idx = lie.multi_indices(3, p)
+        dets = [[np.linalg.det(A.to_numpy()[np.ix_(I, J)]) for J in idx]
+                for I in idx]
+        cf = RationalMatrix(lie.compound_matrix(A.data, p)).to_numpy()
+        assert np.allclose(cf, dets)
 
 
 def test_form_action_is_multiplicative():

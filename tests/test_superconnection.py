@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilcollapse import lab, lie
+from nilcollapse import lab, lie, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError
 
@@ -67,6 +67,20 @@ def test_superconnection_shape_validation():
     with pytest.raises(InputError):
         # a2 needs a two-dimensional base
         sconn.Superconnection(bundle, circle(), a2=[np.ones((1, 1))])
+    with pytest.raises(InputError, match="contraction vector"):
+        sconn.from_affine_bundle(lie.heisenberg(3), torus(8), T=[0, 1])
+
+
+def test_superconnection_needs_one_monodromy_per_base_direction():
+    # one generator over a torus used to fail later, inside `spectrum`
+    with pytest.raises(InputError, match="torus2 base needs 2 monodromy"):
+        sconn.Superconnection(sconn.GradedBundle([1]), torus())
+    # a second generator over a circle used to be ignored
+    with pytest.raises(InputError, match="circle base needs 1 monodromy"):
+        sconn.Superconnection(sconn.GradedBundle([1], generators=2), circle())
+    with pytest.raises(InputError):
+        sconn.from_affine_bundle(lie.abelian(2), torus(8),
+                                 monodromy_action=[np.eye(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +132,11 @@ def test_flatness_report_names_violated_identity():
 
 
 def test_contraction_matrix_matches_exact_blocks():
-    from nilcollapse.spectral import contraction_blocks
     v = [1, -2, 3]
-    blocks = contraction_blocks(v, 3)
+    blocks = spectral.contraction_blocks(v, 3)
+    sc = sconn.from_affine_bundle(lie.abelian(3), torus(8), T=v)
     for b in range(1, 4):
-        assert np.allclose(sconn.contraction_matrix(np.array(v, float), b),
-                           blocks[b - 1].to_numpy())
+        assert np.array_equal(sc.a2[b - 1], blocks[b - 1].to_numpy())
 
 
 # ---------------------------------------------------------------------------
