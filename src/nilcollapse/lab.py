@@ -357,21 +357,19 @@ def _run_spectral_sequence_report(cfg: ScenarioConfig) -> ScenarioReport:
     else:
         raise InputError("spectral_sequence_report needs 'complex' "
                          "(a path) or 'payload' (inline)")
-    r_stab = spectral.stabilization_index(cx)
+    seq = spectral.spectral_sequence(cx)
     pages = {}
-    for r in range(1, r_stab + 1):
-        pg = spectral.page(cx, r)
-        pages[str(r)] = {
+    for pg in seq.pages[:seq.stabilizes_at]:
+        pages[str(pg.r)] = {
             "dims": [[a, b, d] for (a, b), d in sorted(pg.dims.items())],
             "d_ranks": [[a, b, d] for (a, b), d in sorted(pg.d_ranks.items())],
         }
-    stable = spectral.e_infinity(cx)
     payload = {
-        "stabilizes_at": r_stab,
+        "stabilizes_at": seq.stabilizes_at,
         "pages": pages,
-        "e_infinity": [[a, b, d] for (a, b), d in sorted(stable.dims.items())],
-        "total_cohomology": [cx.total_cohomology(p)
-                             for p in range(cx.top_total_degree() + 1)],
+        "e_infinity": [[a, b, d]
+                       for (a, b), d in sorted(seq.stable.dims.items())],
+        "total_cohomology": seq.betti,
     }
     return ScenarioReport(cfg, (), pages=payload)
 

@@ -109,14 +109,6 @@ class BigradedComplex:
     def total_differential(self, p: int) -> RationalMatrix:
         return self.block(self.total_spots(p + 1), self.total_spots(p))
 
-    def total_cohomology(self, p: int) -> int:
-        dim = self.total_dim(p)
-        if dim == 0:
-            return 0
-        r_out = rank_exact(self.total_differential(p))
-        r_in = rank_exact(self.total_differential(p - 1)) if p > 0 else 0
-        return dim - r_out - r_in
-
     def top_total_degree(self) -> int:
         return max((a + b for a, b in self.dims), default=0)
 
@@ -141,10 +133,8 @@ class BigradedComplex:
             for entry in payload.get("maps", []):
                 i = int(entry["shift"])
                 spot = (int(entry["a"]), int(entry["b"]))
-                mat = RationalMatrix(
-                    [[Fraction(x) for x in row] for row in entry["matrix"]],
-                    cols=dims.get(spot, 0))
-                maps.setdefault(i, {})[spot] = mat
+                maps.setdefault(i, {})[spot] = RationalMatrix(
+                    entry["matrix"], cols=dims.get(spot, 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed complex payload: {exc}") from exc
         return cls(dims, maps)
@@ -270,10 +260,9 @@ def page(cx: BigradedComplex, r: int) -> Page:
             dims[(a, b)] = d
     d_ranks = {}
     for (a, b) in dims:
-        dst = spaces.get((a + r, b - r + 1))
-        if dst is None or dst.dimension() == 0:
+        if not dims.get((a + r, b - r + 1)):
             continue
-        src = spaces[(a, b)]
+        src, dst = spaces[(a, b)], spaces[(a + r, b - r + 1)]
         L = cx.block(dst.spots, src.spots)
         Z = src.cycle_basis()
         LZ = L @ Z
@@ -287,43 +276,49 @@ def page(cx: BigradedComplex, r: int) -> Page:
     return Page(r, dims, d_ranks)
 
 
-def verify_page_recursion(cx: BigradedComplex, r: int) -> None:
-    """Cross-check: page r+1 must be the homology of page r under d_r."""
-    cur, nxt = page(cx, r), page(cx, r + 1)
-    spots = set(cur.dims) | set(nxt.dims)
-    for a, b in spots:
-        out_rank = cur.d_ranks.get((a, b), 0)
-        in_rank = cur.d_ranks.get((a - r, b + r - 1), 0)
-        expect = cur.dim(a, b) - out_rank - in_rank
-        if nxt.dim(a, b) != expect:
-            raise ArithmeticError(
-                f"page recursion fails at {(a, b)}: "
-                f"dim E_{r + 1} = {nxt.dim(a, b)}, homology gives {expect}")
+@dataclass(frozen=True)
+class SpectralSequence:
+    """Pages E_1 ... E_{a_max+1} of a complex, each built once, its total
+    Betti numbers by degree, and the first r whose page equals the last.
+    d_r raises the filtration index by r, so every d_r with r > a_max is
+    zero and the last page is E_infinity."""
+
+    pages: list
+    betti: list
+    stabilizes_at: int
+
+    @property
+    def stable(self) -> Page:
+        return self.pages[-1]
 
 
-def stabilization_index(cx: BigradedComplex) -> int:
-    """Smallest r at which the pages have stopped moving."""
-    r_stab = cx.a_max + cx.b_max + 1
-    final = page(cx, r_stab).dims
-    for r in range(1, r_stab + 1):
-        if page(cx, r).dims == final:
-            return r
-    return r_stab
-
-
-def e_infinity(cx: BigradedComplex, verify: bool = True) -> Page:
-    """The stable page; verified against the total cohomology when asked."""
-    r_stab = cx.a_max + cx.b_max + 1
-    stable = page(cx, r_stab)
-    if verify:
-        for p in range(cx.top_total_degree() + 2):
-            want = cx.total_cohomology(p)
-            got = stable.total(p)
-            if want != got:
+def spectral_sequence(cx: BigradedComplex) -> SpectralSequence:
+    """All pages of `cx`, cross-checked two ways: page r+1 must be the
+    homology of (page r, d_r), and the stable page's totals must be the total
+    cohomology. A failed check raises ArithmeticError naming the spot or the
+    degree."""
+    pages = [page(cx, r) for r in range(1, cx.a_max + 2)]
+    for cur, nxt in zip(pages, pages[1:]):
+        r = cur.r
+        for a, b in set(cur.dims) | set(nxt.dims):
+            expect = (cur.dim(a, b) - cur.d_ranks.get((a, b), 0)
+                      - cur.d_ranks.get((a - r, b + r - 1), 0))
+            if nxt.dim(a, b) != expect:
                 raise ArithmeticError(
-                    f"E_infinity total {got} != total cohomology {want} "
-                    f"in degree {p}")
-    return stable
+                    f"page recursion fails at {(a, b)}: "
+                    f"dim E_{r + 1} = {nxt.dim(a, b)}, homology gives {expect}")
+    top = cx.top_total_degree()
+    ranks = ([0] + [rank_exact(cx.total_differential(p)) for p in range(top)]
+             + [0])
+    betti = [cx.total_dim(p) - ranks[p] - ranks[p + 1] for p in range(top + 1)]
+    stable = pages[-1]
+    for p, want in enumerate(betti):
+        if stable.total(p) != want:
+            raise ArithmeticError(
+                f"E_infinity total {stable.total(p)} != total cohomology "
+                f"{want} in degree {p}")
+    first = next(pg.r for pg in pages if pg.dims == stable.dims)
+    return SpectralSequence(pages, betti, first)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +672,7 @@ def classify_obstruction(algebra, base_kind: str, p: int,
              for g in monodromy_action]
     a2 = contraction_blocks(T, n) if T is not None else None
     cx = flat_bundle_complex(ranks, a0, monos, base_kind, a2=a2)
-    if page(cx, 2).dims != e_infinity(cx, verify=False).dims:
+    if spectral_sequence(cx).stabilizes_at > 2:
         return 3
     return None
 

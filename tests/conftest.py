@@ -2,9 +2,11 @@
 bigraded complexes whose differential squares to zero exactly."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
+from nilcollapse import lie, spectral
 from nilcollapse.numerics import RationalMatrix, solve_exact
 from nilcollapse.spectral import BigradedComplex
 
@@ -12,6 +14,17 @@ from nilcollapse.spectral import BigradedComplex
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def filiform_torus_complex(n):
+    """Torus2 complex of filiform:n with trivial holonomy and a2 the
+    contraction by the central direction e_n, so it has D_0, D_1 and D_2."""
+    alg = lie.filiform(n)
+    ranks = [comb(n, b) for b in range(n + 1)]
+    eye = [RationalMatrix.identity(r) for r in ranks]
+    return spectral.flat_bundle_complex(
+        ranks, [lie.ce_differential(alg, b) for b in range(n)], [eye, eye],
+        "torus2", a2=spectral.contraction_blocks([0] * (n - 1) + [1], n))
 
 
 def random_flat_complex(rng, a_max=2, b_max=2, max_dim=3):

@@ -125,6 +125,26 @@ def test_ss_command(runner, complex_file):
     assert payload["total_cohomology"] == [1, 2, 2, 1]
 
 
+def test_ss_exits_two_on_inconsistent_pages(runner, complex_file, monkeypatch):
+    real = spectral.page
+    monkeypatch.setattr(spectral, "page", lambda cx, r: spectral.Page(
+        r, {**real(cx, r).dims, (0, 0): 2}, {}))
+    res = runner.invoke(main, ["ss", complex_file])
+    assert res.exit_code == 2
+    assert "total cohomology 1 in degree 0" in res.output
+
+
+def test_validate_rejects_inexact_float_complex(runner, tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({
+        "dims": [[0, 0, 1], [0, 1, 1]],
+        "maps": [{"shift": 0, "a": 0, "b": 0, "matrix": [[0.1]]}],
+    }))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 1
+    assert "non-integral float 0.1" in res.output
+
+
 def test_run_preset_with_check_and_outputs(runner, tmp_path):
     out = tmp_path / "out"
     res = runner.invoke(main, ["run", "example1_heisenberg_point",

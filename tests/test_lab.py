@@ -3,12 +3,14 @@ emission, and determinism."""
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nilcollapse import lab, spectral, lie
 from nilcollapse.numerics import InputError, RationalMatrix
+from tests.conftest import filiform_torus_complex
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +97,22 @@ def test_spectral_sequence_report_scenario():
     assert rep.pages["total_cohomology"] == [1, 2, 2, 1]
     assert rep.pages["stabilizes_at"] >= 1
     assert rep.passed()
+
+
+def test_spectral_sequence_report_builds_each_page_once(monkeypatch):
+    cx = filiform_torus_complex(5)
+    calls = Counter()
+    real = spectral.page
+
+    def counted(cx, r):
+        calls[r] += 1
+        return real(cx, r)
+
+    monkeypatch.setattr(spectral, "page", counted)
+    rep = lab.run(lab.ScenarioConfig(kind="spectral_sequence_report",
+                                     model={"payload": cx.to_dict()}))
+    assert rep.pages["stabilizes_at"] == 3
+    assert calls == {r: 1 for r in range(1, cx.a_max + 2)}
 
 
 def test_spectral_sequence_report_needs_a_complex():

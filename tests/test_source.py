@@ -18,6 +18,8 @@ MERGED = {
     "_assemble", "_spot_dims", "_page_map",  # -> BigradedComplex.block
     "_row_echelon",                          # -> numerics.row_reduce
     "_rational",                             # -> RationalMatrix(rows)
+    "stabilization_index", "e_infinity",     # -> spectral_sequence(cx)
+    "verify_page_recursion", "total_cohomology",
 }
 
 

@@ -4,14 +4,13 @@ closed-form circle answer (invariants plus coinvariants), and page-by-page
 recursion on randomly generated flat complexes."""
 
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
 
 from nilcollapse import lie, spectral
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
-from tests.conftest import random_flat_complex
+from tests.conftest import filiform_torus_complex, random_flat_complex
 
 UNIP = RationalMatrix([[1, 1], [0, 1]])
 SOL = RationalMatrix([[2, 1], [1, 1]])
@@ -57,17 +56,11 @@ def test_total_complex_bookkeeping():
     cx = spectral.from_algebra(lie.heisenberg(3))
     assert cx.total_dim(1) == 3
     assert cx.top_total_degree() == 3
-    assert [cx.total_cohomology(p) for p in range(4)] == [1, 2, 2, 1]
+    assert spectral.spectral_sequence(cx).betti == [1, 2, 2, 1]
 
 
 def test_block_matches_total_differential_with_d2():
-    # filiform:4 over the torus with a2 the contraction by e_4 has D_0, D_1, D_2
-    alg = lie.filiform(4)
-    ranks = [comb(4, b) for b in range(5)]
-    eye = [RationalMatrix.identity(r) for r in ranks]
-    cx = spectral.flat_bundle_complex(
-        ranks, [lie.ce_differential(alg, b) for b in range(4)], [eye, eye],
-        "torus2", a2=spectral.contraction_blocks([0, 0, 0, 1], 4))
+    cx = filiform_torus_complex(4)
     assert cx.shifts() == [0, 1, 2]
 
     def offsets(spots):
@@ -118,6 +111,19 @@ def test_serialization_round_trip(tmp_path):
     assert cx3.dims == cx.dims
 
 
+def test_from_dict_rejects_inexact_floats():
+    payload = {"dims": [[0, 0, 1], [0, 1, 1]],
+               "maps": [{"shift": 0, "a": 0, "b": 0, "matrix": [[0.1]]}]}
+    with pytest.raises(InputError, match="non-integral float 0.1"):
+        spectral.BigradedComplex.from_dict(payload)
+    # rational strings and integral floats stay exact
+    for entry, want in (("1/3", Fraction(1, 3)), (2.0, Fraction(2)),
+                        ("0.1", Fraction(1, 10))):
+        payload["maps"][0]["matrix"] = [[entry]]
+        cx = spectral.BigradedComplex.from_dict(payload)
+        assert cx.D(0, 0, 0).data == [[want]]
+
+
 # ---------------------------------------------------------------------------
 # pages
 # ---------------------------------------------------------------------------
@@ -131,7 +137,7 @@ def test_page_zero_returns_raw_dimensions():
 def test_one_column_complex_stabilizes_at_page_one():
     cx = spectral.from_algebra(lie.heisenberg(3))
     assert spectral.page(cx, 1).totals() == [1, 2, 2, 1]
-    assert spectral.e_infinity(cx).totals() == [1, 2, 2, 1]
+    assert spectral.spectral_sequence(cx).stable.totals() == [1, 2, 2, 1]
 
 
 def test_unipotent_circle_model_pages():
@@ -140,12 +146,12 @@ def test_unipotent_circle_model_pages():
     assert p2.dim(0, 1) == 1
     assert p2.dim(1, 1) == 1
     assert p2.totals() == [1, 2, 2, 1]
-    assert spectral.e_infinity(cx).totals() == [1, 2, 2, 1]
+    assert spectral.spectral_sequence(cx).stable.totals() == [1, 2, 2, 1]
 
 
 def test_hyperbolic_circle_model_pages():
     cx = circle_model(SOL)
-    assert spectral.e_infinity(cx).totals() == [1, 1, 1, 1]
+    assert spectral.spectral_sequence(cx).stable.totals() == [1, 1, 1, 1]
     # invariants of the degree-1 holonomy vanish
     p2 = spectral.page(cx, 2)
     assert p2.dim(0, 1) == 0 and p2.dim(1, 1) == 0
@@ -154,35 +160,90 @@ def test_hyperbolic_circle_model_pages():
 def test_circle_bundle_complex_degenerates_at_page_three():
     cx = circle_bundle_complex()
     p2 = spectral.page(cx, 2)
-    pinf = spectral.e_infinity(cx)
+    pinf = spectral.spectral_sequence(cx).stable
     assert p2.totals() == [1, 3, 3, 1]
     assert pinf.totals() == [1, 2, 2, 1]
     assert p2.d_ranks.get((0, 1)) == 1  # the coupling differential is nonzero
 
 
 def test_page_recursion_on_models():
+    # the builder checks page r+1 against the homology of (page r, d_r)
     for cx in (circle_model(UNIP), circle_model(SOL), circle_bundle_complex()):
-        for r in range(1, spectral.stabilization_index(cx)):
-            spectral.verify_page_recursion(cx, r)
+        spectral.spectral_sequence(cx)
 
 
 def test_random_flat_complexes_stabilize_to_total_cohomology():
     rng = np.random.default_rng(42)
     for _ in range(15):
         cx = random_flat_complex(rng)
-        pinf = spectral.e_infinity(cx)  # verify=True checks the totals
+        seq = spectral.spectral_sequence(cx)  # checks the stable totals
         top = cx.top_total_degree()
         euler = sum((-1) ** p * cx.total_dim(p) for p in range(top + 1))
-        for r in range(1, spectral.stabilization_index(cx) + 1):
-            pr = spectral.page(cx, r)
+        for pr in seq.pages[:seq.stabilizes_at]:
             assert sum((-1) ** p * t for p, t in enumerate(pr.totals())) == euler
         # spot dimensions never grow from page to page
-        prev = spectral.page(cx, 1)
-        for r in range(2, spectral.stabilization_index(cx) + 1):
-            cur = spectral.page(cx, r)
+        prev = seq.pages[0]
+        for cur in seq.pages[1:seq.stabilizes_at]:
             for spot, d in cur.dims.items():
                 assert d <= prev.dims.get(spot, 0) or prev.dims.get(spot, 0) == 0
             prev = cur
+
+
+def _old_stable_page(cx):
+    """The stable page and its index as first defined: page a_max + b_max + 1,
+    and the smallest r whose page has the same dimensions."""
+    r_stab = cx.a_max + cx.b_max + 1
+    final = spectral.page(cx, r_stab)
+    return final, next(r for r in range(1, r_stab + 1)
+                       if spectral.page(cx, r).dims == final.dims)
+
+
+def test_stable_page_matches_the_old_bound():
+    rng = np.random.default_rng(5)
+    cases = [filiform_torus_complex(4)]
+    for a_max in (1, 2, 3):
+        for b_max in (1, 2, 3):
+            cases += [random_flat_complex(rng, a_max, b_max) for _ in range(3)]
+    seen = set()
+    for cx in cases:
+        seq = spectral.spectral_sequence(cx)
+        final, r_old = _old_stable_page(cx)
+        assert [pg.r for pg in seq.pages] == list(range(1, cx.a_max + 2))
+        assert seq.stable.dims == final.dims
+        assert seq.stable.d_ranks == final.d_ranks == {}
+        assert seq.stabilizes_at == r_old
+        seen.add(r_old)
+    assert seen >= {1, 2, 3, 4}
+
+
+def _corrupt_page(monkeypatch, bad_r):
+    """Make `spectral.page` report one class too many at (0, 0) on page
+    bad_r."""
+    real = spectral.page
+
+    def corrupt(cx, r):
+        pg = real(cx, r)
+        if r != bad_r:
+            return pg
+        return spectral.Page(r, {**pg.dims, (0, 0): pg.dim(0, 0) + 1},
+                             pg.d_ranks)
+
+    monkeypatch.setattr(spectral, "page", corrupt)
+
+
+def test_corrupted_page_recursion_raises(monkeypatch):
+    _corrupt_page(monkeypatch, 2)
+    with pytest.raises(ArithmeticError,
+                       match=r"fails at \(0, 0\): dim E_2 = 2, homology gives 1"):
+        spectral.spectral_sequence(circle_bundle_complex())
+
+
+def test_corrupted_stable_page_raises(monkeypatch):
+    # one column has a single page, so only the total cohomology catches it
+    _corrupt_page(monkeypatch, 1)
+    with pytest.raises(ArithmeticError,
+                       match="E_infinity total 2 != total cohomology 1 in degree 0"):
+        spectral.spectral_sequence(spectral.from_algebra(lie.heisenberg(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +270,7 @@ def test_leray_matches_stable_page_for_nil_fiber():
     betti = lie.betti_numbers(alg)
     monos = [RationalMatrix.identity(b) for b in betti]
     expect = [spectral.leray_circle(monos, p) for p in range(5)]
-    assert spectral.e_infinity(cx).totals() == expect == [1, 3, 4, 3, 1]
+    assert spectral.spectral_sequence(cx).stable.totals() == expect == [1, 3, 4, 3, 1]
 
 
 def test_leray_matches_stable_page_random_holonomy():
@@ -224,7 +285,7 @@ def test_leray_matches_stable_page_random_holonomy():
             g = RationalMatrix([[a, b], [c, d]])
         cx = circle_model(g)
         monos = [spectral.form_action(g, q) for q in range(3)]
-        assert spectral.e_infinity(cx).totals() == \
+        assert spectral.spectral_sequence(cx).stable.totals() == \
             [spectral.leray_circle(monos, p) for p in range(4)]
 
 
