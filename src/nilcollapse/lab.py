@@ -288,9 +288,9 @@ def _run_nil_rescale(cfg: ScenarioConfig) -> ScenarioReport:
     if not rep.ok():
         raise InputError(f"algebra invalid: {rep}")
     grading = lie.lower_central_grading(algebra)
+    preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
     degs = []
-    for p in cfg.degrees:
-        pred = spectral.predict_small_count(algebra, "point", p)
+    for p, pred in zip(cfg.degrees, preds):
         spectra = [lie.rescaled_spectrum(algebra, grading, None, p, eps)
                    for eps in cfg.sweep_values]
         degs.append(_degree_report(p, cfg.sweep_values, spectra,
@@ -310,10 +310,10 @@ def _run_monodromy_degeneration(cfg: ScenarioConfig) -> ScenarioReport:
     if len(weights) != algebra.n:
         raise InputError("one gauge weight per fiber dimension")
     circ = tuple(cfg.model.get("circumferences", [1.0]))
+    preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
+                                          monodromy_action=[phi_exact])
     degs = []
-    for p in cfg.degrees:
-        pred = spectral.predict_small_count(algebra, "circle", p,
-                                            monodromy_action=[phi_exact])
+    for p, pred in zip(cfg.degrees, preds):
         spectra = []
         for t in cfg.sweep_values:
             G = np.diag(t ** weights)
@@ -333,11 +333,11 @@ def _run_circle_bundle(cfg: ScenarioConfig) -> ScenarioReport:
     base = sconn.BaseModel("torus2", cfg.resolution, circ)
     fiber = lie.abelian(1)
     one = RationalMatrix.identity(1)
+    preds = spectral.predict_small_counts(fiber, "torus2", cfg.degrees,
+                                          monodromy_action=[one, one],
+                                          T=[Fraction(1)])
     degs = []
-    for p in cfg.degrees:
-        pred = spectral.predict_small_count(fiber, "torus2", p,
-                                            monodromy_action=[one, one],
-                                            T=[Fraction(1)])
+    for p, pred in zip(cfg.degrees, preds):
         spectra = []
         for delta in cfg.sweep_values:
             sc = sconn.circle_bundle_model(base, delta)

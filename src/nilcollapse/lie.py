@@ -226,7 +226,7 @@ def _float_colspace(A: np.ndarray, tol: float) -> np.ndarray:
 
 def _span_union(mats: list[RationalMatrix], n: int) -> RationalMatrix:
     """Column span of a collection of exact matrices, as an n x r basis."""
-    cols = [col for m in mats for col in m.transpose().data]
+    cols = [col for m in mats for col in m.transpose().tolist()]
     basis, _ = row_reduce(RationalMatrix(cols, cols=n))
     return RationalMatrix(basis, cols=n).transpose()
 
@@ -391,10 +391,7 @@ def ce_differential(algebra: NilpotentLieAlgebra, p: int) -> RationalMatrix:
     if not algebra.exact:
         raise InputError("exact differential requires exact structure constants")
     entries, ncols, nrows = _ce_entries(algebra, p)
-    m = RationalMatrix.zeros(nrows, ncols)
-    for (r, cidx), val in entries.items():
-        m.data[r][cidx] = Fraction(val)
-    return m
+    return RationalMatrix.from_entries(nrows, ncols, entries)
 
 
 def ce_matrix(algebra: NilpotentLieAlgebra, p: int) -> np.ndarray:

@@ -85,100 +85,164 @@ def gen_sym_eig(K, M, tol: float = 1e-10) -> EigenResult:
 # ---------------------------------------------------------------------------
 
 def _to_fraction(x) -> Fraction:
+    # strings first: they are most of every serialized matrix
+    if isinstance(x, str):
+        # plain ASCII integers skip the general parser; int() reads them
+        # exactly as Fraction() does
+        if x.isascii() and (x.isdigit() or x[:1] == "-" and x[1:].isdigit()):
+            return Fraction(int(x))
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"cannot interpret {x!r} as an exact rational") \
+                from exc
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, float):
-        if x != int(x):
+        if not x.is_integer():
             raise InputError(f"non-integral float {x!r} not accepted as exact rational")
         return Fraction(int(x))
     raise InputError(f"cannot interpret {x!r} as an exact rational")
 
 
-class RationalMatrix:
-    """Dense matrix over Q. Immutable by convention; rows of Fractions."""
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-    __slots__ = ("rows", "cols", "data")
+
+class RationalMatrix:
+    """Sparse matrix over Q: one {column: nonzero Fraction} dict per row.
+
+    Immutable by convention. Every operation visits stored nonzeros only;
+    `tolist()` gives the dense rows.
+    """
+
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, data, cols: int | None = None):
-        data = [[_to_fraction(x) for x in row] for row in data]
-        self.rows = len(data)
-        if self.rows:
-            self.cols = len(data[0])
-            if any(len(row) != self.cols for row in data):
+        nz = []
+        width = None
+        for row in data:
+            vals = [_to_fraction(x) for x in row]
+            if width is None:
+                width = len(vals)
+            elif len(vals) != width:
                 raise InputError("ragged rows")
-        else:
+            nz.append({j: v for j, v in enumerate(vals) if v})
+        if width is None:
             if cols is None:
                 raise InputError("empty matrix needs an explicit column count")
-            self.cols = cols
-        self.data = data
+            width = cols
+        self.rows, self.cols, self._nz = len(nz), width, nz
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, nz: list) -> "RationalMatrix":
+        """Wrap rows of nonzero Fractions that the kernel built itself."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._nz = rows, cols, nz
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        return cls._of(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.data[i][i] = Fraction(1)
-        return m
+        return cls._of(n, n, [{i: _ONE} for i in range(n)])
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries) -> "RationalMatrix":
+        """The rows x cols matrix with the {(i, j): value} entries given and
+        zeros elsewhere."""
+        nz = [{} for _ in range(rows)]
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise InputError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
+            x = _to_fraction(x)
+            if x:
+                nz[i][j] = x
+        return cls._of(rows, cols, nz)
 
     @classmethod
     def from_numpy(cls, A) -> "RationalMatrix":
         A = np.asarray(A)
-        return cls([[_to_fraction(A[i, j].item() if hasattr(A[i, j], "item") else A[i, j])
-                     for j in range(A.shape[1])] for i in range(A.shape[0])],
-                    cols=A.shape[1])
+        return cls(A.tolist(), cols=A.shape[1])
+
+    def entries(self):
+        """The nonzero entries, as ((i, j), value) pairs in row order."""
+        for i, row in enumerate(self._nz):
+            for j, v in row.items():
+                yield (i, j), v
+
+    def tolist(self) -> list[list[Fraction]]:
+        out = []
+        for row in self._nz:
+            dense = [_ZERO] * self.cols
+            for j, v in row.items():
+                dense[j] = v
+            out.append(dense)
+        return out
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.data],
-                        dtype=float).reshape(self.rows, self.cols)
+        out = np.zeros((self.rows, self.cols))
+        for i, row in enumerate(self._nz):
+            for j, v in row.items():
+                out[i, j] = float(v)
+        return out
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([[self.data[i][j] for i in range(self.rows)]
-                               for j in range(self.cols)], cols=self.rows)
+        nz = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._nz):
+            for j, v in row.items():
+                nz[j][i] = v
+        return RationalMatrix._of(self.cols, self.rows, nz)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise InputError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        ot = other.transpose()
         out = []
-        for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, col) if a and b)
-                        for col in ot.data])
-        return RationalMatrix(out, cols=other.cols)
+        for row in self._nz:
+            acc = {}
+            for k, a in row.items():
+                _add_scaled(acc, a, other._nz[k])
+            out.append(acc)
+        return RationalMatrix._of(self.rows, other.cols, out)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch in addition")
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.data, other.data)],
-                              cols=self.cols)
+        out = []
+        for r1, r2 in zip(self._nz, other._nz):
+            acc = dict(r1)
+            _add_scaled(acc, _ONE, r2)
+            out.append(acc)
+        return RationalMatrix._of(self.rows, self.cols, out)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a for a in row] for row in self.data],
-                              cols=self.cols)
+        return RationalMatrix._of(self.rows, self.cols,
+                                  [{j: -v for j, v in row.items()}
+                                   for row in self._nz])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s) -> "RationalMatrix":
         s = _to_fraction(s)
-        return RationalMatrix([[s * a for a in row] for row in self.data],
-                              cols=self.cols)
+        if not s:
+            return RationalMatrix.zeros(self.rows, self.cols)
+        return RationalMatrix._of(self.rows, self.cols,
+                                  [{j: s * v for j, v in row.items()}
+                                   for row in self._nz])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self._nz)
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self._nz == other._nz)
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -186,13 +250,54 @@ class RationalMatrix:
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise InputError("row mismatch in hstack")
-        return RationalMatrix([r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                              cols=self.cols + other.cols)
+        c = self.cols
+        return RationalMatrix._of(
+            self.rows, c + other.cols,
+            [{**r1, **{j + c: v for j, v in r2.items()}}
+             for r1, r2 in zip(self._nz, other._nz)])
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise InputError("column mismatch in vstack")
-        return RationalMatrix(self.data + other.data, cols=self.cols)
+        return RationalMatrix._of(self.rows + other.rows, self.cols,
+                                  self._nz + other._nz)
+
+
+def _add_scaled(target: dict, f: Fraction, source: dict) -> None:
+    """target += f * source on sparse rows, dropping entries that cancel."""
+    for j, v in source.items():
+        x = target.get(j, 0) + f * v
+        if x:
+            target[j] = x
+        else:
+            del target[j]
+
+
+def _rref(A: RationalMatrix) -> dict[int, dict[int, Fraction]]:
+    """Sparse reduced row echelon form of A, as {pivot column: row}.
+
+    Rows enter one at a time. Each is cleared at the pivot columns found so
+    far; if anything is left, its leftmost column becomes a new pivot, the
+    row is scaled to 1 there and that column is cleared from the earlier
+    pivot rows. Pivot rows are thus zero left of their pivot and at every
+    other pivot column: the reduced form, which is unique, so the order of
+    elimination never changes the result.
+    """
+    basis: dict[int, dict[int, Fraction]] = {}
+    for source in A._nz:
+        row = dict(source)
+        for c in [c for c in row if c in basis]:
+            _add_scaled(row, -row[c], basis[c])
+        if not row:
+            continue
+        c = min(row)
+        inv = 1 / row[c]
+        row = {j: v * inv for j, v in row.items()}
+        for other in basis.values():
+            if c in other:
+                _add_scaled(other, -other[c], row)
+        basis[c] = row
+    return basis
 
 
 def row_reduce(A: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -201,59 +306,44 @@ def row_reduce(A: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
     Returns (rows, pivots): the nonzero rows of the reduced form, one per
     pivot, and the pivot column of each.
     """
-    data = [row[:] for row in A.data]
-    pivots = []
-    r = 0
-    for c in range(A.cols):
-        if r == A.rows:
-            break
-        pr = next((i for i in range(r, A.rows) if data[i][c] != 0), None)
-        if pr is None:
-            continue
-        data[r], data[pr] = data[pr], data[r]
-        inv = 1 / data[r][c]
-        data[r] = [x * inv for x in data[r]]
-        for i in range(A.rows):
-            if i != r and data[i][c] != 0:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
-        pivots.append(c)
-        r += 1
-    return data[:r], pivots
+    basis = _rref(A)
+    pivots = sorted(basis)
+    R = RationalMatrix._of(len(pivots), A.cols, [basis[c] for c in pivots])
+    return R.tolist(), pivots
 
 
 def rank_exact(A: RationalMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(row_reduce(A)[1])
+    return len(_rref(A))
 
 
 def nullspace_exact(A: RationalMatrix) -> RationalMatrix:
-    """Exact basis of ker(A), returned as columns of a cols x nullity matrix."""
+    """Exact basis of ker(A), returned as columns of a cols x nullity matrix:
+    one column per free column of the reduced form, in increasing order."""
     n = A.cols
-    rows, pivots = row_reduce(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis_cols = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        basis_cols.append(v)
-    return RationalMatrix([[col[i] for col in basis_cols] for i in range(n)],
-                          cols=len(basis_cols))
+    basis = _rref(A)
+    free = {c: k for k, c in enumerate(c for c in range(n) if c not in basis)}
+    nz = [{} for _ in range(n)]
+    for c, k in free.items():
+        nz[c][k] = _ONE
+    for pc, row in basis.items():
+        for j, v in row.items():
+            if j != pc:
+                nz[pc][free[j]] = -v
+    return RationalMatrix._of(n, len(free), nz)
 
 
 def solve_exact(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
     """One exact solution X of A X = B; raises InputError if inconsistent."""
     if A.rows != B.rows:
         raise InputError("row mismatch in solve")
-    rows, pivots = row_reduce(A.hstack(B))
-    X = RationalMatrix.zeros(A.cols, B.cols)
-    for row, pc in zip(rows, pivots):
-        if pc >= A.cols:
+    n = A.cols
+    nz = [{} for _ in range(n)]
+    for pc, row in _rref(A.hstack(B)).items():
+        if pc >= n:
             raise InputError("inconsistent linear system")
-        X.data[pc] = row[A.cols:]
-    return X
+        nz[pc] = {j - n: v for j, v in row.items() if j >= n}
+    return RationalMatrix._of(n, B.cols, nz)
 
 
 def quotient_dim(numerator_constraints: RationalMatrix,

@@ -91,8 +91,7 @@ class BigradedComplex:
         """The total differential from the spots `col_spots` to the spots
         `row_spots`, one total degree higher, stacked in the order given:
         the block from s to t is D_{t_a - s_a} at s, and zero if t_a < s_a."""
-        out = RationalMatrix.zeros(sum(self.dim(*t) for t in row_spots),
-                                   sum(self.dim(*s) for s in col_spots))
+        entries = {}
         r0 = 0
         for t in row_spots:
             c0 = 0
@@ -100,11 +99,12 @@ class BigradedComplex:
                 mat = (self.maps.get(t[0] - s[0], {}).get(s)
                        if t[0] >= s[0] else None)
                 if mat is not None:
-                    for i, row in enumerate(mat.data):
-                        out.data[r0 + i][c0:c0 + mat.cols] = row
+                    for (i, j), v in mat.entries():
+                        entries[(r0 + i, c0 + j)] = v
                 c0 += self.dim(*s)
             r0 += self.dim(*t)
-        return out
+        return RationalMatrix.from_entries(
+            r0, sum(self.dim(*s) for s in col_spots), entries)
 
     def total_differential(self, p: int) -> RationalMatrix:
         return self.block(self.total_spots(p + 1), self.total_spots(p))
@@ -119,7 +119,7 @@ class BigradedComplex:
             "dims": [[a, b, d] for (a, b), d in sorted(self.dims.items())],
             "maps": [
                 {"shift": i, "a": a, "b": b,
-                 "matrix": [[str(x) for x in row] for row in mat.data]}
+                 "matrix": [[str(x) for x in row] for row in mat.tolist()]}
                 for i in sorted(self.maps)
                 for (a, b), mat in sorted(self.maps[i].items())
             ],
@@ -202,17 +202,17 @@ class _TupleSpace:
 
     def _deep_selector(self) -> RationalMatrix:
         """Rows picking out the leading-component coordinates."""
-        sel = RationalMatrix.zeros(self.lead_dim, self.ambient)
-        for i in range(self.lead_dim):
-            sel.data[i][i] = Fraction(1)
-        return sel
+        return RationalMatrix.from_entries(
+            self.lead_dim, self.ambient,
+            {(i, i): 1 for i in range(self.lead_dim)})
 
     def denominator_generators(self) -> RationalMatrix:
         """Rows spanning the trivial classes (before intersecting cycles)."""
         gens = self.boundary_cols.transpose()
-        deep = RationalMatrix.zeros(self.ambient - self.lead_dim, self.ambient)
-        for i in range(self.ambient - self.lead_dim):
-            deep.data[i][self.lead_dim + i] = Fraction(1)
+        deep = RationalMatrix.from_entries(
+            self.ambient - self.lead_dim, self.ambient,
+            {(i, self.lead_dim + i): 1
+             for i in range(self.ambient - self.lead_dim)})
         return gens.vstack(deep)
 
     def dimension(self) -> int:
@@ -469,16 +469,16 @@ def minimal_polynomial(A: RationalMatrix) -> list[Fraction]:
     if n == 0:
         return [Fraction(1)]
     powers = [RationalMatrix.identity(n)]
-    vecs = [[x for row in powers[0].data for x in row]]
+    vecs = [[x for row in powers[0].tolist() for x in row]]
     while rank_exact(RationalMatrix(vecs, cols=n * n)) == len(vecs):
         powers.append(powers[-1] @ A)
-        vecs.append([x for row in powers[-1].data for x in row])
+        vecs.append([x for row in powers[-1].tolist() for x in row])
     k = len(powers) - 1
     cols = RationalMatrix([[vecs[i][j] for i in range(k)]
                            for j in range(n * n)], cols=k)
     target = RationalMatrix([[vecs[k][j]] for j in range(n * n)], cols=1)
     x = solve_exact(cols, target)
-    return [-x.data[i][0] for i in range(k)] + [Fraction(1)]
+    return [-row[0] for row in x.tolist()] + [Fraction(1)]
 
 
 @dataclass(frozen=True)
@@ -528,7 +528,7 @@ def form_action(g: RationalMatrix, b: int) -> RationalMatrix:
     """Induced action of the automorphism g on degree-b exterior forms
     (compound of the inverse transpose)."""
     return RationalMatrix(
-        lie.compound_matrix(inverse_exact(g).transpose().data, b))
+        lie.compound_matrix(inverse_exact(g).transpose().tolist(), b))
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +567,11 @@ def contraction_blocks(v, n: int) -> list[RationalMatrix]:
     for b in range(1, n + 1):
         src = lie.multi_indices(n, b)
         dst = {idx: r for r, idx in enumerate(lie.multi_indices(n, b - 1))}
-        mat = RationalMatrix.zeros(len(dst), len(src))
+        entries = {}
         for c, I in enumerate(src):
             for pos, i in enumerate(I):
-                mat.data[dst[I[:pos] + I[pos + 1:]]][c] += (-1) ** pos * v[i]
-        out.append(mat)
+                entries[(dst[I[:pos] + I[pos + 1:]], c)] = (-1) ** pos * v[i]
+        out.append(RationalMatrix.from_entries(len(dst), len(src), entries))
     return out
 
 
@@ -587,6 +587,15 @@ def predict_small_count(algebra, base_kind: str, p: int,
     implemented by counting generalized 1-eigenspaces, which only depend on
     the semisimple part.
     """
+    return predict_small_counts(algebra, base_kind, (p,), monodromy_action,
+                                F=F, T=T)[0]
+
+
+def predict_small_counts(algebra, base_kind: str, degrees,
+                         monodromy_action=None, F=None,
+                         T=None) -> list[SmallCountPrediction]:
+    """`predict_small_count` for each of `degrees`, in order, with the
+    obstruction cases of all of them from one `classify_obstructions`."""
     gens = _BASE_GENS.get(base_kind)
     if gens is None:
         raise InputError(f"unsupported base kind {base_kind!r}")
@@ -620,61 +629,72 @@ def predict_small_count(algebra, base_kind: str, p: int,
             dims.append(int(np.sum(np.abs(w - 1.0) < 1e-6)))
         return min(dims)
 
-    per = {}
-    total = 0
-    for a in range(gens + 1):
-        b = p - a
-        h = comb(gens, a) * fixed_dim(b)
-        if h:
-            per[(a, b)] = h
-            total += h
-    case = classify_obstruction(algebra, base_kind, p,
-                                monodromy_action=monodromy_action, F=F, T=T)
-    return SmallCountPrediction(p, total, per, case)
+    cases = classify_obstructions(algebra, base_kind, degrees,
+                                  monodromy_action=monodromy_action, F=F, T=T)
+    out = []
+    for p, case in zip(degrees, cases):
+        per = {}
+        total = 0
+        for a in range(gens + 1):
+            b = p - a
+            h = comb(gens, a) * fixed_dim(b)
+            if h:
+                per[(a, b)] = h
+                total += h
+        out.append(SmallCountPrediction(p, total, per, case))
+    return out
 
 
-def classify_obstruction(algebra, base_kind: str, p: int,
-                         monodromy_action=None, F=None,
-                         T=None) -> int | None:
-    """Which structural feature (if any) makes the naive fiberwise-harmonic
-    count fail: 1 = fiber cohomology smaller than the invariant forms,
-    2 = holonomy acts non-semisimply on fiber cohomology, 3 = the
-    twisted-coefficient pages do not stabilize at page 2. Checked in that
-    order; None when no obstruction applies through degree p."""
+def classify_obstructions(algebra, base_kind: str, degrees,
+                          monodromy_action=None, F=None,
+                          T=None) -> list[int | None]:
+    """For each degree p, which structural feature (if any) makes the naive
+    fiberwise-harmonic count fail: 1 = fiber cohomology smaller than the
+    invariant forms, 2 = holonomy acts non-semisimply on fiber cohomology,
+    3 = the twisted-coefficient pages do not stabilize at page 2. Checked in
+    that order; None when no obstruction applies through degree p. Case 3
+    does not depend on p: the twisted model's pages are built at most once."""
     gens = _BASE_GENS.get(base_kind)
     if gens is None:
         raise InputError(f"unsupported base kind {base_kind!r}")
     n = algebra.n
     trivial_F = F is None or len(F.elements) == 1
-    # case 1: fiber cochain complex not already harmonic
     betti = lie.betti_numbers(algebra) if trivial_F else None
-    for q in range(min(p, n) + 1):
-        full, _ = _invariant_sector_dims(algebra, F, q)
-        bq = betti[q] if trivial_F else _invariant_betti(algebra, F, q)
-        if bq < full:
-            return 1
-    if gens == 0 or monodromy_action is None:
-        return None
-    monodromy_action = [m if isinstance(m, RationalMatrix)
-                        else RationalMatrix(m) for m in monodromy_action]
-    if not trivial_F:
-        return None  # non-semisimplicity checks need the exact sector
-    # case 2: holonomy non-semisimple on fiber cohomology
-    for q in range(min(p, n) + 1):
-        for g in monodromy_action:
-            ind = cohomology_action(algebra, form_action(g, q), q)
-            if not unipotent_factor(ind).semisimple:
-                return 2
-    # case 3: page 2 of the twisted model differs from the stable page
-    ranks = [len(lie.multi_indices(n, b)) for b in range(n + 1)]
-    a0 = [lie.ce_differential(algebra, b) for b in range(n)]
-    monos = [[form_action(g, b) for b in range(n + 1)]
-             for g in monodromy_action]
-    a2 = contraction_blocks(T, n) if T is not None else None
-    cx = flat_bundle_complex(ranks, a0, monos, base_kind, a2=a2)
-    if spectral_sequence(cx).stabilizes_at > 2:
-        return 3
-    return None
+    if monodromy_action is not None:
+        monodromy_action = [m if isinstance(m, RationalMatrix)
+                            else RationalMatrix(m) for m in monodromy_action]
+    late = None  # case 3, decided on first need
+
+    def case(p: int) -> int | None:
+        nonlocal late
+        # case 1: fiber cochain complex not already harmonic
+        for q in range(min(p, n) + 1):
+            full, _ = _invariant_sector_dims(algebra, F, q)
+            bq = betti[q] if trivial_F else _invariant_betti(algebra, F, q)
+            if bq < full:
+                return 1
+        if gens == 0 or monodromy_action is None:
+            return None
+        if not trivial_F:
+            return None  # non-semisimplicity checks need the exact sector
+        # case 2: holonomy non-semisimple on fiber cohomology
+        for q in range(min(p, n) + 1):
+            for g in monodromy_action:
+                ind = cohomology_action(algebra, form_action(g, q), q)
+                if not unipotent_factor(ind).semisimple:
+                    return 2
+        # case 3: page 2 of the twisted model differs from the stable page
+        if late is None:
+            ranks = [len(lie.multi_indices(n, b)) for b in range(n + 1)]
+            a0 = [lie.ce_differential(algebra, b) for b in range(n)]
+            monos = [[form_action(g, b) for b in range(n + 1)]
+                     for g in monodromy_action]
+            a2 = contraction_blocks(T, n) if T is not None else None
+            cx = flat_bundle_complex(ranks, a0, monos, base_kind, a2=a2)
+            late = spectral_sequence(cx).stabilizes_at > 2
+        return 3 if late else None
+
+    return [case(p) for p in degrees]
 
 
 def _invariant_betti(algebra, F, q: int) -> int:
@@ -707,12 +727,11 @@ def cohomology_action(algebra, form_act: RationalMatrix, q: int) -> RationalMatr
     # pick cycle columns independent modulo the image
     _, pivots = row_reduce(Im.hstack(K))
     reps = [c - Im.cols for c in pivots if c >= Im.cols]
-    R = RationalMatrix([[K.data[i][j] for j in reps] for i in range(amb)],
+    R = RationalMatrix([[row[j] for j in reps] for row in K.tolist()],
                        cols=len(reps))
     if not reps:
         return RationalMatrix.zeros(0, 0)
     # solve [R | Im] x = form_act R; the R-part of x is the induced matrix
     aug = R.hstack(Im) if Im.cols else R
     X = solve_exact(aug, form_act @ R)
-    return RationalMatrix([X.data[i][:] for i in range(len(reps))],
-                          cols=len(reps))
+    return RationalMatrix(X.tolist()[:len(reps)], cols=len(reps))

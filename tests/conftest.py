@@ -73,7 +73,7 @@ def random_flat_complex(rng, a_max=2, b_max=2, max_dim=3):
                 P[index[u]][index[v]] = Fraction(int(rng.integers(-2, 3)))
     P = RationalMatrix(P)
     Pinv = solve_exact(P, RationalMatrix.identity(n))
-    D = P @ RationalMatrix(N) @ Pinv
+    D = (P @ RationalMatrix(N) @ Pinv).tolist()
 
     maps = {}
     for (a, b), d in dims.items():
@@ -85,7 +85,7 @@ def random_flat_complex(rng, a_max=2, b_max=2, max_dim=3):
                 continue
             rows = [index[(ta, tb, j)] for j in range(dims[(ta, tb)])]
             cols = [index[(a, b, j)] for j in range(d)]
-            block = RationalMatrix([[D.data[r][c] for c in cols] for r in rows],
+            block = RationalMatrix([[D[r][c] for c in cols] for r in rows],
                                    cols=len(cols))
             if not block.is_zero():
                 maps.setdefault(i, {})[(a, b)] = block

@@ -145,6 +145,17 @@ def test_validate_rejects_inexact_float_complex(runner, tmp_path):
     assert "non-integral float 0.1" in res.output
 
 
+def test_validate_rejects_zero_denominator_complex(runner, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "dims": [[0, 0, 1], [0, 1, 1]],
+        "maps": [{"shift": 0, "a": 0, "b": 0, "matrix": [["1/0"]]}],
+    }))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 1
+    assert "'1/0'" in res.output
+
+
 def test_run_preset_with_check_and_outputs(runner, tmp_path):
     out = tmp_path / "out"
     res = runner.invoke(main, ["run", "example1_heisenberg_point",

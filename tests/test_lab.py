@@ -89,6 +89,27 @@ def test_monodromy_degeneration_sol_scenario():
         assert positive[0] == pytest.approx(np.log(mu) ** 2, rel=5e-3)
 
 
+def test_prediction_builds_the_twisted_pages_once_per_scenario(monkeypatch):
+    calls = []
+    real = spectral.spectral_sequence
+
+    def counted(cx):
+        calls.append(cx)
+        return real(cx)
+
+    def degree_reports(degrees):
+        cfg = dict(lab.PRESETS["example9_sol_circle"], degrees=degrees)
+        return json.dumps(lab.run(cfg).to_dict()["degrees"], sort_keys=True)
+
+    monkeypatch.setattr(spectral, "spectral_sequence", counted)
+    together = degree_reports((0, 1, 2))
+    assert len(calls) == 1
+    # asking for one degree at a time gives the same report per degree
+    apart = [json.loads(degree_reports((p,)))[0] for p in (0, 1, 2)]
+    assert len(calls) == 4
+    assert together == json.dumps(apart, sort_keys=True)
+
+
 def test_spectral_sequence_report_scenario():
     cx = spectral.from_algebra(lie.heisenberg(3))
     cfg = lab.ScenarioConfig(kind="spectral_sequence_report",

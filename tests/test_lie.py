@@ -287,5 +287,5 @@ def test_rescaled_spectrum_limits_to_betti_kernel():
 
 def test_bracket_matrix_and_center():
     ad1 = HEIS3.bracket_matrix(0)
-    assert ad1.data[2][1] == 1  # [e1, e2] = e3
+    assert ad1.tolist()[2][1] == 1  # [e1, e2] = e3
     assert rank_exact(ad1) == 1

@@ -10,8 +10,10 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from nilcollapse.numerics import (EigenResult, InputError, RationalMatrix,
-                                  gen_sym_eig, nullspace_exact, quotient_dim,
-                                  rank_exact, row_reduce, solve_exact, sym_eig)
+                                  _to_fraction, gen_sym_eig, nullspace_exact,
+                                  quotient_dim, rank_exact, row_reduce,
+                                  solve_exact, sym_eig)
+from tests import dense_oracle as oracle
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +118,25 @@ def test_gen_sym_eig_rejects_indefinite_mass():
 def test_rational_matrix_construction_and_ops():
     A = RationalMatrix([["1/2", 1], [0, "2/3"]])
     B = RationalMatrix([[2, 0], [0, 3]])
-    assert (A @ B).data[0] == [Fraction(1), Fraction(3)]
+    assert (A @ B).tolist()[0] == [Fraction(1), Fraction(3)]
     assert (A + (-A)).is_zero()
-    assert A.scale(Fraction(2)).data[0][0] == Fraction(1)
-    assert A.transpose().data[1][0] == Fraction(1)
+    assert A.scale(Fraction(2)).tolist()[0][0] == Fraction(1)
+    assert A.transpose().tolist()[1][0] == Fraction(1)
     assert A == RationalMatrix([["1/2", "1"], ["0", "2/3"]])
+
+
+def test_rational_matrix_from_entries():
+    A = RationalMatrix.from_entries(2, 3, {(0, 2): "1/2", (1, 0): 3,
+                                           (1, 1): 0})
+    assert A == RationalMatrix([[0, 0, "1/2"], [3, 0, 0]])
+    assert list(A.entries()) == [((0, 2), Fraction(1, 2)), ((1, 0), 3)]
+    with pytest.raises(InputError, match="outside"):
+        RationalMatrix.from_entries(2, 3, {(2, 0): 1})
+    with pytest.raises(InputError):
+        RationalMatrix.from_entries(1, 1, {(0, 0): 0.5})
+    # the rows are sparse: there is no dense .data to write into by mistake
+    with pytest.raises(AttributeError):
+        A.data
 
 
 def test_rational_matrix_rejects_inexact_floats():
@@ -168,9 +184,9 @@ def test_solve_exact_consistent_and_inconsistent():
 
 def test_row_reduce_returns_reduced_copy():
     A = RationalMatrix([[0, 2, 4], [1, 1, 1], [1, 2, 3]])
-    before = [row[:] for row in A.data]
+    before = A.tolist()
     rows, pivots = row_reduce(A)
-    assert A.data == before
+    assert A.tolist() == before
     assert pivots == [0, 1]
     assert rows == [[1, 0, -1], [0, 1, 2]]
 
@@ -233,3 +249,106 @@ def test_quotient_dim_negative_raises_even_without_asserts(monkeypatch):
     monkeypatch.setattr(numerics, "rank_exact", lambda M: next(ranks))
     with pytest.raises(ArithmeticError, match="negative quotient dimension"):
         quotient_dim(RationalMatrix.identity(2), RationalMatrix.identity(2))
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against the dense oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _rational_rows(draw, rows=None, cols=None):
+    """(dense rows of Fractions, column count): any shape up to 6 x 6,
+    including 0 x n and n x 0, with a density drawn from [0, 1]; half the
+    time a product through a narrow inner dimension, so that ranks fall
+    short and kernels and inconsistent systems are common."""
+    r = draw(st.integers(0, 6)) if rows is None else rows
+    c = draw(st.integers(0, 6)) if cols is None else cols
+    density = draw(st.floats(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def entries(m, n):
+        return [[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+                 if rng.random() < density else Fraction(0)
+                 for _ in range(n)] for _ in range(m)]
+
+    if draw(st.booleans()):
+        return entries(r, c), c
+    k = draw(st.integers(0, 3))
+    left = oracle.DenseRationalMatrix(entries(r, k), cols=k)
+    right = oracle.DenseRationalMatrix(entries(k, c), cols=c)
+    return (left @ right).data, c
+
+
+def _pair(rows_cols):
+    rows, cols = rows_cols
+    return (RationalMatrix(rows, cols=cols),
+            oracle.DenseRationalMatrix(rows, cols=cols))
+
+
+def _same(S, D):
+    return (S.rows, S.cols) == (D.rows, D.cols) and S.tolist() == D.data
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_arithmetic_matches_dense_oracle(data):
+    A, Ad = _pair(data.draw(_rational_rows()))
+    B, Bd = _pair(data.draw(_rational_rows(rows=A.cols)))
+    C, Cd = _pair(data.draw(_rational_rows(rows=A.rows, cols=A.cols)))
+    E, Ed = _pair(data.draw(_rational_rows(rows=A.rows)))
+    G, Gd = _pair(data.draw(_rational_rows(cols=A.cols)))
+    s = data.draw(st.fractions(max_denominator=5).filter(lambda x: abs(x) < 9))
+    assert _same(A, Ad)
+    assert _same(A @ B, Ad @ Bd)
+    assert _same(A + C, Ad + Cd)
+    assert _same(A - C, Ad + Cd.scale(-1))
+    assert _same(A.scale(s), Ad.scale(s))
+    assert _same(A.transpose(), Ad.transpose())
+    assert _same(A.hstack(E), Ad.hstack(Ed))
+    assert _same(A.vstack(G), Ad.vstack(Gd))
+    assert A.is_zero() == all(x == 0 for row in Ad.data for x in row)
+    assert (A == C) == (Ad.data == Cd.data)
+    assert np.array_equal(A.to_numpy(), np.array(
+        [[float(x) for x in row] for row in Ad.data]).reshape(A.rows, A.cols))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_elimination_matches_dense_oracle(data):
+    A, Ad = _pair(data.draw(_rational_rows()))
+    assert row_reduce(A) == oracle.row_reduce(Ad)
+    assert rank_exact(A) == oracle.rank(Ad)
+    # both take one kernel vector per free column of the reduced form
+    assert _same(nullspace_exact(A), oracle.nullspace(Ad))
+    B, Bd = _pair(data.draw(_rational_rows(rows=A.rows)))
+    want = oracle.solve(Ad, Bd)
+    if want is None:
+        with pytest.raises(InputError, match="inconsistent"):
+            solve_exact(A, B)
+    else:
+        assert _same(solve_exact(A, B), want)
+    # a right-hand side in the column space always has a solution
+    X, Xd = _pair(data.draw(_rational_rows(rows=A.cols)))
+    assert _same(solve_exact(A, A @ X), oracle.solve(Ad, Ad @ Xd))
+    Q, Qd = _pair(data.draw(_rational_rows(cols=A.cols)))
+    assert quotient_dim(A, Q) == oracle.quotient_dim(Ad, Qd)
+
+
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("s", ["0", "-3", "+2", " 4 ", "1/3", "2.5", "1e3",
+                               "-0", "007", "1_000", "-7/14"])
+def test_to_fraction_reads_strings_as_fraction_does(s):
+    got = _to_fraction(s)
+    assert type(got) is Fraction and got == Fraction(s)
+    assert RationalMatrix([[s]]).tolist() == [[Fraction(s)]]
+
+
+@pytest.mark.parametrize("x", ["", "abc", "-", "--1", "+-1", "1/0", "0x10",
+                               "²", 0.1, float("nan"), float("inf"),
+                               None, [1]])
+def test_to_fraction_rejects_with_input_error(x):
+    with pytest.raises(InputError):
+        _to_fraction(x)

@@ -1,6 +1,7 @@
 """Source-layout rules checked on the syntax tree of the package: modules
-use each other only through public names, and functions merged into a
-single builder stay merged."""
+use each other only through public names, functions merged into a single
+builder stay merged, and exact matrices are read and built through their
+methods, never through a `.data` attribute."""
 
 import ast
 from pathlib import Path
@@ -20,6 +21,7 @@ MERGED = {
     "_rational",                             # -> RationalMatrix(rows)
     "stabilization_index", "e_infinity",     # -> spectral_sequence(cx)
     "verify_page_recursion", "total_cohomology",
+    "classify_obstruction",                  # -> classify_obstructions(degrees)
 }
 
 
@@ -53,3 +55,12 @@ def test_merged_builders_stay_deleted(path):
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             defined.add(node.id)
     assert not defined & MERGED, f"{path.name} defines {defined & MERGED}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_data_attribute(path):
+    # RationalMatrix keeps sparse rows: a write into a dense `.data` copy
+    # would be lost without an error
+    bad = [f"line {node.lineno}" for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Attribute) and node.attr == "data"]
+    assert not bad, f"{path.name} uses a .data attribute: {bad}"

@@ -121,7 +121,7 @@ def test_from_dict_rejects_inexact_floats():
                         ("0.1", Fraction(1, 10))):
         payload["maps"][0]["matrix"] = [[entry]]
         cx = spectral.BigradedComplex.from_dict(payload)
-        assert cx.D(0, 0, 0).data == [[want]]
+        assert cx.D(0, 0, 0).tolist() == [[want]]
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_exact_matrix_helpers():
         idx = lie.multi_indices(3, p)
         dets = [[np.linalg.det(A.to_numpy()[np.ix_(I, J)]) for J in idx]
                 for I in idx]
-        cf = RationalMatrix(lie.compound_matrix(A.data, p)).to_numpy()
+        cf = RationalMatrix(lie.compound_matrix(A.tolist(), p)).to_numpy()
         assert np.allclose(cf, dets)
 
 
