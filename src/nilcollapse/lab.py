@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import lie, spectral, superconnection as sconn
 from .numerics import InputError, RationalMatrix
-from .report import SpectrumReport
 
 ZERO_TOL = 1e-10
 DECAY_FACTOR = 0.5        # an eigenvalue "vanishes" if it drops below half
@@ -42,9 +41,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown scenario kind {self.kind!r}")
-        vals = tuple(float(v) for v in self.sweep_values)
+        try:
+            vals = tuple(float(v) for v in self.sweep_values)
+            degrees = tuple(int(p) for p in self.degrees)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"sweep values and degrees must be numbers: "
+                             f"{exc}") from exc
         object.__setattr__(self, "sweep_values", vals)
-        object.__setattr__(self, "degrees", tuple(int(p) for p in self.degrees))
+        object.__setattr__(self, "degrees", degrees)
         if self.kind != "spectral_sequence_report":
             if not vals or any(v <= 0 for v in vals):
                 raise InputError("sweep values must be positive")
@@ -58,9 +62,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
-        known = {"kind", "model", "sweep_parameter", "sweep_values",
-                 "degrees", "resolution", "count", "name"}
-        extra = set(payload) - known
+        extra = set(payload) - {f.name for f in fields(cls)}
         if extra:
             raise InputError(f"unknown scenario fields {sorted(extra)}")
         try:
@@ -192,17 +194,11 @@ class ScenarioReport:
     pages: dict | None = None  # spectral_sequence_report payload
 
     def to_dict(self):
+        cfg = self.config
         return {
-            "scenario": {
-                "kind": self.config.kind,
-                "name": self.config.name,
-                "model": self.config.model,
-                "sweep_parameter": self.config.sweep_parameter,
-                "sweep_values": list(self.config.sweep_values),
-                "degrees": list(self.config.degrees),
-                "resolution": self.config.resolution,
-                "count": self.config.count,
-            },
+            "scenario": {**{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+                         "sweep_values": list(cfg.sweep_values),
+                         "degrees": list(cfg.degrees)},
             "degrees": [d.to_dict() for d in self.degrees],
             "pages": self.pages,
         }
@@ -259,13 +255,9 @@ def _observed_count(values, spectra, count) -> int:
     return obs
 
 
-def _zero_count(spec: SpectrumReport) -> int:
-    return int(np.sum(spec.eigenvalues < ZERO_TOL))
-
-
 def _degree_report(p, values, spectra, predicted, count) -> DegreeReport:
     observed = _observed_count(values, spectra, count)
-    zeros = tuple(_zero_count(s) for s in spectra)
+    zeros = tuple(int(np.sum(s.eigenvalues < ZERO_TOL)) for s in spectra)
     slopes = tuple(_fit_slopes(values, spectra, count))
     return DegreeReport(
         degree=p, spectra=tuple(spectra),
@@ -282,6 +274,19 @@ def _degree_report(p, values, spectra, predicted, count) -> DegreeReport:
 # scenario kinds
 # ---------------------------------------------------------------------------
 
+def _sweep(cfg: ScenarioConfig, preds, solver) -> ScenarioReport:
+    """Spectra of every requested degree at every sweep point. `solver(v)`
+    sets sweep point v up once and returns p -> its degree-p spectrum."""
+    spectra = [[] for _ in cfg.degrees]
+    for v in cfg.sweep_values:
+        solve = solver(v)
+        for p, out in zip(cfg.degrees, spectra):
+            out.append(solve(p))
+    return ScenarioReport(cfg, tuple(
+        _degree_report(p, cfg.sweep_values, s, pred.count, cfg.count)
+        for p, s, pred in zip(cfg.degrees, spectra, preds)))
+
+
 def _run_nil_rescale(cfg: ScenarioConfig) -> ScenarioReport:
     algebra = lie.load_algebra(cfg.model.get("algebra", cfg.model))
     rep = lie.validate(algebra)
@@ -289,64 +294,66 @@ def _run_nil_rescale(cfg: ScenarioConfig) -> ScenarioReport:
         raise InputError(f"algebra invalid: {rep}")
     grading = lie.lower_central_grading(algebra)
     preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
-    degs = []
-    for p, pred in zip(cfg.degrees, preds):
-        spectra = [lie.rescaled_spectrum(algebra, grading, None, p, eps)
-                   for eps in cfg.sweep_values]
-        degs.append(_degree_report(p, cfg.sweep_values, spectra,
-                                   pred.count, cfg.count))
-    return ScenarioReport(cfg, tuple(degs))
+    return _sweep(cfg, preds, lambda eps: lambda p: lie.rescaled_spectrum(
+        algebra, grading, None, p, eps))
 
 
-def _run_monodromy_degeneration(cfg: ScenarioConfig) -> ScenarioReport:
+def bundle_sweep(cfg: ScenarioConfig):
+    """Read the model of a `monodromy_degeneration` or
+    `circle_bundle_adiabatic` scenario once. Returns (predictions, at): the
+    exact prediction for each of `cfg.degrees`, and at(v), the
+    superconnection and metric (its equivariance checked) at sweep value v."""
+    if cfg.kind == "circle_bundle_adiabatic":
+        base = sconn.BaseModel("torus2", cfg.resolution, tuple(
+            cfg.model.get("circumferences", [1.0, 1.0])))
+        fiber, one = lie.abelian(1), RationalMatrix.identity(1)
+
+        def circle_bundle(delta):
+            # identity holonomies: the identity metric is equivariant
+            sc = sconn.from_affine_bundle(fiber, base, T=[Fraction(delta)])
+            return sc, sconn.MetricField.identity(sc.bundle)
+
+        return spectral.predict_small_counts(
+            fiber, "torus2", cfg.degrees, monodromy_action=[one, one],
+            T=[Fraction(1)]), circle_bundle
+    if cfg.kind != "monodromy_degeneration":
+        raise InputError(f"{cfg.kind} scenarios sweep no bundle")
     algebra = lie.load_algebra(cfg.model.get("algebra", "abelian:2"))
     phi_rows = cfg.model.get("monodromy")
     if phi_rows is None:
         raise InputError("monodromy_degeneration needs a 'monodromy' matrix")
-    phi_exact = RationalMatrix(phi_rows)
-    phi = phi_exact.to_numpy()
-    weights = np.array(cfg.model.get("gauge_weights", [0] * algebra.n),
-                       dtype=float)
-    if len(weights) != algebra.n:
-        raise InputError("one gauge weight per fiber dimension")
-    circ = tuple(cfg.model.get("circumferences", [1.0]))
+    phi = RationalMatrix(phi_rows)
+    w = RationalMatrix([cfg.model.get("gauge_weights", [0] * algebra.n)])
+    w = w.tolist()[0]
+    if len(w) != algebra.n or any(x.denominator != 1 for x in w):
+        raise InputError("need one integer gauge weight per fiber dimension")
+    base = sconn.BaseModel("circle", cfg.resolution,
+                           tuple(cfg.model.get("circumferences", [1.0])))
     preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
-                                          monodromy_action=[phi_exact])
-    degs = []
-    for p, pred in zip(cfg.degrees, preds):
-        spectra = []
-        for t in cfg.sweep_values:
-            G = np.diag(t ** weights)
-            base = sconn.BaseModel("circle", cfg.resolution, circ)
-            sc = sconn.from_affine_bundle(
-                algebra, base,
-                monodromy_action=[G @ phi @ np.linalg.inv(G)])
-            h = sconn.MetricField.equivariant(sc.bundle, base)
-            spectra.append(sconn.spectrum(sc, h, p, count=cfg.count))
-        degs.append(_degree_report(p, cfg.sweep_values, spectra,
-                                   pred.count, cfg.count))
-    return ScenarioReport(cfg, tuple(degs))
+                                          monodromy_action=[phi])
+
+    def gauged(t):
+        # G phi G^-1 for G = diag(t^w), exact for the float t as read
+        conj = RationalMatrix.from_entries(phi.rows, phi.cols, {
+            (i, j): v * Fraction(t) ** int(w[i] - w[j])
+            for (i, j), v in phi.entries()})
+        sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[conj])
+        h = sconn.MetricField.equivariant(sc.bundle, base)
+        h.check_equivariance(base)
+        return sc, h
+
+    return preds, gauged
 
 
-def _run_circle_bundle(cfg: ScenarioConfig) -> ScenarioReport:
-    circ = tuple(cfg.model.get("circumferences", [1.0, 1.0]))
-    base = sconn.BaseModel("torus2", cfg.resolution, circ)
-    fiber = lie.abelian(1)
-    one = RationalMatrix.identity(1)
-    preds = spectral.predict_small_counts(fiber, "torus2", cfg.degrees,
-                                          monodromy_action=[one, one],
-                                          T=[Fraction(1)])
-    degs = []
-    for p, pred in zip(cfg.degrees, preds):
-        spectra = []
-        for delta in cfg.sweep_values:
-            sc = sconn.circle_bundle_model(base, delta)
-            h = sconn.MetricField.identity(sc.bundle)
-            spectra.append(sconn.spectrum(sc, h, p, count=cfg.count,
-                                          check_metric=False))
-        degs.append(_degree_report(p, cfg.sweep_values, spectra,
-                                   pred.count, cfg.count))
-    return ScenarioReport(cfg, tuple(degs))
+def _run_bundle(cfg: ScenarioConfig) -> ScenarioReport:
+    preds, at = bundle_sweep(cfg)
+
+    def solver(v):
+        sc, h = at(v)
+        return lambda p: sconn.spectrum(sc, h, p, count=cfg.count,
+                                        check_metric=False)
+
+    return _sweep(cfg, preds, solver)
 
 
 def _run_spectral_sequence_report(cfg: ScenarioConfig) -> ScenarioReport:
@@ -376,8 +383,8 @@ def _run_spectral_sequence_report(cfg: ScenarioConfig) -> ScenarioReport:
 
 _RUNNERS = {
     "nil_rescale": _run_nil_rescale,
-    "monodromy_degeneration": _run_monodromy_degeneration,
-    "circle_bundle_adiabatic": _run_circle_bundle,
+    "monodromy_degeneration": _run_bundle,
+    "circle_bundle_adiabatic": _run_bundle,
     "spectral_sequence_report": _run_spectral_sequence_report,
 }
 

@@ -466,10 +466,6 @@ class FiniteSymmetryGroup:
         if not self.elements:
             raise InputError("group must contain at least the identity")
 
-    @classmethod
-    def trivial(cls, n: int) -> "FiniteSymmetryGroup":
-        return cls([np.eye(n)])
-
     def check(self, algebra: NilpotentLieAlgebra, tol: float = 1e-10) -> None:
         n = algebra.n
         c = algebra.c_float()

@@ -327,20 +327,18 @@ def spectral_sequence(cx: BigradedComplex) -> SpectralSequence:
 
 def from_algebra(algebra) -> BigradedComplex:
     """One-column complex: the exterior-algebra cochain complex of the fiber."""
-    n = algebra.n
-    dims = {(0, b): len(lie.multi_indices(n, b)) for b in range(n + 1)}
-    maps = {0: {(0, b): lie.ce_differential(algebra, b) for b in range(n)}}
-    return BigradedComplex(dims, maps)
+    model = AffineModel(algebra, [])
+    return flat_bundle_complex(model.ranks, model.a0, [], "point")
 
 
 def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
-                        a2=None, area: Fraction = Fraction(1)) -> BigradedComplex:
+                        a2=None) -> BigradedComplex:
     """Group-cochain model of the twisted cohomology over the base.
 
     ranks: fiber dims per degree. a0: per-degree fiber differential.
     monodromies: per base generator, a per-degree list of holonomy matrices.
-    a2: optional per-degree contraction blocks, scaled by the base area
-    (torus only; the rank pattern is what matters, so area defaults to 1).
+    a2: optional per-degree contraction blocks (torus only; the rank
+    pattern is what matters, so the base area is taken to be 1).
     """
     ranks = [int(r) for r in ranks]
     m = len(ranks) - 1
@@ -383,8 +381,7 @@ def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
             d1[(1, b)] = (monos[1][b] - eye[b]).hstack(-(monos[0][b] - eye[b]))
         if a2 is not None:
             for b in range(1, m + 1):
-                blk = _ratmat(a2[b - 1], ranks[b - 1], ranks[b]).scale(area)
-                d2[(0, b)] = blk
+                d2[(0, b)] = _ratmat(a2[b - 1], ranks[b - 1], ranks[b])
     else:
         raise InputError(f"unsupported base kind {base_kind!r}")
     maps = {0: d0, 1: d1}
@@ -531,6 +528,35 @@ def form_action(g: RationalMatrix, b: int) -> RationalMatrix:
         lie.compound_matrix(inverse_exact(g).transpose().tolist(), b))
 
 
+class AffineModel:
+    """Exact blocks of an affine bundle's flat model, which the predictions
+    and `superconnection.from_affine_bundle` read: `ranks[b]` = dim of the
+    fiber b-forms, `a0[b]` the fiber differential, `a2[b - 1]` the
+    contraction by T (None without T), and `actions(b)` each holonomy on
+    b-forms, the compound of its inverse transpose. Each holonomy is
+    inverted once; each degree's actions are built on first use and kept."""
+
+    def __init__(self, algebra, holonomies, T=None):
+        n = algebra.n
+        self.ranks = [comb(n, b) for b in range(n + 1)]
+        self.a0 = [lie.ce_differential(algebra, b) for b in range(n)]
+        self.a2 = contraction_blocks(T, n) if T is not None else None
+        holonomies = [g if isinstance(g, RationalMatrix) else RationalMatrix(g)
+                      for g in holonomies]
+        if any((g.rows, g.cols) != (n, n) for g in holonomies):
+            raise InputError(f"holonomies must be {n}x{n} matrices")
+        self._inverse_t = [inverse_exact(g).transpose().tolist()
+                           for g in holonomies]
+        self._actions: dict[int, list[RationalMatrix]] = {}
+
+    def actions(self, b: int) -> list[RationalMatrix]:
+        """Every holonomy's action on b-forms, in generator order."""
+        if b not in self._actions:
+            self._actions[b] = [RationalMatrix(lie.compound_matrix(inv_t, b))
+                                for inv_t in self._inverse_t]
+        return self._actions[b]
+
+
 # ---------------------------------------------------------------------------
 # predicted small-eigenvalue counts and the obstruction taxonomy
 # ---------------------------------------------------------------------------
@@ -557,12 +583,17 @@ def _invariant_sector_dims(algebra, F, b: int):
 
 
 def contraction_blocks(v, n: int) -> list[RationalMatrix]:
-    """Exact interior-multiplication blocks Lambda^b -> Lambda^{b-1} for a
-    vector with rational components, b = 1..n."""
+    """Exact interior-multiplication blocks Lambda^b -> Lambda^{b-1}, b = 1..n,
+    for a vector given as a row or column `RationalMatrix` or as entries it
+    reads."""
+    if not isinstance(v, RationalMatrix):
+        v = RationalMatrix([list(v)])
+    if min(v.rows, v.cols) > 1:
+        raise InputError("contraction vector must be a row or a column")
+    v = [x for row in v.tolist() for x in row]
     if len(v) != n:
         raise InputError(f"contraction vector has {len(v)} components, "
                          f"expected {n}")
-    v = [Fraction(x) for x in v]
     out = []
     for b in range(1, n + 1):
         src = lie.multi_indices(n, b)
@@ -594,18 +625,18 @@ def predict_small_count(algebra, base_kind: str, p: int,
 def predict_small_counts(algebra, base_kind: str, degrees,
                          monodromy_action=None, F=None,
                          T=None) -> list[SmallCountPrediction]:
-    """`predict_small_count` for each of `degrees`, in order, with the
-    obstruction cases of all of them from one `classify_obstructions`."""
+    """`predict_small_count` for each of `degrees`, in order. One
+    `AffineModel` serves the counts and the obstruction cases, so each
+    holonomy is inverted once and each of its actions built at most once."""
     gens = _BASE_GENS.get(base_kind)
     if gens is None:
         raise InputError(f"unsupported base kind {base_kind!r}")
     n = algebra.n
     if monodromy_action is None:
         monodromy_action = [RationalMatrix.identity(n)] * gens
-    monodromy_action = [m if isinstance(m, RationalMatrix)
-                        else RationalMatrix(m) for m in monodromy_action]
     if len(monodromy_action) != gens:
         raise InputError("one holonomy generator per base circle factor")
+    model = AffineModel(algebra, monodromy_action, T)
     trivial_F = F is None or len(F.elements) == 1
 
     def fixed_dim(b: int) -> int:
@@ -618,19 +649,14 @@ def predict_small_counts(algebra, base_kind: str, degrees,
             return 0
         if gens == 0:
             return full
-        acts = [form_action(g, b) for g in monodromy_action]
+        acts = model.actions(b)
         if trivial_F:
             return joint_generalized_one_eigenspace_dim(acts)
         # restricted to a float invariant basis: count eigenvalues at 1
-        mats = [U.T @ a.to_numpy() @ U for a in acts]
-        dims = []
-        for M in mats:
-            w = np.linalg.eigvals(M)
-            dims.append(int(np.sum(np.abs(w - 1.0) < 1e-6)))
-        return min(dims)
+        return min(int(np.sum(np.abs(np.linalg.eigvals(
+            U.T @ a.to_numpy() @ U) - 1.0) < 1e-6)) for a in acts)
 
-    cases = classify_obstructions(algebra, base_kind, degrees,
-                                  monodromy_action=monodromy_action, F=F, T=T)
+    cases = classify_obstructions(algebra, base_kind, degrees, model, F)
     out = []
     for p, case in zip(degrees, cases):
         per = {}
@@ -646,23 +672,22 @@ def predict_small_counts(algebra, base_kind: str, degrees,
 
 
 def classify_obstructions(algebra, base_kind: str, degrees,
-                          monodromy_action=None, F=None,
-                          T=None) -> list[int | None]:
+                          model: AffineModel | None = None,
+                          F=None) -> list[int | None]:
     """For each degree p, which structural feature (if any) makes the naive
     fiberwise-harmonic count fail: 1 = fiber cohomology smaller than the
     invariant forms, 2 = holonomy acts non-semisimply on fiber cohomology,
     3 = the twisted-coefficient pages do not stabilize at page 2. Checked in
-    that order; None when no obstruction applies through degree p. Case 3
-    does not depend on p: the twisted model's pages are built at most once."""
+    that order; None when no obstruction applies through degree p. Cases 2
+    and 3 read the holonomies and T of `model` and are skipped without one.
+    Case 3 does not depend on p: the twisted model's pages are built at most
+    once."""
     gens = _BASE_GENS.get(base_kind)
     if gens is None:
         raise InputError(f"unsupported base kind {base_kind!r}")
     n = algebra.n
     trivial_F = F is None or len(F.elements) == 1
     betti = lie.betti_numbers(algebra) if trivial_F else None
-    if monodromy_action is not None:
-        monodromy_action = [m if isinstance(m, RationalMatrix)
-                            else RationalMatrix(m) for m in monodromy_action]
     late = None  # case 3, decided on first need
 
     def case(p: int) -> int | None:
@@ -673,24 +698,21 @@ def classify_obstructions(algebra, base_kind: str, degrees,
             bq = betti[q] if trivial_F else _invariant_betti(algebra, F, q)
             if bq < full:
                 return 1
-        if gens == 0 or monodromy_action is None:
+        if gens == 0 or model is None:
             return None
         if not trivial_F:
             return None  # non-semisimplicity checks need the exact sector
         # case 2: holonomy non-semisimple on fiber cohomology
         for q in range(min(p, n) + 1):
-            for g in monodromy_action:
-                ind = cohomology_action(algebra, form_action(g, q), q)
+            for act in model.actions(q):
+                ind = cohomology_action(algebra, act, q)
                 if not unipotent_factor(ind).semisimple:
                     return 2
         # case 3: page 2 of the twisted model differs from the stable page
         if late is None:
-            ranks = [len(lie.multi_indices(n, b)) for b in range(n + 1)]
-            a0 = [lie.ce_differential(algebra, b) for b in range(n)]
-            monos = [[form_action(g, b) for b in range(n + 1)]
-                     for g in monodromy_action]
-            a2 = contraction_blocks(T, n) if T is not None else None
-            cx = flat_bundle_complex(ranks, a0, monos, base_kind, a2=a2)
+            monos = zip(*map(model.actions, range(n + 1)))  # per generator
+            cx = flat_bundle_complex(model.ranks, model.a0, list(monos),
+                                     base_kind, a2=model.a2)
             late = spectral_sequence(cx).stabilizes_at > 2
         return 3 if late else None
 

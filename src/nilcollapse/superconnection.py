@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import lie, spectral
-from .numerics import InputError
+from .numerics import InputError, RationalMatrix
 from .report import SpectrumReport
 
 
@@ -48,7 +48,10 @@ class BaseModel:
         circ = self.circumferences
         if circ is None:
             circ = (1.0,) * want
-        circ = tuple(float(c) for c in circ)
+        try:
+            circ = tuple(float(c) for c in circ)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad circumference list: {exc}") from exc
         if len(circ) != want or any(c <= 0 for c in circ):
             raise InputError("bad circumference list")
         object.__setattr__(self, "circumferences", circ)
@@ -246,26 +249,12 @@ class Superconnection:
                 f"a {base.kind} base needs {base.dim} monodromy generators, "
                 f"the bundle has {len(bundle.monodromies)}")
         m = bundle.top
-        if a0 is None:
-            a0 = [np.zeros((bundle.rank(b + 1), bundle.rank(b)))
-                  for b in range(m)]
-        self.a0 = [np.asarray(x, dtype=float) for x in a0]
-        if len(self.a0) != m:
-            raise InputError("need one a0 block per adjacent degree pair")
-        for b, x in enumerate(self.a0):
-            if x.shape != (bundle.rank(b + 1), bundle.rank(b)):
-                raise InputError(f"a0[{b}] has wrong shape {x.shape}")
         if a2 is not None and base.kind != "torus2":
             raise InputError("a2 needs a 2-dimensional base")
-        if a2 is None:
-            a2 = [np.zeros((bundle.rank(b - 1), bundle.rank(b)))
-                  for b in range(1, m + 1)]
-        self.a2 = [np.asarray(x, dtype=float) for x in a2]
-        if len(self.a2) != m:
-            raise InputError("need one a2 block per adjacent degree pair")
-        for b, x in enumerate(self.a2, start=1):
-            if x.shape != (bundle.rank(b - 1), bundle.rank(b)):
-                raise InputError(f"a2[{b}] has wrong shape {x.shape}")
+        self.a0 = _blocks("a0", a0, [(bundle.rank(b + 1), bundle.rank(b))
+                                     for b in range(m)], 0)
+        self.a2 = _blocks("a2", a2, [(bundle.rank(b - 1), bundle.rank(b))
+                                     for b in range(1, m + 1)], 1)
 
     def a0_block(self, b: int) -> np.ndarray:
         if 0 <= b < self.bundle.top:
@@ -276,6 +265,20 @@ class Superconnection:
         if 1 <= b <= self.bundle.top:
             return self.a2[b - 1]
         return np.zeros((self.bundle.rank(b - 1), self.bundle.rank(b)))
+
+
+def _blocks(name, blocks, shapes, first):
+    """Float blocks of the given shapes, zeros if `blocks` is None; block k
+    is named name[first + k] in errors."""
+    if blocks is None:
+        return [np.zeros(shape) for shape in shapes]
+    blocks = [np.asarray(x, dtype=float) for x in blocks]
+    if len(blocks) != len(shapes):
+        raise InputError(f"need one {name} block per adjacent degree pair")
+    for b, (x, shape) in enumerate(zip(blocks, shapes), start=first):
+        if x.shape != shape:
+            raise InputError(f"{name}[{b}] has wrong shape {x.shape}")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -289,16 +292,14 @@ class FlatnessReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.squares, self.parallel_a0, self.parallel_a2,
-                   self.curvature)
+        return getattr(self, self.worst_identity())
 
     def ok(self, tol: float = 1e-12) -> bool:
         return self.max_violation <= tol
 
     def worst_identity(self) -> str:
-        vals = {"squares": self.squares, "parallel_a0": self.parallel_a0,
-                "parallel_a2": self.parallel_a2, "curvature": self.curvature}
-        return max(vals, key=vals.get)
+        return max(("squares", "parallel_a0", "parallel_a2", "curvature"),
+                   key=lambda name: getattr(self, name))
 
 
 def check_flatness(sc: Superconnection) -> FlatnessReport:
@@ -336,47 +337,37 @@ def _absmax(A) -> float:
 # ---------------------------------------------------------------------------
 
 def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
-                       T=None, F=None, grading=None,
-                       tol: float = 1e-12) -> Superconnection:
+                       T=None, F=None, tol: float = 1e-12) -> Superconnection:
     """Superconnection of an affine bundle: fiber differential + holonomy of
     the affine action + interior multiplication by the curvature 2-form.
 
     `monodromy_action`: per base generator, an automorphism of the fiber
-    algebra as an n x n matrix. `T`: curvature coefficient, a length-n vector
-    of vertical components of the area-form coefficient (torus base only).
-    Raises FlatnessError naming the violated identity if the data is not flat.
+    algebra as an exact n x n matrix. `T`: curvature coefficient, the n
+    vertical components of the area-form coefficient (torus base only).
+    Both are read by `RationalMatrix` (a non-integral float raises
+    InputError); `spectral.AffineModel` builds the blocks exactly and they
+    are converted to floats once, here. Raises FlatnessError naming the
+    violated identity if the data is not flat.
     """
     n = algebra.n
-    if F is None:
-        F = lie.FiniteSymmetryGroup.trivial(n)
-    trivial_F = len(F.elements) == 1
+    trivial_F = F is None or len(F.elements) == 1
     bases = [None if trivial_F else lie.invariant_basis(F, b)
              for b in range(n + 1)]
 
-    def restrict(mat, b_src, b_dst):
-        if trivial_F:
-            return mat
-        return bases[b_dst].T @ mat @ bases[b_src]
+    def convert(mat, b_src, b_dst):
+        mat = mat.to_numpy()
+        return mat if trivial_F else bases[b_dst].T @ mat @ bases[b_src]
 
-    ranks = [len(lie.multi_indices(n, b)) if trivial_F else bases[b].shape[1]
-             for b in range(n + 1)]
-    gens = base.dim
     if monodromy_action is None:
-        monodromy_action = [np.eye(n)] * gens
-    monos = []
-    for g in monodromy_action:
-        g = np.asarray(g, dtype=float)
-        ginv_t = np.linalg.inv(g).T
-        per_degree = [restrict(np.array(lie.compound_matrix(ginv_t.tolist(), b),
-                                        dtype=float), b, b)
-                      for b in range(n + 1)]
-        monos.append(per_degree)
-    bundle = GradedBundle(ranks, monos, generators=gens)
-    a0 = [restrict(lie.ce_matrix(algebra, b), b, b + 1) for b in range(n)]
-    a2 = None
-    if T is not None:
-        a2 = [restrict(blk.to_numpy(), b, b - 1) for b, blk
-              in enumerate(spectral.contraction_blocks(T, n), start=1)]
+        monodromy_action = [RationalMatrix.identity(n)] * base.dim
+    model = spectral.AffineModel(algebra, monodromy_action, T)
+    ranks = model.ranks if trivial_F else [U.shape[1] for U in bases]
+    monos = [[convert(act, b, b) for b, act in enumerate(per_degree)]
+             for per_degree in zip(*map(model.actions, range(n + 1)))]
+    bundle = GradedBundle(ranks, monos)
+    a0 = [convert(blk, b, b + 1) for b, blk in enumerate(model.a0)]
+    a2 = None if model.a2 is None else [
+        convert(blk, b, b - 1) for b, blk in enumerate(model.a2, start=1)]
     sc = Superconnection(bundle, base, a0=a0, a2=a2)
     rep = check_flatness(sc)
     if not rep.ok(tol):
@@ -386,31 +377,15 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
     return sc
 
 
-def circle_bundle_model(base: BaseModel, coeff: float) -> Superconnection:
-    """Two trivial line bundles with the curvature 2-form coupling them: the
-    invariant-forms model of an oriented circle bundle over the base."""
-    if base.kind != "torus2":
-        raise InputError("the circle-bundle model needs a 2-torus base")
-    bundle = GradedBundle([1, 1], generators=2)
-    return Superconnection(bundle, base, a0=[np.zeros((1, 1))],
-                           a2=[np.array([[float(coeff)]])])
-
-
-def _num_matrix(rows) -> np.ndarray:
-    """Matrix whose entries may be numbers or rational strings like "1/3"."""
-    from fractions import Fraction
-    out = [[float(Fraction(x)) if isinstance(x, str) else float(x)
-            for x in row] for row in rows]
-    return np.array(out, dtype=float)
-
-
 def load_bundle(source) -> tuple[Superconnection, MetricField]:
     """Superconnection plus metric from a JSON file path or a parsed dict.
 
     Two shapes are accepted: a fiber-algebra description ("fiber",
-    "monodromy_action", a0 = "ce_differential", a2 = {"interior": [...T...]})
-    or explicit per-degree data ("ranks", "monodromy", "a0_blocks",
-    "a2_blocks"). "metric" picks "identity" (default) or "equivariant".
+    "monodromy_action", a0 = "ce_differential" or null, a2 = {"interior":
+    [...T...]}) or explicit per-degree data ("ranks", "monodromy",
+    "a0_blocks", "a2_blocks"). Every matrix entry and interior component
+    is read by `RationalMatrix`: an integer, an integral float or a
+    rational string. "metric" picks "identity" (default) or "equivariant".
     """
     import json
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -422,47 +397,47 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
         raise InputError("bundle description needs a 'base' entry")
     b = payload["base"]
     try:
-        base = BaseModel(b["kind"], int(b["resolution"]),
-                         tuple(b.get("circumferences",
-                                     [1.0] * (2 if b["kind"] == "torus2" else 1))))
-    except (KeyError, TypeError) as exc:
+        kind, resolution = b["kind"], int(b["resolution"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed base description: {exc}") from exc
+    base = BaseModel(kind, resolution, b.get("circumferences"))
 
     if "fiber" in payload:
         algebra = lie.load_algebra(payload["fiber"])
         rep = lie.validate(algebra)
         if not rep.ok():
             raise InputError(f"fiber algebra invalid: {rep}")
-        action = payload.get("monodromy_action")
-        if action is not None:
-            action = [_num_matrix(g) for g in action]
         a0_kind = payload.get("a0", "ce_differential")
         if a0_kind not in ("ce_differential", None):
             raise InputError(f"unknown a0 specification {a0_kind!r}")
         T = None
         a2_spec = payload.get("a2")
         if a2_spec is not None:
-            if not (isinstance(a2_spec, dict) and "interior" in a2_spec):
+            if not (isinstance(a2_spec, dict)
+                    and isinstance(a2_spec.get("interior"), list)):
                 raise InputError("a2 must be {'interior': [components]}")
-            T = [float(x) for x in a2_spec["interior"]]
-        sc = from_affine_bundle(algebra, base, monodromy_action=action, T=T)
+            T = a2_spec["interior"]
+        sc = from_affine_bundle(algebra, base, T=T,
+                                monodromy_action=payload.get("monodromy_action"))
         if a0_kind is None:
-            sc = Superconnection(sc.bundle, base, a0=None, a2=None)
+            # with a0 = 0 the curvature identity holds trivially; a2 stays
+            sc = Superconnection(sc.bundle, base,
+                                 a2=sc.a2 if T is not None else None)
     else:
         try:
             ranks = [int(r) for r in payload["ranks"]]
         except (KeyError, TypeError) as exc:
             raise InputError("explicit bundle needs 'ranks'") from exc
+        def floats(blocks):
+            return (None if blocks is None
+                    else [RationalMatrix(m).to_numpy() for m in blocks])
+
         monos = payload.get("monodromy")
-        if monos is not None:
-            monos = [[_num_matrix(m) for m in gen] for gen in monos]
-        bundle = GradedBundle(ranks, monos, generators=base.dim)
-        a0 = payload.get("a0_blocks")
-        a2 = payload.get("a2_blocks")
-        sc = Superconnection(
-            bundle, base,
-            a0=[_num_matrix(m) for m in a0] if a0 is not None else None,
-            a2=[_num_matrix(m) for m in a2] if a2 is not None else None)
+        bundle = GradedBundle(ranks, None if monos is None else
+                              [floats(gen) for gen in monos],
+                              generators=base.dim)
+        sc = Superconnection(bundle, base, a0=floats(payload.get("a0_blocks")),
+                             a2=floats(payload.get("a2_blocks")))
     metric_kind = payload.get("metric", "identity")
     if metric_kind == "identity":
         h = MetricField.identity(sc.bundle)

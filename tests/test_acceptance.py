@@ -189,8 +189,10 @@ def test_square_root_perturbation_bound():
     for k in range(50):
         if k % 2 == 0:
             c1, c2 = rng.uniform(0.1, 1.5, size=2)
-            sc1 = sconn.circle_bundle_model(base_t, c1)
-            sc2 = sconn.circle_bundle_model(base_t, c2)
+            sc1 = sconn.from_affine_bundle(lie.abelian(1), base_t,
+                                           T=[Fraction(c1)])
+            sc2 = sconn.from_affine_bundle(lie.abelian(1), base_t,
+                                           T=[Fraction(c2)])
             h = sconn.MetricField.identity(sc1.bundle)
             rep = sconn.perturbation_check(sc1, sc2, h, 1, count=6)
         else:
@@ -219,8 +221,8 @@ def test_all_constructed_superconnections_are_flat():
         sconn.from_affine_bundle(lie.abelian(3), torus),
         sconn.from_affine_bundle(lie.heisenberg(3), torus,
                                  T=[0.0, 0.0, 1.0]),
-        sconn.circle_bundle_model(torus, 1.0),
-        sconn.circle_bundle_model(torus, 0.25),
+        sconn.from_affine_bundle(lie.abelian(1), torus, T=[1]),
+        sconn.from_affine_bundle(lie.abelian(1), torus, T=["1/4"]),
     ]
     for sc in cases:
         rep = sconn.check_flatness(sc)

@@ -185,3 +185,51 @@ def test_run_check_failure_exits_three(runner, tmp_path):
     }))
     res = runner.invoke(main, ["run", str(path), "--check"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("payload, reason", [
+    ({"base": {"kind": "torus2", "resolution": 8}, "fiber": "abelian:1",
+      "a2": {"interior": [0.1]}}, "non-integral float 0.1"),
+    ({"base": {"kind": "circle", "resolution": "high"}, "ranks": [1]},
+     "malformed base description"),
+    ({"base": {"kind": "circle", "resolution": 8, "circumferences": ["a"]},
+      "ranks": [1]}, "bad circumference list"),
+], ids=["inexact-interior", "resolution", "circumferences"])
+def test_validate_rejects_bad_bundle_entries(runner, tmp_path, payload, reason):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 1
+    assert "error:" in res.output and reason in res.output
+
+
+def test_validate_accepts_rational_interior(runner, tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"base": {"kind": "torus2", "resolution": 8},
+                                "fiber": "abelian:1",
+                                "a2": {"interior": ["1/10"]}}))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 0 and "bundle: ok" in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_numeric_sweep_values_exit_one(runner, tmp_path, command):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"kind": "nil_rescale",
+                                "model": {"algebra": "heisenberg:3"},
+                                "sweep_values": ["big", "small"]}))
+    res = runner.invoke(main, [command, str(path)])
+    assert res.exit_code == 1
+    assert "error: sweep values and degrees must be numbers" in res.output
+
+
+def test_run_rejects_fractional_gauge_weights(runner, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "kind": "monodromy_degeneration",
+        "model": {"algebra": "abelian:2", "monodromy": [["1", "1"], ["0", "1"]],
+                  "gauge_weights": [0.5, 0]},
+        "sweep_values": [1.0, 0.1]}))
+    res = runner.invoke(main, ["run", str(path)])
+    assert res.exit_code == 1
+    assert "error: non-integral float 0.5" in res.output

@@ -31,6 +31,14 @@ def test_config_validation_errors():
                            resolution=4)
 
 
+def test_config_rejects_non_numeric_sweep_and_degrees():
+    for bad in ({"sweep_values": ["big", "small"]},
+                {"sweep_values": [1.0, 0.1], "degrees": ["one"]},
+                {"sweep_values": [1.0, None]}):
+        with pytest.raises(InputError, match="must be numbers"):
+            lab.ScenarioConfig.from_dict({"kind": "nil_rescale", **bad})
+
+
 def test_config_from_dict_rejects_unknown_fields():
     with pytest.raises(InputError):
         lab.ScenarioConfig.from_dict({"kind": "nil_rescale",
@@ -108,6 +116,50 @@ def test_prediction_builds_the_twisted_pages_once_per_scenario(monkeypatch):
     apart = [json.loads(degree_reports((p,)))[0] for p in (0, 1, 2)]
     assert len(calls) == 4
     assert together == json.dumps(apart, sort_keys=True)
+
+
+def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
+    calls = []
+    real = lab.sconn.from_affine_bundle
+    monkeypatch.setattr(lab.sconn, "from_affine_bundle",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    cfg = dict(lab.PRESETS["example7_heisenberg_circle"], degrees=(0, 1, 2))
+    rep = lab.run(cfg)
+    assert len(calls) == len(cfg["sweep_values"]) == 4
+    assert [len(d.spectra) for d in rep.degrees] == [4, 4, 4]
+
+
+def test_prediction_builds_each_holonomy_action_once(monkeypatch):
+    inversions, compounds = [], []
+    inverse, compound = spectral.inverse_exact, lie.compound_matrix
+    monkeypatch.setattr(spectral, "inverse_exact",
+                        lambda g: inversions.append(g) or inverse(g))
+    monkeypatch.setattr(lie, "compound_matrix",
+                        lambda rows, b: compounds.append(b) or compound(rows, b))
+    predict = spectral.predict_small_counts
+    counts = []
+
+    def counted(*args, **kw):
+        before = len(inversions), len(compounds)
+        out = predict(*args, **kw)
+        counts.append((len(inversions) - before[0], len(compounds) - before[1]))
+        return out
+
+    monkeypatch.setattr(spectral, "predict_small_counts", counted)
+    rep = lab.run(dict(lab.PRESETS["example3_circle_bundle"],
+                       degrees=(0, 1, 2)))
+    # two torus generators, each inverted once for all degrees and cases,
+    # and acting on the 0- and 1-forms of the circle fiber: 2 x 2 compounds
+    assert counts == [(2, 4)]
+    assert [d.predicted_small_count for d in rep.degrees] == [1, 3, 3]
+
+
+def test_gauge_weights_must_be_integers():
+    for weights in ([0.5, 0], ["1/2", 0], [1]):
+        cfg = dict(lab.PRESETS["example7_heisenberg_circle"])
+        cfg["model"] = dict(cfg["model"], gauge_weights=weights)
+        with pytest.raises(InputError):
+            lab.run(cfg)
 
 
 def test_spectral_sequence_report_scenario():

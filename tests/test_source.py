@@ -1,7 +1,9 @@
 """Source-layout rules checked on the syntax tree of the package: modules
 use each other only through public names, functions merged into a single
-builder stay merged, and exact matrices are read and built through their
-methods, never through a `.data` attribute."""
+builder stay merged, exact matrices are read and built through their
+methods, never through a `.data` attribute, and the superconnection layer
+converts holonomy actions that `spectral` built exactly instead of building
+its own."""
 
 import ast
 from pathlib import Path
@@ -22,6 +24,8 @@ MERGED = {
     "stabilization_index", "e_infinity",     # -> spectral_sequence(cx)
     "verify_page_recursion", "total_cohomology",
     "classify_obstruction",                  # -> classify_obstructions(degrees)
+    "_num_matrix",                           # -> RationalMatrix(rows)
+    "circle_bundle_model",                   # -> from_affine_bundle(abelian(1), T)
 }
 
 
@@ -64,3 +68,33 @@ def test_no_data_attribute(path):
     bad = [f"line {node.lineno}" for node in ast.walk(_tree(path))
            if isinstance(node, ast.Attribute) and node.attr == "data"]
     assert not bad, f"{path.name} uses a .data attribute: {bad}"
+
+
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+
+
+def test_superconnection_builds_no_holonomy_action():
+    # the action of a holonomy on forms is built once, exactly, by
+    # spectral.AffineModel: superconnection.py expands no compound, and a
+    # function that builds a bundle or superconnection inverts no matrix
+    tree = _tree(SRC / "superconnection.py")
+    bad = [f"line {node.lineno}" for node in ast.walk(tree)
+           if isinstance(node, (ast.Name, ast.Attribute))
+           and "compound_matrix" in (getattr(node, "id", None),
+                                     getattr(node, "attr", None))]
+    builders = 0
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+        if not {"GradedBundle", "Superconnection"} & {
+                _called_name(c) for c in calls}:
+            continue
+        builders += 1
+        bad += [f"{fn.name}, line {c.lineno}" for c in calls
+                if _called_name(c) in ("inv", "pinv", "inverse_exact")]
+    assert builders >= 2  # from_affine_bundle and load_bundle at least
+    assert not bad, f"superconnection.py builds holonomy actions: {bad}"

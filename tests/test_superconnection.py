@@ -1,6 +1,7 @@
 """Superconnection layer: flatness identities, the discretized complex, and
 spectra checked against closed forms for flat and monodromy-twisted circles."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from nilcollapse import lab, lie, spectral
 from nilcollapse import superconnection as sconn
-from nilcollapse.numerics import InputError
+from nilcollapse.numerics import InputError, RationalMatrix
 
 SOL = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = (3.0 + np.sqrt(5.0)) / 2.0  # larger eigenvalue of SOL
@@ -20,6 +21,12 @@ def circle(n=32):
 
 def torus(n=12):
     return sconn.BaseModel("torus2", n)
+
+
+def circle_bundle(base, delta):
+    """Invariant-forms model of an oriented circle bundle with curvature
+    coupling delta: the abelian(1) fiber with T = [delta]."""
+    return sconn.from_affine_bundle(lie.abelian(1), base, T=[Fraction(delta)])
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +110,10 @@ def test_flatness_of_twisted_circle():
 
 
 def test_circle_bundle_model_is_flat():
-    sc = sconn.circle_bundle_model(torus(8), 1.0)
+    sc = circle_bundle(torus(8), 1.0)
     assert sconn.check_flatness(sc).ok()
     with pytest.raises(InputError):
-        sconn.circle_bundle_model(circle(8), 1.0)
+        circle_bundle(circle(8), 1.0)
 
 
 def test_from_affine_bundle_rejects_non_automorphism():
@@ -172,7 +179,7 @@ def test_equivariant_metric_needs_real_logarithm():
 # ---------------------------------------------------------------------------
 
 def test_discrete_differential_squares_to_zero():
-    sc = sconn.circle_bundle_model(torus(8), 1.0)
+    sc = circle_bundle(torus(8), 1.0)
     dc = sconn.DiscreteComplex(sc, sconn.MetricField.identity(sc.bundle))
     for p in range(3):
         prod = dc.differential(p + 1) @ dc.differential(p)
@@ -190,7 +197,7 @@ def test_discrete_differential_squares_to_zero_twisted():
 
 
 def test_component_bookkeeping():
-    sc = sconn.circle_bundle_model(torus(8), 1.0)
+    sc = circle_bundle(torus(8), 1.0)
     dc = sconn.DiscreteComplex(sc, sconn.MetricField.identity(sc.bundle))
     # degree p mixes base-form degree a and fiber degree b with a + b = p
     assert dc.components(0) == [((), 0)]
@@ -224,7 +231,7 @@ def test_twisted_circle_closed_form():
 
 def test_hodge_kernel_dimensions_circle_bundle():
     # harmonic dimensions of the adiabatic model at delta = 1: (1, 2, 2, 1)
-    sc = sconn.circle_bundle_model(torus(10), 1.0)
+    sc = circle_bundle(torus(10), 1.0)
     h = sconn.MetricField.identity(sc.bundle)
     for p, expect in enumerate([1, 2, 2, 1]):
         rep = sconn.spectrum(sc, h, p, count=6)
@@ -263,25 +270,15 @@ def assert_bloch_matches_assembled(sc, h, p, count=8):
 
 
 def preset_bundles(name, torus_resolution=12):
-    """(sc, h) at every sweep point of a numerical preset, built as `lab.run`
-    builds them; torus presets at a smaller resolution."""
+    """(sc, h) at every sweep point of a numerical preset, built by the
+    `lab.bundle_sweep` that `lab.run` solves; torus presets at a smaller
+    resolution."""
     cfg = lab.load_scenario(name)
     if cfg.kind == "circle_bundle_adiabatic":
-        base = sconn.BaseModel("torus2", torus_resolution)
-        for delta in cfg.sweep_values:
-            sc = sconn.circle_bundle_model(base, delta)
-            yield sc, sconn.MetricField.identity(sc.bundle)
-    else:
-        algebra = lie.load_algebra(cfg.model["algebra"])
-        phi = np.array([[float(Fraction(x)) for x in row]
-                        for row in cfg.model["monodromy"]])
-        weights = np.array(cfg.model["gauge_weights"], dtype=float)
-        base = sconn.BaseModel("circle", cfg.resolution)
-        for t in cfg.sweep_values:
-            G = np.diag(t ** weights)
-            sc = sconn.from_affine_bundle(
-                algebra, base, monodromy_action=[G @ phi @ np.linalg.inv(G)])
-            yield sc, sconn.MetricField.equivariant(sc.bundle, base)
+        cfg = dataclasses.replace(cfg, resolution=torus_resolution)
+    _, at = lab.bundle_sweep(cfg)
+    for v in cfg.sweep_values:
+        yield at(v)
 
 
 @pytest.mark.parametrize("name", [n for n, cfg in lab.PRESETS.items()
@@ -313,13 +310,17 @@ def test_bloch_matches_assembled_heisenberg_over_torus():
         assert_bloch_matches_assembled(sc, h, p, count=12)
 
 
+HYPERBOLIC_2 = [[2, 0, 0], [0, "1/2", 0], [0, 0, 1]]
+HYPERBOLIC_4 = [[4, 0, 0], [0, "1/4", 0], [0, 0, 1]]
+
+
 def test_bloch_matches_assembled_twisted_torus_with_curvature():
     # commuting hyperbolic holonomies that fix the curvature direction e3:
     # the a2 term then reads vertex values across a half-step gauge twist
     base = torus(8)
     sc = sconn.from_affine_bundle(
         lie.heisenberg(3), base, T=[0, 0, 1],
-        monodromy_action=[np.diag([2.0, 0.5, 1.0]), np.diag([4.0, 0.25, 1.0])])
+        monodromy_action=[HYPERBOLIC_2, HYPERBOLIC_4])
     h = sconn.MetricField.equivariant(sc.bundle, base)
     for p in range(5):
         assert_bloch_matches_assembled(sc, h, p, count=12)
@@ -332,7 +333,7 @@ def test_bloch_matches_assembled_conformal_metrics():
         sconn.MetricField.equivariant(sc.bundle, base), 2.5)
     for p in range(3):
         assert_bloch_matches_assembled(sc, h, p)
-    sc = sconn.circle_bundle_model(torus(10), 0.5)
+    sc = circle_bundle(torus(10), 0.5)
     h = sconn.MetricField.conformal(sconn.MetricField.identity(sc.bundle), np.e)
     assert_bloch_matches_assembled(sc, h, 1)
 
@@ -366,7 +367,7 @@ def test_bloch_path_only_for_recorded_gauges(monkeypatch):
 
 def test_arpack_path_is_repeatable_and_matches_bloch():
     # 3 * 28^2 = 2352 unknowns in degree 1: above the dense cutoff
-    sc = sconn.circle_bundle_model(torus(28), 0.3)
+    sc = circle_bundle(torus(28), 0.3)
     h = sconn.MetricField.identity(sc.bundle)
     first = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
     again = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
@@ -382,8 +383,8 @@ def test_arpack_path_is_repeatable_and_matches_bloch():
 
 def test_perturbation_bound_on_coupling_pair():
     base = torus(10)
-    sc1 = sconn.circle_bundle_model(base, 0.7)
-    sc2 = sconn.circle_bundle_model(base, 0.9)
+    sc1 = circle_bundle(base, 0.7)
+    sc2 = circle_bundle(base, 0.9)
     h = sconn.MetricField.identity(sc1.bundle)
     rep = sconn.perturbation_check(sc1, sc2, h, 1)
     assert rep.holds
@@ -405,7 +406,7 @@ def test_perturbation_check_requires_same_connection_part():
 
 def test_metric_continuity_conformal():
     # a global conformal factor cancels out of the symmetrized operator
-    sc = sconn.circle_bundle_model(torus(8), 0.5)
+    sc = circle_bundle(torus(8), 0.5)
     h1 = sconn.MetricField.identity(sc.bundle)
     h2 = sconn.MetricField.conformal(h1, np.e)
     rep = sconn.metric_continuity_check(sc, h1, h2, 1, eps=1.0)
@@ -452,3 +453,89 @@ def test_load_bundle_errors():
                            "fiber": "heisenberg:3", "metric": "hyperbolic"})
     with pytest.raises(InputError):
         sconn.load_bundle({"base": {"kind": "circle", "resolution": 16}})
+
+
+def test_load_bundle_without_a0_keeps_a2():
+    # abelian:1 has a zero fiber differential, so "a0": null must give the
+    # same superconnection as "ce_differential"; dropping a2 turned the
+    # third degree-1 eigenvalue from 1 into a third zero
+    payload = {"base": {"kind": "torus2", "resolution": 8},
+               "fiber": "abelian:1", "a2": {"interior": [1]}}
+    sc, h = sconn.load_bundle({**payload, "a0": None})
+    assert np.array_equal(sc.a2_block(1), [[1.0]])
+    lam = sconn.spectrum(sc, h, 1, count=4).eigenvalues
+    ref = sconn.spectrum(*sconn.load_bundle(payload), 1, count=4).eigenvalues
+    assert np.array_equal(lam, ref)
+    assert lam[:3] == pytest.approx([0, 0, 1], abs=1e-9)
+    assert lam[3] == pytest.approx(31.85, abs=0.01)
+
+
+def test_load_bundle_builds_holonomy_actions_exactly(monkeypatch):
+    # the README's circle bundle: the compounds see exact entries only
+    seen = []
+    compound = lie.compound_matrix
+
+    def spy(rows, p):
+        seen.extend(type(x) for row in rows for x in row)
+        return compound(rows, p)
+
+    monkeypatch.setattr(lie, "compound_matrix", spy)
+    sc, _ = sconn.load_bundle({
+        "base": {"kind": "circle", "resolution": 64},
+        "fiber": "abelian:2",
+        "monodromy_action": [[["1", "1"], ["0", "1"]]],
+        "a0": "ce_differential",
+        "metric": "equivariant",
+    })
+    assert seen and set(seen) == {Fraction}
+    assert np.array_equal(sc.bundle.monodromy(0, 1), [[1.0, 0.0], [-1.0, 1.0]])
+
+
+def test_load_bundle_rejects_inexact_and_malformed_entries():
+    base = {"kind": "torus2", "resolution": 8}
+    bad = [
+        {"base": base, "fiber": "abelian:1", "a2": {"interior": [0.1]}},
+        {"base": base, "fiber": "abelian:1", "a2": {"interior": 1}},
+        {"base": {"kind": "circle", "resolution": 8}, "fiber": "abelian:2",
+         "monodromy_action": [[[1, 0.5], [0, 1]]]},
+        {"base": {"kind": "circle", "resolution": 8}, "ranks": [1],
+         "monodromy": [[[[0.5]]]]},
+        {"base": {"kind": "circle", "resolution": "high"}, "ranks": [1]},
+        {"base": {"kind": "circle", "resolution": 8,
+                  "circumferences": ["wide"]}, "ranks": [1]},
+    ]
+    for payload in bad:
+        with pytest.raises(InputError):
+            sconn.load_bundle(payload)
+    sc, _ = sconn.load_bundle(
+        {"base": base, "fiber": "abelian:1", "a2": {"interior": ["1/10"]}})
+    assert np.array_equal(sc.a2_block(1), [[0.1]])
+
+
+def test_from_affine_bundle_converts_the_exact_model_blocks():
+    # heisenberg:3 over the torus, hyperbolic holonomies fixing e3, T = e3:
+    # every float block is the exact builder's block, converted once
+    holonomies = [HYPERBOLIC_2, HYPERBOLIC_4]
+    sc = sconn.from_affine_bundle(lie.heisenberg(3), torus(8),
+                                  monodromy_action=holonomies, T=[0, 0, 1])
+    model = spectral.AffineModel(lie.heisenberg(3), holonomies, T=[0, 0, 1])
+    for b in range(3):
+        assert np.array_equal(sc.a0[b], model.a0[b].to_numpy())
+        assert np.array_equal(sc.a2[b], model.a2[b].to_numpy())
+    for gen in range(2):
+        for b in range(4):
+            assert np.array_equal(sc.bundle.monodromy(gen, b),
+                                  model.actions(b)[gen].to_numpy())
+    assert model.actions(1)[0] == spectral.form_action(
+        RationalMatrix(HYPERBOLIC_2), 1)
+
+
+def test_from_affine_bundle_takes_exact_data_only():
+    with pytest.raises(InputError, match="non-integral float"):
+        sconn.from_affine_bundle(lie.heisenberg(3), torus(8), monodromy_action=[
+            np.diag([2.0, 0.5, 1.0]), np.diag([4.0, 0.25, 1.0])])
+    with pytest.raises(InputError, match="non-integral float 0.1"):
+        sconn.from_affine_bundle(lie.abelian(1), torus(8), T=[0.1])
+    with pytest.raises(InputError, match="3x3"):
+        sconn.from_affine_bundle(lie.heisenberg(3), circle(8),
+                                 monodromy_action=[np.eye(2)])
