@@ -43,12 +43,14 @@ class ScenarioConfig:
             raise InputError(f"unknown scenario kind {self.kind!r}")
         try:
             vals = tuple(float(v) for v in self.sweep_values)
-            degrees = tuple(int(p) for p in self.degrees)
+            degrees = tuple(_integer(p, "each degree") for p in self.degrees)
         except (TypeError, ValueError) as exc:
             raise InputError(f"sweep values and degrees must be numbers: "
                              f"{exc}") from exc
         object.__setattr__(self, "sweep_values", vals)
         object.__setattr__(self, "degrees", degrees)
+        for name in ("resolution", "count"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.kind != "spectral_sequence_report":
             if not vals or any(v <= 0 for v in vals):
                 raise InputError("sweep values must be positive")
@@ -59,6 +61,8 @@ class ScenarioConfig:
             raise InputError("resolution must be >= 8")
         if any(p < 0 for p in self.degrees):
             raise InputError("degrees must be nonnegative")
+        if self.count < 1:
+            raise InputError("count must be >= 1")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
@@ -69,6 +73,14 @@ class ScenarioConfig:
             return cls(**payload)
         except TypeError as exc:
             raise InputError(f"malformed scenario: {exc}") from exc
+
+
+def _integer(x, name: str) -> int:
+    """x if it is an integer or an integral float, never truncated."""
+    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) or
+                                   isinstance(x, float) and x.is_integer()):
+        raise InputError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +344,28 @@ def bundle_sweep(cfg: ScenarioConfig):
     preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
                                           monodromy_action=[phi])
 
-    def gauged(t):
+    def build(t):
         # G phi G^-1 for G = diag(t^w), exact for the float t as read
         conj = RationalMatrix.from_entries(phi.rows, phi.cols, {
             (i, j): v * Fraction(t) ** int(w[i] - w[j])
             for (i, j), v in phi.entries()})
-        sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[conj])
-        h = sconn.MetricField.equivariant(sc.bundle, base)
+        return sconn.from_affine_bundle(algebra, base, monodromy_action=[conj])
+
+    # on b-forms the holonomy at t is D(t) A D(t)^-1, D(t) = diag(t^-w_I):
+    # its logarithm, taken once at the first point t0, is carried to t by
+    # the exact diagonal D(t) D(t0)^-1 = diag((t0 / t)^w_I)
+    t0 = cfg.sweep_values[0]
+    first = build(t0)
+    logs0 = sconn.MetricField.equivariant(first.bundle, base).logs[0]
+    w_forms = [[sum(w[i] for i in I) for I in lie.multi_indices(algebra.n, b)]
+               for b in range(algebra.n + 1)]
+
+    def gauged(t):
+        sc = first if t == t0 else build(t)
+        r = Fraction(t0) / Fraction(t)
+        logs = [X * np.array([[float(r ** (i - j)) for j in wb] for i in wb])
+                for X, wb in zip(logs0, w_forms)]
+        h = sconn.MetricField.from_logs(sc.bundle, base, [logs])
         h.check_equivariance(base)
         return sc, h
 

@@ -680,14 +680,15 @@ def classify_obstructions(algebra, base_kind: str, degrees,
     3 = the twisted-coefficient pages do not stabilize at page 2. Checked in
     that order; None when no obstruction applies through degree p. Cases 2
     and 3 read the holonomies and T of `model` and are skipped without one.
-    Case 3 does not depend on p: the twisted model's pages are built at most
-    once."""
+    Each fiber degree's case-2 check is made at most once, and so is case 3,
+    which does not depend on p: the twisted model's pages are built once."""
     gens = _BASE_GENS.get(base_kind)
     if gens is None:
         raise InputError(f"unsupported base kind {base_kind!r}")
     n = algebra.n
     trivial_F = F is None or len(F.elements) == 1
     betti = lie.betti_numbers(algebra) if trivial_F else None
+    semisimple = {}  # case 2 in fiber degree q, decided on first need
     late = None  # case 3, decided on first need
 
     def case(p: int) -> int | None:
@@ -704,10 +705,12 @@ def classify_obstructions(algebra, base_kind: str, degrees,
             return None  # non-semisimplicity checks need the exact sector
         # case 2: holonomy non-semisimple on fiber cohomology
         for q in range(min(p, n) + 1):
-            for act in model.actions(q):
-                ind = cohomology_action(algebra, act, q)
-                if not unipotent_factor(ind).semisimple:
-                    return 2
+            if q not in semisimple:
+                semisimple[q] = all(
+                    unipotent_factor(cohomology_action(model.a0, act, q))
+                    .semisimple for act in model.actions(q))
+            if not semisimple[q]:
+                return 2
         # case 3: page 2 of the twisted model differs from the stable page
         if late is None:
             monos = zip(*map(model.actions, range(n + 1)))  # per generator
@@ -737,11 +740,11 @@ def _invariant_betti(algebra, F, q: int) -> int:
     return dim - r_out - r_in
 
 
-def cohomology_action(algebra, form_act: RationalMatrix, q: int) -> RationalMatrix:
-    """Induced action of a fiber automorphism on degree-q fiber cohomology."""
-    n = algebra.n
-    d_out = lie.ce_differential(algebra, q) if q < n else None
-    d_in = lie.ce_differential(algebra, q - 1) if q > 0 else None
+def cohomology_action(a0, form_act: RationalMatrix, q: int) -> RationalMatrix:
+    """Induced action of a fiber automorphism on degree-q fiber cohomology;
+    a0[b] is the fiber differential on b-forms (`AffineModel.a0`)."""
+    d_out = a0[q] if q < len(a0) else None
+    d_in = a0[q - 1] if q > 0 else None
     amb = form_act.cols
     K = nullspace_exact(d_out) if d_out is not None \
         else RationalMatrix.identity(amb)

@@ -42,6 +42,12 @@ class BaseModel:
     def __post_init__(self):
         if self.kind not in ("circle", "torus2"):
             raise InputError(f"unsupported base kind {self.kind!r}")
+        res = self.resolution
+        if isinstance(res, bool) or not (
+                isinstance(res, (int, np.integer))
+                or isinstance(res, float) and res.is_integer()):
+            raise InputError(f"resolution must be an integer, got {res!r}")
+        object.__setattr__(self, "resolution", int(res))
         if self.resolution < 8:
             raise InputError("resolution must be >= 8")
         want = 1 if self.kind == "circle" else 2
@@ -144,12 +150,12 @@ class MetricField:
     `check_equivariance` verifies on sample points.
 
     `identity` (over a bundle whose monodromies are all the identity),
-    `equivariant` and `conformal` of either also record `logs[gen][b]`, real
-    logarithms X of the monodromies with h(x) = c G(x)^T G(x) for
-    G(x) = exp(-sum_g x_g X_g / L_g), and the `base` they were built for
-    (None for any base). `spectrum` uses them to gauge the bundle to constant
-    coefficients; a metric built from a bare callable has neither and is
-    only ever assembled.
+    `equivariant`, `from_logs` and `conformal` of these also record
+    `logs[gen][b]`, real logarithms X of the monodromies with
+    h(x) = c G(x)^T G(x) for G(x) = exp(-sum_g x_g X_g / L_g), and the
+    `base` they were built for (None for any base). `spectrum` uses them to
+    gauge the bundle to constant coefficients; a metric built from a bare
+    callable has neither and is only ever assembled.
     """
 
     def __init__(self, bundle: GradedBundle, func):
@@ -180,26 +186,32 @@ class MetricField:
         principal matrix logarithm. This is the harmonic metric when the
         monodromy is diagonalizable with positive spectrum, and it degrades
         gracefully to unipotent blocks."""
-        logs = []
-        for gen in range(len(bundle.monodromies)):
-            per_degree = []
-            for b in range(len(bundle.ranks)):
-                X = scipy.linalg.logm(bundle.monodromy(gen, b))
-                if np.abs(X.imag).max() > 1e-9:
-                    raise InputError(
-                        "monodromy has no real logarithm; supply a metric explicitly")
-                per_degree.append(X.real)
-            logs.append(per_degree)
+        return cls.from_logs(bundle, base, [
+            [scipy.linalg.logm(bundle.monodromy(gen, b))
+             for b in range(len(bundle.ranks))]
+            for gen in range(len(bundle.monodromies))])
+
+    @classmethod
+    def from_logs(cls, bundle: GradedBundle, base: BaseModel,
+                  logs) -> "MetricField":
+        """The metric of `equivariant` from given logarithms, logs[gen][b] of
+        the degree-b monodromy of generator gen: h(x) = G(x)^T G(x) with
+        G(x) = exp(-sum_g x_g logs[g][b] / L_g). Raises InputError if a
+        logarithm is not real; the caller vouches that each is a logarithm
+        of its monodromy, which `check_equivariance` tests on samples."""
+        if any(np.abs(np.imag(X)).max(initial=0.0) > 1e-9
+               for per_degree in logs for X in per_degree):
+            raise InputError(
+                "monodromy has no real logarithm; supply a metric explicitly")
+        real = [[np.real(X) for X in per_degree] for per_degree in logs]
 
         def func(b, pts):
-            out = np.empty((len(pts), bundle.rank(b), bundle.rank(b)))
-            for i, x in enumerate(np.atleast_2d(pts)):
-                A = sum((-x[g] / base.circumferences[g]) * logs[g][b]
-                        for g in range(base.dim))
-                M = scipy.linalg.expm(A)
-                out[i] = M.T @ M
-            return out
-        return cls(bundle, func)._with_gauge(logs, base)
+            pts = np.atleast_2d(pts)
+            A = sum((-pts[:, g, None, None] / base.circumferences[g])
+                    * real[g][b] for g in range(base.dim))
+            M = scipy.linalg.expm(A)
+            return M.transpose(0, 2, 1) @ M
+        return cls(bundle, func)._with_gauge(real, base)
 
     @classmethod
     def conformal(cls, other: "MetricField", factor: float) -> "MetricField":
@@ -397,10 +409,9 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
         raise InputError("bundle description needs a 'base' entry")
     b = payload["base"]
     try:
-        kind, resolution = b["kind"], int(b["resolution"])
-    except (KeyError, TypeError, ValueError) as exc:
+        base = BaseModel(b["kind"], b["resolution"], b.get("circumferences"))
+    except (KeyError, TypeError, AttributeError, InputError) as exc:
         raise InputError(f"malformed base description: {exc}") from exc
-    base = BaseModel(kind, resolution, b.get("circumferences"))
 
     if "fiber" in payload:
         algebra = lie.load_algebra(payload["fiber"])
@@ -455,29 +466,10 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
 def _shift_blocks(base: BaseModel, gen: int, phi: np.ndarray):
     """(rows, cols, blocks) for the one-step shift with monodromy twist."""
     N = base.resolution
-    r = phi.shape[0]
-    eye = np.eye(r)
-    rows, cols, blocks = [], [], []
-    if base.kind == "circle":
-        for j in range(N):
-            nxt = j + 1
-            rows.append(j)
-            cols.append(nxt % N)
-            blocks.append(eye if nxt < N else phi)
-    else:
-        for i in range(N):
-            for j in range(N):
-                p = i * N + j
-                if gen == 0:
-                    q = ((i + 1) % N) * N + j
-                    wrap = i + 1 == N
-                else:
-                    q = i * N + (j + 1) % N
-                    wrap = j + 1 == N
-                rows.append(p)
-                cols.append(q)
-                blocks.append(phi if wrap else eye)
-    return rows, cols, blocks
+    idx = np.arange(base.npoints).reshape((N,) * base.dim)
+    wrap = (np.indices(idx.shape)[gen] == N - 1).ravel()
+    blocks = np.where(wrap[:, None, None], phi, np.eye(phi.shape[0]))
+    return idx.ravel(), np.roll(idx, -1, axis=gen).ravel(), blocks
 
 
 def _block_coo(rows, cols, blocks, nrow_pts, ncol_pts):
@@ -518,6 +510,7 @@ class DiscreteComplex:
             h.check_equivariance(self.base)
         self._mass_cache: dict[int, sp.csr_matrix] = {}
         self._diff_cache: dict[int, sp.csr_matrix] = {}
+        self._half_steps: dict[tuple, tuple] = {}
 
     # -- layout -------------------------------------------------------------
 
@@ -643,22 +636,38 @@ class DiscreteComplex:
                     -sum(X[g][b] for g in half) / (2 * N)) if half else c
             else:
                 # (Phi^{1/2N} e^{i theta} - Phi^{-1/2N}) / h
-                up = scipy.linalg.expm(X[gen][b] / (2 * N))
+                up, down = self._half_step(gen, b)
                 blk += (c / self.base.steps[gen]) * (
-                    phase[:, gen, None, None] * up - np.linalg.inv(up))
+                    phase[:, gen, None, None] * up - down)
         return out
+
+    def _half_step(self, gen: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi^{1/2N}, Phi^{-1/2N}) of generator gen on degree b, computed
+        once per complex."""
+        if (gen, b) not in self._half_steps:
+            up = scipy.linalg.expm(
+                self.h.logs[gen][b] / (2 * self.base.resolution))
+            self._half_steps[(gen, b)] = up, np.linalg.inv(up)
+        return self._half_steps[(gen, b)]
 
     def bloch_eigenvalues(self, p: int) -> np.ndarray:
         """Every eigenvalue of the degree-p Laplacian, ascending, from its
-        N^d Hermitian Fourier blocks D^H D + D' D'^H (needs bloch_ready)."""
+        N^d Hermitian Fourier blocks D^H D + D' D'^H (needs bloch_ready).
+        The coefficients are real, so the block at mode -m is the conjugate
+        of the one at m: only modes with index(m) <= index(-m mod N) are
+        solved, each counted twice unless it is its own mirror."""
         N, d = self.base.resolution, self.base.dim
-        theta = np.meshgrid(*[2 * np.pi * np.arange(N) / N] * d, indexing="ij")
-        phase = np.exp(1j * np.stack(theta, axis=-1).reshape(-1, d))
+        modes = np.indices((N,) * d).reshape(d, -1).T
+        mirror = np.ravel_multi_index(tuple((-modes % N).T), (N,) * d)
+        keep = np.arange(len(modes)) <= mirror
+        paired = mirror[keep] != np.flatnonzero(keep)
+        phase = np.exp(1j * (2 * np.pi * modes[keep] / N))
         Dp = self._bloch_symbol(p, phase)
         Dm = self._bloch_symbol(p - 1, phase)
         L = (np.conj(Dp.transpose(0, 2, 1)) @ Dp
              + Dm @ np.conj(Dm.transpose(0, 2, 1)))
-        return np.sort(np.linalg.eigvalsh(L).ravel())
+        lam = np.linalg.eigvalsh(L)
+        return np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
 
     # -- mass ---------------------------------------------------------------
 

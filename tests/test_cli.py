@@ -233,3 +233,46 @@ def test_run_rejects_fractional_gauge_weights(runner, tmp_path):
     res = runner.invoke(main, ["run", str(path)])
     assert res.exit_code == 1
     assert "error: non-integral float 0.5" in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("field, value, reason", [
+    ("degrees", [1.5], "each degree must be an integer, got 1.5"),
+    ("resolution", 16.5, "resolution must be an integer, got 16.5"),
+    ("count", 2.5, "count must be an integer, got 2.5"),
+    ("count", 0, "count must be >= 1"),
+], ids=["fractional-degree", "fractional-resolution", "fractional-count",
+        "zero-count"])
+def test_non_integer_scenario_entries_exit_one(runner, tmp_path, command,
+                                               field, value, reason):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"kind": "nil_rescale",
+                                "model": {"algebra": "heisenberg:3"},
+                                "sweep_values": [1.0, 0.1], field: value}))
+    res = runner.invoke(main, [command, str(path)])
+    assert res.exit_code == 1
+    assert "error:" in res.output and reason in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_integral_float_scenario_entries_accepted(runner, tmp_path, command):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"kind": "nil_rescale",
+                                "model": {"algebra": "heisenberg:3"},
+                                "sweep_values": [1.0, 0.1], "degrees": [1.0],
+                                "resolution": 16.0, "count": 3.0}))
+    res = runner.invoke(main, [command, str(path)])
+    assert res.exit_code == 0
+
+
+def test_validate_rejects_fractional_bundle_resolution(runner, tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"base": {"kind": "circle", "resolution": 8.9},
+                                "ranks": [1]}))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 1
+    assert "resolution must be an integer, got 8.9" in res.output
+    path.write_text(json.dumps({"base": {"kind": "circle", "resolution": 8.0},
+                                "ranks": [1]}))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 0 and "bundle: ok" in res.output

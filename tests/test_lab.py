@@ -2,13 +2,16 @@
 emission, and determinism."""
 
 import csv
+import dataclasses
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nilcollapse import lab, spectral, lie
+from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix
 from tests.conftest import filiform_torus_complex
 
@@ -152,6 +155,55 @@ def test_prediction_builds_each_holonomy_action_once(monkeypatch):
     # and acting on the 0- and 1-forms of the circle fiber: 2 x 2 compounds
     assert counts == [(2, 4)]
     assert [d.predicted_small_count for d in rep.degrees] == [1, 3, 3]
+
+
+def test_obstruction_case_two_decided_once_per_fiber_degree(monkeypatch):
+    calls = []
+    real = spectral.unipotent_factor
+    monkeypatch.setattr(spectral, "unipotent_factor",
+                        lambda phi: calls.append(phi) or real(phi))
+    rep = lab.run(dict(lab.PRESETS["example7_heisenberg_circle"],
+                       degrees=(0, 1, 2)))
+    # one generator acting on fiber cohomology in degrees 0 and 1; degree 1
+    # is already non-semisimple, so degree 2 is never reached
+    assert len(calls) == 2
+    assert [d.predicted_small_count for d in rep.degrees] == [1, 3, 3]
+
+
+def logm_calls(monkeypatch):
+    calls = []
+    real = scipy.linalg.logm
+    monkeypatch.setattr(sconn.scipy.linalg, "logm",
+                        lambda A, *a, **kw: calls.append(A) or real(A, *a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("name, want", [("example7_heisenberg_circle", 3),
+                                        ("example9_sol_circle", 3)])
+def test_monodromy_sweep_takes_each_logarithm_once(monkeypatch, name, want):
+    # one logarithm per fiber degree (abelian:2 has 0-, 1- and 2-forms),
+    # taken at the first sweep point only
+    calls = logm_calls(monkeypatch)
+    rep = lab.run(dict(lab.PRESETS[name], degrees=(0, 1, 2)))
+    assert len(calls) == want
+    assert rep.passed()
+
+
+@pytest.mark.parametrize("name", ["example7_heisenberg_circle",
+                                  "example9_sol_circle"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_carried_logarithms_match_logm(name, reverse):
+    cfg = lab.load_scenario(name)
+    values = cfg.sweep_values[::-1] if reverse else cfg.sweep_values
+    cfg = dataclasses.replace(cfg, sweep_values=values)
+    _, at = lab.bundle_sweep(cfg)
+    for v in values:
+        sc, h = at(v)
+        for b in range(len(sc.bundle.ranks)):
+            want = scipy.linalg.logm(sc.bundle.monodromy(0, b))
+            assert np.abs(np.imag(want)).max() <= 1e-12
+            err = np.abs(h.logs[0][b] - np.real(want)).max()
+            assert err <= 1e-12 * np.abs(want).max()
 
 
 def test_gauge_weights_must_be_integers():

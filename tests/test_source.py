@@ -1,9 +1,9 @@
 """Source-layout rules checked on the syntax tree of the package: modules
 use each other only through public names, functions merged into a single
 builder stay merged, exact matrices are read and built through their
-methods, never through a `.data` attribute, and the superconnection layer
+methods, never through a `.data` attribute, the superconnection layer
 converts holonomy actions that `spectral` built exactly instead of building
-its own."""
+its own, and only the equivariant metric takes a matrix logarithm."""
 
 import ast
 from pathlib import Path
@@ -98,3 +98,27 @@ def test_superconnection_builds_no_holonomy_action():
                 if _called_name(c) in ("inv", "pinv", "inverse_exact")]
     assert builders >= 2  # from_affine_bundle and load_bundle at least
     assert not bad, f"superconnection.py builds holonomy actions: {bad}"
+
+
+def test_logarithms_taken_only_by_the_equivariant_metric():
+    # logm is the costliest call of a sweep point: MetricField.equivariant
+    # is its one caller, and a monodromy sweep carries the logarithm it took
+    # at the first point instead of taking another one per point
+    callers = set()
+    for path in MODULES:
+        parents = {child: node for node in ast.walk(_tree(path))
+                   for child in ast.iter_child_nodes(node)}
+        for node in parents:
+            if isinstance(node, ast.Call) and _called_name(node) == "logm":
+                fn = node
+                while fn in parents and not isinstance(fn, ast.FunctionDef):
+                    fn = parents[fn]
+                owner = parents.get(fn)
+                callers.add((path.name, getattr(owner, "name", None),
+                             getattr(fn, "name", None)))
+    assert callers == {("superconnection.py", "MetricField", "equivariant")}
+    gauged = [fn for fn in ast.walk(_tree(SRC / "lab.py"))
+              if isinstance(fn, ast.FunctionDef) and fn.name == "gauged"]
+    assert len(gauged) == 1
+    assert not {"logm", "equivariant"} & {
+        _called_name(c) for c in ast.walk(gauged[0]) if isinstance(c, ast.Call)}

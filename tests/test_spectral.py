@@ -401,6 +401,6 @@ def test_predict_rejects_unknown_base():
 
 def test_cohomology_action_unipotent():
     # induced holonomy on degree-1 fiber cohomology keeps the unipotent block
-    act = spectral.cohomology_action(lie.abelian(2),
-                                     spectral.form_action(UNIP, 1), 1)
+    a0 = spectral.AffineModel(lie.abelian(2), []).a0
+    act = spectral.cohomology_action(a0, spectral.form_action(UNIP, 1), 1)
     assert not spectral.unipotent_factor(act).semisimple

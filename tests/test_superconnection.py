@@ -167,6 +167,20 @@ def test_equivariant_metric_passes_its_own_check():
     assert np.linalg.eigvalsh(g).min() > 0
 
 
+def test_from_logs_is_the_equivariant_metric_and_is_checked():
+    bundle, base = sconn.GradedBundle([2], [[SOL]]), circle(16)
+    h = sconn.MetricField.equivariant(bundle, base)
+    same = sconn.MetricField.from_logs(bundle, base, h.logs)
+    pts = base.points()
+    assert np.array_equal(same.sample(0, pts), h.sample(0, pts))
+    assert np.array_equal(same.logs[0][0], h.logs[0][0])
+    assert same.base is base
+    # a logarithm of another monodromy breaks the equivariance check
+    wrong = sconn.MetricField.from_logs(bundle, base, [[2 * h.logs[0][0]]])
+    with pytest.raises(InputError):
+        wrong.check_equivariance(base)
+
+
 def test_equivariant_metric_needs_real_logarithm():
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     bundle = sconn.GradedBundle([2], [[flip]])
@@ -251,6 +265,20 @@ def test_spectrum_empty_degree():
 # ---------------------------------------------------------------------------
 
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
+HYPERBOLIC_2 = [[2, 0, 0], [0, "1/2", 0], [0, 0, 1]]
+HYPERBOLIC_4 = [[4, 0, 0], [0, "1/4", 0], [0, 0, 1]]
+
+
+def heisenberg_torus_with_curvature(base):
+    sc = sconn.from_affine_bundle(
+        lie.heisenberg(3), base, T=[0, 0, 1],
+        monodromy_action=[HYPERBOLIC_2, HYPERBOLIC_4])
+    return sc, sconn.MetricField.equivariant(sc.bundle, base)
+
+
+def twisted_circle(base, phi):
+    sc = sconn.from_affine_bundle(lie.abelian(2), base, monodromy_action=[phi])
+    return sc, sconn.MetricField.equivariant(sc.bundle, base)
 
 
 def bare(h):
@@ -295,9 +323,7 @@ def test_bloch_matches_assembled_twisted_circles():
     assert_bloch_matches_assembled(sconn.Superconnection(bundle, base),
                                    sconn.MetricField.equivariant(bundle, base), 0)
     for phi in (SOL, UNIPOTENT):
-        sc = sconn.from_affine_bundle(lie.abelian(2), base,
-                                      monodromy_action=[phi])
-        h = sconn.MetricField.equivariant(sc.bundle, base)
+        sc, h = twisted_circle(base, phi)
         for p in range(4):
             assert_bloch_matches_assembled(sc, h, p)
 
@@ -310,20 +336,49 @@ def test_bloch_matches_assembled_heisenberg_over_torus():
         assert_bloch_matches_assembled(sc, h, p, count=12)
 
 
-HYPERBOLIC_2 = [[2, 0, 0], [0, "1/2", 0], [0, 0, 1]]
-HYPERBOLIC_4 = [[4, 0, 0], [0, "1/4", 0], [0, 0, 1]]
-
-
 def test_bloch_matches_assembled_twisted_torus_with_curvature():
     # commuting hyperbolic holonomies that fix the curvature direction e3:
     # the a2 term then reads vertex values across a half-step gauge twist
-    base = torus(8)
-    sc = sconn.from_affine_bundle(
-        lie.heisenberg(3), base, T=[0, 0, 1],
-        monodromy_action=[HYPERBOLIC_2, HYPERBOLIC_4])
-    h = sconn.MetricField.equivariant(sc.bundle, base)
+    sc, h = heisenberg_torus_with_curvature(torus(8))
     for p in range(5):
         assert_bloch_matches_assembled(sc, h, p, count=12)
+
+
+def test_bloch_matches_assembled_at_odd_resolution():
+    # at odd N only the zero mode is its own conjugate
+    for phi in (SOL, UNIPOTENT):
+        sc, h = twisted_circle(circle(9), phi)
+        for p in range(4):
+            assert_bloch_matches_assembled(sc, h, p)
+    sc, h = heisenberg_torus_with_curvature(torus(9))
+    for p in range(6):
+        assert_bloch_matches_assembled(sc, h, p, count=12)
+
+
+def all_modes_eigenvalues(dc, p):
+    """The Bloch spectrum solved on every one of the N^d modes."""
+    N, d = dc.base.resolution, dc.base.dim
+    theta = np.meshgrid(*[2 * np.pi * np.arange(N) / N] * d, indexing="ij")
+    phase = np.exp(1j * np.stack(theta, axis=-1).reshape(-1, d))
+    Dp, Dm = dc._bloch_symbol(p, phase), dc._bloch_symbol(p - 1, phase)
+    L = (np.conj(Dp.transpose(0, 2, 1)) @ Dp
+         + Dm @ np.conj(Dm.transpose(0, 2, 1)))
+    return np.sort(np.linalg.eigvalsh(L).ravel())
+
+
+@pytest.mark.parametrize("N", [8, 9])
+def test_conjugate_pair_solve_matches_all_modes(N):
+    cases = [twisted_circle(circle(N), SOL),
+             heisenberg_torus_with_curvature(torus(N))]
+    for sc, h in cases:
+        dc = sconn.DiscreteComplex(sc, h)
+        assert dc.bloch_ready()
+        for p in range(sc.base.dim + sc.bundle.top + 1):
+            want = all_modes_eigenvalues(dc, p)
+            got = dc.bloch_eigenvalues(p)
+            scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
 
 def test_bloch_matches_assembled_conformal_metrics():
