@@ -307,7 +307,7 @@ def _run_nil_rescale(cfg: ScenarioConfig) -> ScenarioReport:
     grading = lie.lower_central_grading(algebra)
     preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
     return _sweep(cfg, preds, lambda eps: lambda p: lie.rescaled_spectrum(
-        algebra, grading, None, p, eps))
+        algebra, grading, p, eps))
 
 
 def bundle_sweep(cfg: ScenarioConfig):

@@ -459,36 +459,51 @@ def scalar_curvature(algebra: NilpotentLieAlgebra,
 # ---------------------------------------------------------------------------
 
 class FiniteSymmetryGroup:
-    """A finite group of orthogonal automorphisms of the algebra."""
+    """A finite group of orthogonal automorphisms of the algebra, stored
+    exactly: each element is read by `RationalMatrix` (an integer, an
+    integral float or a rational string), so `check` decides by equality."""
 
     def __init__(self, elements):
-        self.elements = [np.asarray(e, dtype=float) for e in elements]
+        self.elements = [g if isinstance(g, RationalMatrix)
+                         else RationalMatrix(g) for g in elements]
         if not self.elements:
             raise InputError("group must contain at least the identity")
 
-    def check(self, algebra: NilpotentLieAlgebra, tol: float = 1e-10) -> None:
+    def check(self, algebra: NilpotentLieAlgebra) -> None:
+        if not algebra.exact:
+            raise InputError("symmetry check needs exact structure constants")
         n = algebra.n
-        c = algebra.c_float()
-        def key(m):
-            return (np.round(m, 9) + 0.0).tobytes()  # +0.0 folds -0.0 into 0.0
-
-        keyed = {key(e) for e in self.elements}
-        if key(np.eye(n)) not in keyed:
+        if any((g.rows, g.cols) != (n, n) for g in self.elements):
+            raise InputError(f"group elements must be {n}x{n} matrices")
+        eye = RationalMatrix.identity(n)
+        if eye not in self.elements:
             raise InputError("group does not contain the identity")
-        for e in self.elements:
-            if np.abs(e @ e.T - np.eye(n)).max() > tol:
+        d1 = ce_differential(algebra, 1)
+        for g in self.elements:
+            if g.transpose() @ g != eye:
                 raise InputError("group element is not orthogonal")
-            # automorphism: [f x, f y] = f [x, y]
-            lhs = np.einsum("ia,jb,ijk->abk", e, e, c)
-            rhs = np.einsum("abm,km->abk", c, e)
-            if np.abs(lhs - rhs).max() > tol:
-                raise InputError("group element is not a Lie-algebra automorphism")
-            if key(np.linalg.inv(e)) not in keyed:
-                raise InputError("group not closed under inverses")
-        for e in self.elements:
+            # automorphism: g acts on forms by g^-T = g, and that action
+            # commutes with d on 1-forms, the dual of the bracket
+            if d1 @ g != RationalMatrix(compound_matrix(g.tolist(), 2),
+                                        cols=d1.rows) @ d1:
+                raise InputError(
+                    "group element is not a Lie-algebra automorphism")
+        # a finite set of invertible matrices closed under products is a group
+        for g in self.elements:
             for f in self.elements:
-                if key(e @ f) not in keyed:
+                if g @ f not in self.elements:
                     raise InputError("group not closed under products")
+
+    def invariant_forms(self, b: int) -> RationalMatrix:
+        """Exact basis (columns) of the b-forms every element fixes: the
+        pivot columns of the Reynolds projector |F|^-1 sum_g Lambda^b g. An
+        orthogonal g acts on forms by its own compound (g^-T = g)."""
+        acts = [RationalMatrix(compound_matrix(g.tolist(), b))
+                for g in self.elements]
+        P = sum(acts[1:], acts[0]).scale(Fraction(1, len(acts)))
+        _, pivots = row_reduce(P)
+        return RationalMatrix([[row[j] for j in pivots] for row in P.tolist()],
+                              cols=len(pivots))
 
 
 def compound_matrix(rows, p: int) -> list[list]:
@@ -513,18 +528,10 @@ def compound_matrix(rows, p: int) -> list[list]:
     return [[minors[(I, J)] for J in idx] for I in idx]
 
 
-def invariant_projector(F: FiniteSymmetryGroup, p: int) -> np.ndarray:
-    mats = [np.array(compound_matrix(e.tolist(), p), dtype=float)
-            for e in F.elements]
-    return sum(mats) / len(mats)
-
-
-def invariant_basis(F: FiniteSymmetryGroup, p: int, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (columns) of the F-invariant subspace of Lambda^p."""
-    P = invariant_projector(F, p)
-    res = sym_eig(0.5 * (P + P.T), tol=1e-8)
-    keep = res.eigenvalues > 1.0 - 1e-6
-    return res.vectors[:, keep]
+def invariant_basis(F: FiniteSymmetryGroup, p: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the F-invariant subspace of Lambda^p:
+    the QR frame of the exact basis `F.invariant_forms(p)`."""
+    return np.linalg.qr(F.invariant_forms(p).to_numpy())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +546,7 @@ def invariant_laplacian(algebra: NilpotentLieAlgebra,
     lap = d_p.T @ d_p
     if d_prev is not None:
         lap = lap + d_prev @ d_prev.T
-    if F is None or len(F.elements) == 1:
+    if F is None:
         return lap
     F.check(algebra)
     U = invariant_basis(F, p)
@@ -562,24 +569,19 @@ def rescaled_differential(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
 
 
 def rescaled_laplacian(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
-                       F: FiniteSymmetryGroup | None, p: int,
-                       eps: float) -> np.ndarray:
+                       p: int, eps: float) -> np.ndarray:
     ds = rescaled_differential(algebra, grading, eps)
     n = algebra.n
     d_p = ds[p] if p < n else np.zeros((0, len(multi_indices(n, p))))
     lap = d_p.T @ d_p
     if p > 0:
         lap = lap + ds[p - 1] @ ds[p - 1].T
-    if F is not None and len(F.elements) > 1:
-        F.check(algebra)
-        U = invariant_basis(F, p)
-        lap = U.T @ lap @ U
     return lap
 
 
 def rescaled_spectrum(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
-                      F: FiniteSymmetryGroup | None, p: int, eps: float):
+                      p: int, eps: float):
     from .report import SpectrumReport
-    lap = rescaled_laplacian(algebra, grading, F, p, eps)
+    lap = rescaled_laplacian(algebra, grading, p, eps)
     res = sym_eig(lap)
     return SpectrumReport.from_eigenvalues(p, res.eigenvalues)

@@ -534,13 +534,16 @@ class AffineModel:
     fiber b-forms, `a0[b]` the fiber differential, `a2[b - 1]` the
     contraction by T (None without T), and `actions(b)` each holonomy on
     b-forms, the compound of its inverse transpose. Each holonomy is
-    inverted once; each degree's actions are built on first use and kept."""
+    inverted once; each degree's actions are built on first use and kept.
 
-    def __init__(self, algebra, holonomies, T=None):
+    With a finite symmetry group F (`lie.FiniteSymmetryGroup`, checked
+    here), the fiber forms are the F-invariant ones: `basis[b]` is their
+    exact basis `F.invariant_forms(b)`, and every block is expressed in
+    these bases by `solve_exact`. A holonomy or T that does not preserve
+    the invariant forms raises InputError. Without F, `basis` is None."""
+
+    def __init__(self, algebra, holonomies, T=None, F=None):
         n = algebra.n
-        self.ranks = [comb(n, b) for b in range(n + 1)]
-        self.a0 = [lie.ce_differential(algebra, b) for b in range(n)]
-        self.a2 = contraction_blocks(T, n) if T is not None else None
         holonomies = [g if isinstance(g, RationalMatrix) else RationalMatrix(g)
                       for g in holonomies]
         if any((g.rows, g.cols) != (n, n) for g in holonomies):
@@ -548,12 +551,38 @@ class AffineModel:
         self._inverse_t = [inverse_exact(g).transpose().tolist()
                            for g in holonomies]
         self._actions: dict[int, list[RationalMatrix]] = {}
+        self.basis = None
+        if F is not None:
+            F.check(algebra)
+            self.basis = [F.invariant_forms(b) for b in range(n + 1)]
+        self.ranks = ([comb(n, b) for b in range(n + 1)] if self.basis is None
+                      else [B.cols for B in self.basis])
+        self.a0 = [self._restrict(lie.ce_differential(algebra, b), b, b + 1)
+                   for b in range(n)]
+        self.a2 = None if T is None else [
+            self._restrict(blk, b, b - 1)
+            for b, blk in enumerate(contraction_blocks(T, n), start=1)]
+        if F is not None:  # a holonomy leaving the sector fails here
+            for b in range(n + 1):
+                self.actions(b)
+
+    def _restrict(self, mat: RationalMatrix, b_src: int,
+                  b_dst: int) -> RationalMatrix:
+        """`mat`, from b_src- to b_dst-forms, in the invariant bases."""
+        if self.basis is None:
+            return mat
+        try:
+            return solve_exact(self.basis[b_dst], mat @ self.basis[b_src])
+        except InputError:
+            raise InputError("a holonomy or T does not preserve the "
+                             f"F-invariant {b_src}-forms") from None
 
     def actions(self, b: int) -> list[RationalMatrix]:
         """Every holonomy's action on b-forms, in generator order."""
         if b not in self._actions:
-            self._actions[b] = [RationalMatrix(lie.compound_matrix(inv_t, b))
-                                for inv_t in self._inverse_t]
+            self._actions[b] = [
+                self._restrict(RationalMatrix(lie.compound_matrix(inv_t, b)),
+                               b, b) for inv_t in self._inverse_t]
         return self._actions[b]
 
 
@@ -570,16 +599,6 @@ class SmallCountPrediction:
     count: int
     per_bidegree: dict
     obstruction_case: int | None
-
-
-def _invariant_sector_dims(algebra, F, b: int):
-    """(dim of invariant b-forms, holonomy restricted to them or None)."""
-    n = algebra.n
-    full = len(lie.multi_indices(n, b))
-    if F is None or len(F.elements) == 1:
-        return full, None
-    U = lie.invariant_basis(F, b)
-    return U.shape[1], U
 
 
 def contraction_blocks(v, n: int) -> list[RationalMatrix]:
@@ -616,7 +635,8 @@ def predict_small_count(algebra, base_kind: str, p: int,
     `monodromy_action`: per base generator, an exact automorphism matrix of
     the fiber algebra (rows/entries rational). The semisimple replacement is
     implemented by counting generalized 1-eigenspaces, which only depend on
-    the semisimple part.
+    the semisimple part. With a finite symmetry group `F` the fiber forms
+    are the F-invariant ones (`AffineModel`).
     """
     return predict_small_counts(algebra, base_kind, (p,), monodromy_action,
                                 F=F, T=T)[0]
@@ -636,27 +656,18 @@ def predict_small_counts(algebra, base_kind: str, degrees,
         monodromy_action = [RationalMatrix.identity(n)] * gens
     if len(monodromy_action) != gens:
         raise InputError("one holonomy generator per base circle factor")
-    model = AffineModel(algebra, monodromy_action, T)
-    trivial_F = F is None or len(F.elements) == 1
+    model = AffineModel(algebra, monodromy_action, T, F)
 
     def fixed_dim(b: int) -> int:
-        """dim of the 1-generalized-eigenspace of the holonomy on the
-        invariant b-forms."""
+        """dim of the joint 1-generalized-eigenspace of the holonomies on
+        the fiber b-forms."""
         if b < 0 or b > n:
             return 0
-        full, U = _invariant_sector_dims(algebra, F, b)
-        if full == 0:
-            return 0
         if gens == 0:
-            return full
-        acts = model.actions(b)
-        if trivial_F:
-            return joint_generalized_one_eigenspace_dim(acts)
-        # restricted to a float invariant basis: count eigenvalues at 1
-        return min(int(np.sum(np.abs(np.linalg.eigvals(
-            U.T @ a.to_numpy() @ U) - 1.0) < 1e-6)) for a in acts)
+            return model.ranks[b]
+        return joint_generalized_one_eigenspace_dim(model.actions(b))
 
-    cases = classify_obstructions(algebra, base_kind, degrees, model, F)
+    cases = classify_obstructions(base_kind, degrees, model)
     out = []
     for p, case in zip(degrees, cases):
         per = {}
@@ -671,38 +682,33 @@ def predict_small_counts(algebra, base_kind: str, degrees,
     return out
 
 
-def classify_obstructions(algebra, base_kind: str, degrees,
-                          model: AffineModel | None = None,
-                          F=None) -> list[int | None]:
+def classify_obstructions(base_kind: str, degrees,
+                          model: AffineModel) -> list[int | None]:
     """For each degree p, which structural feature (if any) makes the naive
     fiberwise-harmonic count fail: 1 = fiber cohomology smaller than the
-    invariant forms, 2 = holonomy acts non-semisimply on fiber cohomology,
+    fiber forms, 2 = holonomy acts non-semisimply on fiber cohomology,
     3 = the twisted-coefficient pages do not stabilize at page 2. Checked in
-    that order; None when no obstruction applies through degree p. Cases 2
-    and 3 read the holonomies and T of `model` and are skipped without one.
-    Each fiber degree's case-2 check is made at most once, and so is case 3,
-    which does not depend on p: the twisted model's pages are built once."""
+    that order on the blocks of `model`; None when no obstruction applies
+    through degree p. Each fiber degree's case-2 check is made at most once,
+    and so is case 3, which does not depend on p: the twisted model's pages
+    are built once."""
     gens = _BASE_GENS.get(base_kind)
     if gens is None:
         raise InputError(f"unsupported base kind {base_kind!r}")
-    n = algebra.n
-    trivial_F = F is None or len(F.elements) == 1
-    betti = lie.betti_numbers(algebra) if trivial_F else None
+    n = len(model.ranks) - 1
+    # case 1 in fiber degree q: H^q is all of the q-forms exactly when the
+    # differentials into and out of degree q have rank 0, i.e. are zero
+    harmonic = [all(d.is_zero() for d in model.a0[max(q - 1, 0):q + 1])
+                for q in range(n + 1)]
     semisimple = {}  # case 2 in fiber degree q, decided on first need
     late = None  # case 3, decided on first need
 
     def case(p: int) -> int | None:
         nonlocal late
-        # case 1: fiber cochain complex not already harmonic
-        for q in range(min(p, n) + 1):
-            full, _ = _invariant_sector_dims(algebra, F, q)
-            bq = betti[q] if trivial_F else _invariant_betti(algebra, F, q)
-            if bq < full:
-                return 1
-        if gens == 0 or model is None:
+        if not all(harmonic[:min(p, n) + 1]):
+            return 1
+        if gens == 0:
             return None
-        if not trivial_F:
-            return None  # non-semisimplicity checks need the exact sector
         # case 2: holonomy non-semisimple on fiber cohomology
         for q in range(min(p, n) + 1):
             if q not in semisimple:
@@ -720,24 +726,6 @@ def classify_obstructions(algebra, base_kind: str, degrees,
         return 3 if late else None
 
     return [case(p) for p in degrees]
-
-
-def _invariant_betti(algebra, F, q: int) -> int:
-    """Betti number of the invariant subcomplex, via float ranks of the
-    restricted differentials (finite orthogonal symmetry only)."""
-    Uq = lie.invariant_basis(F, q)
-    Up = lie.invariant_basis(F, q + 1) if q < algebra.n else None
-    Um = lie.invariant_basis(F, q - 1) if q > 0 else None
-    dim = Uq.shape[1]
-    r_out = 0
-    if Up is not None and Up.shape[1]:
-        r_out = np.linalg.matrix_rank(Up.T @ lie.ce_matrix(algebra, q) @ Uq,
-                                      tol=1e-9)
-    r_in = 0
-    if Um is not None and Um.shape[1]:
-        r_in = np.linalg.matrix_rank(Uq.T @ lie.ce_matrix(algebra, q - 1) @ Um,
-                                     tol=1e-9)
-    return dim - r_out - r_in
 
 
 def cohomology_action(a0, form_act: RationalMatrix, q: int) -> RationalMatrix:

@@ -358,25 +358,30 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
     vertical components of the area-form coefficient (torus base only).
     Both are read by `RationalMatrix` (a non-integral float raises
     InputError); `spectral.AffineModel` builds the blocks exactly and they
-    are converted to floats once, here. Raises FlatnessError naming the
-    violated identity if the data is not flat.
+    are converted to floats once, here. With a finite symmetry group `F`
+    the model holds the blocks on the F-invariant forms, in their exact
+    basis B = QR, and each goes into the orthonormal frame Q as
+    R_dst X R_src^-1. Raises FlatnessError naming the violated identity if
+    the data is not flat.
     """
     n = algebra.n
-    trivial_F = F is None or len(F.elements) == 1
-    bases = [None if trivial_F else lie.invariant_basis(F, b)
-             for b in range(n + 1)]
+    if monodromy_action is None:
+        monodromy_action = [RationalMatrix.identity(n)] * base.dim
+    model = spectral.AffineModel(algebra, monodromy_action, T, F)
+    R = None if model.basis is None else [
+        np.linalg.qr(B.to_numpy(), mode="r") for B in model.basis]
 
     def convert(mat, b_src, b_dst):
         mat = mat.to_numpy()
-        return mat if trivial_F else bases[b_dst].T @ mat @ bases[b_src]
+        if R is None:
+            return mat
+        # (R_dst X R_src^-1)^T = R_src^-T (R_dst X)^T, a triangular solve
+        return scipy.linalg.solve_triangular(
+            R[b_src], (R[b_dst] @ mat).T, trans="T").T
 
-    if monodromy_action is None:
-        monodromy_action = [RationalMatrix.identity(n)] * base.dim
-    model = spectral.AffineModel(algebra, monodromy_action, T)
-    ranks = model.ranks if trivial_F else [U.shape[1] for U in bases]
     monos = [[convert(act, b, b) for b, act in enumerate(per_degree)]
              for per_degree in zip(*map(model.actions, range(n + 1)))]
-    bundle = GradedBundle(ranks, monos)
+    bundle = GradedBundle(model.ranks, monos)
     a0 = [convert(blk, b, b + 1) for b, blk in enumerate(model.a0)]
     a2 = None if model.a2 is None else [
         convert(blk, b, b - 1) for b, blk in enumerate(model.a2, start=1)]

@@ -71,7 +71,7 @@ def test_rescaled_family_collapse_count():
     pred = spectral.predict_small_count(alg, "point", 1)
     assert pred.count == 3
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        rep = lie.rescaled_spectrum(alg, grading, None, 1, eps)
+        rep = lie.rescaled_spectrum(alg, grading, 1, eps)
         assert np.abs(rep.eigenvalues - np.array([0.0, 0.0, eps])).max() <= 1e-12
         near_zero = int(np.sum(rep.eigenvalues <= 10 * eps))
         assert near_zero == pred.count

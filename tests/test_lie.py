@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcollapse import lie
+from nilcollapse import lie, spectral
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
 from tests.conftest import random_orthogonal
 
@@ -184,6 +184,47 @@ def test_invariant_basis_dimensions():
     assert lie.invariant_basis(F, 3).shape[1] == 1
 
 
+def test_symmetry_group_reads_exact_entries():
+    # rational strings load, and membership is decided by equality
+    F = lie.FiniteSymmetryGroup([[["1", "0", "0"], ["0", "1", "0"],
+                                  ["0", "0", "1"]],
+                                 [["-2/2", "0", "0"], ["0", "-1", "0"],
+                                  ["0", "0", "3/3"]]])
+    F.check(HEIS3)
+    assert F.elements[1] == RationalMatrix(np.diag([-1, -1, 1]))
+    assert F.invariant_forms(2) == RationalMatrix([[1], [0], [0]])
+    U = lie.invariant_basis(F, 2)
+    assert np.allclose(U.T @ U, np.eye(1)) and abs(U[0, 0]) == 1.0
+    # a rotation by a non-rational angle cannot be an exact element
+    c, s = np.cos(0.3), np.sin(0.3)
+    with pytest.raises(InputError, match="non-integral float"):
+        lie.FiniteSymmetryGroup([np.eye(3), [[c, -s, 0], [s, c, 0], [0, 0, 1]]])
+
+
+def test_symmetry_group_check_needs_an_exact_algebra():
+    # rotations of the e1, e2 plane are automorphisms of heisenberg:3, so
+    # the conjugated algebra differs from HEIS3 only by float rounding
+    c, s = np.cos(0.3), np.sin(0.3)
+    floated = HEIS3.conjugate(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]))
+    assert not floated.exact
+    F = lie.FiniteSymmetryGroup([np.eye(3), np.diag([-1, -1, 1])])
+    with pytest.raises(InputError, match="exact"):
+        F.check(floated)
+
+
+def test_restricted_model_blocks_square_to_zero_exactly():
+    cases = [(lie.heisenberg(5), [-1, -1, -1, -1, 1]),
+             (lie.filiform(5), [-1, 1, -1, 1, -1])]
+    for alg, signs in cases:
+        F = lie.FiniteSymmetryGroup([np.eye(5), np.diag(signs)])
+        model = spectral.AffineModel(alg, [], F=F)
+        assert model.ranks == [B.cols for B in model.basis]
+        assert sum(model.ranks) == 16  # half of the 32 forms
+        assert not all(blk.is_zero() for blk in model.a0)
+        for b in range(alg.n - 1):
+            assert (model.a0[b + 1] @ model.a0[b]).is_zero()
+
+
 def test_compound_matrix_properties():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((4, 4))
@@ -270,15 +311,15 @@ def test_rescaled_differential_squares_to_zero():
 def test_rescaled_spectrum_heisenberg3_exact():
     g = lie.lower_central_grading(HEIS3)
     for eps in (1e-1, 1e-2, 1e-3):
-        rep = lie.rescaled_spectrum(HEIS3, g, None, 1, eps)
+        rep = lie.rescaled_spectrum(HEIS3, g, 1, eps)
         assert np.allclose(rep.eigenvalues, [0.0, 0.0, eps], atol=1e-15)
 
 
 def test_rescaled_spectrum_limits_to_betti_kernel():
     # as eps -> 0 the kernel dimension grows to the full small count
     g = lie.lower_central_grading(lie.filiform(4))
-    rep1 = lie.rescaled_spectrum(lie.filiform(4), g, None, 1, 1.0)
-    rep2 = lie.rescaled_spectrum(lie.filiform(4), g, None, 1, 1e-6)
+    rep1 = lie.rescaled_spectrum(lie.filiform(4), g, 1, 1.0)
+    rep2 = lie.rescaled_spectrum(lie.filiform(4), g, 1, 1e-6)
     zeros = int(np.sum(rep1.eigenvalues < 1e-12))
     near = int(np.sum(rep2.eigenvalues < 1e-3))
     assert zeros == lie.betti_numbers(lie.filiform(4))[1]

@@ -3,7 +3,8 @@ use each other only through public names, functions merged into a single
 builder stay merged, exact matrices are read and built through their
 methods, never through a `.data` attribute, the superconnection layer
 converts holonomy actions that `spectral` built exactly instead of building
-its own, and only the equivariant metric takes a matrix logarithm."""
+its own, only the equivariant metric takes a matrix logarithm, and the exact
+layer `spectral` decides nothing by a float rank or eigenvalue."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,8 @@ MERGED = {
     "classify_obstruction",                  # -> classify_obstructions(degrees)
     "_num_matrix",                           # -> RationalMatrix(rows)
     "circle_bundle_model",                   # -> from_affine_bundle(abelian(1), T)
+    "_invariant_sector_dims", "_invariant_betti",  # -> AffineModel(F=...)
+    "invariant_projector",                   # -> FiniteSymmetryGroup.invariant_forms
 }
 
 
@@ -122,3 +125,11 @@ def test_logarithms_taken_only_by_the_equivariant_metric():
     assert len(gauged) == 1
     assert not {"logm", "equivariant"} & {
         _called_name(c) for c in ast.walk(gauged[0]) if isinstance(c, ast.Call)}
+
+
+def test_spectral_makes_no_float_linear_algebra():
+    # every rank, eigenspace and sector dimension in spectral.py is exact;
+    # a float rank or eigenvalue call there is a tolerance call in disguise
+    bad = [f"line {node.lineno}" for node in ast.walk(_tree(SRC / "spectral.py"))
+           if isinstance(node, ast.Attribute) and node.attr == "linalg"]
+    assert not bad, f"spectral.py uses numpy/scipy linalg: {bad}"

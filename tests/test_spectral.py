@@ -399,6 +399,56 @@ def test_predict_rejects_unknown_base():
         spectral.predict_small_count(lie.abelian(2), "sphere", 1)
 
 
+# ---------------------------------------------------------------------------
+# the F-invariant sector, decided exactly
+# ---------------------------------------------------------------------------
+
+FLIP3 = lie.FiniteSymmetryGroup([np.eye(3), np.diag([1, 1, -1])])
+
+
+def test_invariant_sector_counts_the_joint_fixed_space():
+    # on the invariant 1-forms e1, e2 no nonzero form is fixed by both
+    # holonomies, though each one fixes a line
+    holonomies = [RationalMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
+                  RationalMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])]
+    pred = spectral.predict_small_count(lie.abelian(3), "torus2", 1,
+                                        monodromy_action=holonomies, F=FLIP3)
+    assert pred.count == 2
+    assert pred.per_bidegree == {(1, 0): 2}
+
+
+def test_invariant_sector_decides_case_two():
+    # a unipotent block on the invariant 1-forms e1, e2
+    pred = spectral.predict_small_count(
+        lie.abelian(3), "circle", 1, F=FLIP3,
+        monodromy_action=[RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])])
+    assert pred.obstruction_case == 2
+
+
+def test_holonomy_leaving_the_invariant_sector_is_rejected():
+    # e1 + e3 is not F-invariant, and this holonomy sends e3 to it
+    with pytest.raises(InputError, match="F-invariant"):
+        spectral.predict_small_count(
+            lie.abelian(3), "circle", 1, F=FLIP3,
+            monodromy_action=[RationalMatrix([[1, 0, 1], [0, 1, 0],
+                                              [0, 0, 1]])])
+
+
+def test_invariant_sector_predictions_heisenberg3():
+    F = lie.FiniteSymmetryGroup([np.eye(3), np.diag([-1, -1, 1])])
+    alg = lie.heisenberg(3)
+    circle = spectral.predict_small_counts(
+        alg, "circle", range(5), F=F,
+        monodromy_action=[RationalMatrix([[2, 0, 0], [0, "1/2", 0],
+                                          [0, 0, 1]])])
+    torus = spectral.predict_small_counts(alg, "torus2", range(6), F=F,
+                                          T=[0, 0, 1])
+    assert [p.count for p in circle] == [1, 2, 2, 2, 1]
+    assert [p.count for p in torus] == [1, 3, 4, 4, 3, 1]
+    # de3 = -e1^e2 pairs the only invariant 1- and 2-forms
+    assert [p.obstruction_case for p in circle] == [None, 1, 1, 1, 1]
+
+
 def test_cohomology_action_unipotent():
     # induced holonomy on degree-1 fiber cohomology keeps the unipotent block
     a0 = spectral.AffineModel(lie.abelian(2), []).a0

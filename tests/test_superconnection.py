@@ -594,3 +594,62 @@ def test_from_affine_bundle_takes_exact_data_only():
     with pytest.raises(InputError, match="3x3"):
         sconn.from_affine_bundle(lie.heisenberg(3), circle(8),
                                  monodromy_action=[np.eye(2)])
+
+
+# ---------------------------------------------------------------------------
+# the F-invariant sector: spectrum against the pages of the same model
+# ---------------------------------------------------------------------------
+
+Z2_HEIS3 = lie.FiniteSymmetryGroup([np.eye(3), np.diag([-1, -1, 1])])
+SECTOR_MODELS = {
+    # hyperbolic holonomy commuting with F, equivariant metric
+    "circle": (circle(12), dict(monodromy_action=[HYPERBOLIC_2]), "equivariant",
+               [1, 1, 0, 1, 1]),
+    # identity holonomies, curvature along the F-fixed e3, identity metric
+    "torus2": (torus(12), dict(T=[0, 0, 1]), "identity", [1, 2, 1, 1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SECTOR_MODELS))
+def test_invariant_sector_zero_counts_are_the_total_betti_numbers(kind):
+    base, data, metric, want = SECTOR_MODELS[kind]
+    alg = lie.heisenberg(3)
+    sc = sconn.from_affine_bundle(alg, base, F=Z2_HEIS3, **data)
+    h = (sconn.MetricField.equivariant(sc.bundle, base) if metric == "equivariant"
+         else sconn.MetricField.identity(sc.bundle))
+    holonomies = data.get("monodromy_action", [np.eye(3)] * base.dim)
+    model = spectral.AffineModel(alg, holonomies, T=data.get("T"), F=Z2_HEIS3)
+    monos = list(zip(*map(model.actions, range(alg.n + 1))))
+    betti = spectral.spectral_sequence(spectral.flat_bundle_complex(
+        model.ranks, model.a0, monos, kind, a2=model.a2)).betti
+    zeros = [int(np.sum(sconn.spectrum(sc, h, p, count=64).eigenvalues
+                        <= lab.ZERO_TOL)) for p in range(len(betti))]
+    assert zeros == betti == want
+
+
+C3 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+CYCLIC3 = lie.FiniteSymmetryGroup([np.eye(3), C3, C3 @ C3])
+
+
+@pytest.mark.parametrize("base, data", [
+    (circle(8), dict(monodromy_action=[[[3, 1, 1], [1, 3, 1], [1, 1, 3]]])),
+    (torus(8), dict(T=[1, 1, 1]))], ids=["circle", "torus2"])
+def test_invariant_sector_spectrum_is_part_of_the_full_spectrum(base, data):
+    # F permutes the coordinates, so its invariant forms have no basis of
+    # unit vectors and the sector blocks go through the QR frame change; F
+    # commutes with the holonomy, T and both metrics, so the sector's
+    # Laplacian is the full one restricted to an invariant subspace
+    full = sconn.from_affine_bundle(lie.abelian(3), base, **data)
+    sector = sconn.from_affine_bundle(lie.abelian(3), base, F=CYCLIC3, **data)
+    assert sector.bundle.ranks == (1, 1, 1, 1)
+
+    def eigenvalues(sc, p):
+        h = (sconn.MetricField.equivariant(sc.bundle, base) if base.dim == 1
+             else sconn.MetricField.identity(sc.bundle))
+        return sconn.spectrum(sc, h, p, count=10 ** 4).eigenvalues
+
+    for p in range(base.dim + 4):
+        whole, part = eigenvalues(full, p), eigenvalues(sector, p)
+        scale = max(1.0, float(np.abs(whole).max(initial=0.0)))
+        assert part.size and all(
+            np.abs(whole - lam).min() <= 1e-10 * scale for lam in part)
