@@ -1,7 +1,7 @@
 """Spectra of differential-form Laplacians on collapsing fiber-bundle models.
 
 Submodules:
-  numerics        eigensolvers and exact rational rank arithmetic
+  numerics        the float eigensolver entry and exact rational arithmetic
   lie             nilpotent Lie algebras, invariant forms, curvature, rescaling
   superconnection flat superconnections over flat circle/torus bases
   spectral        exact spectral sequences, holonomy analysis, predictions

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (InputError, RationalMatrix, nullspace_exact,
-                       rank_exact, row_reduce, sym_eig)
+from .numerics import (InputError, RationalMatrix, lowest_eigenvalues,
+                       nullspace_exact, rank_exact, row_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -461,38 +461,46 @@ def scalar_curvature(algebra: NilpotentLieAlgebra,
 class FiniteSymmetryGroup:
     """A finite group of orthogonal automorphisms of the algebra, stored
     exactly: each element is read by `RationalMatrix` (an integer, an
-    integral float or a rational string), so `check` decides by equality."""
+    integral float or a rational string), so every test is an equality.
+
+    Construction checks the group axioms, which need no algebra: square
+    elements of one shape, the identity among them, g^T g = I and closure
+    under products (which implies inverses for a finite set). `check`
+    adds the tests against an algebra."""
 
     def __init__(self, elements):
         self.elements = [g if isinstance(g, RationalMatrix)
                          else RationalMatrix(g) for g in elements]
         if not self.elements:
             raise InputError("group must contain at least the identity")
+        n = self.elements[0].rows
+        if any((g.rows, g.cols) != (n, n) for g in self.elements):
+            raise InputError("group elements must be square of one shape")
+        eye = RationalMatrix.identity(n)
+        if eye not in self.elements:
+            raise InputError("group does not contain the identity")
+        for g in self.elements:
+            if g.transpose() @ g != eye:
+                raise InputError("group element is not orthogonal")
+        for g in self.elements:
+            for f in self.elements:
+                if g @ f not in self.elements:
+                    raise InputError("group not closed under products")
 
     def check(self, algebra: NilpotentLieAlgebra) -> None:
         if not algebra.exact:
             raise InputError("symmetry check needs exact structure constants")
         n = algebra.n
-        if any((g.rows, g.cols) != (n, n) for g in self.elements):
+        if self.elements[0].rows != n:
             raise InputError(f"group elements must be {n}x{n} matrices")
-        eye = RationalMatrix.identity(n)
-        if eye not in self.elements:
-            raise InputError("group does not contain the identity")
         d1 = ce_differential(algebra, 1)
         for g in self.elements:
-            if g.transpose() @ g != eye:
-                raise InputError("group element is not orthogonal")
             # automorphism: g acts on forms by g^-T = g, and that action
             # commutes with d on 1-forms, the dual of the bracket
             if d1 @ g != RationalMatrix(compound_matrix(g.tolist(), 2),
                                         cols=d1.rows) @ d1:
                 raise InputError(
                     "group element is not a Lie-algebra automorphism")
-        # a finite set of invertible matrices closed under products is a group
-        for g in self.elements:
-            for f in self.elements:
-                if g @ f not in self.elements:
-                    raise InputError("group not closed under products")
 
     def invariant_forms(self, b: int) -> RationalMatrix:
         """Exact basis (columns) of the b-forms every element fixes: the
@@ -583,5 +591,5 @@ def rescaled_spectrum(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
                       p: int, eps: float):
     from .report import SpectrumReport
     lap = rescaled_laplacian(algebra, grading, p, eps)
-    res = sym_eig(lap)
-    return SpectrumReport.from_eigenvalues(p, res.eigenvalues)
+    return SpectrumReport.from_eigenvalues(
+        p, lowest_eigenvalues(lap, lap.shape[0]))

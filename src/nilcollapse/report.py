@@ -1,6 +1,6 @@
-"""Shared spectrum reporting: sorted eigenvalue lists, the largest-relative-gap
-split into "small" and "bulk" eigenvalues, and multiplicative epsilon-closeness
-of spectra."""
+"""Shared spectrum reporting: the one rounding rule for raw float eigenvalues,
+sorted eigenvalue lists, the largest-relative-gap split into "small" and
+"bulk" eigenvalues, and multiplicative epsilon-closeness of spectra."""
 
 from __future__ import annotations
 
@@ -13,17 +13,17 @@ from .numerics import InputError
 SMALL_FLOOR = 1e-8
 
 
-def gap_split(eigenvalues, floor: float = SMALL_FLOOR) -> tuple[int, int, float]:
+def gap_split(eigenvalues) -> tuple[int, int, float]:
     """Split a sorted nonnegative spectrum at its largest relative gap.
 
     Returns (small_count, gap_index, gap_ratio): eigenvalues [0, small_count)
-    sit below the gap. The floor keeps exact zeros from producing infinite
+    sit below the gap. SMALL_FLOOR keeps exact zeros from producing infinite
     ratios against one another.
     """
     lam = np.maximum(np.asarray(eigenvalues, dtype=float), 0.0)
     if lam.size == 0:
         return 0, 0, 0.0
-    lo = np.maximum(np.concatenate([[0.0], lam[:-1]]), floor)
+    lo = np.maximum(np.concatenate([[0.0], lam[:-1]]), SMALL_FLOOR)
     ratios = lam / lo
     idx = int(np.argmax(ratios))
     return idx, idx, float(ratios[idx])
@@ -40,10 +40,20 @@ class SpectrumReport:
     gap_ratio: float
 
     @classmethod
-    def from_eigenvalues(cls, degree: int, eigenvalues,
-                         floor: float = SMALL_FLOOR) -> "SpectrumReport":
+    def from_eigenvalues(cls, degree: int, eigenvalues) -> "SpectrumReport":
+        """The report of raw float eigenvalues of a positive semidefinite
+        operator, by the one rounding rule every spectrum goes through: an
+        eigenvalue below -1e-6 that is not rounding (|lambda| >= 1e-10 times
+        max(1, max |lambda|)) raises ArithmeticError; every other negative
+        one is rounding and reads 0. Then the gap rule splits the spectrum.
+        """
         lam = np.sort(np.asarray(eigenvalues, dtype=float))
-        small, idx, ratio = gap_split(lam, floor=floor)
+        scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+        if np.any((lam < -1e-6) & (np.abs(lam) >= 1e-10 * scale)):
+            raise ArithmeticError(
+                "Laplacian produced a significantly negative eigenvalue")
+        lam = np.maximum(lam, 0.0)
+        small, idx, ratio = gap_split(lam)
         return cls(degree, lam, small, idx, ratio)
 
     def multiplicities(self, tol: float = 1e-8) -> list[tuple[float, int]]:

@@ -21,11 +21,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import lie, spectral
-from .numerics import InputError, RationalMatrix
+from .numerics import InputError, RationalMatrix, lowest_eigenvalues
 from .report import SpectrumReport
 
 
-class FlatnessError(ValueError):
+class FlatnessError(InputError):
     """A constructed superconnection violates one of the flatness identities."""
 
 
@@ -385,7 +385,11 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
     a0 = [convert(blk, b, b + 1) for b, blk in enumerate(model.a0)]
     a2 = None if model.a2 is None else [
         convert(blk, b, b - 1) for b, blk in enumerate(model.a2, start=1)]
-    sc = Superconnection(bundle, base, a0=a0, a2=a2)
+    return _require_flat(Superconnection(bundle, base, a0=a0, a2=a2), tol)
+
+
+def _require_flat(sc: Superconnection, tol: float = 1e-12) -> Superconnection:
+    """sc itself, or FlatnessError naming the worst-violated identity."""
     rep = check_flatness(sc)
     if not rep.ok(tol):
         raise FlatnessError(
@@ -403,6 +407,8 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
     "a0_blocks", "a2_blocks"). Every matrix entry and interior component
     is read by `RationalMatrix`: an integer, an integral float or a
     rational string. "metric" picks "identity" (default) or "equivariant".
+    Raises FlatnessError if the superconnection is not flat and InputError
+    if the metric is not equivariant under the monodromy.
     """
     import json
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
@@ -452,8 +458,9 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
         bundle = GradedBundle(ranks, None if monos is None else
                               [floats(gen) for gen in monos],
                               generators=base.dim)
-        sc = Superconnection(bundle, base, a0=floats(payload.get("a0_blocks")),
-                             a2=floats(payload.get("a2_blocks")))
+        sc = _require_flat(Superconnection(
+            bundle, base, a0=floats(payload.get("a0_blocks")),
+            a2=floats(payload.get("a2_blocks"))))
     metric_kind = payload.get("metric", "identity")
     if metric_kind == "identity":
         h = MetricField.identity(sc.bundle)
@@ -461,6 +468,7 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
         h = MetricField.equivariant(sc.bundle, base)
     else:
         raise InputError(f"unknown metric kind {metric_kind!r}")
+    h.check_equivariance(base)
     return sc, h
 
 
@@ -777,53 +785,22 @@ def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
 # spectra
 # ---------------------------------------------------------------------------
 
-_DENSE_LIMIT = 2200
-
-
-def laplacian(sc: Superconnection, h: MetricField, p: int,
-              check_metric: bool = True):
-    """Galerkin matrix of the degree-p superconnection Laplacian; dense below
-    a size cutoff, sparse CSR above it."""
-    dc = DiscreteComplex(sc, h, check_metric=check_metric)
-    L = dc.laplacian(p)
-    return L.toarray() if L.shape[0] <= _DENSE_LIMIT else L
-
-
 def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
-             tol: float = 1e-10, check_metric: bool = True) -> SpectrumReport:
+             check_metric: bool = True) -> SpectrumReport:
     """Lowest eigenvalues of the degree-p Laplacian with the gap-rule split.
 
     When the metric gauges the bundle to constant coefficients
     (`DiscreteComplex.bloch_ready`), the Laplacian splits into one small
     Hermitian block per Fourier mode of the grid and all blocks are solved in
-    one batch. Otherwise it is assembled and solved densely below a size
-    cutoff, with ARPACK shift-invert above it.
+    one batch. Otherwise it is assembled and solved by
+    `numerics.lowest_eigenvalues`. `SpectrumReport.from_eigenvalues` rounds
+    either result.
     """
     dc = DiscreteComplex(sc, h, check_metric=check_metric)
-    n = dc.dim(p)
-    if n == 0:
-        return SpectrumReport.from_eigenvalues(p, [])
-    k = min(count, n)
-    if dc.bloch_ready():
-        lam = dc.bloch_eigenvalues(p)[:k]
-    else:
-        L = dc.laplacian(p)
-        if n <= _DENSE_LIMIT:
-            lam = np.linalg.eigvalsh(L.toarray())[:k]
-        else:
-            scale = max(1.0, float(abs(L).max()))
-            # a fixed start vector makes the Lanczos run repeatable; not the
-            # constant vector, which spans an invariant subspace of every
-            # translation-invariant operator
-            lam = spla.eigsh(L, k=k, sigma=-1e-3 * scale, which="LM",
-                             v0=np.random.default_rng(0).standard_normal(n),
-                             return_eigenvectors=False)
-            lam = np.sort(lam)
-    lam = np.where(np.abs(lam) < tol * max(1.0, np.abs(lam).max()),
-                   np.maximum(lam, 0.0), lam)
-    if lam.min(initial=0.0) < -1e-6:
-        raise ArithmeticError("Laplacian produced a significantly negative eigenvalue")
-    return SpectrumReport.from_eigenvalues(p, np.maximum(lam, 0.0))
+    k = min(count, dc.dim(p))
+    lam = (dc.bloch_eigenvalues(p)[:k] if dc.bloch_ready()
+           else lowest_eigenvalues(dc.laplacian(p), k))
+    return SpectrumReport.from_eigenvalues(p, lam)
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,19 @@ def test_run_check_failure_exits_three(runner, tmp_path):
      "malformed base description"),
     ({"base": {"kind": "circle", "resolution": 8, "circumferences": ["a"]},
       "ranks": [1]}, "bad circumference list"),
-], ids=["inexact-interior", "resolution", "circumferences"])
+    ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1, 1],
+      "monodromy": [[[[2]], [[1]]]], "a0_blocks": [[[1]]]},
+     "flatness identity 'parallel_a0' violated by 1.000e+00"),
+    ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1],
+      "monodromy": [[[[2]]]], "metric": "identity"},
+     "metric violates monodromy equivariance (degree 0)"),
+    ({"base": {"kind": "circle", "resolution": 8}, "fiber": "heisenberg:3",
+      "monodromy_action": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+     "flatness identity 'parallel_a0' violated by 5.000e-01"),
+    ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1, 1],
+      "monodromy": [[[2], [1]]]}, "a matrix must be a list of rows"),
+], ids=["inexact-interior", "resolution", "circumferences", "not-flat",
+        "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list"])
 def test_validate_rejects_bad_bundle_entries(runner, tmp_path, payload, reason):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(payload))
@@ -233,6 +245,17 @@ def test_run_rejects_fractional_gauge_weights(runner, tmp_path):
     res = runner.invoke(main, ["run", str(path)])
     assert res.exit_code == 1
     assert "error: non-integral float 0.5" in res.output
+
+
+def test_run_rejects_monodromy_rows_that_are_not_lists(runner, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "kind": "monodromy_degeneration",
+        "model": {"algebra": "abelian:2", "monodromy": [1, 2]},
+        "sweep_values": [1.0, 0.1]}))
+    res = runner.invoke(main, ["run", str(path)])
+    assert res.exit_code == 1
+    assert "error: a matrix must be a list of rows" in res.output
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

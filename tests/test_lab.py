@@ -126,10 +126,16 @@ def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
     real = lab.sconn.from_affine_bundle
     monkeypatch.setattr(lab.sconn, "from_affine_bundle",
                         lambda *args, **kw: calls.append(1) or real(*args, **kw))
-    cfg = dict(lab.PRESETS["example7_heisenberg_circle"], degrees=(0, 1, 2))
-    rep = lab.run(cfg)
-    assert len(calls) == len(cfg["sweep_values"]) == 4
-    assert [len(d.spectra) for d in rep.degrees] == [4, 4, 4]
+    # the holonomy of example7 changes at each point; along example3 only
+    # a2 = delta * a2(1) does, so its model is built once
+    for name, builds in [("example7_heisenberg_circle", 4),
+                         ("example3_circle_bundle", 1)]:
+        calls.clear()
+        cfg = dict(lab.PRESETS[name], degrees=(0, 1, 2))
+        rep = lab.run(cfg)
+        assert len(cfg["sweep_values"]) == 4
+        assert len(calls) == builds, name
+        assert [len(d.spectra) for d in rep.degrees] == [4, 4, 4]
 
 
 def test_prediction_builds_each_holonomy_action_once(monkeypatch):

@@ -176,6 +176,19 @@ def test_symmetry_group_rejects_non_automorphism():
         lie.FiniteSymmetryGroup([np.eye(3), swap]).check(HEIS3)
 
 
+def test_symmetry_group_axioms_checked_at_construction():
+    # a non-group never yields a basis of "invariant" forms, with or
+    # without an algebra to check against
+    cases = [([np.eye(3), np.diag([2, 1, 1])], "not orthogonal"),
+             ([np.diag([-1, 1, 1])], "identity"),
+             ([np.eye(3), np.eye(2)], "square of one shape"),
+             ([np.eye(3), np.diag([-1, 1, 1]), np.diag([1, -1, 1])],
+              "not closed")]
+    for elements, reason in cases:
+        with pytest.raises(InputError, match=reason):
+            lie.FiniteSymmetryGroup(elements)
+
+
 def test_invariant_basis_dimensions():
     F = lie.FiniteSymmetryGroup([np.eye(3), np.diag([-1.0, -1.0, 1.0])])
     assert lie.invariant_basis(F, 0).shape[1] == 1

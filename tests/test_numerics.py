@@ -1,18 +1,21 @@
-"""Eigensolvers checked against an independent inertia-bisection oracle and
-closed forms; exact rational linear algebra checked against brute-force
-floating-point rank counting."""
+"""The float eigensolver entry checked against an independent
+inertia-bisection oracle, closed forms and its own sparse branch; exact
+rational linear algebra checked against brute-force floating-point rank
+counting."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from nilcollapse.numerics import (EigenResult, InputError, RationalMatrix,
-                                  _to_fraction, gen_sym_eig, nullspace_exact,
+from nilcollapse import numerics
+from nilcollapse.numerics import (InputError, RationalMatrix, _to_fraction,
+                                  lowest_eigenvalues, nullspace_exact,
                                   quotient_dim, rank_exact, row_reduce,
-                                  solve_exact, sym_eig)
+                                  solve_exact)
 from tests import dense_oracle as oracle
 
 
@@ -43,11 +46,8 @@ def _bisect_eigs(A, k, lo=-1e3, hi=1e3, tol=1e-9):
 
 
 def test_sym_eig_closed_form():
-    res = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(res.eigenvalues, [1.0, 3.0], atol=1e-12)
-    assert res.residual < 1e-12
-    # eigenvectors orthonormal
-    assert np.allclose(res.vectors.T @ res.vectors, np.eye(2), atol=1e-12)
+    w = lowest_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]), 2)
+    assert np.allclose(w, [1.0, 3.0], atol=1e-12)
 
 
 def test_sym_eig_matches_inertia_bisection():
@@ -55,16 +55,17 @@ def test_sym_eig_matches_inertia_bisection():
     for _ in range(5):
         A = rng.standard_normal((5, 5))
         A = A + A.T
-        res = sym_eig(A)
+        w = lowest_eigenvalues(A, 5)
         oracle = _bisect_eigs(A, 5)
-        assert np.allclose(res.eigenvalues, oracle, atol=1e-6)
+        assert np.allclose(w, oracle, atol=1e-6)
 
 
 def test_sym_eig_rejects_bad_input():
     with pytest.raises(InputError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        lowest_eigenvalues(np.zeros((2, 3)), 2)
     with pytest.raises(InputError):
-        sym_eig(np.zeros((2, 3)))
+        lowest_eigenvalues(sp.csr_matrix((2, 3)), 2)
+    assert lowest_eigenvalues(np.zeros((0, 0)), 3).shape == (0,)
 
 
 @given(st.integers(2, 5), st.integers(0, 10 ** 6))
@@ -73,42 +74,36 @@ def test_sym_eig_trace_and_residual(n, seed):
     rng = np.random.default_rng(seed)
     A = rng.integers(-4, 5, size=(n, n)).astype(float)
     A = A + A.T
-    res = sym_eig(A)
-    assert abs(res.eigenvalues.sum() - np.trace(A)) < 1e-8 * max(1, abs(np.trace(A)))
-    assert res.residual < 1e-8 * max(1.0, np.abs(A).max())
-    assert np.all(np.diff(res.eigenvalues) >= -1e-12)
+    w = lowest_eigenvalues(A, n)
+    assert abs(w.sum() - np.trace(A)) < 1e-8 * max(1, abs(np.trace(A)))
+    # min ||(A - lambda) v|| over unit v: each lambda's distance to the
+    # spectrum of A
+    residual = max(np.linalg.svd(A - x * np.eye(n), compute_uv=False)[-1]
+                   for x in w)
+    assert residual < 1e-8 * max(1.0, np.abs(A).max())
+    assert np.all(np.diff(w) >= -1e-12)
+    assert np.array_equal(lowest_eigenvalues(A, 2), w[:2])
 
 
-def test_gen_sym_eig_diagonal_pencil():
-    K = np.diag([1.0, 4.0])
-    M = np.diag([1.0, 2.0])
-    res = gen_sym_eig(K, M)
-    assert np.allclose(res.eigenvalues, [1.0, 2.0], atol=1e-12)
-    # M-orthonormal eigenvectors
-    assert np.allclose(res.vectors.T @ M @ res.vectors, np.eye(2), atol=1e-12)
-
-
-def test_gen_sym_eig_random_pencil_residual():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        K = rng.standard_normal((6, 6))
-        K = K + K.T
-        B = rng.standard_normal((6, 6))
-        M = B @ B.T + 6 * np.eye(6)
-        res = gen_sym_eig(K, M)
-        assert res.residual < 1e-8
-        assert np.allclose(res.vectors.T @ M @ res.vectors, np.eye(6), atol=1e-8)
-        # same eigenvalues as the explicitly reduced problem
-        C = np.linalg.inv(M) @ K
-        assert np.allclose(np.sort(np.linalg.eigvals(C).real),
-                           res.eigenvalues, atol=1e-7)
-
-
-def test_gen_sym_eig_rejects_indefinite_mass():
-    K = np.eye(2)
-    M = np.diag([1.0, -1.0])
-    with pytest.raises(InputError):
-        gen_sym_eig(K, M)
+def test_dense_and_arpack_branches_agree(monkeypatch):
+    # a 1-D periodic Laplacian plus a diagonal, 400 unknowns: the dense
+    # branch at the package's cutoff and ARPACK with the cutoff below 400
+    n = 400
+    rng = np.random.default_rng(5)
+    L = sp.diags([np.full(n - 1, -1.0), 2.0 + rng.uniform(0, 1, n),
+                  np.full(n - 1, -1.0)], [-1, 0, 1], format="lil")
+    L[0, n - 1] = L[n - 1, 0] = -1.0
+    L = L.tocsr()
+    dense = lowest_eigenvalues(L, 6)
+    monkeypatch.setattr(numerics, "_DENSE_LIMIT", n - 1)
+    arpack = lowest_eigenvalues(L, 6)
+    assert arpack.shape == dense.shape == (6,)
+    assert np.all(np.diff(arpack) >= 0)
+    assert np.abs(arpack - dense).max() <= 1e-10 * abs(L).max()
+    # ARPACK cannot return every eigenvalue; asking for all of them solves
+    # densely at any size
+    assert np.array_equal(lowest_eigenvalues(L, n), np.linalg.eigvalsh(
+        L.toarray()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Gap splitting and multiplicative spectrum closeness."""
+"""The rounding rule for raw eigenvalues, gap splitting and multiplicative
+spectrum closeness."""
 
 import numpy as np
 import pytest
 
+from nilcollapse import lie, superconnection as sconn
 from nilcollapse.numerics import InputError
 from nilcollapse.report import (SpectrumReport, closeness_epsilon,
                                 epsilon_close, gap_split)
@@ -32,6 +34,54 @@ def test_spectrum_report_sorts_and_splits():
     assert rep.small_count == 2
     d = rep.to_dict()
     assert d["degree"] == 1 and d["small_count"] == 2
+
+
+def test_rounding_rule():
+    # negative rounding reads 0, relative to max(1, max |lambda|) ...
+    rep = SpectrumReport.from_eigenvalues(0, [1e6, -1e-5, 2.0])
+    assert list(rep.eigenvalues) == [0.0, 2.0, 1e6]
+    assert list(SpectrumReport.from_eigenvalues(0, [-1e-7, 1.0]).eigenvalues) \
+        == [0.0, 1.0]
+    # ... and a negative eigenvalue beyond both bounds is an error
+    with pytest.raises(ArithmeticError, match="significantly negative"):
+        SpectrumReport.from_eigenvalues(0, [-1e-3, 1.0])
+
+
+def _lowest_set_to(real, value):
+    def solve(*args):
+        lam = np.array(real(*args), dtype=float)
+        lam[0] = value
+        return lam
+    return solve
+
+
+def _spectrum_routes():
+    sc = sconn.from_affine_bundle(lie.abelian(1), sconn.BaseModel("circle", 8))
+    h = sconn.MetricField.identity(sc.bundle)
+    bare = sconn.MetricField(sc.bundle, h.sample)  # always assembled
+    heis3 = lie.heisenberg(3)
+    grading = lie.lower_central_grading(heis3)
+    return {
+        "assembled": (sconn, "lowest_eigenvalues",
+                      lambda: sconn.spectrum(sc, bare, 1, count=4)),
+        "bloch": (sconn.DiscreteComplex, "bloch_eigenvalues",
+                  lambda: sconn.spectrum(sc, h, 1, count=4)),
+        "nil_rescale": (lie, "lowest_eigenvalues",
+                        lambda: lie.rescaled_spectrum(heis3, grading, 1, 0.1)),
+    }
+
+
+@pytest.mark.parametrize("route", ["assembled", "bloch", "nil_rescale"])
+def test_every_spectrum_goes_through_the_rounding_rule(monkeypatch, route):
+    owner, name, solve = _spectrum_routes()[route]
+    real = getattr(owner, name)
+    clean = solve().eigenvalues
+    monkeypatch.setattr(owner, name, _lowest_set_to(real, -1e-3))
+    with pytest.raises(ArithmeticError, match="significantly negative"):
+        solve()
+    monkeypatch.setattr(owner, name, _lowest_set_to(real, -1e-14))
+    lam = solve().eigenvalues
+    assert lam[0] == 0.0 and np.array_equal(lam[1:], clean[1:])
 
 
 def test_multiplicities_groups_close_values():

@@ -3,8 +3,9 @@ use each other only through public names, functions merged into a single
 builder stay merged, exact matrices are read and built through their
 methods, never through a `.data` attribute, the superconnection layer
 converts holonomy actions that `spectral` built exactly instead of building
-its own, only the equivariant metric takes a matrix logarithm, and the exact
-layer `spectral` decides nothing by a float rank or eigenvalue."""
+its own, only the equivariant metric takes a matrix logarithm, every
+spectrum comes from one of two solvers, and the exact layer `spectral`
+decides nothing by a float rank or eigenvalue."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,7 @@ MERGED = {
     "circle_bundle_model",                   # -> from_affine_bundle(abelian(1), T)
     "_invariant_sector_dims", "_invariant_betti",  # -> AffineModel(F=...)
     "invariant_projector",                   # -> FiniteSymmetryGroup.invariant_forms
+    "sym_eig", "gen_sym_eig", "EigenResult",  # -> numerics.lowest_eigenvalues
 }
 
 
@@ -79,6 +81,23 @@ def _called_name(call):
         func, "id", None)
 
 
+def _callers(name):
+    """(module, class or None, function) around each call of `name`."""
+    out = set()
+    for path in MODULES:
+        parents = {child: node for node in ast.walk(_tree(path))
+                   for child in ast.iter_child_nodes(node)}
+        for node in parents:
+            if isinstance(node, ast.Call) and _called_name(node) == name:
+                fn = node
+                while fn in parents and not isinstance(fn, ast.FunctionDef):
+                    fn = parents[fn]
+                owner = parents.get(fn)
+                out.add((path.name, getattr(owner, "name", None),
+                         getattr(fn, "name", None)))
+    return out
+
+
 def test_superconnection_builds_no_holonomy_action():
     # the action of a holonomy on forms is built once, exactly, by
     # spectral.AffineModel: superconnection.py expands no compound, and a
@@ -107,24 +126,25 @@ def test_logarithms_taken_only_by_the_equivariant_metric():
     # logm is the costliest call of a sweep point: MetricField.equivariant
     # is its one caller, and a monodromy sweep carries the logarithm it took
     # at the first point instead of taking another one per point
-    callers = set()
-    for path in MODULES:
-        parents = {child: node for node in ast.walk(_tree(path))
-                   for child in ast.iter_child_nodes(node)}
-        for node in parents:
-            if isinstance(node, ast.Call) and _called_name(node) == "logm":
-                fn = node
-                while fn in parents and not isinstance(fn, ast.FunctionDef):
-                    fn = parents[fn]
-                owner = parents.get(fn)
-                callers.add((path.name, getattr(owner, "name", None),
-                             getattr(fn, "name", None)))
-    assert callers == {("superconnection.py", "MetricField", "equivariant")}
+    assert _callers("logm") == {
+        ("superconnection.py", "MetricField", "equivariant")}
     gauged = [fn for fn in ast.walk(_tree(SRC / "lab.py"))
               if isinstance(fn, ast.FunctionDef) and fn.name == "gauged"]
     assert len(gauged) == 1
     assert not {"logm", "equivariant"} & {
         _called_name(c) for c in ast.walk(gauged[0]) if isinstance(c, ast.Call)}
+
+
+def test_float_eigensolves_only_in_their_owners():
+    # a spectrum comes from numerics.lowest_eigenvalues or from the batched
+    # Bloch blocks; the other two calls are a matrix power and a norm
+    callers = set().union(*map(_callers, ("eigvalsh", "eigh", "eigsh")))
+    assert callers == {
+        ("numerics.py", None, "lowest_eigenvalues"),
+        ("superconnection.py", "DiscreteComplex", "bloch_eigenvalues"),
+        ("superconnection.py", None, "_spd_power"),
+        ("superconnection.py", "DiscreteComplex", "operator_norm"),
+    }
 
 
 def test_spectral_makes_no_float_linear_algebra():

@@ -290,7 +290,8 @@ def assert_bloch_matches_assembled(sc, h, p, count=8):
     assert sconn.DiscreteComplex(sc, h).bloch_ready()
     bloch = sconn.spectrum(sc, h, p, count=count).eigenvalues
     oracle = sconn.spectrum(sc, bare(h), p, count=count).eigenvalues
-    scale = max(1.0, float(abs(sconn.laplacian(sc, h, p)).max()))
+    L = sconn.DiscreteComplex(sc, h).laplacian(p)
+    scale = max(1.0, float(abs(L).max()))
     assert bloch.shape == oracle.shape
     assert np.abs(bloch - oracle).max(initial=0.0) <= 1e-10 * scale
     assert (np.sum(bloch <= lab.ZERO_TOL)
@@ -428,7 +429,7 @@ def test_arpack_path_is_repeatable_and_matches_bloch():
     again = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
     assert np.array_equal(first, again)
     bloch = sconn.spectrum(sc, h, 1, count=6).eigenvalues
-    scale = float(abs(sconn.laplacian(sc, h, 1)).max())
+    scale = float(abs(sconn.DiscreteComplex(sc, h).laplacian(1)).max())
     assert np.abs(bloch - first).max() <= 1e-10 * scale
 
 
@@ -558,6 +559,10 @@ def test_load_bundle_rejects_inexact_and_malformed_entries():
         {"base": {"kind": "circle", "resolution": "high"}, "ranks": [1]},
         {"base": {"kind": "circle", "resolution": 8,
                   "circumferences": ["wide"]}, "ranks": [1]},
+        {"base": {"kind": "circle", "resolution": 8}, "ranks": [1, 1],
+         "monodromy": [[[2], [1]]]},
+        {"base": {"kind": "circle", "resolution": 8}, "fiber": "abelian:2",
+         "monodromy_action": [[1, 2]]},
     ]
     for payload in bad:
         with pytest.raises(InputError):
