@@ -59,9 +59,6 @@ def validate(model):
         click.echo("scenario: ok")
     else:
         algebra = lie.load_algebra(payload)
-        rep = lie.validate(algebra)
-        if not rep.ok():
-            raise InputError(f"algebra invalid: {rep}")
         click.echo(f"algebra: ok (n = {algebra.n}, nilpotent)")
 
 
@@ -70,20 +67,12 @@ def lie_group():
     """Fiber Lie-algebra computations."""
 
 
-def _load_algebra_arg(spec):
-    algebra = lie.load_algebra(spec)  # a JSON path or a preset like "heisenberg:3"
-    rep = lie.validate(algebra)
-    if not rep.ok():
-        raise InputError(f"algebra invalid: {rep}")
-    return algebra
-
-
 @lie_group.command()
 @click.argument("algebra")
 @_guard
 def betti(algebra):
     """Cohomology dimensions of the fiber algebra's form complex."""
-    alg = _load_algebra_arg(algebra)
+    alg = lie.load_algebra(algebra)  # a JSON path or a preset
     nums = lie.betti_numbers(alg)
     click.echo(" ".join(str(b) for b in nums))
 
@@ -93,7 +82,7 @@ def betti(algebra):
 @_guard
 def curvature(algebra):
     """Scalar curvature of the associated left-invariant metric."""
-    alg = _load_algebra_arg(algebra)
+    alg = lie.load_algebra(algebra)
     kappa_trace, kappa_structure = lie.scalar_curvature(alg)
     click.echo(f"{kappa_trace:.12g} (cross-check {kappa_structure:.12g})")
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import lie, spectral, superconnection as sconn
-from .numerics import InputError, RationalMatrix
+from .numerics import InputError, RationalMatrix, integer, real
 
 ZERO_TOL = 1e-10
 DECAY_FACTOR = 0.5        # an eigenvalue "vanishes" if it drops below half
@@ -42,15 +42,15 @@ class ScenarioConfig:
         if self.kind not in KINDS:
             raise InputError(f"unknown scenario kind {self.kind!r}")
         try:
-            vals = tuple(float(v) for v in self.sweep_values)
-            degrees = tuple(_integer(p, "each degree") for p in self.degrees)
+            vals = tuple(real(v, "each sweep value") for v in self.sweep_values)
+            degrees = tuple(integer(p, "each degree") for p in self.degrees)
         except (TypeError, ValueError) as exc:
             raise InputError(f"sweep values and degrees must be numbers: "
                              f"{exc}") from exc
         object.__setattr__(self, "sweep_values", vals)
         object.__setattr__(self, "degrees", degrees)
         for name in ("resolution", "count"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.kind != "spectral_sequence_report":
             if not vals or any(v <= 0 for v in vals):
                 raise InputError("sweep values must be positive")
@@ -73,14 +73,6 @@ class ScenarioConfig:
             return cls(**payload)
         except TypeError as exc:
             raise InputError(f"malformed scenario: {exc}") from exc
-
-
-def _integer(x, name: str) -> int:
-    """x if it is an integer or an integral float, never truncated."""
-    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) or
-                                   isinstance(x, float) and x.is_integer()):
-        raise InputError(f"{name} must be an integer, got {x!r}")
-    return int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +172,7 @@ class DegreeReport:
     degree: int
     spectra: tuple            # SpectrumReport per sweep point, in sweep order
     predicted_small_count: int | None
+    obstruction_case: int | None   # copied from the prediction
     observed_small_count: int | None
     zero_counts: tuple
     slopes: tuple             # SlopeFit per decaying positive eigenvalue
@@ -191,6 +184,7 @@ class DegreeReport:
             "degree": self.degree,
             "spectra": [s.to_dict() for s in self.spectra],
             "predicted_small_count": self.predicted_small_count,
+            "obstruction_case": self.obstruction_case,
             "observed_small_count": self.observed_small_count,
             "zero_counts": list(self.zero_counts),
             "slopes": [s.to_dict() for s in self.slopes],
@@ -267,17 +261,18 @@ def _observed_count(values, spectra, count) -> int:
     return obs
 
 
-def _degree_report(p, values, spectra, predicted, count) -> DegreeReport:
+def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
     observed = _observed_count(values, spectra, count)
     zeros = tuple(int(np.sum(s.eigenvalues < ZERO_TOL)) for s in spectra)
     slopes = tuple(_fit_slopes(values, spectra, count))
     return DegreeReport(
         degree=p, spectra=tuple(spectra),
-        predicted_small_count=predicted,
+        predicted_small_count=pred.count,
+        obstruction_case=pred.obstruction_case,
         observed_small_count=observed,
         zero_counts=zeros,
         slopes=slopes,
-        prediction_matches=(observed == predicted) if predicted is not None else None,
+        prediction_matches=observed == pred.count,
         kernel_stable=len(set(zeros)) == 1,
     )
 
@@ -295,15 +290,12 @@ def _sweep(cfg: ScenarioConfig, preds, solver) -> ScenarioReport:
         for p, out in zip(cfg.degrees, spectra):
             out.append(solve(p))
     return ScenarioReport(cfg, tuple(
-        _degree_report(p, cfg.sweep_values, s, pred.count, cfg.count)
+        _degree_report(p, cfg.sweep_values, s, pred, cfg.count)
         for p, s, pred in zip(cfg.degrees, spectra, preds)))
 
 
 def _run_nil_rescale(cfg: ScenarioConfig) -> ScenarioReport:
     algebra = lie.load_algebra(cfg.model.get("algebra", cfg.model))
-    rep = lie.validate(algebra)
-    if not rep.ok():
-        raise InputError(f"algebra invalid: {rep}")
     grading = lie.lower_central_grading(algebra)
     preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
     return _sweep(cfg, preds, lambda eps: lambda p: lie.rescaled_spectrum(
@@ -316,8 +308,8 @@ def bundle_sweep(cfg: ScenarioConfig):
     exact prediction for each of `cfg.degrees`, and at(v), the
     superconnection and metric (its equivariance checked) at sweep value v."""
     if cfg.kind == "circle_bundle_adiabatic":
-        base = sconn.BaseModel("torus2", cfg.resolution, tuple(
-            cfg.model.get("circumferences", [1.0, 1.0])))
+        base = sconn.BaseModel("torus2", cfg.resolution,
+                               cfg.model.get("circumferences"))
         fiber, one = lie.abelian(1), RationalMatrix.identity(1)
         # identity holonomies: the identity metric is equivariant; the
         # flatness identities are linear in a2, so checking T = 1 once
@@ -340,19 +332,19 @@ def bundle_sweep(cfg: ScenarioConfig):
     if phi_rows is None:
         raise InputError("monodromy_degeneration needs a 'monodromy' matrix")
     phi = RationalMatrix(phi_rows)
-    w = RationalMatrix([cfg.model.get("gauge_weights", [0] * algebra.n)])
-    w = w.tolist()[0]
-    if len(w) != algebra.n or any(x.denominator != 1 for x in w):
+    w = cfg.model.get("gauge_weights", [0] * algebra.n)
+    if not isinstance(w, (list, tuple)) or len(w) != algebra.n:
         raise InputError("need one integer gauge weight per fiber dimension")
+    w = [integer(x, "each gauge weight") for x in w]
     base = sconn.BaseModel("circle", cfg.resolution,
-                           tuple(cfg.model.get("circumferences", [1.0])))
+                           cfg.model.get("circumferences"))
     preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
                                           monodromy_action=[phi])
 
     def build(t):
         # G phi G^-1 for G = diag(t^w), exact for the float t as read
         conj = RationalMatrix.from_entries(phi.rows, phi.cols, {
-            (i, j): v * Fraction(t) ** int(w[i] - w[j])
+            (i, j): v * Fraction(t) ** (w[i] - w[j])
             for (i, j), v in phi.entries()})
         return sconn.from_affine_bundle(algebra, base, monodromy_action=[conj])
 

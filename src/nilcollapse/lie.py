@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (InputError, RationalMatrix, lowest_eigenvalues,
-                       nullspace_exact, rank_exact, row_reduce)
+from .numerics import (InputError, RationalMatrix, integer,
+                       lowest_eigenvalues, nullspace_exact, rank_exact,
+                       rational, row_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +73,7 @@ class NilpotentLieAlgebra:
         """brackets: iterable of (i, j, k, coeff), 0-based, i < j."""
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for i, j, k, coeff in brackets:
-            coeff = Fraction(coeff)
+            coeff = rational(coeff)
             c[i][j][k] += coeff
             c[j][i][k] -= coeff
         return cls(n, c, name=name)
@@ -144,28 +145,42 @@ _PRESETS = {"abelian": abelian, "heisenberg": heisenberg, "filiform": filiform}
 
 
 def load_algebra(spec) -> NilpotentLieAlgebra:
-    """Load from a preset name like "heisenberg:3", a dict, or a JSON path."""
+    """Load from a preset name like "heisenberg:3", a dict, or a JSON path.
+    Whatever it loads is validated: InputError unless a nilpotent Lie
+    algebra."""
     if isinstance(spec, NilpotentLieAlgebra):
+        rep = validate(spec)
+        if not rep.ok():
+            raise InputError(f"algebra invalid: {rep}")
         return spec
     if isinstance(spec, str) and ":" in spec and not spec.endswith(".json"):
         kind, _, dim = spec.partition(":")
         if kind not in _PRESETS:
             raise InputError(f"unknown preset family {kind!r}")
-        return _PRESETS[kind](int(dim))
+        # a suffix that is not all digits reaches `integer` as a string
+        return load_algebra(_PRESETS[kind](integer(
+            int(dim) if dim.isdecimal() else dim, f"the dimension of {kind}")))
     if isinstance(spec, str):
         with open(spec) as fh:
             spec = json.load(fh)
     try:
-        n = int(spec["dim"])
-        brackets = [(b["i"] - 1, b["j"] - 1, b["k"] - 1, Fraction(b["c"]))
+        n = integer(spec["dim"], "dim")
+        brackets = [(integer(b["i"], "bracket index i") - 1,
+                     integer(b["j"], "bracket index j") - 1,
+                     integer(b["k"], "bracket index k") - 1, b["c"])
                     for b in spec["brackets"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed algebra description: {exc}") from exc
-    for i, j, _, _ in brackets:
-        if not (0 <= i < j < n):
-            raise InputError("bracket indices must satisfy 1 <= i < j <= dim")
-    return NilpotentLieAlgebra.from_brackets(n, brackets,
-                                             name=spec.get("name", ""))
+    for i, j, k, _ in brackets:
+        if not (0 <= i < j < n and 0 <= k < n):
+            raise InputError(f"bracket (i, j, k) = {(i + 1, j + 1, k + 1)} needs "
+                             f"1 <= i < j <= dim and 1 <= k <= dim = {n}")
+    try:
+        algebra = NilpotentLieAlgebra.from_brackets(n, brackets,
+                                                    name=spec.get("name", ""))
+    except InputError as exc:  # from reading a coefficient
+        raise InputError(f"bracket coefficient c: {exc}") from exc
+    return load_algebra(algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +198,10 @@ class ValidationReport:
         return self.antisymmetry_ok and self.jacobi_ok and self.nilpotent
 
 
-def validate(algebra: NilpotentLieAlgebra, tol: float = 1e-10) -> ValidationReport:
+def validate(algebra: NilpotentLieAlgebra) -> ValidationReport:
     c = algebra.c
     n = algebra.n
-    zero = 0 if algebra.exact else tol
+    zero = 0 if algebra.exact else 1e-10
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -207,13 +222,11 @@ def validate(algebra: NilpotentLieAlgebra, tol: float = 1e-10) -> ValidationRepo
         span = np.eye(n)
         for _ in range(n + 1):
             bracketed = np.einsum("ijk,jl->kil", cf, span).reshape(n, -1)
-            span = _float_colspace(bracketed, tol)
+            span = _float_colspace(bracketed, zero)
             if span.shape[1] == 0:
                 break
         nilpotent = span.shape[1] == 0
-    if not nilpotent:
-        return ValidationReport(True, True, False, None)
-    return ValidationReport(True, True, True, None)
+    return ValidationReport(True, True, nilpotent, None)
 
 
 def _float_colspace(A: np.ndarray, tol: float) -> np.ndarray:
@@ -326,9 +339,9 @@ def lower_central_grading(algebra: NilpotentLieAlgebra) -> AdaptedGrading:
     adapted = (all(a <= b for a, b in zip(filtration, filtration[1:]))
                and all(sum(1 for f in filtration if f >= k) == dims[k]
                        for k in range(S + 1)))
+    pieces = tuple(dims[k] - (dims[k + 1] if k + 1 <= S else 0)
+                   for k in range(S + 1))
     if adapted:
-        pieces = tuple(dims[k] - (dims[k + 1] if k + 1 <= S else 0)
-                       for k in range(S + 1))
         return AdaptedGrading(algebra, tuple(filtration), pieces)
     # Gram-Schmidt an adapted orthonormal basis: complement of n_[k+1] in n_[k],
     # pieces listed by increasing depth.
@@ -348,10 +361,7 @@ def lower_central_grading(algebra: NilpotentLieAlgebra) -> AdaptedGrading:
         cols = block + cols
         filt = [k] * len(block) + filt
     Q = np.column_stack(cols)
-    new_alg = algebra.conjugate(Q)
-    pieces = tuple(dims[k] - (dims[k + 1] if k + 1 <= S else 0)
-                   for k in range(S + 1))
-    return AdaptedGrading(new_alg, tuple(filt), pieces)
+    return AdaptedGrading(algebra.conjugate(Q), tuple(filt), pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +449,15 @@ def riemann_tensor(algebra: NilpotentLieAlgebra) -> np.ndarray:
     return -t1 + t2 + t3 - t4
 
 
-def scalar_curvature(algebra: NilpotentLieAlgebra,
-                     tol: float = 1e-10) -> tuple[float, float]:
+def scalar_curvature(algebra: NilpotentLieAlgebra) -> tuple[float, float]:
     """Scalar curvature computed two independent ways: as the trace of the
     curvature tensor, and as -(1/4) sum (c^i_jk)^2. Both are returned; they
-    must agree to tol."""
+    must agree to 1e-10 relative."""
     R = riemann_tensor(algebra)
     kappa_trace = float(np.einsum("ijij->", R))
     c = algebra.c_float()
     kappa_structure = -0.25 * float((c * c).sum())
-    if abs(kappa_trace - kappa_structure) > tol * max(1.0, abs(kappa_structure)):
+    if abs(kappa_trace - kappa_structure) > 1e-10 * max(1.0, abs(kappa_structure)):
         raise ArithmeticError(
             f"scalar-curvature routes disagree: {kappa_trace} vs {kappa_structure}")
     return kappa_trace, kappa_structure
@@ -546,19 +555,14 @@ def invariant_basis(F: FiniteSymmetryGroup, p: int) -> np.ndarray:
 # invariant Laplacian and the collapsing rescaling
 # ---------------------------------------------------------------------------
 
-def invariant_laplacian(algebra: NilpotentLieAlgebra,
-                        F: FiniteSymmetryGroup | None, p: int) -> np.ndarray:
-    """d*d + dd* on the F-invariant part of Lambda^p, orthonormal basis."""
+def invariant_laplacian(algebra: NilpotentLieAlgebra, p: int) -> np.ndarray:
+    """d*d + dd* on Lambda^p, orthonormal basis."""
     d_p = ce_matrix(algebra, p)
-    d_prev = ce_matrix(algebra, p - 1) if p > 0 else None
     lap = d_p.T @ d_p
-    if d_prev is not None:
+    if p > 0:
+        d_prev = ce_matrix(algebra, p - 1)
         lap = lap + d_prev @ d_prev.T
-    if F is None:
-        return lap
-    F.check(algebra)
-    U = invariant_basis(F, p)
-    return U.T @ lap @ U
+    return lap
 
 
 def rescaled_differential(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,

@@ -1,14 +1,16 @@
-"""Linear-algebra substrate: the one float eigensolver entry and exact
-rational rank arithmetic.
+"""Linear-algebra substrate: the one float eigensolver entry, the readers
+of input numbers and exact rational rank arithmetic.
 
 Floating-point spectra go through `lowest_eigenvalues` (LAPACK, or ARPACK
 for large sparse matrices); everything that feeds a dimension
 count (ranks, nullspaces, quotient dimensions) is done in exact rational
-arithmetic so that rank decisions are never made by a tolerance.
+arithmetic so that rank decisions are never made by a tolerance. Loaders
+read every input number through `integer`, `real` or `rational`.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -59,10 +61,30 @@ def lowest_eigenvalues(L, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact rational matrices
+# input numbers and exact rational matrices
 # ---------------------------------------------------------------------------
 
-def _to_fraction(x) -> Fraction:
+def integer(x, what: str) -> int:
+    """x as an int: an int, a NumPy integer or an integral float, never a
+    bool or a string and never truncated; InputError naming `what` else."""
+    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) or
+                                   isinstance(x, float) and x.is_integer()):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def real(x, what: str) -> float:
+    """x as a float: a finite int, NumPy integer or float, never a bool, a
+    string, NaN or an infinity; InputError naming `what` else."""
+    if isinstance(x, bool) or not (isinstance(x, (int, float, np.integer))
+                                   and abs(x) <= sys.float_info.max):
+        raise InputError(f"{what} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction: an int, a NumPy integer, an integral float, a
+    Fraction or a string `Fraction` reads, never a bool; InputError else."""
     # strings first: they are most of every serialized matrix
     if isinstance(x, str):
         # plain ASCII integers skip the general parser; int() reads them
@@ -76,7 +98,7 @@ def _to_fraction(x) -> Fraction:
                 from exc
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return Fraction(int(x))
     if isinstance(x, float):
         if not x.is_integer():
@@ -103,7 +125,7 @@ class RationalMatrix:
         width = None
         try:
             for row in data:
-                vals = [_to_fraction(x) for x in row]
+                vals = [rational(x) for x in row]
                 if width is None:
                     width = len(vals)
                 elif len(vals) != width:
@@ -141,7 +163,7 @@ class RationalMatrix:
         for (i, j), x in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise InputError(f"entry {(i, j)} outside a {rows}x{cols} matrix")
-            x = _to_fraction(x)
+            x = rational(x)
             if x:
                 nz[i][j] = x
         return cls._of(rows, cols, nz)
@@ -211,7 +233,7 @@ class RationalMatrix:
         return self + (-other)
 
     def scale(self, s) -> "RationalMatrix":
-        s = _to_fraction(s)
+        s = rational(s)
         if not s:
             return RationalMatrix.zeros(self.rows, self.cols)
         return RationalMatrix._of(self.rows, self.cols,

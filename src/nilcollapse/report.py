@@ -56,10 +56,10 @@ class SpectrumReport:
         small, idx, ratio = gap_split(lam)
         return cls(degree, lam, small, idx, ratio)
 
-    def multiplicities(self, tol: float = 1e-8) -> list[tuple[float, int]]:
+    def multiplicities(self) -> list[tuple[float, int]]:
         out: list[tuple[float, int]] = []
         for lam in self.eigenvalues:
-            if out and abs(lam - out[-1][0]) <= tol * max(1.0, abs(lam)):
+            if out and abs(lam - out[-1][0]) <= 1e-8 * max(1.0, abs(lam)):
                 out[-1] = (out[-1][0], out[-1][1] + 1)
             else:
                 out.append((float(lam), 1))
@@ -96,8 +96,10 @@ def epsilon_close(s1, s2, eps: float, zero_tol: float = 0.0) -> bool:
     return True
 
 
-def closeness_epsilon(s1, s2, zero_tol: float = 1e-10) -> float:
-    """Smallest eps for which the spectra are eps-close (inf if impossible)."""
+def closeness_epsilon(s1, s2) -> float:
+    """Smallest eps for which the spectra are eps-close (inf if impossible);
+    entries up to 1e-10 count as zero."""
+    zero_tol = 1e-10
     l1 = np.asarray(getattr(s1, "eigenvalues", s1), dtype=float)
     l2 = np.asarray(getattr(s2, "eigenvalues", s2), dtype=float)
     if l1.shape != l2.shape:

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from . import lie
-from .numerics import (InputError, RationalMatrix, nullspace_exact,
+from .numerics import (InputError, RationalMatrix, integer, nullspace_exact,
                        quotient_dim, rank_exact, row_reduce, solve_exact)
 
 
@@ -24,11 +24,11 @@ class BigradedComplex:
     """Finite first-quadrant bigraded complex with differentials D_i of
     bidegree (i, 1-i)."""
 
-    def __init__(self, dims, maps, check: bool = True):
-        self.dims = {(int(a), int(b)): int(d) for (a, b), d in dims.items()
-                     if d > 0}
-        if any(a < 0 or b < 0 for a, b in self.dims):
-            raise InputError("bigraded spots must sit in the first quadrant")
+    def __init__(self, dims, maps):
+        if any(a < 0 or b < 0 or d < 0 for (a, b), d in dims.items()):
+            raise InputError("bigraded spots must sit in the first quadrant "
+                             "and have dimension >= 0")
+        self.dims = {spot: d for spot, d in dims.items() if d > 0}
         self.maps: dict[int, dict[tuple[int, int], RationalMatrix]] = {}
         for i, per_spot in maps.items():
             bucket = {}
@@ -43,11 +43,10 @@ class BigradedComplex:
                 if mat.rows and mat.cols:
                     bucket[(a, b)] = mat
             if bucket:
-                self.maps[int(i)] = bucket
+                self.maps[i] = bucket
         self.a_max = max((a for a, _ in self.dims), default=0)
         self.b_max = max((b for _, b in self.dims), default=0)
-        if check:
-            self.check_complex()
+        self.check_complex()
 
     # -- access -------------------------------------------------------------
 
@@ -128,11 +127,13 @@ class BigradedComplex:
     @classmethod
     def from_dict(cls, payload: dict) -> "BigradedComplex":
         try:
-            dims = {(int(a), int(b)): int(d) for a, b, d in payload["dims"]}
+            dims = {(integer(a, "spot a"), integer(b, "spot b")):
+                    integer(d, "spot dimension") for a, b, d in payload["dims"]}
             maps: dict[int, dict] = {}
             for entry in payload.get("maps", []):
-                i = int(entry["shift"])
-                spot = (int(entry["a"]), int(entry["b"]))
+                i = integer(entry["shift"], "map shift")
+                spot = (integer(entry["a"], "map a"),
+                        integer(entry["b"], "map b"))
                 maps.setdefault(i, {})[spot] = RationalMatrix(
                     entry["matrix"], cols=dims.get(spot, 0))
         except (KeyError, TypeError, ValueError) as exc:

@@ -21,7 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import lie, spectral
-from .numerics import InputError, RationalMatrix, lowest_eigenvalues
+from .numerics import (InputError, RationalMatrix, integer,
+                       lowest_eigenvalues, real)
 from .report import SpectrumReport
 
 
@@ -42,23 +43,17 @@ class BaseModel:
     def __post_init__(self):
         if self.kind not in ("circle", "torus2"):
             raise InputError(f"unsupported base kind {self.kind!r}")
-        res = self.resolution
-        if isinstance(res, bool) or not (
-                isinstance(res, (int, np.integer))
-                or isinstance(res, float) and res.is_integer()):
-            raise InputError(f"resolution must be an integer, got {res!r}")
-        object.__setattr__(self, "resolution", int(res))
+        object.__setattr__(self, "resolution",
+                           integer(self.resolution, "resolution"))
         if self.resolution < 8:
             raise InputError("resolution must be >= 8")
-        want = 1 if self.kind == "circle" else 2
         circ = self.circumferences
-        if circ is None:
-            circ = (1.0,) * want
         try:
-            circ = tuple(float(c) for c in circ)
-        except (TypeError, ValueError) as exc:
+            circ = (1.0,) * self.dim if circ is None else tuple(
+                real(c, "each circumference") for c in circ)
+        except (TypeError, InputError) as exc:
             raise InputError(f"bad circumference list: {exc}") from exc
-        if len(circ) != want or any(c <= 0 for c in circ):
+        if len(circ) != self.dim or any(c <= 0 for c in circ):
             raise InputError("bad circumference list")
         object.__setattr__(self, "circumferences", circ)
 
@@ -104,9 +99,9 @@ class GradedBundle:
     monodromy matrices, one per base generator."""
 
     def __init__(self, ranks, monodromies=None, generators: int = 1):
-        self.ranks = tuple(int(r) for r in ranks)
-        if not self.ranks or self.ranks[0] < 1:
-            raise InputError("degree-0 rank must be >= 1")
+        self.ranks = tuple(integer(r, "each rank") for r in ranks)
+        if not self.ranks or self.ranks[0] < 1 or min(self.ranks) < 0:
+            raise InputError("ranks must be >= 0, the degree-0 rank >= 1")
         if monodromies is None:
             monodromies = [[np.eye(r) for r in self.ranks]
                            for _ in range(generators)]
@@ -220,10 +215,9 @@ class MetricField:
         return h._with_gauge(other.logs if factor > 0 else None, other.base)
 
     def sample(self, b: int, pts: np.ndarray) -> np.ndarray:
-        h = np.asarray(self._func(b, np.atleast_2d(pts)), dtype=float)
-        return h
+        return np.asarray(self._func(b, np.atleast_2d(pts)), dtype=float)
 
-    def check_equivariance(self, base: BaseModel, tol: float = 1e-8) -> None:
+    def check_equivariance(self, base: BaseModel) -> None:
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, min(base.circumferences), size=(4, base.dim))
         for gen in range(base.dim):
@@ -235,7 +229,7 @@ class MetricField:
                 h1 = self.sample(b, pts + shift)
                 want = np.einsum("ij,pjk,kl->pil",
                                  np.linalg.inv(phi).T, h0, np.linalg.inv(phi))
-                if np.abs(h1 - want).max() > tol * max(1.0, np.abs(h0).max()):
+                if np.abs(h1 - want).max() > 1e-8 * max(1.0, np.abs(h0).max()):
                     raise InputError(
                         f"metric violates monodromy equivariance (degree {b})")
 
@@ -306,8 +300,8 @@ class FlatnessReport:
     def max_violation(self) -> float:
         return getattr(self, self.worst_identity())
 
-    def ok(self, tol: float = 1e-12) -> bool:
-        return self.max_violation <= tol
+    def ok(self) -> bool:
+        return self.max_violation <= 1e-12
 
     def worst_identity(self) -> str:
         return max(("squares", "parallel_a0", "parallel_a2", "curvature"),
@@ -349,7 +343,7 @@ def _absmax(A) -> float:
 # ---------------------------------------------------------------------------
 
 def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
-                       T=None, F=None, tol: float = 1e-12) -> Superconnection:
+                       T=None, F=None) -> Superconnection:
     """Superconnection of an affine bundle: fiber differential + holonomy of
     the affine action + interior multiplication by the curvature 2-form.
 
@@ -385,13 +379,13 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
     a0 = [convert(blk, b, b + 1) for b, blk in enumerate(model.a0)]
     a2 = None if model.a2 is None else [
         convert(blk, b, b - 1) for b, blk in enumerate(model.a2, start=1)]
-    return _require_flat(Superconnection(bundle, base, a0=a0, a2=a2), tol)
+    return _require_flat(Superconnection(bundle, base, a0=a0, a2=a2))
 
 
-def _require_flat(sc: Superconnection, tol: float = 1e-12) -> Superconnection:
+def _require_flat(sc: Superconnection) -> Superconnection:
     """sc itself, or FlatnessError naming the worst-violated identity."""
     rep = check_flatness(sc)
-    if not rep.ok(tol):
+    if not rep.ok():
         raise FlatnessError(
             f"flatness identity {rep.worst_identity()!r} violated "
             f"by {rep.max_violation:.3e}")
@@ -426,9 +420,6 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
 
     if "fiber" in payload:
         algebra = lie.load_algebra(payload["fiber"])
-        rep = lie.validate(algebra)
-        if not rep.ok():
-            raise InputError(f"fiber algebra invalid: {rep}")
         a0_kind = payload.get("a0", "ce_differential")
         if a0_kind not in ("ce_differential", None):
             raise InputError(f"unknown a0 specification {a0_kind!r}")
@@ -446,10 +437,9 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
             sc = Superconnection(sc.bundle, base,
                                  a2=sc.a2 if T is not None else None)
     else:
-        try:
-            ranks = [int(r) for r in payload["ranks"]]
-        except (KeyError, TypeError) as exc:
-            raise InputError("explicit bundle needs 'ranks'") from exc
+        ranks = payload.get("ranks")
+        if not isinstance(ranks, list):
+            raise InputError("explicit bundle needs a list of 'ranks'")
         def floats(blocks):
             return (None if blocks is None
                     else [RationalMatrix(m).to_numpy() for m in blocks])
@@ -685,15 +675,10 @@ class DiscreteComplex:
     # -- mass ---------------------------------------------------------------
 
     def _mass_blocks(self, p: int) -> np.ndarray | None:
-        blocks = []
         vol = self.base.cell_volume
-        for dirs, b in self.components(p):
-            pts = self.base.points(stagger=dirs)
-            hb = self.h.sample(b, pts)
-            blocks.append(vol * hb)
-        if not blocks:
-            return None
-        return blocks
+        blocks = [vol * self.h.sample(b, self.base.points(stagger=dirs))
+                  for dirs, b in self.components(p)]
+        return blocks or None
 
     def mass(self, p: int) -> sp.csr_matrix:
         if p not in self._mass_cache:
@@ -796,6 +781,8 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
     `numerics.lowest_eigenvalues`. `SpectrumReport.from_eigenvalues` rounds
     either result.
     """
+    if count < 1:
+        raise InputError("count must be >= 1")
     dc = DiscreteComplex(sc, h, check_metric=check_metric)
     k = min(count, dc.dim(p))
     lam = (dc.bloch_eigenvalues(p)[:k] if dc.bloch_ready()

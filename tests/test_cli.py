@@ -205,8 +205,16 @@ def test_run_check_failure_exits_three(runner, tmp_path):
      "flatness identity 'parallel_a0' violated by 5.000e-01"),
     ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1, 1],
       "monodromy": [[[2], [1]]]}, "a matrix must be a list of rows"),
+    ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1.5]},
+     "each rank must be an integer, got 1.5"),
+    ({"base": {"kind": "circle", "resolution": 8}, "ranks": [True]},
+     "each rank must be an integer, got True"),
+    ({"base": {"kind": "circle", "resolution": 8,
+               "circumferences": [float("nan")]}, "ranks": [1]},
+     "each circumference must be a finite number, got nan"),
 ], ids=["inexact-interior", "resolution", "circumferences", "not-flat",
-        "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list"])
+        "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list",
+        "fractional-rank", "bool-rank", "nan-circumference"])
 def test_validate_rejects_bad_bundle_entries(runner, tmp_path, payload, reason):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(payload))
@@ -244,7 +252,7 @@ def test_run_rejects_fractional_gauge_weights(runner, tmp_path):
         "sweep_values": [1.0, 0.1]}))
     res = runner.invoke(main, ["run", str(path)])
     assert res.exit_code == 1
-    assert "error: non-integral float 0.5" in res.output
+    assert "error: each gauge weight must be an integer, got 0.5" in res.output
 
 
 def test_run_rejects_monodromy_rows_that_are_not_lists(runner, tmp_path):
@@ -264,8 +272,12 @@ def test_run_rejects_monodromy_rows_that_are_not_lists(runner, tmp_path):
     ("resolution", 16.5, "resolution must be an integer, got 16.5"),
     ("count", 2.5, "count must be an integer, got 2.5"),
     ("count", 0, "count must be >= 1"),
+    ("sweep_values", [True, 0.1],
+     "each sweep value must be a finite number, got True"),
+    ("sweep_values", [float("inf"), 0.1],
+     "each sweep value must be a finite number, got inf"),
 ], ids=["fractional-degree", "fractional-resolution", "fractional-count",
-        "zero-count"])
+        "zero-count", "bool-sweep-value", "infinite-sweep-value"])
 def test_non_integer_scenario_entries_exit_one(runner, tmp_path, command,
                                                field, value, reason):
     path = tmp_path / "s.json"
@@ -299,3 +311,71 @@ def test_validate_rejects_fractional_bundle_resolution(runner, tmp_path):
                                 "ranks": [1]}))
     res = runner.invoke(main, ["validate", str(path)])
     assert res.exit_code == 0 and "bundle: ok" in res.output
+
+
+def test_run_rejects_nan_circumference(runner, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "kind": "monodromy_degeneration",
+        "model": {"algebra": "abelian:2", "monodromy": [["1", "1"], ["0", "1"]],
+                  "gauge_weights": [1, 0], "circumferences": [float("nan")]},
+        "sweep_values": [1.0, 0.1], "resolution": 8}))
+    res = runner.invoke(main, ["run", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "error: bad circumference list: each circumference must be a " \
+           "finite number, got nan" in res.output
+
+
+H3_BRACKET = {"i": 1, "j": 2, "k": 3, "c": "1"}
+
+
+@pytest.mark.parametrize("command", [["validate"], ["lie", "betti"]],
+                         ids=["validate", "lie-betti"])
+@pytest.mark.parametrize("payload, reason", [
+    ({"dim": 3.7, "brackets": [H3_BRACKET]}, "dim must be an integer, got 3.7"),
+    ({"dim": 3, "brackets": [dict(H3_BRACKET, k=0)]},
+     "bracket (i, j, k) = (1, 2, 0) needs"),
+    ({"dim": 3, "brackets": [dict(H3_BRACKET, k=4)]},
+     "bracket (i, j, k) = (1, 2, 4) needs"),
+    ({"dim": 3, "brackets": [dict(H3_BRACKET, c=0.1)]},
+     "bracket coefficient c: non-integral float 0.1"),
+    ({"dim": 3, "brackets": [dict(H3_BRACKET, j=True)]},
+     "bracket index j must be an integer, got True"),
+], ids=["fractional-dim", "k-zero", "k-above-dim", "inexact-c", "bool-index"])
+def test_bad_algebra_entries_exit_one(runner, tmp_path, command, payload,
+                                      reason):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, command + [str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "error:" in res.output and reason in res.output
+
+
+def test_integral_float_bracket_index_accepted(runner, tmp_path):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [dict(H3_BRACKET,
+                                                            i=1.0)]}))
+    res = runner.invoke(main, ["lie", "betti", str(path)])
+    assert res.exit_code == 0 and res.output.split() == ["1", "2", "2", "1"]
+
+
+def test_lie_rejects_fractional_preset_dimension(runner):
+    res = runner.invoke(main, ["lie", "betti", "heisenberg:3.5"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "error: the dimension of heisenberg must be an integer, got '3.5'" \
+        in res.output
+
+
+def test_validate_rejects_fractional_complex_dims(runner, tmp_path):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"dims": [[0, 0, 1.5]]}))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "spot dimension must be an integer, got 1.5" in res.output
+
+
+@pytest.mark.parametrize("modes", ["0", "-1"])
+def test_spectrum_rejects_nonpositive_modes(runner, bundle_file, modes):
+    res = runner.invoke(main, ["spectrum", bundle_file, "--modes", modes])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "error: count must be >= 1" in res.output

@@ -212,8 +212,22 @@ def test_carried_logarithms_match_logm(name, reverse):
             assert err <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("name, case", [
+    ("example1_heisenberg_point", 1), ("example3_circle_bundle", 3),
+    ("example7_heisenberg_circle", 2), ("example9_sol_circle", None),
+    ("cor7_heisenberg_T2", 3)])
+def test_reports_carry_the_obstruction_case(name, case):
+    # the case depends on the model only: two sweep points at the coarsest
+    # grid are enough
+    cfg = dict(lab.PRESETS[name], resolution=8)
+    cfg["sweep_values"] = cfg["sweep_values"][:2]
+    d = lab.run(cfg).degrees[0]
+    assert d.obstruction_case == case
+    assert d.to_dict()["obstruction_case"] == case
+
+
 def test_gauge_weights_must_be_integers():
-    for weights in ([0.5, 0], ["1/2", 0], [1]):
+    for weights in ([0.5, 0], ["1/2", 0], [1], [True, 0], 1):
         cfg = dict(lab.PRESETS["example7_heisenberg_circle"])
         cfg["model"] = dict(cfg["model"], gauge_weights=weights)
         with pytest.raises(InputError):

@@ -71,6 +71,34 @@ def test_load_algebra_forms():
         lie.load_algebra("nosuch:3")
 
 
+def test_load_algebra_reads_indices_as_integers():
+    # an integral float is the integer it spells; a fractional one or a
+    # bool is rejected, never truncated
+    alg = lie.load_algebra({"dim": 3.0, "brackets":
+                            [{"i": 1.0, "j": 2, "k": 3.0, "c": "1"}]})
+    assert alg.n == 3 and alg.c == HEIS3.c
+    bracket = {"i": 1, "j": 2, "k": 3, "c": "1"}
+    for spec in ({"dim": 3.7, "brackets": [bracket]},
+                 {"dim": True, "brackets": [bracket]},
+                 {"dim": 3, "brackets": [dict(bracket, i=1.5)]},
+                 {"dim": 3, "brackets": [dict(bracket, k=False)]}):
+        with pytest.raises(InputError, match="must be an integer"):
+            lie.load_algebra(spec)
+    with pytest.raises(InputError, match="must be an integer"):
+        lie.load_algebra("filiform:4.0")
+
+
+def test_load_algebra_validates_what_it_loads():
+    # [e1,e2] = e3, [e1,e3] = e1 breaks the Jacobi identity
+    spec = {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1},
+                                   {"i": 1, "j": 3, "k": 1, "c": 1}]}
+    with pytest.raises(InputError, match="algebra invalid"):
+        lie.load_algebra(spec)
+    with pytest.raises(InputError, match="algebra invalid"):
+        lie.load_algebra(lie.NilpotentLieAlgebra.from_brackets(
+            3, [(0, 1, 2, 1), (0, 2, 0, 1)]))
+
+
 # ---------------------------------------------------------------------------
 # invariant-form cohomology
 # ---------------------------------------------------------------------------
@@ -309,7 +337,7 @@ def test_grading_rejects_bad_input():
 def test_invariant_laplacian_kernels_heisenberg3():
     expected = [1, 2, 2, 1]
     for p in range(4):
-        lap = lie.invariant_laplacian(HEIS3, None, p)
+        lap = lie.invariant_laplacian(HEIS3, p)
         w = np.linalg.eigvalsh(lap)
         assert int(np.sum(np.abs(w) < 1e-12)) == expected[p]
 

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from nilcollapse import numerics
-from nilcollapse.numerics import (InputError, RationalMatrix, _to_fraction,
+from nilcollapse.numerics import (InputError, RationalMatrix,
                                   lowest_eigenvalues, nullspace_exact,
                                   quotient_dim, rank_exact, row_reduce,
                                   solve_exact)
@@ -336,14 +336,47 @@ def test_sparse_elimination_matches_dense_oracle(data):
 @pytest.mark.parametrize("s", ["0", "-3", "+2", " 4 ", "1/3", "2.5", "1e3",
                                "-0", "007", "1_000", "-7/14"])
 def test_to_fraction_reads_strings_as_fraction_does(s):
-    got = _to_fraction(s)
+    got = numerics.rational(s)
     assert type(got) is Fraction and got == Fraction(s)
     assert RationalMatrix([[s]]).tolist() == [[Fraction(s)]]
 
 
 @pytest.mark.parametrize("x", ["", "abc", "-", "--1", "+-1", "1/0", "0x10",
                                "²", 0.1, float("nan"), float("inf"),
-                               None, [1]])
+                               None, [1], True])
 def test_to_fraction_rejects_with_input_error(x):
     with pytest.raises(InputError):
-        _to_fraction(x)
+        numerics.rational(x)
+
+
+@pytest.mark.parametrize("x, want", [(3, 3), (-2, -2), (np.int64(7), 7),
+                                     (4.0, 4), (-0.0, 0),
+                                     pytest.param(2 ** 70, 2 ** 70, id="2**70")])
+def test_integer_reads_integers_and_integral_floats(x, want):
+    got = numerics.integer(x, "n")
+    assert type(got) is int and got == want
+
+
+@pytest.mark.parametrize("x", [1.5, np.float64(2.5), True, False, np.bool_(1),
+                               "3", None, float("nan"), float("inf"), [1],
+                               Fraction(3)])
+def test_integer_rejects_with_input_error(x):
+    with pytest.raises(InputError, match="n must be an integer"):
+        numerics.integer(x, "n")
+
+
+@pytest.mark.parametrize("x, want", [(1, 1.0), (0.25, 0.25), (-3.5, -3.5),
+                                     (np.float64(0.5), 0.5), (np.int32(2), 2.0),
+                                     pytest.param(2 ** 70, 2.0 ** 70, id="2**70")])
+def test_real_reads_finite_numbers(x, want):
+    got = numerics.real(x, "v")
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("x", [True, np.bool_(0), "1.0", None, float("nan"),
+                               float("inf"), -float("inf"),
+                               pytest.param(10 ** 400, id="10**400"), [1.0],
+                               1j])
+def test_real_rejects_with_input_error(x):
+    with pytest.raises(InputError, match="v must be a finite number"):
+        numerics.real(x, "v")

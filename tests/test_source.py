@@ -31,6 +31,7 @@ MERGED = {
     "_invariant_sector_dims", "_invariant_betti",  # -> AffineModel(F=...)
     "invariant_projector",                   # -> FiniteSymmetryGroup.invariant_forms
     "sym_eig", "gen_sym_eig", "EigenResult",  # -> numerics.lowest_eigenvalues
+    "_integer", "_to_fraction",              # -> numerics.integer, .rational
 }
 
 

@@ -52,6 +52,15 @@ def test_complex_rejects_bad_shapes():
         spectral.BigradedComplex(dims, maps)
 
 
+def test_complex_reads_spots_and_dimensions_as_integers():
+    cx = spectral.BigradedComplex.from_dict({"dims": [[0.0, 0, 1.0]]})
+    assert cx.dims == {(0, 0): 1} and type(cx.dims[(0, 0)]) is int
+    for dims in ([[0, 0, 1.5]], [[0, True, 1]], [[0, 0, "1"]], [[0, 0, -1]],
+                 [[-1, 0, 1]]):
+        with pytest.raises(InputError):
+            spectral.BigradedComplex.from_dict({"dims": dims})
+
+
 def test_total_complex_bookkeeping():
     cx = spectral.from_algebra(lie.heisenberg(3))
     assert cx.total_dim(1) == 3

@@ -67,6 +67,22 @@ def test_graded_bundle_validation():
     sconn.GradedBundle([2], [[a], [a]], generators=2)
 
 
+def test_graded_bundle_reads_ranks_as_integers():
+    assert sconn.GradedBundle([np.int64(1), 2.0]).ranks == (1, 2)
+    for ranks in ([1.5], [True], ["1"], [1, -1]):
+        with pytest.raises(InputError, match="rank"):
+            sconn.GradedBundle(ranks)
+
+
+def test_spectrum_needs_a_positive_count():
+    sc = sconn.Superconnection(sconn.GradedBundle([1]), circle(8))
+    h = sconn.MetricField.identity(sc.bundle)
+    assert len(sconn.spectrum(sc, h, 0, count=1).eigenvalues) == 1
+    for count in (0, -1):
+        with pytest.raises(InputError, match="count must be >= 1"):
+            sconn.spectrum(sc, h, 0, count=count)
+
+
 def test_superconnection_shape_validation():
     bundle = sconn.GradedBundle([1, 1])
     with pytest.raises(InputError):
