@@ -54,9 +54,9 @@ def validate(model):
     elif isinstance(payload, dict) and "dims" in payload:
         spectral.BigradedComplex.from_dict(payload)
         click.echo("complex: ok (differential squares to zero)")
-    elif isinstance(payload, dict) and payload.get("kind") in lab.KINDS:
-        lab.load_scenario(payload)
-        click.echo("scenario: ok")
+    elif isinstance(payload, dict) and "kind" in payload:
+        lab.prepare(payload)
+        click.echo("scenario: ok (built and checked, nothing solved)")
     else:
         algebra = lie.load_algebra(payload)
         click.echo(f"algebra: ok (n = {algebra.n}, nilpotent)")
@@ -106,9 +106,8 @@ def spectrum(bundle, degree, modes):
 @_guard
 def ss(complex_file):
     """Pages and stable page of a bigraded complex."""
-    cfg = lab.ScenarioConfig(kind="spectral_sequence_report",
-                             model={"complex": complex_file})
-    report = lab.run(cfg)
+    report = lab.run({"kind": "spectral_sequence_report",
+                      "model": {"complex": complex_file}})
     click.echo(json.dumps(report.pages, indent=1, sort_keys=True))
 
 
@@ -124,8 +123,6 @@ def ss(complex_file):
 @_guard
 def run_cmd(scenario, out, formats, check):
     """Run a scenario (preset name or JSON file) and emit reports."""
-    if not Path(scenario).exists() and scenario not in lab.PRESETS:
-        raise InputError(f"no such scenario file or preset: {scenario!r}")
     report = lab.run(scenario)
     if out is not None:
         outdir = Path(out)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +22,6 @@ from .numerics import InputError, RationalMatrix, integer, real
 ZERO_TOL = 1e-10
 DECAY_FACTOR = 0.5        # an eigenvalue "vanishes" if it drops below half
 SLOPE_RESIDUAL_TOL = 0.05
-
-KINDS = ("nil_rescale", "monodromy_degeneration",
-         "circle_bundle_adiabatic", "spectral_sequence_report")
 
 
 @dataclass(frozen=True)
@@ -139,9 +136,7 @@ PRESETS: dict[str, dict] = {
 def load_scenario(source) -> ScenarioConfig:
     """Preset name, JSON file path, or parsed dict."""
     if isinstance(source, str) and source in PRESETS:
-        cfg = dict(PRESETS[source])
-        cfg["name"] = source
-        return ScenarioConfig.from_dict(cfg)
+        return ScenarioConfig.from_dict(dict(PRESETS[source], name=source))
     if isinstance(source, dict):
         return ScenarioConfig.from_dict(source)
     try:
@@ -163,8 +158,7 @@ class SlopeFit:
     undetermined: bool
 
     def to_dict(self):
-        return {"index": self.index, "slope": self.slope,
-                "residual": self.residual, "undetermined": self.undetermined}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -180,17 +174,10 @@ class DegreeReport:
     kernel_stable: bool | None
 
     def to_dict(self):
-        return {
-            "degree": self.degree,
-            "spectra": [s.to_dict() for s in self.spectra],
-            "predicted_small_count": self.predicted_small_count,
-            "obstruction_case": self.obstruction_case,
-            "observed_small_count": self.observed_small_count,
-            "zero_counts": list(self.zero_counts),
-            "slopes": [s.to_dict() for s in self.slopes],
-            "prediction_matches": self.prediction_matches,
-            "kernel_stable": self.kernel_stable,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "spectra": [s.to_dict() for s in self.spectra],
+                "zero_counts": list(self.zero_counts),
+                "slopes": [s.to_dict() for s in self.slopes]}
 
 
 @dataclass(frozen=True)
@@ -210,10 +197,8 @@ class ScenarioReport:
         }
 
     def passed(self) -> bool:
-        for d in self.degrees:
-            if d.prediction_matches is False or d.kernel_stable is False:
-                return False
-        return True
+        return not any(d.prediction_matches is False or d.kernel_stable is False
+                       for d in self.degrees)
 
 
 def _fit_slopes(values, spectra, count) -> list[SlopeFit]:
@@ -228,8 +213,7 @@ def _fit_slopes(values, spectra, count) -> list[SlopeFit]:
         lam = np.array([spectra[i].eigenvalues[j] for i in range(len(spectra))])
         if not _decays(vals, lam) or np.any(lam[take] <= ZERO_TOL):
             continue
-        x = np.log(vals[take])
-        y = np.log(lam[take])
+        x, y = np.log(vals[take]), np.log(lam[take])
         A = np.column_stack([x, np.ones_like(x)])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
@@ -239,11 +223,8 @@ def _fit_slopes(values, spectra, count) -> list[SlopeFit]:
 
 
 def _decays(vals, lam) -> bool:
-    i_big = int(np.argmax(vals))
-    i_small = int(np.argmin(vals))
-    if lam[i_small] <= ZERO_TOL:
-        return True
-    return lam[i_small] <= DECAY_FACTOR * max(lam[i_big], ZERO_TOL)
+    small, big = lam[int(np.argmin(vals))], lam[int(np.argmax(vals))]
+    return small <= ZERO_TOL or small <= DECAY_FACTOR * max(big, ZERO_TOL)
 
 
 def _observed_count(values, spectra, count) -> int:
@@ -251,95 +232,87 @@ def _observed_count(values, spectra, count) -> int:
     plus positive modes that decay with the parameter."""
     vals = np.asarray(values, dtype=float)
     n_eigs = min(count, min(len(s.eigenvalues) for s in spectra))
-    obs = 0
     for j in range(n_eigs):
         lam = np.array([spectra[i].eigenvalues[j] for i in range(len(spectra))])
-        if _decays(vals, lam):
-            obs += 1
-        else:
-            break  # spectrum is sorted; the bulk starts here
-    return obs
+        if not _decays(vals, lam):
+            return j  # spectrum is sorted; the bulk starts here
+    return n_eigs
 
 
 def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
     observed = _observed_count(values, spectra, count)
     zeros = tuple(int(np.sum(s.eigenvalues < ZERO_TOL)) for s in spectra)
-    slopes = tuple(_fit_slopes(values, spectra, count))
     return DegreeReport(
-        degree=p, spectra=tuple(spectra),
-        predicted_small_count=pred.count,
-        obstruction_case=pred.obstruction_case,
-        observed_small_count=observed,
-        zero_counts=zeros,
-        slopes=slopes,
+        degree=p, spectra=tuple(spectra), predicted_small_count=pred.count,
+        obstruction_case=pred.obstruction_case, observed_small_count=observed,
+        zero_counts=zeros, slopes=tuple(_fit_slopes(values, spectra, count)),
         prediction_matches=observed == pred.count,
-        kernel_stable=len(set(zeros)) == 1,
-    )
+        kernel_stable=len(set(zeros)) == 1)
 
 
 # ---------------------------------------------------------------------------
-# scenario kinds
+# scenario kinds: the model fields each reads, and what `prepare` builds
 # ---------------------------------------------------------------------------
 
-def _sweep(cfg: ScenarioConfig, preds, solver) -> ScenarioReport:
-    """Spectra of every requested degree at every sweep point. `solver(v)`
-    sets sweep point v up once and returns p -> its degree-p spectrum."""
-    spectra = [[] for _ in cfg.degrees]
-    for v in cfg.sweep_values:
-        solve = solver(v)
-        for p, out in zip(cfg.degrees, spectra):
-            out.append(solve(p))
-    return ScenarioReport(cfg, tuple(
-        _degree_report(p, cfg.sweep_values, s, pred, cfg.count)
-        for p, s, pred in zip(cfg.degrees, spectra, preds)))
+@dataclass(frozen=True)
+class Sweep:
+    """The solve step of a sweep scenario: `points[i]` is what sweep value i
+    solves, (superconnection, metric) of a bundle kind or eps of
+    `nil_rescale`, and `spectrum(point, p)` solves it in degree p."""
+
+    config: ScenarioConfig
+    predictions: list     # SmallCountPrediction per requested degree
+    points: list
+    spectrum: object
+
+    def __call__(self) -> ScenarioReport:
+        cfg = self.config
+        per_point = [[self.spectrum(pt, p) for p in cfg.degrees]
+                     for pt in self.points]
+        return ScenarioReport(cfg, tuple(
+            _degree_report(p, cfg.sweep_values, s, pred, cfg.count)
+            for p, s, pred in zip(cfg.degrees, zip(*per_point),
+                                  self.predictions)))
 
 
-def _run_nil_rescale(cfg: ScenarioConfig) -> ScenarioReport:
-    algebra = lie.load_algebra(cfg.model.get("algebra", cfg.model))
+def _nil_rescale(cfg: ScenarioConfig, model: dict) -> Sweep:
+    algebra = model["algebra"]
     grading = lie.lower_central_grading(algebra)
     preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
-    return _sweep(cfg, preds, lambda eps: lambda p: lie.rescaled_spectrum(
-        algebra, grading, p, eps))
+    return Sweep(cfg, preds, list(cfg.sweep_values), lambda eps, p:
+                 lie.rescaled_spectrum(algebra, grading, p, eps))
 
 
-def bundle_sweep(cfg: ScenarioConfig):
-    """Read the model of a `monodromy_degeneration` or
-    `circle_bundle_adiabatic` scenario once. Returns (predictions, at): the
-    exact prediction for each of `cfg.degrees`, and at(v), the
-    superconnection and metric (its equivariance checked) at sweep value v."""
-    if cfg.kind == "circle_bundle_adiabatic":
-        base = sconn.BaseModel("torus2", cfg.resolution,
-                               cfg.model.get("circumferences"))
-        fiber, one = lie.abelian(1), RationalMatrix.identity(1)
-        # identity holonomies: the identity metric is equivariant; the
-        # flatness identities are linear in a2, so checking T = 1 once
-        # covers the a2 = delta * a2(1) of every sweep point
-        unit = sconn.from_affine_bundle(fiber, base, T=[1])
-        h = sconn.MetricField.identity(unit.bundle)
+def _solve_bundle(cfg: ScenarioConfig):
+    return lambda pt, p: sconn.spectrum(*pt, p, count=cfg.count,
+                                        check_metric=False)
 
-        def circle_bundle(delta):
-            return sconn.Superconnection(
-                unit.bundle, base, a0=unit.a0,
-                a2=[delta * x for x in unit.a2]), h
 
-        return spectral.predict_small_counts(
-            fiber, "torus2", cfg.degrees, monodromy_action=[one, one],
-            T=[Fraction(1)]), circle_bundle
-    if cfg.kind != "monodromy_degeneration":
-        raise InputError(f"{cfg.kind} scenarios sweep no bundle")
-    algebra = lie.load_algebra(cfg.model.get("algebra", "abelian:2"))
-    phi_rows = cfg.model.get("monodromy")
-    if phi_rows is None:
-        raise InputError("monodromy_degeneration needs a 'monodromy' matrix")
-    phi = RationalMatrix(phi_rows)
-    w = cfg.model.get("gauge_weights", [0] * algebra.n)
-    if not isinstance(w, (list, tuple)) or len(w) != algebra.n:
+def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
+    base = sconn.BaseModel("torus2", cfg.resolution, model["circumferences"])
+    fiber, one = lie.abelian(1), RationalMatrix.identity(1)
+    # identity holonomies: the identity metric is equivariant; the flatness
+    # identities are linear in a2, so checking T = 1 once covers the
+    # a2 = delta * a2(1) of every sweep point
+    unit = sconn.from_affine_bundle(fiber, base, T=[1])
+    h = sconn.MetricField.identity(unit.bundle)
+    preds = spectral.predict_small_counts(
+        fiber, "torus2", cfg.degrees, monodromy_action=[one, one], T=[1])
+    return Sweep(cfg, preds, [
+        (sconn.Superconnection(unit.bundle, base, a0=unit.a0,
+                               a2=[delta * x for x in unit.a2]), h)
+        for delta in cfg.sweep_values], _solve_bundle(cfg))
+
+
+def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
+    algebra, phi, w = (model[k] for k in ("algebra", "monodromy",
+                                          "gauge_weights"))
+    w = [0] * algebra.n if w is None else w
+    if (phi.rows, phi.cols) != (algebra.n, algebra.n):
+        raise InputError(f"monodromy must be {algebra.n}x{algebra.n}")
+    if len(w) != algebra.n:
         raise InputError("need one integer gauge weight per fiber dimension")
-    w = [integer(x, "each gauge weight") for x in w]
-    base = sconn.BaseModel("circle", cfg.resolution,
-                           cfg.model.get("circumferences"))
-    preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
-                                          monodromy_action=[phi])
+    base = sconn.BaseModel("circle", cfg.resolution, model["circumferences"])
 
     def build(t):
         # G phi G^-1 for G = diag(t^w), exact for the float t as read
@@ -352,7 +325,13 @@ def bundle_sweep(cfg: ScenarioConfig):
     # its logarithm, taken once at the first point t0, is carried to t by
     # the exact diagonal D(t) D(t0)^-1 = diag((t0 / t)^w_I)
     t0 = cfg.sweep_values[0]
-    first = build(t0)
+    try:  # with a0 the fiber differential, only parallel_a0 can fail
+        first = build(t0)
+    except sconn.FlatnessError as exc:
+        raise InputError("monodromy is not an automorphism of the algebra: "
+                         f"{exc}") from None
+    preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
+                                          monodromy_action=[phi])
     logs0 = sconn.MetricField.equivariant(first.bundle, base).logs[0]
     w_forms = [[sum(w[i] for i in I) for I in lie.multi_indices(algebra.n, b)]
                for b in range(algebra.n + 1)]
@@ -366,57 +345,88 @@ def bundle_sweep(cfg: ScenarioConfig):
         h.check_equivariance(base)
         return sc, h
 
-    return preds, gauged
+    return Sweep(cfg, preds, [gauged(t) for t in cfg.sweep_values],
+                 _solve_bundle(cfg))
 
 
-def _run_bundle(cfg: ScenarioConfig) -> ScenarioReport:
-    preds, at = bundle_sweep(cfg)
-
-    def solver(v):
-        sc, h = at(v)
-        return lambda p: sconn.spectrum(sc, h, p, count=cfg.count,
-                                        check_metric=False)
-
-    return _sweep(cfg, preds, solver)
-
-
-def _run_spectral_sequence_report(cfg: ScenarioConfig) -> ScenarioReport:
-    if "complex" in cfg.model:
-        cx = spectral.load_complex(cfg.model["complex"])
-    elif "payload" in cfg.model:
-        cx = spectral.BigradedComplex.from_dict(cfg.model["payload"])
-    else:
-        raise InputError("spectral_sequence_report needs 'complex' "
+def _spectral_sequence_report(cfg: ScenarioConfig, model: dict):
+    given = [cx for cx in (model["complex"], model["payload"]) if cx is not None]
+    if len(given) != 1:
+        raise InputError("spectral_sequence_report needs one of 'complex' "
                          "(a path) or 'payload' (inline)")
-    seq = spectral.spectral_sequence(cx)
-    pages = {}
-    for pg in seq.pages[:seq.stabilizes_at]:
-        pages[str(pg.r)] = {
-            "dims": [[a, b, d] for (a, b), d in sorted(pg.dims.items())],
-            "d_ranks": [[a, b, d] for (a, b), d in sorted(pg.d_ranks.items())],
-        }
-    payload = {
-        "stabilizes_at": seq.stabilizes_at,
-        "pages": pages,
-        "e_infinity": [[a, b, d]
-                       for (a, b), d in sorted(seq.stable.dims.items())],
-        "total_cohomology": seq.betti,
-    }
-    return ScenarioReport(cfg, (), pages=payload)
+
+    def solve() -> ScenarioReport:
+        seq = spectral.spectral_sequence(given[0])
+        return ScenarioReport(cfg, (), pages={
+            "stabilizes_at": seq.stabilizes_at,
+            "pages": {str(pg.r): {"dims": _spots(pg.dims),
+                                  "d_ranks": _spots(pg.d_ranks)}
+                      for pg in seq.pages[:seq.stabilizes_at]},
+            "e_infinity": _spots(seq.stable.dims),
+            "total_cohomology": seq.betti})
+    return solve
 
 
-_RUNNERS = {
-    "nil_rescale": _run_nil_rescale,
-    "monodromy_degeneration": _run_bundle,
-    "circle_bundle_adiabatic": _run_bundle,
-    "spectral_sequence_report": _run_spectral_sequence_report,
+def _spots(per_spot: dict) -> list:
+    return [[a, b, d] for (a, b), d in sorted(per_spot.items())]
+
+
+REQUIRED = object()
+
+# kind -> (builder of everything exact, model fields as name -> (reader,
+# default)); a default is read like a given value, None is left to the builder
+KINDS = {
+    "nil_rescale": (_nil_rescale, {"algebra": (lie.load_algebra, REQUIRED)}),
+    "monodromy_degeneration": (_monodromy_degeneration, {
+        "algebra": (lie.load_algebra, "abelian:2"),
+        "monodromy": (RationalMatrix, REQUIRED),
+        "gauge_weights": (lambda ws: [integer(x, "each gauge weight")
+                                      for x in ws], None),
+        "circumferences": (tuple, None)}),  # each read by sconn.BaseModel
+    "circle_bundle_adiabatic": (_circle_bundle_adiabatic,
+                                {"circumferences": (tuple, None)}),
+    "spectral_sequence_report": (_spectral_sequence_report, {
+        "complex": (spectral.load_complex, None),
+        "payload": (spectral.BigradedComplex.from_dict, None)}),
 }
 
 
+def _read_model(cfg: ScenarioConfig) -> dict:
+    """`cfg.model` read field by field by the readers its kind declares, a
+    missing or null field taking its default. InputError naming the field
+    for a model that is not an object, an unknown field, a missing required
+    one, or a value its reader refuses."""
+    _, fields_ = KINDS[cfg.kind]
+    if not isinstance(cfg.model, dict):
+        raise InputError(f"scenario model must be an object, got {cfg.model!r}")
+    unknown = sorted(set(cfg.model) - set(fields_))
+    if unknown:
+        raise InputError(f"unknown model fields {unknown} for {cfg.kind}")
+    out = {}
+    for name, (read, default) in fields_.items():
+        value = default if cfg.model.get(name) is None else cfg.model[name]
+        if value is REQUIRED:
+            raise InputError(f"{cfg.kind} model needs {name!r}")
+        try:
+            out[name] = None if value is None else read(value)
+        except (TypeError, OSError) as exc:
+            raise InputError(f"model field {name!r}: {exc}") from exc
+    return out
+
+
+def prepare(config: ScenarioConfig | str | dict):
+    """Build and check everything exact of a scenario: the model that
+    `_read_model` reads, the predictions, and each sweep point's flat
+    superconnection and equivariant metric. Bad input raises InputError here,
+    never later. Returns the step that only solves (for a
+    spectral_sequence_report, builds the pages) and returns the report."""
+    cfg = config if isinstance(config, ScenarioConfig) else \
+        load_scenario(config)
+    return KINDS[cfg.kind][0](cfg, _read_model(cfg))
+
+
 def run(config: ScenarioConfig | str | dict) -> ScenarioReport:
-    if not isinstance(config, ScenarioConfig):
-        config = load_scenario(config)
-    return _RUNNERS[config.kind](config)
+    return prepare(config)()
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +445,7 @@ def emit(report: ScenarioReport, fmt: str, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(CSV_COLUMNS)
-            for row in _rows(report):
-                w.writerow(row)
+            w.writerows(_rows(report))
     elif fmt == "plotdata":
         with open(path, "w") as fh:
             fh.write("# " + " ".join(CSV_COLUMNS) + "\n")
@@ -449,13 +458,7 @@ def emit(report: ScenarioReport, fmt: str, path) -> None:
 def _rows(report: ScenarioReport):
     name = report.config.name or report.config.kind
     for d in report.degrees:
-        for i, spec in enumerate(d.spectra):
-            v = report.config.sweep_values[i]
+        for v, spec in zip(report.config.sweep_values, d.spectra):
             for j, lam in enumerate(spec.eigenvalues):
                 yield (name, report.config.sweep_parameter, v,
                        d.degree, j, float(lam))
-
-
-def load_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -124,23 +124,6 @@ def filiform(n: int) -> NilpotentLieAlgebra:
     return NilpotentLieAlgebra.from_brackets(n, brackets, name=f"filiform:{n}")
 
 
-def direct_sum(a: NilpotentLieAlgebra, b: NilpotentLieAlgebra) -> NilpotentLieAlgebra:
-    n = a.n + b.n
-    brackets = []
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            for k in range(a.n):
-                if a.c[i][j][k]:
-                    brackets.append((i, j, k, a.c[i][j][k]))
-    for i in range(b.n):
-        for j in range(i + 1, b.n):
-            for k in range(b.n):
-                if b.c[i][j][k]:
-                    brackets.append((a.n + i, a.n + j, a.n + k, b.c[i][j][k]))
-    return NilpotentLieAlgebra.from_brackets(
-        n, brackets, name=f"{a.name}+{b.name}")
-
-
 _PRESETS = {"abelian": abelian, "heisenberg": heisenberg, "filiform": filiform}
 
 
@@ -161,8 +144,12 @@ def load_algebra(spec) -> NilpotentLieAlgebra:
         return load_algebra(_PRESETS[kind](integer(
             int(dim) if dim.isdecimal() else dim, f"the dimension of {kind}")))
     if isinstance(spec, str):
-        with open(spec) as fh:
-            spec = json.load(fh)
+        try:
+            with open(spec) as fh:
+                spec = json.load(fh)
+        except OSError as exc:
+            raise InputError(f"cannot read algebra file {spec!r}: "
+                             f"{exc.strerror}") from exc
     try:
         n = integer(spec["dim"], "dim")
         brackets = [(integer(b["i"], "bracket index i") - 1,
@@ -552,18 +539,8 @@ def invariant_basis(F: FiniteSymmetryGroup, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# invariant Laplacian and the collapsing rescaling
+# the collapsing rescaling
 # ---------------------------------------------------------------------------
-
-def invariant_laplacian(algebra: NilpotentLieAlgebra, p: int) -> np.ndarray:
-    """d*d + dd* on Lambda^p, orthonormal basis."""
-    d_p = ce_matrix(algebra, p)
-    lap = d_p.T @ d_p
-    if p > 0:
-        d_prev = ce_matrix(algebra, p - 1)
-        lap = lap + d_prev @ d_prev.T
-    return lap
-
 
 def rescaled_differential(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
                           eps: float) -> dict[int, np.ndarray]:
@@ -586,7 +563,7 @@ def rescaled_laplacian(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
     n = algebra.n
     d_p = ds[p] if p < n else np.zeros((0, len(multi_indices(n, p))))
     lap = d_p.T @ d_p
-    if p > 0:
+    if 0 < p <= n:  # above the top degree there are no forms
         lap = lap + ds[p - 1] @ ds[p - 1].T
     return lap
 

@@ -56,15 +56,6 @@ class SpectrumReport:
         small, idx, ratio = gap_split(lam)
         return cls(degree, lam, small, idx, ratio)
 
-    def multiplicities(self) -> list[tuple[float, int]]:
-        out: list[tuple[float, int]] = []
-        for lam in self.eigenvalues:
-            if out and abs(lam - out[-1][0]) <= 1e-8 * max(1.0, abs(lam)):
-                out[-1] = (out[-1][0], out[-1][1] + 1)
-            else:
-                out.append((float(lam), 1))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "degree": self.degree,

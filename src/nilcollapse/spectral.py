@@ -60,9 +60,6 @@ class BigradedComplex:
                                         self.dim(a, b))
         return mat
 
-    def shifts(self):
-        return sorted(self.maps)
-
     def check_complex(self) -> None:
         """D^2 = 0, graded piece by graded piece."""
         top_shift = max(self.maps, default=0)
@@ -144,11 +141,6 @@ class BigradedComplex:
 def load_complex(path) -> BigradedComplex:
     with open(path) as fh:
         return BigradedComplex.from_dict(json.load(fh))
-
-
-def save_complex(cx: BigradedComplex, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cx.to_dict(), fh, indent=1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +242,8 @@ def page(cx: BigradedComplex, r: int) -> Page:
         ranks = {(a, b): rank_exact(mat)
                  for (a, b), mat in cx.maps.get(0, {}).items()}
         return Page(0, dict(cx.dims), {k: v for k, v in ranks.items() if v})
-    spaces = {}
-    for a in range(cx.a_max + 1):
-        for b in range(cx.b_max + r):
-            spaces[(a, b)] = _TupleSpace(cx, r, a, b)
+    # E_r is a subquotient of E_0, so it is 0 wherever cx has no spot
+    spaces = {(a, b): _TupleSpace(cx, r, a, b) for a, b in cx.dims}
     dims = {}
     for (a, b), sp in spaces.items():
         d = sp.dimension()
@@ -404,26 +394,6 @@ def _ratmat(x, rows, cols) -> RationalMatrix:
     return mat
 
 
-def leray_circle(monodromies_on_cohomology, p: int) -> int:
-    """Total-space Betti number over a circle from the fiber-cohomology
-    holonomy: invariants in degree p plus coinvariants in degree p - 1."""
-    def phi(q):
-        if 0 <= q < len(monodromies_on_cohomology):
-            return monodromies_on_cohomology[q]
-        return None
-
-    out = 0
-    mp = phi(p)
-    if mp is not None:
-        A = mp - RationalMatrix.identity(mp.cols)
-        out += A.cols - rank_exact(A)
-    mq = phi(p - 1)
-    if mq is not None:
-        A = mq - RationalMatrix.identity(mq.cols)
-        out += A.rows - rank_exact(A)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exact matrix invariants of a holonomy
 # ---------------------------------------------------------------------------
@@ -517,9 +487,13 @@ def joint_generalized_one_eigenspace_dim(phis: list[RationalMatrix]) -> int:
 
 
 def inverse_exact(A: RationalMatrix) -> RationalMatrix:
+    """The inverse of a holonomy; InputError if it has none."""
     if A.rows != A.cols:
         raise InputError("inverse needs a square matrix")
-    return solve_exact(A, RationalMatrix.identity(A.rows))
+    try:
+        return solve_exact(A, RationalMatrix.identity(A.rows))
+    except InputError:
+        raise InputError("holonomy is not invertible") from None
 
 
 def form_action(g: RationalMatrix, b: int) -> RationalMatrix:

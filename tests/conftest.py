@@ -29,7 +29,19 @@ def filiform_torus_complex(n):
 
 def random_flat_complex(rng, a_max=2, b_max=2, max_dim=3):
     """Random first-quadrant bigraded complex with an exactly flat total
-    differential.
+    differential, every spot of the (a_max + 1) x (b_max + 1) rectangle
+    drawing a dimension up to max_dim."""
+    while True:
+        dims = {(a, b): int(rng.integers(0, max_dim + 1))
+                for a in range(a_max + 1) for b in range(b_max + 1)}
+        if sum(dims.values()) >= 2:
+            break
+    return random_flat_complex_on(rng, dims)
+
+
+def random_flat_complex_on(rng, dims):
+    """Random complex with an exactly flat total differential on the spot
+    dimensions `dims`.
 
     Construction: a nilpotent degree-raising map N built from a matching of
     basis elements (sources and targets disjoint, so N @ N = 0 by
@@ -37,11 +49,7 @@ def random_flat_complex(rng, a_max=2, b_max=2, max_dim=3):
     basis P. D = P N P^-1 then squares to zero exactly and only raises the
     first grading index, which is what the page machinery assumes.
     """
-    while True:
-        dims = {(a, b): int(rng.integers(0, max_dim + 1))
-                for a in range(a_max + 1) for b in range(b_max + 1)}
-        if sum(dims.values()) >= 2:
-            break
+    a_max = max(a for (a, _), d in dims.items() if d)
     elems = [(a, b, i) for (a, b) in sorted(dims) for i in range(dims[(a, b)])]
     index = {e: k for k, e in enumerate(elems)}
     n = len(elems)

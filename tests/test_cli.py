@@ -6,8 +6,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from nilcollapse import lie, spectral
+from nilcollapse import lab, lie, spectral
 from nilcollapse.cli import main
+from tests.conftest import filiform_torus_complex
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ def bundle_file(tmp_path):
 def complex_file(tmp_path):
     path = tmp_path / "cx.json"
     cx = spectral.from_algebra(lie.heisenberg(3))
-    spectral.save_complex(cx, path)
+    path.write_text(json.dumps(cx.to_dict()))
     return str(path)
 
 
@@ -379,3 +380,155 @@ def test_spectrum_rejects_nonpositive_modes(runner, bundle_file, modes):
     res = runner.invoke(main, ["spectrum", bundle_file, "--modes", modes])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert "error: count must be >= 1" in res.output
+
+
+# ---------------------------------------------------------------------------
+# scenario models: `validate` builds what `run` builds, without the solves
+# ---------------------------------------------------------------------------
+
+MODELS = {  # one good model of each kind
+    "nil_rescale": {"algebra": "heisenberg:3"},
+    "monodromy_degeneration": {"algebra": "abelian:2",
+                               "monodromy": [["1", "1"], ["0", "1"]],
+                               "gauge_weights": [1, 0]},
+    "circle_bundle_adiabatic": {},
+    "spectral_sequence_report": {
+        "payload": spectral.from_algebra(lie.heisenberg(3)).to_dict()},
+}
+MONO = MODELS["monodromy_degeneration"]
+NAN_CIRCUMFERENCE = ("bad circumference list: each circumference must be a "
+                     "finite number, got nan")
+
+# (kind, model, the error; it names the field)
+BAD_MODELS = [
+    pytest.param("monodromy_degeneration",
+                 {"algebra": "abelian:2", "monodromy": MONO["monodromy"],
+                  "gauge_weight": [1, 0]},
+                 "unknown model fields ['gauge_weight'] for "
+                 "monodromy_degeneration", id="misspelled-field"),
+    *[pytest.param(kind, [1], "scenario model must be an object, got [1]",
+                   id=f"list-model-{kind}") for kind in MODELS],
+    pytest.param("monodromy_degeneration", {"algebra": "abelian:2"},
+                 "monodromy_degeneration model needs 'monodromy'",
+                 id="missing-monodromy"),
+    pytest.param("nil_rescale", {}, "nil_rescale model needs 'algebra'",
+                 id="missing-algebra"),
+    pytest.param("spectral_sequence_report", {},
+                 "spectral_sequence_report needs one of 'complex' (a path) "
+                 "or 'payload'", id="no-complex"),
+    pytest.param("spectral_sequence_report", {"complex": "no_such_cx.json"},
+                 "model field 'complex': [Errno 2] No such file or directory",
+                 id="missing-complex-file"),
+    pytest.param("monodromy_degeneration",
+                 dict(MONO, circumferences=[float("nan")]), NAN_CIRCUMFERENCE,
+                 id="nan-circumference"),
+    pytest.param("circle_bundle_adiabatic",
+                 {"circumferences": [1.0, float("nan")]}, NAN_CIRCUMFERENCE,
+                 id="nan-torus-circumference"),
+    pytest.param("monodromy_degeneration", dict(MONO, gauge_weights=[0.5, 0]),
+                 "each gauge weight must be an integer, got 0.5",
+                 id="fractional-gauge-weight"),
+    pytest.param("monodromy_degeneration", dict(MONO, gauge_weights=1),
+                 "model field 'gauge_weights': 'int' object is not iterable",
+                 id="gauge-weights-not-a-list"),
+    pytest.param("monodromy_degeneration",
+                 {"algebra": "heisenberg:3",
+                  "monodromy": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                 "monodromy is not an automorphism of the algebra: flatness "
+                 "identity 'parallel_a0' violated by 5.000e-01",
+                 id="not-an-automorphism"),
+    pytest.param("monodromy_degeneration",
+                 dict(MONO, monodromy=[[1, 1], [1, 1]]),
+                 "holonomy is not invertible", id="singular-holonomy"),
+    pytest.param("monodromy_degeneration",
+                 dict(MONO, monodromy=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                 "monodromy must be 2x2", id="holonomy-of-another-dimension"),
+    pytest.param("circle_bundle_adiabatic",
+                 {"fiber": "heisenberg:3", "T": [0, 0, 1]},
+                 "unknown model fields ['T', 'fiber'] for "
+                 "circle_bundle_adiabatic", id="adiabatic-fiber-and-T"),
+    pytest.param("nil_rescal", MODELS["nil_rescale"],
+                 "unknown scenario kind 'nil_rescal'", id="misspelled-kind"),
+]
+
+
+def scenario_file(tmp_path, kind, model, **fields):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"kind": kind, "model": model,
+                                "sweep_values": [1.0, 0.1], "resolution": 8,
+                                "count": 4, **fields}))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, model, reason", BAD_MODELS)
+def test_bad_scenario_models_exit_one(runner, tmp_path, kind, model, reason):
+    path = scenario_file(tmp_path, kind, model)
+    validated, ran = (runner.invoke(main, [cmd, path])
+                      for cmd in ("validate", "run"))
+    for res in (validated, ran):
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert f"error: {reason}" in res.output
+    assert validated.output == ran.output
+
+
+def test_pages_scenario_takes_one_complex(runner, tmp_path, complex_file):
+    path = scenario_file(tmp_path, "spectral_sequence_report", {
+        **MODELS["spectral_sequence_report"], "complex": complex_file})
+    for cmd in ("validate", "run"):
+        res = runner.invoke(main, [cmd, path])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "error: spectral_sequence_report needs one of" in res.output
+
+
+# (kind, model, scenario fields): corners of each kind that validate accepts
+ACCEPTED = [
+    ("nil_rescale", MODELS["nil_rescale"], {"degrees": [0, 1, 2, 3, 4]}),
+    ("nil_rescale", {"algebra": {"dim": 3, "brackets": [H3_BRACKET]}}, {}),
+    ("monodromy_degeneration", MONO, {"degrees": [0, 1, 2, 3]}),
+    ("monodromy_degeneration", dict(MONO, gauge_weights=None), {}),
+    ("monodromy_degeneration",
+     {"monodromy": [[2, 1], [1, 1]], "circumferences": [2.0]}, {}),
+    ("monodromy_degeneration",
+     dict(MONO, algebra="heisenberg:3",
+          monodromy=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], gauge_weights=[0, 1, 1]),
+     {}),
+    ("circle_bundle_adiabatic", {}, {"degrees": [0, 1, 2, 3, 4]}),
+    ("circle_bundle_adiabatic", {"circumferences": [1.0, 2.0]},
+     {"sweep_values": [0.1, 1.0]}),
+    ("spectral_sequence_report", MODELS["spectral_sequence_report"],
+     {"sweep_values": []}),
+    ("spectral_sequence_report", {"payload": {"dims": [[0, 0, 1]]}}, {}),
+]
+
+
+@pytest.mark.parametrize("kind, model, fields", ACCEPTED,
+                         ids=[f"{k}-{i}" for i, (k, _, _) in enumerate(ACCEPTED)])
+def test_what_validate_accepts_run_accepts(runner, tmp_path, kind, model,
+                                           fields):
+    # degrees above the fiber dimension and a null field (its default)
+    # included: once `validate` says ok, `run` does not exit 1
+    path = scenario_file(tmp_path, kind, model, **fields)
+    res = runner.invoke(main, ["validate", path])
+    assert res.exit_code == 0 and "scenario: ok" in res.output
+    res = runner.invoke(main, ["run", path])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("name", [*lab.PRESETS, "filiform5_T2"])
+def test_presets_and_the_pages_payload_validate_and_run(runner, tmp_path,
+                                                        name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(lab.PRESETS.get(name) or {
+        "kind": "spectral_sequence_report",
+        "model": {"payload": filiform_torus_complex(5).to_dict()}}))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 0 and "scenario: ok" in res.output
+    res = runner.invoke(main, ["run", str(path), "--check"])
+    assert res.exit_code == 0, res.output
+
+
+def test_lie_rejects_missing_algebra_file(runner):
+    res = runner.invoke(main, ["lie", "betti", "nosuchfile"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "error: cannot read algebra file 'nosuchfile': No such file" \
+        in res.output

@@ -202,9 +202,7 @@ def test_carried_logarithms_match_logm(name, reverse):
     cfg = lab.load_scenario(name)
     values = cfg.sweep_values[::-1] if reverse else cfg.sweep_values
     cfg = dataclasses.replace(cfg, sweep_values=values)
-    _, at = lab.bundle_sweep(cfg)
-    for v in values:
-        sc, h = at(v)
+    for sc, h in lab.prepare(cfg).points:
         for b in range(len(sc.bundle.ranks)):
             want = scipy.linalg.logm(sc.bundle.monodromy(0, b))
             assert np.abs(np.imag(want)).max() <= 1e-12
@@ -266,6 +264,24 @@ def test_spectral_sequence_report_needs_a_complex():
         lab.run(cfg)
 
 
+def test_prepare_builds_everything_and_solves_nothing(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("prepare solved")
+
+    # the eigensolves, and the pages of a spectral_sequence_report, are the
+    # step that prepare returns
+    monkeypatch.setattr(sconn, "spectrum", forbidden)
+    monkeypatch.setattr(lie, "rescaled_spectrum", forbidden)
+    for name in lab.PRESETS:
+        step = lab.prepare(name)
+        assert len(step.points) == len(step.config.sweep_values)
+        assert len(step.predictions) == len(step.config.degrees)
+    monkeypatch.setattr(spectral, "spectral_sequence", forbidden)
+    cx = spectral.from_algebra(lie.heisenberg(3))
+    lab.prepare({"kind": "spectral_sequence_report",
+                 "model": {"payload": cx.to_dict()}})
+
+
 def test_run_is_deterministic():
     a = json.dumps(lab.run("example1_heisenberg_point").to_dict(), sort_keys=True)
     b = json.dumps(lab.run("example1_heisenberg_point").to_dict(), sort_keys=True)
@@ -288,7 +304,7 @@ def small_report():
 def test_emit_json_round_trip(small_report, tmp_path):
     path = tmp_path / "r.json"
     lab.emit(small_report, "json", path)
-    loaded = lab.load_report(path)
+    loaded = json.loads(path.read_text())
     assert loaded == small_report.to_dict()
 
 

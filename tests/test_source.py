@@ -4,8 +4,9 @@ builder stay merged, exact matrices are read and built through their
 methods, never through a `.data` attribute, the superconnection layer
 converts holonomy actions that `spectral` built exactly instead of building
 its own, only the equivariant metric takes a matrix logarithm, every
-spectrum comes from one of two solvers, and the exact layer `spectral`
-decides nothing by a float rank or eigenvalue."""
+spectrum comes from one of two solvers, the exact layer `spectral`
+decides nothing by a float rank or eigenvalue, and a scenario's model is
+read in one place."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,11 @@ MERGED = {
     "invariant_projector",                   # -> FiniteSymmetryGroup.invariant_forms
     "sym_eig", "gen_sym_eig", "EigenResult",  # -> numerics.lowest_eigenvalues
     "_integer", "_to_fraction",              # -> numerics.integer, .rational
+    "bundle_sweep", "_run_bundle", "_RUNNERS",  # -> lab.prepare and lab.KINDS
+    # only tests called these: oracles moved to tests/oracles.py, the rest
+    # is done in the tests themselves
+    "leray_circle", "invariant_laplacian", "direct_sum", "save_complex",
+    "multiplicities", "load_report", "shifts",
 }
 
 
@@ -154,3 +160,23 @@ def test_spectral_makes_no_float_linear_algebra():
     bad = [f"line {node.lineno}" for node in ast.walk(_tree(SRC / "spectral.py"))
            if isinstance(node, ast.Attribute) and node.attr == "linalg"]
     assert not bad, f"spectral.py uses numpy/scipy linalg: {bad}"
+
+
+def test_scenario_model_read_only_by_read_model():
+    # each kind declares its model fields once, in lab.KINDS, and
+    # lab._read_model reads them: a `.model` read anywhere else would let a
+    # field skip its reader, or a misspelled field pass without a word
+    bad = []
+    for path in MODULES:
+        tree = _tree(path)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in parents:
+            if isinstance(node, ast.Attribute) and node.attr == "model":
+                fn = node
+                while fn in parents and not isinstance(fn, ast.FunctionDef):
+                    fn = parents[fn]
+                if (path.name, getattr(fn, "name", None)) != (
+                        "lab.py", "_read_model"):
+                    bad.append(f"{path.name} line {node.lineno}")
+    assert not bad, f"scenario models read outside lab._read_model: {bad}"

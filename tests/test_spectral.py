@@ -3,6 +3,7 @@ predictions. Cross-checked three independent ways: total cohomology, the
 closed-form circle answer (invariants plus coinvariants), and page-by-page
 recursion on randomly generated flat complexes."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 
 from nilcollapse import lie, spectral
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
-from tests.conftest import filiform_torus_complex, random_flat_complex
+from tests.conftest import (filiform_torus_complex, random_flat_complex,
+                            random_flat_complex_on)
+from tests.oracles import leray_circle, rectangle_page
 
 UNIP = RationalMatrix([[1, 1], [0, 1]])
 SOL = RationalMatrix([[2, 1], [1, 1]])
@@ -70,7 +73,7 @@ def test_total_complex_bookkeeping():
 
 def test_block_matches_total_differential_with_d2():
     cx = filiform_torus_complex(4)
-    assert cx.shifts() == [0, 1, 2]
+    assert sorted(cx.maps) == [0, 1, 2]
 
     def offsets(spots):
         out, k = {}, 0
@@ -87,7 +90,7 @@ def test_block_matches_total_differential_with_d2():
         oracle = np.zeros((full.rows, full.cols))
         r_off, c_off = offsets(rows), offsets(cols)
         for s in cols:
-            for i in cx.shifts():
+            for i in sorted(cx.maps):
                 t = (s[0] + i, s[1] + 1 - i)
                 if t in r_off:
                     oracle[r_off[t]:r_off[t] + cx.dim(*t),
@@ -111,11 +114,11 @@ def test_serialization_round_trip(tmp_path):
     cx = circle_model(UNIP)
     cx2 = spectral.BigradedComplex.from_dict(cx.to_dict())
     assert cx2.dims == cx.dims
-    for i in cx.shifts():
+    for i in sorted(cx.maps):
         for spot in cx.dims:
             assert cx2.D(i, *spot) == cx.D(i, *spot)
     path = tmp_path / "cx.json"
-    spectral.save_complex(cx, path)
+    path.write_text(json.dumps(cx.to_dict()))
     cx3 = spectral.load_complex(path)
     assert cx3.dims == cx.dims
 
@@ -225,6 +228,40 @@ def test_stable_page_matches_the_old_bound():
     assert seen >= {1, 2, 3, 4}
 
 
+def test_page_visits_only_the_spots_of_the_complex(monkeypatch):
+    # deep and sparse: 16 of the 11 x 11 spots occupied, and a d_10 possible
+    # from (0, 10) to (10, 1)
+    built = []
+
+    class Counted(spectral._TupleSpace):
+        def __init__(self, cx, r, a, b):
+            built.append((a, b))
+            super().__init__(cx, r, a, b)
+
+    deepest = set()
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        dims = {(0, 10): 1, (10, 1): 1}
+        while len(dims) < 16:
+            spot = tuple(int(x) for x in rng.integers(0, 11, size=2))
+            dims[spot] = int(rng.integers(1, 3))
+        cx = random_flat_complex_on(rng, dims)
+        assert cx.a_max == 10 and len(cx.dims) == 16
+        for r in range(1, cx.a_max + 2):
+            want, want_ranks = rectangle_page(cx, r)
+            assert all(d == 0 for spot, d in want.items() if spot not in cx.dims)
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_TupleSpace", Counted)
+                built.clear()
+                pg = spectral.page(cx, r)
+            assert sorted(built) == sorted(cx.dims)
+            assert pg.dims == {s: d for s, d in want.items() if d}
+            assert pg.d_ranks == want_ranks
+            if pg.d_ranks:
+                deepest.add(r)
+    assert max(deepest) >= 5
+
+
 def _corrupt_page(monkeypatch, bad_r):
     """Make `spectral.page` report one class too many at (0, 0) on page
     bad_r."""
@@ -261,12 +298,12 @@ def test_corrupted_stable_page_raises(monkeypatch):
 
 def test_leray_circle_closed_form_unipotent():
     monos = [spectral.form_action(UNIP, b) for b in range(3)]
-    assert [spectral.leray_circle(monos, p) for p in range(4)] == [1, 2, 2, 1]
+    assert [leray_circle(monos, p) for p in range(4)] == [1, 2, 2, 1]
 
 
 def test_leray_circle_closed_form_hyperbolic():
     monos = [spectral.form_action(SOL, b) for b in range(3)]
-    assert [spectral.leray_circle(monos, p) for p in range(4)] == [1, 1, 1, 1]
+    assert [leray_circle(monos, p) for p in range(4)] == [1, 1, 1, 1]
 
 
 def test_leray_matches_stable_page_for_nil_fiber():
@@ -278,7 +315,7 @@ def test_leray_matches_stable_page_for_nil_fiber():
     cx = spectral.flat_bundle_complex(ranks, a0, [eye], "circle")
     betti = lie.betti_numbers(alg)
     monos = [RationalMatrix.identity(b) for b in betti]
-    expect = [spectral.leray_circle(monos, p) for p in range(5)]
+    expect = [leray_circle(monos, p) for p in range(5)]
     assert spectral.spectral_sequence(cx).stable.totals() == expect == [1, 3, 4, 3, 1]
 
 
@@ -295,7 +332,7 @@ def test_leray_matches_stable_page_random_holonomy():
         cx = circle_model(g)
         monos = [spectral.form_action(g, q) for q in range(3)]
         assert spectral.spectral_sequence(cx).stable.totals() == \
-            [spectral.leray_circle(monos, p) for p in range(4)]
+            [leray_circle(monos, p) for p in range(4)]
 
 
 # ---------------------------------------------------------------------------

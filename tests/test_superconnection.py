@@ -316,14 +316,12 @@ def assert_bloch_matches_assembled(sc, h, p, count=8):
 
 def preset_bundles(name, torus_resolution=12):
     """(sc, h) at every sweep point of a numerical preset, built by the
-    `lab.bundle_sweep` that `lab.run` solves; torus presets at a smaller
+    `lab.prepare` that `lab.run` solves; torus presets at a smaller
     resolution."""
     cfg = lab.load_scenario(name)
     if cfg.kind == "circle_bundle_adiabatic":
         cfg = dataclasses.replace(cfg, resolution=torus_resolution)
-    _, at = lab.bundle_sweep(cfg)
-    for v in cfg.sweep_values:
-        yield at(v)
+    yield from lab.prepare(cfg).points
 
 
 @pytest.mark.parametrize("name", [n for n, cfg in lab.PRESETS.items()
