@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation error, 2 numerical-consistency error,
-3 acceptance failure (run --check).
+Exit codes: 0 success, 1 validation error (also an unreadable or non-JSON
+file), 2 numerical-consistency error, or a usage error that click reports,
+such as `--p x` or `--fmt xml`, 3 acceptance failure (run --check).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 import click
 
 from . import lab, lie, spectral, superconnection as sconn
-from .numerics import InputError
+from .numerics import InputError, read_json
 
 
 def _fail(code: int, message: str):
@@ -42,12 +43,11 @@ def main():
 
 
 @main.command()
-@click.argument("model", type=click.Path(exists=True))
+@click.argument("model")
 @_guard
 def validate(model):
     """Validate an algebra, bundle, complex, or scenario JSON file."""
-    with open(model) as fh:
-        payload = json.load(fh)
+    payload = read_json(model, "input")
     if isinstance(payload, dict) and "base" in payload:
         sconn.load_bundle(payload)
         click.echo("bundle: ok (flatness and metric equivariance verified)")
@@ -88,7 +88,7 @@ def curvature(algebra):
 
 
 @main.command()
-@click.argument("bundle", type=click.Path(exists=True))
+@click.argument("bundle")
 @click.option("--p", "degree", type=int, default=1, show_default=True,
               help="total form degree")
 @click.option("--modes", type=int, default=12, show_default=True,
@@ -102,7 +102,7 @@ def spectrum(bundle, degree, modes):
 
 
 @main.command()
-@click.argument("complex_file", type=click.Path(exists=True))
+@click.argument("complex_file")
 @_guard
 def ss(complex_file):
     """Pages and stable page of a bigraded complex."""

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import lie, spectral, superconnection as sconn
-from .numerics import InputError, RationalMatrix, integer, real
+from .numerics import (REQUIRED, InputError, RationalMatrix, integer, real,
+                       read_fields, read_json)
 
 ZERO_TOL = 1e-10
 DECAY_FACTOR = 0.5        # an eigenvalue "vanishes" if it drops below half
@@ -49,8 +50,12 @@ class ScenarioConfig:
         for name in ("resolution", "count"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.kind != "spectral_sequence_report":
-            if not vals or any(v <= 0 for v in vals):
-                raise InputError("sweep values must be positive")
+            # a decay is judged between sweep points, in at least one degree
+            if len(vals) < 2 or any(v <= 0 for v in vals):
+                raise InputError(f"sweep_values must be two or more positive "
+                                 f"values, got {list(vals)}")
+            if not degrees:
+                raise InputError("degrees must hold at least one degree")
             diffs = np.diff(vals)
             if not (np.all(diffs > 0) or np.all(diffs < 0)):
                 raise InputError("sweep values must be strictly monotone")
@@ -63,13 +68,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScenarioConfig":
-        extra = set(payload) - {f.name for f in fields(cls)}
-        if extra:
-            raise InputError(f"unknown scenario fields {sorted(extra)}")
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise InputError(f"malformed scenario: {exc}") from exc
+        # a missing or null field but `kind` takes the dataclass default
+        given = read_fields(payload, {
+            f.name: (lambda x: x, None) for f in fields(cls)} | {
+            "kind": (str, REQUIRED)}, "scenario")
+        return cls(**{k: v for k, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +139,8 @@ PRESETS: dict[str, dict] = {
 def load_scenario(source) -> ScenarioConfig:
     """Preset name, JSON file path, or parsed dict."""
     if isinstance(source, str) and source in PRESETS:
-        return ScenarioConfig.from_dict(dict(PRESETS[source], name=source))
-    if isinstance(source, dict):
-        return ScenarioConfig.from_dict(source)
-    try:
-        with open(source) as fh:
-            return ScenarioConfig.from_dict(json.load(fh))
-    except OSError as exc:
-        raise InputError(f"no such scenario file or preset: {source!r}") from exc
+        source = dict(PRESETS[source], name=source)
+    return ScenarioConfig.from_dict(read_json(source, "scenario"))
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +368,8 @@ def _spots(per_spot: dict) -> list:
     return [[a, b, d] for (a, b), d in sorted(per_spot.items())]
 
 
-REQUIRED = object()
-
 # kind -> (builder of everything exact, model fields as name -> (reader,
-# default)); a default is read like a given value, None is left to the builder
+# default), read by numerics.read_fields); None is left to the builder
 KINDS = {
     "nil_rescale": (_nil_rescale, {"algebra": (lie.load_algebra, REQUIRED)}),
     "monodromy_degeneration": (_monodromy_degeneration, {
@@ -386,32 +381,14 @@ KINDS = {
     "circle_bundle_adiabatic": (_circle_bundle_adiabatic,
                                 {"circumferences": (tuple, None)}),
     "spectral_sequence_report": (_spectral_sequence_report, {
-        "complex": (spectral.load_complex, None),
+        "complex": (lambda path: spectral.BigradedComplex.from_dict(
+            read_json(path, "complex")), None),
         "payload": (spectral.BigradedComplex.from_dict, None)}),
 }
 
 
 def _read_model(cfg: ScenarioConfig) -> dict:
-    """`cfg.model` read field by field by the readers its kind declares, a
-    missing or null field taking its default. InputError naming the field
-    for a model that is not an object, an unknown field, a missing required
-    one, or a value its reader refuses."""
-    _, fields_ = KINDS[cfg.kind]
-    if not isinstance(cfg.model, dict):
-        raise InputError(f"scenario model must be an object, got {cfg.model!r}")
-    unknown = sorted(set(cfg.model) - set(fields_))
-    if unknown:
-        raise InputError(f"unknown model fields {unknown} for {cfg.kind}")
-    out = {}
-    for name, (read, default) in fields_.items():
-        value = default if cfg.model.get(name) is None else cfg.model[name]
-        if value is REQUIRED:
-            raise InputError(f"{cfg.kind} model needs {name!r}")
-        try:
-            out[name] = None if value is None else read(value)
-        except (TypeError, OSError) as exc:
-            raise InputError(f"model field {name!r}: {exc}") from exc
-    return out
+    return read_fields(cfg.model, KINDS[cfg.kind][1], f"model for {cfg.kind}")
 
 
 def prepare(config: ScenarioConfig | str | dict):

@@ -10,15 +10,14 @@ floats for the spectral operations only.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (InputError, RationalMatrix, integer,
+from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
                        lowest_eigenvalues, nullspace_exact, rank_exact,
-                       rational, row_reduce)
+                       rational, read_fields, read_json, row_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -131,43 +130,41 @@ def load_algebra(spec) -> NilpotentLieAlgebra:
     """Load from a preset name like "heisenberg:3", a dict, or a JSON path.
     Whatever it loads is validated: InputError unless a nilpotent Lie
     algebra."""
-    if isinstance(spec, NilpotentLieAlgebra):
-        rep = validate(spec)
-        if not rep.ok():
-            raise InputError(f"algebra invalid: {rep}")
-        return spec
     if isinstance(spec, str) and ":" in spec and not spec.endswith(".json"):
         kind, _, dim = spec.partition(":")
         if kind not in _PRESETS:
             raise InputError(f"unknown preset family {kind!r}")
         # a suffix that is not all digits reaches `integer` as a string
-        return load_algebra(_PRESETS[kind](integer(
-            int(dim) if dim.isdecimal() else dim, f"the dimension of {kind}")))
-    if isinstance(spec, str):
+        spec = _PRESETS[kind](integer(
+            int(dim) if dim.isdecimal() else dim, f"the dimension of {kind}"))
+    if not isinstance(spec, NilpotentLieAlgebra):
+        alg = read_fields(read_json(spec, "algebra"), _ALGEBRA_FIELDS,
+                          "algebra")
+        n = alg["dim"]
+        for i, j, k, _ in alg["brackets"]:
+            if not (1 <= i < j <= n and 1 <= k <= n):
+                raise InputError(f"bracket (i, j, k) = {(i, j, k)} needs "
+                                 f"1 <= i < j <= dim and 1 <= k <= dim = {n}")
         try:
-            with open(spec) as fh:
-                spec = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read algebra file {spec!r}: "
-                             f"{exc.strerror}") from exc
-    try:
-        n = integer(spec["dim"], "dim")
-        brackets = [(integer(b["i"], "bracket index i") - 1,
-                     integer(b["j"], "bracket index j") - 1,
-                     integer(b["k"], "bracket index k") - 1, b["c"])
-                    for b in spec["brackets"]]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed algebra description: {exc}") from exc
-    for i, j, k, _ in brackets:
-        if not (0 <= i < j < n and 0 <= k < n):
-            raise InputError(f"bracket (i, j, k) = {(i + 1, j + 1, k + 1)} needs "
-                             f"1 <= i < j <= dim and 1 <= k <= dim = {n}")
-    try:
-        algebra = NilpotentLieAlgebra.from_brackets(n, brackets,
-                                                    name=spec.get("name", ""))
-    except InputError as exc:  # from reading a coefficient
-        raise InputError(f"bracket coefficient c: {exc}") from exc
-    return load_algebra(algebra)
+            spec = NilpotentLieAlgebra.from_brackets(n, [
+                (i - 1, j - 1, k - 1, c) for i, j, k, c in alg["brackets"]],
+                name=alg["name"])
+        except InputError as exc:  # from reading a coefficient
+            raise InputError(f"bracket coefficient c: {exc}") from exc
+    rep = validate(spec)
+    if not rep.ok():
+        raise InputError(f"algebra invalid: {rep}")
+    return spec
+
+
+_BRACKET_FIELDS = {  # read in this order, as (i, j, k, c)
+    **{name: (lambda x, name=name: integer(x, f"bracket index {name}"),
+              REQUIRED) for name in "ijk"}, "c": (lambda c: c, REQUIRED)}
+_ALGEBRA_FIELDS = {
+    "dim": (lambda x: integer(x, "dim"), REQUIRED),
+    "brackets": (lambda bs: [tuple(read_fields(
+        b, _BRACKET_FIELDS, "bracket").values()) for b in bs], REQUIRED),
+    "name": (str, "")}
 
 
 # ---------------------------------------------------------------------------

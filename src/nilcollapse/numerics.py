@@ -1,15 +1,18 @@
-"""Linear-algebra substrate: the one float eigensolver entry, the readers
-of input numbers and exact rational rank arithmetic.
+"""Linear-algebra substrate: the one float eigensolver entry, the input
+readers and exact rational rank arithmetic.
 
 Floating-point spectra go through `lowest_eigenvalues` (LAPACK, or ARPACK
 for large sparse matrices); everything that feeds a dimension
 count (ranks, nullspaces, quotient dimensions) is done in exact rational
 arithmetic so that rank decisions are never made by a tolerance. Loaders
-read every input number through `integer`, `real` or `rational`.
+read files, objects and numbers by `read_json`, `read_fields` and `integer`,
+`real` or `rational`.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import sys
 from fractions import Fraction
 
@@ -61,8 +64,51 @@ def lowest_eigenvalues(L, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# input numbers and exact rational matrices
+# input files, objects and numbers
 # ---------------------------------------------------------------------------
+
+def read_json(source, what: str):
+    """The parsed JSON file at the path `source`, or a parsed `source` as it
+    is; InputError naming the `what` file if it cannot be read or parsed."""
+    if not isinstance(source, (str, os.PathLike)):
+        return source
+    try:
+        with open(source) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        reason = getattr(exc, "strerror", None) or f"not JSON: {exc}"
+        raise InputError(f"cannot read {what} file {os.fspath(source)!r}: "
+                         f"{reason}") from exc
+
+
+REQUIRED = object()
+
+
+def read_fields(payload, fields: dict, what: str) -> dict:
+    """The object `payload` read by `fields`, {name: (reader, default)}; a
+    missing or null field takes its default (None stays None). InputError
+    naming the field for a payload that is not an object, an unknown field,
+    a missing `REQUIRED` one, or a reader's TypeError or ValueError. `what`
+    names the object: "bundle", or "model for nil_rescale"."""
+    noun, sep, owner = what.partition(" for ")
+    if not isinstance(payload, dict):
+        raise InputError(f"{what} must be an object, got {payload!r}")
+    unknown = sorted(set(payload) - set(fields))
+    if unknown:
+        raise InputError(f"unknown {noun} fields {unknown}{sep}{owner}")
+    out = {}
+    for name, (read, default) in fields.items():
+        value = default if payload.get(name) is None else payload[name]
+        if value is REQUIRED:
+            raise InputError(f"{what} needs {name!r}")
+        try:
+            out[name] = None if value is None else read(value)
+        except InputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{noun} field {name!r}: {exc}") from exc
+    return out
+
 
 def integer(x, what: str) -> int:
     """x as an int: an int, a NumPy integer or an integral float, never a

@@ -8,7 +8,6 @@ reported dimension is a theorem about the input, not a tolerance call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -16,8 +15,9 @@ from math import comb
 import numpy as np
 
 from . import lie
-from .numerics import (InputError, RationalMatrix, integer, nullspace_exact,
-                       quotient_dim, rank_exact, row_reduce, solve_exact)
+from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
+                       nullspace_exact, quotient_dim, rank_exact, read_fields,
+                       row_reduce, solve_exact)
 
 
 class BigradedComplex:
@@ -34,7 +34,7 @@ class BigradedComplex:
             bucket = {}
             for (a, b), mat in per_spot.items():
                 if not isinstance(mat, RationalMatrix):
-                    mat = RationalMatrix(mat)
+                    mat = RationalMatrix(mat, cols=self.dim(a, b))
                 want = (self.dim(a + i, b + 1 - i), self.dim(a, b))
                 if (mat.rows, mat.cols) != want:
                     raise InputError(
@@ -123,24 +123,21 @@ class BigradedComplex:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BigradedComplex":
-        try:
-            dims = {(integer(a, "spot a"), integer(b, "spot b")):
-                    integer(d, "spot dimension") for a, b, d in payload["dims"]}
-            maps: dict[int, dict] = {}
-            for entry in payload.get("maps", []):
-                i = integer(entry["shift"], "map shift")
-                spot = (integer(entry["a"], "map a"),
-                        integer(entry["b"], "map b"))
-                maps.setdefault(i, {})[spot] = RationalMatrix(
-                    entry["matrix"], cols=dims.get(spot, 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed complex payload: {exc}") from exc
-        return cls(dims, maps)
+        """The complex of a parsed `to_dict` payload, read by its fields."""
+        cx = read_fields(payload, _COMPLEX_FIELDS, "complex")
+        maps: dict[int, dict] = {}
+        for m in cx["maps"]:
+            maps.setdefault(m["shift"], {})[m["a"], m["b"]] = m["matrix"]
+        return cls(cx["dims"], maps)
 
 
-def load_complex(path) -> BigradedComplex:
-    with open(path) as fh:
-        return BigradedComplex.from_dict(json.load(fh))
+_MAP_FIELDS = {name: (lambda x, name=name: integer(x, f"map {name}"), REQUIRED)
+               for name in ("shift", "a", "b")} | {"matrix": (list, REQUIRED)}
+_COMPLEX_FIELDS = {
+    "dims": (lambda triples: {
+        (integer(a, "spot a"), integer(b, "spot b")):
+        integer(d, "spot dimension") for a, b, d in triples}, REQUIRED),
+    "maps": (lambda ms: [read_fields(m, _MAP_FIELDS, "map") for m in ms], [])}
 
 
 # ---------------------------------------------------------------------------

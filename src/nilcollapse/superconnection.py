@@ -21,8 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import lie, spectral
-from .numerics import (InputError, RationalMatrix, integer,
-                       lowest_eigenvalues, real)
+from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
+                       lowest_eigenvalues, read_fields, read_json, real)
 from .report import SpectrumReport
 
 
@@ -113,7 +113,8 @@ class GradedBundle:
             for b, m in enumerate(gen):
                 if m.shape != (self.ranks[b], self.ranks[b]):
                     raise InputError("monodromy block has wrong shape")
-                if abs(np.linalg.det(m)) < 1e-12:
+                # relative rank: an absolute det bound fails small actions
+                if np.linalg.matrix_rank(m) < len(m):
                     raise InputError("monodromy must be invertible")
         if len(self.monodromies) == 2:
             for b in range(len(self.ranks)):
@@ -393,73 +394,54 @@ def _require_flat(sc: Superconnection) -> Superconnection:
 
 
 def load_bundle(source) -> tuple[Superconnection, MetricField]:
-    """Superconnection plus metric from a JSON file path or a parsed dict.
-
-    Two shapes are accepted: a fiber-algebra description ("fiber",
-    "monodromy_action", a0 = "ce_differential" or null, a2 = {"interior":
-    [...T...]}) or explicit per-degree data ("ranks", "monodromy",
-    "a0_blocks", "a2_blocks"). Every matrix entry and interior component
-    is read by `RationalMatrix`: an integer, an integral float or a
-    rational string. "metric" picks "identity" (default) or "equivariant".
-    Raises FlatnessError if the superconnection is not flat and InputError
-    if the metric is not equivariant under the monodromy.
-    """
-    import json
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            payload = json.load(fh)
+    """Superconnection plus metric from a JSON file path or a parsed dict:
+    a fiber algebra with its holonomy actions and curvature term, or
+    explicit per-degree blocks. FlatnessError if it is not flat, InputError
+    if the metric is not equivariant under the monodromy."""
+    payload = read_json(source, "bundle")
+    fiber_shape = isinstance(payload, dict) and "fiber" in payload
+    b = read_fields(payload, _FIBER_BUNDLE_FIELDS if fiber_shape
+                    else _EXPLICIT_BUNDLE_FIELDS, "bundle")
+    base = b["base"]
+    if b["metric"] not in ("identity", "equivariant"):
+        raise InputError(f"unknown metric kind {b['metric']!r}")
+    if fiber_shape:
+        sc = from_affine_bundle(b["fiber"], base, T=b["a2"],
+                                monodromy_action=b["monodromy_action"])
     else:
-        payload = source
-    if not isinstance(payload, dict) or "base" not in payload:
-        raise InputError("bundle description needs a 'base' entry")
-    b = payload["base"]
-    try:
-        base = BaseModel(b["kind"], b["resolution"], b.get("circumferences"))
-    except (KeyError, TypeError, AttributeError, InputError) as exc:
-        raise InputError(f"malformed base description: {exc}") from exc
-
-    if "fiber" in payload:
-        algebra = lie.load_algebra(payload["fiber"])
-        a0_kind = payload.get("a0", "ce_differential")
-        if a0_kind not in ("ce_differential", None):
-            raise InputError(f"unknown a0 specification {a0_kind!r}")
-        T = None
-        a2_spec = payload.get("a2")
-        if a2_spec is not None:
-            if not (isinstance(a2_spec, dict)
-                    and isinstance(a2_spec.get("interior"), list)):
-                raise InputError("a2 must be {'interior': [components]}")
-            T = a2_spec["interior"]
-        sc = from_affine_bundle(algebra, base, T=T,
-                                monodromy_action=payload.get("monodromy_action"))
-        if a0_kind is None:
-            # with a0 = 0 the curvature identity holds trivially; a2 stays
-            sc = Superconnection(sc.bundle, base,
-                                 a2=sc.a2 if T is not None else None)
-    else:
-        ranks = payload.get("ranks")
-        if not isinstance(ranks, list):
-            raise InputError("explicit bundle needs a list of 'ranks'")
-        def floats(blocks):
-            return (None if blocks is None
-                    else [RationalMatrix(m).to_numpy() for m in blocks])
-
-        monos = payload.get("monodromy")
-        bundle = GradedBundle(ranks, None if monos is None else
-                              [floats(gen) for gen in monos],
-                              generators=base.dim)
-        sc = _require_flat(Superconnection(
-            bundle, base, a0=floats(payload.get("a0_blocks")),
-            a2=floats(payload.get("a2_blocks"))))
-    metric_kind = payload.get("metric", "identity")
-    if metric_kind == "identity":
-        h = MetricField.identity(sc.bundle)
-    elif metric_kind == "equivariant":
-        h = MetricField.equivariant(sc.bundle, base)
-    else:
-        raise InputError(f"unknown metric kind {metric_kind!r}")
+        bundle = GradedBundle(b["ranks"], b["monodromy"], generators=base.dim)
+        sc = _require_flat(Superconnection(bundle, base, a0=b["a0_blocks"],
+                                           a2=b["a2_blocks"]))
+    h = (MetricField.identity(sc.bundle) if b["metric"] == "identity"
+         else MetricField.equivariant(sc.bundle, base))
     h.check_equivariance(base)
     return sc, h
+
+
+def _float_blocks(blocks) -> list:
+    return [RationalMatrix(m).to_numpy() for m in blocks]
+
+
+def _read_base(spec) -> BaseModel:
+    try:
+        return BaseModel(**read_fields(spec, _BASE_FIELDS, "base"))
+    except InputError as exc:
+        raise InputError(f"malformed base description: {exc}") from exc
+
+
+# BaseModel reads the resolution and each circumference itself
+_BASE_FIELDS = {"kind": (str, REQUIRED), "resolution": (lambda x: x, REQUIRED),
+                "circumferences": (lambda x: x, None)}
+_COMMON_FIELDS = {"base": (_read_base, REQUIRED), "metric": (str, "identity")}
+_FIBER_BUNDLE_FIELDS = {
+    **_COMMON_FIELDS, "fiber": (lie.load_algebra, REQUIRED),
+    "monodromy_action": (list, None),  # read by spectral.AffineModel
+    "a2": (lambda spec: read_fields(spec, {"interior": (list, REQUIRED)},
+                                    "a2")["interior"], None)}
+_EXPLICIT_BUNDLE_FIELDS = {
+    **_COMMON_FIELDS, "ranks": (list, REQUIRED),
+    "monodromy": (lambda gens: [_float_blocks(g) for g in gens], None),
+    "a0_blocks": (_float_blocks, None), "a2_blocks": (_float_blocks, None)}
 
 
 # ---------------------------------------------------------------------------

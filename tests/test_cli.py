@@ -213,9 +213,12 @@ def test_run_check_failure_exits_three(runner, tmp_path):
     ({"base": {"kind": "circle", "resolution": 8,
                "circumferences": [float("nan")]}, "ranks": [1]},
      "each circumference must be a finite number, got nan"),
+    ({"base": {"kind": "circle", "resolution": 8}, "ranks": [2],
+      "monodromy": [[[[1, 1], [1, 1]]]]}, "monodromy must be invertible"),
 ], ids=["inexact-interior", "resolution", "circumferences", "not-flat",
         "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list",
-        "fractional-rank", "bool-rank", "nan-circumference"])
+        "fractional-rank", "bool-rank", "nan-circumference",
+        "singular-monodromy"])
 def test_validate_rejects_bad_bundle_entries(runner, tmp_path, payload, reason):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(payload))
@@ -406,18 +409,19 @@ BAD_MODELS = [
                   "gauge_weight": [1, 0]},
                  "unknown model fields ['gauge_weight'] for "
                  "monodromy_degeneration", id="misspelled-field"),
-    *[pytest.param(kind, [1], "scenario model must be an object, got [1]",
+    *[pytest.param(kind, [1], f"model for {kind} must be an object, got [1]",
                    id=f"list-model-{kind}") for kind in MODELS],
     pytest.param("monodromy_degeneration", {"algebra": "abelian:2"},
-                 "monodromy_degeneration model needs 'monodromy'",
+                 "model for monodromy_degeneration needs 'monodromy'",
                  id="missing-monodromy"),
-    pytest.param("nil_rescale", {}, "nil_rescale model needs 'algebra'",
+    pytest.param("nil_rescale", {}, "model for nil_rescale needs 'algebra'",
                  id="missing-algebra"),
     pytest.param("spectral_sequence_report", {},
                  "spectral_sequence_report needs one of 'complex' (a path) "
                  "or 'payload'", id="no-complex"),
     pytest.param("spectral_sequence_report", {"complex": "no_such_cx.json"},
-                 "model field 'complex': [Errno 2] No such file or directory",
+                 "cannot read complex file 'no_such_cx.json': No such file "
+                 "or directory",
                  id="missing-complex-file"),
     pytest.param("monodromy_degeneration",
                  dict(MONO, circumferences=[float("nan")]), NAN_CIRCUMFERENCE,
@@ -532,3 +536,82 @@ def test_lie_rejects_missing_algebra_file(runner):
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert "error: cannot read algebra file 'nosuchfile': No such file" \
         in res.output
+
+
+# ---------------------------------------------------------------------------
+# input files: one reader opens and parses them, one rule reads their fields
+# ---------------------------------------------------------------------------
+
+COMMANDS = [["validate"], ["run"], ["spectrum"], ["ss"], ["lie", "betti"],
+            ["lie", "curvature"]]
+
+
+def unreadable(tmp_path, case):
+    path = tmp_path / "in.json"
+    if case == "not-json":
+        path.write_text('{"kind": "nil_rescale",')
+    elif case == "directory":
+        path.mkdir()
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["not-json", "directory", "missing"])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_unreadable_files_exit_one(runner, tmp_path, command, case):
+    path = unreadable(tmp_path, case)
+    res = runner.invoke(main, command + [path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "error: cannot read " in res.output and repr(path) in res.output
+
+
+CIRCLE = {"kind": "circle", "resolution": 16}
+TORUS = {"kind": "torus2", "resolution": 8}
+
+
+@pytest.mark.parametrize("payload, command, key", [
+    ({"base": CIRCLE, "fiber": "abelian:2",
+      "monodromy_actions": [[["1", "1"], ["0", "1"]]]}, "spectrum",
+     "monodromy_actions"),
+    ({"base": dict(CIRCLE, circumference=[2.0]), "ranks": [1]}, "spectrum",
+     "circumference"),
+    ({"base": TORUS, "ranks": [1, 1], "a2_block": [[[1]]]}, "spectrum",
+     "a2_block"),
+    ({"base": CIRCLE, "fiber": "abelian:2", "a0": "ce_differential"},
+     "spectrum", "a0"),
+    ({"base": CIRCLE, "fiber": "abelian:2", "a0": None}, "spectrum", "a0"),
+    ({"dims": [[0, 0, 1], [0, 1, 1]],
+      "map": [{"shift": 0, "a": 0, "b": 0, "matrix": [["1"]]}]}, "ss", "map"),
+    ({"dims": [[0, 0, 1]], "maps": [{"shift": 0, "a": 0, "b": 0,
+                                      "matrix": [], "mat": []}]}, "ss", "mat"),
+    ({"dim": 3, "brackets": [dict(H3_BRACKET, coeff="1")]}, "lie betti",
+     "coeff"),
+], ids=["monodromy_actions", "circumference", "a2_block", "a0", "a0-null",
+        "map", "map-mat", "bracket-coeff"])
+@pytest.mark.parametrize("reader", ["validate", "command"])
+def test_misspelled_file_fields_exit_one(runner, tmp_path, payload, command,
+                                         key, reader):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    args = ["validate"] if reader == "validate" else command.split()
+    res = runner.invoke(main, args + [str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert f"fields [{key!r}]" in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("kind", [k for k in MODELS
+                                  if k != "spectral_sequence_report"])
+@pytest.mark.parametrize("fields, reason", [
+    ({"degrees": []}, "error: degrees must hold at least one degree"),
+    ({"sweep_values": [0.001]},
+     "error: sweep_values must be two or more positive values, got [0.001]"),
+], ids=["no-degree", "one-sweep-value"])
+def test_sweeps_that_cannot_be_judged_exit_one(runner, tmp_path, command,
+                                               kind, fields, reason):
+    # with no degree `run --check` would pass having checked nothing, and
+    # one sweep value shows no decay (example7 at 0.001 alone observes 2
+    # collapsing eigenvalues of the 3 predicted)
+    path = scenario_file(tmp_path, kind, MODELS[kind], **fields)
+    res = runner.invoke(main, [command, path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert reason in res.output

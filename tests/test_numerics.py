@@ -12,10 +12,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from nilcollapse import numerics
-from nilcollapse.numerics import (InputError, RationalMatrix,
-                                  lowest_eigenvalues, nullspace_exact,
-                                  quotient_dim, rank_exact, row_reduce,
-                                  solve_exact)
+from nilcollapse.numerics import (REQUIRED, InputError, RationalMatrix,
+                                  integer, lowest_eigenvalues, nullspace_exact,
+                                  quotient_dim, rank_exact, read_fields,
+                                  read_json, row_reduce, solve_exact)
 from tests import dense_oracle as oracle
 
 
@@ -380,3 +380,51 @@ def test_real_reads_finite_numbers(x, want):
 def test_real_rejects_with_input_error(x):
     with pytest.raises(InputError, match="v must be a finite number"):
         numerics.real(x, "v")
+
+
+# ---------------------------------------------------------------------------
+# input files and objects
+# ---------------------------------------------------------------------------
+
+FIELDS = {"n": (lambda x: integer(x, "n"), REQUIRED),
+          "xs": (list, [1]), "tag": (str, None)}
+
+
+def test_read_fields_reads_defaults_and_given_values():
+    assert read_fields({"n": 2.0}, FIELDS, "thing") == {
+        "n": 2, "xs": [1], "tag": None}
+    assert read_fields({"n": 2, "xs": None, "tag": 5}, FIELDS, "thing") == {
+        "n": 2, "xs": [1], "tag": "5"}
+
+
+@pytest.mark.parametrize("payload, what, reason", [
+    ([1], "thing", "thing must be an object, got [1]"),
+    ({"n": 1, "nn": 2}, "thing", "unknown thing fields ['nn']"),
+    ({"n": 1, "nn": 2}, "model for kind",
+     "unknown model fields ['nn'] for kind"),
+    ({"xs": []}, "thing", "thing needs 'n'"),
+    ({"n": None}, "thing", "thing needs 'n'"),
+    ({"n": 1.5}, "thing", "n must be an integer, got 1.5"),
+    ({"n": 1, "xs": 3}, "model for kind",
+     "model field 'xs': 'int' object is not iterable"),
+], ids=["not-an-object", "unknown", "unknown-for-owner", "missing", "null",
+        "reader-input-error", "reader-type-error"])
+def test_read_fields_names_the_field(payload, what, reason):
+    with pytest.raises(InputError) as exc:
+        read_fields(payload, FIELDS, what)
+    assert str(exc.value) == reason
+
+
+def test_read_json_reads_paths_and_passes_payloads(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"a": [1, "1/2"]}')
+    assert read_json(path, "thing") == read_json(str(path), "thing") == {
+        "a": [1, "1/2"]}
+    payload = {"a": 1}
+    assert read_json(payload, "thing") is payload
+    path.write_text('{"a": ')
+    with pytest.raises(InputError, match=r"cannot read thing file '.*x\.json':"
+                       r" not JSON: Expecting value"):
+        read_json(path, "thing")
+    with pytest.raises(InputError, match="Is a directory"):
+        read_json(tmp_path, "thing")

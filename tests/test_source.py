@@ -5,8 +5,8 @@ methods, never through a `.data` attribute, the superconnection layer
 converts holonomy actions that `spectral` built exactly instead of building
 its own, only the equivariant metric takes a matrix logarithm, every
 spectrum comes from one of two solvers, the exact layer `spectral`
-decides nothing by a float rank or eigenvalue, and a scenario's model is
-read in one place."""
+decides nothing by a float rank or eigenvalue, a scenario's model is
+read in one place, and an input file is parsed in one place."""
 
 import ast
 from pathlib import Path
@@ -34,6 +34,7 @@ MERGED = {
     "sym_eig", "gen_sym_eig", "EigenResult",  # -> numerics.lowest_eigenvalues
     "_integer", "_to_fraction",              # -> numerics.integer, .rational
     "bundle_sweep", "_run_bundle", "_RUNNERS",  # -> lab.prepare and lab.KINDS
+    "load_complex",                          # -> from_dict(read_json(path))
     # only tests called these: oracles moved to tests/oracles.py, the rest
     # is done in the tests themselves
     "leray_circle", "invariant_laplacian", "direct_sum", "save_complex",
@@ -180,3 +181,15 @@ def test_scenario_model_read_only_by_read_model():
                         "lab.py", "_read_model"):
                     bad.append(f"{path.name} line {node.lineno}")
     assert not bad, f"scenario models read outside lab._read_model: {bad}"
+
+
+def test_input_files_parsed_only_by_read_json():
+    # numerics.read_json turns a file that cannot be opened or parsed into
+    # an InputError naming it; a json.load anywhere else would end in a
+    # traceback, and a click.Path(exists=True) would exit 2 before it
+    assert _callers("load") | _callers("loads") == {
+        ("numerics.py", None, "read_json")}
+    exists = [f"line {node.lineno}" for node in ast.walk(_tree(SRC / "cli.py"))
+              if isinstance(node, ast.Call) and _called_name(node) == "Path"
+              and any(k.arg == "exists" for k in node.keywords)]
+    assert not exists, f"cli.py checks paths through click: {exists}"

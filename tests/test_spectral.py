@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from nilcollapse import lie, spectral
-from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
+from nilcollapse.numerics import (InputError, RationalMatrix, rank_exact,
+                                 read_json)
 from tests.conftest import (filiform_torus_complex, random_flat_complex,
                             random_flat_complex_on)
 from tests.oracles import leray_circle, rectangle_page
@@ -119,7 +120,7 @@ def test_serialization_round_trip(tmp_path):
             assert cx2.D(i, *spot) == cx.D(i, *spot)
     path = tmp_path / "cx.json"
     path.write_text(json.dumps(cx.to_dict()))
-    cx3 = spectral.load_complex(path)
+    cx3 = spectral.BigradedComplex.from_dict(read_json(path, "complex"))
     assert cx3.dims == cx.dims
 
 

@@ -67,6 +67,18 @@ def test_graded_bundle_validation():
     sconn.GradedBundle([2], [[a], [a]], generators=2)
 
 
+def test_small_invertible_holonomy_action_builds():
+    # diag(3, 3, 9, 27, 81) is an automorphism of filiform:5; on 2-forms it
+    # acts by entries 1/2187 .. 1/9, whose determinant (about 1e-21) an
+    # absolute bound such as |det| < 1e-12 calls singular
+    phi = RationalMatrix.from_entries(5, 5, {(i, i): v for i, v in
+                                             enumerate([3, 3, 9, 27, 81])})
+    sc = sconn.from_affine_bundle(lie.filiform(5), circle(8),
+                                  monodromy_action=[phi])
+    assert sc.bundle.ranks == (1, 5, 10, 10, 5, 1)
+    assert abs(np.linalg.det(sc.bundle.monodromy(0, 2))) < 1e-12
+
+
 def test_graded_bundle_reads_ranks_as_integers():
     assert sconn.GradedBundle([np.int64(1), 2.0]).ranks == (1, 2)
     for ranks in ([1.5], [True], ["1"], [1, -1]):
@@ -491,7 +503,6 @@ def test_load_bundle_fiber_form(tmp_path):
     payload = {
         "base": {"kind": "circle", "resolution": 16},
         "fiber": "heisenberg:3",
-        "a0": "ce_differential",
         "metric": "identity",
     }
     import json
@@ -526,15 +537,18 @@ def test_load_bundle_errors():
 
 
 def test_load_bundle_without_a0_keeps_a2():
-    # abelian:1 has a zero fiber differential, so "a0": null must give the
-    # same superconnection as "ce_differential"; dropping a2 turned the
-    # third degree-1 eigenvalue from 1 into a third zero
-    payload = {"base": {"kind": "torus2", "resolution": 8},
-               "fiber": "abelian:1", "a2": {"interior": [1]}}
-    sc, h = sconn.load_bundle({**payload, "a0": None})
+    # abelian:1 has a zero fiber differential, so the explicit bundle with
+    # no a0 blocks and its a2 must give the same superconnection as the
+    # fiber shape; dropping a2 turned the third degree-1 eigenvalue from 1
+    # into a third zero
+    base = {"kind": "torus2", "resolution": 8}
+    sc, h = sconn.load_bundle({"base": base, "ranks": [1, 1],
+                               "a2_blocks": [[[1]]]})
     assert np.array_equal(sc.a2_block(1), [[1.0]])
     lam = sconn.spectrum(sc, h, 1, count=4).eigenvalues
-    ref = sconn.spectrum(*sconn.load_bundle(payload), 1, count=4).eigenvalues
+    ref = sconn.spectrum(*sconn.load_bundle({
+        "base": base, "fiber": "abelian:1", "a2": {"interior": [1]}}),
+        1, count=4).eigenvalues
     assert np.array_equal(lam, ref)
     assert lam[:3] == pytest.approx([0, 0, 1], abs=1e-9)
     assert lam[3] == pytest.approx(31.85, abs=0.01)
@@ -554,7 +568,6 @@ def test_load_bundle_builds_holonomy_actions_exactly(monkeypatch):
         "base": {"kind": "circle", "resolution": 64},
         "fiber": "abelian:2",
         "monodromy_action": [[["1", "1"], ["0", "1"]]],
-        "a0": "ce_differential",
         "metric": "equivariant",
     })
     assert seen and set(seen) == {Fraction}
