@@ -49,6 +49,14 @@ class ScenarioConfig:
         object.__setattr__(self, "degrees", degrees)
         for name in ("resolution", "count"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
+        for name in ("name", "sweep_parameter"):
+            if not isinstance(getattr(self, name), str):
+                raise InputError(f"{name} must be a string, "
+                                 f"got {getattr(self, name)!r}")
+        # `run --out` writes <name>.<ext> into the output directory
+        if self.name in (".", "..") or {"/", "\\"} & set(self.name):
+            raise InputError(f"name must be a file stem, without '/' or '\\' "
+                             f"and not '.' or '..', got {self.name!r}")
         if self.kind != "spectral_sequence_report":
             # a decay is judged between sweep points, in at least one degree
             if len(vals) < 2 or any(v <= 0 for v in vals):

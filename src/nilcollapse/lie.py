@@ -529,12 +529,6 @@ def compound_matrix(rows, p: int) -> list[list]:
     return [[minors[(I, J)] for J in idx] for I in idx]
 
 
-def invariant_basis(F: FiniteSymmetryGroup, p: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the F-invariant subspace of Lambda^p:
-    the QR frame of the exact basis `F.invariant_forms(p)`."""
-    return np.linalg.qr(F.invariant_forms(p).to_numpy())[0]
-
-
 # ---------------------------------------------------------------------------
 # the collapsing rescaling
 # ---------------------------------------------------------------------------

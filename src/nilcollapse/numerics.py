@@ -2,11 +2,10 @@
 readers and exact rational rank arithmetic.
 
 Floating-point spectra go through `lowest_eigenvalues` (LAPACK, or ARPACK
-for large sparse matrices); everything that feeds a dimension
-count (ranks, nullspaces, quotient dimensions) is done in exact rational
-arithmetic so that rank decisions are never made by a tolerance. Loaders
-read files, objects and numbers by `read_json`, `read_fields` and `integer`,
-`real` or `rational`.
+for large sparse matrices); everything that feeds a dimension count (ranks,
+nullspaces, solves) is done in exact rational arithmetic so that rank
+decisions are never made by a tolerance. Loaders read files, objects and
+numbers by `read_json`, `read_fields` and `integer`, `real` or `rational`.
 """
 
 from __future__ import annotations
@@ -394,27 +393,3 @@ def solve_exact(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
             raise InputError("inconsistent linear system")
         nz[pc] = {j - n: v for j, v in row.items() if j >= n}
     return RationalMatrix._of(n, B.cols, nz)
-
-
-def quotient_dim(numerator_constraints: RationalMatrix,
-                 denominator_generators: RationalMatrix) -> int:
-    """dim ker(A) - dim(ker(A) /\\ rowspan(B)), computed exactly.
-
-    `numerator_constraints` A and `denominator_generators` B act on the same
-    ambient space (equal column counts); B's rows generate the subspace that
-    gets quotiented out.
-    """
-    A, B = numerator_constraints, denominator_generators
-    if A.cols != B.cols:
-        raise InputError(f"ambient-dimension mismatch: {A.cols} vs {B.cols}")
-    ker_dim = A.cols - rank_exact(A)
-    # dim(ker A /\ rowspan B) = rank(B) - rank(A B^T):
-    # y |-> B^T y maps onto rowspan(B); the intersection is the image of
-    # ker(A B^T), and ker(B^T) sits inside ker(A B^T).
-    inter = rank_exact(B) - rank_exact(A @ B.transpose())
-    dim = ker_dim - inter
-    if dim < 0:
-        raise ArithmeticError(
-            f"negative quotient dimension {dim}: kernel {ker_dim}, "
-            f"intersection {inter}")
-    return dim

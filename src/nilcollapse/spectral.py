@@ -16,8 +16,8 @@ import numpy as np
 
 from . import lie
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
-                       nullspace_exact, quotient_dim, rank_exact, read_fields,
-                       row_reduce, solve_exact)
+                       nullspace_exact, rank_exact, read_fields, row_reduce,
+                       solve_exact)
 
 
 class BigradedComplex:
@@ -33,6 +33,10 @@ class BigradedComplex:
         for i, per_spot in maps.items():
             bucket = {}
             for (a, b), mat in per_spot.items():
+                if i < 0:
+                    raise InputError(
+                        f"D_{i} at {(a, b)} lowers the filtration: every "
+                        f"shift must be >= 0")
                 if not isinstance(mat, RationalMatrix):
                     mat = RationalMatrix(mat, cols=self.dim(a, b))
                 want = (self.dim(a + i, b + 1 - i), self.dim(a, b))
@@ -47,6 +51,7 @@ class BigradedComplex:
         self.a_max = max((a for a, _ in self.dims), default=0)
         self.b_max = max((b for _, b in self.dims), default=0)
         self.check_complex()
+        self._window_ranks: dict[tuple[int, int, int], int] = {}
 
     # -- access -------------------------------------------------------------
 
@@ -102,8 +107,23 @@ class BigradedComplex:
         return RationalMatrix.from_entries(
             r0, sum(self.dim(*s) for s in col_spots), entries)
 
-    def total_differential(self, p: int) -> RationalMatrix:
-        return self.block(self.total_spots(p + 1), self.total_spots(p))
+    def window_rank(self, n: int, lo: int, hi: int) -> int:
+        """R_n(lo, hi): the rank of the total differential from the degree-n
+        spots with lo <= a < hi to the degree-(n + 1) spots in the same
+        window, with the window clamped to 0..a_max + 1. Over a field these
+        ranks fix the filtered complex up to isomorphism, and `page` reads
+        every page off them. Memoized: the complex does not change after
+        `check_complex`."""
+        lo, hi = max(lo, 0), min(hi, self.a_max + 1)
+        if lo >= hi:
+            return 0
+        key = (n, lo, hi)
+        if key not in self._window_ranks:
+            window = range(lo, hi)
+            rows = [(a, n + 1 - a) for a in window if self.dim(a, n + 1 - a)]
+            cols = [(a, n - a) for a in window if self.dim(a, n - a)]
+            self._window_ranks[key] = rank_exact(self.block(rows, cols))
+        return self._window_ranks[key]
 
     def top_total_degree(self) -> int:
         return max((a + b for a, b in self.dims), default=0)
@@ -163,102 +183,30 @@ class Page:
         return [self.total(p) for p in range(top + 1)]
 
 
-class _TupleSpace:
-    """The r-tuple space at one spot, in filtration form.
-
-    A class on page r at (a, b) is a tuple (omega^{a+s, b-s})_{s<r} whose
-    total differential vanishes in the first r output rows, taken modulo
-    two kinds of trivial classes: tuples with zero leading component (they
-    live one filtration step deeper), and differentials of degree-(p-1)
-    data from up to r-1 filtration steps below that lands in filtration a.
-    Everything is a constraint matrix or a column-span, so page dimensions
-    reduce to exact quotient computations.
-    """
-
-    def __init__(self, cx: BigradedComplex, r: int, a: int, b: int):
-        self.cx, self.r, self.a, self.b = cx, r, a, b
-        self.spots = [(a + s, b - s) for s in range(r)]
-        self.ambient = sum(cx.dim(*s) for s in self.spots)
-        self.lead_dim = cx.dim(a, b)
-
-        self.constraints = cx.block([(a + s, b - s + 1) for s in range(r)],
-                                    self.spots)
-        # admissible boundaries: d(y) for y reaching down to filtration
-        # a - r + 1 with d(y) supported in filtration >= a
-        hat = [(a + t, b - 1 - t) for t in range(-(r - 1), r)]
-        low_rows = [(a + s, b - s) for s in range(-(r - 1), 0)]
-        self.boundary_cols = (cx.block(self.spots, hat)
-                              @ nullspace_exact(cx.block(low_rows, hat)))
-
-    def _deep_selector(self) -> RationalMatrix:
-        """Rows picking out the leading-component coordinates."""
-        return RationalMatrix.from_entries(
-            self.lead_dim, self.ambient,
-            {(i, i): 1 for i in range(self.lead_dim)})
-
-    def denominator_generators(self) -> RationalMatrix:
-        """Rows spanning the trivial classes (before intersecting cycles)."""
-        gens = self.boundary_cols.transpose()
-        deep = RationalMatrix.from_entries(
-            self.ambient - self.lead_dim, self.ambient,
-            {(i, self.lead_dim + i): 1
-             for i in range(self.ambient - self.lead_dim)})
-        return gens.vstack(deep)
-
-    def dimension(self) -> int:
-        if self.ambient == 0:
-            return 0
-        return quotient_dim(self.constraints, self.denominator_generators())
-
-    def cycle_basis(self) -> RationalMatrix:
-        return nullspace_exact(self.constraints)
-
-    def denominator_basis(self) -> RationalMatrix:
-        """Columns spanning the trivial classes inside the cycle space.
-
-        Boundaries are automatically cycles (total differential squares to
-        zero), so only the deep part needs intersecting with the cycles.
-        """
-        if self.ambient == 0:
-            return RationalMatrix.zeros(0, 0)
-        deep_ker = nullspace_exact(
-            self.constraints.vstack(self._deep_selector()))
-        return self.boundary_cols.hstack(deep_ker)
-
-
 def page(cx: BigradedComplex, r: int) -> Page:
-    """Dimensions of page r together with the ranks of its differential.
+    """Dimensions of page r together with the ranks of its differential d_r,
+    each a sum of four window ranks R = `cx.window_rank`. At a spot (a, b)
+    of dimension g and total degree n:
 
-    The differential's ambient matrix is checked to map representative
-    cycles into cycles; a failure means the complex is inconsistent.
-    """
+    - Z_r = g - R_n(a, a+r) + R_n(a+1, a+r) is the dimension of the leading
+      parts at a of the cycles of the window a..a+r-1;
+    - B_r = R_{n-1}(a-r+1, a+1) - R_{n-1}(a-r+1, a) is that of the
+      boundaries of the window a-r+1..a that lie in filtration a;
+    - dim E_r = Z_r - B_r, and rank d_r = Z_r - Z_{r+1}.
+
+    Page 0 is the complex itself with the ranks of D_0. E_r is 0 wherever
+    cx has no spot, so only the spots of cx are visited."""
     if r < 0:
         raise InputError("negative page index")
-    if r == 0:
-        # page 0 is the complex itself with the vertical differential
-        ranks = {(a, b): rank_exact(mat)
-                 for (a, b), mat in cx.maps.get(0, {}).items()}
-        return Page(0, dict(cx.dims), {k: v for k, v in ranks.items() if v})
-    # E_r is a subquotient of E_0, so it is 0 wherever cx has no spot
-    spaces = {(a, b): _TupleSpace(cx, r, a, b) for a, b in cx.dims}
-    dims = {}
-    for (a, b), sp in spaces.items():
-        d = sp.dimension()
+    R = cx.window_rank
+    dims, d_ranks = {}, {}
+    for (a, b), g in cx.dims.items():
+        n = a + b
+        z_r = g - R(n, a, a + r) + R(n, a + 1, a + r)
+        d = z_r - R(n - 1, a - r + 1, a + 1) + R(n - 1, a - r + 1, a)
+        rk = z_r - (g - R(n, a, a + r + 1) + R(n, a + 1, a + r + 1))
         if d:
             dims[(a, b)] = d
-    d_ranks = {}
-    for (a, b) in dims:
-        if not dims.get((a + r, b - r + 1)):
-            continue
-        src, dst = spaces[(a, b)], spaces[(a + r, b - r + 1)]
-        L = cx.block(dst.spots, src.spots)
-        Z = src.cycle_basis()
-        LZ = L @ Z
-        if not (dst.constraints @ LZ).is_zero():
-            raise ArithmeticError(
-                "page differential left the cycle space; complex inconsistent")
-        W = dst.denominator_basis()
-        rk = rank_exact(LZ.hstack(W)) - rank_exact(W)
         if rk:
             d_ranks[(a, b)] = rk
     return Page(r, dims, d_ranks)
@@ -283,7 +231,8 @@ class SpectralSequence:
 def spectral_sequence(cx: BigradedComplex) -> SpectralSequence:
     """All pages of `cx`, cross-checked two ways: page r+1 must be the
     homology of (page r, d_r), and the stable page's totals must be the total
-    cohomology. A failed check raises ArithmeticError naming the spot or the
+    cohomology. Both hold by construction of `page`'s window-rank sums and
+    guard them; a failed check raises ArithmeticError naming the spot or the
     degree."""
     pages = [page(cx, r) for r in range(1, cx.a_max + 2)]
     for cur, nxt in zip(pages, pages[1:]):
@@ -296,7 +245,7 @@ def spectral_sequence(cx: BigradedComplex) -> SpectralSequence:
                     f"page recursion fails at {(a, b)}: "
                     f"dim E_{r + 1} = {nxt.dim(a, b)}, homology gives {expect}")
     top = cx.top_total_degree()
-    ranks = ([0] + [rank_exact(cx.total_differential(p)) for p in range(top)]
+    ranks = ([0] + [cx.window_rank(p, 0, cx.a_max + 1) for p in range(top)]
              + [0])
     betti = [cx.total_dim(p) - ranks[p] - ranks[p + 1] for p in range(top + 1)]
     stable = pages[-1]

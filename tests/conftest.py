@@ -27,6 +27,37 @@ def filiform_torus_complex(n):
         "torus2", a2=spectral.contraction_blocks([0] * (n - 1) + [1], n))
 
 
+def weight_complex(algebra):
+    """The Chevalley-Eilenberg complex of `algebra` filtered by the 3^k form
+    weight f of `lie.lower_central_grading`: a p-form of weight f sits at
+    a = f_max - f, b = p - a + OFF with OFF = f_max - f_min, so every
+    p-form has total degree p + OFF, and the differential, which never
+    raises f, never lowers a."""
+    grading = lie.lower_central_grading(algebra)
+    n = algebra.n
+    weights = [[grading.form_weight(I) for I in lie.multi_indices(n, p)]
+               for p in range(n + 1)]
+    f_max = max(map(max, weights))
+    off = f_max - min(map(min, weights))
+    where = {}  # (p, form index) -> (spot, index at the spot)
+    dims = {}
+    for p, ws in enumerate(weights):
+        for k, f in enumerate(ws):
+            spot = (f_max - f, p - f_max + f + off)
+            where[(p, k)] = (spot, dims.get(spot, 0))
+            dims[spot] = dims.get(spot, 0) + 1
+    entries = {}  # (shift, source spot) -> {(row, col): value}
+    for p in range(n):
+        for (i, j), v in lie.ce_differential(grading.algebra, p).entries():
+            (src, col), (dst, row) = where[(p, j)], where[(p + 1, i)]
+            entries.setdefault((dst[0] - src[0], src), {})[(row, col)] = v
+    maps = {}
+    for (shift, (a, b)), ent in entries.items():
+        maps.setdefault(shift, {})[(a, b)] = RationalMatrix.from_entries(
+            dims[(a + shift, b + 1 - shift)], dims[(a, b)], ent)
+    return BigradedComplex(dims, maps)
+
+
 def random_flat_complex(rng, a_max=2, b_max=2, max_dim=3):
     """Random first-quadrant bigraded complex with an exactly flat total
     differential, every spot of the (a_max + 1) x (b_max + 1) rectangle

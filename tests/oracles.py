@@ -1,12 +1,14 @@
 """Independent routes the tests check the package against: the circle
 closed form of a total Betti number, the invariant-form Laplacian of an
-algebra in floats, and page r of a spectral sequence built over the whole
-(a_max + 1) x (b_max + r) rectangle of spots, empty ones included."""
+algebra in floats, and page r of a spectral sequence built from r-tuple
+spaces, at the spots of the complex or over the whole (a_max + 1) x
+(b_max + r) rectangle of spots, empty ones included."""
 
 import numpy as np
 
-from nilcollapse import lie, spectral
-from nilcollapse.numerics import RationalMatrix, rank_exact
+from nilcollapse import lie
+from nilcollapse.numerics import (InputError, RationalMatrix, nullspace_exact,
+                                  rank_exact)
 
 
 def leray_circle(monodromies_on_cohomology, p: int) -> int:
@@ -39,12 +41,93 @@ def invariant_laplacian(algebra, p: int) -> np.ndarray:
     return lap
 
 
-def rectangle_page(cx, r: int):
-    """(dims, d_ranks) of page r >= 1 with a tuple space at every spot of
-    the rectangle a <= a_max, b < b_max + r: `dims` holds every spot, zeros
-    included, and `d_ranks` the nonzero ranks of d_r."""
-    spaces = {(a, b): spectral._TupleSpace(cx, r, a, b)
-              for a in range(cx.a_max + 1) for b in range(cx.b_max + r)}
+def quotient_dim(numerator_constraints: RationalMatrix,
+                 denominator_generators: RationalMatrix) -> int:
+    """dim ker(A) - dim(ker(A) /\\ rowspan(B)), computed exactly.
+
+    `numerator_constraints` A and `denominator_generators` B act on the same
+    ambient space (equal column counts); B's rows generate the subspace that
+    gets quotiented out.
+    """
+    A, B = numerator_constraints, denominator_generators
+    if A.cols != B.cols:
+        raise InputError(f"ambient-dimension mismatch: {A.cols} vs {B.cols}")
+    ker_dim = A.cols - rank_exact(A)
+    # dim(ker A /\\ rowspan B) = rank(B) - rank(A B^T):
+    # y |-> B^T y maps onto rowspan(B); the intersection is the image of
+    # ker(A B^T), and ker(B^T) sits inside ker(A B^T).
+    inter = rank_exact(B) - rank_exact(A @ B.transpose())
+    dim = ker_dim - inter
+    if dim < 0:
+        raise ArithmeticError(
+            f"negative quotient dimension {dim}: kernel {ker_dim}, "
+            f"intersection {inter}")
+    return dim
+
+
+class TupleSpace:
+    """The r-tuple space at one spot, in filtration form.
+
+    A class on page r at (a, b) is a tuple (omega^{a+s, b-s})_{s<r} whose
+    total differential vanishes in the first r output rows, taken modulo
+    two kinds of trivial classes: tuples with zero leading component (they
+    live one filtration step deeper), and differentials of degree-(p-1)
+    data from up to r-1 filtration steps below that lands in filtration a.
+    Everything is a constraint matrix or a column-span, so page dimensions
+    reduce to exact quotient computations.
+    """
+
+    def __init__(self, cx, r: int, a: int, b: int):
+        self.spots = [(a + s, b - s) for s in range(r)]
+        self.ambient = sum(cx.dim(*s) for s in self.spots)
+        self.lead_dim = cx.dim(a, b)
+        self.constraints = cx.block([(a + s, b - s + 1) for s in range(r)],
+                                    self.spots)
+        # admissible boundaries: d(y) for y reaching down to filtration
+        # a - r + 1 with d(y) supported in filtration >= a
+        hat = [(a + t, b - 1 - t) for t in range(-(r - 1), r)]
+        low_rows = [(a + s, b - s) for s in range(-(r - 1), 0)]
+        self.boundary_cols = (cx.block(self.spots, hat)
+                              @ nullspace_exact(cx.block(low_rows, hat)))
+
+    def dimension(self) -> int:
+        if self.ambient == 0:
+            return 0
+        deep = RationalMatrix.from_entries(
+            self.ambient - self.lead_dim, self.ambient,
+            {(i, self.lead_dim + i): 1
+             for i in range(self.ambient - self.lead_dim)})
+        return quotient_dim(self.constraints,
+                            self.boundary_cols.transpose().vstack(deep))
+
+    def cycle_basis(self) -> RationalMatrix:
+        return nullspace_exact(self.constraints)
+
+    def denominator_basis(self) -> RationalMatrix:
+        """Columns spanning the trivial classes inside the cycle space.
+
+        Boundaries are automatically cycles (total differential squares to
+        zero), so only the deep part needs intersecting with the cycles.
+        """
+        if self.ambient == 0:
+            return RationalMatrix.zeros(0, 0)
+        lead = RationalMatrix.from_entries(
+            self.lead_dim, self.ambient,
+            {(i, i): 1 for i in range(self.lead_dim)})
+        deep_ker = nullspace_exact(self.constraints.vstack(lead))
+        return self.boundary_cols.hstack(deep_ker)
+
+
+def tuple_page(cx, r: int, spots=None):
+    """(dims, d_ranks) of page r, with a tuple space at each of `spots`
+    (default: the spots of cx). `dims` holds every spot visited, zeros
+    included, and `d_ranks` the nonzero ranks of d_r, the rank of the image
+    of the source's cycles modulo the target's trivial classes. Page 0 is
+    the complex with the ranks of D_0."""
+    if r == 0:
+        ranks = {s: rank_exact(m) for s, m in cx.maps.get(0, {}).items()}
+        return dict(cx.dims), {s: k for s, k in ranks.items() if k}
+    spaces = {s: TupleSpace(cx, r, *s) for s in (spots or cx.dims)}
     dims = {spot: sp.dimension() for spot, sp in spaces.items()}
     d_ranks = {}
     for (a, b), d in dims.items():
@@ -53,8 +136,16 @@ def rectangle_page(cx, r: int):
             continue
         src, dst = spaces[(a, b)], spaces[dst]
         LZ = cx.block(dst.spots, src.spots) @ src.cycle_basis()
+        # the page differential maps cycles to cycles
+        assert (dst.constraints @ LZ).is_zero()
         W = dst.denominator_basis()
         rk = rank_exact(LZ.hstack(W)) - rank_exact(W)
         if rk:
             d_ranks[(a, b)] = rk
     return dims, d_ranks
+
+
+def rectangle_page(cx, r: int):
+    """`tuple_page` over the rectangle a <= a_max, b < b_max + r."""
+    return tuple_page(cx, r, [(a, b) for a in range(cx.a_max + 1)
+                              for b in range(cx.b_max + r)])

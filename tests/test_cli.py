@@ -615,3 +615,43 @@ def test_sweeps_that_cannot_be_judged_exit_one(runner, tmp_path, command,
     res = runner.invoke(main, [command, path])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert reason in res.output
+
+
+@pytest.mark.parametrize("command", ["validate", "ss"])
+def test_filtration_lowering_map_exits_one(runner, tmp_path, command):
+    # D_-1 fits the shapes of its spots, but no page differential lowers the
+    # filtration: unread, the map would leave the pages of the map-free
+    # complex
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({
+        "dims": [[1, 0, 1], [0, 2, 1]],
+        "maps": [{"shift": -1, "a": 1, "b": 0, "matrix": [[1]]}]}))
+    res = runner.invoke(main, [command, str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "error: D_-1 at (1, 0) lowers the filtration" in res.output
+
+
+STEM_RULE = "name must be a file stem, without '/' or '\\' and not '.' or '..'"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--out", "out"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("fields, reason", [
+    ({"name": "sub/x"}, f"{STEM_RULE}, got 'sub/x'"),
+    ({"name": "sub\\x"}, f"{STEM_RULE}, got 'sub\\\\x'"),
+    ({"name": ".."}, f"{STEM_RULE}, got '..'"),
+    ({"name": ["a"]}, "name must be a string, got ['a']"),
+    ({"sweep_parameter": 7}, "sweep_parameter must be a string, got 7"),
+], ids=["slash", "backslash", "dot-dot", "list-name", "number-parameter"])
+def test_names_that_are_not_file_stems_exit_one(runner, tmp_path, monkeypatch,
+                                                command, fields, reason):
+    # `run --out` writes <name>.<ext>: a name that is not a file stem is
+    # refused before any solve
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(lie, "rescaled_spectrum", None)
+    path = scenario_file(tmp_path, "nil_rescale", MODELS["nil_rescale"],
+                         **fields)
+    res = runner.invoke(main, command + [path])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert f"error: {reason}" in res.output
+    assert not (tmp_path / "out").exists()

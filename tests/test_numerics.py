@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import numerics
 from nilcollapse.numerics import (REQUIRED, InputError, RationalMatrix,
                                   integer, lowest_eigenvalues, nullspace_exact,
-                                  quotient_dim, rank_exact, read_fields,
-                                  read_json, row_reduce, solve_exact)
-from tests import dense_oracle as oracle
+                                  rank_exact, read_fields, read_json,
+                                  row_reduce, solve_exact)
+from tests import dense_oracle as oracle, oracles
+from tests.oracles import quotient_dim
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +240,8 @@ def test_quotient_dim_dimension_mismatch():
 def test_quotient_dim_negative_raises_even_without_asserts(monkeypatch):
     # ranks no real matrix pair has: rank A = 2 leaves no kernel in 2 columns,
     # yet rank B - rank(A B^T) = 1 claims a one-dimensional intersection
-    from nilcollapse import numerics
     ranks = iter([2, 1, 0])
-    monkeypatch.setattr(numerics, "rank_exact", lambda M: next(ranks))
+    monkeypatch.setattr(oracles, "rank_exact", lambda M: next(ranks))
     with pytest.raises(ArithmeticError, match="negative quotient dimension"):
         quotient_dim(RationalMatrix.identity(2), RationalMatrix.identity(2))
 

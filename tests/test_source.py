@@ -35,10 +35,14 @@ MERGED = {
     "_integer", "_to_fraction",              # -> numerics.integer, .rational
     "bundle_sweep", "_run_bundle", "_RUNNERS",  # -> lab.prepare and lab.KINDS
     "load_complex",                          # -> from_dict(read_json(path))
+    "total_differential",                    # -> BigradedComplex.window_rank
+    "invariant_basis",                       # -> F.invariant_forms
     # only tests called these: oracles moved to tests/oracles.py, the rest
     # is done in the tests themselves
     "leray_circle", "invariant_laplacian", "direct_sum", "save_complex",
     "multiplicities", "load_report", "shifts",
+    # pages are read off window ranks; the r-tuple spaces are the tests' oracle
+    "_TupleSpace", "quotient_dim",
 }
 
 

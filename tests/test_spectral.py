@@ -1,20 +1,22 @@
 """Exact bigraded complexes, their pages, and the small-eigenvalue count
-predictions. Cross-checked three independent ways: total cohomology, the
-closed-form circle answer (invariants plus coinvariants), and page-by-page
-recursion on randomly generated flat complexes."""
+predictions. Cross-checked four independent ways: total cohomology, the
+closed-form circle answer (invariants plus coinvariants), page-by-page
+recursion on randomly generated flat complexes, and pages built from r-tuple
+spaces (`tests.oracles.tuple_page`)."""
 
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcollapse import lie, spectral
 from nilcollapse.numerics import (InputError, RationalMatrix, rank_exact,
                                  read_json)
 from tests.conftest import (filiform_torus_complex, random_flat_complex,
-                            random_flat_complex_on)
-from tests.oracles import leray_circle, rectangle_page
+                            random_flat_complex_on, weight_complex)
+from tests.oracles import leray_circle, rectangle_page, tuple_page
 
 UNIP = RationalMatrix([[1, 1], [0, 1]])
 SOL = RationalMatrix([[2, 1], [1, 1]])
@@ -47,6 +49,14 @@ def test_complex_rejects_nonflat_differential():
     maps = {0: {(0, 0): RationalMatrix([[1]]), (0, 1): RationalMatrix([[1]])}}
     with pytest.raises(InputError):
         spectral.BigradedComplex(dims, maps)
+
+
+def test_complex_rejects_filtration_lowering_map():
+    # shapes fit, but a D_-1 has no place in the pages
+    dims = {(1, 0): 1, (0, 2): 1}
+    with pytest.raises(InputError, match=r"D_-1 at \(1, 0\) lowers the "
+                       r"filtration: every shift must be >= 0"):
+        spectral.BigradedComplex(dims, {-1: {(1, 0): RationalMatrix([[1]])}})
 
 
 def test_complex_rejects_bad_shapes():
@@ -85,8 +95,8 @@ def test_block_matches_total_differential_with_d2():
 
     for p in range(cx.top_total_degree()):
         rows, cols = cx.total_spots(p + 1), cx.total_spots(p)
-        full = cx.total_differential(p)
-        assert full == cx.block(rows, cols)
+        full = cx.block(rows, cols)
+        assert cx.window_rank(p, 0, cx.a_max + 1) == rank_exact(full)
         # the same matrix placed block by block from the D_i
         oracle = np.zeros((full.rows, full.cols))
         r_off, c_off = offsets(rows), offsets(cols)
@@ -108,7 +118,7 @@ def test_block_matches_total_differential_with_d2():
                 assert np.array_equal(rev[r_rev[t]:r_rev[t] + cx.dim(*t),
                                           c_rev[s]:c_rev[s] + cx.dim(*s)], sub)
         if p + 1 < cx.top_total_degree():
-            assert (cx.total_differential(p + 1) @ full).is_zero()
+            assert (cx.block(cx.total_spots(p + 2), rows) @ full).is_zero()
 
 
 def test_serialization_round_trip(tmp_path):
@@ -229,16 +239,9 @@ def test_stable_page_matches_the_old_bound():
     assert seen >= {1, 2, 3, 4}
 
 
-def test_page_visits_only_the_spots_of_the_complex(monkeypatch):
+def test_page_visits_only_the_spots_of_the_complex():
     # deep and sparse: 16 of the 11 x 11 spots occupied, and a d_10 possible
-    # from (0, 10) to (10, 1)
-    built = []
-
-    class Counted(spectral._TupleSpace):
-        def __init__(self, cx, r, a, b):
-            built.append((a, b))
-            super().__init__(cx, r, a, b)
-
+    # from (0, 10) to (10, 1); the tuple spaces of the whole rectangle agree
     deepest = set()
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -251,16 +254,60 @@ def test_page_visits_only_the_spots_of_the_complex(monkeypatch):
         for r in range(1, cx.a_max + 2):
             want, want_ranks = rectangle_page(cx, r)
             assert all(d == 0 for spot, d in want.items() if spot not in cx.dims)
-            with monkeypatch.context() as m:
-                m.setattr(spectral, "_TupleSpace", Counted)
-                built.clear()
-                pg = spectral.page(cx, r)
-            assert sorted(built) == sorted(cx.dims)
+            pg = spectral.page(cx, r)
             assert pg.dims == {s: d for s, d in want.items() if d}
             assert pg.d_ranks == want_ranks
             if pg.d_ranks:
                 deepest.add(r)
     assert max(deepest) >= 5
+
+
+def test_window_rank_is_clamped_and_memoized(monkeypatch):
+    cx = filiform_torus_complex(4)
+    whole = [cx.window_rank(p, 0, cx.a_max + 1) for p in range(9)]
+    assert whole == [rank_exact(cx.block(cx.total_spots(p + 1),
+                                         cx.total_spots(p))) for p in range(9)]
+    monkeypatch.setattr(spectral, "rank_exact", None)  # no rank is taken again
+    assert [cx.window_rank(p, -3, 99) for p in range(9)] == whole
+    assert cx.window_rank(4, 2, 2) == cx.window_rank(4, 5, 1) == 0
+
+
+def _assert_pages_match_the_oracle(cx):
+    for r in range(cx.a_max + 2):
+        pg = spectral.page(cx, r)
+        dims, d_ranks = tuple_page(cx, r)
+        assert pg.dims == {s: d for s, d in dims.items() if d}
+        assert pg.d_ranks == d_ranks
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_page_matches_the_tuple_space_oracle(a_max, b_max, seed):
+    _assert_pages_match_the_oracle(
+        random_flat_complex(np.random.default_rng(seed), a_max, b_max))
+
+
+@pytest.mark.parametrize("name, drops", [
+    ("heisenberg:3", [{1: 1}, {1: 1}]),
+    ("filiform:4", [{1: 1, 5: 1}, {1: 2, 5: 2}]),
+    ("filiform:5", [{1: 1, 5: 1, 17: 1}, {1: 3, 5: 3, 17: 1}]),
+])
+def test_weight_filtration_predicts_the_rates(name, drops):
+    # the eigenvalues of order eps^r of the nil_rescale Laplacian in degree
+    # p number E_r - E_{r+1} of the weight complex in total degree p + OFF,
+    # and the zero modes the E_infinity total
+    algebra = lie.load_algebra(name)
+    cx = weight_complex(algebra)
+    off = cx.a_max  # the 0-form, of weight 0, sits at a = f_max = OFF
+    seq = spectral.spectral_sequence(cx)
+    for p, want in zip((1, 2), drops):
+        totals = [pg.total(p + off) for pg in seq.pages]
+        assert {pg.r: t - u for pg, t, u in zip(seq.pages, totals, totals[1:])
+                if t != u} == want
+    assert [seq.stable.total(p + off) for p in range(algebra.n + 1)] == \
+        lie.betti_numbers(algebra)
+    if name == "filiform:4":
+        _assert_pages_match_the_oracle(cx)
 
 
 def _corrupt_page(monkeypatch, bad_r):
