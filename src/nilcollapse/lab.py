@@ -263,17 +263,16 @@ def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
 class Sweep:
     """The solve step of a sweep scenario: `points[i]` is what sweep value i
     solves, (superconnection, metric) of a bundle kind or eps of
-    `nil_rescale`, and `spectrum(point, p)` solves it in degree p."""
+    `nil_rescale`, and `spectra(point, degrees)` solves it in each degree."""
 
     config: ScenarioConfig
     predictions: list     # SmallCountPrediction per requested degree
     points: list
-    spectrum: object
+    spectra: object
 
     def __call__(self) -> ScenarioReport:
         cfg = self.config
-        per_point = [[self.spectrum(pt, p) for p in cfg.degrees]
-                     for pt in self.points]
+        per_point = [self.spectra(pt, cfg.degrees) for pt in self.points]
         return ScenarioReport(cfg, tuple(
             _degree_report(p, cfg.sweep_values, s, pred, cfg.count)
             for p, s, pred in zip(cfg.degrees, zip(*per_point),
@@ -284,13 +283,13 @@ def _nil_rescale(cfg: ScenarioConfig, model: dict) -> Sweep:
     algebra = model["algebra"]
     grading = lie.lower_central_grading(algebra)
     preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
-    return Sweep(cfg, preds, list(cfg.sweep_values), lambda eps, p:
-                 lie.rescaled_spectrum(algebra, grading, p, eps))
+    return Sweep(cfg, preds, list(cfg.sweep_values), lambda eps, degrees: [
+        lie.rescaled_spectrum(algebra, grading, p, eps) for p in degrees])
 
 
 def _solve_bundle(cfg: ScenarioConfig):
-    return lambda pt, p: sconn.spectrum(*pt, p, count=cfg.count,
-                                        check_metric=False)
+    return lambda pt, degrees: sconn.spectra(*pt, degrees, count=cfg.count,
+                                             check_metric=False)
 
 
 def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:

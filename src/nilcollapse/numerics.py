@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -170,12 +171,23 @@ class RationalMatrix:
         width = None
         try:
             for row in data:
-                vals = [rational(x) for x in row]
+                if isinstance(row, str):  # its characters are no row
+                    raise InputError(f"a matrix must be a list of rows, "
+                                     f"got the string row {row!r}")
+                vals, j = {}, -1
+                for j, x in enumerate(row):
+                    # the zero literal, most of a serialized matrix, makes
+                    # no Fraction; every other entry is read and checked
+                    if x.__class__ is str and x == "0":
+                        continue
+                    v = rational(x)
+                    if v:
+                        vals[j] = v
                 if width is None:
-                    width = len(vals)
-                elif len(vals) != width:
+                    width = j + 1
+                elif j + 1 != width:
                     raise InputError("ragged rows")
-                nz.append({j: v for j, v in enumerate(vals) if v})
+                nz.append(vals)
         except TypeError as exc:
             # a row (or the matrix) that is not a list
             raise InputError(f"a matrix must be a list of rows: {exc}") from exc
@@ -212,6 +224,28 @@ class RationalMatrix:
             if x:
                 nz[i][j] = x
         return cls._of(rows, cols, nz)
+
+    @classmethod
+    def from_blocks(cls, blocks, heights, widths) -> "RationalMatrix":
+        """The block matrix with block rows of `heights` rows and block
+        columns of `widths` columns, whose (r, c) block is the matrix
+        blocks[(r, c)] of that shape, and zero where `blocks` has none."""
+        row0 = list(accumulate(heights, initial=0))
+        col0 = list(accumulate(widths, initial=0))
+        nz = [{} for _ in range(row0[-1])]
+        for (r, c), mat in blocks.items():
+            if not (0 <= r < len(heights) and 0 <= c < len(widths)):
+                raise InputError(f"block {(r, c)} outside a "
+                                 f"{len(heights)}x{len(widths)} block grid")
+            if (mat.rows, mat.cols) != (heights[r], widths[c]):
+                raise InputError(f"block {(r, c)} has shape "
+                                 f"{(mat.rows, mat.cols)}, expected "
+                                 f"{(heights[r], widths[c])}")
+            c0 = col0[c]
+            for i, row in enumerate(mat._nz, row0[r]):
+                if row:
+                    nz[i].update({j + c0: v for j, v in row.items()})
+        return cls._of(row0[-1], col0[-1], nz)
 
     @classmethod
     def from_numpy(cls, A) -> "RationalMatrix":

@@ -66,19 +66,22 @@ class BigradedComplex:
         return mat
 
     def check_complex(self) -> None:
-        """D^2 = 0, graded piece by graded piece."""
-        top_shift = max(self.maps, default=0)
-        for (a, b), d in self.dims.items():
-            for s in range(2 * top_shift + 1):
-                rows = self.dim(a + s, b + 2 - s)
-                acc = RationalMatrix.zeros(rows, d)
-                for i in range(s + 1):
-                    j = s - i
-                    if rows and d:
-                        acc = acc + self.D(i, a + j, b + 1 - j) @ self.D(j, a, b)
-                if not acc.is_zero():
-                    raise InputError(
-                        f"D^2 != 0 in total shift {s} at spot {(a, b)}")
+        """D^2 = 0, graded piece by graded piece: at each spot and total
+        shift s, the products D_i D_j of stored maps with i + j = s sum to
+        zero."""
+        sums = {}
+        for j, first in self.maps.items():
+            for (a, b), dj in first.items():
+                mid = (a + j, b + 1 - j)
+                for i, second in self.maps.items():
+                    di = second.get(mid)
+                    if di is not None:
+                        key = ((a, b), i + j)
+                        prod = di @ dj
+                        sums[key] = sums[key] + prod if key in sums else prod
+        for (spot, s), acc in sorted(sums.items()):
+            if not acc.is_zero():
+                raise InputError(f"D^2 != 0 in total shift {s} at spot {spot}")
 
     # -- total complex ------------------------------------------------------
 
@@ -92,20 +95,15 @@ class BigradedComplex:
         """The total differential from the spots `col_spots` to the spots
         `row_spots`, one total degree higher, stacked in the order given:
         the block from s to t is D_{t_a - s_a} at s, and zero if t_a < s_a."""
-        entries = {}
-        r0 = 0
-        for t in row_spots:
-            c0 = 0
-            for s in col_spots:
-                mat = (self.maps.get(t[0] - s[0], {}).get(s)
-                       if t[0] >= s[0] else None)
+        blocks = {}
+        for r, t in enumerate(row_spots):
+            for c, s in enumerate(col_spots):
+                mat = self.maps.get(t[0] - s[0], {}).get(s)
                 if mat is not None:
-                    for (i, j), v in mat.entries():
-                        entries[(r0 + i, c0 + j)] = v
-                c0 += self.dim(*s)
-            r0 += self.dim(*t)
-        return RationalMatrix.from_entries(
-            r0, sum(self.dim(*s) for s in col_spots), entries)
+                    blocks[r, c] = mat
+        return RationalMatrix.from_blocks(
+            blocks, [self.dim(*t) for t in row_spots],
+            [self.dim(*s) for s in col_spots])
 
     def window_rank(self, n: int, lo: int, hi: int) -> int:
         """R_n(lo, hi): the rank of the total differential from the degree-n
@@ -143,20 +141,32 @@ class BigradedComplex:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BigradedComplex":
-        """The complex of a parsed `to_dict` payload, read by its fields."""
+        """The complex of a parsed `to_dict` payload, read by its fields;
+        each spot and each map may appear once."""
         cx = read_fields(payload, _COMPLEX_FIELDS, "complex")
         maps: dict[int, dict] = {}
         for m in cx["maps"]:
-            maps.setdefault(m["shift"], {})[m["a"], m["b"]] = m["matrix"]
+            per_spot, spot = maps.setdefault(m["shift"], {}), (m["a"], m["b"])
+            if spot in per_spot:
+                raise InputError(f"D_{m['shift']} at {spot} is listed twice")
+            per_spot[spot] = m["matrix"]
         return cls(cx["dims"], maps)
+
+
+def _read_dims(triples) -> dict:
+    dims = {}
+    for a, b, d in triples:
+        spot = (integer(a, "spot a"), integer(b, "spot b"))
+        if spot in dims:
+            raise InputError(f"spot {spot} is listed twice")
+        dims[spot] = integer(d, "spot dimension")
+    return dims
 
 
 _MAP_FIELDS = {name: (lambda x, name=name: integer(x, f"map {name}"), REQUIRED)
                for name in ("shift", "a", "b")} | {"matrix": (list, REQUIRED)}
 _COMPLEX_FIELDS = {
-    "dims": (lambda triples: {
-        (integer(a, "spot a"), integer(b, "spot b")):
-        integer(d, "spot dimension") for a, b, d in triples}, REQUIRED),
+    "dims": (_read_dims, REQUIRED),
     "maps": (lambda ms: [read_fields(m, _MAP_FIELDS, "map") for m in ms], [])}
 
 

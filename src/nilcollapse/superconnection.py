@@ -496,6 +496,7 @@ class DiscreteComplex:
         self._mass_cache: dict[int, sp.csr_matrix] = {}
         self._diff_cache: dict[int, sp.csr_matrix] = {}
         self._half_steps: dict[tuple, tuple] = {}
+        self._symbols: dict[int, np.ndarray] = {}
 
     # -- layout -------------------------------------------------------------
 
@@ -640,15 +641,18 @@ class DiscreteComplex:
         N^d Hermitian Fourier blocks D^H D + D' D'^H (needs bloch_ready).
         The coefficients are real, so the block at mode -m is the conjugate
         of the one at m: only modes with index(m) <= index(-m mod N) are
-        solved, each counted twice unless it is its own mirror."""
+        solved, each counted twice unless it is its own mirror. Each
+        degree's symbol is built once per complex."""
         N, d = self.base.resolution, self.base.dim
         modes = np.indices((N,) * d).reshape(d, -1).T
         mirror = np.ravel_multi_index(tuple((-modes % N).T), (N,) * d)
         keep = np.arange(len(modes)) <= mirror
         paired = mirror[keep] != np.flatnonzero(keep)
         phase = np.exp(1j * (2 * np.pi * modes[keep] / N))
-        Dp = self._bloch_symbol(p, phase)
-        Dm = self._bloch_symbol(p - 1, phase)
+        for q in (p - 1, p):
+            if q not in self._symbols:
+                self._symbols[q] = self._bloch_symbol(q, phase)
+        Dp, Dm = self._symbols[p], self._symbols[p - 1]
         L = (np.conj(Dp.transpose(0, 2, 1)) @ Dp
              + Dm @ np.conj(Dm.transpose(0, 2, 1)))
         lam = np.linalg.eigvalsh(L)
@@ -753,7 +757,8 @@ def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
-             check_metric: bool = True) -> SpectrumReport:
+             check_metric: bool = True, *,
+             dc: DiscreteComplex | None = None) -> SpectrumReport:
     """Lowest eigenvalues of the degree-p Laplacian with the gap-rule split.
 
     When the metric gauges the bundle to constant coefficients
@@ -761,15 +766,28 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
     Hermitian block per Fourier mode of the grid and all blocks are solved in
     one batch. Otherwise it is assembled and solved by
     `numerics.lowest_eigenvalues`. `SpectrumReport.from_eigenvalues` rounds
-    either result.
+    either result. `dc` is a `DiscreteComplex` of (sc, h) to solve on, built
+    here when None (`spectra` shares one between degrees).
     """
     if count < 1:
         raise InputError("count must be >= 1")
-    dc = DiscreteComplex(sc, h, check_metric=check_metric)
+    if dc is None:
+        dc = DiscreteComplex(sc, h, check_metric=check_metric)
+    elif dc.sc is not sc or dc.h is not h:
+        raise InputError("dc is a complex of another superconnection or metric")
     k = min(count, dc.dim(p))
     lam = (dc.bloch_eigenvalues(p)[:k] if dc.bloch_ready()
            else lowest_eigenvalues(dc.laplacian(p), k))
     return SpectrumReport.from_eigenvalues(p, lam)
+
+
+def spectra(sc: Superconnection, h: MetricField, degrees, count: int = 12,
+            check_metric: bool = True) -> list[SpectrumReport]:
+    """`spectrum` in each of `degrees`, in order, all solved on one
+    `DiscreteComplex`: a differential, mass or Bloch symbol that two degrees
+    share is built once."""
+    dc = DiscreteComplex(sc, h, check_metric=check_metric)
+    return [spectrum(sc, h, p, count, dc=dc) for p in degrees]
 
 
 @dataclass(frozen=True)

@@ -631,6 +631,26 @@ def test_filtration_lowering_map_exits_one(runner, tmp_path, command):
     assert "error: D_-1 at (1, 0) lowers the filtration" in res.output
 
 
+@pytest.mark.parametrize("command", ["validate", "ss"])
+@pytest.mark.parametrize("payload, reason", [
+    # read last-wins, the zero map would replace the isomorphism D_0 and
+    # give total cohomology [1, 1] in place of [0, 0]
+    ({"dims": [[0, 0, 1], [0, 1, 1]],
+      "maps": [{"shift": 0, "a": 0, "b": 0, "matrix": [["1"]]},
+               {"shift": 0, "a": 0, "b": 0, "matrix": [["0"]]}]},
+     "error: D_0 at (0, 0) is listed twice"),
+    ({"dims": [[0, 0, 1], [0, 1, 1], [0, 0, 2]]},
+     "error: spot (0, 0) is listed twice"),
+], ids=["map", "spot"])
+def test_repeated_spot_or_map_exits_one(runner, tmp_path, command, payload,
+                                        reason):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(payload))
+    res = runner.invoke(main, [command, str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert reason in res.output
+
+
 STEM_RULE = "name must be a file stem, without '/' or '\\' and not '.' or '..'"
 
 

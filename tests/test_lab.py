@@ -138,6 +138,23 @@ def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
         assert [len(d.spectra) for d in rep.degrees] == [4, 4, 4]
 
 
+def test_sweep_builds_each_bloch_symbol_once(monkeypatch):
+    # degrees 0, 1, 2 solve on the symbols of degrees -1 .. 2: 4 per point,
+    # 16 over the 4 points, each built once although two degrees read it
+    calls = []  # holding each complex keeps its id from being reused
+    real = sconn.DiscreteComplex._bloch_symbol
+
+    def counted(dc, p, phase):
+        calls.append((dc, p))
+        return real(dc, p, phase)
+
+    cfg = dict(lab.PRESETS["example7_heisenberg_circle"], degrees=(0, 1, 2))
+    plain = json.dumps(lab.run(cfg).to_dict(), sort_keys=True)
+    monkeypatch.setattr(sconn.DiscreteComplex, "_bloch_symbol", counted)
+    assert json.dumps(lab.run(cfg).to_dict(), sort_keys=True) == plain
+    assert len(calls) == len({(id(dc), p) for dc, p in calls}) == 16
+
+
 def test_prediction_builds_each_holonomy_action_once(monkeypatch):
     inversions, compounds = [], []
     inverse, compound = spectral.inverse_exact, lie.compound_matrix
@@ -271,6 +288,7 @@ def test_prepare_builds_everything_and_solves_nothing(monkeypatch):
     # the eigensolves, and the pages of a spectral_sequence_report, are the
     # step that prepare returns
     monkeypatch.setattr(sconn, "spectrum", forbidden)
+    monkeypatch.setattr(sconn, "spectra", forbidden)
     monkeypatch.setattr(lie, "rescaled_spectrum", forbidden)
     for name in lab.PRESETS:
         step = lab.prepare(name)

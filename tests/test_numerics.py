@@ -149,6 +149,18 @@ def test_rational_matrix_shape_errors():
         A + RationalMatrix([[1], [2]])
 
 
+def test_rational_matrix_from_blocks():
+    A, B = RationalMatrix([[1, "1/2"]]), RationalMatrix([[3], ["-2"]])
+    M = RationalMatrix.from_blocks({(0, 0): A, (1, 1): B}, [1, 2], [2, 1])
+    assert M == RationalMatrix([[1, "1/2", 0], [0, 0, 3], [0, 0, -2]])
+    assert RationalMatrix.from_blocks({}, [0, 2], [3]) == \
+        RationalMatrix.zeros(2, 3)
+    with pytest.raises(InputError, match="expected"):
+        RationalMatrix.from_blocks({(0, 0): B}, [1], [2])
+    with pytest.raises(InputError, match="outside"):
+        RationalMatrix.from_blocks({(1, 0): A}, [1], [2])
+
+
 def test_numpy_round_trip():
     A = RationalMatrix([[1, -3], [2, 5]])
     assert RationalMatrix.from_numpy(A.to_numpy()) == A
@@ -339,6 +351,40 @@ def test_to_fraction_reads_strings_as_fraction_does(s):
     got = numerics.rational(s)
     assert type(got) is Fraction and got == Fraction(s)
     assert RationalMatrix([[s]]).tolist() == [[Fraction(s)]]
+
+
+ZERO_SPELLINGS = ["0", 0, 0.0, "-0", "0/5", Fraction(0), np.int64(0)]
+NONZEROS = ["3", -2, 4.0, "1/3", Fraction(-5, 7), "-12"]
+BAD_ENTRIES = [True, "", "x", 0.5, float("nan"), None]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_zero_literals_read_as_every_other_entry(data):
+    # the reader skips the literal "0" without a Fraction: the matrix must
+    # be the one read entry by entry, and a bad entry among the zeros still
+    # raises wherever it sits
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    entry = st.sampled_from(ZERO_SPELLINGS + NONZEROS)
+    dense = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+    want = RationalMatrix.from_entries(rows, cols, {
+        (i, j): numerics.rational(x) for i, row in enumerate(dense)
+        for j, x in enumerate(row)})
+    assert RationalMatrix(dense) == want
+    assert RationalMatrix(dense).tolist() == [[numerics.rational(x) for x in row]
+                                              for row in dense]
+    i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    dense[i][j] = data.draw(st.sampled_from(BAD_ENTRIES))
+    with pytest.raises(InputError):
+        RationalMatrix(dense)
+
+
+@pytest.mark.parametrize("data", [[["0", "0"], ["0"]], [["0"], ["0", "1"]],
+                                  [["0"], 0], ["0", ["0"]], ["10", "01"]])
+def test_ragged_or_non_list_rows_of_zeros_raise(data):
+    with pytest.raises(InputError):
+        RationalMatrix(data)
 
 
 @pytest.mark.parametrize("x", ["", "abc", "-", "--1", "+-1", "1/0", "0x10",

@@ -1,12 +1,13 @@
 """Source-layout rules checked on the syntax tree of the package: modules
 use each other only through public names, functions merged into a single
 builder stay merged, exact matrices are read and built through their
-methods, never through a `.data` attribute, the superconnection layer
-converts holonomy actions that `spectral` built exactly instead of building
-its own, only the equivariant metric takes a matrix logarithm, every
-spectrum comes from one of two solvers, the exact layer `spectral`
-decides nothing by a float rank or eigenvalue, a scenario's model is
-read in one place, and an input file is parsed in one place."""
+methods, never through a `.data` attribute or, outside `numerics`, their
+sparse rows, the superconnection layer converts holonomy actions that
+`spectral` built exactly instead of building its own, only the equivariant
+metric takes a matrix logarithm, every spectrum comes from one of two
+solvers, the exact layer `spectral` decides nothing by a float rank or
+eigenvalue, a scenario's model is read in one place, and an input file is
+parsed in one place."""
 
 import ast
 from pathlib import Path
@@ -85,6 +86,17 @@ def test_no_data_attribute(path):
     bad = [f"line {node.lineno}" for node in ast.walk(_tree(path))
            if isinstance(node, ast.Attribute) and node.attr == "data"]
     assert not bad, f"{path.name} uses a .data attribute: {bad}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numerics"],
+                         ids=lambda p: p.name)
+def test_sparse_rows_read_only_by_numerics(path):
+    # the {column: nonzero Fraction} rows are the kernel's format: other
+    # modules build and read matrices through RationalMatrix's constructors
+    # and `entries`, which keep every stored value a nonzero Fraction
+    bad = [f"line {node.lineno}" for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Attribute) and node.attr == "_nz"]
+    assert not bad, f"{path.name} touches RationalMatrix._nz: {bad}"
 
 
 def _called_name(call):

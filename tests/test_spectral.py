@@ -59,6 +59,24 @@ def test_complex_rejects_filtration_lowering_map():
         spectral.BigradedComplex(dims, {-1: {(1, 0): RationalMatrix([[1]])}})
 
 
+def test_check_complex_sums_the_products_of_one_total_shift():
+    # in total shift 2 at (0, 1) the products D_2 D_0 = 1, D_1 D_1 = -2 and
+    # D_0 D_2 = c are each nonzero, and no two of them cancel: only their
+    # sum vanishes, at c = 1
+    def cx(c):
+        one = RationalMatrix([[1]])
+        dims = {(0, 1): 1, (0, 2): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1}
+        return spectral.BigradedComplex(dims, {
+            0: {(0, 1): one, (2, 0): RationalMatrix([[c]])},
+            1: {(0, 1): one, (1, 1): RationalMatrix([[-2]])},
+            2: {(0, 1): one, (0, 2): one}})
+
+    assert cx(1).total_dim(1) == 1
+    with pytest.raises(InputError, match=r"D\^2 != 0 in total shift 2 at "
+                       r"spot \(0, 1\)"):
+        cx(-1)
+
+
 def test_complex_rejects_bad_shapes():
     dims = {(0, 0): 2, (0, 1): 1}
     maps = {0: {(0, 0): RationalMatrix([[1]])}}

@@ -326,6 +326,20 @@ def assert_bloch_matches_assembled(sc, h, p, count=8):
             == np.sum(oracle <= lab.ZERO_TOL))
 
 
+def test_spectra_solve_every_degree_on_one_complex():
+    # each degree's report is the one `spectrum` gives alone, on the Bloch
+    # and on the assembled path; a complex of another metric is refused
+    sc, h = twisted_circle(circle(9), UNIPOTENT)
+    for metric in (h, bare(h)):
+        alone = [sconn.spectrum(sc, metric, p, count=5).to_dict()
+                 for p in range(4)]
+        assert [rep.to_dict() for rep in
+                sconn.spectra(sc, metric, range(4), count=5)] == alone
+    dc = sconn.DiscreteComplex(sc, bare(h))
+    with pytest.raises(InputError, match="another superconnection or metric"):
+        sconn.spectrum(sc, h, 0, dc=dc)
+
+
 def preset_bundles(name, torus_resolution=12):
     """(sc, h) at every sweep point of a numerical preset, built by the
     `lab.prepare` that `lab.run` solves; torus presets at a smaller
