@@ -4,7 +4,8 @@ The base is a flat circle or square 2-torus; sections of a flat bundle with
 monodromy Phi are grid functions with a Phi-twisted wraparound. Exterior
 derivatives are forward differences on the staggered (vertex / edge / face)
 grids, which keeps d^2 = 0 exact at the discrete level, and metrics enter
-through staggered mass matrices, giving an h-symmetric Galerkin Laplacian.
+through staggered mass matrices: weighted by their square roots, the
+differential W gives the symmetric Laplacian W^T W + W W^T.
 For metrics built from the holonomy's logarithms a gauge change makes that
 Laplacian translation invariant, and `spectrum` solves it one Fourier mode
 of the grid at a time.
@@ -23,7 +24,7 @@ import scipy.sparse.linalg as spla
 from . import lie, spectral
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
                        lowest_eigenvalues, read_fields, read_json, real)
-from .report import SpectrumReport
+from .report import SpectrumReport, closeness_epsilon
 
 
 class FlatnessError(InputError):
@@ -211,7 +212,7 @@ class MetricField:
 
     @classmethod
     def conformal(cls, other: "MetricField", factor: float) -> "MetricField":
-        # a constant positive factor cancels from the pencil (K, M)
+        # a constant positive factor cancels from M^{1/2} D M^{-1/2}
         h = cls(other.bundle, lambda b, pts: factor * other._func(b, pts))
         return h._with_gauge(other.logs if factor > 0 else None, other.base)
 
@@ -448,40 +449,22 @@ _EXPLICIT_BUNDLE_FIELDS = {
 # discretization
 # ---------------------------------------------------------------------------
 
-def _shift_blocks(base: BaseModel, gen: int, phi: np.ndarray):
-    """(rows, cols, blocks) for the one-step shift with monodromy twist."""
-    N = base.resolution
-    idx = np.arange(base.npoints).reshape((N,) * base.dim)
-    wrap = (np.indices(idx.shape)[gen] == N - 1).ravel()
-    blocks = np.where(wrap[:, None, None], phi, np.eye(phi.shape[0]))
-    return idx.ravel(), np.roll(idx, -1, axis=gen).ravel(), blocks
-
-
-def _block_coo(rows, cols, blocks, nrow_pts, ncol_pts):
-    r_out, r_in = blocks[0].shape
-    data = np.array(blocks)
-    bi, bj = np.meshgrid(np.arange(r_out), np.arange(r_in), indexing="ij")
-    row_idx = (np.array(rows)[:, None, None] * r_out + bi[None]).ravel()
-    col_idx = (np.array(cols)[:, None, None] * r_in + bj[None]).ravel()
-    return sp.coo_matrix((data.ravel(), (row_idx, col_idx)),
-                         shape=(nrow_pts * r_out, ncol_pts * r_in)).tocsr()
-
-
-def _derivative(base: BaseModel, gen: int, phi: np.ndarray) -> sp.csr_matrix:
-    rows, cols, blocks = _shift_blocks(base, gen, phi)
-    npts = base.npoints
-    S = _block_coo(rows, cols, blocks, npts, npts)
-    I = sp.identity(npts * phi.shape[0], format="csr")
-    return (S - I) / base.steps[gen]
-
-
-def _pointwise(base: BaseModel, mat: np.ndarray) -> sp.csr_matrix:
-    return sp.kron(sp.identity(base.npoints, format="csr"), mat, format="csr")
+def _point_blocks(rows, cols, blocks, shape, offset) -> sp.coo_matrix:
+    """COO matrix of the given shape with the r_out x r_in block blocks[k]
+    (or one block for every k) from grid point cols[k] to grid point
+    rows[k], placed `offset` = (row, column) entries in."""
+    blocks = np.broadcast_to(blocks, (len(rows),) + np.shape(blocks)[-2:])
+    _, r_out, r_in = blocks.shape
+    bi, bj = np.indices((r_out, r_in))
+    row_idx = offset[0] + (rows[:, None, None] * r_out + bi).ravel()
+    col_idx = offset[1] + (cols[:, None, None] * r_in + bj).ravel()
+    return sp.coo_matrix((blocks.ravel(), (row_idx, col_idx)), shape=shape)
 
 
 class DiscreteComplex:
-    """Total differential and mass matrices on the staggered grids, assembled
-    as sparse matrices or, for a gauged metric, as per-mode Fourier symbols."""
+    """Total differential on the staggered grids, weighted by the mass and
+    assembled as sparse matrices or, for a gauged metric, as per-mode Fourier
+    symbols."""
 
     def __init__(self, sc: Superconnection, h: MetricField,
                  check_metric: bool = True):
@@ -493,8 +476,7 @@ class DiscreteComplex:
             raise InputError("metric belongs to a different bundle")
         if check_metric:
             h.check_equivariance(self.base)
-        self._mass_cache: dict[int, sp.csr_matrix] = {}
-        self._diff_cache: dict[int, sp.csr_matrix] = {}
+        self._weighted: dict[int, sp.csr_matrix] = {}
         self._half_steps: dict[tuple, tuple] = {}
         self._symbols: dict[int, np.ndarray] = {}
 
@@ -549,28 +531,28 @@ class DiscreteComplex:
         return out
 
     def differential(self, p: int) -> sp.csr_matrix:
-        if p in self._diff_cache:
-            return self._diff_cache[p]
+        """The degree-p differential, one `_point_blocks` matrix per term."""
         src, dst = self.components(p), self.components(p + 1)
-        if not src or not dst:
-            out = sp.csr_matrix((self.dim(p + 1), self.dim(p)))
-        else:
-            blocks = [[None] * len(src) for _ in dst]
-            for i, j, gen, c in self.terms(p):
-                b = src[j][1]
-                blocks[i][j] = (_pointwise(self.base, c) if gen is None else
-                                c * _derivative(self.base, gen,
-                                                self.bundle.monodromy(gen, b)))
-            # sp.bmat reads each block row's height and column's width off
-            # its blocks, so block row 0 and column 0 get explicit zeros
-            for i, j in [(i, 0) for i in range(len(dst))] + \
-                        [(0, j) for j in range(len(src))]:
-                if blocks[i][j] is None:
-                    blocks[i][j] = sp.csr_matrix((self.component_size(dst[i]),
-                                                  self.component_size(src[j])))
-            out = sp.bmat(blocks, format="csr")
-            out.eliminate_zeros()
-        self._diff_cache[p] = out
+        src_off = np.cumsum([0] + [self.component_size(c) for c in src])
+        dst_off = np.cumsum([0] + [self.component_size(c) for c in dst])
+        N, pts = self.base.resolution, np.arange(self.base.npoints)
+        grid = pts.reshape((N,) * self.base.dim)
+        out = sp.csr_matrix((self.dim(p + 1), self.dim(p)))
+        for i, j, gen, c in self.terms(p):
+            at = (dst_off[i], src_off[j])
+            if gen is None:
+                out += _point_blocks(pts, pts, c, out.shape, at)
+                continue
+            # c (S - I) / h, where the one-step shift S crosses the seam
+            # through the monodromy
+            phi = self.bundle.monodromy(gen, src[j][1])
+            step, eye = self.base.steps[gen], np.eye(len(phi))
+            seam = (np.indices(grid.shape)[gen] == N - 1).ravel()
+            shift = np.where(seam[:, None, None], phi, eye)
+            out += _point_blocks(pts, np.roll(grid, -1, axis=gen).ravel(),
+                                 c * (shift / step), out.shape, at)
+            out += _point_blocks(pts, pts, c * (-eye / step), out.shape, at)
+        out.eliminate_zeros()
         return out
 
     # -- Bloch reduction ----------------------------------------------------
@@ -658,50 +640,38 @@ class DiscreteComplex:
         lam = np.linalg.eigvalsh(L)
         return np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
 
-    # -- mass ---------------------------------------------------------------
-
-    def _mass_blocks(self, p: int) -> np.ndarray | None:
-        vol = self.base.cell_volume
-        blocks = [vol * self.h.sample(b, self.base.points(stagger=dirs))
-                  for dirs, b in self.components(p)]
-        return blocks or None
-
-    def mass(self, p: int) -> sp.csr_matrix:
-        if p not in self._mass_cache:
-            blocks = self._mass_blocks(p)
-            self._mass_cache[p] = (sp.csr_matrix((0, 0)) if blocks is None
-                                   else _block_diag_sparse(blocks))
-        return self._mass_cache[p]
-
-    def mass_powers(self, p: int, power: float) -> sp.csr_matrix:
-        blocks = self._mass_blocks(p)
-        if blocks is None:
-            return sp.csr_matrix((0, 0))
-        powered = [_spd_power(blk, power) for blk in blocks]
-        return _block_diag_sparse(powered)
-
     # -- Laplacian ----------------------------------------------------------
 
-    def stiffness(self, p: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(K, M) of the pencil K v = lambda M v for the degree-p Laplacian."""
-        M = self.mass(p)
-        K = sp.csr_matrix((self.dim(p), self.dim(p)))
-        if self.dim(p + 1) > 0:
-            D = self.differential(p)
-            K = K + D.T @ self.mass(p + 1) @ D
-        if p > 0 and self.dim(p - 1) > 0:
-            Dm = self.differential(p - 1)
-            Minv = self.mass_powers(p - 1, -1.0)
-            K = K + M @ Dm @ Minv @ Dm.T @ M
-        return K.tocsr(), M
+    def _mass_power(self, p: int, power: float) -> sp.csr_matrix:
+        """M_p^power of the degree-p mass: cell volume times the metric at
+        each component's staggered points, one block per grid point."""
+        pts = np.arange(self.base.npoints)
+        out = sp.csr_matrix((self.dim(p), self.dim(p)))
+        offset = 0
+        for dirs, b in self.components(p):
+            mass = self.base.cell_volume * self.h.sample(
+                b, self.base.points(stagger=dirs))
+            out += _point_blocks(pts, pts, _spd_power(mass, power), out.shape,
+                                 (offset, offset))
+            offset += self.component_size((dirs, b))
+        return out
+
+    def weighted_differential(self, p: int) -> sp.csr_matrix:
+        """W_p = M_{p+1}^{1/2} D_p M_p^{-1/2}, the degree-p differential in
+        orthonormal frames of the mass, where its adjoint is W_p^T; built
+        once per complex."""
+        if p not in self._weighted:
+            self._weighted[p] = (self._mass_power(p + 1, 0.5)
+                                 @ self.differential(p)
+                                 @ self._mass_power(p, -0.5)).tocsr()
+        return self._weighted[p]
 
     def laplacian(self, p: int) -> sp.csr_matrix:
-        """Symmetric matrix similar to the degree-p Laplacian (conjugated by
-        the square root of the mass)."""
-        K, _ = self.stiffness(p)
-        Mhalf_inv = self.mass_powers(p, -0.5)
-        L = Mhalf_inv @ K @ Mhalf_inv
-        return (0.5 * (L + L.T)).tocsr()
+        """W_p^T W_p + W_{p-1} W_{p-1}^T: the degree-p Laplacian d*d + dd*
+        in the orthonormal frame of the mass, symmetric by construction."""
+        W = self.weighted_differential(p)
+        Wm = self.weighted_differential(p - 1)
+        return (W.T @ W + Wm @ Wm.T).tocsr()
 
     def operator_norm(self, other: "DiscreteComplex") -> float:
         """Weighted operator norm of the difference of the two total
@@ -709,12 +679,9 @@ class DiscreteComplex:
         worst = 0.0
         top = self.base.dim + self.bundle.top
         for p in range(top + 1):
-            if self.dim(p) == 0 or self.dim(p + 1) == 0:
+            A = self.weighted_differential(p) - other.weighted_differential(p)
+            if A.nnz == 0:
                 continue
-            X = self.differential(p) - other.differential(p)
-            if X.nnz == 0:
-                continue
-            A = self.mass_powers(p + 1, 0.5) @ X @ self.mass_powers(p, -0.5)
             G = (A.T @ A).toarray() if A.shape[1] <= 1500 else None
             if G is not None:
                 worst = max(worst, float(np.sqrt(max(
@@ -731,18 +698,6 @@ def _intertwines(a: np.ndarray, X_dst: np.ndarray, X_src: np.ndarray) -> bool:
         return True
     scale = max(1.0, _absmax(a)) * max(1.0, _absmax(X_dst), _absmax(X_src))
     return _absmax(X_dst @ a - a @ X_src) <= 1e-10 * scale
-
-
-def _block_diag_sparse(blocks) -> sp.csr_matrix:
-    mats = []
-    for blk in blocks:
-        npts, r, _ = blk.shape
-        rows = np.repeat(np.arange(npts * r), r)
-        cols = (np.arange(npts)[:, None, None] * r
-                + np.broadcast_to(np.arange(r), (npts, r, r))).ravel()
-        mats.append(sp.coo_matrix((blk.ravel(), (rows, cols)),
-                                  shape=(npts * r, npts * r)))
-    return sp.block_diag(mats, format="csr") if mats else sp.csr_matrix((0, 0))
 
 
 def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
@@ -769,6 +724,8 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
     either result. `dc` is a `DiscreteComplex` of (sc, h) to solve on, built
     here when None (`spectra` shares one between degrees).
     """
+    if p < 0:
+        raise InputError(f"degree must be >= 0, got {p}")
     if count < 1:
         raise InputError("count must be >= 1")
     if dc is None:
@@ -784,7 +741,7 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
 def spectra(sc: Superconnection, h: MetricField, degrees, count: int = 12,
             check_metric: bool = True) -> list[SpectrumReport]:
     """`spectrum` in each of `degrees`, in order, all solved on one
-    `DiscreteComplex`: a differential, mass or Bloch symbol that two degrees
+    `DiscreteComplex`: a weighted differential or Bloch symbol that two degrees
     share is built once."""
     dc = DiscreteComplex(sc, h, check_metric=check_metric)
     return [spectrum(sc, h, p, count, dc=dc) for p in degrees]
@@ -818,8 +775,8 @@ def perturbation_check(sc1: Superconnection, sc2: Superconnection,
     d1 = DiscreteComplex(sc1, h)
     d2 = DiscreteComplex(sc2, h, check_metric=False)
     norm = d1.operator_norm(d2)
-    s1 = spectrum(sc1, h, p, count=count, check_metric=False)
-    s2 = spectrum(sc2, h, p, count=count, check_metric=False)
+    s1 = spectrum(sc1, h, p, count=count, dc=d1)
+    s2 = spectrum(sc2, h, p, count=count, dc=d2)
     diffs = np.abs(np.sqrt(s1.eigenvalues) - np.sqrt(s2.eigenvalues))
     bound = PERTURBATION_CONSTANT * norm
     max_diff = float(diffs.max(initial=0.0))
@@ -838,7 +795,6 @@ def metric_continuity_check(sc: Superconnection, h1: MetricField,
                             h2: MetricField, p: int, eps: float,
                             count: int = 8) -> MetricContinuityReport:
     """Smallest eps' with eps'-close spectra for two eps-close metrics."""
-    from .report import closeness_epsilon
     s1 = spectrum(sc, h1, p, count=count)
     s2 = spectrum(sc, h2, p, count=count)
     return MetricContinuityReport(eps, closeness_epsilon(s1, s2))

@@ -378,6 +378,25 @@ def test_validate_rejects_fractional_complex_dims(runner, tmp_path):
     assert "spot dimension must be an integer, got 1.5" in res.output
 
 
+@pytest.fixture
+def flip_bundle_file(tmp_path):
+    # identity metric over the flip monodromy: spectrum assembles
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps({
+        "base": {"kind": "circle", "resolution": 16}, "ranks": [2],
+        "monodromy": [[[[0, 1], [1, 0]]]], "metric": "identity"}))
+    return str(path)
+
+
+@pytest.mark.parametrize("path", ["bundle_file", "flip_bundle_file"],
+                         ids=["bloch", "assembled"])
+def test_spectrum_rejects_negative_degree(runner, request, path):
+    res = runner.invoke(main, ["spectrum", request.getfixturevalue(path),
+                               "--p", "-1"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "error: degree must be >= 0, got -1" in res.output
+
+
 @pytest.mark.parametrize("modes", ["0", "-1"])
 def test_spectrum_rejects_nonpositive_modes(runner, bundle_file, modes):
     res = runner.invoke(main, ["spectrum", bundle_file, "--modes", modes])

@@ -4,10 +4,11 @@ builder stay merged, exact matrices are read and built through their
 methods, never through a `.data` attribute or, outside `numerics`, their
 sparse rows, the superconnection layer converts holonomy actions that
 `spectral` built exactly instead of building its own, only the equivariant
-metric takes a matrix logarithm, every spectrum comes from one of two
-solvers, the exact layer `spectral` decides nothing by a float rank or
-eigenvalue, a scenario's model is read in one place, and an input file is
-parsed in one place."""
+metric takes a matrix logarithm, every grid matrix is placed by one
+block builder, every spectrum comes from one of two solvers, the exact
+layer `spectral` decides nothing by a float rank or eigenvalue, a
+scenario's model is read in one place, and an input file is parsed in one
+place."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,10 @@ MERGED = {
     "multiplicities", "load_report", "shifts",
     # pages are read off window ranks; the r-tuple spaces are the tests' oracle
     "_TupleSpace", "quotient_dim",
+    # the Laplacian is W^T W + W W^T of the mass-weighted differential W,
+    # and every assembled grid matrix is placed by _point_blocks
+    "stiffness", "mass_powers", "_mass_blocks", "_block_diag_sparse",
+    "_pointwise", "_derivative", "_shift_blocks", "_block_coo",
 }
 
 
@@ -144,6 +149,18 @@ def test_superconnection_builds_no_holonomy_action():
                 if _called_name(c) in ("inv", "pinv", "inverse_exact")]
     assert builders >= 2  # from_affine_bundle and load_bundle at least
     assert not bad, f"superconnection.py builds holonomy actions: {bad}"
+
+
+def test_grid_matrices_placed_only_by_point_blocks():
+    # the differential and the mass powers are sums of _point_blocks
+    # matrices: no block assembly by scipy beside it
+    bad = [f"line {node.lineno}: {node.attr}"
+           for node in ast.walk(_tree(SRC / "superconnection.py"))
+           if isinstance(node, ast.Attribute)
+           and node.attr in ("bmat", "kron", "block_diag")]
+    assert not bad, f"superconnection.py assembles blocks by scipy: {bad}"
+    assert ("superconnection.py", "DiscreteComplex", "differential") in \
+        _callers("_point_blocks")
 
 
 def test_logarithms_taken_only_by_the_equivariant_metric():

@@ -489,6 +489,24 @@ def test_perturbation_bound_on_coupling_pair():
     assert rep.bound == pytest.approx(sconn.PERTURBATION_CONSTANT * 0.2)
 
 
+def test_perturbation_check_solves_on_the_complexes_it_built(monkeypatch):
+    # one DiscreteComplex per superconnection serves both the operator norm
+    # and the spectrum; the report is the one of two fresh solves
+    base = torus(8)
+    sc1, sc2 = circle_bundle(base, 0.7), circle_bundle(base, 0.9)
+    h = sconn.MetricField.identity(sc1.bundle)
+    built = []
+    init = sconn.DiscreteComplex.__init__
+    monkeypatch.setattr(sconn.DiscreteComplex, "__init__",
+                        lambda *a, **k: built.append(1) or init(*a, **k))
+    rep = sconn.perturbation_check(sc1, sc2, h, 1, count=6)
+    assert len(built) == 2
+    lam1 = sconn.spectrum(sc1, h, 1, count=6).eigenvalues
+    lam2 = sconn.spectrum(sc2, h, 1, count=6).eigenvalues
+    assert rep.max_difference == float(
+        np.abs(np.sqrt(lam1) - np.sqrt(lam2)).max())
+
+
 def test_perturbation_check_requires_same_connection_part():
     base = circle(16)
     b1 = sconn.GradedBundle([2], [[SOL]])
@@ -538,6 +556,24 @@ def test_load_bundle_explicit_form():
     assert np.allclose(sc.bundle.monodromy(0, 0), SOL)
     rep = sconn.spectrum(sc, h, 0, count=2)
     assert rep.eigenvalues[0] == pytest.approx(np.log(MU) ** 2, rel=1e-3)
+
+
+def test_orthogonal_flip_with_identity_metric_is_assembled():
+    # the identity metric is equivariant under the flip, which has no real
+    # logarithm, so spectrum assembles W^T W + W W^T; the flip's +1 and -1
+    # eigenvectors carry periodic and antiperiodic modes, each with the
+    # discrete eigenvalues 4 N^2 sin^2(theta / 2) in degrees 0 and 1
+    N = 16
+    sc, h = sconn.load_bundle({
+        "base": {"kind": "circle", "resolution": N}, "ranks": [2],
+        "monodromy": [[[[0, 1], [1, 0]]]], "metric": "identity"})
+    assert not sconn.DiscreteComplex(sc, h).bloch_ready()
+    k = np.arange(N)
+    theta = np.concatenate([2 * np.pi * k / N, np.pi * (2 * k + 1) / N])
+    want = np.sort(4 * N ** 2 * np.sin(theta / 2) ** 2)[:8]
+    for p in (0, 1):
+        got = sconn.spectrum(sc, h, p, count=8).eigenvalues
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 def test_load_bundle_errors():
