@@ -83,7 +83,7 @@ def betti(algebra):
 def curvature(algebra):
     """Scalar curvature of the associated left-invariant metric."""
     alg = lie.load_algebra(algebra)
-    kappa_trace, kappa_structure = lie.scalar_curvature(alg)
+    kappa_trace, kappa_structure = lie.scalar_curvature(alg.c_float())
     click.echo(f"{kappa_trace:.12g} (cross-check {kappa_structure:.12g})")
 
 

@@ -284,7 +284,7 @@ def _nil_rescale(cfg: ScenarioConfig, model: dict) -> Sweep:
     grading = lie.lower_central_grading(algebra)
     preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
     return Sweep(cfg, preds, list(cfg.sweep_values), lambda eps, degrees: [
-        lie.rescaled_spectrum(algebra, grading, p, eps) for p in degrees])
+        lie.rescaled_spectrum(grading, p, eps) for p in degrees])
 
 
 def _solve_bundle(cfg: ScenarioConfig):

@@ -2,16 +2,18 @@
 
 The basis handed to an algebra is always declared orthonormal; everything
 downstream (codifferentials, curvature, number-operator rescaling) is phrased
-in that basis. Structure constants are kept as exact rationals whenever
-possible so that cohomology ranks are exact; conjugated algebras fall back to
-floats for the spectral operations only.
+in that basis. Structure constants are exact rationals, so cohomology ranks
+are exact. The rescaling re-expresses the algebra exactly in a rational
+orthogonal basis adapted to the lower central series and turns to floats
+only at the solve; curvature reads the float constants `c_float` gives.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -53,19 +55,14 @@ def sort_with_sign(seq):
 class NilpotentLieAlgebra:
     """Structure constants c^k_ij of [e_i, e_j] = sum_k c^k_ij e_k.
 
-    `c[i][j][k]` holds c^k_ij. Entries are Fractions for exact algebras, or
-    floats after a numeric change of basis.
+    `c[i][j][k]` holds c^k_ij as a Fraction: every constant is read by
+    `numerics.rational`, so a non-integral float raises InputError.
     """
 
     def __init__(self, n: int, c, name: str = ""):
         self.n = n
         self.name = name
-        self.exact = all(isinstance(x, (Fraction, int)) for ijk in c
-                         for jk in ijk for x in jk)
-        if self.exact:
-            self.c = [[[Fraction(x) for x in jk] for jk in ijk] for ijk in c]
-        else:
-            self.c = [[[float(x) for x in jk] for jk in ijk] for ijk in c]
+        self.c = [[[rational(x) for x in jk] for jk in ijk] for ijk in c]
 
     @classmethod
     def from_brackets(cls, n: int, brackets, name: str = "") -> "NilpotentLieAlgebra":
@@ -78,26 +75,13 @@ class NilpotentLieAlgebra:
         return cls(n, c, name=name)
 
     def c_float(self) -> np.ndarray:
-        return np.array([[[float(x) for x in jk] for jk in ijk]
-                         for ijk in self.c], dtype=float)
+        """The constants as the float array c[i, j, k] = c^k_ij."""
+        return np.array(self.c, dtype=float)
 
     def bracket_matrix(self, i: int) -> RationalMatrix:
         """ad(e_i) as a matrix (column j = [e_i, e_j])."""
-        if not self.exact:
-            raise InputError("exact bracket requested on a float algebra")
         return RationalMatrix([[self.c[i][j][k] for j in range(self.n)]
                                for k in range(self.n)], cols=self.n)
-
-    def conjugate(self, Q: np.ndarray) -> "NilpotentLieAlgebra":
-        """Change of basis e'_a = sum_i Q[i, a] e_i (new constants are floats
-        unless Q is exactly rational-orthogonal; floats are fine here since
-        conjugated algebras only feed spectral operations)."""
-        Q = np.asarray(Q, dtype=float)
-        c = self.c_float()
-        Qinv = np.linalg.inv(Q)
-        cp = np.einsum("ia,jb,ijk,ck->abc", Q, Q, c, Qinv)
-        return NilpotentLieAlgebra(
-            self.n, cp.tolist(), name=f"{self.name}~conj" if self.name else "")
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +169,10 @@ class ValidationReport:
 def validate(algebra: NilpotentLieAlgebra) -> ValidationReport:
     c = algebra.c
     n = algebra.n
-    zero = 0 if algebra.exact else 1e-10
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if abs(c[i][j][k] + c[j][i][k]) > zero:
+                if c[i][j][k] + c[j][i][k]:
                     return ValidationReport(False, False, False, (i, j, k))
     for i in range(n):
         for j in range(i + 1, n):
@@ -197,28 +180,10 @@ def validate(algebra: NilpotentLieAlgebra) -> ValidationReport:
                 for l in range(n):
                     s = sum(c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l]
                             + c[k][i][m] * c[m][j][l] for m in range(n))
-                    if abs(s) > zero:
+                    if s:
                         return ValidationReport(True, False, False, (i, j, k, l))
-    if algebra.exact:
-        nilpotent = not _lower_central_series(algebra)[-1].cols
-    else:
-        cf = algebra.c_float()
-        span = np.eye(n)
-        for _ in range(n + 1):
-            bracketed = np.einsum("ijk,jl->kil", cf, span).reshape(n, -1)
-            span = _float_colspace(bracketed, zero)
-            if span.shape[1] == 0:
-                break
-        nilpotent = span.shape[1] == 0
+    nilpotent = not _lower_central_series(algebra)[-1].cols
     return ValidationReport(True, True, nilpotent, None)
-
-
-def _float_colspace(A: np.ndarray, tol: float) -> np.ndarray:
-    if A.size == 0:
-        return np.zeros((A.shape[0], 0))
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int((s > tol * max(1.0, s[0] if len(s) else 1.0)).sum())
-    return u[:, :r]
 
 
 def _span_union(mats: list[RationalMatrix], n: int) -> RationalMatrix:
@@ -259,22 +224,19 @@ def _center(algebra: NilpotentLieAlgebra) -> RationalMatrix:
 
 @dataclass(frozen=True)
 class AdaptedGrading:
-    """Filtration data in an adapted orthonormal basis.
+    """Filtration data in a rational orthogonal adapted basis.
 
-    filtration[i] is the depth index of basis vector i (nondecreasing);
-    pieces[k] is the dimension of the k-th graded quotient; weights[k] = 3**k.
-    `algebra` carries the (possibly re-expressed) adapted basis.
+    `algebra` is the algebra re-expressed, with exact constants, in the
+    basis f_i that Gram-Schmidt without normalization finds; `gram[i]` is
+    the Fraction |f_i|^2, all 1 when the given basis is already adapted.
+    filtration[i] is the depth index of f_i (nondecreasing); pieces[k] is
+    the dimension of the k-th graded quotient, of vector weight 3**k.
     """
 
     algebra: NilpotentLieAlgebra
     filtration: tuple[int, ...]
     pieces: tuple[int, ...]
-    weights: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.weights:
-            object.__setattr__(self, "weights",
-                               tuple(3 ** k for k in range(len(self.pieces))))
+    gram: tuple[Fraction, ...]
 
     def vector_weight(self, i: int) -> int:
         return 3 ** self.filtration[i]
@@ -286,12 +248,11 @@ class AdaptedGrading:
 def lower_central_grading(algebra: NilpotentLieAlgebra) -> AdaptedGrading:
     """Filtration n_[k] = n'_[k] + center, with graded pieces and 3^k weights.
 
-    If the given orthonormal basis is not adapted to the filtration, a
-    filtration-respecting Gram-Schmidt produces an adapted orthonormal basis
-    and the algebra is re-expressed in it (float constants).
+    Gram-Schmidt without normalization, over Fractions, runs through the
+    filtration spaces from the deepest: each new vector of n_[k] is
+    orthogonal to n_[k+1]. The vectors, pieces listed by increasing depth,
+    are the adapted basis; the algebra is re-expressed in it exactly.
     """
-    if not algebra.exact:
-        raise InputError("lower_central_grading needs exact structure constants")
     report = validate(algebra)
     if not report.nilpotent:
         raise InputError("algebra is not nilpotent")
@@ -306,54 +267,45 @@ def lower_central_grading(algebra: NilpotentLieAlgebra) -> AdaptedGrading:
         filt_spaces.append(_span_union([prim, center], n))
     filt_spaces[0] = RationalMatrix.identity(n)
     dims = [m.cols for m in filt_spaces]  # n_[0] >= n_[1] >= ... >= n_[S]
-
-    def membership(space: RationalMatrix, i: int) -> bool:
-        ei = RationalMatrix([[Fraction(1) if j == i else Fraction(0)]
-                             for j in range(n)])
-        return rank_exact(space.hstack(ei)) == space.cols
-
-    filtration = []
-    for i in range(n):
-        k = 0
-        for kk in range(S, -1, -1):
-            if membership(filt_spaces[kk], i):
-                k = kk
-                break
-        filtration.append(k)
-    adapted = (all(a <= b for a, b in zip(filtration, filtration[1:]))
-               and all(sum(1 for f in filtration if f >= k) == dims[k]
-                       for k in range(S + 1)))
     pieces = tuple(dims[k] - (dims[k + 1] if k + 1 <= S else 0)
                    for k in range(S + 1))
-    if adapted:
-        return AdaptedGrading(algebra, tuple(filtration), pieces)
-    # Gram-Schmidt an adapted orthonormal basis: complement of n_[k+1] in n_[k],
-    # pieces listed by increasing depth.
-    cols, filt = [], []
-    deeper = np.zeros((n, 0))
+    found = []  # (depth, f, |f|^2), deepest first
     for k in range(S, -1, -1):
-        space = filt_spaces[k].to_numpy()
-        block = []
-        for v in space.T:
-            w = v - deeper @ (deeper.T @ v)
-            for u in block:
-                w = w - u * (u @ w)
-            norm = np.linalg.norm(w)
-            if norm > 1e-10:
-                block.append(w / norm)
-        deeper = np.column_stack([deeper] + block) if block else deeper
-        cols = block + cols
-        filt = [k] * len(block) + filt
-    Q = np.column_stack(cols)
-    return AdaptedGrading(algebra.conjugate(Q), tuple(filt), pieces)
+        for v in filt_spaces[k].transpose().tolist():
+            w = v
+            for _, u, g in found:
+                t = sum(a * b for a, b in zip(u, v)) / g
+                if t:
+                    w = [a - t * b for a, b in zip(w, u)]
+            if any(w):
+                found.append((k, w, sum(a * a for a in w)))
+    found.sort(key=lambda f: f[0])  # stable: each piece keeps its order
+    filtration = tuple(k for k, _, _ in found)
+    gram = tuple(g for _, _, g in found)
+    basis = [f for _, f, _ in found]
+    # c'^k_ab = f_k . [f_a, f_b] / g_k, summed over the nonzero constants
+    nonzero = [(i, j, k, x) for i, ci in enumerate(algebra.c)
+               for j, cij in enumerate(ci) for k, x in enumerate(cij) if x]
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        br = [0] * n  # [f_a, f_b]
+        for i, j, k, x in nonzero:
+            if basis[a][i] and basis[b][j]:
+                br[k] += basis[a][i] * basis[b][j] * x
+        if any(br):
+            c[a][b] = [sum(u * v for u, v in zip(fk, br) if v) / g
+                       for fk, g in zip(basis, gram)]
+            c[b][a] = [-x for x in c[a][b]]
+    return AdaptedGrading(NilpotentLieAlgebra(n, c, name=algebra.name),
+                          filtration, pieces, gram)
 
 
 # ---------------------------------------------------------------------------
 # Chevalley-Eilenberg complex
 # ---------------------------------------------------------------------------
 
-def _ce_entries(algebra: NilpotentLieAlgebra, p: int):
-    """Entries of d on Lambda^p, as ((row_index, col_index) -> coeff)."""
+def ce_differential(algebra: NilpotentLieAlgebra, p: int) -> RationalMatrix:
+    """Exact matrix of d on Lambda^p in the lexicographic multi-index basis."""
     n = algebra.n
     if not 0 <= p <= n:
         raise InputError(f"degree {p} out of range for dimension {n}")
@@ -377,24 +329,7 @@ def _ce_entries(algebra: NilpotentLieAlgebra, p: int):
                     val = -coeff * sign * (-1) ** a
                     key = (dst[J], col)
                     entries[key] = entries.get(key, 0) + val
-    return entries, len(src), len(dst)
-
-
-def ce_differential(algebra: NilpotentLieAlgebra, p: int) -> RationalMatrix:
-    """Exact matrix of d on Lambda^p in the lexicographic multi-index basis."""
-    if not algebra.exact:
-        raise InputError("exact differential requires exact structure constants")
-    entries, ncols, nrows = _ce_entries(algebra, p)
-    return RationalMatrix.from_entries(nrows, ncols, entries)
-
-
-def ce_matrix(algebra: NilpotentLieAlgebra, p: int) -> np.ndarray:
-    """Float matrix of d on Lambda^p (works for conjugated algebras too)."""
-    entries, ncols, nrows = _ce_entries(algebra, p)
-    m = np.zeros((nrows, ncols))
-    for (r, cidx), val in entries.items():
-        m[r, cidx] = float(val)
-    return m
+    return RationalMatrix.from_entries(len(dst), len(src), entries)
 
 
 def betti_numbers(algebra: NilpotentLieAlgebra) -> list[int]:
@@ -413,19 +348,19 @@ def betti_numbers(algebra: NilpotentLieAlgebra) -> list[int]:
 # curvature of the left-invariant metric
 # ---------------------------------------------------------------------------
 
-def connection_coeffs(algebra: NilpotentLieAlgebra) -> np.ndarray:
+# Each takes the float constants c[i, j, k] = c^k_ij of `c_float`.
+
+def connection_coeffs(c: np.ndarray) -> np.ndarray:
     """Levi-Civita connection components w[i, j, k] in the orthonormal basis:
     w^i_jk = -(c^i_jk - c^j_ik - c^k_ij)/2."""
-    c = algebra.c_float()
-    # c_float[j][k][i] = c^i_jk
     cijk = np.transpose(c, (2, 0, 1))  # cijk[i, j, k] = c^i_jk
     return -0.5 * (cijk - np.transpose(cijk, (1, 0, 2))
                    - np.transpose(cijk, (1, 2, 0)))
 
 
-def riemann_tensor(algebra: NilpotentLieAlgebra) -> np.ndarray:
+def riemann_tensor(c: np.ndarray) -> np.ndarray:
     """R[i, j, k, l] with the derivative terms dropped (components constant)."""
-    w = connection_coeffs(algebra)
+    w = connection_coeffs(c)
     t1 = np.einsum("ijm,mlk->ijkl", w, w)
     t2 = np.einsum("ijm,mkl->ijkl", w, w)
     t3 = np.einsum("imk,mjl->ijkl", w, w)
@@ -433,13 +368,12 @@ def riemann_tensor(algebra: NilpotentLieAlgebra) -> np.ndarray:
     return -t1 + t2 + t3 - t4
 
 
-def scalar_curvature(algebra: NilpotentLieAlgebra) -> tuple[float, float]:
+def scalar_curvature(c: np.ndarray) -> tuple[float, float]:
     """Scalar curvature computed two independent ways: as the trace of the
     curvature tensor, and as -(1/4) sum (c^i_jk)^2. Both are returned; they
     must agree to 1e-10 relative."""
-    R = riemann_tensor(algebra)
+    R = riemann_tensor(c)
     kappa_trace = float(np.einsum("ijij->", R))
-    c = algebra.c_float()
     kappa_structure = -0.25 * float((c * c).sum())
     if abs(kappa_trace - kappa_structure) > 1e-10 * max(1.0, abs(kappa_structure)):
         raise ArithmeticError(
@@ -481,8 +415,6 @@ class FiniteSymmetryGroup:
                     raise InputError("group not closed under products")
 
     def check(self, algebra: NilpotentLieAlgebra) -> None:
-        if not algebra.exact:
-            raise InputError("symmetry check needs exact structure constants")
         n = algebra.n
         if self.elements[0].rows != n:
             raise InputError(f"group elements must be {n}x{n} matrices")
@@ -533,35 +465,32 @@ def compound_matrix(rows, p: int) -> list[list]:
 # the collapsing rescaling
 # ---------------------------------------------------------------------------
 
-def rescaled_differential(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
-                          eps: float) -> dict[int, np.ndarray]:
-    """eps^{-N/2} d eps^{N/2} per degree, N the 3^k number operator extended
-    multiplicatively to the exterior algebra. Still squares to zero."""
-    n = algebra.n
-    out = {}
-    for p in range(n):
-        d = ce_matrix(grading.algebra, p)
-        src_w = np.array([grading.form_weight(I) for I in multi_indices(n, p)])
-        dst_w = np.array([grading.form_weight(I) for I in multi_indices(n, p + 1)])
-        scale = np.power(eps, 0.5 * (src_w[None, :] - dst_w[:, None]))
-        out[p] = d * scale
-    return out
-
-
-def rescaled_laplacian(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
-                       p: int, eps: float) -> np.ndarray:
-    ds = rescaled_differential(algebra, grading, eps)
-    n = algebra.n
-    d_p = ds[p] if p < n else np.zeros((0, len(multi_indices(n, p))))
-    lap = d_p.T @ d_p
-    if 0 < p <= n:  # above the top degree there are no forms
-        lap = lap + ds[p - 1] @ ds[p - 1].T
-    return lap
-
-
-def rescaled_spectrum(algebra: NilpotentLieAlgebra, grading: AdaptedGrading,
-                      p: int, eps: float):
+def rescaled_spectrum(grading: AdaptedGrading, p: int, eps: float):
+    """Spectrum on Lambda^p of W^T W + W W^T, W = eps^{-N/2} d eps^{N/2} in
+    orthonormal forms, N the 3^k number operator extended multiplicatively
+    to the exterior algebra. d is the exact differential of the adapted
+    algebra, turned to floats here: its entry from form J to form I takes
+    the factor sqrt(g_J / g_I) eps^{(w_J - w_I)/2}, g a form's Gram product
+    and w its weight."""
     from .report import SpectrumReport
-    lap = rescaled_laplacian(algebra, grading, p, eps)
+    alg = grading.algebra
+    if p > alg.n:  # there are no p-forms
+        return SpectrumReport.from_eigenvalues(p, np.zeros(0))
+
+    def scaled(q):
+        src, dst = multi_indices(alg.n, q), multi_indices(alg.n, q + 1)
+        src_w = np.array([grading.form_weight(I) for I in src])
+        dst_w = np.array([grading.form_weight(I) for I in dst])
+        src_g, dst_g = (np.array([float(prod(grading.gram[i] for i in I))
+                                  for I in forms]) for forms in (src, dst))
+        scale = np.power(eps, 0.5 * (src_w[None, :] - dst_w[:, None]))
+        return (ce_differential(alg, q).to_numpy() * scale
+                * np.sqrt(src_g[None, :] / dst_g[:, None]))
+
+    w = scaled(p)
+    lap = w.T @ w
+    if p > 0:
+        v = scaled(p - 1)
+        lap = lap + v @ v.T
     return SpectrumReport.from_eigenvalues(
         p, lowest_eigenvalues(lap, lap.shape[0]))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import lie, spectral
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
@@ -687,6 +686,9 @@ class DiscreteComplex:
                 worst = max(worst, float(np.sqrt(max(
                     0.0, np.linalg.eigvalsh(0.5 * (G + G.T))[-1]))))
             else:
+                # imported here, as in numerics.lowest_eigenvalues: no
+                # other part of the package loads ARPACK
+                import scipy.sparse.linalg as spla
                 s = spla.svds(A, k=1, return_singular_vectors=False)
                 worst = max(worst, float(s[0]))
         return worst

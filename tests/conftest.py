@@ -1,5 +1,7 @@
-"""Shared test helpers: random orthogonal matrices and randomly generated
-bigraded complexes whose differential squares to zero exactly."""
+"""Shared test helpers: random orthogonal matrices, float constants in a
+rotated basis, heisenberg:3 in a basis not adapted to its lower central
+series, and randomly generated bigraded complexes whose differential
+squares to zero exactly."""
 
 from fractions import Fraction
 from math import comb
@@ -14,6 +16,19 @@ from nilcollapse.spectral import BigradedComplex
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def conjugated(c, q):
+    """Float constants c[i, j, k] = c^k_ij in the orthonormal basis
+    e'_a = sum_i q[i, a] e_i, q orthogonal."""
+    return np.einsum("ia,jb,ijk,ck->abc", q, q, c, q.T)
+
+
+# heisenberg:3 in the basis f3 = e3 + e1: [f1, f2] = f3 - f1 and
+# [f2, f3] = f1 - f3, so the center e3 = f3 - f1 is no basis vector
+HEIS3_SKEW = {"dim": 3, "name": "heisenberg:3 skew", "brackets": [
+    {"i": 1, "j": 2, "k": 3, "c": 1}, {"i": 1, "j": 2, "k": 1, "c": -1},
+    {"i": 2, "j": 3, "k": 1, "c": 1}, {"i": 2, "j": 3, "k": 3, "c": -1}]}
 
 
 def filiform_torus_complex(n):

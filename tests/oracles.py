@@ -33,10 +33,10 @@ def leray_circle(monodromies_on_cohomology, p: int) -> int:
 
 def invariant_laplacian(algebra, p: int) -> np.ndarray:
     """d*d + dd* on Lambda^p, orthonormal basis."""
-    d_p = lie.ce_matrix(algebra, p)
+    d_p = lie.ce_differential(algebra, p).to_numpy()
     lap = d_p.T @ d_p
     if p > 0:
-        d_prev = lie.ce_matrix(algebra, p - 1)
+        d_prev = lie.ce_differential(algebra, p - 1).to_numpy()
         lap = lap + d_prev @ d_prev.T
     return lap
 

@@ -2,13 +2,17 @@
 (0 success, 1 invalid input, 2 numerical inconsistency, 3 failed check)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from nilcollapse import lab, lie, spectral
 from nilcollapse.cli import main
-from tests.conftest import filiform_torus_complex
+from tests.conftest import HEIS3_SKEW, filiform_torus_complex
 
 
 @pytest.fixture
@@ -67,11 +71,12 @@ def test_validate_bundle_and_complex(runner, bundle_file, complex_file):
 
 def test_validate_scenario(runner, tmp_path):
     path = tmp_path / "s.json"
-    path.write_text(json.dumps({"kind": "nil_rescale",
-                                "model": {"algebra": "heisenberg:3"},
-                                "sweep_values": [1.0, 0.1]}))
-    res = runner.invoke(main, ["validate", str(path)])
-    assert res.exit_code == 0 and "scenario: ok" in res.output
+    for algebra in ("heisenberg:3", HEIS3_SKEW):
+        path.write_text(json.dumps({"kind": "nil_rescale",
+                                    "model": {"algebra": algebra},
+                                    "sweep_values": [1.0, 0.1]}))
+        res = runner.invoke(main, ["validate", str(path)])
+        assert res.exit_code == 0 and "scenario: ok" in res.output
     path.write_text(json.dumps({"kind": "nil_rescale", "sweep_values": []}))
     res = runner.invoke(main, ["validate", str(path)])
     assert res.exit_code == 1
@@ -694,3 +699,15 @@ def test_names_that_are_not_file_stems_exit_one(runner, tmp_path, monkeypatch,
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert f"error: {reason}" in res.output
     assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_loads_no_arpack():
+    # ARPACK is imported by its two callers when they need it, never when
+    # the package loads, which would raise the peak RSS of every run
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lie.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nilcollapse.cli; "
+         "print('scipy.sparse.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

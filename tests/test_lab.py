@@ -13,7 +13,7 @@ import scipy.linalg
 from nilcollapse import lab, spectral, lie
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix
-from tests.conftest import filiform_torus_complex
+from tests.conftest import HEIS3_SKEW, filiform_torus_complex
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +85,16 @@ def test_nil_rescale_scenario():
     # the one decaying positive eigenvalue tracks the sweep parameter linearly
     decaying = [s for s in d.slopes if not s.undetermined]
     assert decaying and decaying[0].slope == pytest.approx(1.0, abs=0.05)
+    # in a basis not adapted to the filtration the decaying mode is 4 eps
+    eps = (1e-1, 1e-2, 1e-3)
+    rep = lab.run({"kind": "nil_rescale", "model": {"algebra": HEIS3_SKEW},
+                   "sweep_values": eps, "degrees": [1, 2]})
+    assert rep.passed()
+    for d in rep.degrees:
+        assert d.predicted_small_count == d.observed_small_count == 3
+        for e, s in zip(eps, d.spectra):
+            assert np.allclose(s.eigenvalues, [0.0, 0.0, 4 * e],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_monodromy_degeneration_sol_scenario():

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from nilcollapse import lie, spectral
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
-from tests.conftest import random_orthogonal
+from tests.conftest import HEIS3_SKEW, conjugated, random_orthogonal
 from tests.oracles import invariant_laplacian
 
 
 HEIS3 = lie.heisenberg(3)
+HEIS3_C = HEIS3.c_float()
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +26,7 @@ HEIS3 = lie.heisenberg(3)
 # ---------------------------------------------------------------------------
 
 def test_preset_construction():
-    assert HEIS3.n == 3 and HEIS3.exact
+    assert HEIS3.n == 3
     assert HEIS3.c[0][1][2] == 1 and HEIS3.c[1][0][2] == -1
     assert lie.abelian(4).c_float().max() == 0.0
     assert lie.filiform(4).c[0][2][3] == 1
@@ -141,7 +142,7 @@ def test_multi_index_sort_sign():
 # ---------------------------------------------------------------------------
 
 def test_connection_coeffs_heisenberg3():
-    w = lie.connection_coeffs(HEIS3)
+    w = lie.connection_coeffs(HEIS3_C)
     assert w[2, 0, 1] == pytest.approx(-0.5)
     assert w[2, 1, 0] == pytest.approx(0.5)
     assert w[0, 1, 2] == pytest.approx(0.5)
@@ -154,12 +155,12 @@ def test_connection_coeffs_heisenberg3():
 def test_connection_is_metric_compatible():
     # w^i_jk antisymmetric in (i, j): orthonormal-frame compatibility
     for alg in (HEIS3, lie.filiform(4), lie.heisenberg(5)):
-        w = lie.connection_coeffs(alg)
+        w = lie.connection_coeffs(alg.c_float())
         assert np.abs(w + np.transpose(w, (1, 0, 2))).max() < 1e-14
 
 
 def test_riemann_tensor_heisenberg3():
-    R = lie.riemann_tensor(HEIS3)
+    R = lie.riemann_tensor(HEIS3_C)
     assert R[0, 1, 0, 1] == pytest.approx(-0.75)
     assert R[0, 2, 0, 2] == pytest.approx(0.25)
     assert R[1, 2, 1, 2] == pytest.approx(0.25)
@@ -169,12 +170,14 @@ def test_riemann_tensor_heisenberg3():
 
 
 def test_scalar_curvature_closed_forms():
-    kt, ks = lie.scalar_curvature(HEIS3)
+    kt, ks = lie.scalar_curvature(HEIS3_C)
     assert kt == pytest.approx(-0.5, abs=1e-14)
     assert ks == pytest.approx(-0.5, abs=1e-14)
-    assert lie.scalar_curvature(lie.abelian(4))[0] == 0.0
-    assert lie.scalar_curvature(lie.heisenberg(5))[1] == pytest.approx(-1.0)
-    assert lie.scalar_curvature(lie.filiform(4))[1] == pytest.approx(-1.0)
+    assert lie.scalar_curvature(lie.abelian(4).c_float())[0] == 0.0
+    assert lie.scalar_curvature(lie.heisenberg(5).c_float())[1] == \
+        pytest.approx(-1.0)
+    assert lie.scalar_curvature(lie.filiform(4).c_float())[1] == \
+        pytest.approx(-1.0)
 
 
 @given(st.integers(0, 10 ** 6))
@@ -182,7 +185,7 @@ def test_scalar_curvature_closed_forms():
 def test_scalar_curvature_orthogonal_invariance(seed):
     rng = np.random.default_rng(seed)
     q = random_orthogonal(rng, 3)
-    kt, ks = lie.scalar_curvature(HEIS3.conjugate(q))
+    kt, ks = lie.scalar_curvature(conjugated(HEIS3_C, q))
     assert kt == pytest.approx(-0.5, abs=1e-9)
     assert ks == pytest.approx(-0.5, abs=1e-9)
 
@@ -246,14 +249,13 @@ def test_symmetry_group_reads_exact_entries():
 
 
 def test_symmetry_group_check_needs_an_exact_algebra():
-    # rotations of the e1, e2 plane are automorphisms of heisenberg:3, so
-    # the conjugated algebra differs from HEIS3 only by float rounding
-    c, s = np.cos(0.3), np.sin(0.3)
-    floated = HEIS3.conjugate(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]))
-    assert not floated.exact
-    F = lie.FiniteSymmetryGroup([np.eye(3), np.diag([-1, -1, 1])])
-    with pytest.raises(InputError, match="exact"):
-        F.check(floated)
+    # every algebra is exact, so a float constant is refused at construction
+    # and the check always compares exact matrices
+    with pytest.raises(InputError, match="non-integral float"):
+        lie.NilpotentLieAlgebra(3, (0.3 * HEIS3_C).tolist())
+    with pytest.raises(InputError, match="non-integral float"):
+        lie.NilpotentLieAlgebra.from_brackets(3, [(0, 1, 2, 0.3)])
+    lie.FiniteSymmetryGroup([np.eye(3), np.diag([-1, -1, 1])]).check(HEIS3)
 
 
 def test_restricted_model_blocks_square_to_zero_exactly():
@@ -319,16 +321,26 @@ def test_lower_central_grading_heisenberg3():
     g = lie.lower_central_grading(HEIS3)
     assert g.filtration == (0, 0, 1)
     assert g.pieces == (2, 1)
-    assert g.weights == (1, 3)
+    assert [g.vector_weight(i) for i in range(3)] == [1, 1, 3]
     assert g.vector_weight(2) == 3
     assert g.form_weight((0, 2)) == 4
+    assert g.gram == (1, 1, 1) and g.algebra.c == HEIS3.c
+    # the same algebra in a basis not adapted to its filtration: an exact
+    # orthogonal adapted basis, with a rational Gram
+    skew = lie.load_algebra(HEIS3_SKEW)
+    g = lie.lower_central_grading(skew)
+    assert g.filtration == (0, 0, 1) and g.pieces == (2, 1)
+    assert g.gram == (Fraction(1, 2), 1, 2)
+    assert all(isinstance(x, Fraction) for x in g.gram)
+    assert lie.validate(g.algebra).ok()
+    assert lie.betti_numbers(g.algebra) == [1, 2, 2, 1]
 
 
 def test_lower_central_grading_filiform4():
     g = lie.lower_central_grading(lie.filiform(4))
     assert g.filtration == (0, 0, 1, 2)
     assert g.pieces == (2, 1, 1)
-    assert g.weights == (1, 3, 9)
+    assert [g.vector_weight(i) for i in range(4)] == [1, 1, 3, 9]
 
 
 def test_grading_rejects_bad_input():
@@ -346,24 +358,33 @@ def test_invariant_laplacian_kernels_heisenberg3():
 
 
 def test_rescaled_differential_squares_to_zero():
-    g = lie.lower_central_grading(HEIS3)
-    ds = lie.rescaled_differential(HEIS3, g, 0.01)
-    for p in range(2):
-        assert np.abs(ds[p + 1] @ ds[p]).max() < 1e-14
+    # the rescaling conjugates the differential of the adapted algebra, so
+    # it squares to zero when that exact differential does
+    for alg in (HEIS3, lie.load_algebra(HEIS3_SKEW), lie.filiform(5)):
+        adapted = lie.lower_central_grading(alg).algebra
+        for p in range(alg.n - 1):
+            assert (lie.ce_differential(adapted, p + 1)
+                    @ lie.ce_differential(adapted, p)).is_zero()
 
 
 def test_rescaled_spectrum_heisenberg3_exact():
     g = lie.lower_central_grading(HEIS3)
+    skew = lie.lower_central_grading(lie.load_algebra(HEIS3_SKEW))
     for eps in (1e-1, 1e-2, 1e-3):
-        rep = lie.rescaled_spectrum(HEIS3, g, 1, eps)
+        rep = lie.rescaled_spectrum(g, 1, eps)
         assert np.allclose(rep.eigenvalues, [0.0, 0.0, eps], atol=1e-15)
+        # [f1, f2] has length 2 in the orthonormal adapted basis
+        for p in (1, 2):
+            rep = lie.rescaled_spectrum(skew, p, eps)
+            assert np.allclose(rep.eigenvalues, [0.0, 0.0, 4 * eps],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_rescaled_spectrum_limits_to_betti_kernel():
     # as eps -> 0 the kernel dimension grows to the full small count
     g = lie.lower_central_grading(lie.filiform(4))
-    rep1 = lie.rescaled_spectrum(lie.filiform(4), g, 1, 1.0)
-    rep2 = lie.rescaled_spectrum(lie.filiform(4), g, 1, 1e-6)
+    rep1 = lie.rescaled_spectrum(g, 1, 1.0)
+    rep2 = lie.rescaled_spectrum(g, 1, 1e-6)
     zeros = int(np.sum(rep1.eigenvalues < 1e-12))
     near = int(np.sum(rep2.eigenvalues < 1e-3))
     assert zeros == lie.betti_numbers(lie.filiform(4))[1]

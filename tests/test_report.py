@@ -67,7 +67,7 @@ def _spectrum_routes():
         "bloch": (sconn.DiscreteComplex, "bloch_eigenvalues",
                   lambda: sconn.spectrum(sc, h, 1, count=4)),
         "nil_rescale": (lie, "lowest_eigenvalues",
-                        lambda: lie.rescaled_spectrum(heis3, grading, 1, 0.1)),
+                        lambda: lie.rescaled_spectrum(grading, 1, 0.1)),
     }
 
 

@@ -6,7 +6,8 @@ sparse rows, the superconnection layer converts holonomy actions that
 `spectral` built exactly instead of building its own, only the equivariant
 metric takes a matrix logarithm, every grid matrix is placed by one
 block builder, every spectrum comes from one of two solvers, the exact
-layer `spectral` decides nothing by a float rank or eigenvalue, a
+layer `spectral` decides nothing by a float rank or eigenvalue, an
+algebra's constants turn to floats only for the curvature command, a
 scenario's model is read in one place, and an input file is parsed in one
 place."""
 
@@ -49,6 +50,10 @@ MERGED = {
     # and every assembled grid matrix is placed by _point_blocks
     "stiffness", "mass_powers", "_mass_blocks", "_block_diag_sparse",
     "_pointwise", "_derivative", "_shift_blocks", "_block_coo",
+    # an algebra is exact only: the rescaling solves its exact complex in a
+    # rational orthogonal adapted basis, with no float twin beside it
+    "ce_matrix", "conjugate", "rescaled_differential", "rescaled_laplacian",
+    "_float_colspace",
 }
 
 
@@ -194,6 +199,16 @@ def test_spectral_makes_no_float_linear_algebra():
     bad = [f"line {node.lineno}" for node in ast.walk(_tree(SRC / "spectral.py"))
            if isinstance(node, ast.Attribute) and node.attr == "linalg"]
     assert not bad, f"spectral.py uses numpy/scipy linalg: {bad}"
+
+
+def test_algebras_are_exact_and_floated_only_for_curvature():
+    # every algebra holds exact constants, so no module asks whether it
+    # does, and the curvature command is the one reader of float constants
+    bad = [f"{path.name} line {node.lineno}" for path in MODULES
+           for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Attribute) and node.attr == "exact"]
+    assert not bad, f"reads of an .exact attribute: {bad}"
+    assert _callers("c_float") == {("cli.py", None, "curvature")}
 
 
 def test_scenario_model_read_only_by_read_model():

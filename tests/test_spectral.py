@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lie, spectral
 from nilcollapse.numerics import (InputError, RationalMatrix, rank_exact,
                                  read_json)
-from tests.conftest import (filiform_torus_complex, random_flat_complex,
-                            random_flat_complex_on, weight_complex)
+from tests.conftest import (HEIS3_SKEW, filiform_torus_complex,
+                            random_flat_complex, random_flat_complex_on,
+                            weight_complex)
 from tests.oracles import leray_circle, rectangle_page, tuple_page
 
 UNIP = RationalMatrix([[1, 1], [0, 1]])
@@ -309,6 +310,7 @@ def test_page_matches_the_tuple_space_oracle(a_max, b_max, seed):
     ("heisenberg:3", [{1: 1}, {1: 1}]),
     ("filiform:4", [{1: 1, 5: 1}, {1: 2, 5: 2}]),
     ("filiform:5", [{1: 1, 5: 1, 17: 1}, {1: 3, 5: 3, 17: 1}]),
+    pytest.param(HEIS3_SKEW, [{1: 1}, {1: 1}], id="heisenberg:3-skew"),
 ])
 def test_weight_filtration_predicts_the_rates(name, drops):
     # the eigenvalues of order eps^r of the nil_rescale Laplacian in degree
