@@ -11,7 +11,7 @@ only at the solve; curvature reads the float constants `c_float` gives.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -237,6 +237,18 @@ class AdaptedGrading:
     filtration: tuple[int, ...]
     pieces: tuple[int, ...]
     gram: tuple[Fraction, ...]
+    _differentials: dict = field(default_factory=dict, init=False,
+                                 compare=False, repr=False)
+
+    def differential(self, q: int) -> np.ndarray:
+        """Float matrix of the adapted algebra's d on q-forms, read-only:
+        `ce_differential`, built on first use and kept, since a sweep solves
+        the same degrees at every eps."""
+        if q not in self._differentials:
+            d = ce_differential(self.algebra, q).to_numpy()
+            d.setflags(write=False)
+            self._differentials[q] = d
+        return self._differentials[q]
 
     def vector_weight(self, i: int) -> int:
         return 3 ** self.filtration[i]
@@ -469,9 +481,10 @@ def rescaled_spectrum(grading: AdaptedGrading, p: int, eps: float):
     """Spectrum on Lambda^p of W^T W + W W^T, W = eps^{-N/2} d eps^{N/2} in
     orthonormal forms, N the 3^k number operator extended multiplicatively
     to the exterior algebra. d is the exact differential of the adapted
-    algebra, turned to floats here: its entry from form J to form I takes
-    the factor sqrt(g_J / g_I) eps^{(w_J - w_I)/2}, g a form's Gram product
-    and w its weight."""
+    algebra, turned to floats once per grading (`grading.differential`):
+    its entry from form J to form I takes the factor
+    sqrt(g_J / g_I) eps^{(w_J - w_I)/2}, g a form's Gram product and w its
+    weight."""
     from .report import SpectrumReport
     alg = grading.algebra
     if p > alg.n:  # there are no p-forms
@@ -484,7 +497,7 @@ def rescaled_spectrum(grading: AdaptedGrading, p: int, eps: float):
         src_g, dst_g = (np.array([float(prod(grading.gram[i] for i in I))
                                   for I in forms]) for forms in (src, dst))
         scale = np.power(eps, 0.5 * (src_w[None, :] - dst_w[:, None]))
-        return (ce_differential(alg, q).to_numpy() * scale
+        return (grading.differential(q) * scale
                 * np.sqrt(src_g[None, :] / dst_g[:, None]))
 
     w = scaled(p)

@@ -452,13 +452,6 @@ def inverse_exact(A: RationalMatrix) -> RationalMatrix:
         raise InputError("holonomy is not invertible") from None
 
 
-def form_action(g: RationalMatrix, b: int) -> RationalMatrix:
-    """Induced action of the automorphism g on degree-b exterior forms
-    (compound of the inverse transpose)."""
-    return RationalMatrix(
-        lie.compound_matrix(inverse_exact(g).transpose().tolist(), b))
-
-
 class AffineModel:
     """Exact blocks of an affine bundle's flat model, which the predictions
     and `superconnection.from_affine_bundle` read: `ranks[b]` = dim of the
@@ -556,29 +549,21 @@ def contraction_blocks(v, n: int) -> list[RationalMatrix]:
     return out
 
 
-def predict_small_count(algebra, base_kind: str, p: int,
-                        monodromy_action=None,
-                        F=None, T=None) -> SmallCountPrediction:
-    """Number of collapsing eigenvalues in total degree p, from the limit
-    flat structure: base cohomology with coefficients in the invariant
-    fiber forms, holonomy replaced by its semisimple part.
+def predict_small_counts(algebra, base_kind: str, degrees,
+                         monodromy_action=None, F=None,
+                         T=None) -> list[SmallCountPrediction]:
+    """Number of collapsing eigenvalues in each total degree p of `degrees`,
+    in order, from the limit flat structure: base cohomology with
+    coefficients in the invariant fiber forms, holonomy replaced by its
+    semisimple part.
 
     `monodromy_action`: per base generator, an exact automorphism matrix of
     the fiber algebra (rows/entries rational). The semisimple replacement is
     implemented by counting generalized 1-eigenspaces, which only depend on
     the semisimple part. With a finite symmetry group `F` the fiber forms
-    are the F-invariant ones (`AffineModel`).
-    """
-    return predict_small_counts(algebra, base_kind, (p,), monodromy_action,
-                                F=F, T=T)[0]
-
-
-def predict_small_counts(algebra, base_kind: str, degrees,
-                         monodromy_action=None, F=None,
-                         T=None) -> list[SmallCountPrediction]:
-    """`predict_small_count` for each of `degrees`, in order. One
-    `AffineModel` serves the counts and the obstruction cases, so each
-    holonomy is inverted once and each of its actions built at most once."""
+    are the F-invariant ones (`AffineModel`). One `AffineModel` serves the
+    counts and the obstruction cases, so each holonomy is inverted once and
+    each of its actions built at most once."""
     gens = _BASE_GENS.get(base_kind)
     if gens is None:
         raise InputError(f"unsupported base kind {base_kind!r}")

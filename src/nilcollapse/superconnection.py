@@ -96,7 +96,8 @@ class BaseModel:
 
 class GradedBundle:
     """Z-graded bundle given by per-degree ranks and grading-preserving
-    monodromy matrices, one per base generator."""
+    monodromy matrices, one per base generator. It checks shapes and
+    invertibility only; `check_flatness` tests that they commute."""
 
     def __init__(self, ranks, monodromies=None, generators: int = 1):
         self.ranks = tuple(integer(r, "each rank") for r in ranks)
@@ -116,12 +117,6 @@ class GradedBundle:
                 # relative rank: an absolute det bound fails small actions
                 if np.linalg.matrix_rank(m) < len(m):
                     raise InputError("monodromy must be invertible")
-        if len(self.monodromies) == 2:
-            for b in range(len(self.ranks)):
-                comm = (self.monodromies[0][b] @ self.monodromies[1][b]
-                        - self.monodromies[1][b] @ self.monodromies[0][b])
-                if np.abs(comm).max() > 1e-10:
-                    raise InputError("torus monodromies must commute")
 
     @property
     def top(self) -> int:
@@ -288,55 +283,43 @@ def _blocks(name, blocks, shapes, first):
     return blocks
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
-    """Max violation of each flatness identity."""
+def check_flatness(ranks, a0, monodromies, a2=None) -> None:
+    """Test the flatness identities by equality on exact `RationalMatrix`
+    blocks: a0[b]: E^b -> E^{b+1}, monodromies[gen][b] on E^b, and
+    a2[b - 1]: E^b -> E^{b-1} (None without a curvature term). They are
+    squares: a0[b+1] a0[b] = 0 ((a2)^2 lands in 4-forms, absent here);
+    parallel_a0: Phi[b+1] a0[b] = a0[b] Phi[b];
+    parallel_a2: Phi[b-1] a2[b] = a2[b] Phi[b];
+    curvature: (nabla)^2 + a0 a2 + a2 a0 = 0, i.e. the two torus holonomies
+    commute in each degree and a0[b-1] a2[b] + a2[b+1] a0[b] = 0.
+    FlatnessError names the first identity that fails, its degree b and,
+    for a parallel identity, the generator."""
+    m = len(ranks) - 1
 
-    squares: float           # (a0)^2 = 0; (a2)^2 lands in 4-forms, absent here
-    parallel_a0: float       # a0 commutes with the holonomy
-    parallel_a2: float       # a2 commutes with the holonomy
-    curvature: float         # (nabla)^2 + a0 a2 + a2 a0 = 0
+    def require(holds, identity, b, gen=None):
+        if not holds:
+            where = "" if gen is None else f" of generator {gen}"
+            raise FlatnessError(f"flatness identity {identity!r} fails in "
+                                f"degree {b}{where}")
 
-    @property
-    def max_violation(self) -> float:
-        return getattr(self, self.worst_identity())
-
-    def ok(self) -> bool:
-        return self.max_violation <= 1e-12
-
-    def worst_identity(self) -> str:
-        return max(("squares", "parallel_a0", "parallel_a2", "curvature"),
-                   key=lambda name: getattr(self, name))
-
-
-def check_flatness(sc: Superconnection) -> FlatnessReport:
-    bundle, m = sc.bundle, sc.bundle.top
-    sq = 0.0
     for b in range(m - 1):
-        sq = max(sq, _absmax(sc.a0_block(b + 1) @ sc.a0_block(b)))
-    pa0 = pa2 = 0.0
-    for gen in range(len(bundle.monodromies)):
+        require((a0[b + 1] @ a0[b]).is_zero(), "squares", b)
+    for gen, phi in enumerate(monodromies):
         for b in range(m):
-            pa0 = max(pa0, _absmax(bundle.monodromy(gen, b + 1) @ sc.a0_block(b)
-                                   - sc.a0_block(b) @ bundle.monodromy(gen, b)))
-        for b in range(1, m + 1):
-            pa2 = max(pa2, _absmax(bundle.monodromy(gen, b - 1) @ sc.a2_block(b)
-                                   - sc.a2_block(b) @ bundle.monodromy(gen, b)))
-    curv = 0.0
-    if len(bundle.monodromies) == 2:
-        for b in range(m + 1):
-            curv = max(curv, _absmax(
-                bundle.monodromy(0, b) @ bundle.monodromy(1, b)
-                - bundle.monodromy(1, b) @ bundle.monodromy(0, b)))
-    for b in range(m + 1):
-        curv = max(curv, _absmax(sc.a0_block(b - 1) @ sc.a2_block(b)
-                                 + sc.a2_block(b + 1) @ sc.a0_block(b)))
-    return FlatnessReport(sq, pa0, pa2, curv)
-
-
-def _absmax(A) -> float:
-    A = np.asarray(A)
-    return float(np.abs(A).max()) if A.size else 0.0
+            require(phi[b + 1] @ a0[b] == a0[b] @ phi[b], "parallel_a0", b, gen)
+        for b in range(1, m + 1) if a2 is not None else ():
+            require(phi[b - 1] @ a2[b - 1] == a2[b - 1] @ phi[b],
+                    "parallel_a2", b, gen)
+    if len(monodromies) == 2:
+        for b, (p, q) in enumerate(zip(*monodromies)):
+            require(p @ q == q @ p, "curvature", b)
+    for b in range(m + 1) if a2 is not None else ():
+        total = RationalMatrix.zeros(ranks[b], ranks[b])
+        if b >= 1:
+            total = total + a0[b - 1] @ a2[b - 1]
+        if b < m:
+            total = total + a2[b] @ a0[b]
+        require(total.is_zero(), "curvature", b)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +335,12 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
     algebra as an exact n x n matrix. `T`: curvature coefficient, the n
     vertical components of the area-form coefficient (torus base only).
     Both are read by `RationalMatrix` (a non-integral float raises
-    InputError); `spectral.AffineModel` builds the blocks exactly and they
-    are converted to floats once, here. With a finite symmetry group `F`
-    the model holds the blocks on the F-invariant forms, in their exact
-    basis B = QR, and each goes into the orthonormal frame Q as
-    R_dst X R_src^-1. Raises FlatnessError naming the violated identity if
-    the data is not flat.
+    InputError); `spectral.AffineModel` builds the blocks exactly,
+    `check_flatness` tests them exactly (FlatnessError naming the identity
+    that fails), and they are converted to floats once, here. With a finite
+    symmetry group `F` the model holds the blocks on the F-invariant forms,
+    in their exact basis B = QR, where the flatness identities read the
+    same, and each goes into the orthonormal frame Q as R_dst X R_src^-1.
     """
     n = algebra.n
     if monodromy_action is None:
@@ -374,30 +357,26 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
         return scipy.linalg.solve_triangular(
             R[b_src], (R[b_dst] @ mat).T, trans="T").T
 
-    monos = [[convert(act, b, b) for b, act in enumerate(per_degree)]
-             for per_degree in zip(*map(model.actions, range(n + 1)))]
-    bundle = GradedBundle(model.ranks, monos)
+    actions = list(zip(*map(model.actions, range(n + 1))))
+    bundle = GradedBundle(model.ranks, [
+        [convert(act, b, b) for b, act in enumerate(per_degree)]
+        for per_degree in actions])
     a0 = [convert(blk, b, b + 1) for b, blk in enumerate(model.a0)]
     a2 = None if model.a2 is None else [
         convert(blk, b, b - 1) for b, blk in enumerate(model.a2, start=1)]
-    return _require_flat(Superconnection(bundle, base, a0=a0, a2=a2))
-
-
-def _require_flat(sc: Superconnection) -> Superconnection:
-    """sc itself, or FlatnessError naming the worst-violated identity."""
-    rep = check_flatness(sc)
-    if not rep.ok():
-        raise FlatnessError(
-            f"flatness identity {rep.worst_identity()!r} violated "
-            f"by {rep.max_violation:.3e}")
+    sc = Superconnection(bundle, base, a0=a0, a2=a2)
+    check_flatness(model.ranks, model.a0, actions, model.a2)
     return sc
 
 
 def load_bundle(source) -> tuple[Superconnection, MetricField]:
     """Superconnection plus metric from a JSON file path or a parsed dict:
     a fiber algebra with its holonomy actions and curvature term, or
-    explicit per-degree blocks. FlatnessError if it is not flat, InputError
-    if the metric is not equivariant under the monodromy."""
+    explicit per-degree blocks. Either way the flatness identities are
+    tested exactly on the blocks as read (`check_flatness`), before they
+    become floats: FlatnessError if they fail. Explicit blocks default to
+    identity monodromies, a zero a0 and no a2. InputError if the metric is
+    not equivariant under the monodromy."""
     payload = read_json(source, "bundle")
     fiber_shape = isinstance(payload, dict) and "fiber" in payload
     b = read_fields(payload, _FIBER_BUNDLE_FIELDS if fiber_shape
@@ -409,17 +388,29 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
         sc = from_affine_bundle(b["fiber"], base, T=b["a2"],
                                 monodromy_action=b["monodromy_action"])
     else:
-        bundle = GradedBundle(b["ranks"], b["monodromy"], generators=base.dim)
-        sc = _require_flat(Superconnection(bundle, base, a0=b["a0_blocks"],
-                                           a2=b["a2_blocks"]))
+        monos, a0, a2 = b["monodromy"], b["a0_blocks"], b["a2_blocks"]
+        bundle = GradedBundle(b["ranks"], None if monos is None else [
+            _floats(gen) for gen in monos], generators=base.dim)
+        sc = Superconnection(bundle, base, a0=_floats(a0), a2=_floats(a2))
+        ranks = bundle.ranks
+        if monos is None:
+            monos = [[RationalMatrix.identity(r) for r in ranks]] * base.dim
+        if a0 is None:
+            a0 = [RationalMatrix.zeros(ranks[k + 1], ranks[k])
+                  for k in range(bundle.top)]
+        check_flatness(ranks, a0, monos, a2)
     h = (MetricField.identity(sc.bundle) if b["metric"] == "identity"
          else MetricField.equivariant(sc.bundle, base))
     h.check_equivariance(base)
     return sc, h
 
 
-def _float_blocks(blocks) -> list:
-    return [RationalMatrix(m).to_numpy() for m in blocks]
+def _exact_blocks(blocks) -> list[RationalMatrix]:
+    return [RationalMatrix(m) for m in blocks]
+
+
+def _floats(blocks):
+    return None if blocks is None else [m.to_numpy() for m in blocks]
 
 
 def _read_base(spec) -> BaseModel:
@@ -440,8 +431,8 @@ _FIBER_BUNDLE_FIELDS = {
                                     "a2")["interior"], None)}
 _EXPLICIT_BUNDLE_FIELDS = {
     **_COMMON_FIELDS, "ranks": (list, REQUIRED),
-    "monodromy": (lambda gens: [_float_blocks(g) for g in gens], None),
-    "a0_blocks": (_float_blocks, None), "a2_blocks": (_float_blocks, None)}
+    "monodromy": (lambda gens: [_exact_blocks(g) for g in gens], None),
+    "a0_blocks": (_exact_blocks, None), "a2_blocks": (_exact_blocks, None)}
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +683,11 @@ class DiscreteComplex:
                 s = spla.svds(A, k=1, return_singular_vectors=False)
                 worst = max(worst, float(s[0]))
         return worst
+
+
+def _absmax(A) -> float:
+    A = np.asarray(A)
+    return float(np.abs(A).max()) if A.size else 0.0
 
 
 def _intertwines(a: np.ndarray, X_dst: np.ndarray, X_src: np.ndarray) -> bool:

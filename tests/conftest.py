@@ -1,7 +1,7 @@
 """Shared test helpers: random orthogonal matrices, float constants in a
 rotated basis, heisenberg:3 in a basis not adapted to its lower central
-series, and randomly generated bigraded complexes whose differential
-squares to zero exactly."""
+series, the exact flatness check of an affine model, and randomly
+generated bigraded complexes whose differential squares to zero exactly."""
 
 from fractions import Fraction
 from math import comb
@@ -9,6 +9,7 @@ from math import comb
 import numpy as np
 
 from nilcollapse import lie, spectral
+from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import RationalMatrix, solve_exact
 from nilcollapse.spectral import BigradedComplex
 
@@ -22,6 +23,15 @@ def conjugated(c, q):
     """Float constants c[i, j, k] = c^k_ij in the orthonormal basis
     e'_a = sum_i q[i, a] e_i, q orthogonal."""
     return np.einsum("ia,jb,ijk,ck->abc", q, q, c, q.T)
+
+
+def check_model_flatness(alg, holonomies, T=None):
+    """`check_flatness` on the exact blocks of the affine model."""
+    model = spectral.AffineModel(alg, holonomies, T)
+    sconn.check_flatness(model.ranks, model.a0,
+                         list(zip(*map(model.actions, range(alg.n + 1)))),
+                         model.a2)
+    return model
 
 
 # heisenberg:3 in the basis f3 = e3 + e1: [f1, f2] = f3 - f1 and

@@ -15,7 +15,8 @@ import pytest
 from nilcollapse import lab, lie, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import RationalMatrix
-from tests.conftest import conjugated, random_flat_complex, random_orthogonal
+from tests.conftest import (check_model_flatness, conjugated,
+                            random_flat_complex, random_orthogonal)
 from tests.oracles import invariant_laplacian, leray_circle
 
 UNIP = RationalMatrix([[1, 1], [0, 1]])
@@ -71,7 +72,7 @@ def test_harmonic_form_counts_heisenberg3():
 def test_rescaled_family_collapse_count():
     alg = lie.heisenberg(3)
     grading = lie.lower_central_grading(alg)
-    pred = spectral.predict_small_count(alg, "point", 1)
+    [pred] = spectral.predict_small_counts(alg, "point", [1])
     assert pred.count == 3
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         rep = lie.rescaled_spectrum(grading, 1, eps)
@@ -145,13 +146,14 @@ def test_circle_closed_form_matches_stable_page():
         g = RationalMatrix([[1, a], [0, 1]]) @ RationalMatrix([[1, 0], [b, 1]])
         ranks = [1, 2, 1]
         a0 = [RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 2)]
-        monos = [[spectral.form_action(g, q) for q in range(3)]]
-        cx = spectral.flat_bundle_complex(ranks, a0, monos, "circle")
-        acts = [spectral.form_action(g, q) for q in range(3)]
+        model = spectral.AffineModel(lie.abelian(2), [g])
+        acts = [model.actions(q)[0] for q in range(3)]
+        cx = spectral.flat_bundle_complex(ranks, a0, [acts], "circle")
         assert spectral.spectral_sequence(cx).stable.totals() == \
             [leray_circle(acts, p) for p in range(4)]
         checked += 1
-    acts = [spectral.form_action(UNIP, q) for q in range(3)]
+    model = spectral.AffineModel(lie.abelian(2), [UNIP])
+    acts = [model.actions(q)[0] for q in range(3)]
     assert [leray_circle(acts, p) for p in range(4)] == [1, 2, 2, 1]
 
 
@@ -212,21 +214,22 @@ def test_square_root_perturbation_bound():
 # -- 10 ---------------------------------------------------------------------
 
 def test_all_constructed_superconnections_are_flat():
+    # each model's exact blocks pass the exact flatness check, which
+    # from_affine_bundle also runs before it hands out the float blocks
     circle = sconn.BaseModel("circle", 8)
     torus = sconn.BaseModel("torus2", 8)
     cases = [
-        sconn.from_affine_bundle(lie.heisenberg(3), circle),
-        sconn.from_affine_bundle(lie.heisenberg(5), circle),
-        sconn.from_affine_bundle(lie.abelian(2), circle,
-                                 monodromy_action=[UNIP.to_numpy()]),
-        sconn.from_affine_bundle(lie.abelian(2), circle,
-                                 monodromy_action=[[[2, 1], [1, 1]]]),
-        sconn.from_affine_bundle(lie.abelian(3), torus),
-        sconn.from_affine_bundle(lie.heisenberg(3), torus,
-                                 T=[0.0, 0.0, 1.0]),
-        sconn.from_affine_bundle(lie.abelian(1), torus, T=[1]),
-        sconn.from_affine_bundle(lie.abelian(1), torus, T=["1/4"]),
+        (lie.heisenberg(3), circle, {}),
+        (lie.heisenberg(5), circle, {}),
+        (lie.abelian(2), circle, dict(monodromy_action=[UNIP.to_numpy()])),
+        (lie.abelian(2), circle, dict(monodromy_action=[[[2, 1], [1, 1]]])),
+        (lie.abelian(3), torus, {}),
+        (lie.heisenberg(3), torus, dict(T=[0.0, 0.0, 1.0])),
+        (lie.abelian(1), torus, dict(T=[1])),
+        (lie.abelian(1), torus, dict(T=["1/4"])),
     ]
-    for sc in cases:
-        rep = sconn.check_flatness(sc)
-        assert rep.ok(), rep.worst_identity()
+    for alg, base, data in cases:
+        model = check_model_flatness(alg, data.get(
+            "monodromy_action", [np.eye(alg.n)] * base.dim), data.get("T"))
+        sc = sconn.from_affine_bundle(alg, base, **data)
+        assert sc.bundle.ranks == tuple(model.ranks)

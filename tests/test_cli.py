@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from nilcollapse import lab, lie, spectral
 from nilcollapse.cli import main
+from nilcollapse.numerics import RationalMatrix
 from tests.conftest import HEIS3_SKEW, filiform_torus_complex
 
 
@@ -202,13 +204,25 @@ def test_run_check_failure_exits_three(runner, tmp_path):
       "ranks": [1]}, "bad circumference list"),
     ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1, 1],
       "monodromy": [[[[2]], [[1]]]], "a0_blocks": [[[1]]]},
-     "flatness identity 'parallel_a0' violated by 1.000e+00"),
+     "flatness identity 'parallel_a0' fails in degree 0 of generator 0"),
+    ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1, 1, 1],
+      "a0_blocks": [[[1]], [[1]]]},
+     "flatness identity 'squares' fails in degree 0"),
+    ({"base": {"kind": "torus2", "resolution": 8}, "ranks": [1, 1],
+      "monodromy": [[[[1]], [[2]]], [[[1]], [[1]]]], "a2_blocks": [[[1]]]},
+     "flatness identity 'parallel_a2' fails in degree 1 of generator 0"),
+    ({"base": {"kind": "torus2", "resolution": 8}, "ranks": [2],
+      "monodromy": [[[[1, 1], [0, 1]]], [[[1, 0], [1, 1]]]]},
+     "flatness identity 'curvature' fails in degree 0"),
+    ({"base": {"kind": "torus2", "resolution": 8}, "ranks": [1, 1],
+      "a0_blocks": [[[1]]], "a2_blocks": [[[1]]]},
+     "flatness identity 'curvature' fails in degree 0"),
     ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1],
       "monodromy": [[[[2]]]], "metric": "identity"},
      "metric violates monodromy equivariance (degree 0)"),
     ({"base": {"kind": "circle", "resolution": 8}, "fiber": "heisenberg:3",
       "monodromy_action": [[[2, 0, 0], [0, 1, 0], [0, 0, 1]]]},
-     "flatness identity 'parallel_a0' violated by 5.000e-01"),
+     "flatness identity 'parallel_a0' fails in degree 1 of generator 0"),
     ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1, 1],
       "monodromy": [[[2], [1]]]}, "a matrix must be a list of rows"),
     ({"base": {"kind": "circle", "resolution": 8}, "ranks": [1.5]},
@@ -221,7 +235,8 @@ def test_run_check_failure_exits_three(runner, tmp_path):
     ({"base": {"kind": "circle", "resolution": 8}, "ranks": [2],
       "monodromy": [[[[1, 1], [1, 1]]]]}, "monodromy must be invertible"),
 ], ids=["inexact-interior", "resolution", "circumferences", "not-flat",
-        "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list",
+        "not-squaring-to-zero", "a2-not-parallel", "non-commuting-holonomies",
+        "a0-a2-anticommutator", "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list",
         "fractional-rank", "bool-rank", "nan-circumference",
         "singular-monodromy"])
 def test_validate_rejects_bad_bundle_entries(runner, tmp_path, payload, reason):
@@ -230,6 +245,33 @@ def test_validate_rejects_bad_bundle_entries(runner, tmp_path, payload, reason):
     res = runner.invoke(main, ["validate", str(path)])
     assert res.exit_code == 1
     assert "error:" in res.output and reason in res.output
+
+
+# entries near 20 with denominators: the float products of exactly flat
+# blocks built from M miss their identities by about 1e-12
+M = RationalMatrix([["61/3", "2/7", "-1/5"], ["4/9", "131/7", "3/2"],
+                    ["-5/6", "1/3", "22"]])
+
+
+def _rows(A):
+    return [[str(x) for x in row] for row in A.tolist()]
+
+
+@pytest.mark.parametrize("payload", [
+    {"base": {"kind": "circle", "resolution": 16}, "ranks": [3, 3],
+     "monodromy": [[_rows(M), _rows(M)]],
+     "a0_blocks": [_rows(M @ M @ M + M.scale(Fraction(5, 7)))]},
+    {"base": {"kind": "torus2", "resolution": 8}, "ranks": [3],
+     "monodromy": [[_rows(M)], [_rows(M @ M + M.scale(Fraction(5, 7)))]]},
+], ids=["circle", "torus2"])
+def test_validate_accepts_exactly_flat_bundles(runner, tmp_path, payload):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(dict(payload, metric="equivariant")))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 0 and "bundle: ok" in res.output, res.output
+    res = runner.invoke(main, ["spectrum", str(path), "--p", "0"])
+    assert res.exit_code == 0, res.output
+    assert len(json.loads(res.output)["eigenvalues"]) == 12
 
 
 def test_validate_accepts_rational_interior(runner, tmp_path):
@@ -463,7 +505,7 @@ BAD_MODELS = [
                  {"algebra": "heisenberg:3",
                   "monodromy": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]},
                  "monodromy is not an automorphism of the algebra: flatness "
-                 "identity 'parallel_a0' violated by 5.000e-01",
+                 "identity 'parallel_a0' fails in degree 1 of generator 0",
                  id="not-an-automorphism"),
     pytest.param("monodromy_degeneration",
                  dict(MONO, monodromy=[[1, 1], [1, 1]]),

@@ -148,6 +148,23 @@ def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
         assert [len(d.spectra) for d in rep.degrees] == [4, 4, 4]
 
 
+def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
+    # the exact differentials do not depend on eps: heisenberg:3 in degree 1
+    # needs d on the 0-, 1- and 2-forms for the prediction and d on the 0-
+    # and 1-forms of the adapted algebra for the solve, each built once for
+    # the 4 sweep points
+    calls = []
+    real = lie.ce_differential
+    plain = json.dumps(lab.run("example1_heisenberg_point").to_dict(),
+                       sort_keys=True)
+    monkeypatch.setattr(lie, "ce_differential",
+                        lambda alg, q: calls.append(q) or real(alg, q))
+    rep = lab.run("example1_heisenberg_point")
+    assert json.dumps(rep.to_dict(), sort_keys=True) == plain
+    assert len(rep.degrees[0].spectra) == 4
+    assert sorted(calls) == [0, 0, 1, 1, 2]
+
+
 def test_sweep_builds_each_bloch_symbol_once(monkeypatch):
     # degrees 0, 1, 2 solve on the symbols of degrees -1 .. 2: 4 per point,
     # 16 over the 4 points, each built once although two degrees read it

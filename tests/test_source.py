@@ -6,8 +6,9 @@ sparse rows, the superconnection layer converts holonomy actions that
 `spectral` built exactly instead of building its own, only the equivariant
 metric takes a matrix logarithm, every grid matrix is placed by one
 block builder, every spectrum comes from one of two solvers, the exact
-layer `spectral` decides nothing by a float rank or eigenvalue, an
-algebra's constants turn to floats only for the curvature command, a
+layer `spectral` decides nothing by a float rank or eigenvalue, flatness
+is decided by equality on exact blocks, an algebra's constants turn to
+floats only for the curvature command, a
 scenario's model is read in one place, and an input file is parsed in one
 place."""
 
@@ -54,6 +55,12 @@ MERGED = {
     # rational orthogonal adapted basis, with no float twin beside it
     "ce_matrix", "conjugate", "rescaled_differential", "rescaled_laplacian",
     "_float_colspace",
+    # flatness is tested once, exactly, by check_flatness on the blocks
+    # both bundle readers hold as RationalMatrix
+    "FlatnessReport", "_require_flat",
+    # only tests called these: AffineModel(...).actions(b) and
+    # predict_small_counts(...)[0] say the same
+    "form_action", "predict_small_count",
 }
 
 
@@ -166,6 +173,29 @@ def test_grid_matrices_placed_only_by_point_blocks():
     assert not bad, f"superconnection.py assembles blocks by scipy: {bad}"
     assert ("superconnection.py", "DiscreteComplex", "differential") in \
         _callers("_point_blocks")
+
+
+def test_flatness_decided_exactly():
+    # check_flatness compares exact blocks by equality: no float constant,
+    # no numpy and no float max-norm decides it, and GradedBundle checks
+    # shapes and invertibility only, multiplying no monodromies
+    tree = _tree(SRC / "superconnection.py")
+    check = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+             and fn.name == "check_flatness"]
+    bundle = [cls for cls in tree.body if isinstance(cls, ast.ClassDef)
+              and cls.name == "GradedBundle"]
+    assert len(check) == len(bundle) == 1
+    bad = [f"line {node.lineno}" for node in ast.walk(check[0])
+           if (isinstance(node, ast.Constant) and isinstance(node.value, float))
+           or (isinstance(node, ast.Name) and node.id in ("np", "_absmax"))]
+    init = [fn for fn in bundle[0].body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+    bad += [f"GradedBundle.__init__ line {node.lineno}"
+            for node in ast.walk(init[0])
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+            or (isinstance(node, ast.Call)
+                and _called_name(node) in ("dot", "matmul"))]
+    assert not bad, f"flatness decided on floats: {bad}"
 
 
 def test_logarithms_taken_only_by_the_equivariant_metric():

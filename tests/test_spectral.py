@@ -23,11 +23,18 @@ UNIP = RationalMatrix([[1, 1], [0, 1]])
 SOL = RationalMatrix([[2, 1], [1, 1]])
 
 
+def torus_fiber_actions(g):
+    """The action of g (an exact 2x2 holonomy) on the 0-, 1- and 2-forms of
+    the 2-torus fiber."""
+    model = spectral.AffineModel(lie.abelian(2), [g])
+    return [model.actions(b)[0] for b in range(3)]
+
+
 def circle_model(g):
     """Torus fiber over the circle with holonomy g (an exact 2x2 matrix)."""
     ranks = [1, 2, 1]
     a0 = [RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 2)]
-    monos = [[spectral.form_action(g, b) for b in range(3)]]
+    monos = [torus_fiber_actions(g)]
     return spectral.flat_bundle_complex(ranks, a0, monos, "circle")
 
 
@@ -365,12 +372,12 @@ def test_corrupted_stable_page_raises(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_leray_circle_closed_form_unipotent():
-    monos = [spectral.form_action(UNIP, b) for b in range(3)]
+    monos = torus_fiber_actions(UNIP)
     assert [leray_circle(monos, p) for p in range(4)] == [1, 2, 2, 1]
 
 
 def test_leray_circle_closed_form_hyperbolic():
-    monos = [spectral.form_action(SOL, b) for b in range(3)]
+    monos = torus_fiber_actions(SOL)
     assert [leray_circle(monos, p) for p in range(4)] == [1, 1, 1, 1]
 
 
@@ -398,7 +405,7 @@ def test_leray_matches_stable_page_random_holonomy():
         else:
             g = RationalMatrix([[a, b], [c, d]])
         cx = circle_model(g)
-        monos = [spectral.form_action(g, q) for q in range(3)]
+        monos = torus_fiber_actions(g)
         assert spectral.spectral_sequence(cx).stable.totals() == \
             [leray_circle(monos, p) for p in range(4)]
 
@@ -460,10 +467,10 @@ def test_exact_matrix_helpers():
 
 
 def test_form_action_is_multiplicative():
+    model = spectral.AffineModel(lie.abelian(2), [UNIP @ SOL, UNIP, SOL])
     for b in range(3):
-        lhs = spectral.form_action(UNIP @ SOL, b)
-        rhs = spectral.form_action(UNIP, b) @ spectral.form_action(SOL, b)
-        assert lhs == rhs
+        both, unip, sol = model.actions(b)
+        assert both == unip @ sol
 
 
 # ---------------------------------------------------------------------------
@@ -471,46 +478,46 @@ def test_form_action_is_multiplicative():
 # ---------------------------------------------------------------------------
 
 def test_predict_nil_fiber_over_point():
-    pred = spectral.predict_small_count(lie.heisenberg(3), "point", 1)
+    [pred] = spectral.predict_small_counts(lie.heisenberg(3), "point", [1])
     assert pred.count == 3
     assert pred.obstruction_case == 1
 
 
 def test_predict_unipotent_circle():
-    pred = spectral.predict_small_count(lie.abelian(2), "circle", 1,
-                                        monodromy_action=[UNIP])
+    [pred] = spectral.predict_small_counts(lie.abelian(2), "circle", [1],
+                                           monodromy_action=[UNIP])
     assert pred.count == 3
     assert pred.obstruction_case == 2
     assert pred.per_bidegree == {(0, 1): 2, (1, 0): 1}
 
 
 def test_predict_hyperbolic_circle():
-    pred = spectral.predict_small_count(lie.abelian(2), "circle", 1,
-                                        monodromy_action=[SOL])
+    [pred] = spectral.predict_small_counts(lie.abelian(2), "circle", [1],
+                                           monodromy_action=[SOL])
     assert pred.count == 1
     assert pred.obstruction_case is None
     assert pred.per_bidegree == {(1, 0): 1}
 
 
 def test_predict_circle_bundle_over_torus():
-    pred = spectral.predict_small_count(lie.abelian(1), "torus2", 1,
-                                        T=[Fraction(1)])
+    [pred] = spectral.predict_small_counts(lie.abelian(1), "torus2", [1],
+                                           T=[Fraction(1)])
     assert pred.count == 3
     assert pred.obstruction_case == 3
     # without the curvature data the obstruction is invisible
-    pred0 = spectral.predict_small_count(lie.abelian(1), "torus2", 1)
+    [pred0] = spectral.predict_small_counts(lie.abelian(1), "torus2", [1])
     assert pred0.count == 3 and pred0.obstruction_case is None
 
 
 def test_predict_product_bundle():
-    pred = spectral.predict_small_count(lie.abelian(2), "circle", 1)
+    [pred] = spectral.predict_small_counts(lie.abelian(2), "circle", [1])
     assert pred.count == 3
     assert pred.obstruction_case is None
 
 
 def test_predict_rejects_unknown_base():
     with pytest.raises(InputError):
-        spectral.predict_small_count(lie.abelian(2), "sphere", 1)
+        spectral.predict_small_counts(lie.abelian(2), "sphere", [1])
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +532,17 @@ def test_invariant_sector_counts_the_joint_fixed_space():
     # holonomies, though each one fixes a line
     holonomies = [RationalMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
                   RationalMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])]
-    pred = spectral.predict_small_count(lie.abelian(3), "torus2", 1,
-                                        monodromy_action=holonomies, F=FLIP3)
+    [pred] = spectral.predict_small_counts(lie.abelian(3), "torus2", [1],
+                                           monodromy_action=holonomies,
+                                           F=FLIP3)
     assert pred.count == 2
     assert pred.per_bidegree == {(1, 0): 2}
 
 
 def test_invariant_sector_decides_case_two():
     # a unipotent block on the invariant 1-forms e1, e2
-    pred = spectral.predict_small_count(
-        lie.abelian(3), "circle", 1, F=FLIP3,
+    [pred] = spectral.predict_small_counts(
+        lie.abelian(3), "circle", [1], F=FLIP3,
         monodromy_action=[RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])])
     assert pred.obstruction_case == 2
 
@@ -542,8 +550,8 @@ def test_invariant_sector_decides_case_two():
 def test_holonomy_leaving_the_invariant_sector_is_rejected():
     # e1 + e3 is not F-invariant, and this holonomy sends e3 to it
     with pytest.raises(InputError, match="F-invariant"):
-        spectral.predict_small_count(
-            lie.abelian(3), "circle", 1, F=FLIP3,
+        spectral.predict_small_counts(
+            lie.abelian(3), "circle", [1], F=FLIP3,
             monodromy_action=[RationalMatrix([[1, 0, 1], [0, 1, 0],
                                               [0, 0, 1]])])
 
@@ -566,5 +574,5 @@ def test_invariant_sector_predictions_heisenberg3():
 def test_cohomology_action_unipotent():
     # induced holonomy on degree-1 fiber cohomology keeps the unipotent block
     a0 = spectral.AffineModel(lie.abelian(2), []).a0
-    act = spectral.cohomology_action(a0, spectral.form_action(UNIP, 1), 1)
+    act = spectral.cohomology_action(a0, torus_fiber_actions(UNIP)[1], 1)
     assert not spectral.unipotent_factor(act).semisimple

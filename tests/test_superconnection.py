@@ -10,6 +10,7 @@ import pytest
 from nilcollapse import lab, lie, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix
+from tests.conftest import check_model_flatness
 
 SOL = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = (3.0 + np.sqrt(5.0)) / 2.0  # larger eigenvalue of SOL
@@ -59,12 +60,15 @@ def test_graded_bundle_validation():
         sconn.GradedBundle([])
     with pytest.raises(InputError):
         sconn.GradedBundle([2], [[np.array([[1.0, 1.0], [1.0, 1.0]])]])
-    # torus monodromies must commute
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    b = np.array([[1.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(InputError):
-        sconn.GradedBundle([2], [[a], [b]], generators=2)
-    sconn.GradedBundle([2], [[a], [a]], generators=2)
+    # the bundle checks shapes and invertibility only: that torus
+    # monodromies commute is the exact flatness identity 'curvature'
+    a = RationalMatrix([[1, 1], [0, 1]])
+    b = RationalMatrix([[1, 0], [1, 1]])
+    sconn.GradedBundle([2], [[a.to_numpy()], [b.to_numpy()]], generators=2)
+    with pytest.raises(sconn.FlatnessError,
+                       match="'curvature' fails in degree 0$"):
+        sconn.check_flatness([2], [], [[a], [b]])
+    sconn.check_flatness([2], [], [[a], [a]])
 
 
 def test_small_invertible_holonomy_action_builds():
@@ -126,20 +130,21 @@ def test_flatness_of_affine_models():
     for alg, base in [(lie.heisenberg(3), circle(8)),
                       (lie.abelian(2), circle(8)),
                       (lie.abelian(3), torus(8))]:
-        sc = sconn.from_affine_bundle(alg, base)
-        assert sconn.check_flatness(sc).ok()
+        check_model_flatness(alg, [np.eye(alg.n)] * base.dim)
+        sconn.from_affine_bundle(alg, base)
 
 
 def test_flatness_of_twisted_circle():
+    check_model_flatness(lie.abelian(2), [SOL])
     sc = sconn.from_affine_bundle(lie.abelian(2), circle(8),
                                   monodromy_action=[SOL])
-    rep = sconn.check_flatness(sc)
-    assert rep.ok() and rep.max_violation < 1e-12
+    assert np.array_equal(sc.bundle.monodromy(0, 1), np.linalg.inv(SOL).T)
 
 
 def test_circle_bundle_model_is_flat():
+    check_model_flatness(lie.abelian(1), [np.eye(1)] * 2, T=[1])
     sc = circle_bundle(torus(8), 1.0)
-    assert sconn.check_flatness(sc).ok()
+    assert np.array_equal(sc.a2_block(1), [[1.0]])
     with pytest.raises(InputError):
         circle_bundle(circle(8), 1.0)
 
@@ -152,18 +157,13 @@ def test_from_affine_bundle_rejects_non_automorphism():
 
 
 def test_flatness_report_names_violated_identity():
-    bundle = sconn.GradedBundle([1, 1], [[np.array([[1.0]]), np.array([[2.0]])]])
-    sc = sconn.Superconnection(bundle, circle(8), a0=[np.array([[1.0]])])
-    rep = sconn.check_flatness(sc)
-    assert not rep.ok()
-    assert rep.worst_identity() == "parallel_a0"
-
-    bundle = sconn.GradedBundle([1, 1], generators=2)
-    sc = sconn.Superconnection(bundle, torus(8), a0=[np.array([[1.0]])],
-                               a2=[np.array([[1.0]])])
-    rep = sconn.check_flatness(sc)
-    assert not rep.ok()
-    assert rep.worst_identity() == "curvature"
+    one, two = RationalMatrix([[1]]), RationalMatrix([[2]])
+    with pytest.raises(sconn.FlatnessError, match="flatness identity "
+                       "'parallel_a0' fails in degree 0 of generator 0$"):
+        sconn.check_flatness([1, 1], [one], [[one, two]])
+    with pytest.raises(sconn.FlatnessError, match="flatness identity "
+                       "'curvature' fails in degree 0$"):
+        sconn.check_flatness([1, 1], [one], [[one, one]] * 2, a2=[one])
 
 
 def test_contraction_matrix_matches_exact_blocks():
@@ -542,7 +542,15 @@ def test_load_bundle_fiber_form(tmp_path):
     path.write_text(json.dumps(payload))
     sc, h = sconn.load_bundle(str(path))
     assert sc.bundle.ranks == (1, 3, 3, 1)
-    assert sconn.check_flatness(sc).ok()
+    for b in range(3):
+        assert np.array_equal(
+            sc.a0[b], lie.ce_differential(lie.heisenberg(3), b).to_numpy())
+    # scaling the center only is no automorphism: the exact check says so
+    path.write_text(json.dumps(dict(payload, monodromy_action=[
+        [[1, 0, 0], [0, 1, 0], [0, 0, 2]]])))
+    with pytest.raises(sconn.FlatnessError, match="'parallel_a0' fails in "
+                       "degree 1 of generator 0"):
+        sconn.load_bundle(str(path))
 
 
 def test_load_bundle_explicit_form():
@@ -663,8 +671,9 @@ def test_from_affine_bundle_converts_the_exact_model_blocks():
         for b in range(4):
             assert np.array_equal(sc.bundle.monodromy(gen, b),
                                   model.actions(b)[gen].to_numpy())
-    assert model.actions(1)[0] == spectral.form_action(
-        RationalMatrix(HYPERBOLIC_2), 1)
+    # on 1-forms the action is the inverse transpose
+    assert model.actions(1)[0] == spectral.inverse_exact(
+        RationalMatrix(HYPERBOLIC_2)).transpose()
 
 
 def test_from_affine_bundle_takes_exact_data_only():
