@@ -19,8 +19,8 @@ import numpy as np
 from . import lie, spectral, superconnection as sconn
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer, real,
                        read_fields, read_json)
+from .report import ZERO_TOL
 
-ZERO_TOL = 1e-10
 DECAY_FACTOR = 0.5        # an eigenvalue "vanishes" if it drops below half
 SLOPE_RESIDUAL_TOL = 0.05
 
@@ -206,51 +206,42 @@ class ScenarioReport:
                        for d in self.degrees)
 
 
-def _fit_slopes(values, spectra, count) -> list[SlopeFit]:
-    """Log-log decay rate per eigenvalue index, over the three smallest
-    sweep values; only indices that actually decay are reported."""
-    vals = np.asarray(values, dtype=float)
-    order = np.argsort(vals)[::-1]  # large to small
-    take = order[-3:] if len(order) >= 3 else order
+def _fit_slopes(vals, lam, decays) -> list[SlopeFit]:
+    """Log-log decay rate of each decaying column of the sweep x index table
+    `lam`, over the three smallest sweep values; a column that reads zero at
+    one of them has no rate."""
+    take = np.argsort(vals)[::-1][-3:]  # the three smallest, large to small
+    x = np.log(vals[take])
+    A = np.column_stack([x, np.ones_like(x)])
     out = []
-    n_eigs = min(count, min(len(s.eigenvalues) for s in spectra))
-    for j in range(n_eigs):
-        lam = np.array([spectra[i].eigenvalues[j] for i in range(len(spectra))])
-        if not _decays(vals, lam) or np.any(lam[take] <= ZERO_TOL):
+    for j in np.flatnonzero(decays):
+        if np.any(lam[take, j] <= ZERO_TOL):
             continue
-        x, y = np.log(vals[take]), np.log(lam[take])
-        A = np.column_stack([x, np.ones_like(x)])
+        y = np.log(lam[take, j])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-        out.append(SlopeFit(j, float(coef[0]), resid,
+        out.append(SlopeFit(int(j), float(coef[0]), resid,
                             resid > SLOPE_RESIDUAL_TOL))
     return out
 
 
-def _decays(vals, lam) -> bool:
-    small, big = lam[int(np.argmin(vals))], lam[int(np.argmax(vals))]
-    return small <= ZERO_TOL or small <= DECAY_FACTOR * max(big, ZERO_TOL)
-
-
-def _observed_count(values, spectra, count) -> int:
-    """Eigenvalues that collapse across the sweep: exact zeros everywhere
-    plus positive modes that decay with the parameter."""
+def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
     vals = np.asarray(values, dtype=float)
     n_eigs = min(count, min(len(s.eigenvalues) for s in spectra))
-    for j in range(n_eigs):
-        lam = np.array([spectra[i].eigenvalues[j] for i in range(len(spectra))])
-        if not _decays(vals, lam):
-            return j  # spectrum is sorted; the bulk starts here
-    return n_eigs
-
-
-def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
-    observed = _observed_count(values, spectra, count)
-    zeros = tuple(int(np.sum(s.eigenvalues < ZERO_TOL)) for s in spectra)
+    lam = np.array([s.eigenvalues[:n_eigs] for s in spectra])  # sweep x index
+    # an index collapses if it is zero at the smallest sweep value or has
+    # dropped below DECAY_FACTOR of its value at the largest
+    small, big = lam[np.argmin(vals)], lam[np.argmax(vals)]
+    decays = (small <= ZERO_TOL) | (
+        small <= DECAY_FACTOR * np.maximum(big, ZERO_TOL))
+    # the spectrum is sorted: the bulk starts at the first index that
+    # does not collapse
+    observed = n_eigs if decays.all() else int(np.argmin(decays))
+    zeros = tuple(int(np.sum(s.eigenvalues <= ZERO_TOL)) for s in spectra)
     return DegreeReport(
         degree=p, spectra=tuple(spectra), predicted_small_count=pred.count,
         obstruction_case=pred.obstruction_case, observed_small_count=observed,
-        zero_counts=zeros, slopes=tuple(_fit_slopes(values, spectra, count)),
+        zero_counts=zeros, slopes=tuple(_fit_slopes(vals, lam, decays)),
         prediction_matches=observed == pred.count,
         kernel_stable=len(set(zeros)) == 1)
 

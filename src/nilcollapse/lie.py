@@ -20,6 +20,7 @@ import numpy as np
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
                        lowest_eigenvalues, nullspace_exact, rank_exact,
                        rational, read_fields, read_json, row_reduce)
+from .report import SpectrumReport
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +486,6 @@ def rescaled_spectrum(grading: AdaptedGrading, p: int, eps: float):
     its entry from form J to form I takes the factor
     sqrt(g_J / g_I) eps^{(w_J - w_I)/2}, g a form's Gram product and w its
     weight."""
-    from .report import SpectrumReport
     alg = grading.algebra
     if p > alg.n:  # there are no p-forms
         return SpectrumReport.from_eigenvalues(p, np.zeros(0))

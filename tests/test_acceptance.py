@@ -118,8 +118,6 @@ def test_unipotent_degeneration_scenario():
         thirds.append(lam[2])
     # the third eigenvalue decays monotonically along the sweep
     assert all(a > b for a, b in zip(thirds, thirds[1:]))
-    # at the smallest parameter the in-spectrum gap rule also reports 3
-    assert d.spectra[-1].small_count == 3
     assert _elapsed(t0) <= 30.0
 
 

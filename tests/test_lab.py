@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from nilcollapse import lab, spectral, lie
 from nilcollapse import superconnection as sconn
@@ -388,10 +389,40 @@ def test_emit_unknown_format(small_report, tmp_path):
 def test_observed_count_decay_rule():
     from nilcollapse.report import SpectrumReport
     mk = lambda lam: SpectrumReport.from_eigenvalues(1, lam)
+    pred = spectral.SmallCountPrediction(1, 2, {}, None)
     values = (1.0, 0.1, 0.01)
     # index 0 exactly zero, index 1 decays, index 2 flat
     spectra = [mk([0.0, 1.0, 5.0]), mk([0.0, 0.1, 5.0]), mk([0.0, 0.01, 5.0])]
-    assert lab._observed_count(values, spectra, 3) == 2
-    # stop at the first non-collapsing index even if later ones decay
+    d = lab._degree_report(1, values, spectra, pred, 3)
+    assert d.observed_small_count == 2
+    assert [(s.index, round(s.slope, 12)) for s in d.slopes] == [(1, 1.0)]
+    # stop at the first non-collapsing index even if later ones decay; the
+    # later one still gets its rate
     spectra = [mk([0.0, 1.0, 5.0]), mk([0.0, 1.0, 3.0]), mk([0.0, 1.0, 2.0])]
-    assert lab._observed_count(values, spectra, 3) == 1
+    d = lab._degree_report(1, values, spectra, pred, 3)
+    assert d.observed_small_count == 1
+    assert [s.index for s in d.slopes] == [2]
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_decay_rule_matches_per_index_loop(seed):
+    # the one sweep x index table against the rule read one index at a time
+    from nilcollapse.report import ZERO_TOL, SpectrumReport
+    rng = np.random.default_rng(seed)
+    values = sorted(rng.uniform(0.01, 1.0, rng.integers(2, 5)), reverse=True)
+    spectra = [SpectrumReport.from_eigenvalues(1, rng.choice(
+        [0.0, 1e-11, 1e-3, 0.1, 1.0, 5.0], rng.integers(1, 6)))
+        for _ in values]
+    count = int(rng.integers(1, 6))
+    n = min(count, min(len(s.eigenvalues) for s in spectra))
+    column = [np.array([s.eigenvalues[j] for s in spectra]) for j in range(n)]
+    decays = [lam[-1] <= ZERO_TOL
+              or lam[-1] <= lab.DECAY_FACTOR * max(lam[0], ZERO_TOL)
+              for lam in column]
+    pred = spectral.SmallCountPrediction(1, 0, {}, None)
+    d = lab._degree_report(1, values, spectra, pred, count)
+    assert d.observed_small_count == (decays + [False]).index(False)
+    # a decaying index gets a rate unless it is zero at a fitted value
+    assert [s.index for s in d.slopes] == [
+        j for j in range(n) if decays[j] and min(column[j][-3:]) > ZERO_TOL]

@@ -1,39 +1,20 @@
-"""The rounding rule for raw eigenvalues, gap splitting and multiplicative
+"""The rounding rule for raw eigenvalues, the zero rule and multiplicative
 spectrum closeness."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilcollapse import lie, superconnection as sconn
 from nilcollapse.numerics import InputError
-from nilcollapse.report import (SpectrumReport, closeness_epsilon,
-                                epsilon_close, gap_split)
-
-
-def test_gap_split_basic():
-    small, idx, ratio = gap_split([0.0, 0.0, 1e-3, 1.0])
-    assert small == 2
-    assert ratio == pytest.approx(1e5)
-
-
-def test_gap_split_empty_and_flat():
-    assert gap_split([]) == (0, 0, 0.0)
-    small, _, _ = gap_split([1.0, 1.0, 1.0])
-    assert small == 0  # jump from the floor dominates
-
-
-def test_gap_split_clamps_negatives():
-    small, _, _ = gap_split([-1e-15, 2.0])
-    assert small == 1
+from nilcollapse.report import (ZERO_TOL, SpectrumReport, closeness_epsilon,
+                                epsilon_close)
 
 
 def test_spectrum_report_sorts_and_splits():
     rep = SpectrumReport.from_eigenvalues(1, [4.0, 0.0, 1e-4])
     assert list(rep.eigenvalues) == [0.0, 1e-4, 4.0]
-    # largest relative jump is 1e-4 -> 4.0, so both low values count as small
-    assert rep.small_count == 2
-    d = rep.to_dict()
-    assert d["degree"] == 1 and d["small_count"] == 2
+    assert rep.to_dict() == {"degree": 1, "eigenvalues": [0.0, 1e-4, 4.0]}
 
 
 def test_rounding_rule():
@@ -110,7 +91,8 @@ def test_epsilon_close_boundary():
 def test_epsilon_close_zero_handling():
     # a true zero against a positive value fails for every finite eps
     assert not epsilon_close([0.0, 1.0], [1e-9, 1.0], 50.0)
-    assert epsilon_close([0.0, 1.0], [1e-9, 1.0], 0.1, zero_tol=1e-8)
+    # an entry at most ZERO_TOL is zero: close to a true zero at eps 0
+    assert epsilon_close([1e-11, 1.0], [0.0, 1.0], 0.0)
 
 
 def test_epsilon_close_input_errors():
@@ -132,3 +114,23 @@ def test_closeness_epsilon_certifies_epsilon_close():
     eps = closeness_epsilon(s1, s2)
     assert epsilon_close(s1, s2, eps + 1e-12)
     assert not epsilon_close(s1, s2, eps - 1e-6)
+
+
+# exact zeros, values on both sides of the zero rule, and the bulk
+_ENTRIES = st.sampled_from([0.0, 1e-12, ZERO_TOL, 1e-9]) | st.floats(
+    1e-12, 1e3, allow_nan=False)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(_ENTRIES, min_size=n, max_size=n)] * 2)))
+@settings(max_examples=200, deadline=None)
+@example(([1e-12, 1.0], [0.0, 1.0]))  # below ZERO_TOL is the zero it meets
+@example(([0.0], [1.0]))  # zero against positive: close at inf, either way
+def test_closeness_epsilon_certifies_itself_either_way_round(pair):
+    s1, s2 = pair
+    eps = closeness_epsilon(s1, s2)
+    assert eps == closeness_epsilon(s2, s1)
+    assert epsilon_close(s1, s2, eps)
+    for e in (0.0, eps, np.inf):
+        assert epsilon_close(s1, s2, e) == epsilon_close(s2, s1, e)
+

@@ -8,9 +8,9 @@ metric takes a matrix logarithm, every grid matrix is placed by one
 block builder, every spectrum comes from one of two solvers, the exact
 layer `spectral` decides nothing by a float rank or eigenvalue, flatness
 is decided by equality on exact blocks, an algebra's constants turn to
-floats only for the curvature command, a
-scenario's model is read in one place, and an input file is parsed in one
-place."""
+floats only for the curvature command, a float eigenvalue is zero by one
+threshold, a scenario's model is read in one place, and an input file is
+parsed in one place."""
 
 import ast
 from pathlib import Path
@@ -61,6 +61,9 @@ MERGED = {
     # only tests called these: AffineModel(...).actions(b) and
     # predict_small_counts(...)[0] say the same
     "form_action", "predict_small_count",
+    # a float eigenvalue is zero by report.ZERO_TOL alone; the largest-gap
+    # split and its floor decided nothing
+    "gap_split", "SMALL_FLOOR",
 }
 
 
@@ -259,6 +262,21 @@ def test_scenario_model_read_only_by_read_model():
                         "lab.py", "_read_model"):
                     bad.append(f"{path.name} line {node.lineno}")
     assert not bad, f"scenario models read outside lab._read_model: {bad}"
+
+
+def test_one_zero_threshold():
+    # a float eigenvalue is zero iff it is at most report.ZERO_TOL: no other
+    # module sets the threshold and no function takes one of its own
+    bad = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Name) and node.id == "ZERO_TOL"
+                    and isinstance(node.ctx, ast.Store)
+                    and path.name != "report.py"):
+                bad.append(f"{path.name} line {node.lineno}: sets ZERO_TOL")
+            elif isinstance(node, ast.arg) and node.arg == "zero_tol":
+                bad.append(f"{path.name} line {node.lineno}: zero_tol")
+    assert not bad, f"a second zero threshold: {bad}"
 
 
 def test_input_files_parsed_only_by_read_json():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nilcollapse import lab, lie, spectral
+from nilcollapse import lab, lie, report, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix
 from tests.conftest import check_model_flatness
@@ -322,8 +322,8 @@ def assert_bloch_matches_assembled(sc, h, p, count=8):
     scale = max(1.0, float(abs(L).max()))
     assert bloch.shape == oracle.shape
     assert np.abs(bloch - oracle).max(initial=0.0) <= 1e-10 * scale
-    assert (np.sum(bloch <= lab.ZERO_TOL)
-            == np.sum(oracle <= lab.ZERO_TOL))
+    assert (np.sum(bloch <= report.ZERO_TOL)
+            == np.sum(oracle <= report.ZERO_TOL))
 
 
 def test_spectra_solve_every_degree_on_one_complex():
@@ -714,7 +714,7 @@ def test_invariant_sector_zero_counts_are_the_total_betti_numbers(kind):
     betti = spectral.spectral_sequence(spectral.flat_bundle_complex(
         model.ranks, model.a0, monos, kind, a2=model.a2)).betti
     zeros = [int(np.sum(sconn.spectrum(sc, h, p, count=64).eigenvalues
-                        <= lab.ZERO_TOL)) for p in range(len(betti))]
+                        <= report.ZERO_TOL)) for p in range(len(betti))]
     assert zeros == betti == want
 
 
