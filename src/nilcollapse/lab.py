@@ -286,16 +286,14 @@ def _solve_bundle(cfg: ScenarioConfig):
 def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
     base = sconn.BaseModel("torus2", cfg.resolution, model["circumferences"])
     fiber, one = lie.abelian(1), RationalMatrix.identity(1)
-    # identity holonomies: the identity metric is equivariant; the flatness
-    # identities are linear in a2, so checking T = 1 once covers the
-    # a2 = delta * a2(1) of every sweep point
+    # identity holonomies: the identity metric is equivariant
     unit = sconn.from_affine_bundle(fiber, base, T=[1])
     h = sconn.MetricField.identity(unit.bundle)
     preds = spectral.predict_small_counts(
         fiber, "torus2", cfg.degrees, monodromy_action=[one, one], T=[1])
     return Sweep(cfg, preds, [
         (sconn.Superconnection(unit.bundle, base, a0=unit.a0,
-                               a2=[delta * x for x in unit.a2]), h)
+                               a2=[unit.a2[0].scale(Fraction(delta))]), h)
         for delta in cfg.sweep_values], _solve_bundle(cfg))
 
 

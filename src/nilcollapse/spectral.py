@@ -287,6 +287,8 @@ def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
     a2: optional per-degree contraction blocks (torus only; the rank
     pattern is what matters, so the base area is taken to be 1).
     """
+    if a2 is not None and _BASE_GENS.get(base_kind, 2) < 2:
+        raise InputError("a2 needs a 2-dimensional base")
     ranks = [int(r) for r in ranks]
     m = len(ranks) - 1
     a0 = [_ratmat(x, ranks[b + 1], ranks[b]) for b, x in enumerate(a0)] \
@@ -572,6 +574,8 @@ def predict_small_counts(algebra, base_kind: str, degrees,
         monodromy_action = [RationalMatrix.identity(n)] * gens
     if len(monodromy_action) != gens:
         raise InputError("one holonomy generator per base circle factor")
+    if T is not None and gens < 2:
+        raise InputError("a2 needs a 2-dimensional base")
     model = AffineModel(algebra, monodromy_action, T, F)
 
     def fixed_dim(b: int) -> int:

@@ -22,7 +22,8 @@ import scipy.sparse as sp
 
 from . import lie, spectral
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
-                       lowest_eigenvalues, read_fields, read_json, real)
+                       lowest_eigenvalues, rank_exact, read_fields, read_json,
+                       real)
 from .report import SpectrumReport, closeness_epsilon
 
 
@@ -96,27 +97,34 @@ class BaseModel:
 
 class GradedBundle:
     """Z-graded bundle given by per-degree ranks and grading-preserving
-    monodromy matrices, one per base generator. It checks shapes and
-    invertibility only; `check_flatness` tests that they commute."""
+    monodromy matrices, one per base generator (identities when None), read
+    exactly by `RationalMatrix` and invertible by `rank_exact`;
+    `Superconnection` tests that they commute. `gram[b]`, symmetric positive
+    definite, is the exact Gram matrix of the fiber inner product that the
+    degree-b blocks are written in (the identity when None). `monodromies`
+    holds the exact blocks, `monodromy` their floats (`to_float`)."""
 
-    def __init__(self, ranks, monodromies=None, generators: int = 1):
+    def __init__(self, ranks, monodromies=None, generators: int = 1,
+                 gram=None):
         self.ranks = tuple(integer(r, "each rank") for r in ranks)
         if not self.ranks or self.ranks[0] < 1 or min(self.ranks) < 0:
             raise InputError("ranks must be >= 0, the degree-0 rank >= 1")
+        square = [(r, r) for r in self.ranks]
         if monodromies is None:
-            monodromies = [[np.eye(r) for r in self.ranks]
+            monodromies = [[RationalMatrix.identity(r) for r in self.ranks]
                            for _ in range(generators)]
-        self.monodromies = [[np.asarray(m, dtype=float) for m in gen]
+        self.monodromies = [_read_blocks(gen, square, "monodromy")
                             for gen in monodromies]
-        for gen in self.monodromies:
-            if len(gen) != len(self.ranks):
-                raise InputError("need one monodromy block per degree")
-            for b, m in enumerate(gen):
-                if m.shape != (self.ranks[b], self.ranks[b]):
-                    raise InputError("monodromy block has wrong shape")
-                # relative rank: an absolute det bound fails small actions
-                if np.linalg.matrix_rank(m) < len(m):
-                    raise InputError("monodromy must be invertible")
+        if any(rank_exact(m) < m.rows for gen in self.monodromies
+               for m in gen):
+            raise InputError("monodromy must be invertible")
+        self.gram = None if gram is None else _read_blocks(gram, square,
+                                                           "gram")
+        # R with G = R^T R: the orthonormal frame of each Gram
+        self._frames = None if gram is None else [
+            np.linalg.cholesky(G.to_numpy()).T for G in self.gram]
+        self._monodromy = [[self.to_float(m, b, b) for b, m in enumerate(gen)]
+                           for gen in self.monodromies]
 
     @property
     def top(self) -> int:
@@ -126,7 +134,37 @@ class GradedBundle:
         return self.ranks[b] if 0 <= b <= self.top else 0
 
     def monodromy(self, gen: int, b: int) -> np.ndarray:
-        return self.monodromies[gen][b]
+        return self._monodromy[gen][b]
+
+    def to_float(self, mat: RationalMatrix, b_src: int,
+                 b_dst: int) -> np.ndarray:
+        """The exact block `mat` from degree b_src to degree b_dst as floats
+        in the orthonormal frames of the Grams: R_dst X R_src^-1."""
+        X = mat.to_numpy()
+        if self._frames is None:
+            return X
+        # (R_dst X R_src^-1)^T = R_src^-T (R_dst X)^T, a triangular solve
+        return scipy.linalg.solve_triangular(
+            self._frames[b_src], (self._frames[b_dst] @ X).T, trans="T").T
+
+
+def _read_blocks(blocks, shapes, name, first=0) -> list[RationalMatrix]:
+    """`blocks` read exactly, one of each of the given shapes, or zeros of
+    those shapes when None; block k is named name[first + k] in errors."""
+    if blocks is None:
+        return [RationalMatrix.zeros(*shape) for shape in shapes]
+    if len(blocks) != len(shapes):
+        raise InputError(f"need {len(shapes)} {name} blocks, "
+                         f"got {len(blocks)}")
+    out = []
+    for k, (x, shape) in enumerate(zip(blocks, shapes), start=first):
+        if not isinstance(x, RationalMatrix):
+            x = RationalMatrix(x, cols=shape[1])
+        if (x.rows, x.cols) != shape:
+            raise InputError(f"{name}[{k}] has wrong shape "
+                             f"{(x.rows, x.cols)}, expected {shape}")
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +203,7 @@ class MetricField:
             return np.broadcast_to(np.eye(bundle.rank(b)),
                                    (len(pts), bundle.rank(b), bundle.rank(b)))
         logs = None
-        if all(np.array_equal(m, np.eye(len(m)))
+        if all(m == RationalMatrix.identity(m.rows)
                for gen in bundle.monodromies for m in gen):
             logs = [[np.zeros((r, r)) for r in bundle.ranks]
                     for _ in bundle.monodromies]
@@ -220,12 +258,14 @@ class MetricField:
             shift = np.zeros(base.dim)
             shift[gen] = base.circumferences[gen]
             for b in range(len(self.bundle.ranks)):
-                phi = self.bundle.monodromy(gen, b)
+                # the exact inverse: a monodromy may be singular in floats
+                inv = self.bundle.to_float(spectral.inverse_exact(
+                    self.bundle.monodromies[gen][b]), b, b)
                 h0 = self.sample(b, pts)
                 h1 = self.sample(b, pts + shift)
-                want = np.einsum("ij,pjk,kl->pil",
-                                 np.linalg.inv(phi).T, h0, np.linalg.inv(phi))
-                if np.abs(h1 - want).max() > 1e-8 * max(1.0, np.abs(h0).max()):
+                want = np.einsum("ij,pjk,kl->pil", inv.T, h0, inv)
+                if np.abs(h1 - want).max(initial=0.0) > 1e-8 * max(
+                        1.0, np.abs(h0).max(initial=0.0)):
                     raise InputError(
                         f"metric violates monodromy equivariance (degree {b})")
 
@@ -235,11 +275,14 @@ class MetricField:
 # ---------------------------------------------------------------------------
 
 class Superconnection:
-    """Components of a flat degree-1 superconnection over a flat base.
+    """A flat degree-1 superconnection over a flat base.
 
     a0[b] : E^b -> E^{b+1} is the constant fiber differential; the connection
-    is (monodromy, zero local potential); a2[b] : E^b -> E^{b-1} is the
+    is (monodromy, zero local potential); a2[b - 1] : E^b -> E^{b-1} is the
     coefficient of the base area form in the curvature term (torus only).
+    Both are read exactly, as the monodromies are (zeros when None), and
+    `check_flatness` tests them, so every superconnection is flat. `a0` and
+    `a2` hold the exact blocks, `a0_block` and `a2_block` their floats.
     """
 
     def __init__(self, bundle: GradedBundle, base: BaseModel,
@@ -250,37 +293,26 @@ class Superconnection:
             raise InputError(
                 f"a {base.kind} base needs {base.dim} monodromy generators, "
                 f"the bundle has {len(bundle.monodromies)}")
-        m = bundle.top
         if a2 is not None and base.kind != "torus2":
             raise InputError("a2 needs a 2-dimensional base")
-        self.a0 = _blocks("a0", a0, [(bundle.rank(b + 1), bundle.rank(b))
-                                     for b in range(m)], 0)
-        self.a2 = _blocks("a2", a2, [(bundle.rank(b - 1), bundle.rank(b))
-                                     for b in range(1, m + 1)], 1)
+        m, rank = bundle.top, bundle.rank
+        self.a0 = _read_blocks(a0, [(rank(b + 1), rank(b))
+                                    for b in range(m)], "a0")
+        self.a2 = _read_blocks(a2, [(rank(b - 1), rank(b))
+                                    for b in range(1, m + 1)], "a2", first=1)
+        check_flatness(bundle.ranks, self.a0, bundle.monodromies, self.a2)
+        self._a0 = [bundle.to_float(x, b, b + 1) for b, x in enumerate(self.a0)]
+        self._a2 = [bundle.to_float(x, b + 1, b) for b, x in enumerate(self.a2)]
 
     def a0_block(self, b: int) -> np.ndarray:
         if 0 <= b < self.bundle.top:
-            return self.a0[b]
+            return self._a0[b]
         return np.zeros((self.bundle.rank(b + 1), self.bundle.rank(b)))
 
     def a2_block(self, b: int) -> np.ndarray:
         if 1 <= b <= self.bundle.top:
-            return self.a2[b - 1]
+            return self._a2[b - 1]
         return np.zeros((self.bundle.rank(b - 1), self.bundle.rank(b)))
-
-
-def _blocks(name, blocks, shapes, first):
-    """Float blocks of the given shapes, zeros if `blocks` is None; block k
-    is named name[first + k] in errors."""
-    if blocks is None:
-        return [np.zeros(shape) for shape in shapes]
-    blocks = [np.asarray(x, dtype=float) for x in blocks]
-    if len(blocks) != len(shapes):
-        raise InputError(f"need one {name} block per adjacent degree pair")
-    for b, (x, shape) in enumerate(zip(blocks, shapes), start=first):
-        if x.shape != shape:
-            raise InputError(f"{name}[{b}] has wrong shape {x.shape}")
-    return blocks
 
 
 def check_flatness(ranks, a0, monodromies, a2=None) -> None:
@@ -335,48 +367,29 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
     algebra as an exact n x n matrix. `T`: curvature coefficient, the n
     vertical components of the area-form coefficient (torus base only).
     Both are read by `RationalMatrix` (a non-integral float raises
-    InputError); `spectral.AffineModel` builds the blocks exactly,
-    `check_flatness` tests them exactly (FlatnessError naming the identity
-    that fails), and they are converted to floats once, here. With a finite
-    symmetry group `F` the model holds the blocks on the F-invariant forms,
-    in their exact basis B = QR, where the flatness identities read the
-    same, and each goes into the orthonormal frame Q as R_dst X R_src^-1.
+    InputError), and `spectral.AffineModel` builds the blocks exactly. With
+    a finite symmetry group `F` the model holds the blocks on the
+    F-invariant forms in their exact basis B, whose Gram matrices B^T B the
+    bundle gets.
     """
     n = algebra.n
     if monodromy_action is None:
         monodromy_action = [RationalMatrix.identity(n)] * base.dim
     model = spectral.AffineModel(algebra, monodromy_action, T, F)
-    R = None if model.basis is None else [
-        np.linalg.qr(B.to_numpy(), mode="r") for B in model.basis]
-
-    def convert(mat, b_src, b_dst):
-        mat = mat.to_numpy()
-        if R is None:
-            return mat
-        # (R_dst X R_src^-1)^T = R_src^-T (R_dst X)^T, a triangular solve
-        return scipy.linalg.solve_triangular(
-            R[b_src], (R[b_dst] @ mat).T, trans="T").T
-
-    actions = list(zip(*map(model.actions, range(n + 1))))
-    bundle = GradedBundle(model.ranks, [
-        [convert(act, b, b) for b, act in enumerate(per_degree)]
-        for per_degree in actions])
-    a0 = [convert(blk, b, b + 1) for b, blk in enumerate(model.a0)]
-    a2 = None if model.a2 is None else [
-        convert(blk, b, b - 1) for b, blk in enumerate(model.a2, start=1)]
-    sc = Superconnection(bundle, base, a0=a0, a2=a2)
-    check_flatness(model.ranks, model.a0, actions, model.a2)
-    return sc
+    gram = None if model.basis is None else [
+        B.transpose() @ B for B in model.basis]
+    bundle = GradedBundle(model.ranks, zip(*map(model.actions, range(n + 1))),
+                          gram=gram)
+    return Superconnection(bundle, base, a0=model.a0, a2=model.a2)
 
 
 def load_bundle(source) -> tuple[Superconnection, MetricField]:
     """Superconnection plus metric from a JSON file path or a parsed dict:
     a fiber algebra with its holonomy actions and curvature term, or
-    explicit per-degree blocks. Either way the flatness identities are
-    tested exactly on the blocks as read (`check_flatness`), before they
-    become floats: FlatnessError if they fail. Explicit blocks default to
-    identity monodromies, a zero a0 and no a2. InputError if the metric is
-    not equivariant under the monodromy."""
+    explicit per-degree blocks (identity monodromies, a zero a0 and no a2
+    by default). Either way `Superconnection` tests the flatness identities
+    exactly on the blocks as read: FlatnessError if they fail. InputError if
+    the metric is not equivariant under the monodromy."""
     payload = read_json(source, "bundle")
     fiber_shape = isinstance(payload, dict) and "fiber" in payload
     b = read_fields(payload, _FIBER_BUNDLE_FIELDS if fiber_shape
@@ -388,29 +401,13 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
         sc = from_affine_bundle(b["fiber"], base, T=b["a2"],
                                 monodromy_action=b["monodromy_action"])
     else:
-        monos, a0, a2 = b["monodromy"], b["a0_blocks"], b["a2_blocks"]
-        bundle = GradedBundle(b["ranks"], None if monos is None else [
-            _floats(gen) for gen in monos], generators=base.dim)
-        sc = Superconnection(bundle, base, a0=_floats(a0), a2=_floats(a2))
-        ranks = bundle.ranks
-        if monos is None:
-            monos = [[RationalMatrix.identity(r) for r in ranks]] * base.dim
-        if a0 is None:
-            a0 = [RationalMatrix.zeros(ranks[k + 1], ranks[k])
-                  for k in range(bundle.top)]
-        check_flatness(ranks, a0, monos, a2)
+        bundle = GradedBundle(b["ranks"], b["monodromy"], generators=base.dim)
+        sc = Superconnection(bundle, base, a0=b["a0_blocks"],
+                             a2=b["a2_blocks"])
     h = (MetricField.identity(sc.bundle) if b["metric"] == "identity"
          else MetricField.equivariant(sc.bundle, base))
     h.check_equivariance(base)
     return sc, h
-
-
-def _exact_blocks(blocks) -> list[RationalMatrix]:
-    return [RationalMatrix(m) for m in blocks]
-
-
-def _floats(blocks):
-    return None if blocks is None else [m.to_numpy() for m in blocks]
 
 
 def _read_base(spec) -> BaseModel:
@@ -429,10 +426,11 @@ _FIBER_BUNDLE_FIELDS = {
     "monodromy_action": (list, None),  # read by spectral.AffineModel
     "a2": (lambda spec: read_fields(spec, {"interior": (list, REQUIRED)},
                                     "a2")["interior"], None)}
+# GradedBundle and Superconnection read the blocks themselves
 _EXPLICIT_BUNDLE_FIELDS = {
     **_COMMON_FIELDS, "ranks": (list, REQUIRED),
-    "monodromy": (lambda gens: [_exact_blocks(g) for g in gens], None),
-    "a0_blocks": (_exact_blocks, None), "a2_blocks": (_exact_blocks, None)}
+    "monodromy": (lambda gens: [list(gen) for gen in gens], None),
+    "a0_blocks": (list, None), "a2_blocks": (list, None)}
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +559,11 @@ class DiscreteComplex:
             return False
         if min(len(h.logs), len(self.bundle.monodromies)) < d:
             return False
+        if (h.bundle.monodromies[:d], h.bundle.gram) != (
+                self.bundle.monodromies, self.bundle.gram):
+            return False
         for g in range(d):
             X = h.logs[g]
-            for b in range(len(self.bundle.ranks)):
-                if not np.array_equal(self.bundle.monodromy(g, b),
-                                      h.bundle.monodromy(g, b)):
-                    return False
             for b in range(self.bundle.top):
                 if not (_intertwines(self.sc.a0_block(b), X[b + 1], X[b]) and
                         _intertwines(self.sc.a2_block(b + 1), X[b], X[b + 1])):
@@ -685,17 +682,13 @@ class DiscreteComplex:
         return worst
 
 
-def _absmax(A) -> float:
-    A = np.asarray(A)
-    return float(np.abs(A).max()) if A.size else 0.0
-
-
 def _intertwines(a: np.ndarray, X_dst: np.ndarray, X_src: np.ndarray) -> bool:
     """X_dst a = a X_src up to rounding."""
     if a.size == 0:
         return True
-    scale = max(1.0, _absmax(a)) * max(1.0, _absmax(X_dst), _absmax(X_src))
-    return _absmax(X_dst @ a - a @ X_src) <= 1e-10 * scale
+    scale = max(1.0, np.abs(a).max()) * max(1.0, np.abs(X_dst).max(),
+                                            np.abs(X_src).max())
+    return bool(np.abs(X_dst @ a - a @ X_src).max() <= 1e-10 * scale)
 
 
 def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
@@ -712,7 +705,7 @@ def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
 def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
              check_metric: bool = True, *,
              dc: DiscreteComplex | None = None) -> SpectrumReport:
-    """Lowest eigenvalues of the degree-p Laplacian with the gap-rule split.
+    """Lowest eigenvalues of the degree-p Laplacian.
 
     When the metric gauges the bundle to constant coefficients
     (`DiscreteComplex.bloch_ready`), the Laplacian splits into one small
@@ -762,14 +755,15 @@ PERTURBATION_CONSTANT = 2.0 + np.sqrt(2.0)
 
 def perturbation_check(sc1: Superconnection, sc2: Superconnection,
                        h: MetricField, p: int, count: int = 8) -> PerturbationReport:
+    if sc1.base != sc2.base:
+        raise InputError(f"superconnections live over different bases: "
+                         f"{sc1.base} and {sc2.base}")
     if sc1.bundle.ranks != sc2.bundle.ranks:
         raise InputError("superconnections live on different bundles")
-    for gen in range(len(sc1.bundle.monodromies)):
-        for b in range(len(sc1.bundle.ranks)):
-            if _absmax(sc1.bundle.monodromy(gen, b)
-                       - sc2.bundle.monodromy(gen, b)) > 1e-12:
-                raise InputError("difference must be an endomorphism-valued "
-                                 "form: monodromies differ")
+    if (sc1.bundle.monodromies, sc1.bundle.gram) != (
+            sc2.bundle.monodromies, sc2.bundle.gram):
+        raise InputError("difference must be an endomorphism-valued "
+                         "form: monodromies differ")
     d1 = DiscreteComplex(sc1, h)
     d2 = DiscreteComplex(sc2, h, check_metric=False)
     norm = d1.operator_norm(d2)

@@ -201,8 +201,8 @@ def test_square_root_perturbation_bound():
         else:
             c1, c2 = rng.uniform(0.1, 2.0, size=2)
             bundle = sconn.GradedBundle([1, 1])
-            sc1 = sconn.Superconnection(bundle, base_c, a0=[[[c1]]])
-            sc2 = sconn.Superconnection(bundle, base_c, a0=[[[c2]]])
+            sc1 = sconn.Superconnection(bundle, base_c, a0=[[[Fraction(c1)]]])
+            sc2 = sconn.Superconnection(bundle, base_c, a0=[[[Fraction(c2)]]])
             h = sconn.MetricField.identity(bundle)
             rep = sconn.perturbation_check(sc1, sc2, h, 0, count=6)
         assert rep.holds

@@ -7,10 +7,11 @@ sparse rows, the superconnection layer converts holonomy actions that
 metric takes a matrix logarithm, every grid matrix is placed by one
 block builder, every spectrum comes from one of two solvers, the exact
 layer `spectral` decides nothing by a float rank or eigenvalue, flatness
-is decided by equality on exact blocks, an algebra's constants turn to
-floats only for the curvature command, a float eigenvalue is zero by one
-threshold, a scenario's model is read in one place, and an input file is
-parsed in one place."""
+is decided by equality on exact blocks and only by the `Superconnection`
+constructor, which every superconnection passes through, an algebra's
+constants turn to floats only for the curvature command, a float
+eigenvalue is zero by one threshold, a scenario's model is read in one
+place, and an input file is parsed in one place."""
 
 import ast
 from pathlib import Path
@@ -64,6 +65,9 @@ MERGED = {
     # a float eigenvalue is zero by report.ZERO_TOL alone; the largest-gap
     # split and its floor decided nothing
     "gap_split", "SMALL_FLOOR",
+    # GradedBundle and Superconnection read their blocks exactly and fill
+    # the defaults themselves: no float reader and no second exact reader
+    "_blocks", "_floats", "_exact_blocks",
 }
 
 
@@ -199,6 +203,13 @@ def test_flatness_decided_exactly():
             or (isinstance(node, ast.Call)
                 and _called_name(node) in ("dot", "matmul"))]
     assert not bad, f"flatness decided on floats: {bad}"
+
+
+def test_flatness_tested_only_by_the_superconnection():
+    # every superconnection is flat by construction: its constructor is the
+    # one caller of check_flatness, and no reader runs a check of its own
+    assert _callers("check_flatness") == {
+        ("superconnection.py", "Superconnection", "__init__")}
 
 
 def test_logarithms_taken_only_by_the_equivariant_metric():

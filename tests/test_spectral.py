@@ -520,6 +520,24 @@ def test_predict_rejects_unknown_base():
         spectral.predict_small_counts(lie.abelian(2), "sphere", [1])
 
 
+def test_curvature_term_needs_a_two_dimensional_base():
+    # a2 over a circle or a point used to be dropped without a word: the
+    # prediction read 1, 4, 6 with and without T
+    alg, T = lie.heisenberg(3), [0, 0, 1]
+    for kind, holonomies in (("circle", [RationalMatrix.identity(3)]),
+                             ("point", [])):
+        with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
+            spectral.predict_small_counts(alg, kind, [0, 1, 2],
+                                          monodromy_action=holonomies, T=T)
+        model = spectral.AffineModel(alg, holonomies, T=T)
+        monos = [list(m) for m in zip(*map(model.actions, range(4)))]
+        with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
+            spectral.flat_bundle_complex(model.ranks, model.a0, monos, kind,
+                                         a2=model.a2)
+    counts = spectral.predict_small_counts(alg, "circle", [0, 1, 2])
+    assert [pred.count for pred in counts] == [1, 4, 6]
+
+
 # ---------------------------------------------------------------------------
 # the F-invariant sector, decided exactly
 # ---------------------------------------------------------------------------

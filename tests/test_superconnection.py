@@ -2,14 +2,16 @@
 spectra checked against closed forms for flat and monodromy-twisted circles."""
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilcollapse import lab, lie, report, spectral
 from nilcollapse import superconnection as sconn
-from nilcollapse.numerics import InputError, RationalMatrix
+from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
 from tests.conftest import check_model_flatness
 
 SOL = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -61,14 +63,61 @@ def test_graded_bundle_validation():
     with pytest.raises(InputError):
         sconn.GradedBundle([2], [[np.array([[1.0, 1.0], [1.0, 1.0]])]])
     # the bundle checks shapes and invertibility only: that torus
-    # monodromies commute is the exact flatness identity 'curvature'
+    # monodromies commute is the exact flatness identity 'curvature', which
+    # the superconnection tests
     a = RationalMatrix([[1, 1], [0, 1]])
     b = RationalMatrix([[1, 0], [1, 1]])
-    sconn.GradedBundle([2], [[a.to_numpy()], [b.to_numpy()]], generators=2)
+    bundle = sconn.GradedBundle([2], [[a.to_numpy()], [b]], generators=2)
+    assert bundle.monodromies == [[a], [b]]
     with pytest.raises(sconn.FlatnessError,
                        match="'curvature' fails in degree 0$"):
         sconn.check_flatness([2], [], [[a], [b]])
+    with pytest.raises(sconn.FlatnessError,
+                       match="'curvature' fails in degree 0$"):
+        sconn.Superconnection(bundle, torus())
     sconn.check_flatness([2], [], [[a], [a]])
+    sconn.Superconnection(sconn.GradedBundle([2], [[a], [a]]), torus())
+
+
+def test_superconnection_is_flat_by_construction():
+    # the first used to build, with D_1 D_0 = 1 on the grid, and the
+    # second with a float a0 that no identity was tested on
+    with pytest.raises(sconn.FlatnessError,
+                       match="'squares' fails in degree 0$"):
+        sconn.Superconnection(sconn.GradedBundle([1, 1, 1]), circle(8),
+                              a0=[[[1]], [[1]]])
+    with pytest.raises(InputError, match="non-integral float 0.1"):
+        sconn.Superconnection(sconn.GradedBundle([1, 1]), circle(8),
+                              a0=[[[0.1]]])
+    sc = sconn.Superconnection(sconn.GradedBundle([1, 1]), circle(8),
+                               a0=[[["1/10"]]])
+    assert sc.a0 == [RationalMatrix([["1/10"]])]
+    assert np.array_equal(sc.a0_block(0), [[0.1]])
+
+
+def test_monodromy_invertibility_is_decided_exactly():
+    # det = 1, but in floats 10^20 + 1 rounds to 10^20 and the rows agree
+    big = 10 ** 20
+    bundle = sconn.GradedBundle([2], [[[[big + 1, 1], [big, 1]]]])
+    assert bundle.monodromies[0][0] == RationalMatrix([[big + 1, 1], [big, 1]])
+    with pytest.raises(InputError, match="monodromy must be invertible"):
+        sconn.GradedBundle([2], [[[[big, 1], [big, 1]]]])
+    # the equivariance check inverts it exactly too: no LinAlgError
+    with pytest.raises(InputError, match="metric violates monodromy"):
+        sconn.load_bundle({"base": {"kind": "circle", "resolution": 8},
+                           "ranks": [2], "monodromy": [[[[big + 1, 1],
+                                                         [big, 1]]]]})
+
+
+def test_bundle_with_a_zero_rank_degree():
+    # empty blocks are read with their column count, and the equivariance
+    # check passes over the empty degree instead of failing on its max
+    sc, h = sconn.load_bundle({"base": {"kind": "torus2", "resolution": 8},
+                               "ranks": [1, 0, 1], "a0_blocks": [[], [[]]]})
+    assert [(x.rows, x.cols) for x in sc.a0] == [(0, 1), (1, 0)]
+    zeros = [int(np.sum(sconn.spectrum(sc, h, p, count=3).eigenvalues
+                        <= report.ZERO_TOL)) for p in range(5)]
+    assert zeros == [1, 2, 2, 2, 1]
 
 
 def test_small_invertible_holonomy_action_builds():
@@ -166,12 +215,68 @@ def test_flatness_report_names_violated_identity():
         sconn.check_flatness([1, 1], [one], [[one, one]] * 2, a2=[one])
 
 
+@st.composite
+def explicit_bundles(draw):
+    """(base, ranks, monodromies, a0, a2) of a small explicit bundle over a
+    circle or a torus: ranks at most 2 per degree, entries in -2..2. Each
+    block is zero, the identity or random, and the second torus generator
+    may repeat the first, so that flat and non-flat bundles both occur."""
+    base = draw(st.sampled_from([circle(8), torus(8)]))
+    ranks = [draw(st.integers(1, 2))] + draw(
+        st.lists(st.integers(0, 2), max_size=2))
+
+    def block(rows, cols, kinds):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return RationalMatrix.zeros(rows, cols)
+        if kind == "identity":
+            return RationalMatrix.identity(rows)
+        row = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)
+        return RationalMatrix(draw(st.lists(row, min_size=rows,
+                                            max_size=rows)), cols=cols)
+
+    def monodromy(r):
+        m = block(r, r, ["identity", "random"])
+        return m if rank_exact(m) == r else RationalMatrix.identity(r)
+
+    monos = [[monodromy(r) for r in ranks]]
+    if base.dim == 2:
+        monos.append(monos[0] if draw(st.booleans())
+                     else [monodromy(r) for r in ranks])
+    a0 = [block(ranks[b + 1], ranks[b], ["zero", "random"])
+          for b in range(len(ranks) - 1)]
+    a2 = None if base.dim == 1 or draw(st.booleans()) else [
+        block(ranks[b - 1], ranks[b], ["zero", "random"])
+        for b in range(1, len(ranks))]
+    return base, ranks, monos, a0, a2
+
+
+@given(explicit_bundles())
+@settings(max_examples=80, deadline=None)
+def test_superconnection_is_flat_exactly_when_check_flatness_holds(data):
+    base, ranks, monos, a0, a2 = data
+    bundle = sconn.GradedBundle(ranks, monos, generators=base.dim)
+    try:
+        sconn.check_flatness(ranks, a0, monos, a2)
+    except sconn.FlatnessError as exc:
+        with pytest.raises(sconn.FlatnessError, match=re.escape(str(exc))):
+            sconn.Superconnection(bundle, base, a0=a0, a2=a2)
+        return
+    sc = sconn.Superconnection(bundle, base, a0=a0, a2=a2)
+    dc = sconn.DiscreteComplex(sc, sconn.MetricField.identity(bundle),
+                               check_metric=False)
+    for p in range(base.dim + len(ranks)):
+        prod = dc.differential(p + 1) @ dc.differential(p)
+        assert prod.nnz == 0 or abs(prod).max() <= 1e-12
+
+
 def test_contraction_matrix_matches_exact_blocks():
     v = [1, -2, 3]
     blocks = spectral.contraction_blocks(v, 3)
     sc = sconn.from_affine_bundle(lie.abelian(3), torus(8), T=v)
     for b in range(1, 4):
-        assert np.array_equal(sc.a2[b - 1], blocks[b - 1].to_numpy())
+        assert sc.a2[b - 1] == blocks[b - 1]
+        assert np.array_equal(sc.a2_block(b), blocks[b - 1].to_numpy())
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +612,16 @@ def test_perturbation_check_solves_on_the_complexes_it_built(monkeypatch):
         np.abs(np.sqrt(lam1) - np.sqrt(lam2)).max())
 
 
+def test_perturbation_check_requires_one_base():
+    # another resolution used to end in scipy's "inconsistent shapes",
+    # other circumferences in a report on two different tori
+    sc1 = circle_bundle(torus(10), 0.7)
+    h = sconn.MetricField.identity(sc1.bundle)
+    for base in (torus(12), sconn.BaseModel("torus2", 10, (1.0, 2.0))):
+        with pytest.raises(InputError, match=re.escape(str(base))):
+            sconn.perturbation_check(sc1, circle_bundle(base, 0.9), h, 1)
+
+
 def test_perturbation_check_requires_same_connection_part():
     base = circle(16)
     b1 = sconn.GradedBundle([2], [[SOL]])
@@ -543,8 +658,8 @@ def test_load_bundle_fiber_form(tmp_path):
     sc, h = sconn.load_bundle(str(path))
     assert sc.bundle.ranks == (1, 3, 3, 1)
     for b in range(3):
-        assert np.array_equal(
-            sc.a0[b], lie.ce_differential(lie.heisenberg(3), b).to_numpy())
+        assert np.array_equal(sc.a0_block(b), lie.ce_differential(
+            lie.heisenberg(3), b).to_numpy())
     # scaling the center only is no automorphism: the exact check says so
     path.write_text(json.dumps(dict(payload, monodromy_action=[
         [[1, 0, 0], [0, 1, 0], [0, 0, 2]]])))
@@ -665,8 +780,8 @@ def test_from_affine_bundle_converts_the_exact_model_blocks():
                                   monodromy_action=holonomies, T=[0, 0, 1])
     model = spectral.AffineModel(lie.heisenberg(3), holonomies, T=[0, 0, 1])
     for b in range(3):
-        assert np.array_equal(sc.a0[b], model.a0[b].to_numpy())
-        assert np.array_equal(sc.a2[b], model.a2[b].to_numpy())
+        assert np.array_equal(sc.a0_block(b), model.a0[b].to_numpy())
+        assert np.array_equal(sc.a2_block(b + 1), model.a2[b].to_numpy())
     for gen in range(2):
         for b in range(4):
             assert np.array_equal(sc.bundle.monodromy(gen, b),
