@@ -96,8 +96,8 @@ def curvature(algebra):
 @_guard
 def spectrum(bundle, degree, modes):
     """Low spectrum of a superconnection Laplacian from a bundle file."""
-    sc, h = sconn.load_bundle(bundle)  # checks flatness and equivariance
-    rep = sconn.spectrum(sc, h, degree, count=modes, check_metric=False)
+    sc, h = sconn.load_bundle(bundle)
+    rep = sconn.spectrum(sc, h, degree, count=modes)
     click.echo(json.dumps(rep.to_dict(), indent=1, sort_keys=True))
 
 

@@ -279,8 +279,7 @@ def _nil_rescale(cfg: ScenarioConfig, model: dict) -> Sweep:
 
 
 def _solve_bundle(cfg: ScenarioConfig):
-    return lambda pt, degrees: sconn.spectra(*pt, degrees, count=cfg.count,
-                                             check_metric=False)
+    return lambda pt, degrees: sconn.spectra(*pt, degrees, count=cfg.count)
 
 
 def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
@@ -288,7 +287,7 @@ def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
     fiber, one = lie.abelian(1), RationalMatrix.identity(1)
     # identity holonomies: the identity metric is equivariant
     unit = sconn.from_affine_bundle(fiber, base, T=[1])
-    h = sconn.MetricField.identity(unit.bundle)
+    h = sconn.MetricField.identity(unit.bundle, base)
     preds = spectral.predict_small_counts(
         fiber, "torus2", cfg.degrees, monodromy_action=[one, one], T=[1])
     return Sweep(cfg, preds, [
@@ -325,18 +324,18 @@ def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
                          f"{exc}") from None
     preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
                                           monodromy_action=[phi])
-    logs0 = sconn.MetricField.equivariant(first.bundle, base).logs[0]
+    h0 = sconn.MetricField.equivariant(first.bundle, base)
     w_forms = [[sum(w[i] for i in I) for I in lie.multi_indices(algebra.n, b)]
                for b in range(algebra.n + 1)]
 
     def gauged(t):
-        sc = first if t == t0 else build(t)
+        if t == t0:
+            return first, h0
         r = Fraction(t0) / Fraction(t)
         logs = [X * np.array([[float(r ** (i - j)) for j in wb] for i in wb])
-                for X, wb in zip(logs0, w_forms)]
-        h = sconn.MetricField.from_logs(sc.bundle, base, [logs])
-        h.check_equivariance(base)
-        return sc, h
+                for X, wb in zip(h0.logs[0], w_forms)]
+        sc = build(t)
+        return sc, sconn.MetricField.from_logs(sc.bundle, base, [logs])
 
     return Sweep(cfg, preds, [gauged(t) for t in cfg.sweep_values],
                  _solve_bundle(cfg))
@@ -390,8 +389,9 @@ def _read_model(cfg: ScenarioConfig) -> dict:
 def prepare(config: ScenarioConfig | str | dict):
     """Build and check everything exact of a scenario: the model that
     `_read_model` reads, the predictions, and each sweep point's flat
-    superconnection and equivariant metric. Bad input raises InputError here,
-    never later. Returns the step that only solves (for a
+    superconnection and its metric, which takes the point's bundle and base
+    and is checked for equivariance once, when it is built. Bad input raises
+    InputError here, never later. Returns the step that only solves (for a
     spectral_sequence_report, builds the pages) and returns the report."""
     cfg = config if isinstance(config, ScenarioConfig) else \
         load_scenario(config)

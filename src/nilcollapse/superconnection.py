@@ -172,33 +172,30 @@ def _read_blocks(blocks, shapes, name, first=0) -> list[RationalMatrix]:
 # ---------------------------------------------------------------------------
 
 class MetricField:
-    """Graded fiber inner product h^E over the base, sampled where needed.
-
-    Stored as a callable (b, points) -> stack of SPD matrices; the bundle's
-    monodromy fixes the required equivariance across the seam, which
-    `check_equivariance` verifies on sample points.
+    """Graded fiber inner product h^E over one base, sampled where needed:
+    a callable (b, points) -> stack of SPD matrices. Every constructor takes
+    the bundle and the base, and checks on sample points that the metric is
+    equivariant there, h(x + L_g e_g) = Phi_g^-T h(x) Phi_g^-1
+    (`check_equivariance`). A `DiscreteComplex` refuses a metric of another
+    bundle or base.
 
     `identity` (over a bundle whose monodromies are all the identity),
     `equivariant`, `from_logs` and `conformal` of these also record
     `logs[gen][b]`, real logarithms X of the monodromies with
-    h(x) = c G(x)^T G(x) for G(x) = exp(-sum_g x_g X_g / L_g), and the
-    `base` they were built for (None for any base). `spectrum` uses them to
-    gauge the bundle to constant coefficients; a metric built from a bare
-    callable has neither and is only ever assembled.
+    h(x) = c G(x)^T G(x) for G(x) = exp(-sum_g x_g X_g / L_g). `spectrum`
+    uses them to gauge the bundle to constant coefficients; a metric built
+    from a bare callable records none and is only ever assembled.
     """
 
-    def __init__(self, bundle: GradedBundle, func):
-        self.bundle = bundle
-        self._func = func
-        self.logs = None
-        self.base: BaseModel | None = None
-
-    def _with_gauge(self, logs, base: BaseModel | None = None) -> "MetricField":
-        self.logs, self.base = logs, base
-        return self
+    def __init__(self, bundle: GradedBundle, base: BaseModel, func,
+                 logs=None):
+        _require_generators(bundle, base)
+        self.bundle, self.base = bundle, base
+        self.logs, self._func = logs, func
+        self.check_equivariance()
 
     @classmethod
-    def identity(cls, bundle: GradedBundle) -> "MetricField":
+    def identity(cls, bundle: GradedBundle, base: BaseModel) -> "MetricField":
         def func(b, pts):
             return np.broadcast_to(np.eye(bundle.rank(b)),
                                    (len(pts), bundle.rank(b), bundle.rank(b)))
@@ -207,27 +204,38 @@ class MetricField:
                for gen in bundle.monodromies for m in gen):
             logs = [[np.zeros((r, r)) for r in bundle.ranks]
                     for _ in bundle.monodromies]
-        return cls(bundle, func)._with_gauge(logs)
+        return cls(bundle, base, func, logs)
 
     @classmethod
     def equivariant(cls, bundle: GradedBundle, base: BaseModel) -> "MetricField":
         """h(x) = (Phi^{-s})^T Phi^{-s} along each generator, built from the
         principal matrix logarithm. This is the harmonic metric when the
         monodromy is diagonalizable with positive spectrum, and it degrades
-        gracefully to unipotent blocks."""
+        gracefully to unipotent blocks. Raises InputError for a monodromy
+        that is invertible exactly but singular in floats (zero LU pivot)."""
+        phis = [[bundle.monodromy(gen, b) for b in range(len(bundle.ranks))]
+                for gen in range(len(bundle.monodromies))]
+        if any(np.linalg.slogdet(phi)[0] == 0
+               for per_degree in phis for phi in per_degree):
+            raise InputError("monodromy is singular in floats; supply a "
+                             "metric explicitly")
         return cls.from_logs(bundle, base, [
-            [scipy.linalg.logm(bundle.monodromy(gen, b))
-             for b in range(len(bundle.ranks))]
-            for gen in range(len(bundle.monodromies))])
+            [scipy.linalg.logm(phi) for phi in per_degree]
+            for per_degree in phis])
 
     @classmethod
     def from_logs(cls, bundle: GradedBundle, base: BaseModel,
                   logs) -> "MetricField":
         """The metric of `equivariant` from given logarithms, logs[gen][b] of
         the degree-b monodromy of generator gen: h(x) = G(x)^T G(x) with
-        G(x) = exp(-sum_g x_g logs[g][b] / L_g). Raises InputError if a
-        logarithm is not real; the caller vouches that each is a logarithm
-        of its monodromy, which `check_equivariance` tests on samples."""
+        G(x) = exp(-sum_g x_g logs[g][b] / L_g). Raises InputError unless
+        there is one real logarithm of the degree's rank per generator and
+        degree; the constructor's equivariance check then tests on samples
+        that each is a logarithm of its monodromy."""
+        if [[np.shape(X) for X in per_degree] for per_degree in logs] != [
+                [(r, r) for r in bundle.ranks]] * len(bundle.monodromies):
+            raise InputError("need one logarithm per generator and degree, "
+                             "of the degree's rank")
         if any(np.abs(np.imag(X)).max(initial=0.0) > 1e-9
                for per_degree in logs for X in per_degree):
             raise InputError(
@@ -235,23 +243,25 @@ class MetricField:
         real = [[np.real(X) for X in per_degree] for per_degree in logs]
 
         def func(b, pts):
-            pts = np.atleast_2d(pts)
             A = sum((-pts[:, g, None, None] / base.circumferences[g])
                     * real[g][b] for g in range(base.dim))
             M = scipy.linalg.expm(A)
             return M.transpose(0, 2, 1) @ M
-        return cls(bundle, func)._with_gauge(real, base)
+        return cls(bundle, base, func, real)
 
     @classmethod
     def conformal(cls, other: "MetricField", factor: float) -> "MetricField":
         # a constant positive factor cancels from M^{1/2} D M^{-1/2}
-        h = cls(other.bundle, lambda b, pts: factor * other._func(b, pts))
-        return h._with_gauge(other.logs if factor > 0 else None, other.base)
+        if not factor > 0:
+            raise InputError(f"conformal factor must be > 0, got {factor}")
+        return cls(other.bundle, other.base,
+                   lambda b, pts: factor * other._func(b, pts), other.logs)
 
     def sample(self, b: int, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self._func(b, np.atleast_2d(pts)), dtype=float)
 
-    def check_equivariance(self, base: BaseModel) -> None:
+    def check_equivariance(self) -> None:
+        base = self.base
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, min(base.circumferences), size=(4, base.dim))
         for gen in range(base.dim):
@@ -268,6 +278,13 @@ class MetricField:
                         1.0, np.abs(h0).max(initial=0.0)):
                     raise InputError(
                         f"metric violates monodromy equivariance (degree {b})")
+
+
+def _require_generators(bundle: GradedBundle, base: BaseModel) -> None:
+    if len(bundle.monodromies) != base.dim:
+        raise InputError(f"a {base.kind} base needs {base.dim} monodromy "
+                         f"generators, the bundle has "
+                         f"{len(bundle.monodromies)}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +304,9 @@ class Superconnection:
 
     def __init__(self, bundle: GradedBundle, base: BaseModel,
                  a0=None, a2=None):
+        _require_generators(bundle, base)
         self.bundle = bundle
         self.base = base
-        if len(bundle.monodromies) != base.dim:
-            raise InputError(
-                f"a {base.kind} base needs {base.dim} monodromy generators, "
-                f"the bundle has {len(bundle.monodromies)}")
         if a2 is not None and base.kind != "torus2":
             raise InputError("a2 needs a 2-dimensional base")
         m, rank = bundle.top, bundle.rank
@@ -388,8 +402,9 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
     a fiber algebra with its holonomy actions and curvature term, or
     explicit per-degree blocks (identity monodromies, a zero a0 and no a2
     by default). Either way `Superconnection` tests the flatness identities
-    exactly on the blocks as read: FlatnessError if they fail. InputError if
-    the metric is not equivariant under the monodromy."""
+    exactly on the blocks as read (FlatnessError if they fail), and the
+    metric, `identity` or `equivariant`, is built for the bundle and base
+    and checked by its constructor (InputError if it is not equivariant)."""
     payload = read_json(source, "bundle")
     fiber_shape = isinstance(payload, dict) and "fiber" in payload
     b = read_fields(payload, _FIBER_BUNDLE_FIELDS if fiber_shape
@@ -404,10 +419,9 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
         bundle = GradedBundle(b["ranks"], b["monodromy"], generators=base.dim)
         sc = Superconnection(bundle, base, a0=b["a0_blocks"],
                              a2=b["a2_blocks"])
-    h = (MetricField.identity(sc.bundle) if b["metric"] == "identity"
-         else MetricField.equivariant(sc.bundle, base))
-    h.check_equivariance(base)
-    return sc, h
+    make = (MetricField.identity if b["metric"] == "identity"
+            else MetricField.equivariant)
+    return sc, make(sc.bundle, base)
 
 
 def _read_base(spec) -> BaseModel:
@@ -452,18 +466,18 @@ def _point_blocks(rows, cols, blocks, shape, offset) -> sp.coo_matrix:
 class DiscreteComplex:
     """Total differential on the staggered grids, weighted by the mass and
     assembled as sparse matrices or, for a gauged metric, as per-mode Fourier
-    symbols."""
+    symbols. The metric, checked when it was built, must be one of the
+    superconnection's own base and bundle (the same ranks, exact monodromies
+    and Gram): InputError otherwise."""
 
-    def __init__(self, sc: Superconnection, h: MetricField,
-                 check_metric: bool = True):
-        self.sc = sc
-        self.base = sc.base
-        self.bundle = sc.bundle
-        self.h = h
-        if h.bundle is not sc.bundle and h.bundle.ranks != sc.bundle.ranks:
+    def __init__(self, sc: Superconnection, h: MetricField):
+        if h.base != sc.base:
+            raise InputError(f"metric was built over {h.base}, the "
+                             f"superconnection lives over {sc.base}")
+        if (h.bundle.ranks, h.bundle.monodromies, h.bundle.gram) != (
+                sc.bundle.ranks, sc.bundle.monodromies, sc.bundle.gram):
             raise InputError("metric belongs to a different bundle")
-        if check_metric:
-            h.check_equivariance(self.base)
+        self.sc, self.h, self.base, self.bundle = sc, h, sc.base, sc.bundle
         self._weighted: dict[int, sp.csr_matrix] = {}
         self._half_steps: dict[tuple, tuple] = {}
         self._symbols: dict[int, np.ndarray] = {}
@@ -547,23 +561,13 @@ class DiscreteComplex:
 
     def bloch_ready(self) -> bool:
         """Whether the gauge w = G(x) v of the metric's recorded holonomy
-        logarithms makes every Laplacian translation invariant on the grid.
-
-        It does when the metric recorded logarithms of exactly this bundle's
-        monodromies, for this base, and a0 and a2 intertwine them (which
-        flatness implies for principal logarithms). Then each mass block is
-        vol * I in the gauge and the fiber maps stay constant.
-        """
-        h, d = self.h, self.base.dim
-        if h.logs is None or h.base not in (None, self.base):
+        logarithms makes every Laplacian translation invariant on the grid:
+        it does when a0 and a2 intertwine them, which flatness implies for
+        principal logarithms but not for others. Then each mass block is
+        vol * I in the gauge and the fiber maps stay constant."""
+        if self.h.logs is None:
             return False
-        if min(len(h.logs), len(self.bundle.monodromies)) < d:
-            return False
-        if (h.bundle.monodromies[:d], h.bundle.gram) != (
-                self.bundle.monodromies, self.bundle.gram):
-            return False
-        for g in range(d):
-            X = h.logs[g]
+        for X in self.h.logs:
             for b in range(self.bundle.top):
                 if not (_intertwines(self.sc.a0_block(b), X[b + 1], X[b]) and
                         _intertwines(self.sc.a2_block(b + 1), X[b], X[b + 1])):
@@ -702,8 +706,7 @@ def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
 # spectra
 # ---------------------------------------------------------------------------
 
-def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
-             check_metric: bool = True, *,
+def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12, *,
              dc: DiscreteComplex | None = None) -> SpectrumReport:
     """Lowest eigenvalues of the degree-p Laplacian.
 
@@ -712,15 +715,17 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
     Hermitian block per Fourier mode of the grid and all blocks are solved in
     one batch. Otherwise it is assembled and solved by
     `numerics.lowest_eigenvalues`. `SpectrumReport.from_eigenvalues` rounds
-    either result. `dc` is a `DiscreteComplex` of (sc, h) to solve on, built
-    here when None (`spectra` shares one between degrees).
+    either result. The metric was checked when it was built; the complex
+    refuses one of another bundle or base. `dc` is a `DiscreteComplex` of
+    (sc, h) to solve on, built here when None (`spectra` shares one between
+    degrees).
     """
     if p < 0:
         raise InputError(f"degree must be >= 0, got {p}")
     if count < 1:
         raise InputError("count must be >= 1")
     if dc is None:
-        dc = DiscreteComplex(sc, h, check_metric=check_metric)
+        dc = DiscreteComplex(sc, h)
     elif dc.sc is not sc or dc.h is not h:
         raise InputError("dc is a complex of another superconnection or metric")
     k = min(count, dc.dim(p))
@@ -729,12 +734,12 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12,
     return SpectrumReport.from_eigenvalues(p, lam)
 
 
-def spectra(sc: Superconnection, h: MetricField, degrees, count: int = 12,
-            check_metric: bool = True) -> list[SpectrumReport]:
+def spectra(sc: Superconnection, h: MetricField, degrees,
+            count: int = 12) -> list[SpectrumReport]:
     """`spectrum` in each of `degrees`, in order, all solved on one
     `DiscreteComplex`: a weighted differential or Bloch symbol that two degrees
     share is built once."""
-    dc = DiscreteComplex(sc, h, check_metric=check_metric)
+    dc = DiscreteComplex(sc, h)
     return [spectrum(sc, h, p, count, dc=dc) for p in degrees]
 
 
@@ -755,17 +760,10 @@ PERTURBATION_CONSTANT = 2.0 + np.sqrt(2.0)
 
 def perturbation_check(sc1: Superconnection, sc2: Superconnection,
                        h: MetricField, p: int, count: int = 8) -> PerturbationReport:
-    if sc1.base != sc2.base:
-        raise InputError(f"superconnections live over different bases: "
-                         f"{sc1.base} and {sc2.base}")
-    if sc1.bundle.ranks != sc2.bundle.ranks:
-        raise InputError("superconnections live on different bundles")
-    if (sc1.bundle.monodromies, sc1.bundle.gram) != (
-            sc2.bundle.monodromies, sc2.bundle.gram):
-        raise InputError("difference must be an endomorphism-valued "
-                         "form: monodromies differ")
+    """The difference sc2 - sc1 is an endomorphism-valued form when both
+    live over h's base and bundle, which their complexes require."""
     d1 = DiscreteComplex(sc1, h)
-    d2 = DiscreteComplex(sc2, h, check_metric=False)
+    d2 = DiscreteComplex(sc2, h)
     norm = d1.operator_norm(d2)
     s1 = spectrum(sc1, h, p, count=count, dc=d1)
     s2 = spectrum(sc2, h, p, count=count, dc=d2)

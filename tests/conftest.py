@@ -1,9 +1,12 @@
 """Shared test helpers: random orthogonal matrices, float constants in a
 rotated basis, heisenberg:3 in a basis not adapted to its lower central
-series, the exact flatness check of an affine model, and randomly
-generated bigraded complexes whose differential squares to zero exactly."""
+series, the exact flatness check of an affine model, a metric equivariant
+for every flat bundle, and randomly generated bigraded complexes whose
+differential squares to zero exactly."""
 
+import itertools
 from fractions import Fraction
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -32,6 +35,36 @@ def check_model_flatness(alg, holonomies, T=None):
                          list(zip(*map(model.actions, range(alg.n + 1)))),
                          model.a2)
     return model
+
+
+def interpolated_metric(bundle, base):
+    """A bare-callable metric equivariant for every flat bundle over `base`.
+
+    In the fundamental cell it interpolates multilinearly in x_g / L_g
+    between the pullbacks P^T P, P = prod_g A_g^-c_g, at the cell's corners
+    c: I and A^-T A^-1 over a circle, and also B and AB over the torus. It
+    is extended by h(x + k L) = P_k^T h(x) P_k, P_k = prod_g A_g^-k_g. The
+    corners agree across each seam because the holonomies commute."""
+    def func(b, pts):
+        inv = [np.linalg.inv(bundle.monodromy(g, b)) for g in range(base.dim)]
+        cells = np.floor(pts / base.circumferences)
+        frac = pts / base.circumferences - cells
+
+        def pull(k):
+            return reduce(np.matmul, [np.linalg.matrix_power(m, int(e))
+                                      for m, e in zip(inv, k)])
+
+        out = np.zeros((len(pts), bundle.rank(b), bundle.rank(b)))
+        for corner in itertools.product((0, 1), repeat=base.dim):
+            weight = np.prod(np.where(corner, frac, 1 - frac), axis=1)
+            P = pull(corner)
+            out += weight[:, None, None] * (P.T @ P)
+        for k in np.unique(cells, axis=0):
+            at = (cells == k).all(axis=1)
+            P = pull(k)
+            out[at] = P.T @ out[at] @ P
+        return out
+    return sconn.MetricField(bundle, base, func)
 
 
 # heisenberg:3 in the basis f3 = e3 + e1: [f1, f2] = f3 - f1 and

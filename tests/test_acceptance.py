@@ -196,14 +196,14 @@ def test_square_root_perturbation_bound():
                                            T=[Fraction(c1)])
             sc2 = sconn.from_affine_bundle(lie.abelian(1), base_t,
                                            T=[Fraction(c2)])
-            h = sconn.MetricField.identity(sc1.bundle)
+            h = sconn.MetricField.identity(sc1.bundle, sc1.base)
             rep = sconn.perturbation_check(sc1, sc2, h, 1, count=6)
         else:
             c1, c2 = rng.uniform(0.1, 2.0, size=2)
             bundle = sconn.GradedBundle([1, 1])
             sc1 = sconn.Superconnection(bundle, base_c, a0=[[[Fraction(c1)]]])
             sc2 = sconn.Superconnection(bundle, base_c, a0=[[[Fraction(c2)]]])
-            h = sconn.MetricField.identity(bundle)
+            h = sconn.MetricField.identity(bundle, base_c)
             rep = sconn.perturbation_check(sc1, sc2, h, 0, count=6)
         assert rep.holds
         assert rep.max_difference <= sconn.PERTURBATION_CONSTANT * rep.operator_norm + 1e-9

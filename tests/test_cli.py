@@ -234,11 +234,17 @@ def test_run_check_failure_exits_three(runner, tmp_path):
      "each circumference must be a finite number, got nan"),
     ({"base": {"kind": "circle", "resolution": 8}, "ranks": [2],
       "monodromy": [[[[1, 1], [1, 1]]]]}, "monodromy must be invertible"),
+    # det 1 exactly, but of rank 1 in floats: refused before its logarithm
+    ({"base": {"kind": "circle", "resolution": 8}, "ranks": [2],
+      "monodromy": [[[["100000000000000000001", "1"],
+                      ["100000000000000000000", "1"]]]],
+      "metric": "equivariant"},
+     "monodromy is singular in floats; supply a metric explicitly"),
 ], ids=["inexact-interior", "resolution", "circumferences", "not-flat",
         "not-squaring-to-zero", "a2-not-parallel", "non-commuting-holonomies",
         "a0-a2-anticommutator", "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list",
         "fractional-rank", "bool-rank", "nan-circumference",
-        "singular-monodromy"])
+        "singular-monodromy", "monodromy-singular-in-floats"])
 def test_validate_rejects_bad_bundle_entries(runner, tmp_path, payload, reason):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(payload))

@@ -255,6 +255,19 @@ def test_carried_logarithms_match_logm(name, reverse):
             assert err <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("name", [n for n, cfg in lab.PRESETS.items()
+                                  if cfg["kind"] != "nil_rescale"])
+def test_prepare_checks_each_metric_once(monkeypatch, name):
+    # each metric is checked when it is built; the degeneration sweep solves
+    # its first point on the equivariant metric it took the logarithm from
+    checked = []
+    check = sconn.MetricField.check_equivariance
+    monkeypatch.setattr(sconn.MetricField, "check_equivariance",
+                        lambda h: checked.append(id(h)) or check(h))
+    metrics = {id(h) for _, h in lab.prepare(name).points}
+    assert sorted(checked) == sorted(metrics)
+
+
 @pytest.mark.parametrize("name, case", [
     ("example1_heisenberg_point", 1), ("example3_circle_bundle", 3),
     ("example7_heisenberg_circle", 2), ("example9_sol_circle", None),

@@ -38,8 +38,8 @@ def _lowest_set_to(real, value):
 
 def _spectrum_routes():
     sc = sconn.from_affine_bundle(lie.abelian(1), sconn.BaseModel("circle", 8))
-    h = sconn.MetricField.identity(sc.bundle)
-    bare = sconn.MetricField(sc.bundle, h.sample)  # always assembled
+    h = sconn.MetricField.identity(sc.bundle, sc.base)
+    bare = sconn.MetricField(sc.bundle, sc.base, h.sample)  # always assembled
     heis3 = lie.heisenberg(3)
     grading = lie.lower_central_grading(heis3)
     return {

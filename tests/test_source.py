@@ -8,8 +8,10 @@ metric takes a matrix logarithm, every grid matrix is placed by one
 block builder, every spectrum comes from one of two solvers, the exact
 layer `spectral` decides nothing by a float rank or eigenvalue, flatness
 is decided by equality on exact blocks and only by the `Superconnection`
-constructor, which every superconnection passes through, an algebra's
-constants turn to floats only for the curvature command, a float
+constructor, which every superconnection passes through, equivariance is
+checked only by the `MetricField` constructor, which every metric passes
+through, and no function takes a `check_*` parameter to skip a check, an
+algebra's constants turn to floats only for the curvature command, a float
 eigenvalue is zero by one threshold, a scenario's model is read in one
 place, and an input file is parsed in one place."""
 
@@ -68,6 +70,8 @@ MERGED = {
     # GradedBundle and Superconnection read their blocks exactly and fill
     # the defaults themselves: no float reader and no second exact reader
     "_blocks", "_floats", "_exact_blocks",
+    # every MetricField constructor takes its base and recorded logarithms
+    "_with_gauge",
 }
 
 
@@ -210,6 +214,18 @@ def test_flatness_tested_only_by_the_superconnection():
     # one caller of check_flatness, and no reader runs a check of its own
     assert _callers("check_flatness") == {
         ("superconnection.py", "Superconnection", "__init__")}
+
+
+def test_equivariance_checked_only_by_the_metric():
+    # every metric is equivariant by construction: its constructor is the
+    # one caller of check_equivariance, and no function takes a check_*
+    # parameter that could skip this or any other check
+    assert _callers("check_equivariance") == {
+        ("superconnection.py", "MetricField", "__init__")}
+    bad = [f"{path.name} line {node.lineno}: {node.arg}" for path in MODULES
+           for node in ast.walk(_tree(path))
+           if isinstance(node, ast.arg) and node.arg.startswith("check_")]
+    assert not bad, f"parameters that could skip a check: {bad}"
 
 
 def test_logarithms_taken_only_by_the_equivariant_metric():

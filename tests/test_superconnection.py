@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lab, lie, report, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
-from tests.conftest import check_model_flatness
+from tests.conftest import check_model_flatness, interpolated_metric
 
 SOL = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = (3.0 + np.sqrt(5.0)) / 2.0  # larger eigenvalue of SOL
@@ -141,7 +141,7 @@ def test_graded_bundle_reads_ranks_as_integers():
 
 def test_spectrum_needs_a_positive_count():
     sc = sconn.Superconnection(sconn.GradedBundle([1]), circle(8))
-    h = sconn.MetricField.identity(sc.bundle)
+    h = sconn.MetricField.identity(sc.bundle, sc.base)
     assert len(sconn.spectrum(sc, h, 0, count=1).eigenvalues) == 1
     for count in (0, -1):
         with pytest.raises(InputError, match="count must be >= 1"):
@@ -263,8 +263,7 @@ def test_superconnection_is_flat_exactly_when_check_flatness_holds(data):
             sconn.Superconnection(bundle, base, a0=a0, a2=a2)
         return
     sc = sconn.Superconnection(bundle, base, a0=a0, a2=a2)
-    dc = sconn.DiscreteComplex(sc, sconn.MetricField.identity(bundle),
-                               check_metric=False)
+    dc = sconn.DiscreteComplex(sc, interpolated_metric(bundle, base))
     for p in range(base.dim + len(ranks)):
         prod = dc.differential(p + 1) @ dc.differential(p)
         assert prod.nnz == 0 or abs(prod).max() <= 1e-12
@@ -285,15 +284,13 @@ def test_contraction_matrix_matches_exact_blocks():
 
 def test_identity_metric_fails_equivariance_for_twisted_bundle():
     bundle = sconn.GradedBundle([2], [[SOL]])
-    h = sconn.MetricField.identity(bundle)
-    with pytest.raises(InputError):
-        h.check_equivariance(circle(16))
+    with pytest.raises(InputError, match="equivariance"):
+        sconn.MetricField.identity(bundle, circle(16))
 
 
 def test_equivariant_metric_passes_its_own_check():
     bundle = sconn.GradedBundle([2], [[SOL]])
-    h = sconn.MetricField.equivariant(bundle, circle(16))
-    h.check_equivariance(circle(16))
+    h = sconn.MetricField.equivariant(bundle, circle(16))  # checked here
     # samples are symmetric positive definite
     g = h.sample(0, circle(16).points())
     assert np.abs(g - np.transpose(g, (0, 2, 1))).max() < 1e-12
@@ -308,10 +305,50 @@ def test_from_logs_is_the_equivariant_metric_and_is_checked():
     assert np.array_equal(same.sample(0, pts), h.sample(0, pts))
     assert np.array_equal(same.logs[0][0], h.logs[0][0])
     assert same.base is base
-    # a logarithm of another monodromy breaks the equivariance check
-    wrong = sconn.MetricField.from_logs(bundle, base, [[2 * h.logs[0][0]]])
-    with pytest.raises(InputError):
-        wrong.check_equivariance(base)
+    # a logarithm of another monodromy fails the check when it is built
+    with pytest.raises(InputError, match="equivariance"):
+        sconn.MetricField.from_logs(bundle, base, [[2 * h.logs[0][0]]])
+
+
+def test_from_logs_checks_its_logarithms():
+    # one logarithm per generator and degree, of the degree's rank
+    bundle, base = sconn.GradedBundle([2, 1], [[SOL, np.eye(1)]]), circle(16)
+    X = sconn.MetricField.equivariant(bundle, base).logs[0]
+    for logs in ([], [X, X], [X[:1]], [[X[0], np.zeros((2, 2))]],
+                 [[X[0][:1], X[1]]]):
+        with pytest.raises(InputError, match="one logarithm per generator"):
+            sconn.MetricField.from_logs(bundle, base, logs)
+
+
+def test_every_metric_takes_the_base_it_is_checked_on():
+    bundle = sconn.GradedBundle([2], [[SOL]])
+    h = sconn.MetricField.equivariant(bundle, circle(16))
+    assert h.base == circle(16)
+    with pytest.raises(InputError, match="2 monodromy generators"):
+        sconn.MetricField.identity(bundle, torus(8))
+    # a bare callable is checked too: the constant identity is not
+    # equivariant under SOL
+    with pytest.raises(InputError, match="equivariance"):
+        sconn.MetricField(bundle, circle(16), lambda b, pts: np.broadcast_to(
+            np.eye(2), (len(pts), 2, 2)))
+
+
+def test_conformal_factor_must_be_positive():
+    h = sconn.MetricField.identity(sconn.GradedBundle([1]), circle(8))
+    for factor in (-1.0, 0.0, float("nan")):
+        with pytest.raises(InputError, match="conformal factor"):
+            sconn.MetricField.conformal(h, factor)
+    assert sconn.MetricField.conformal(h, 2.0).logs is h.logs
+
+
+def test_metric_singular_in_floats_is_refused_before_logm():
+    # det 1 exactly, but 10^20 + 1 is 10^20 in floats: the float monodromy
+    # has rank 1, and scipy's logm would warn that it is singular
+    with pytest.raises(InputError, match="singular in floats"):
+        sconn.load_bundle({
+            "base": {"kind": "circle", "resolution": 8}, "ranks": [2],
+            "monodromy": [[[[10 ** 20 + 1, 1], [10 ** 20, 1]]]],
+            "metric": "equivariant"})
 
 
 def test_equivariant_metric_needs_real_logarithm():
@@ -327,7 +364,8 @@ def test_equivariant_metric_needs_real_logarithm():
 
 def test_discrete_differential_squares_to_zero():
     sc = circle_bundle(torus(8), 1.0)
-    dc = sconn.DiscreteComplex(sc, sconn.MetricField.identity(sc.bundle))
+    h = sconn.MetricField.identity(sc.bundle, sc.base)
+    dc = sconn.DiscreteComplex(sc, h)
     for p in range(3):
         prod = dc.differential(p + 1) @ dc.differential(p)
         assert prod.nnz == 0 or abs(prod).max() < 1e-13
@@ -345,7 +383,8 @@ def test_discrete_differential_squares_to_zero_twisted():
 
 def test_component_bookkeeping():
     sc = circle_bundle(torus(8), 1.0)
-    dc = sconn.DiscreteComplex(sc, sconn.MetricField.identity(sc.bundle))
+    h = sconn.MetricField.identity(sc.bundle, sc.base)
+    dc = sconn.DiscreteComplex(sc, h)
     # degree p mixes base-form degree a and fiber degree b with a + b = p
     assert dc.components(0) == [((), 0)]
     assert len(dc.components(1)) == 3
@@ -356,7 +395,7 @@ def test_flat_circle_function_spectrum():
     # untwisted rank-1 bundle: eigenvalues (2 pi k)^2 with O(N^-2) error
     bundle = sconn.GradedBundle([1])
     sc = sconn.Superconnection(bundle, circle(64))
-    h = sconn.MetricField.identity(bundle)
+    h = sconn.MetricField.identity(bundle, sc.base)
     rep = sconn.spectrum(sc, h, 0, count=5)
     exact = np.array([0.0] + [(2 * np.pi) ** 2] * 2 + [(4 * np.pi) ** 2] * 2)
     assert np.allclose(rep.eigenvalues, exact, rtol=5e-3)
@@ -379,7 +418,7 @@ def test_twisted_circle_closed_form():
 def test_hodge_kernel_dimensions_circle_bundle():
     # harmonic dimensions of the adiabatic model at delta = 1: (1, 2, 2, 1)
     sc = circle_bundle(torus(10), 1.0)
-    h = sconn.MetricField.identity(sc.bundle)
+    h = sconn.MetricField.identity(sc.bundle, sc.base)
     for p, expect in enumerate([1, 2, 2, 1]):
         rep = sconn.spectrum(sc, h, p, count=6)
         assert int(np.sum(rep.eigenvalues < 1e-10)) == expect
@@ -388,7 +427,7 @@ def test_hodge_kernel_dimensions_circle_bundle():
 def test_spectrum_empty_degree():
     bundle = sconn.GradedBundle([1])
     sc = sconn.Superconnection(bundle, circle(8))
-    h = sconn.MetricField.identity(bundle)
+    h = sconn.MetricField.identity(bundle, sc.base)
     rep = sconn.spectrum(sc, h, 5)
     assert rep.eigenvalues.size == 0
 
@@ -416,7 +455,7 @@ def twisted_circle(base, phi):
 
 def bare(h):
     """The same metric as a bare callable, which `spectrum` always assembles."""
-    return sconn.MetricField(h.bundle, h.sample)
+    return sconn.MetricField(h.bundle, h.base, h.sample)
 
 
 def assert_bloch_matches_assembled(sc, h, p, count=8):
@@ -477,7 +516,7 @@ def test_bloch_matches_assembled_twisted_circles():
 def test_bloch_matches_assembled_heisenberg_over_torus():
     base = torus(8)
     sc = sconn.from_affine_bundle(lie.heisenberg(3), base, T=[0, 0, 1])
-    h = sconn.MetricField.identity(sc.bundle)
+    h = sconn.MetricField.identity(sc.bundle, sc.base)
     for p in range(5):
         assert_bloch_matches_assembled(sc, h, p, count=12)
 
@@ -535,7 +574,8 @@ def test_bloch_matches_assembled_conformal_metrics():
     for p in range(3):
         assert_bloch_matches_assembled(sc, h, p)
     sc = circle_bundle(torus(10), 0.5)
-    h = sconn.MetricField.conformal(sconn.MetricField.identity(sc.bundle), np.e)
+    h = sconn.MetricField.conformal(
+        sconn.MetricField.identity(sc.bundle, sc.base), np.e)
     assert_bloch_matches_assembled(sc, h, 1)
 
 
@@ -550,26 +590,50 @@ def test_bloch_path_only_for_recorded_gauges(monkeypatch):
     h = sconn.MetricField.equivariant(bundle, base)
     want = sconn.spectrum(sc, h, 0, count=4).eigenvalues
     assert assembled == []
+    # the same metric as a bare callable records no logarithms
+    got = sconn.spectrum(sc, bare(h), 0, count=4).eigenvalues
+    assert assembled == [0]
+    assert np.allclose(got, want, rtol=1e-9)
+    # nor does an identity metric over an orthogonal monodromy
+    flip = sconn.GradedBundle([2], [[[[0, 1], [1, 0]]]])
+    assert sconn.MetricField.identity(flip, base).logs is None
+    # a metric of another base with the same circumference, or of an
+    # untwisted bundle with the same ranks, is refused, not assembled
+    assembled.clear()
     others = [
-        (bare(h), True),
-        # same circumference, so an equivariant metric, but another base
-        (sconn.MetricField.equivariant(bundle, circle(16)), True),
-        # identity metric of an untwisted bundle with the same ranks
-        (sconn.MetricField.identity(sconn.GradedBundle([2])), False),
+        (sconn.MetricField.equivariant(bundle, circle(16)), "built over"),
+        (sconn.MetricField.identity(sconn.GradedBundle([2]), base),
+         "different bundle"),
     ]
-    for other, check in others:
-        got = sconn.spectrum(sc, other, 0, count=4, check_metric=check)
-        assert assembled == [0]
-        assembled.clear()
-        if check:
-            assert np.allclose(got.eigenvalues, want, rtol=1e-9)
-    assert sconn.MetricField.identity(bundle).logs is None
+    for other, message in others:
+        with pytest.raises(InputError, match=message):
+            sconn.spectrum(sc, other, 0, count=4)
+    assert assembled == []
+
+
+def test_complex_refuses_a_metric_of_another_bundle_or_base():
+    # the identity metric of an untwisted bundle is equivariant there, but
+    # not under the superconnection's SOL monodromy
+    base = circle(16)
+    sc = sconn.Superconnection(sconn.GradedBundle([2], [[SOL]]), base)
+    foreign = sconn.MetricField.identity(sconn.GradedBundle([2]), base)
+    with pytest.raises(InputError, match="different bundle"):
+        sconn.spectrum(sc, foreign, 0, count=3)
+    # the same circumference at another resolution is another base
+    h = sconn.MetricField.equivariant(sc.bundle, base)
+    finer = sconn.Superconnection(sc.bundle, circle(32))
+    with pytest.raises(InputError) as err:
+        sconn.DiscreteComplex(finer, h)
+    assert str(base) in str(err.value) and str(circle(32)) in str(err.value)
+    # an equal bundle built twice is the same bundle
+    twin = sconn.GradedBundle([2], [[SOL]])
+    sconn.DiscreteComplex(sc, sconn.MetricField.equivariant(twin, base))
 
 
 def test_arpack_path_is_repeatable_and_matches_bloch():
     # 3 * 28^2 = 2352 unknowns in degree 1: above the dense cutoff
     sc = circle_bundle(torus(28), 0.3)
-    h = sconn.MetricField.identity(sc.bundle)
+    h = sconn.MetricField.identity(sc.bundle, sc.base)
     first = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
     again = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
     assert np.array_equal(first, again)
@@ -586,7 +650,7 @@ def test_perturbation_bound_on_coupling_pair():
     base = torus(10)
     sc1 = circle_bundle(base, 0.7)
     sc2 = circle_bundle(base, 0.9)
-    h = sconn.MetricField.identity(sc1.bundle)
+    h = sconn.MetricField.identity(sc1.bundle, sc1.base)
     rep = sconn.perturbation_check(sc1, sc2, h, 1)
     assert rep.holds
     assert rep.operator_norm == pytest.approx(0.2, rel=1e-6)
@@ -599,7 +663,7 @@ def test_perturbation_check_solves_on_the_complexes_it_built(monkeypatch):
     # and the spectrum; the report is the one of two fresh solves
     base = torus(8)
     sc1, sc2 = circle_bundle(base, 0.7), circle_bundle(base, 0.9)
-    h = sconn.MetricField.identity(sc1.bundle)
+    h = sconn.MetricField.identity(sc1.bundle, sc1.base)
     built = []
     init = sconn.DiscreteComplex.__init__
     monkeypatch.setattr(sconn.DiscreteComplex, "__init__",
@@ -616,7 +680,7 @@ def test_perturbation_check_requires_one_base():
     # another resolution used to end in scipy's "inconsistent shapes",
     # other circumferences in a report on two different tori
     sc1 = circle_bundle(torus(10), 0.7)
-    h = sconn.MetricField.identity(sc1.bundle)
+    h = sconn.MetricField.identity(sc1.bundle, sc1.base)
     for base in (torus(12), sconn.BaseModel("torus2", 10, (1.0, 2.0))):
         with pytest.raises(InputError, match=re.escape(str(base))):
             sconn.perturbation_check(sc1, circle_bundle(base, 0.9), h, 1)
@@ -636,7 +700,7 @@ def test_perturbation_check_requires_same_connection_part():
 def test_metric_continuity_conformal():
     # a global conformal factor cancels out of the symmetrized operator
     sc = circle_bundle(torus(8), 0.5)
-    h1 = sconn.MetricField.identity(sc.bundle)
+    h1 = sconn.MetricField.identity(sc.bundle, sc.base)
     h2 = sconn.MetricField.conformal(h1, np.e)
     rep = sconn.metric_continuity_check(sc, h1, h2, 1, eps=1.0)
     assert rep.eps_out < 1e-8
@@ -822,7 +886,7 @@ def test_invariant_sector_zero_counts_are_the_total_betti_numbers(kind):
     alg = lie.heisenberg(3)
     sc = sconn.from_affine_bundle(alg, base, F=Z2_HEIS3, **data)
     h = (sconn.MetricField.equivariant(sc.bundle, base) if metric == "equivariant"
-         else sconn.MetricField.identity(sc.bundle))
+         else sconn.MetricField.identity(sc.bundle, sc.base))
     holonomies = data.get("monodromy_action", [np.eye(3)] * base.dim)
     model = spectral.AffineModel(alg, holonomies, T=data.get("T"), F=Z2_HEIS3)
     monos = list(zip(*map(model.actions, range(alg.n + 1))))
@@ -851,7 +915,7 @@ def test_invariant_sector_spectrum_is_part_of_the_full_spectrum(base, data):
 
     def eigenvalues(sc, p):
         h = (sconn.MetricField.equivariant(sc.bundle, base) if base.dim == 1
-             else sconn.MetricField.identity(sc.bundle))
+             else sconn.MetricField.identity(sc.bundle, sc.base))
         return sconn.spectrum(sc, h, p, count=10 ** 4).eigenvalues
 
     for p in range(base.dim + 4):
