@@ -10,11 +10,11 @@ Submodules:
 
 from . import lab, lie, numerics, report, spectral, superconnection
 from .numerics import InputError
-from .report import SpectrumReport, closeness_epsilon, epsilon_close
+from .report import SpectrumReport, closeness_epsilon
 
 __all__ = [
     "lab", "lie", "numerics", "report", "spectral", "superconnection",
-    "InputError", "SpectrumReport", "epsilon_close", "closeness_epsilon",
+    "InputError", "SpectrumReport", "closeness_epsilon",
 ]
 
 __version__ = "0.1.0"

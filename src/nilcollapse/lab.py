@@ -10,9 +10,9 @@ the spectral-sequence side.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -253,8 +253,10 @@ def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
 @dataclass(frozen=True)
 class Sweep:
     """The solve step of a sweep scenario: `points[i]` is what sweep value i
-    solves, (superconnection, metric) of a bundle kind or eps of
-    `nil_rescale`, and `spectra(point, degrees)` solves it in each degree."""
+    solves, (superconnection, metric) of a bundle kind, where every point
+    shares the one flat superconnection and its metric differs only in the
+    constant fiber block, or eps of `nil_rescale`, and
+    `spectra(point, degrees)` solves it in each degree."""
 
     config: ScenarioConfig
     predictions: list     # SmallCountPrediction per requested degree
@@ -285,14 +287,15 @@ def _solve_bundle(cfg: ScenarioConfig):
 def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
     base = sconn.BaseModel("torus2", cfg.resolution, model["circumferences"])
     fiber, one = lie.abelian(1), RationalMatrix.identity(1)
-    # identity holonomies: the identity metric is equivariant
-    unit = sconn.from_affine_bundle(fiber, base, T=[1])
-    h = sconn.MetricField.identity(unit.bundle, base)
+    sc = sconn.from_affine_bundle(fiber, base, T=[1])
+    # identity holonomies: the identity metric is equivariant, and the fiber
+    # metric delta^-2b on b-forms gauges a2 to delta * a2
+    h = sconn.MetricField.identity(sc.bundle, base)
     preds = spectral.predict_small_counts(
         fiber, "torus2", cfg.degrees, monodromy_action=[one, one], T=[1])
     return Sweep(cfg, preds, [
-        (sconn.Superconnection(unit.bundle, base, a0=unit.a0,
-                               a2=[unit.a2[0].scale(Fraction(delta))]), h)
+        (sc, h.with_fiber([np.eye(r) * delta ** (-2 * b)
+                           for b, r in enumerate(sc.bundle.ranks)]))
         for delta in cfg.sweep_values], _solve_bundle(cfg))
 
 
@@ -304,41 +307,30 @@ def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
         raise InputError(f"monodromy must be {algebra.n}x{algebra.n}")
     if len(w) != algebra.n:
         raise InputError("need one integer gauge weight per fiber dimension")
+    # D(t) = diag(t^w) must be an automorphism for the gauge change below
+    for i, j, k in itertools.product(range(algebra.n), repeat=3):
+        if algebra.c[i][j][k] and w[k] != w[i] + w[j]:
+            raise InputError(
+                f"gauge_weights must grade the algebra: the bracket "
+                f"[e{i}, e{j}] has an e{k} term, but w[{k}] = {w[k]} is not "
+                f"w[{i}] + w[{j}] = {w[i] + w[j]}")
     base = sconn.BaseModel("circle", cfg.resolution, model["circumferences"])
-
-    def build(t):
-        # G phi G^-1 for G = diag(t^w), exact for the float t as read
-        conj = RationalMatrix.from_entries(phi.rows, phi.cols, {
-            (i, j): v * Fraction(t) ** (w[i] - w[j])
-            for (i, j), v in phi.entries()})
-        return sconn.from_affine_bundle(algebra, base, monodromy_action=[conj])
-
-    # on b-forms the holonomy at t is D(t) A D(t)^-1, D(t) = diag(t^-w_I):
-    # its logarithm, taken once at the first point t0, is carried to t by
-    # the exact diagonal D(t) D(t0)^-1 = diag((t0 / t)^w_I)
-    t0 = cfg.sweep_values[0]
     try:  # with a0 the fiber differential, only parallel_a0 can fail
-        first = build(t0)
+        sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[phi])
     except sconn.FlatnessError as exc:
         raise InputError("monodromy is not an automorphism of the algebra: "
                          f"{exc}") from None
     preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
                                           monodromy_action=[phi])
-    h0 = sconn.MetricField.equivariant(first.bundle, base)
-    w_forms = [[sum(w[i] for i in I) for I in lie.multi_indices(algebra.n, b)]
+    # the holonomy D(t) phi D(t)^-1 is D(t)'s gauge change of phi, which
+    # moves diag(t^-2w_I) on b-forms into the metric, w_I = sum of w over I
+    h = sconn.MetricField.equivariant(sc.bundle, base)
+    w_forms = [np.array([float(sum(w[i] for i in I))
+                         for I in lie.multi_indices(algebra.n, b)])
                for b in range(algebra.n + 1)]
-
-    def gauged(t):
-        if t == t0:
-            return first, h0
-        r = Fraction(t0) / Fraction(t)
-        logs = [X * np.array([[float(r ** (i - j)) for j in wb] for i in wb])
-                for X, wb in zip(h0.logs[0], w_forms)]
-        sc = build(t)
-        return sc, sconn.MetricField.from_logs(sc.bundle, base, [logs])
-
-    return Sweep(cfg, preds, [gauged(t) for t in cfg.sweep_values],
-                 _solve_bundle(cfg))
+    return Sweep(cfg, preds, [
+        (sc, h.with_fiber([np.diag(t ** (-2 * wb)) for wb in w_forms]))
+        for t in cfg.sweep_values], _solve_bundle(cfg))
 
 
 def _spectral_sequence_report(cfg: ScenarioConfig, model: dict):
@@ -388,11 +380,12 @@ def _read_model(cfg: ScenarioConfig) -> dict:
 
 def prepare(config: ScenarioConfig | str | dict):
     """Build and check everything exact of a scenario: the model that
-    `_read_model` reads, the predictions, and each sweep point's flat
-    superconnection and its metric, which takes the point's bundle and base
-    and is checked for equivariance once, when it is built. Bad input raises
-    InputError here, never later. Returns the step that only solves (for a
-    spectral_sequence_report, builds the pages) and returns the report."""
+    `_read_model` reads, the predictions, a bundle kind's one flat
+    superconnection, and each sweep point's metric, which takes that bundle
+    and base and is checked for equivariance once, when it is built. Bad
+    input raises InputError here, never later. Returns the step that only
+    solves (for a spectral_sequence_report, builds the pages) and returns
+    the report."""
     cfg = config if isinstance(config, ScenarioConfig) else \
         load_scenario(config)
     return KINDS[cfg.kind][0](cfg, _read_model(cfg))

@@ -252,12 +252,6 @@ class RationalMatrix:
         A = np.asarray(A)
         return cls(A.tolist(), cols=A.shape[1])
 
-    def entries(self):
-        """The nonzero entries, as ((i, j), value) pairs in row order."""
-        for i, row in enumerate(self._nz):
-            for j, v in row.items():
-                yield (i, j), v
-
     def tolist(self) -> list[list[Fraction]]:
         out = []
         for row in self._nz:

@@ -43,21 +43,10 @@ class SpectrumReport:
         }
 
 
-def epsilon_close(s1, s2, eps: float) -> bool:
-    """Multiplicative sandwich e^{-eps} l2 <= l1 <= e^{eps} l2, index by index.
-
-    Zero-vs-zero pairs pass; zero against a positive entry fails for every
-    finite eps. Inputs may be SpectrumReports or plain sequences.
-    """
-    worst = closeness_epsilon(s1, s2)
-    if eps < 0:
-        raise InputError("eps must be nonnegative")
-    return worst <= eps
-
-
 def closeness_epsilon(s1, s2) -> float:
-    """Smallest eps for which the spectra are eps-close (inf if impossible);
-    an entry at most ZERO_TOL is zero."""
+    """Smallest eps with e^{-eps} l2 <= l1 <= e^{eps} l2 index by index,
+    where an entry at most ZERO_TOL is zero and zero meets only zero (inf if
+    impossible). Inputs may be SpectrumReports or plain sequences."""
     l1 = np.asarray(getattr(s1, "eigenvalues", s1), dtype=float)
     l2 = np.asarray(getattr(s2, "eigenvalues", s2), dtype=float)
     if l1.shape != l2.shape:

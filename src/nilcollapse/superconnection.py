@@ -22,8 +22,7 @@ import scipy.sparse as sp
 
 from . import lie, spectral
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
-                       lowest_eigenvalues, rank_exact, read_fields, read_json,
-                       real)
+                       lowest_eigenvalues, read_fields, read_json, real)
 from .report import SpectrumReport, closeness_epsilon
 
 
@@ -98,11 +97,12 @@ class BaseModel:
 class GradedBundle:
     """Z-graded bundle given by per-degree ranks and grading-preserving
     monodromy matrices, one per base generator (identities when None), read
-    exactly by `RationalMatrix` and invertible by `rank_exact`;
+    exactly by `RationalMatrix` and invertible by `spectral.inverse_exact`;
     `Superconnection` tests that they commute. `gram[b]`, symmetric positive
     definite, is the exact Gram matrix of the fiber inner product that the
     degree-b blocks are written in (the identity when None). `monodromies`
-    holds the exact blocks, `monodromy` their floats (`to_float`)."""
+    holds the exact blocks, `monodromy` and `inverse` the floats
+    (`to_float`) of them and of their exact inverses."""
 
     def __init__(self, ranks, monodromies=None, generators: int = 1,
                  gram=None):
@@ -115,16 +115,19 @@ class GradedBundle:
                            for _ in range(generators)]
         self.monodromies = [_read_blocks(gen, square, "monodromy")
                             for gen in monodromies]
-        if any(rank_exact(m) < m.rows for gen in self.monodromies
-               for m in gen):
-            raise InputError("monodromy must be invertible")
+        try:
+            inverses = [[spectral.inverse_exact(m) for m in gen]
+                        for gen in self.monodromies]
+        except InputError:
+            raise InputError("monodromy must be invertible") from None
         self.gram = None if gram is None else _read_blocks(gram, square,
                                                            "gram")
         # R with G = R^T R: the orthonormal frame of each Gram
         self._frames = None if gram is None else [
             np.linalg.cholesky(G.to_numpy()).T for G in self.gram]
-        self._monodromy = [[self.to_float(m, b, b) for b, m in enumerate(gen)]
-                           for gen in self.monodromies]
+        self._monodromy, self._inverse = (
+            [[self.to_float(m, b, b) for b, m in enumerate(gen)] for gen in ms]
+            for ms in (self.monodromies, inverses))
 
     @property
     def top(self) -> int:
@@ -135,6 +138,9 @@ class GradedBundle:
 
     def monodromy(self, gen: int, b: int) -> np.ndarray:
         return self._monodromy[gen][b]
+
+    def inverse(self, gen: int, b: int) -> np.ndarray:
+        return self._inverse[gen][b]
 
     def to_float(self, mat: RationalMatrix, b_src: int,
                  b_dst: int) -> np.ndarray:
@@ -179,19 +185,21 @@ class MetricField:
     (`check_equivariance`). A `DiscreteComplex` refuses a metric of another
     bundle or base.
 
-    `identity` (over a bundle whose monodromies are all the identity),
-    `equivariant`, `from_logs` and `conformal` of these also record
-    `logs[gen][b]`, real logarithms X of the monodromies with
-    h(x) = c G(x)^T G(x) for G(x) = exp(-sum_g x_g X_g / L_g). `spectrum`
-    uses them to gauge the bundle to constant coefficients; a metric built
-    from a bare callable records none and is only ever assembled.
+    Only `identity` (over a bundle whose monodromies are all the identity)
+    and `equivariant` record `logs[gen][b]`, real logarithms X of the
+    monodromies with h(x) = G(x)^T G(x), G(x) = exp(-sum_g x_g X_g / L_g);
+    `with_fiber` keeps them, with `fiber_roots[b]` = fiber[b]^{+-1/2} (else
+    identities). `spectrum` uses them to gauge the bundle to constant
+    coefficients; a bare callable records none and is only ever assembled.
     """
 
-    def __init__(self, bundle: GradedBundle, base: BaseModel, func,
-                 logs=None):
+    logs = fiber_roots = None
+    # unit check points, sampled with their translates by one period
+    _check_points = np.random.default_rng(0).uniform(size=8)
+
+    def __init__(self, bundle: GradedBundle, base: BaseModel, func):
         _require_generators(bundle, base)
-        self.bundle, self.base = bundle, base
-        self.logs, self._func = logs, func
+        self.bundle, self.base, self._func = bundle, base, func
         self.check_equivariance()
 
     @classmethod
@@ -199,12 +207,13 @@ class MetricField:
         def func(b, pts):
             return np.broadcast_to(np.eye(bundle.rank(b)),
                                    (len(pts), bundle.rank(b), bundle.rank(b)))
-        logs = None
+        h = cls(bundle, base, func)
         if all(m == RationalMatrix.identity(m.rows)
                for gen in bundle.monodromies for m in gen):
-            logs = [[np.zeros((r, r)) for r in bundle.ranks]
-                    for _ in bundle.monodromies]
-        return cls(bundle, base, func, logs)
+            h.logs = [[np.zeros((r, r)) for r in bundle.ranks]
+                      for _ in bundle.monodromies]
+            h.fiber_roots = [(np.eye(r),) * 2 for r in bundle.ranks]
+        return h
 
     @classmethod
     def equivariant(cls, bundle: GradedBundle, base: BaseModel) -> "MetricField":
@@ -212,67 +221,76 @@ class MetricField:
         principal matrix logarithm. This is the harmonic metric when the
         monodromy is diagonalizable with positive spectrum, and it degrades
         gracefully to unipotent blocks. Raises InputError for a monodromy
-        that is invertible exactly but singular in floats (zero LU pivot)."""
+        that is invertible exactly but singular in floats (zero LU pivot),
+        or one without a real logarithm."""
         phis = [[bundle.monodromy(gen, b) for b in range(len(bundle.ranks))]
                 for gen in range(len(bundle.monodromies))]
         if any(np.linalg.slogdet(phi)[0] == 0
                for per_degree in phis for phi in per_degree):
             raise InputError("monodromy is singular in floats; supply a "
                              "metric explicitly")
-        return cls.from_logs(bundle, base, [
-            [scipy.linalg.logm(phi) for phi in per_degree]
-            for per_degree in phis])
-
-    @classmethod
-    def from_logs(cls, bundle: GradedBundle, base: BaseModel,
-                  logs) -> "MetricField":
-        """The metric of `equivariant` from given logarithms, logs[gen][b] of
-        the degree-b monodromy of generator gen: h(x) = G(x)^T G(x) with
-        G(x) = exp(-sum_g x_g logs[g][b] / L_g). Raises InputError unless
-        there is one real logarithm of the degree's rank per generator and
-        degree; the constructor's equivariance check then tests on samples
-        that each is a logarithm of its monodromy."""
-        if [[np.shape(X) for X in per_degree] for per_degree in logs] != [
-                [(r, r) for r in bundle.ranks]] * len(bundle.monodromies):
-            raise InputError("need one logarithm per generator and degree, "
-                             "of the degree's rank")
+        logs = [[scipy.linalg.logm(phi) for phi in per_degree]
+                for per_degree in phis]
         if any(np.abs(np.imag(X)).max(initial=0.0) > 1e-9
                for per_degree in logs for X in per_degree):
             raise InputError(
                 "monodromy has no real logarithm; supply a metric explicitly")
-        real = [[np.real(X) for X in per_degree] for per_degree in logs]
-
-        def func(b, pts):
-            A = sum((-pts[:, g, None, None] / base.circumferences[g])
-                    * real[g][b] for g in range(base.dim))
-            M = scipy.linalg.expm(A)
-            return M.transpose(0, 2, 1) @ M
-        return cls(bundle, base, func, real)
+        return cls._gauged(bundle, base, [[np.real(X) for X in per_degree]
+                                          for per_degree in logs],
+                           [(np.eye(r),) * 2 for r in bundle.ranks])
 
     @classmethod
-    def conformal(cls, other: "MetricField", factor: float) -> "MetricField":
-        # a constant positive factor cancels from M^{1/2} D M^{-1/2}
-        if not factor > 0:
-            raise InputError(f"conformal factor must be > 0, got {factor}")
-        return cls(other.bundle, other.base,
-                   lambda b, pts: factor * other._func(b, pts), other.logs)
+    def _gauged(cls, bundle, base, logs, fiber_roots) -> "MetricField":
+        """h(x) = (S G(x))^T S G(x) for S = fiber_roots[b][0]."""
+        def func(b, pts):
+            M = fiber_roots[b][0] @ scipy.linalg.expm(sum(
+                (-pts[:, g, None, None] / base.circumferences[g]) * logs[g][b]
+                for g in range(base.dim)))
+            return M.transpose(0, 2, 1) @ M
+        h = cls(bundle, base, func)
+        h.logs, h.fiber_roots = logs, fiber_roots
+        return h
+
+    def with_fiber(self, fiber) -> "MetricField":
+        """h(x) = G(x)^T fiber[b] G(x) with this metric's logarithms, for one
+        constant symmetric positive definite block per degree in the frame of
+        `bundle.monodromy`: equivariant for every such fiber. InputError for
+        a metric without logarithms, or a block of another shape or not SPD."""
+        if self.logs is None:
+            raise InputError("with_fiber needs a metric that records the "
+                             "holonomy logarithms (identity or equivariant)")
+        try:
+            blocks = [np.asarray(F, dtype=float) for F in fiber]
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad fiber blocks: {exc}") from None
+        if [F.shape for F in blocks] != [(r, r) for r in self.bundle.ranks]:
+            raise InputError("need one fiber block per degree, of the "
+                             "degree's rank")
+        roots = []
+        for b, F in enumerate(blocks):
+            if not (np.isfinite(F).all() and np.array_equal(F, F.T)):
+                raise InputError(f"fiber[{b}] is not a finite symmetric block")
+            try:
+                S = _spd_power(F[None], 0.5)[0]
+                roots.append((S, np.linalg.inv(S)))
+            except InputError:
+                raise InputError(
+                    f"fiber[{b}] is not positive definite") from None
+        return self._gauged(self.bundle, self.base, self.logs, roots)
 
     def sample(self, b: int, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self._func(b, np.atleast_2d(pts)), dtype=float)
 
     def check_equivariance(self) -> None:
         base = self.base
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(0, min(base.circumferences), size=(4, base.dim))
-        for gen in range(base.dim):
-            shift = np.zeros(base.dim)
-            shift[gen] = base.circumferences[gen]
-            for b in range(len(self.bundle.ranks)):
+        x = min(base.circumferences) * self._check_points[:4 * base.dim]
+        steps = np.vstack([np.zeros(base.dim), np.diag(base.circumferences)])
+        pts = (steps[:, None] + x.reshape(4, base.dim)).reshape(-1, base.dim)
+        for b, r in enumerate(self.bundle.ranks):
+            h0, *shifted = self.sample(b, pts).reshape(base.dim + 1, 4, r, r)
+            for gen, h1 in enumerate(shifted):
                 # the exact inverse: a monodromy may be singular in floats
-                inv = self.bundle.to_float(spectral.inverse_exact(
-                    self.bundle.monodromies[gen][b]), b, b)
-                h0 = self.sample(b, pts)
-                h1 = self.sample(b, pts + shift)
+                inv = self.bundle.inverse(gen, b)
                 want = np.einsum("ij,pjk,kl->pil", inv.T, h0, inv)
                 if np.abs(h1 - want).max(initial=0.0) > 1e-8 * max(
                         1.0, np.abs(h0).max(initial=0.0)):
@@ -560,11 +578,11 @@ class DiscreteComplex:
     # -- Bloch reduction ----------------------------------------------------
 
     def bloch_ready(self) -> bool:
-        """Whether the gauge w = G(x) v of the metric's recorded holonomy
-        logarithms makes every Laplacian translation invariant on the grid:
-        it does when a0 and a2 intertwine them, which flatness implies for
-        principal logarithms but not for others. Then each mass block is
-        vol * I in the gauge and the fiber maps stay constant."""
+        """Whether the gauge w = fiber^{1/2} G(x) v of the metric's recorded
+        holonomy logarithms makes every Laplacian translation invariant on
+        the grid: it does when a0 and a2 intertwine them, which flatness
+        implies for principal logarithms but not for others. Then each mass
+        block is vol * I in the gauge and the fiber maps stay constant."""
         if self.h.logs is None:
             return False
         for X in self.h.logs:
@@ -582,7 +600,7 @@ class DiscreteComplex:
         src_off = np.cumsum([0] + [ranks[b] for _, b in src])
         dst_off = np.cumsum([0] + [ranks[b] for _, b in dst])
         out = np.zeros((len(phase), dst_off[-1], src_off[-1]), dtype=complex)
-        N, X = self.base.resolution, self.h.logs
+        N, X, S = self.base.resolution, self.h.logs, self.h.fiber_roots
         for i, j, gen, c in self.terms(p):
             dirs, b = src[j]
             blk = out[:, dst_off[i]:dst_off[i + 1], src_off[j]:src_off[j + 1]]
@@ -591,8 +609,10 @@ class DiscreteComplex:
                 # both directions: G(y) a2 G(x)^-1 = a2 G(y - x)
                 half = [g for g in range(self.base.dim)
                         if (g in dst[i][0]) != (g in dirs)]
-                blk += c @ scipy.linalg.expm(
-                    -sum(X[g][b] for g in half) / (2 * N)) if half else c
+                if half:
+                    c = c @ scipy.linalg.expm(
+                        -sum(X[g][b] for g in half) / (2 * N))
+                blk += S[dst[i][1]][0] @ c @ S[b][1]
             else:
                 # (Phi^{1/2N} e^{i theta} - Phi^{-1/2N}) / h
                 up, down = self._half_step(gen, b)
@@ -601,12 +621,15 @@ class DiscreteComplex:
         return out
 
     def _half_step(self, gen: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Phi^{1/2N}, Phi^{-1/2N}) of generator gen on degree b, computed
-        once per complex."""
+        """(Phi^{1/2N}, Phi^{-1/2N}) of generator gen on degree b in the
+        fiber gauge, S Phi^{+-1/2N} S^-1 for S = fiber^{1/2}, computed once
+        per complex."""
         if (gen, b) not in self._half_steps:
             up = scipy.linalg.expm(
                 self.h.logs[gen][b] / (2 * self.base.resolution))
-            self._half_steps[(gen, b)] = up, np.linalg.inv(up)
+            S, S_inv = self.h.fiber_roots[b]
+            self._half_steps[(gen, b)] = (S @ up @ S_inv,
+                                          S @ np.linalg.inv(up) @ S_inv)
         return self._half_steps[(gen, b)]
 
     def bloch_eigenvalues(self, p: int) -> np.ndarray:

@@ -106,9 +106,12 @@ def weight_complex(algebra):
             dims[spot] = dims.get(spot, 0) + 1
     entries = {}  # (shift, source spot) -> {(row, col): value}
     for p in range(n):
-        for (i, j), v in lie.ce_differential(grading.algebra, p).entries():
-            (src, col), (dst, row) = where[(p, j)], where[(p + 1, i)]
-            entries.setdefault((dst[0] - src[0], src), {})[(row, col)] = v
+        d = lie.ce_differential(grading.algebra, p).tolist()
+        for i, j in itertools.product(range(len(d)), range(len(d[0]))):
+            if d[i][j]:
+                (src, col), (dst, row) = where[(p, j)], where[(p + 1, i)]
+                entries.setdefault((dst[0] - src[0], src), {})[(row, col)] = \
+                    d[i][j]
     maps = {}
     for (shift, (a, b)), ent in entries.items():
         maps.setdefault(shift, {})[(a, b)] = RationalMatrix.from_entries(

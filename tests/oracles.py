@@ -1,12 +1,15 @@
 """Independent routes the tests check the package against: the circle
 closed form of a total Betti number, the invariant-form Laplacian of an
-algebra in floats, and page r of a spectral sequence built from r-tuple
+algebra in floats, page r of a spectral sequence built from r-tuple
 spaces, at the spots of the complex or over the whole (a_max + 1) x
-(b_max + r) rectangle of spots, empty ones included."""
+(b_max + r) rectangle of spots, empty ones included, and each point of a
+bundle sweep built as a superconnection and metric of its own."""
+
+from fractions import Fraction
 
 import numpy as np
 
-from nilcollapse import lie
+from nilcollapse import lie, superconnection as sconn
 from nilcollapse.numerics import (InputError, RationalMatrix, nullspace_exact,
                                   rank_exact)
 
@@ -149,3 +152,24 @@ def rectangle_page(cx, r: int):
     """`tuple_page` over the rectangle a <= a_max, b < b_max + r."""
     return tuple_page(cx, r, [(a, b) for a in range(cx.a_max + 1)
                               for b in range(cx.b_max + r)])
+
+
+def degeneration_point(algebra, base, phi: RationalMatrix, weights, t):
+    """Point t of a monodromy degeneration as its own bundle: the holonomy
+    D(t) phi D(t)^-1 for D(t) = diag(t^weights), exact for the float t, with
+    its own equivariant metric."""
+    conj = RationalMatrix([[v * Fraction(t) ** (weights[i] - weights[j])
+                            for j, v in enumerate(row)]
+                           for i, row in enumerate(phi.tolist())])
+    sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[conj])
+    return sc, sconn.MetricField.equivariant(sc.bundle, base)
+
+
+def adiabatic_point(base, delta):
+    """Point delta of the adiabatic circle bundle sweep as its own
+    superconnection: a2 = delta * a2 of the T = 1 bundle, with the identity
+    metric."""
+    unit = sconn.from_affine_bundle(lie.abelian(1), base, T=[1])
+    sc = sconn.Superconnection(unit.bundle, base, a0=unit.a0,
+                               a2=[unit.a2[0].scale(Fraction(delta))])
+    return sc, sconn.MetricField.identity(sc.bundle, base)

@@ -514,6 +514,12 @@ BAD_MODELS = [
                  "identity 'parallel_a0' fails in degree 1 of generator 0",
                  id="not-an-automorphism"),
     pytest.param("monodromy_degeneration",
+                 {"algebra": "heisenberg:3", "gauge_weights": [1, 0, 0],
+                  "monodromy": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                 "gauge_weights must grade the algebra: the bracket [e0, e1] "
+                 "has an e2 term, but w[2] = 0 is not w[0] + w[1] = 1",
+                 id="weights-that-do-not-grade"),
+    pytest.param("monodromy_degeneration",
                  dict(MONO, monodromy=[[1, 1], [1, 1]]),
                  "holonomy is not invertible", id="singular-holonomy"),
     pytest.param("monodromy_degeneration",

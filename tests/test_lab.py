@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lab, spectral, lie
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix
+from nilcollapse.report import ZERO_TOL
+from tests import oracles
 from tests.conftest import HEIS3_SKEW, filiform_torus_complex
 
 
@@ -133,20 +135,23 @@ def test_prediction_builds_the_twisted_pages_once_per_scenario(monkeypatch):
 
 
 def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
-    calls = []
-    real = lab.sconn.from_affine_bundle
-    monkeypatch.setattr(lab.sconn, "from_affine_bundle",
-                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
-    # the holonomy of example7 changes at each point; along example3 only
-    # a2 = delta * a2(1) does, so its model is built once
-    for name, builds in [("example7_heisenberg_circle", 4),
-                         ("example3_circle_bundle", 1)]:
-        calls.clear()
+    models, supers = [], []
+    real, init = sconn.from_affine_bundle, sconn.Superconnection.__init__
+    monkeypatch.setattr(sconn, "from_affine_bundle",
+                        lambda *a, **kw: models.append(1) or real(*a, **kw))
+    monkeypatch.setattr(sconn.Superconnection, "__init__",
+                        lambda *a, **kw: supers.append(1) or init(*a, **kw))
+    # a sweep point changes only the constant fiber metric, so each bundle
+    # scenario builds its one flat superconnection once
+    for name in [n for n, cfg in lab.PRESETS.items()
+                 if cfg["kind"] != "nil_rescale"]:
+        models.clear()
+        supers.clear()
         cfg = dict(lab.PRESETS[name], degrees=(0, 1, 2))
         rep = lab.run(cfg)
-        assert len(cfg["sweep_values"]) == 4
-        assert len(calls) == builds, name
-        assert [len(d.spectra) for d in rep.degrees] == [4, 4, 4]
+        assert len(models) == len(supers) == 1, name
+        assert [len(d.spectra) for d in rep.degrees] == [
+            len(cfg["sweep_values"])] * 3
 
 
 def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
@@ -244,28 +249,69 @@ def test_monodromy_sweep_takes_each_logarithm_once(monkeypatch, name, want):
                                   "example9_sol_circle"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
 def test_carried_logarithms_match_logm(name, reverse):
+    # every point solves the one bundle, and its metric shares the
+    # logarithms logm took of that bundle's monodromies
     cfg = lab.load_scenario(name)
     values = cfg.sweep_values[::-1] if reverse else cfg.sweep_values
     cfg = dataclasses.replace(cfg, sweep_values=values)
-    for sc, h in lab.prepare(cfg).points:
-        for b in range(len(sc.bundle.ranks)):
-            want = scipy.linalg.logm(sc.bundle.monodromy(0, b))
-            assert np.abs(np.imag(want)).max() <= 1e-12
-            err = np.abs(h.logs[0][b] - np.real(want)).max()
-            assert err <= 1e-12 * np.abs(want).max()
+    (sc, h), *rest = lab.prepare(cfg).points
+    assert all(other is sc and g.logs is h.logs for other, g in rest)
+    for b in range(len(sc.bundle.ranks)):
+        want = scipy.linalg.logm(sc.bundle.monodromy(0, b))
+        assert np.abs(np.imag(want)).max() <= 1e-12
+        err = np.abs(h.logs[0][b] - np.real(want)).max()
+        assert err <= 1e-12 * np.abs(want).max()
+
+
+UNIPOTENT_H3 = {"kind": "monodromy_degeneration",
+                "model": {"algebra": "heisenberg:3",
+                          "monodromy": [[1, 0, 0], [1, 1, 0], [0, 0, 1]],
+                          "gauge_weights": [1, 0, 1]},
+                "sweep_values": (1.0, 0.1, 0.01, 0.001), "resolution": 16,
+                "count": 8}
+
+
+@pytest.mark.parametrize("scenario", [
+    lab.PRESETS["example7_heisenberg_circle"],
+    lab.PRESETS["example9_sol_circle"],
+    dict(lab.PRESETS["cor7_heisenberg_T2"], resolution=16),
+    UNIPOTENT_H3], ids=["example7", "example9", "cor7@16", "heisenberg3"])
+def test_sweep_points_match_their_own_bundles(scenario):
+    # conjugating the holonomy by D(t) = diag(t^w), or scaling a2 by delta,
+    # is a constant gauge change that moves diag(t^-2w_I), or delta^-2b on
+    # b-forms, into the fiber metric of the one bundle the sweep builds
+    cfg = lab.load_scenario(dict(scenario, degrees=(0, 1, 2, 3)))
+    model = scenario["model"]
+    for t, (sc, h) in zip(cfg.sweep_values, lab.prepare(cfg).points):
+        if cfg.kind == "circle_bundle_adiabatic":
+            oracle = oracles.adiabatic_point(sc.base, t)
+        else:
+            oracle = oracles.degeneration_point(
+                lie.load_algebra(model["algebra"]), sc.base,
+                RationalMatrix(model["monodromy"]), model["gauge_weights"], t)
+        got = sconn.spectra(sc, h, cfg.degrees, count=cfg.count)
+        want = sconn.spectra(*oracle, cfg.degrees, count=cfg.count)
+        for s, o in zip(got, want):
+            zero = o.eigenvalues <= ZERO_TOL
+            assert np.array_equal(s.eigenvalues <= ZERO_TOL, zero)
+            assert np.all(np.abs(s.eigenvalues - o.eigenvalues)[~zero]
+                          <= 1e-9 * o.eigenvalues[~zero])
 
 
 @pytest.mark.parametrize("name", [n for n, cfg in lab.PRESETS.items()
                                   if cfg["kind"] != "nil_rescale"])
 def test_prepare_checks_each_metric_once(monkeypatch, name):
-    # each metric is checked when it is built; the degeneration sweep solves
-    # its first point on the equivariant metric it took the logarithm from
+    # each metric is checked when it is built: one per sweep point, and the
+    # one metric the points take their logarithms from
     checked = []
     check = sconn.MetricField.check_equivariance
     monkeypatch.setattr(sconn.MetricField, "check_equivariance",
-                        lambda h: checked.append(id(h)) or check(h))
-    metrics = {id(h) for _, h in lab.prepare(name).points}
-    assert sorted(checked) == sorted(metrics)
+                        lambda h: checked.append(h) or check(h))
+    points = lab.prepare(name).points
+    metrics = {id(h) for _, h in points}
+    assert len({id(h) for h in checked}) == len(checked) == len(metrics) + 1
+    [source] = [h for h in checked if id(h) not in metrics]
+    assert all(h.logs is source.logs for _, h in points)
 
 
 @pytest.mark.parametrize("name, case", [

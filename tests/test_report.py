@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nilcollapse import lie, superconnection as sconn
 from nilcollapse.numerics import InputError
-from nilcollapse.report import (ZERO_TOL, SpectrumReport, closeness_epsilon,
-                                epsilon_close)
+from nilcollapse.report import ZERO_TOL, SpectrumReport, closeness_epsilon
 
 
 def test_spectrum_report_sorts_and_splits():
@@ -83,23 +82,21 @@ def test_multiplicities_groups_close_values():
 
 def test_epsilon_close_boundary():
     e = np.e
-    assert epsilon_close([1.0, 2.0], [e, 2 * e], 1.0 + 1e-12)
-    assert not epsilon_close([1.0, 2.0], [e, 2 * e], 0.5)
-    assert epsilon_close([0.0, 1.0], [0.0, 1.0], 0.0)
+    assert closeness_epsilon([1.0, 2.0], [e, 2 * e]) <= 1.0 + 1e-12
+    assert not closeness_epsilon([1.0, 2.0], [e, 2 * e]) <= 0.5
+    assert closeness_epsilon([0.0, 1.0], [0.0, 1.0]) <= 0.0
 
 
 def test_epsilon_close_zero_handling():
     # a true zero against a positive value fails for every finite eps
-    assert not epsilon_close([0.0, 1.0], [1e-9, 1.0], 50.0)
+    assert not closeness_epsilon([0.0, 1.0], [1e-9, 1.0]) <= 50.0
     # an entry at most ZERO_TOL is zero: close to a true zero at eps 0
-    assert epsilon_close([1e-11, 1.0], [0.0, 1.0], 0.0)
+    assert closeness_epsilon([1e-11, 1.0], [0.0, 1.0]) <= 0.0
 
 
 def test_epsilon_close_input_errors():
-    with pytest.raises(InputError):
-        epsilon_close([1.0], [1.0, 2.0], 0.1)
-    with pytest.raises(InputError):
-        epsilon_close([1.0], [1.0], -0.1)
+    with pytest.raises(InputError, match="length mismatch"):
+        closeness_epsilon([1.0], [1.0, 2.0])
 
 
 def test_closeness_epsilon_values():
@@ -112,8 +109,8 @@ def test_closeness_epsilon_values():
 def test_closeness_epsilon_certifies_epsilon_close():
     s1, s2 = [0.5, 3.0, 7.0], [0.4, 3.3, 7.2]
     eps = closeness_epsilon(s1, s2)
-    assert epsilon_close(s1, s2, eps + 1e-12)
-    assert not epsilon_close(s1, s2, eps - 1e-6)
+    assert closeness_epsilon(s1, s2) <= eps + 1e-12
+    assert not closeness_epsilon(s1, s2) <= eps - 1e-6
 
 
 # exact zeros, values on both sides of the zero rule, and the bulk
@@ -130,7 +127,7 @@ def test_closeness_epsilon_certifies_itself_either_way_round(pair):
     s1, s2 = pair
     eps = closeness_epsilon(s1, s2)
     assert eps == closeness_epsilon(s2, s1)
-    assert epsilon_close(s1, s2, eps)
     for e in (0.0, eps, np.inf):
-        assert epsilon_close(s1, s2, e) == epsilon_close(s2, s1, e)
+        assert (closeness_epsilon(s1, s2) <= e) == (
+            closeness_epsilon(s2, s1) <= e)
 

@@ -2,11 +2,13 @@
 spectra checked against closed forms for flat and monodromy-twisted circles."""
 
 import dataclasses
+import inspect
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from nilcollapse import lab, lie, report, spectral
@@ -297,27 +299,50 @@ def test_equivariant_metric_passes_its_own_check():
     assert np.linalg.eigvalsh(g).min() > 0
 
 
-def test_from_logs_is_the_equivariant_metric_and_is_checked():
+def test_with_fiber_keeps_the_logarithms_and_is_checked(monkeypatch):
     bundle, base = sconn.GradedBundle([2], [[SOL]]), circle(16)
     h = sconn.MetricField.equivariant(bundle, base)
-    same = sconn.MetricField.from_logs(bundle, base, h.logs)
+    checked = []
+    check = sconn.MetricField.check_equivariance
+    monkeypatch.setattr(sconn.MetricField, "check_equivariance",
+                        lambda m: checked.append(m) or check(m))
+    fiber = np.array([[2.0, 1.0], [1.0, 3.0]])
+    g = h.with_fiber([fiber])
+    assert checked == [g]
+    assert g.logs is h.logs and (g.bundle, g.base) == (bundle, base)
+    # h(x) = G(x)^T fiber G(x) for the gauge G(x) = exp(-x X) of the
+    # recorded logarithm (circumference 1)
     pts = base.points()
-    assert np.array_equal(same.sample(0, pts), h.sample(0, pts))
-    assert np.array_equal(same.logs[0][0], h.logs[0][0])
-    assert same.base is base
-    # a logarithm of another monodromy fails the check when it is built
-    with pytest.raises(InputError, match="equivariance"):
-        sconn.MetricField.from_logs(bundle, base, [[2 * h.logs[0][0]]])
+    G = scipy.linalg.expm(-pts[:, 0, None, None] * h.logs[0][0])
+    want = G.transpose(0, 2, 1) @ fiber @ G
+    assert np.abs(g.sample(0, pts) - want).max() <= 1e-12 * np.abs(want).max()
+    # the identity fiber is the metric itself
+    same = h.with_fiber([np.eye(2)]).sample(0, pts)
+    assert np.abs(same - h.sample(0, pts)).max() <= 1e-12 * np.abs(same).max()
 
 
-def test_from_logs_checks_its_logarithms():
-    # one logarithm per generator and degree, of the degree's rank
+def test_with_fiber_checks_its_blocks():
+    # one constant symmetric positive definite block per degree, of the
+    # degree's rank, on a metric that records logarithms
     bundle, base = sconn.GradedBundle([2, 1], [[SOL, np.eye(1)]]), circle(16)
-    X = sconn.MetricField.equivariant(bundle, base).logs[0]
-    for logs in ([], [X, X], [X[:1]], [[X[0], np.zeros((2, 2))]],
-                 [[X[0][:1], X[1]]]):
-        with pytest.raises(InputError, match="one logarithm per generator"):
-            sconn.MetricField.from_logs(bundle, base, logs)
+    h = sconn.MetricField.equivariant(bundle, base)
+    I2, I1 = np.eye(2), np.eye(1)
+    for fiber in ([], [I2], [I2, I1, I1], [I1, I2], [I2, I2], [I2, [1.0]]):
+        with pytest.raises(InputError, match="one fiber block per degree"):
+            h.with_fiber(fiber)
+    with pytest.raises(InputError, match="bad fiber blocks"):
+        h.with_fiber([[[1, 2], [3]], I1])
+    for fiber, message in [
+            ([[[1, 1], [0, 1]], I1], r"fiber\[0\] is not a finite symmetric"),
+            ([I2, [[np.nan]]], r"fiber\[1\] is not a finite symmetric"),
+            ([I2, [[np.inf]]], r"fiber\[1\] is not a finite symmetric"),
+            ([[[1, 2], [2, 1]], I1], r"fiber\[0\] is not positive definite"),
+            ([I2, [[0.0]]], r"fiber\[1\] is not positive definite")]:
+        with pytest.raises(InputError, match=message):
+            h.with_fiber(fiber)
+    # a bare callable records no logarithms to gauge a fiber with
+    with pytest.raises(InputError, match="records the holonomy logarithms"):
+        sconn.MetricField(bundle, base, h.sample).with_fiber([I2, I1])
 
 
 def test_every_metric_takes_the_base_it_is_checked_on():
@@ -335,10 +360,12 @@ def test_every_metric_takes_the_base_it_is_checked_on():
 
 def test_conformal_factor_must_be_positive():
     h = sconn.MetricField.identity(sconn.GradedBundle([1]), circle(8))
-    for factor in (-1.0, 0.0, float("nan")):
-        with pytest.raises(InputError, match="conformal factor"):
-            sconn.MetricField.conformal(h, factor)
-    assert sconn.MetricField.conformal(h, 2.0).logs is h.logs
+    for factor in (-1.0, 0.0):
+        with pytest.raises(InputError, match="not positive definite"):
+            h.with_fiber([[[factor]]])
+    with pytest.raises(InputError, match="not a finite symmetric"):
+        h.with_fiber([[[float("nan")]]])
+    assert h.with_fiber([[[2.0]]]).logs is h.logs
 
 
 def test_metric_singular_in_floats_is_refused_before_logm():
@@ -567,16 +594,19 @@ def test_conjugate_pair_solve_matches_all_modes(N):
 
 
 def test_bloch_matches_assembled_conformal_metrics():
+    # a constant fiber metric enters the Bloch gauge as its square root and
+    # the assembled mass as G(x)^T fiber G(x): two routes to one spectrum
     base = circle(48)
     sc = sconn.from_affine_bundle(lie.abelian(2), base, monodromy_action=[SOL])
-    h = sconn.MetricField.conformal(
-        sconn.MetricField.equivariant(sc.bundle, base), 2.5)
+    h = sconn.MetricField.equivariant(sc.bundle, base).with_fiber(
+        [[[2.5]], [[2.0, 1.0], [1.0, 3.0]], [[0.5]]])
     for p in range(3):
         assert_bloch_matches_assembled(sc, h, p)
     sc = circle_bundle(torus(10), 0.5)
-    h = sconn.MetricField.conformal(
-        sconn.MetricField.identity(sc.bundle, sc.base), np.e)
-    assert_bloch_matches_assembled(sc, h, 1)
+    h = sconn.MetricField.identity(sc.bundle, sc.base).with_fiber(
+        [[[np.e]], [[0.3]]])
+    for p in range(4):
+        assert_bloch_matches_assembled(sc, h, p)
 
 
 def test_bloch_path_only_for_recorded_gauges(monkeypatch):
@@ -609,6 +639,26 @@ def test_bloch_path_only_for_recorded_gauges(monkeypatch):
         with pytest.raises(InputError, match=message):
             sconn.spectrum(sc, other, 0, count=4)
     assert assembled == []
+
+
+def test_a_bare_callable_carries_no_logarithms():
+    # only identity and equivariant record logarithms: the constructor takes
+    # none from its caller, so a zero logarithm cannot send the flip bundle,
+    # whose holonomy has none that is real, down the Bloch path
+    assert "logs" not in inspect.signature(sconn.MetricField).parameters
+    base = circle(16)
+    flip = sconn.GradedBundle([2], [[[[0, 1], [1, 0]]]])
+    sc = sconn.Superconnection(flip, base)
+    h = sconn.MetricField(flip, base, lambda b, pts: np.broadcast_to(
+        np.eye(2), (len(pts), 2, 2)))
+    assert h.logs is None and not sconn.DiscreteComplex(sc, h).bloch_ready()
+    # the periodic and the antiperiodic modes of the forward difference
+    lam = sconn.spectrum(sc, h, 0, count=4).eigenvalues
+    anti = (32 * np.sin(np.pi / 32)) ** 2
+    periodic = (32 * np.sin(np.pi / 16)) ** 2
+    assert lam[0] <= report.ZERO_TOL
+    assert np.allclose(lam[1:], [anti, anti, periodic], rtol=1e-9, atol=0)
+    assert np.round(lam, 2).tolist() == [0.0, 9.84, 9.84, 38.97]
 
 
 def test_complex_refuses_a_metric_of_another_bundle_or_base():
@@ -701,7 +751,7 @@ def test_metric_continuity_conformal():
     # a global conformal factor cancels out of the symmetrized operator
     sc = circle_bundle(torus(8), 0.5)
     h1 = sconn.MetricField.identity(sc.bundle, sc.base)
-    h2 = sconn.MetricField.conformal(h1, np.e)
+    h2 = h1.with_fiber([np.e * np.eye(r) for r in sc.bundle.ranks])
     rep = sconn.metric_continuity_check(sc, h1, h2, 1, eps=1.0)
     assert rep.eps_out < 1e-8
 
