@@ -314,6 +314,13 @@ def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
                 f"gauge_weights must grade the algebra: the bracket "
                 f"[e{i}, e{j}] has an e{k} term, but w[{k}] = {w[k]} is not "
                 f"w[{i}] + w[{j}] = {w[i] + w[j]}")
+    # the fiber metric t^(-2 w_I) below must neither overflow nor underflow
+    # to 0: |w_I| is at most the larger of the summed positive and negative w
+    span = max(sum(x for x in w if x > 0), -sum(x for x in w if x < 0))
+    for t in cfg.sweep_values:
+        if t != 1 and span >= np.log(np.finfo(float).max) / abs(2 * np.log(t)):
+            raise InputError(f"gauge_weights {w} take the fiber metric t^(-2 "
+                             f"w_I) out of the float range at sweep value {t}")
     base = sconn.BaseModel("circle", cfg.resolution, model["circumferences"])
     try:  # with a0 the fiber differential, only parallel_a0 can fail
         sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[phi])

@@ -350,18 +350,21 @@ def _add_scaled(target: dict, f: Fraction, source: dict) -> None:
             del target[j]
 
 
-def _rref(A: RationalMatrix) -> dict[int, dict[int, Fraction]]:
-    """Sparse reduced row echelon form of A, as {pivot column: row}.
+def _rref(A: RationalMatrix) -> tuple[dict, list[tuple[int, int]]]:
+    """Sparse reduced row echelon form of A, as {pivot column: row}, and
+    its pivot pairs (i, c): row i of A entered and made pivot column c.
 
-    Rows enter one at a time. Each is cleared at the pivot columns found so
-    far; if anything is left, its leftmost column becomes a new pivot, the
-    row is scaled to 1 there and that column is cleared from the earlier
-    pivot rows. Pivot rows are thus zero left of their pivot and at every
-    other pivot column: the reduced form, which is unique, so the order of
-    elimination never changes the result.
+    Rows enter one at a time, in order. Each is cleared at the pivot columns
+    found so far; if anything is left, its leftmost column becomes a new
+    pivot, the row is scaled to 1 there and that column is cleared from the
+    earlier pivot rows. Pivot rows are thus zero left of their pivot and at
+    every other pivot column: the reduced form, which is unique, so the
+    order of elimination never changes it. After k rows the pivot rows are
+    such a basis of the first k rows' span, so the pairs with i < k and
+    c < j are as many as the rank of the leading k x j corner of A.
     """
-    basis: dict[int, dict[int, Fraction]] = {}
-    for source in A._nz:
+    basis, pairs = {}, []
+    for i, source in enumerate(A._nz):
         row = dict(source)
         for c in [c for c in row if c in basis]:
             _add_scaled(row, -row[c], basis[c])
@@ -374,7 +377,8 @@ def _rref(A: RationalMatrix) -> dict[int, dict[int, Fraction]]:
             if c in other:
                 _add_scaled(other, -other[c], row)
         basis[c] = row
-    return basis
+        pairs.append((i, c))
+    return basis, pairs
 
 
 def row_reduce(A: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -383,22 +387,27 @@ def row_reduce(A: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
     Returns (rows, pivots): the nonzero rows of the reduced form, one per
     pivot, and the pivot column of each.
     """
-    basis = _rref(A)
+    basis, _ = _rref(A)
     pivots = sorted(basis)
     R = RationalMatrix._of(len(pivots), A.cols, [basis[c] for c in pivots])
     return R.tolist(), pivots
 
 
+def pivot_pairs(A: RationalMatrix) -> list[tuple[int, int]]:
+    """`_rref`'s pivot pairs (row, pivot column) of A, in the order made."""
+    return _rref(A)[1]
+
+
 def rank_exact(A: RationalMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(_rref(A))
+    return len(pivot_pairs(A))
 
 
 def nullspace_exact(A: RationalMatrix) -> RationalMatrix:
     """Exact basis of ker(A), returned as columns of a cols x nullity matrix:
     one column per free column of the reduced form, in increasing order."""
     n = A.cols
-    basis = _rref(A)
+    basis, _ = _rref(A)
     free = {c: k for k, c in enumerate(c for c in range(n) if c not in basis)}
     nz = [{} for _ in range(n)]
     for c, k in free.items():
@@ -416,7 +425,7 @@ def solve_exact(A: RationalMatrix, B: RationalMatrix) -> RationalMatrix:
         raise InputError("row mismatch in solve")
     n = A.cols
     nz = [{} for _ in range(n)]
-    for pc, row in _rref(A.hstack(B)).items():
+    for pc, row in _rref(A.hstack(B))[0].items():
         if pc >= n:
             raise InputError("inconsistent linear system")
         nz[pc] = {j - n: v for j, v in row.items() if j >= n}

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import lie
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
-                       nullspace_exact, rank_exact, read_fields, row_reduce,
-                       solve_exact)
+                       nullspace_exact, pivot_pairs, rank_exact, read_fields,
+                       row_reduce, solve_exact)
 
 
 class BigradedComplex:
@@ -51,19 +51,12 @@ class BigradedComplex:
         self.a_max = max((a for a, _ in self.dims), default=0)
         self.b_max = max((b for _, b in self.dims), default=0)
         self.check_complex()
-        self._window_ranks: dict[tuple[int, int, int], int] = {}
+        self._pairs: dict[int, list[tuple[tuple[int, int], int]]] = {}
 
     # -- access -------------------------------------------------------------
 
     def dim(self, a: int, b: int) -> int:
         return self.dims.get((a, b), 0)
-
-    def D(self, i: int, a: int, b: int) -> RationalMatrix:
-        mat = self.maps.get(i, {}).get((a, b))
-        if mat is None:
-            return RationalMatrix.zeros(self.dim(a + i, b + 1 - i),
-                                        self.dim(a, b))
-        return mat
 
     def check_complex(self) -> None:
         """D^2 = 0, graded piece by graded piece: at each spot and total
@@ -105,23 +98,22 @@ class BigradedComplex:
             blocks, [self.dim(*t) for t in row_spots],
             [self.dim(*s) for s in col_spots])
 
-    def window_rank(self, n: int, lo: int, hi: int) -> int:
-        """R_n(lo, hi): the rank of the total differential from the degree-n
-        spots with lo <= a < hi to the degree-(n + 1) spots in the same
-        window, with the window clamped to 0..a_max + 1. Over a field these
-        ranks fix the filtered complex up to isomorphism, and `page` reads
-        every page off them. Memoized: the complex does not change after
-        `check_complex`."""
-        lo, hi = max(lo, 0), min(hi, self.a_max + 1)
-        if lo >= hi:
-            return 0
-        key = (n, lo, hi)
-        if key not in self._window_ranks:
-            window = range(lo, hi)
-            rows = [(a, n + 1 - a) for a in window if self.dim(a, n + 1 - a)]
-            cols = [(a, n - a) for a in window if self.dim(a, n - a)]
-            self._window_ranks[key] = rank_exact(self.block(rows, cols))
-        return self._window_ranks[key]
+    def pairs(self, n: int) -> list[tuple[tuple[int, int], int]]:
+        """The pivot pairs of the total differential D_n, as (source spot,
+        length): one `pivot_pairs` of the `block` with the degree-(n + 1)
+        spots as rows, a ascending, and the degree-n spots as columns, a
+        descending. A pair joins a row at a_row to its pivot column at
+        a_col <= a_row, as D never lowers a, and length = a_row - a_col.
+        The window rank R_n(lo, hi) is that of a leading corner, so it is
+        the number of pairs with a_col >= lo and a_row < hi. Memoized."""
+        if n not in self._pairs:
+            rows, cols = self.total_spots(n + 1), self.total_spots(n)[::-1]
+            row_a = [a for a, b in rows for _ in range(self.dim(a, b))]
+            col_spot = [s for s in cols for _ in range(self.dim(*s))]
+            self._pairs[n] = [
+                (col_spot[j], row_a[i] - col_spot[j][0])
+                for i, j in pivot_pairs(self.block(rows, cols))]
+        return self._pairs[n]
 
     def top_total_degree(self) -> int:
         return max((a + b for a, b in self.dims), default=0)
@@ -195,31 +187,24 @@ class Page:
 
 def page(cx: BigradedComplex, r: int) -> Page:
     """Dimensions of page r together with the ranks of its differential d_r,
-    each a sum of four window ranks R = `cx.window_rank`. At a spot (a, b)
-    of dimension g and total degree n:
-
-    - Z_r = g - R_n(a, a+r) + R_n(a+1, a+r) is the dimension of the leading
-      parts at a of the cycles of the window a..a+r-1;
-    - B_r = R_{n-1}(a-r+1, a+1) - R_{n-1}(a-r+1, a) is that of the
-      boundaries of the window a-r+1..a that lie in filtration a;
-    - dim E_r = Z_r - B_r, and rank d_r = Z_r - Z_{r+1}.
-
-    Page 0 is the complex itself with the ranks of D_0. E_r is 0 wherever
-    cx has no spot, so only the spots of cx are visited."""
+    counted off the pivot pairs `cx.pairs`. At a spot (a, b) of dimension g,
+    the leading parts at a of the cycles of the window a..a+r-1 number
+    Z_r = g - #(pairs out of the spot of length < r), and the boundaries of
+    the window a-r+1..a in filtration a number B_r = #(pairs into it of
+    length < r); dim E_r = Z_r - B_r, and rank d_r = Z_r - Z_{r+1} =
+    #(pairs out of it of length r). Page 0 is the complex itself with the
+    ranks of D_0. E_r is 0 wherever cx has no spot."""
     if r < 0:
         raise InputError("negative page index")
-    R = cx.window_rank
-    dims, d_ranks = {}, {}
-    for (a, b), g in cx.dims.items():
-        n = a + b
-        z_r = g - R(n, a, a + r) + R(n, a + 1, a + r)
-        d = z_r - R(n - 1, a - r + 1, a + 1) + R(n - 1, a - r + 1, a)
-        rk = z_r - (g - R(n, a, a + r + 1) + R(n, a + 1, a + r + 1))
-        if d:
-            dims[(a, b)] = d
-        if rk:
-            d_ranks[(a, b)] = rk
-    return Page(r, dims, d_ranks)
+    dims, d_ranks = dict(cx.dims), {}
+    for n in range(cx.top_total_degree()):
+        for (a, b), length in cx.pairs(n):
+            if length < r:
+                dims[(a, b)] -= 1
+                dims[(a + length, b + 1 - length)] -= 1
+            elif length == r:
+                d_ranks[(a, b)] = d_ranks.get((a, b), 0) + 1
+    return Page(r, {s: d for s, d in dims.items() if d}, d_ranks)
 
 
 @dataclass(frozen=True)
@@ -241,9 +226,9 @@ class SpectralSequence:
 def spectral_sequence(cx: BigradedComplex) -> SpectralSequence:
     """All pages of `cx`, cross-checked two ways: page r+1 must be the
     homology of (page r, d_r), and the stable page's totals must be the total
-    cohomology. Both hold by construction of `page`'s window-rank sums and
-    guard them; a failed check raises ArithmeticError naming the spot or the
-    degree."""
+    cohomology, with one `rank_exact` per total differential, the number of
+    its pivot pairs. Both hold by construction of `page`'s pair counts and
+    guard them; a failed check raises ArithmeticError naming spot or degree."""
     pages = [page(cx, r) for r in range(1, cx.a_max + 2)]
     for cur, nxt in zip(pages, pages[1:]):
         r = cur.r
@@ -255,8 +240,7 @@ def spectral_sequence(cx: BigradedComplex) -> SpectralSequence:
                     f"page recursion fails at {(a, b)}: "
                     f"dim E_{r + 1} = {nxt.dim(a, b)}, homology gives {expect}")
     top = cx.top_total_degree()
-    ranks = ([0] + [cx.window_rank(p, 0, cx.a_max + 1) for p in range(top)]
-             + [0])
+    ranks = [0] + [len(cx.pairs(p)) for p in range(top)] + [0]
     betti = [cx.total_dim(p) - ranks[p] - ranks[p + 1] for p in range(top + 1)]
     stable = pages[-1]
     for p, want in enumerate(betti):

@@ -1,6 +1,7 @@
 """Independent routes the tests check the package against: the circle
 closed form of a total Betti number, the invariant-form Laplacian of an
-algebra in floats, page r of a spectral sequence built from r-tuple
+algebra in floats, the rank of a complex's total differential on a window
+of filtration indices, page r of a spectral sequence built from r-tuple
 spaces, at the spots of the complex or over the whole (a_max + 1) x
 (b_max + r) rectangle of spots, empty ones included, and each point of a
 bundle sweep built as a superconnection and metric of its own."""
@@ -66,6 +67,18 @@ def quotient_dim(numerator_constraints: RationalMatrix,
             f"negative quotient dimension {dim}: kernel {ker_dim}, "
             f"intersection {inter}")
     return dim
+
+
+def window_rank(cx, n: int, lo: int, hi: int) -> int:
+    """R_n(lo, hi): the rank of the total differential from the degree-n
+    spots with lo <= a < hi to the degree-(n + 1) spots in the same window,
+    with the window clamped to 0..a_max + 1; one elimination per window."""
+    lo, hi = max(lo, 0), min(hi, cx.a_max + 1)
+    if lo >= hi:
+        return 0
+    rows = [(a, n + 1 - a) for a in range(lo, hi) if cx.dim(a, n + 1 - a)]
+    cols = [(a, n - a) for a in range(lo, hi) if cx.dim(a, n - a)]
+    return rank_exact(cx.block(rows, cols))
 
 
 class TupleSpace:

@@ -519,6 +519,13 @@ BAD_MODELS = [
                  "gauge_weights must grade the algebra: the bracket [e0, e1] "
                  "has an e2 term, but w[2] = 0 is not w[0] + w[1] = 1",
                  id="weights-that-do-not-grade"),
+    # 0.1^(-2 w_I) for w_I = 200 overflows a float, and for -200 it
+    # underflows to 0; either is refused before the metric is built
+    *[pytest.param("monodromy_degeneration", dict(MONO, gauge_weights=w),
+                   f"gauge_weights {w} take the fiber metric t^(-2 w_I) out "
+                   f"of the float range at sweep value 0.1",
+                   id=f"metric-{way}")
+      for w, way in (([200, 0], "overflow"), ([0, -200], "underflow"))],
     pytest.param("monodromy_degeneration",
                  dict(MONO, monodromy=[[1, 1], [1, 1]]),
                  "holonomy is not invertible", id="singular-holonomy"),

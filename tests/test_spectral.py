@@ -5,7 +5,10 @@ recursion on randomly generated flat complexes, and pages built from r-tuple
 spaces (`tests.oracles.tuple_page`)."""
 
 import json
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,11 @@ from nilcollapse.numerics import (InputError, RationalMatrix, rank_exact,
 from tests.conftest import (HEIS3_SKEW, filiform_torus_complex,
                             random_flat_complex, random_flat_complex_on,
                             weight_complex)
-from tests.oracles import leray_circle, rectangle_page, tuple_page
+from tests.oracles import (leray_circle, rectangle_page, tuple_page,
+                           window_rank)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  the benchmark's filiform payloads
 
 UNIP = RationalMatrix([[1, 1], [0, 1]])
 SOL = RationalMatrix([[2, 1], [1, 1]])
@@ -122,16 +129,17 @@ def test_block_matches_total_differential_with_d2():
     for p in range(cx.top_total_degree()):
         rows, cols = cx.total_spots(p + 1), cx.total_spots(p)
         full = cx.block(rows, cols)
-        assert cx.window_rank(p, 0, cx.a_max + 1) == rank_exact(full)
+        assert len(cx.pairs(p)) == rank_exact(full)
         # the same matrix placed block by block from the D_i
         oracle = np.zeros((full.rows, full.cols))
         r_off, c_off = offsets(rows), offsets(cols)
         for s in cols:
-            for i in sorted(cx.maps):
+            for i, per_spot in cx.maps.items():
                 t = (s[0] + i, s[1] + 1 - i)
-                if t in r_off:
+                if t in r_off and s in per_spot:
                     oracle[r_off[t]:r_off[t] + cx.dim(*t),
-                           c_off[s]:c_off[s] + cx.dim(*s)] = cx.D(i, *s).to_numpy()
+                           c_off[s]:c_off[s] + cx.dim(*s)] = \
+                        per_spot[s].to_numpy()
         assert np.array_equal(full.to_numpy(), oracle)
         # any spot order and any single pair give the matching sub-blocks
         rev = cx.block(rows[::-1], cols[::-1]).to_numpy()
@@ -150,10 +158,7 @@ def test_block_matches_total_differential_with_d2():
 def test_serialization_round_trip(tmp_path):
     cx = circle_model(UNIP)
     cx2 = spectral.BigradedComplex.from_dict(cx.to_dict())
-    assert cx2.dims == cx.dims
-    for i in sorted(cx.maps):
-        for spot in cx.dims:
-            assert cx2.D(i, *spot) == cx.D(i, *spot)
+    assert cx2.dims == cx.dims and cx2.maps == cx.maps
     path = tmp_path / "cx.json"
     path.write_text(json.dumps(cx.to_dict()))
     cx3 = spectral.BigradedComplex.from_dict(read_json(path, "complex"))
@@ -170,7 +175,7 @@ def test_from_dict_rejects_inexact_floats():
                         ("0.1", Fraction(1, 10))):
         payload["maps"][0]["matrix"] = [[entry]]
         cx = spectral.BigradedComplex.from_dict(payload)
-        assert cx.D(0, 0, 0).tolist() == [[want]]
+        assert cx.maps[0][(0, 0)].tolist() == [[want]]
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +293,100 @@ def test_page_visits_only_the_spots_of_the_complex():
     assert max(deepest) >= 5
 
 
-def test_window_rank_is_clamped_and_memoized(monkeypatch):
+def test_pairs_count_the_rank_and_are_memoized(monkeypatch):
     cx = filiform_torus_complex(4)
-    whole = [cx.window_rank(p, 0, cx.a_max + 1) for p in range(9)]
-    assert whole == [rank_exact(cx.block(cx.total_spots(p + 1),
-                                         cx.total_spots(p))) for p in range(9)]
-    monkeypatch.setattr(spectral, "rank_exact", None)  # no rank is taken again
-    assert [cx.window_rank(p, -3, 99) for p in range(9)] == whole
-    assert cx.window_rank(4, 2, 2) == cx.window_rank(4, 5, 1) == 0
+    first = spectral.page(cx, 1)
+    pairs = [cx.pairs(p) for p in range(9)]
+    assert [len(ps) for ps in pairs] == [
+        rank_exact(cx.block(cx.total_spots(p + 1), cx.total_spots(p)))
+        for p in range(9)]
+    # no elimination is made again
+    monkeypatch.setattr(spectral, "pivot_pairs", None)
+    assert [cx.pairs(p) for p in range(9)] == pairs
+    assert spectral.page(cx, 1) == first
+    assert spectral.spectral_sequence(cx).pages[0] == first
+
+
+def twisted_heisenberg_torus_complex():
+    """Torus2 complex of heisenberg:3 with the commuting unipotent holonomies
+    A and A^2 and a2 the contraction by the central direction e3."""
+    A = RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    model = spectral.AffineModel(lie.heisenberg(3), [A, A @ A], T=[0, 0, 1])
+    monos = [list(m) for m in zip(*map(model.actions, range(4)))]
+    return spectral.flat_bundle_complex(model.ranks, model.a0, monos,
+                                        "torus2", a2=model.a2)
+
+
+def test_pairs_count_every_window_rank():
+    # R_n(lo, hi) is the leading corner of the block with rows a ascending
+    # and columns a descending: the pairs with a_col >= lo and a_row < hi
+    cases = [filiform_torus_complex(4), twisted_heisenberg_torus_complex()]
+    cases += [spectral.BigradedComplex.from_dict(
+        workloads._filiform_payload(random.Random(seed), seed, 5))
+        for seed in range(4)]
+    for cx in cases:
+        for n in range(cx.top_total_degree() + 1):
+            for lo in range(-1, cx.a_max + 2):
+                for hi in range(lo, cx.a_max + 3):
+                    assert sum(1 for (a, _), length in cx.pairs(n)
+                               if a >= lo and a + length < hi) == \
+                        window_rank(cx, n, lo, hi), (n, lo, hi)
+    # the twist gives the heisenberg model pairs of length 1, a nonzero d_1
+    assert any(length == 1 for _, length in cases[1].pairs(1))
+
+
+def _filtered_conjugate(cx, rng):
+    """cx with each total differential D_n replaced by P_{n+1} D_n P_n^-1:
+    P_n is a random exact change of basis of degree n, invertible at each
+    spot and block lower triangular in a, so it keeps the filtration."""
+    def rand(rows, cols):
+        return RationalMatrix(rng.integers(-2, 3, size=(rows, cols)).tolist(),
+                              cols=cols)
+
+    def change(spots):
+        blocks = {}
+        for r, t in enumerate(spots):
+            for c, s in enumerate(spots):
+                if t == s:
+                    blocks[r, c] = rand(cx.dim(*t), cx.dim(*s))
+                    while rank_exact(blocks[r, c]) < cx.dim(*t):
+                        blocks[r, c] = rand(cx.dim(*t), cx.dim(*s))
+                elif t[0] > s[0]:
+                    blocks[r, c] = rand(cx.dim(*t), cx.dim(*s))
+        dims = [cx.dim(*s) for s in spots]
+        return RationalMatrix.from_blocks(blocks, dims, dims)
+
+    P = [change(cx.total_spots(n)) for n in range(cx.top_total_degree() + 1)]
+    maps = {}
+    for n in range(cx.top_total_degree()):
+        rows, cols = cx.total_spots(n + 1), cx.total_spots(n)
+        D = (P[n + 1] @ cx.block(rows, cols)
+             @ spectral.inverse_exact(P[n])).tolist()
+        r0 = 0
+        for t in rows:
+            c0 = 0
+            for s in cols:
+                if t[0] >= s[0]:
+                    maps.setdefault(t[0] - s[0], {})[s] = [
+                        row[c0:c0 + cx.dim(*s)]
+                        for row in D[r0:r0 + cx.dim(*t)]]
+                c0 += cx.dim(*s)
+            r0 += cx.dim(*t)
+    return spectral.BigradedComplex(cx.dims, maps)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_pages_do_not_see_a_filtered_change_of_basis(a_max, b_max, seed):
+    # the pairs depend on the order of rows and columns inside a filtration
+    # level, the pages must not
+    rng = np.random.default_rng(seed)
+    cx = random_flat_complex(rng, a_max, b_max)
+    cx2 = _filtered_conjugate(cx, rng)
+    for r in range(cx.a_max + 2):
+        assert spectral.page(cx2, r) == spectral.page(cx, r)
+    assert spectral.spectral_sequence(cx2).stabilizes_at == \
+        spectral.spectral_sequence(cx).stabilizes_at
 
 
 def _assert_pages_match_the_oracle(cx):
