@@ -1,8 +1,8 @@
 """Shared test helpers: random orthogonal matrices, float constants in a
 rotated basis, heisenberg:3 in a basis not adapted to its lower central
 series, the exact flatness check of an affine model, a metric equivariant
-for every flat bundle, and randomly generated bigraded complexes whose
-differential squares to zero exactly."""
+for every flat bundle, randomly generated bigraded complexes whose
+differential squares to zero exactly, and a spy that logs calls."""
 
 import itertools
 from fractions import Fraction
@@ -190,3 +190,11 @@ def random_flat_complex_on(rng, dims):
             if not block.is_zero():
                 maps.setdefault(i, {})[(a, b)] = block
     return BigradedComplex({k: v for k, v in dims.items() if v > 0}, maps)
+
+
+def spy(monkeypatch, owner, name, events, tag):
+    """Replace owner.name by a wrapper that appends `tag` to `events` on
+    each call, then calls the original."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: events.append(tag)
+                        or real(*a, **kw))

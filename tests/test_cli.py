@@ -280,6 +280,24 @@ def test_validate_accepts_exactly_flat_bundles(runner, tmp_path, payload):
     assert len(json.loads(res.output)["eigenvalues"]) == 12
 
 
+@pytest.mark.parametrize("command", [["validate"], ["spectrum", "--p", "0"]],
+                         ids=["validate", "spectrum"])
+@pytest.mark.parametrize("phi", [[[-1, 0], [0, -1]], [[-1, 1], [0, -1]]],
+                         ids=["minus-identity", "minus-jordan"])
+def test_monodromy_without_real_logarithm_exits_one(runner, tmp_path, command,
+                                                    phi):
+    # -I has a well-conditioned eigenbasis and -J none: both logarithm
+    # paths refuse a monodromy whose principal logarithm is not real
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({
+        "base": {"kind": "circle", "resolution": 16}, "ranks": [2],
+        "monodromy": [[phi]], "metric": "equivariant"}))
+    res = runner.invoke(main, [command[0], str(path), *command[1:]])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert ("error: monodromy has no real logarithm; supply a metric "
+            "explicitly") in res.output
+
+
 def test_validate_accepts_rational_interior(runner, tmp_path):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps({"base": {"kind": "torus2", "resolution": 8},
@@ -762,13 +780,30 @@ def test_names_that_are_not_file_stems_exit_one(runner, tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
-def test_importing_the_cli_loads_no_arpack():
-    # ARPACK is imported by its two callers when they need it, never when
-    # the package loads, which would raise the peak RSS of every run
+def _loads(module, script):
+    """Whether `script`, run in a fresh interpreter, leaves `module` in
+    sys.modules."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(lie.__file__).resolve().parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, nilcollapse.cli; "
-         "print('scipy.sparse.linalg' in sys.modules)"],
+        [sys.executable, "-c", f"{script}; import sys; "
+         f"print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_importing_the_cli_loads_no_arpack():
+    # ARPACK is imported by its two callers when they need it, never when
+    # the package loads, which would raise the peak RSS of every run
+    assert not _loads("scipy.sparse.linalg", "import nilcollapse.cli")
+
+
+def test_twisted_circle_solve_loads_no_scipy_special():
+    # logm imports scipy.special for its quadrature nodes, some 7 MB of peak
+    # RSS; a holonomy with a well-conditioned eigenbasis never calls it
+    assert not _loads("scipy.special", (
+        "import numpy as np; from nilcollapse import superconnection as s; "
+        "b = s.GradedBundle([2], [[np.array([[2, 1], [1, 1]])]]); "
+        "base = s.BaseModel('circle', 16); "
+        "s.spectrum(s.Superconnection(b, base), "
+        "s.MetricField.equivariant(b, base), 0)"))

@@ -16,7 +16,7 @@ from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix
 from nilcollapse.report import ZERO_TOL
 from tests import oracles
-from tests.conftest import HEIS3_SKEW, filiform_torus_complex
+from tests.conftest import HEIS3_SKEW, filiform_torus_complex, spy
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +226,23 @@ def test_obstruction_case_two_decided_once_per_fiber_degree(monkeypatch):
     assert [d.predicted_small_count for d in rep.degrees] == [1, 3, 3]
 
 
-def logm_calls(monkeypatch):
-    calls = []
-    real = scipy.linalg.logm
-    monkeypatch.setattr(sconn.scipy.linalg, "logm",
-                        lambda A, *a, **kw: calls.append(A) or real(A, *a, **kw))
-    return calls
-
-
 @pytest.mark.parametrize("name, want", [("example7_heisenberg_circle", 3),
                                         ("example9_sol_circle", 3)])
 def test_monodromy_sweep_takes_each_logarithm_once(monkeypatch, name, want):
     # one logarithm per fiber degree (abelian:2 has 0-, 1- and 2-forms),
-    # taken at the first sweep point only
-    calls = logm_calls(monkeypatch)
-    rep = lab.run(dict(lab.PRESETS[name], degrees=(0, 1, 2)))
-    assert len(calls) == want
+    # all taken before the first sweep point solves; only example7's
+    # degree-1 Jordan block has no well-conditioned eigenbasis, so only it
+    # goes to logm
+    events = []
+    spy(monkeypatch, sconn, "_principal_log", events, "log")
+    spy(monkeypatch, sconn.scipy.linalg, "logm", events, "logm")
+    spy(monkeypatch, sconn, "spectra", events, "solve")
+    cfg = dict(lab.PRESETS[name], degrees=(0, 1, 2))
+    rep = lab.run(cfg)
+    steps = [e for e in events if e != "logm"]
+    assert steps == ["log"] * want + ["solve"] * len(cfg["sweep_values"])
+    assert events.count("logm") == {"example7_heisenberg_circle": 1,
+                                    "example9_sol_circle": 0}[name]
     assert rep.passed()
 
 

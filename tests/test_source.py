@@ -240,21 +240,26 @@ def test_equivariance_checked_only_by_the_metric():
 
 
 def test_logarithms_taken_only_by_the_equivariant_metric():
-    # logm is the costliest call of a sweep: MetricField.equivariant is its
-    # one caller, and a monodromy sweep takes it once, for its one bundle
-    assert _callers("logm") == {
+    # holonomy logarithms are taken by MetricField.equivariant alone, once
+    # per bundle in a monodromy sweep, through _principal_log, which is the
+    # one caller of the costly logm and calls it only for a monodromy
+    # without a well-conditioned eigenbasis
+    assert _callers("_principal_log") == {
         ("superconnection.py", "MetricField", "equivariant")}
+    assert _callers("logm") == {("superconnection.py", None, "_principal_log")}
 
 
 def test_float_eigensolves_only_in_their_owners():
     # a spectrum comes from numerics.lowest_eigenvalues or from the batched
-    # Bloch blocks; the other two calls are a matrix power and a norm
-    callers = set().union(*map(_callers, ("eigvalsh", "eigh", "eigsh")))
+    # Bloch blocks; the other calls are a matrix power, a norm and the
+    # eigenbasis of a holonomy logarithm
+    callers = set().union(*map(_callers, ("eigvalsh", "eigh", "eigsh", "eig")))
     assert callers == {
         ("numerics.py", None, "lowest_eigenvalues"),
         ("superconnection.py", "DiscreteComplex", "bloch_eigenvalues"),
         ("superconnection.py", None, "_spd_power"),
         ("superconnection.py", "DiscreteComplex", "operator_norm"),
+        ("superconnection.py", None, "_principal_log"),
     }
 
 

@@ -14,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lab, lie, report, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
-from tests.conftest import check_model_flatness, interpolated_metric
+from tests.conftest import (check_model_flatness, interpolated_metric,
+                            spy)
 
 SOL = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = (3.0 + np.sqrt(5.0)) / 2.0  # larger eigenvalue of SOL
+UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 def circle(n=32):
@@ -370,7 +372,7 @@ def test_conformal_factor_must_be_positive():
 
 def test_metric_singular_in_floats_is_refused_before_logm():
     # det 1 exactly, but 10^20 + 1 is 10^20 in floats: the float monodromy
-    # has rank 1, and scipy's logm would warn that it is singular
+    # has rank 1, and its logarithm would warn that it is singular
     with pytest.raises(InputError, match="singular in floats"):
         sconn.load_bundle({
             "base": {"kind": "circle", "resolution": 8}, "ranks": [2],
@@ -383,6 +385,79 @@ def test_equivariant_metric_needs_real_logarithm():
     bundle = sconn.GradedBundle([2], [[flip]])
     with pytest.raises(InputError):
         sconn.MetricField.equivariant(bundle, circle(16))
+
+
+def near_jordan(k):
+    # Q [[1, 1], [0, 1 + 1/k]] Q^-1 over Q: cond(V) of its eigenbasis is
+    # about 4k + 10, so k = 240 falls below _EIGENBASIS_COND and 260 above
+    Q, Q_inv = RationalMatrix([[1, 2], [1, 3]]), RationalMatrix([[3, -2],
+                                                                 [-1, 1]])
+    J = RationalMatrix([[1, 1], [0, 1 + Fraction(1, k)]])
+    return (Q @ J @ Q_inv).to_numpy()
+
+
+def h3_unipotent_compounds():
+    # the degree-b monodromies of heisenberg:3 under the unipotent holonomy
+    # of the lab's unipotent degeneration: Jordan blocks in degrees 1 and 2
+    sc = sconn.from_affine_bundle(
+        lie.heisenberg(3), circle(8),
+        monodromy_action=[RationalMatrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]])])
+    return [sc.bundle.monodromy(0, b) for b in range(4)]
+
+
+@pytest.mark.parametrize("phi, via_logm", [
+    (SOL, False),
+    (np.array([[0.0, -1.0], [1.0, 0.0]]), False),
+    (np.diag([2.0, 2.0, 3.0]), False),
+    (near_jordan(240), False),
+    (near_jordan(260), True),
+    (UNIPOTENT, True),
+    *zip(h3_unipotent_compounds(), (False, True, True, False)),
+], ids=["sol", "rotation", "repeated-eigenvalue", "below-bound",
+        "above-bound", "jordan", "h3-degree0", "h3-degree1", "h3-degree2",
+        "h3-degree3"])
+def test_principal_log_matches_logm_on_both_sides_of_the_bound(
+        monkeypatch, phi, via_logm):
+    # the eigendecomposition path is the same primary function as logm; a
+    # basis conditioned worse than the bound, or defective, goes to logm
+    cond = np.linalg.cond(np.linalg.eig(phi)[1])
+    assert (cond > sconn._EIGENBASIS_COND) == via_logm
+    want = scipy.linalg.logm(phi)
+    calls = []
+    spy(monkeypatch, sconn.scipy.linalg, "logm", calls, phi)
+    X = sconn._principal_log(phi)
+    assert len(calls) == via_logm
+    assert np.abs(X - want).max() <= 1e-11 * np.abs(want).max()
+    assert np.abs(scipy.linalg.expm(X) - phi).max() <= 1e-12 * np.abs(
+        phi).max()
+
+
+@pytest.mark.parametrize("phi, via_logm", [
+    (-np.eye(2), False), (np.array([[-1.0, 1.0], [0.0, -1.0]]), True),
+], ids=["minus-identity", "minus-jordan"])
+def test_monodromy_without_real_logarithm_is_refused(monkeypatch, phi,
+                                                     via_logm):
+    bundle = sconn.GradedBundle([2], [[phi]])
+    calls = []
+    spy(monkeypatch, sconn.scipy.linalg, "logm", calls, phi)
+    with pytest.raises(InputError, match="monodromy has no real logarithm"):
+        sconn.MetricField.equivariant(bundle, circle(16))
+    assert len(calls) == via_logm
+
+
+def test_equivariant_metric_over_a_zero_rank_degree():
+    # the empty block is its own logarithm: degree 1 has no forms, and
+    # degree 0 solves as the bundle without it
+    sol = [[2, 1], [1, 1]]
+    sc, h = sconn.load_bundle({"base": {"kind": "circle", "resolution": 16},
+                               "ranks": [2, 0], "monodromy": [[sol, []]],
+                               "metric": "equivariant"})
+    assert h.logs[0][1].shape == (0, 0)
+    alone = sconn.load_bundle({"base": {"kind": "circle", "resolution": 16},
+                               "ranks": [2], "monodromy": [[sol]],
+                               "metric": "equivariant"})
+    assert np.array_equal(sconn.spectrum(sc, h, 0).eigenvalues,
+                          sconn.spectrum(*alone, 0).eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +538,6 @@ def test_spectrum_empty_degree():
 # Bloch solve against the assembled oracle
 # ---------------------------------------------------------------------------
 
-UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
 HYPERBOLIC_2 = [[2, 0, 0], [0, "1/2", 0], [0, 0, 1]]
 HYPERBOLIC_4 = [[4, 0, 0], [0, "1/4", 0], [0, 0, 1]]
 
