@@ -19,7 +19,7 @@ import numpy as np
 
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
                        lowest_eigenvalues, nullspace_exact, rank_exact,
-                       rational, read_fields, read_json, row_reduce)
+                       ratio, rational, read_fields, read_json, row_reduce)
 from .report import SpectrumReport
 
 
@@ -56,7 +56,8 @@ def sort_with_sign(seq):
 class NilpotentLieAlgebra:
     """Structure constants c^k_ij of [e_i, e_j] = sum_k c^k_ij e_k.
 
-    `c[i][j][k]` holds c^k_ij as a Fraction: every constant is read by
+    `c[i][j][k]` holds c^k_ij exactly, of the canonical type (an int, or a
+    Fraction with a denominator): every constant is read by
     `numerics.rational`, so a non-integral float raises InputError.
     """
 
@@ -68,7 +69,7 @@ class NilpotentLieAlgebra:
     @classmethod
     def from_brackets(cls, n: int, brackets, name: str = "") -> "NilpotentLieAlgebra":
         """brackets: iterable of (i, j, k, coeff), 0-based, i < j."""
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
         for i, j, k, coeff in brackets:
             coeff = rational(coeff)
             c[i][j][k] += coeff
@@ -229,7 +230,7 @@ class AdaptedGrading:
 
     `algebra` is the algebra re-expressed, with exact constants, in the
     basis f_i that Gram-Schmidt without normalization finds; `gram[i]` is
-    the Fraction |f_i|^2, all 1 when the given basis is already adapted.
+    the exact |f_i|^2, all 1 when the given basis is already adapted.
     filtration[i] is the depth index of f_i (nondecreasing); pieces[k] is
     the dimension of the k-th graded quotient, of vector weight 3**k.
     """
@@ -237,7 +238,7 @@ class AdaptedGrading:
     algebra: NilpotentLieAlgebra
     filtration: tuple[int, ...]
     pieces: tuple[int, ...]
-    gram: tuple[Fraction, ...]
+    gram: tuple[int | Fraction, ...]
     _differentials: dict = field(default_factory=dict, init=False,
                                  compare=False, repr=False)
 
@@ -261,7 +262,7 @@ class AdaptedGrading:
 def lower_central_grading(algebra: NilpotentLieAlgebra) -> AdaptedGrading:
     """Filtration n_[k] = n'_[k] + center, with graded pieces and 3^k weights.
 
-    Gram-Schmidt without normalization, over Fractions, runs through the
+    Gram-Schmidt without normalization, exact over Q, runs through the
     filtration spaces from the deepest: each new vector of n_[k] is
     orthogonal to n_[k+1]. The vectors, pieces listed by increasing depth,
     are the adapted basis; the algebra is re-expressed in it exactly.
@@ -287,11 +288,11 @@ def lower_central_grading(algebra: NilpotentLieAlgebra) -> AdaptedGrading:
         for v in filt_spaces[k].transpose().tolist():
             w = v
             for _, u, g in found:
-                t = sum(a * b for a, b in zip(u, v)) / g
+                t = ratio(sum(a * b for a, b in zip(u, v)), g)
                 if t:
                     w = [a - t * b for a, b in zip(w, u)]
             if any(w):
-                found.append((k, w, sum(a * a for a in w)))
+                found.append((k, w, rational(sum(a * a for a in w))))
     found.sort(key=lambda f: f[0])  # stable: each piece keeps its order
     filtration = tuple(k for k, _, _ in found)
     gram = tuple(g for _, _, g in found)
@@ -306,7 +307,7 @@ def lower_central_grading(algebra: NilpotentLieAlgebra) -> AdaptedGrading:
             if basis[a][i] and basis[b][j]:
                 br[k] += basis[a][i] * basis[b][j] * x
         if any(br):
-            c[a][b] = [sum(u * v for u, v in zip(fk, br) if v) / g
+            c[a][b] = [ratio(sum(u * v for u, v in zip(fk, br) if v), g)
                        for fk, g in zip(basis, gram)]
             c[b][a] = [-x for x in c[a][b]]
     return AdaptedGrading(NilpotentLieAlgebra(n, c, name=algebra.name),
@@ -446,7 +447,7 @@ class FiniteSymmetryGroup:
         orthogonal g acts on forms by its own compound (g^-T = g)."""
         acts = [RationalMatrix(compound_matrix(g.tolist(), b))
                 for g in self.elements]
-        P = sum(acts[1:], acts[0]).scale(Fraction(1, len(acts)))
+        P = sum(acts[1:], acts[0]).scale(ratio(1, len(acts)))
         _, pivots = row_reduce(P)
         return RationalMatrix([[row[j] for j in pivots] for row in P.tolist()],
                               cols=len(pivots))
@@ -457,8 +458,8 @@ def compound_matrix(rows, p: int) -> list[list]:
     the lexicographic multi-index basis, i.e. its action on Lambda^p.
 
     Each minor is expanded along its first row into (p-1)-minors of the rows
-    below, so only + and * are used: exact on Fractions, plain arithmetic on
-    floats.
+    below, so only + and * are used: exact on ints and Fractions, plain
+    arithmetic on floats.
     """
     n = len(rows)
     minors = {((), ()): 1}

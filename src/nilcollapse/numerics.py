@@ -128,40 +128,53 @@ def real(x, what: str) -> float:
     return float(x)
 
 
-def rational(x) -> Fraction:
-    """x as a Fraction: an int, a NumPy integer, an integral float, a
-    Fraction or a string `Fraction` reads, never a bool; InputError else."""
+def rational(x) -> int | Fraction:
+    """x as an exact number of the canonical type: an int, or a Fraction
+    whose denominator is greater than 1. Reads an int, a NumPy integer, an
+    integral float, a Fraction or a string `Fraction` reads, never a bool;
+    InputError else."""
     # strings first: they are most of every serialized matrix
     if isinstance(x, str):
         # plain ASCII integers skip the general parser; int() reads them
         # exactly as Fraction() does
         if x.isascii() and (x.isdigit() or x[:1] == "-" and x[1:].isdigit()):
-            return Fraction(int(x))
+            return int(x)
         try:
-            return Fraction(x)
+            return _exact(Fraction(x))
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot interpret {x!r} as an exact rational") \
                 from exc
     if isinstance(x, Fraction):
-        return x
+        return _exact(x)
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return Fraction(int(x))
+        return int(x)
     if isinstance(x, float):
         if not x.is_integer():
             raise InputError(f"non-integral float {x!r} not accepted as exact rational")
-        return Fraction(int(x))
+        return int(x)
     raise InputError(f"cannot interpret {x!r} as an exact rational")
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x in the canonical type: an integral Fraction becomes its int. An int
+    is exact in tens of nanoseconds where a Fraction takes microseconds."""
+    return x.numerator if x.__class__ is Fraction and x.denominator == 1 else x
+
+
+def ratio(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b over Q, of the canonical type; ZeroDivisionError if b is 0.
+    `int / int` is a float, so every exact division goes through here."""
+    return _exact(Fraction(a, b))
 
 
 class RationalMatrix:
-    """Sparse matrix over Q: one {column: nonzero Fraction} dict per row.
+    """Sparse matrix over Q: one {column: nonzero value} dict per row.
 
-    Immutable by convention. Every operation visits stored nonzeros only;
-    `tolist()` gives the dense rows.
+    Every value is of `rational`'s canonical type, an int or a Fraction
+    whose denominator is greater than 1, so a matrix of integers does
+    integer arithmetic. Immutable by convention. Every operation visits
+    stored nonzeros only; `tolist()` gives the dense rows, zeros as the
+    int 0.
     """
 
     __slots__ = ("rows", "cols", "_nz")
@@ -176,8 +189,8 @@ class RationalMatrix:
                                      f"got the string row {row!r}")
                 vals, j = {}, -1
                 for j, x in enumerate(row):
-                    # the zero literal, most of a serialized matrix, makes
-                    # no Fraction; every other entry is read and checked
+                    # the zero literal, most of a serialized matrix, is
+                    # skipped unread; every other entry is read and checked
                     if x.__class__ is str and x == "0":
                         continue
                     v = rational(x)
@@ -199,7 +212,8 @@ class RationalMatrix:
 
     @classmethod
     def _of(cls, rows: int, cols: int, nz: list) -> "RationalMatrix":
-        """Wrap rows of nonzero Fractions that the kernel built itself."""
+        """Wrap rows of nonzero canonical values that the kernel built
+        itself."""
         m = object.__new__(cls)
         m.rows, m.cols, m._nz = rows, cols, nz
         return m
@@ -210,7 +224,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of(n, n, [{i: _ONE} for i in range(n)])
+        return cls._of(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "RationalMatrix":
@@ -247,15 +261,10 @@ class RationalMatrix:
                     nz[i].update({j + c0: v for j, v in row.items()})
         return cls._of(row0[-1], col0[-1], nz)
 
-    @classmethod
-    def from_numpy(cls, A) -> "RationalMatrix":
-        A = np.asarray(A)
-        return cls(A.tolist(), cols=A.shape[1])
-
-    def tolist(self) -> list[list[Fraction]]:
+    def tolist(self) -> list[list[int | Fraction]]:
         out = []
         for row in self._nz:
-            dense = [_ZERO] * self.cols
+            dense = [0] * self.cols
             for j, v in row.items():
                 dense[j] = v
             out.append(dense)
@@ -293,7 +302,7 @@ class RationalMatrix:
         out = []
         for r1, r2 in zip(self._nz, other._nz):
             acc = dict(r1)
-            _add_scaled(acc, _ONE, r2)
+            _add_scaled(acc, 1, r2)
             out.append(acc)
         return RationalMatrix._of(self.rows, self.cols, out)
 
@@ -310,7 +319,7 @@ class RationalMatrix:
         if not s:
             return RationalMatrix.zeros(self.rows, self.cols)
         return RationalMatrix._of(self.rows, self.cols,
-                                  [{j: s * v for j, v in row.items()}
+                                  [{j: _exact(s * v) for j, v in row.items()}
                                    for row in self._nz])
 
     def is_zero(self) -> bool:
@@ -340,12 +349,13 @@ class RationalMatrix:
                                   self._nz + other._nz)
 
 
-def _add_scaled(target: dict, f: Fraction, source: dict) -> None:
-    """target += f * source on sparse rows, dropping entries that cancel."""
+def _add_scaled(target: dict, f: int | Fraction, source: dict) -> None:
+    """target += f * source on sparse rows, dropping entries that cancel and
+    keeping the others of the canonical type."""
     for j, v in source.items():
         x = target.get(j, 0) + f * v
         if x:
-            target[j] = x
+            target[j] = _exact(x)
         else:
             del target[j]
 
@@ -371,8 +381,9 @@ def _rref(A: RationalMatrix) -> tuple[dict, list[tuple[int, int]]]:
         if not row:
             continue
         c = min(row)
-        inv = 1 / row[c]
-        row = {j: v * inv for j, v in row.items()}
+        if row[c] != 1:
+            inv = ratio(1, row[c])
+            row = {j: _exact(v * inv) for j, v in row.items()}
         for other in basis.values():
             if c in other:
                 _add_scaled(other, -other[c], row)
@@ -381,7 +392,8 @@ def _rref(A: RationalMatrix) -> tuple[dict, list[tuple[int, int]]]:
     return basis, pairs
 
 
-def row_reduce(A: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
+def row_reduce(A: RationalMatrix) -> tuple[list[list[int | Fraction]],
+                                          list[int]]:
     """Reduced row echelon form of A over Q, leaving A untouched.
 
     Returns (rows, pivots): the nonzero rows of the reduced form, one per
@@ -411,7 +423,7 @@ def nullspace_exact(A: RationalMatrix) -> RationalMatrix:
     free = {c: k for k, c in enumerate(c for c in range(n) if c not in basis)}
     nz = [{} for _ in range(n)]
     for c, k in free.items():
-        nz[c][k] = _ONE
+        nz[c][k] = 1
     for pc, row in basis.items():
         for j, v in row.items():
             if j != pc:

@@ -9,15 +9,14 @@ reported dimension is a theorem about the input, not a tolerance call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
 
 from . import lie
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
-                       nullspace_exact, pivot_pairs, rank_exact, read_fields,
-                       row_reduce, solve_exact)
+                       nullspace_exact, pivot_pairs, rank_exact, ratio,
+                       read_fields, row_reduce, solve_exact)
 
 
 class BigradedComplex:
@@ -256,12 +255,6 @@ def spectral_sequence(cx: BigradedComplex) -> SpectralSequence:
 # model complexes for flat bundles over a point, a circle, or a 2-torus
 # ---------------------------------------------------------------------------
 
-def from_algebra(algebra) -> BigradedComplex:
-    """One-column complex: the exterior-algebra cochain complex of the fiber."""
-    model = AffineModel(algebra, [])
-    return flat_bundle_complex(model.ranks, model.a0, [], "point")
-
-
 def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
                         a2=None) -> BigradedComplex:
     """Group-cochain model of the twisted cohomology over the base.
@@ -340,20 +333,22 @@ def _ratmat(x, rows, cols) -> RationalMatrix:
 # exact matrix invariants of a holonomy
 # ---------------------------------------------------------------------------
 
-def _poly_deriv(c: list[Fraction]) -> list[Fraction]:
+# a polynomial is its exact coefficients, low to high
+
+def _poly_deriv(c: list) -> list:
     return [k * c[k] for k in range(1, len(c))]
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
+def _poly_trim(c: list) -> list:
     while c and c[-1] == 0:
         c = c[:-1]
     return c
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_mod(a: list, b: list) -> list:
     a, b = _poly_trim(a[:]), _poly_trim(b)
     while len(a) >= len(b) > 0:
-        f = a[-1] / b[-1]
+        f = ratio(a[-1], b[-1])
         shift = len(a) - len(b)
         for i, bi in enumerate(b):
             a[shift + i] -= f * bi
@@ -361,23 +356,25 @@ def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_gcd(a: list, b: list) -> list:
+    """The monic gcd of two polynomials, of the canonical type; [] if both
+    are zero."""
     a, b = _poly_trim(a), _poly_trim(b)
     while b:
         a, b = b, _poly_mod(a, b)
     if a:
         lead = a[-1]
-        a = [x / lead for x in a]
+        a = [ratio(x, lead) for x in a]
     return a
 
 
-def minimal_polynomial(A: RationalMatrix) -> list[Fraction]:
+def minimal_polynomial(A: RationalMatrix) -> list:
     """Monic minimal polynomial, coefficients low to high, computed exactly."""
     if A.rows != A.cols:
         raise InputError("minimal polynomial needs a square matrix")
     n = A.rows
     if n == 0:
-        return [Fraction(1)]
+        return [1]
     powers = [RationalMatrix.identity(n)]
     vecs = [[x for row in powers[0].tolist() for x in row]]
     while rank_exact(RationalMatrix(vecs, cols=n * n)) == len(vecs):
@@ -388,7 +385,7 @@ def minimal_polynomial(A: RationalMatrix) -> list[Fraction]:
                            for j in range(n * n)], cols=k)
     target = RationalMatrix([[vecs[k][j]] for j in range(n * n)], cols=1)
     x = solve_exact(cols, target)
-    return [-row[0] for row in x.tolist()] + [Fraction(1)]
+    return [-row[0] for row in x.tolist()] + [1]
 
 
 @dataclass(frozen=True)
@@ -406,7 +403,7 @@ def unipotent_factor(Phi: RationalMatrix) -> HolonomyFactorReport:
         raise InputError("holonomy must be square")
     n = Phi.rows
     if n == 0:
-        return HolonomyFactorReport(False, True, (Fraction(1),))
+        return HolonomyFactorReport(False, True, (1,))
     A = Phi - RationalMatrix.identity(n)
     unip = rank_exact(A @ A) < rank_exact(A)
     m = minimal_polynomial(Phi)

@@ -2,7 +2,8 @@
 rotated basis, heisenberg:3 in a basis not adapted to its lower central
 series, the exact flatness check of an affine model, a metric equivariant
 for every flat bundle, randomly generated bigraded complexes whose
-differential squares to zero exactly, and a spy that logs calls."""
+differential squares to zero exactly, a spy that logs calls, and the
+test of an exact number's canonical type."""
 
 import itertools
 from fractions import Fraction
@@ -15,6 +16,12 @@ from nilcollapse import lie, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import RationalMatrix, solve_exact
 from nilcollapse.spectral import BigradedComplex
+
+
+def canonical(x) -> bool:
+    """Whether x is of the exact kernel's canonical type: an int, or a
+    Fraction whose denominator is greater than 1; never a bool or a float."""
+    return type(x) is int or type(x) is Fraction and x.denominator > 1
 
 
 def random_orthogonal(rng, n):

@@ -1,18 +1,33 @@
-"""Independent routes the tests check the package against: the circle
-closed form of a total Betti number, the invariant-form Laplacian of an
-algebra in floats, the rank of a complex's total differential on a window
-of filtration indices, page r of a spectral sequence built from r-tuple
-spaces, at the spots of the complex or over the whole (a_max + 1) x
-(b_max + r) rectangle of spots, empty ones included, and each point of a
-bundle sweep built as a superconnection and metric of its own."""
+"""Builders only tests call, an exact matrix from a NumPy array and the
+one-column complex of an algebra, and independent routes the tests check
+the package against: the circle closed form of a total Betti number, the
+invariant-form Laplacian of an algebra in floats, the rank of a complex's
+total differential on a window of filtration indices, page r of a
+spectral sequence built from r-tuple spaces, at the spots of the complex
+or over the whole (a_max + 1) x (b_max + r) rectangle of spots, empty ones
+included, and each point of a bundle sweep built as a superconnection and
+metric of its own."""
 
 from fractions import Fraction
 
 import numpy as np
 
-from nilcollapse import lie, superconnection as sconn
+from nilcollapse import lie, spectral, superconnection as sconn
 from nilcollapse.numerics import (InputError, RationalMatrix, nullspace_exact,
                                   rank_exact)
+
+
+def from_numpy(A) -> RationalMatrix:
+    """The exact matrix of a NumPy array of integers or integral floats."""
+    A = np.asarray(A)
+    return RationalMatrix(A.tolist(), cols=A.shape[1])
+
+
+def from_algebra(algebra) -> spectral.BigradedComplex:
+    """One-column complex: the exterior-algebra cochain complex of the
+    fiber."""
+    model = spectral.AffineModel(algebra, [])
+    return spectral.flat_bundle_complex(model.ranks, model.a0, [], "point")
 
 
 def leray_circle(monodromies_on_cohomology, p: int) -> int:

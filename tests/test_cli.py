@@ -15,6 +15,7 @@ from nilcollapse import lab, lie, spectral
 from nilcollapse.cli import main
 from nilcollapse.numerics import RationalMatrix
 from tests.conftest import HEIS3_SKEW, filiform_torus_complex
+from tests.oracles import from_algebra
 
 
 @pytest.fixture
@@ -45,7 +46,7 @@ def bundle_file(tmp_path):
 @pytest.fixture
 def complex_file(tmp_path):
     path = tmp_path / "cx.json"
-    cx = spectral.from_algebra(lie.heisenberg(3))
+    cx = from_algebra(lie.heisenberg(3))
     path.write_text(json.dumps(cx.to_dict()))
     return str(path)
 
@@ -486,7 +487,7 @@ MODELS = {  # one good model of each kind
                                "gauge_weights": [1, 0]},
     "circle_bundle_adiabatic": {},
     "spectral_sequence_report": {
-        "payload": spectral.from_algebra(lie.heisenberg(3)).to_dict()},
+        "payload": from_algebra(lie.heisenberg(3)).to_dict()},
 }
 MONO = MODELS["monodromy_degeneration"]
 NAN_CIRCUMFERENCE = ("bad circumference list: each circumference must be a "

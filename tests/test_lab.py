@@ -338,7 +338,7 @@ def test_gauge_weights_must_be_integers():
 
 
 def test_spectral_sequence_report_scenario():
-    cx = spectral.from_algebra(lie.heisenberg(3))
+    cx = oracles.from_algebra(lie.heisenberg(3))
     cfg = lab.ScenarioConfig(kind="spectral_sequence_report",
                              model={"payload": cx.to_dict()})
     rep = lab.run(cfg)
@@ -383,7 +383,7 @@ def test_prepare_builds_everything_and_solves_nothing(monkeypatch):
         assert len(step.points) == len(step.config.sweep_values)
         assert len(step.predictions) == len(step.config.degrees)
     monkeypatch.setattr(spectral, "spectral_sequence", forbidden)
-    cx = spectral.from_algebra(lie.heisenberg(3))
+    cx = oracles.from_algebra(lie.heisenberg(3))
     lab.prepare({"kind": "spectral_sequence_report",
                  "model": {"payload": cx.to_dict()}})
 

@@ -11,12 +11,13 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from nilcollapse import numerics
+from nilcollapse import numerics, spectral
 from nilcollapse.numerics import (REQUIRED, InputError, RationalMatrix,
                                   integer, lowest_eigenvalues, nullspace_exact,
                                   rank_exact, read_fields, read_json,
                                   row_reduce, solve_exact)
 from tests import dense_oracle as oracle, oracles
+from tests.conftest import canonical
 from tests.oracles import quotient_dim
 
 
@@ -162,7 +163,7 @@ def test_rational_matrix_from_blocks():
 
 def test_numpy_round_trip():
     A = RationalMatrix([[1, -3], [2, 5]])
-    assert RationalMatrix.from_numpy(A.to_numpy()) == A
+    assert oracles.from_numpy(A.to_numpy()) == A
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10 ** 6))
@@ -170,7 +171,7 @@ def test_numpy_round_trip():
 def test_rank_and_nullspace_consistency(rows, cols, seed):
     rng = np.random.default_rng(seed)
     M = rng.integers(-3, 4, size=(rows, cols))
-    A = RationalMatrix.from_numpy(M)
+    A = oracles.from_numpy(M)
     r = rank_exact(A)
     assert r == np.linalg.matrix_rank(M.astype(float))
     ns = nullspace_exact(A)
@@ -237,8 +238,8 @@ def _quotient_oracle(Amat, Bmat):
 @settings(max_examples=60, deadline=None)
 def test_quotient_dim_matches_brute_force(cols, brows, seed):
     rng = np.random.default_rng(seed)
-    A = RationalMatrix.from_numpy(rng.integers(-2, 3, size=(3, cols)))
-    B = RationalMatrix.from_numpy(rng.integers(-2, 3, size=(brows, cols))) \
+    A = oracles.from_numpy(rng.integers(-2, 3, size=(3, cols)))
+    B = oracles.from_numpy(rng.integers(-2, 3, size=(brows, cols))) \
         if brows else RationalMatrix.zeros(0, cols)
     assert quotient_dim(A, B) == _quotient_oracle(A, B)
 
@@ -292,7 +293,11 @@ def _pair(rows_cols):
 
 
 def _same(S, D):
-    return (S.rows, S.cols) == (D.rows, D.cols) and S.tolist() == D.data
+    """S equals the oracle's D, and every entry of S is of the canonical
+    type: an int, or a Fraction whose denominator is greater than 1."""
+    entries = S.tolist()
+    return ((S.rows, S.cols) == (D.rows, D.cols) and entries == D.data
+            and all(canonical(x) for row in entries for x in row))
 
 
 @given(st.data())
@@ -312,6 +317,10 @@ def test_sparse_arithmetic_matches_dense_oracle(data):
     assert _same(A.transpose(), Ad.transpose())
     assert _same(A.hstack(E), Ad.hstack(Ed))
     assert _same(A.vstack(G), Ad.vstack(Gd))
+    assert _same(RationalMatrix.from_blocks({(0, 0): A, (0, 1): E, (1, 0): C},
+                                            [A.rows, A.rows], [A.cols, E.cols]),
+                 Ad.hstack(Ed).vstack(Cd.hstack(
+                     oracle.DenseRationalMatrix.zeros(A.rows, E.cols))))
     assert A.is_zero() == all(x == 0 for row in Ad.data for x in row)
     assert (A == C) == (Ad.data == Cd.data)
     assert np.array_equal(A.to_numpy(), np.array(
@@ -322,7 +331,9 @@ def test_sparse_arithmetic_matches_dense_oracle(data):
 @settings(max_examples=150, deadline=None)
 def test_sparse_elimination_matches_dense_oracle(data):
     A, Ad = _pair(data.draw(_rational_rows()))
-    assert row_reduce(A) == oracle.row_reduce(Ad)
+    rows, pivots = row_reduce(A)
+    assert (rows, pivots) == oracle.row_reduce(Ad)
+    assert all(canonical(x) for row in rows for x in row)
     assert rank_exact(A) == oracle.rank(Ad)
     # both take one kernel vector per free column of the reduced form
     assert _same(nullspace_exact(A), oracle.nullspace(Ad))
@@ -338,6 +349,14 @@ def test_sparse_elimination_matches_dense_oracle(data):
     assert _same(solve_exact(A, A @ X), oracle.solve(Ad, Ad @ Xd))
     Q, Qd = _pair(data.draw(_rational_rows(cols=A.cols)))
     assert quotient_dim(A, Q) == oracle.quotient_dim(Ad, Qd)
+    # the holonomy invariants stay exact: an inverse and a minimal polynomial
+    n = data.draw(st.integers(0, 4))
+    S, Sd = _pair(data.draw(_rational_rows(rows=n, cols=n)))
+    if oracle.rank(Sd) == n:
+        inv = spectral.inverse_exact(S)
+        assert inv @ S == RationalMatrix.identity(n)
+        assert all(canonical(x) for row in inv.tolist() for x in row)
+    assert all(map(canonical, spectral.minimal_polynomial(S)))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +367,9 @@ def test_sparse_elimination_matches_dense_oracle(data):
                                "-0", "007", "1_000", "-7/14"])
 def test_to_fraction_reads_strings_as_fraction_does(s):
     got = numerics.rational(s)
-    assert type(got) is Fraction and got == Fraction(s)
-    assert RationalMatrix([[s]]).tolist() == [[Fraction(s)]]
+    assert canonical(got) and got == Fraction(s)
+    entries = RationalMatrix([[s]]).tolist()
+    assert entries == [[Fraction(s)]] and canonical(entries[0][0])
 
 
 ZERO_SPELLINGS = ["0", 0, 0.0, "-0", "0/5", Fraction(0), np.int64(0)]

@@ -13,7 +13,8 @@ checked only by the `MetricField` constructor, which every metric passes
 through, and no function takes a `check_*` parameter to skip a check, an
 algebra's constants turn to floats only for the curvature command, a float
 eigenvalue is zero by one threshold, a scenario's model is read in one
-place, and an input file is parsed in one place."""
+place, an input file is parsed in one place, and the exact modules divide
+only through `numerics.ratio`."""
 
 import ast
 from pathlib import Path
@@ -80,6 +81,8 @@ MERGED = {
     "epsilon_close",
     # pages are counted off each degree's pivot pairs
     "window_rank", "_window_ranks",
+    # only tests called these: oracles.from_numpy and oracles.from_algebra
+    "from_numpy", "from_algebra",
 }
 
 
@@ -130,9 +133,10 @@ def test_no_data_attribute(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "numerics"],
                          ids=lambda p: p.name)
 def test_sparse_rows_read_only_by_numerics(path):
-    # the {column: nonzero Fraction} rows are the kernel's format: other
+    # the {column: nonzero value} rows are the kernel's format: other
     # modules build and read matrices through RationalMatrix's constructors
-    # and `tolist`, which keep every stored value a nonzero Fraction
+    # and `tolist`, which keep every stored value nonzero and of the
+    # canonical type, an int or a Fraction with a denominator
     bad = [f"line {node.lineno}" for node in ast.walk(_tree(path))
            if isinstance(node, ast.Attribute) and node.attr == "_nz"]
     assert not bad, f"{path.name} touches RationalMatrix._nz: {bad}"
@@ -261,6 +265,34 @@ def test_float_eigensolves_only_in_their_owners():
         ("superconnection.py", "DiscreteComplex", "operator_norm"),
         ("superconnection.py", None, "_principal_log"),
     }
+
+
+# the exact division helper, and the float functions of the exact modules
+DIVIDERS = {("numerics.py", "ratio"), ("lie.py", "rescaled_spectrum")}
+
+
+@pytest.mark.parametrize("name", ["numerics.py", "spectral.py", "lie.py"])
+def test_exact_modules_divide_only_through_ratio(name):
+    # `int / int` is a float, which would leave Q without an error: an
+    # exact division is numerics.ratio(a, b), and a true division (/) sits
+    # only in the functions named above
+    tree = _tree(SRC / name)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    bad = []
+    for node in parents:
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Div):
+            outer, fn = None, node
+            while fn in parents:  # the outermost function around the node
+                fn = parents[fn]
+                if isinstance(fn, ast.FunctionDef):
+                    outer = fn.name
+            if (name, outer) not in DIVIDERS:
+                bad.append(f"line {node.lineno} in {outer}")
+    assert not bad, f"{name} divides outside numerics.ratio: {bad}"
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    assert {f for m, f in DIVIDERS if m == name} <= defined
 
 
 def test_spectral_makes_no_float_linear_algebra():

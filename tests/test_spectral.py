@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lie, spectral
 from nilcollapse.numerics import (InputError, RationalMatrix, rank_exact,
                                  read_json)
-from tests.conftest import (HEIS3_SKEW, filiform_torus_complex,
+from tests.conftest import (HEIS3_SKEW, canonical, filiform_torus_complex,
                             random_flat_complex, random_flat_complex_on,
                             weight_complex)
-from tests.oracles import (leray_circle, rectangle_page, tuple_page,
-                           window_rank)
+from tests.oracles import (from_algebra, from_numpy, leray_circle,
+                           rectangle_page, tuple_page, window_rank)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  the benchmark's filiform payloads
@@ -109,7 +109,7 @@ def test_complex_reads_spots_and_dimensions_as_integers():
 
 
 def test_total_complex_bookkeeping():
-    cx = spectral.from_algebra(lie.heisenberg(3))
+    cx = from_algebra(lie.heisenberg(3))
     assert cx.total_dim(1) == 3
     assert cx.top_total_degree() == 3
     assert spectral.spectral_sequence(cx).betti == [1, 2, 2, 1]
@@ -183,13 +183,13 @@ def test_from_dict_rejects_inexact_floats():
 # ---------------------------------------------------------------------------
 
 def test_page_zero_returns_raw_dimensions():
-    cx = spectral.from_algebra(lie.heisenberg(3))
+    cx = from_algebra(lie.heisenberg(3))
     p0 = spectral.page(cx, 0)
     assert p0.dims == {(0, 0): 1, (0, 1): 3, (0, 2): 3, (0, 3): 1}
 
 
 def test_one_column_complex_stabilizes_at_page_one():
-    cx = spectral.from_algebra(lie.heisenberg(3))
+    cx = from_algebra(lie.heisenberg(3))
     assert spectral.page(cx, 1).totals() == [1, 2, 2, 1]
     assert spectral.spectral_sequence(cx).stable.totals() == [1, 2, 2, 1]
 
@@ -335,6 +335,16 @@ def test_pairs_count_every_window_rank():
     assert any(length == 1 for _, length in cases[1].pairs(1))
 
 
+def test_benchmark_payload_is_stored_as_ints():
+    # the seed-0 filiform:5 payload is all integer strings: reading it makes
+    # no Fraction, so its eliminations do integer arithmetic
+    cx = spectral.BigradedComplex.from_dict(
+        workloads._filiform_payload(random.Random(0), 0, 5))
+    entries = [x for per_spot in cx.maps.values() for mat in per_spot.values()
+               for row in mat.tolist() for x in row]
+    assert entries and all(type(x) is int for x in entries)
+
+
 def _filtered_conjugate(cx, rng):
     """cx with each total differential D_n replaced by P_{n+1} D_n P_n^-1:
     P_n is a random exact change of basis of degree n, invertible at each
@@ -455,7 +465,7 @@ def test_corrupted_stable_page_raises(monkeypatch):
     _corrupt_page(monkeypatch, 1)
     with pytest.raises(ArithmeticError,
                        match="E_infinity total 2 != total cohomology 1 in degree 0"):
-        spectral.spectral_sequence(spectral.from_algebra(lie.heisenberg(3)))
+        spectral.spectral_sequence(from_algebra(lie.heisenberg(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +523,16 @@ def test_minimal_polynomial_ascending_coefficients():
     assert spectral.minimal_polynomial(RationalMatrix.identity(3)) == [-1, 1]
 
 
+def test_poly_gcd_of_integer_polynomials_stays_exact():
+    # gcd(x^2 - 2, 2x) = 1: the division by a leading coefficient of int
+    # polynomials is exact, never int / int, a float
+    g = spectral._poly_gcd([-2, 0, 1], [0, 2])
+    assert g == [1] and all(map(canonical, g))
+    g = spectral._poly_gcd([3, 0, 3], [0, 2, 0, 2])  # gcd = x^2 + 1
+    assert g == [1, 0, 1] and all(map(canonical, g))
+    assert spectral._poly_mod([1, 0, 2], [1, 2]) == [Fraction(3, 2)]
+
+
 def test_unipotent_factor_flags():
     rep = spectral.unipotent_factor(UNIP)
     assert rep.has_unipotent_block and not rep.semisimple
@@ -548,7 +568,7 @@ def test_exact_matrix_helpers():
     assert g @ ginv == RationalMatrix.identity(2)
     # the exact compound holds the minors' determinants
     rng = np.random.default_rng(2)
-    A = RationalMatrix.from_numpy(rng.integers(-2, 3, size=(3, 3)))
+    A = from_numpy(rng.integers(-2, 3, size=(3, 3)))
     for p in range(4):
         idx = lie.multi_indices(3, p)
         dets = [[np.linalg.det(A.to_numpy()[np.ix_(I, J)]) for J in idx]

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lab, lie, report, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
-from tests.conftest import (check_model_flatness, interpolated_metric,
-                            spy)
+from tests.conftest import (canonical, check_model_flatness,
+                            interpolated_metric, spy)
 
 SOL = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = (3.0 + np.sqrt(5.0)) / 2.0  # larger eigenvalue of SOL
@@ -921,7 +921,7 @@ def test_load_bundle_builds_holonomy_actions_exactly(monkeypatch):
     compound = lie.compound_matrix
 
     def spy(rows, p):
-        seen.extend(type(x) for row in rows for x in row)
+        seen.extend(x for row in rows for x in row)
         return compound(rows, p)
 
     monkeypatch.setattr(lie, "compound_matrix", spy)
@@ -931,7 +931,7 @@ def test_load_bundle_builds_holonomy_actions_exactly(monkeypatch):
         "monodromy_action": [[["1", "1"], ["0", "1"]]],
         "metric": "equivariant",
     })
-    assert seen and set(seen) == {Fraction}
+    assert seen and all(map(canonical, seen))
     assert np.array_equal(sc.bundle.monodromy(0, 1), [[1.0, 0.0], [-1.0, 1.0]])
 
 
