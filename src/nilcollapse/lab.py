@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
+from math import prod
 
 import numpy as np
 
@@ -252,36 +253,59 @@ def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
 
 @dataclass(frozen=True)
 class Sweep:
-    """The solve step of a sweep scenario: `points[i]` is what sweep value i
-    solves, (superconnection, metric) of a bundle kind, where every point
-    shares the one flat superconnection and its metric differs only in the
-    constant fiber block, or eps of `nil_rescale`, and
-    `spectra(point, degrees)` solves it in each degree."""
+    """The solve step of a sweep scenario: `points[i]` is the
+    (superconnection, metric) that sweep value i solves in each degree by
+    `superconnection.spectra`. Every point shares the one flat
+    superconnection, and its metric differs only in the constant fiber
+    block."""
 
     config: ScenarioConfig
     predictions: list     # SmallCountPrediction per requested degree
     points: list
-    spectra: object
 
     def __call__(self) -> ScenarioReport:
         cfg = self.config
-        per_point = [self.spectra(pt, cfg.degrees) for pt in self.points]
+        per_point = [sconn.spectra(sc, h, cfg.degrees, count=cfg.count)
+                     for sc, h in self.points]
         return ScenarioReport(cfg, tuple(
             _degree_report(p, cfg.sweep_values, s, pred, cfg.count)
             for p, s, pred in zip(cfg.degrees, zip(*per_point),
                                   self.predictions)))
 
 
+def _float_range(span: float, power: float, values, what: str) -> None:
+    """InputError unless s^(power w) stays a positive finite float for every
+    sweep value s and |w| <= span; `what` names the metric and its
+    weights."""
+    for s in values:
+        if s != 1 and span >= np.log(np.finfo(float).max) / abs(
+                power * np.log(s)):
+            raise InputError(f"{what} out of the float range at sweep "
+                             f"value {s}")
+
+
 def _nil_rescale(cfg: ScenarioConfig, model: dict) -> Sweep:
     algebra = model["algebra"]
     grading = lie.lower_central_grading(algebra)
+    # the form f^I of the adapted basis has weight w_I and squared length
+    # 1 / g_I, g_I the product of the Gram over I: the metric eps^(-w_I) /
+    # g_I gauges d to eps^(-N/2) d eps^(N/2) in orthonormal forms
+    forms = [lie.multi_indices(algebra.n, b) for b in range(algebra.n + 1)]
+    w = [np.array([grading.form_weight(I) for I in f], dtype=float)
+         for f in forms]
+    g = [np.array([float(prod(grading.gram[i] for i in I)) for I in f])
+         for f in forms]
+    # the top form, of the largest weight, bounds every exponent
+    _float_range(w[-1][0], 1, cfg.sweep_values, f"the form weights of "
+                 f"{algebra.name or 'the algebra'}, up to {w[-1][0]:g}, take "
+                 f"the fiber metric eps^(-w_I)")
     preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
-    return Sweep(cfg, preds, list(cfg.sweep_values), lambda eps, degrees: [
-        lie.rescaled_spectrum(grading, p, eps) for p in degrees])
-
-
-def _solve_bundle(cfg: ScenarioConfig):
-    return lambda pt, degrees: sconn.spectra(*pt, degrees, count=cfg.count)
+    base = sconn.BaseModel("point", cfg.resolution)
+    sc = sconn.from_affine_bundle(grading.algebra, base)
+    h = sconn.MetricField.identity(sc.bundle, base)
+    return Sweep(cfg, preds, [
+        (sc, h.with_fiber([np.diag(eps ** -wb / gb) for wb, gb in zip(w, g)]))
+        for eps in cfg.sweep_values])
 
 
 def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
@@ -296,7 +320,7 @@ def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
     return Sweep(cfg, preds, [
         (sc, h.with_fiber([np.eye(r) * delta ** (-2 * b)
                            for b, r in enumerate(sc.bundle.ranks)]))
-        for delta in cfg.sweep_values], _solve_bundle(cfg))
+        for delta in cfg.sweep_values])
 
 
 def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
@@ -316,11 +340,9 @@ def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
                 f"w[{i}] + w[{j}] = {w[i] + w[j]}")
     # the fiber metric t^(-2 w_I) below must neither overflow nor underflow
     # to 0: |w_I| is at most the larger of the summed positive and negative w
-    span = max(sum(x for x in w if x > 0), -sum(x for x in w if x < 0))
-    for t in cfg.sweep_values:
-        if t != 1 and span >= np.log(np.finfo(float).max) / abs(2 * np.log(t)):
-            raise InputError(f"gauge_weights {w} take the fiber metric t^(-2 "
-                             f"w_I) out of the float range at sweep value {t}")
+    _float_range(max(sum(x for x in w if x > 0), -sum(x for x in w if x < 0)),
+                 2, cfg.sweep_values,
+                 f"gauge_weights {w} take the fiber metric t^(-2 w_I)")
     base = sconn.BaseModel("circle", cfg.resolution, model["circumferences"])
     try:  # with a0 the fiber differential, only parallel_a0 can fail
         sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[phi])
@@ -337,7 +359,7 @@ def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
                for b in range(algebra.n + 1)]
     return Sweep(cfg, preds, [
         (sc, h.with_fiber([np.diag(t ** (-2 * wb)) for wb in w_forms]))
-        for t in cfg.sweep_values], _solve_bundle(cfg))
+        for t in cfg.sweep_values])
 
 
 def _spectral_sequence_report(cfg: ScenarioConfig, model: dict):

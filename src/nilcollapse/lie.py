@@ -3,24 +3,23 @@
 The basis handed to an algebra is always declared orthonormal; everything
 downstream (codifferentials, curvature, number-operator rescaling) is phrased
 in that basis. Structure constants are exact rationals, so cohomology ranks
-are exact. The rescaling re-expresses the algebra exactly in a rational
-orthogonal basis adapted to the lower central series and turns to floats
-only at the solve; curvature reads the float constants `c_float` gives.
+are exact. `lower_central_grading` re-expresses the algebra exactly in a
+rational orthogonal basis adapted to the lower central series, with the
+weights and Gram that the rescaling's fiber metric reads; curvature reads
+the float constants `c_float` gives.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 import numpy as np
 
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
-                       lowest_eigenvalues, nullspace_exact, rank_exact,
-                       ratio, rational, read_fields, read_json, row_reduce)
-from .report import SpectrumReport
+                       nullspace_exact, rank_exact, ratio, rational,
+                       read_fields, read_json, row_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +238,6 @@ class AdaptedGrading:
     filtration: tuple[int, ...]
     pieces: tuple[int, ...]
     gram: tuple[int | Fraction, ...]
-    _differentials: dict = field(default_factory=dict, init=False,
-                                 compare=False, repr=False)
-
-    def differential(self, q: int) -> np.ndarray:
-        """Float matrix of the adapted algebra's d on q-forms, read-only:
-        `ce_differential`, built on first use and kept, since a sweep solves
-        the same degrees at every eps."""
-        if q not in self._differentials:
-            d = ce_differential(self.algebra, q).to_numpy()
-            d.setflags(write=False)
-            self._differentials[q] = d
-        return self._differentials[q]
 
     def vector_weight(self, i: int) -> int:
         return 3 ** self.filtration[i]
@@ -473,38 +460,3 @@ def compound_matrix(rows, p: int) -> list[list]:
                   for I in row_sets for J in cols}
     idx = multi_indices(n, p)
     return [[minors[(I, J)] for J in idx] for I in idx]
-
-
-# ---------------------------------------------------------------------------
-# the collapsing rescaling
-# ---------------------------------------------------------------------------
-
-def rescaled_spectrum(grading: AdaptedGrading, p: int, eps: float):
-    """Spectrum on Lambda^p of W^T W + W W^T, W = eps^{-N/2} d eps^{N/2} in
-    orthonormal forms, N the 3^k number operator extended multiplicatively
-    to the exterior algebra. d is the exact differential of the adapted
-    algebra, turned to floats once per grading (`grading.differential`):
-    its entry from form J to form I takes the factor
-    sqrt(g_J / g_I) eps^{(w_J - w_I)/2}, g a form's Gram product and w its
-    weight."""
-    alg = grading.algebra
-    if p > alg.n:  # there are no p-forms
-        return SpectrumReport.from_eigenvalues(p, np.zeros(0))
-
-    def scaled(q):
-        src, dst = multi_indices(alg.n, q), multi_indices(alg.n, q + 1)
-        src_w = np.array([grading.form_weight(I) for I in src])
-        dst_w = np.array([grading.form_weight(I) for I in dst])
-        src_g, dst_g = (np.array([float(prod(grading.gram[i] for i in I))
-                                  for I in forms]) for forms in (src, dst))
-        scale = np.power(eps, 0.5 * (src_w[None, :] - dst_w[:, None]))
-        return (grading.differential(q) * scale
-                * np.sqrt(src_g[None, :] / dst_g[:, None]))
-
-    w = scaled(p)
-    lap = w.T @ w
-    if p > 0:
-        v = scaled(p - 1)
-        lap = lap + v @ v.T
-    return SpectrumReport.from_eigenvalues(
-        p, lowest_eigenvalues(lap, lap.shape[0]))

@@ -349,6 +349,25 @@ class RationalMatrix:
                                   self._nz + other._nz)
 
 
+def read_blocks(blocks, shapes, name, first=0) -> list[RationalMatrix]:
+    """`blocks` read exactly, one of each of the given shapes, or zeros of
+    those shapes when None; block k is named name[first + k] in errors."""
+    if blocks is None:
+        return [RationalMatrix.zeros(*shape) for shape in shapes]
+    if len(blocks) != len(shapes):
+        raise InputError(f"need {len(shapes)} {name} blocks, "
+                         f"got {len(blocks)}")
+    out = []
+    for k, (x, shape) in enumerate(zip(blocks, shapes), start=first):
+        if not isinstance(x, RationalMatrix):
+            x = RationalMatrix(x, cols=shape[1])
+        if (x.rows, x.cols) != shape:
+            raise InputError(f"{name}[{k}] has wrong shape "
+                             f"{(x.rows, x.cols)}, expected {shape}")
+        out.append(x)
+    return out
+
+
 def _add_scaled(target: dict, f: int | Fraction, source: dict) -> None:
     """target += f * source on sparse rows, dropping entries that cancel and
     keeping the others of the canonical type."""

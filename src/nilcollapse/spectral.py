@@ -9,14 +9,13 @@ reported dimension is a theorem about the input, not a tolerance call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
-
-import numpy as np
 
 from . import lie
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
                        nullspace_exact, pivot_pairs, rank_exact, ratio,
-                       read_fields, row_reduce, solve_exact)
+                       read_blocks, read_fields, row_reduce, solve_exact)
 
 
 class BigradedComplex:
@@ -252,81 +251,73 @@ def spectral_sequence(cx: BigradedComplex) -> SpectralSequence:
 
 
 # ---------------------------------------------------------------------------
-# model complexes for flat bundles over a point, a circle, or a 2-torus
+# model complexes for flat bundles over a k-torus: a point, a circle, T^2
 # ---------------------------------------------------------------------------
+
+_BASE_GENS = {"point": 0, "circle": 1, "torus2": 2}
+
+
+def base_generators(kind: str) -> int:
+    """The number of generators k of a base kind, the k-torus T^k; the one
+    table of base kinds. InputError for a kind it does not list."""
+    try:
+        return _BASE_GENS[kind]
+    except (KeyError, TypeError):
+        raise InputError(f"unsupported base kind {kind!r}") from None
+
 
 def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
                         a2=None) -> BigradedComplex:
-    """Group-cochain model of the twisted cohomology over the base.
+    """Group-cochain model of the twisted cohomology over the base T^k: the
+    Koszul complex of Z^k with coefficients in the fiber forms.
 
-    ranks: fiber dims per degree. a0: per-degree fiber differential.
-    monodromies: per base generator, a per-degree list of holonomy matrices.
-    a2: optional per-degree contraction blocks (torus only; the rank
-    pattern is what matters, so the base area is taken to be 1).
+    ranks: fiber dims per degree. a0: per-degree fiber differential (zero
+    when None). monodromies: per base generator, a per-degree list of
+    holonomy matrices. a2: optional per-degree contraction blocks (T^2 only;
+    the rank pattern is what matters, so the base area is taken to be 1).
+    Every block is read by `numerics.read_blocks`. Spot (a, b) holds one
+    copy of the fiber b-forms per component J in combinations(range(k), a);
+    D_0 is (-1)^a a0 on each, D_1 takes J to J + {g} by
+    (-1)^#(j in J, j > g) (Phi_g - I), and D_2 is a2.
     """
-    if a2 is not None and _BASE_GENS.get(base_kind, 2) < 2:
+    k = base_generators(base_kind)
+    if a2 is not None and k < 2:
         raise InputError("a2 needs a 2-dimensional base")
     ranks = [int(r) for r in ranks]
     m = len(ranks) - 1
-    a0 = [_ratmat(x, ranks[b + 1], ranks[b]) for b, x in enumerate(a0)] \
-        if a0 is not None else [RationalMatrix.zeros(ranks[b + 1], ranks[b])
-                                for b in range(m)]
-    monos = [[_ratmat(x, ranks[b], ranks[b]) for b, x in enumerate(gen)]
-             for gen in monodromies]
-
-    eye = [RationalMatrix.identity(r) for r in ranks]
-    dims, d0, d1, d2 = {}, {}, {}, {}
-    if base_kind == "point":
-        for b in range(m + 1):
-            dims[(0, b)] = ranks[b]
+    a0 = read_blocks(a0, [(ranks[b + 1], ranks[b]) for b in range(m)], "a0")
+    steps = [[phi - RationalMatrix.identity(r) for phi, r in zip(
+        read_blocks(gen, [(r, r) for r in ranks], f"monodromy[{g}]"), ranks)]
+        for g, gen in enumerate(monodromies)]
+    if len(steps) != k:
+        raise InputError(f"a {base_kind} base needs {k} monodromy "
+                         f"generators, got {len(steps)}")
+    comps = [list(combinations(range(k), a)) for a in range(k + 2)]
+    dims, d0, d1 = {}, {}, {}
+    for a, here in enumerate(comps[:-1]):
+        up = {J: i for i, J in enumerate(comps[a + 1])}
+        # (component of J + {g}, component of J, g, whether the sign is -)
+        arrows = [(up[tuple(sorted(J + (g,)))], i, g,
+                   sum(j > g for j in J) % 2)
+                  for i, J in enumerate(here) for g in range(k) if g not in J]
+        for b, r in enumerate(ranks):
+            dims[(a, b)] = len(here) * r
             if b < m:
-                d0[(0, b)] = a0[b]
-    elif base_kind == "circle":
-        if len(monos) != 1:
-            raise InputError("circle base needs exactly one monodromy generator")
-        for b in range(m + 1):
-            dims[(0, b)] = dims[(1, b)] = ranks[b]
-            if b < m:
-                d0[(0, b)] = a0[b]
-                d0[(1, b)] = -a0[b]
-            d1[(0, b)] = monos[0][b] - eye[b]
-    elif base_kind == "torus2":
-        if len(monos) != 2:
-            raise InputError("torus base needs two monodromy generators")
-        for b in range(m + 1):
-            dims[(0, b)] = dims[(2, b)] = ranks[b]
-            dims[(1, b)] = 2 * ranks[b]
-            if b < m:
-                d0[(0, b)] = a0[b]
-                z = RationalMatrix.zeros(ranks[b + 1], ranks[b])
-                top = (-a0[b]).hstack(z)
-                bot = z.hstack(-a0[b])
-                d0[(1, b)] = top.vstack(bot)
-                d0[(2, b)] = a0[b]
-            d1[(0, b)] = (monos[0][b] - eye[b]).vstack(monos[1][b] - eye[b])
-            d1[(1, b)] = (monos[1][b] - eye[b]).hstack(-(monos[0][b] - eye[b]))
-        if a2 is not None:
-            for b in range(1, m + 1):
-                d2[(0, b)] = _ratmat(a2[b - 1], ranks[b - 1], ranks[b])
-    else:
-        raise InputError(f"unsupported base kind {base_kind!r}")
+                blk = -a0[b] if a % 2 else a0[b]
+                d0[(a, b)] = RationalMatrix.from_blocks(
+                    {(i, i): blk for i in range(len(here))},
+                    [ranks[b + 1]] * len(here), [r] * len(here))
+            if arrows:
+                d1[(a, b)] = RationalMatrix.from_blocks(
+                    {(t, s): -steps[g][b] if minus else steps[g][b]
+                     for t, s, g, minus in arrows},
+                    [r] * len(up), [r] * len(here))
     maps = {0: d0, 1: d1}
-    if d2:
-        maps[2] = d2
-    dims = {k: v for k, v in dims.items() if v > 0}
-    return BigradedComplex(dims, maps)
-
-
-def _ratmat(x, rows, cols) -> RationalMatrix:
-    if isinstance(x, RationalMatrix):
-        mat = x
-    else:
-        mat = RationalMatrix(x, cols=cols) if np.asarray(x).size else \
-            RationalMatrix.zeros(rows, cols)
-    if (mat.rows, mat.cols) != (rows, cols):
-        raise InputError(f"block has shape {(mat.rows, mat.cols)}, "
-                         f"expected {(rows, cols)}")
-    return mat
+    if a2 is not None:
+        maps[2] = {(0, b): blk for b, blk in enumerate(read_blocks(
+            a2, [(ranks[b - 1], ranks[b]) for b in range(1, m + 1)], "a2",
+            first=1), start=1)}
+    return BigradedComplex({s: d for s, d in dims.items() if d > 0}, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +488,6 @@ class AffineModel:
 # predicted small-eigenvalue counts and the obstruction taxonomy
 # ---------------------------------------------------------------------------
 
-_BASE_GENS = {"point": 0, "circle": 1, "torus2": 2}
-
-
 @dataclass(frozen=True)
 class SmallCountPrediction:
     degree: int
@@ -547,9 +535,7 @@ def predict_small_counts(algebra, base_kind: str, degrees,
     are the F-invariant ones (`AffineModel`). One `AffineModel` serves the
     counts and the obstruction cases, so each holonomy is inverted once and
     each of its actions built at most once."""
-    gens = _BASE_GENS.get(base_kind)
-    if gens is None:
-        raise InputError(f"unsupported base kind {base_kind!r}")
+    gens = base_generators(base_kind)
     n = algebra.n
     if monodromy_action is None:
         monodromy_action = [RationalMatrix.identity(n)] * gens
@@ -593,9 +579,7 @@ def classify_obstructions(base_kind: str, degrees,
     through degree p. Each fiber degree's case-2 check is made at most once,
     and so is case 3, which does not depend on p: the twisted model's pages
     are built once."""
-    gens = _BASE_GENS.get(base_kind)
-    if gens is None:
-        raise InputError(f"unsupported base kind {base_kind!r}")
+    gens = base_generators(base_kind)
     n = len(model.ranks) - 1
     # case 1 in fiber degree q: H^q is all of the q-forms exactly when the
     # differentials into and out of degree q have rank 0, i.e. are zero

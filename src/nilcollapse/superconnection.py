@@ -1,7 +1,8 @@
 """Flat degree-1 superconnections on graded bundles over flat base models.
 
-The base is a flat circle or square 2-torus; sections of a flat bundle with
-monodromy Phi are grid functions with a Phi-twisted wraparound. Exterior
+The base is a flat k-torus, a point (k = 0), a circle or a square 2-torus;
+sections of a flat bundle with monodromy Phi are grid functions with a
+Phi-twisted wraparound, and over a point they are one fiber vector. Exterior
 derivatives are forward differences on the staggered (vertex / edge / face)
 grids, which keeps d^2 = 0 exact at the discrete level, and metrics enter
 through staggered mass matrices: weighted by their square roots, the
@@ -22,7 +23,8 @@ import scipy.sparse as sp
 
 from . import lie, spectral
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
-                       lowest_eigenvalues, read_fields, read_json, real)
+                       lowest_eigenvalues, read_blocks, read_fields, read_json,
+                       real)
 from .report import SpectrumReport, closeness_epsilon
 
 
@@ -36,13 +38,16 @@ class FlatnessError(InputError):
 
 @dataclass(frozen=True)
 class BaseModel:
-    kind: str  # "circle" | "torus2"
+    """A flat k-torus with N grid points per circle factor, k the
+    generator count of `kind` in `spectral.base_generators`; a point has
+    one grid point and no circumference."""
+
+    kind: str  # "point" | "circle" | "torus2"
     resolution: int
     circumferences: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("circle", "torus2"):
-            raise InputError(f"unsupported base kind {self.kind!r}")
+        spectral.base_generators(self.kind)
         object.__setattr__(self, "resolution",
                            integer(self.resolution, "resolution"))
         if self.resolution < 8:
@@ -59,7 +64,7 @@ class BaseModel:
 
     @property
     def dim(self) -> int:
-        return 1 if self.kind == "circle" else 2
+        return spectral.base_generators(self.kind)
 
     @property
     def npoints(self) -> int:
@@ -79,15 +84,10 @@ class BaseModel:
 
     def points(self, stagger: tuple[int, ...] = ()) -> np.ndarray:
         """Grid coordinates, staggered half a step in the given directions."""
-        N = self.resolution
-        axes = []
-        for g in range(self.dim):
-            off = 0.5 if g in stagger else 0.0
-            axes.append((np.arange(N) + off) * self.steps[g])
-        if self.dim == 1:
-            return axes[0][:, None]
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        d = self.dim
+        index = np.indices((self.resolution,) * d).reshape(d, self.npoints).T
+        off = np.where(np.isin(np.arange(d), stagger), 0.5, 0.0)
+        return (index + off) * np.array(self.steps, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +113,15 @@ class GradedBundle:
         if monodromies is None:
             monodromies = [[RationalMatrix.identity(r) for r in self.ranks]
                            for _ in range(generators)]
-        self.monodromies = [_read_blocks(gen, square, "monodromy")
+        self.monodromies = [read_blocks(gen, square, "monodromy")
                             for gen in monodromies]
         try:
             inverses = [[spectral.inverse_exact(m) for m in gen]
                         for gen in self.monodromies]
         except InputError:
             raise InputError("monodromy must be invertible") from None
-        self.gram = None if gram is None else _read_blocks(gram, square,
-                                                           "gram")
+        self.gram = None if gram is None else read_blocks(gram, square,
+                                                          "gram")
         # R with G = R^T R: the orthonormal frame of each Gram
         self._frames = None if gram is None else [
             np.linalg.cholesky(G.to_numpy()).T for G in self.gram]
@@ -152,25 +152,6 @@ class GradedBundle:
         # (R_dst X R_src^-1)^T = R_src^-T (R_dst X)^T, a triangular solve
         return scipy.linalg.solve_triangular(
             self._frames[b_src], (self._frames[b_dst] @ X).T, trans="T").T
-
-
-def _read_blocks(blocks, shapes, name, first=0) -> list[RationalMatrix]:
-    """`blocks` read exactly, one of each of the given shapes, or zeros of
-    those shapes when None; block k is named name[first + k] in errors."""
-    if blocks is None:
-        return [RationalMatrix.zeros(*shape) for shape in shapes]
-    if len(blocks) != len(shapes):
-        raise InputError(f"need {len(shapes)} {name} blocks, "
-                         f"got {len(blocks)}")
-    out = []
-    for k, (x, shape) in enumerate(zip(blocks, shapes), start=first):
-        if not isinstance(x, RationalMatrix):
-            x = RationalMatrix(x, cols=shape[1])
-        if (x.rows, x.cols) != shape:
-            raise InputError(f"{name}[{k}] has wrong shape "
-                             f"{(x.rows, x.cols)}, expected {shape}")
-        out.append(x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +245,10 @@ class MetricField:
     def _gauged(cls, bundle, base, logs, fiber_roots) -> "MetricField":
         """h(x) = (S G(x))^T S G(x) for S = fiber_roots[b][0]."""
         def func(b, pts):
+            r = bundle.rank(b)
             M = fiber_roots[b][0] @ scipy.linalg.expm(sum(
-                (-pts[:, g, None, None] / base.circumferences[g]) * logs[g][b]
-                for g in range(base.dim)))
+                ((-pts[:, g, None, None] / base.circumferences[g]) * logs[g][b]
+                 for g in range(base.dim)), np.zeros((len(pts), r, r))))
             return M.transpose(0, 2, 1) @ M
         h = cls(bundle, base, func)
         h.logs, h.fiber_roots = logs, fiber_roots
@@ -304,6 +286,8 @@ class MetricField:
 
     def check_equivariance(self) -> None:
         base = self.base
+        if not base.dim:  # no generator, nothing to compare
+            return
         x = min(base.circumferences) * self._check_points[:4 * base.dim]
         steps = np.vstack([np.zeros(base.dim), np.diag(base.circumferences)])
         pts = (steps[:, None] + x.reshape(4, base.dim)).reshape(-1, base.dim)
@@ -335,7 +319,7 @@ class Superconnection:
 
     a0[b] : E^b -> E^{b+1} is the constant fiber differential; the connection
     is (monodromy, zero local potential); a2[b - 1] : E^b -> E^{b-1} is the
-    coefficient of the base area form in the curvature term (torus only).
+    coefficient of the base area form in the curvature term (2-torus only).
     Both are read exactly, as the monodromies are (zeros when None), and
     `check_flatness` tests them, so every superconnection is flat. `a0` and
     `a2` hold the exact blocks, `a0_block` and `a2_block` their floats.
@@ -346,12 +330,12 @@ class Superconnection:
         _require_generators(bundle, base)
         self.bundle = bundle
         self.base = base
-        if a2 is not None and base.kind != "torus2":
+        if a2 is not None and base.dim < 2:
             raise InputError("a2 needs a 2-dimensional base")
         m, rank = bundle.top, bundle.rank
-        self.a0 = _read_blocks(a0, [(rank(b + 1), rank(b))
+        self.a0 = read_blocks(a0, [(rank(b + 1), rank(b))
                                     for b in range(m)], "a0")
-        self.a2 = _read_blocks(a2, [(rank(b - 1), rank(b))
+        self.a2 = read_blocks(a2, [(rank(b - 1), rank(b))
                                     for b in range(1, m + 1)], "a2", first=1)
         check_flatness(bundle.ranks, self.a0, bundle.monodromies, self.a2)
         self._a0 = [bundle.to_float(x, b, b + 1) for b, x in enumerate(self.a0)]
@@ -418,7 +402,7 @@ def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
 
     `monodromy_action`: per base generator, an automorphism of the fiber
     algebra as an exact n x n matrix. `T`: curvature coefficient, the n
-    vertical components of the area-form coefficient (torus base only).
+    vertical components of the area-form coefficient (2-torus base only).
     Both are read by `RationalMatrix` (a non-integral float raises
     InputError), and `spectral.AffineModel` builds the blocks exactly. With
     a finite symmetry group `F` the model holds the blocks on the
@@ -661,8 +645,8 @@ class DiscreteComplex:
         solved, each counted twice unless it is its own mirror. Each
         degree's symbol is built once per complex."""
         N, d = self.base.resolution, self.base.dim
-        modes = np.indices((N,) * d).reshape(d, -1).T
-        mirror = np.ravel_multi_index(tuple((-modes % N).T), (N,) * d)
+        modes = np.indices((N,) * d).reshape(d, self.base.npoints).T
+        mirror = (-modes % N) @ N ** np.arange(d - 1, -1, -1)
         keep = np.arange(len(modes)) <= mirror
         paired = mirror[keep] != np.flatnonzero(keep)
         phase = np.exp(1j * (2 * np.pi * modes[keep] / N))

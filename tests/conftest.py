@@ -2,8 +2,9 @@
 rotated basis, heisenberg:3 in a basis not adapted to its lower central
 series, the exact flatness check of an affine model, a metric equivariant
 for every flat bundle, randomly generated bigraded complexes whose
-differential squares to zero exactly, a spy that logs calls, and the
-test of an exact number's canonical type."""
+differential squares to zero exactly, a spy that logs calls, the test of
+an exact number's canonical type, and the spectra of a `nil_rescale` sweep
+on its point-base route."""
 
 import itertools
 from fractions import Fraction
@@ -12,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from nilcollapse import lie, spectral
+from nilcollapse import lab, lie, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import RationalMatrix, solve_exact
 from nilcollapse.spectral import BigradedComplex
@@ -205,3 +206,14 @@ def spy(monkeypatch, owner, name, events, tag):
     real = getattr(owner, name)
     monkeypatch.setattr(owner, name, lambda *a, **kw: events.append(tag)
                         or real(*a, **kw))
+
+
+def rescaled_spectra(algebra, p: int, sweep, count: int = 64):
+    """The degree-p spectrum of `nil_rescale` at each sweep value, on the
+    scenario's own route: the (superconnection, metric) points over a point
+    base that `lab.prepare` builds, each solved by `superconnection.spectrum`.
+    `algebra` is anything `lie.load_algebra` reads."""
+    step = lab.prepare({"kind": "nil_rescale", "model": {"algebra": algebra},
+                        "sweep_values": list(sweep), "degrees": [p],
+                        "count": count})
+    return [sconn.spectrum(sc, h, p, count=count) for sc, h in step.points]

@@ -5,16 +5,20 @@ invariant-form Laplacian of an algebra in floats, the rank of a complex's
 total differential on a window of filtration indices, page r of a
 spectral sequence built from r-tuple spaces, at the spots of the complex
 or over the whole (a_max + 1) x (b_max + r) rectangle of spots, empty ones
-included, and each point of a bundle sweep built as a superconnection and
-metric of its own."""
+included, each point of a bundle sweep built as a superconnection and
+metric of its own, and the number-operator rescaling of an algebra solved
+in floats without a base."""
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
 from nilcollapse import lie, spectral, superconnection as sconn
-from nilcollapse.numerics import (InputError, RationalMatrix, nullspace_exact,
+from nilcollapse.numerics import (InputError, RationalMatrix,
+                                  lowest_eigenvalues, nullspace_exact,
                                   rank_exact)
+from nilcollapse.report import SpectrumReport
 
 
 def from_numpy(A) -> RationalMatrix:
@@ -201,3 +205,34 @@ def adiabatic_point(base, delta):
     sc = sconn.Superconnection(unit.bundle, base, a0=unit.a0,
                                a2=[unit.a2[0].scale(Fraction(delta))])
     return sc, sconn.MetricField.identity(sc.bundle, base)
+
+
+def rescaled_spectrum(grading, p: int, eps: float) -> SpectrumReport:
+    """Spectrum on Lambda^p of W^T W + W W^T, W = eps^{-N/2} d eps^{N/2} in
+    orthonormal forms, N the 3^k number operator extended multiplicatively
+    to the exterior algebra: the float formula that `nil_rescale` solved
+    with before it took a point base. d is the exact differential of the
+    adapted algebra in floats; its entry from form J to form I takes the
+    factor sqrt(g_J / g_I) eps^{(w_J - w_I)/2}, g a form's Gram product and
+    w its weight."""
+    alg = grading.algebra
+    if p > alg.n:  # there are no p-forms
+        return SpectrumReport.from_eigenvalues(p, np.zeros(0))
+
+    def scaled(q):
+        src, dst = lie.multi_indices(alg.n, q), lie.multi_indices(alg.n, q + 1)
+        src_w = np.array([grading.form_weight(I) for I in src])
+        dst_w = np.array([grading.form_weight(I) for I in dst])
+        src_g, dst_g = (np.array([float(prod(grading.gram[i] for i in I))
+                                  for I in forms]) for forms in (src, dst))
+        scale = np.power(eps, 0.5 * (src_w[None, :] - dst_w[:, None]))
+        return (lie.ce_differential(alg, q).to_numpy() * scale
+                * np.sqrt(src_g[None, :] / dst_g[:, None]))
+
+    w = scaled(p)
+    lap = w.T @ w
+    if p > 0:
+        v = scaled(p - 1)
+        lap = lap + v @ v.T
+    return SpectrumReport.from_eigenvalues(
+        p, lowest_eigenvalues(lap, lap.shape[0]))

@@ -16,7 +16,8 @@ from nilcollapse import lab, lie, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import RationalMatrix
 from tests.conftest import (check_model_flatness, conjugated,
-                            random_flat_complex, random_orthogonal)
+                            random_flat_complex, random_orthogonal,
+                            rescaled_spectra)
 from tests.oracles import invariant_laplacian, leray_circle
 
 UNIP = RationalMatrix([[1, 1], [0, 1]])
@@ -71,11 +72,10 @@ def test_harmonic_form_counts_heisenberg3():
 
 def test_rescaled_family_collapse_count():
     alg = lie.heisenberg(3)
-    grading = lie.lower_central_grading(alg)
     [pred] = spectral.predict_small_counts(alg, "point", [1])
     assert pred.count == 3
-    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        rep = lie.rescaled_spectrum(grading, 1, eps)
+    sweep = (1e-1, 1e-2, 1e-3, 1e-4)
+    for eps, rep in zip(sweep, rescaled_spectra(alg, 1, sweep)):
         assert np.abs(rep.eigenvalues - np.array([0.0, 0.0, eps])).max() <= 1e-12
         near_zero = int(np.sum(rep.eigenvalues <= 10 * eps))
         assert near_zero == pred.count

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nilcollapse import lab, lie, spectral
+from nilcollapse import lab, lie, spectral, superconnection as sconn
 from nilcollapse.cli import main
 from nilcollapse.numerics import RationalMatrix
 from tests.conftest import HEIS3_SKEW, filiform_torus_complex
@@ -241,17 +241,38 @@ def test_run_check_failure_exits_three(runner, tmp_path):
                       ["100000000000000000000", "1"]]]],
       "metric": "equivariant"},
      "monodromy is singular in floats; supply a metric explicitly"),
+    ({"base": {"kind": "point", "resolution": 8}, "ranks": [1, 1],
+      "a0_blocks": [[["2"]]], "a2_blocks": [[[1]]]},
+     "a2 needs a 2-dimensional base"),
+    ({"base": {"kind": "point", "resolution": 8}, "ranks": [1],
+      "monodromy": [[[[1]]]]},
+     "a point base needs 0 monodromy generators, the bundle has 1"),
 ], ids=["inexact-interior", "resolution", "circumferences", "not-flat",
         "not-squaring-to-zero", "a2-not-parallel", "non-commuting-holonomies",
         "a0-a2-anticommutator", "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list",
         "fractional-rank", "bool-rank", "nan-circumference",
-        "singular-monodromy", "monodromy-singular-in-floats"])
+        "singular-monodromy", "monodromy-singular-in-floats",
+        "a2-over-a-point", "monodromy-over-a-point"])
 def test_validate_rejects_bad_bundle_entries(runner, tmp_path, payload, reason):
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(payload))
     res = runner.invoke(main, ["validate", str(path)])
     assert res.exit_code == 1
     assert "error:" in res.output and reason in res.output
+
+
+def test_explicit_bundle_over_a_point(runner, tmp_path):
+    # a point is the 0-torus: one fiber vector per degree, no monodromy,
+    # and the Laplacian a0^T a0 + a0 a0^T, here |a0|^2 = 4 in both degrees
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"base": {"kind": "point", "resolution": 8},
+                                "ranks": [1, 1], "a0_blocks": [[["2"]]]}))
+    res = runner.invoke(main, ["validate", str(path)])
+    assert res.exit_code == 0 and "bundle: ok" in res.output, res.output
+    for p in ("0", "1"):
+        res = runner.invoke(main, ["spectrum", str(path), "--p", p])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["eigenvalues"] == [pytest.approx(4.0)]
 
 
 # entries near 20 with denominators: the float products of exactly flat
@@ -545,6 +566,11 @@ BAD_MODELS = [
                    f"of the float range at sweep value 0.1",
                    id=f"metric-{way}")
       for w, way in (([200, 0], "overflow"), ([0, -200], "underflow"))],
+    # filiform:7's top form has weight 365: 0.1^-365 overflows a float
+    pytest.param("nil_rescale", {"algebra": "filiform:7"},
+                 "the form weights of filiform:7, up to 365, take the fiber "
+                 "metric eps^(-w_I) out of the float range at sweep value "
+                 "0.1", id="nil-rescale-metric-overflow"),
     pytest.param("monodromy_degeneration",
                  dict(MONO, monodromy=[[1, 1], [1, 1]]),
                  "holonomy is not invertible", id="singular-holonomy"),
@@ -772,7 +798,7 @@ def test_names_that_are_not_file_stems_exit_one(runner, tmp_path, monkeypatch,
     # `run --out` writes <name>.<ext>: a name that is not a file stem is
     # refused before any solve
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(lie, "rescaled_spectrum", None)
+    monkeypatch.setattr(sconn, "spectra", None)
     path = scenario_file(tmp_path, "nil_rescale", MODELS["nil_rescale"],
                          **fields)
     res = runner.invoke(main, command + [path])

@@ -16,7 +16,8 @@ from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix
 from nilcollapse.report import ZERO_TOL
 from tests import oracles
-from tests.conftest import HEIS3_SKEW, filiform_torus_complex, spy
+from tests.conftest import (HEIS3_SKEW, filiform_torus_complex,
+                            rescaled_spectra, spy)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,41 @@ def test_nil_rescale_scenario():
                                rtol=1e-12, atol=0.0)
 
 
+# [e1, e2] = 2 e3, [e1, e3] = 3 e4, [e2, e3] = e4: a three-step algebra
+# whose brackets are not all 1
+STEP3 = {"dim": 4, "name": "step3", "brackets": [
+    {"i": 1, "j": 2, "k": 3, "c": 2}, {"i": 1, "j": 3, "k": 4, "c": 3},
+    {"i": 2, "j": 3, "k": 4, "c": 1}]}
+
+
+@pytest.mark.parametrize("algebra", [
+    "heisenberg:3", "filiform:4", "filiform:5", STEP3, HEIS3_SKEW],
+    ids=["heisenberg:3", "filiform:4", "filiform:5", "step3",
+         "heisenberg:3-skew"])
+def test_nil_rescale_matches_the_float_formula(algebra):
+    # the point-base route against the number-operator formula it replaced,
+    # in every degree: each eigenvalue to 1e-9 relative, or to 1e-14 of the
+    # largest for one at rounding level
+    grading = lie.lower_central_grading(lie.load_algebra(algebra))
+    sweep = (1.0, 1e-1, 1e-2, 1e-3)
+    for p in range(grading.algebra.n + 1):
+        for eps, got in zip(sweep, rescaled_spectra(algebra, p, sweep)):
+            want = oracles.rescaled_spectrum(grading, p, eps).eigenvalues
+            assert got.eigenvalues.shape == want.shape
+            bound = 1e-9 * want + 1e-14 * want.max(initial=0.0)
+            assert np.all(np.abs(got.eigenvalues - want) <= bound), (p, eps)
+
+
+def test_nil_rescale_reports_count_eigenvalues():
+    # heisenberg:5 has 10 two-forms: like every kind, the scenario reports
+    # the lowest `count` of them at each sweep point
+    rep = lab.run({"kind": "nil_rescale", "model": {"algebra": "heisenberg:5"},
+                   "sweep_values": [0.1, 0.01], "degrees": [1, 2],
+                   "count": 4})
+    assert [[len(s.eigenvalues) for s in d.spectra] for d in rep.degrees] \
+        == [[4, 4], [4, 4]]
+
+
 def test_monodromy_degeneration_sol_scenario():
     rep = lab.run("example9_sol_circle")
     d = rep.degrees[0]
@@ -141,10 +177,10 @@ def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
                         lambda *a, **kw: models.append(1) or real(*a, **kw))
     monkeypatch.setattr(sconn.Superconnection, "__init__",
                         lambda *a, **kw: supers.append(1) or init(*a, **kw))
-    # a sweep point changes only the constant fiber metric, so each bundle
-    # scenario builds its one flat superconnection once
-    for name in [n for n, cfg in lab.PRESETS.items()
-                 if cfg["kind"] != "nil_rescale"]:
+    # a sweep point changes only the constant fiber metric, so each
+    # scenario builds its one flat superconnection once, over a point for
+    # nil_rescale
+    for name in lab.PRESETS:
         models.clear()
         supers.clear()
         cfg = dict(lab.PRESETS[name], degrees=(0, 1, 2))
@@ -155,10 +191,10 @@ def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
 
 
 def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
-    # the exact differentials do not depend on eps: heisenberg:3 in degree 1
-    # needs d on the 0-, 1- and 2-forms for the prediction and d on the 0-
-    # and 1-forms of the adapted algebra for the solve, each built once for
-    # the 4 sweep points
+    # the exact differentials do not depend on eps: heisenberg:3 needs d on
+    # the 0-, 1- and 2-forms for the prediction and d on the 0-, 1- and
+    # 2-forms of the adapted algebra for its one superconnection over a
+    # point, each built once for the 4 sweep points
     calls = []
     real = lie.ce_differential
     plain = json.dumps(lab.run("example1_heisenberg_point").to_dict(),
@@ -168,7 +204,7 @@ def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
     rep = lab.run("example1_heisenberg_point")
     assert json.dumps(rep.to_dict(), sort_keys=True) == plain
     assert len(rep.degrees[0].spectra) == 4
-    assert sorted(calls) == [0, 0, 1, 1, 2]
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2]
 
 
 def test_sweep_builds_each_bloch_symbol_once(monkeypatch):
@@ -377,7 +413,6 @@ def test_prepare_builds_everything_and_solves_nothing(monkeypatch):
     # step that prepare returns
     monkeypatch.setattr(sconn, "spectrum", forbidden)
     monkeypatch.setattr(sconn, "spectra", forbidden)
-    monkeypatch.setattr(lie, "rescaled_spectrum", forbidden)
     for name in lab.PRESETS:
         step = lab.prepare(name)
         assert len(step.points) == len(step.config.sweep_values)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lie, spectral
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
 from tests.conftest import (HEIS3_SKEW, canonical, conjugated,
-                            random_orthogonal)
+                            random_orthogonal, rescaled_spectra)
 from tests.oracles import invariant_laplacian
 
 
@@ -369,23 +369,19 @@ def test_rescaled_differential_squares_to_zero():
 
 
 def test_rescaled_spectrum_heisenberg3_exact():
-    g = lie.lower_central_grading(HEIS3)
-    skew = lie.lower_central_grading(lie.load_algebra(HEIS3_SKEW))
-    for eps in (1e-1, 1e-2, 1e-3):
-        rep = lie.rescaled_spectrum(g, 1, eps)
+    sweep = (1e-1, 1e-2, 1e-3)
+    for eps, rep in zip(sweep, rescaled_spectra(HEIS3, 1, sweep)):
         assert np.allclose(rep.eigenvalues, [0.0, 0.0, eps], atol=1e-15)
-        # [f1, f2] has length 2 in the orthonormal adapted basis
-        for p in (1, 2):
-            rep = lie.rescaled_spectrum(skew, p, eps)
+    # [f1, f2] has length 2 in the orthonormal adapted basis
+    for p in (1, 2):
+        for eps, rep in zip(sweep, rescaled_spectra(HEIS3_SKEW, p, sweep)):
             assert np.allclose(rep.eigenvalues, [0.0, 0.0, 4 * eps],
                                rtol=1e-12, atol=0.0)
 
 
 def test_rescaled_spectrum_limits_to_betti_kernel():
     # as eps -> 0 the kernel dimension grows to the full small count
-    g = lie.lower_central_grading(lie.filiform(4))
-    rep1 = lie.rescaled_spectrum(g, 1, 1.0)
-    rep2 = lie.rescaled_spectrum(g, 1, 1e-6)
+    rep1, rep2 = rescaled_spectra(lie.filiform(4), 1, (1.0, 1e-6))
     zeros = int(np.sum(rep1.eigenvalues < 1e-12))
     near = int(np.sum(rep2.eigenvalues < 1e-3))
     assert zeros == lie.betti_numbers(lie.filiform(4))[1]

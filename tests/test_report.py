@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from nilcollapse import lie, superconnection as sconn
 from nilcollapse.numerics import InputError
 from nilcollapse.report import ZERO_TOL, SpectrumReport, closeness_epsilon
+from tests.conftest import rescaled_spectra
 
 
 def test_spectrum_report_sorts_and_splits():
@@ -39,15 +40,15 @@ def _spectrum_routes():
     sc = sconn.from_affine_bundle(lie.abelian(1), sconn.BaseModel("circle", 8))
     h = sconn.MetricField.identity(sc.bundle, sc.base)
     bare = sconn.MetricField(sc.bundle, sc.base, h.sample)  # always assembled
-    heis3 = lie.heisenberg(3)
-    grading = lie.lower_central_grading(heis3)
     return {
         "assembled": (sconn, "lowest_eigenvalues",
                       lambda: sconn.spectrum(sc, bare, 1, count=4)),
         "bloch": (sconn.DiscreteComplex, "bloch_eigenvalues",
                   lambda: sconn.spectrum(sc, h, 1, count=4)),
-        "nil_rescale": (lie, "lowest_eigenvalues",
-                        lambda: lie.rescaled_spectrum(grading, 1, 0.1)),
+        # the point base of nil_rescale solves its one Fourier block
+        "nil_rescale": (sconn.DiscreteComplex, "bloch_eigenvalues",
+                        lambda: rescaled_spectra("heisenberg:3", 1,
+                                                 (0.1, 0.05))[0]),
     }
 
 

@@ -83,11 +83,38 @@ MERGED = {
     "window_rank", "_window_ranks",
     # only tests called these: oracles.from_numpy and oracles.from_algebra
     "from_numpy", "from_algebra",
+    # a point is the 0-torus: nil_rescale solves its sweep through
+    # superconnection.spectra like every bundle kind (the float formula is
+    # oracles.rescaled_spectrum), and numerics.read_blocks reads every
+    # exact block of a bundle or a model complex
+    "rescaled_spectrum", "_differentials", "_solve_bundle", "_ratmat",
+    "_read_blocks",
 }
 
 
 def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+BASE_KINDS = {"point", "circle", "torus2"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_base_kinds_read_only_from_one_table(path):
+    # a base is the k-torus of spectral.base_generators(kind): no module
+    # compares a kind's name with ==, != or in, so the generator count and
+    # everything that depends on it come from the one table
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.Compare) or not any(
+                isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                for op in node.ops):
+            continue
+        names = {c.value for side in [node.left, *node.comparators]
+                 for c in ast.walk(side) if isinstance(c, ast.Constant)}
+        if names & BASE_KINDS:
+            bad.append(f"line {node.lineno}: {sorted(names & BASE_KINDS)}")
+    assert not bad, f"{path.name} compares base-kind names: {bad}"
 
 
 def test_source_modules_found():
@@ -267,8 +294,8 @@ def test_float_eigensolves_only_in_their_owners():
     }
 
 
-# the exact division helper, and the float functions of the exact modules
-DIVIDERS = {("numerics.py", "ratio"), ("lie.py", "rescaled_spectrum")}
+# the exact division helper: no float function is left in the exact modules
+DIVIDERS = {("numerics.py", "ratio")}
 
 
 @pytest.mark.parametrize("name", ["numerics.py", "spectral.py", "lie.py"])

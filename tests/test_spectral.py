@@ -4,6 +4,7 @@ closed-form circle answer (invariants plus coinvariants), page-by-page
 recursion on randomly generated flat complexes, and pages built from r-tuple
 spaces (`tests.oracles.tuple_page`)."""
 
+import hashlib
 import json
 import random
 import sys
@@ -106,6 +107,54 @@ def test_complex_reads_spots_and_dimensions_as_integers():
                  [[-1, 0, 1]]):
         with pytest.raises(InputError):
             spectral.BigradedComplex.from_dict({"dims": dims})
+
+
+ONE = [[1]]
+
+
+@pytest.mark.parametrize("ranks, a0, monodromies, kind, reason", [
+    ([1, 1], [[[0]]], [[ONE]], "circle",
+     "need 2 monodromy[0] blocks, got 1"),
+    ([1, 1], [], [[ONE, ONE]], "circle", "need 1 a0 blocks, got 0"),
+    ([1, 1, 1], [ONE, ONE, ONE], [], "point", "need 2 a0 blocks, got 3"),
+    ([1, 1], [ONE], [[ONE, ONE], [ONE, ONE, ONE]], "torus2",
+     "need 2 monodromy[1] blocks, got 3"),
+    ([1, 1], [ONE], [[ONE, ONE]], "point",
+     "a point base needs 0 monodromy generators, got 1"),
+    ([1, 1], [ONE], [[ONE, ONE]], "torus2",
+     "a torus2 base needs 2 monodromy generators, got 1"),
+    ([1, 2], [[[1, 0]]], [[ONE, [[1, 0], [0, 1]]]], "circle",
+     "a0[0] has wrong shape (1, 2), expected (2, 1)"),
+], ids=["short-monodromy", "no-a0", "third-a0", "third-monodromy",
+        "point-with-generator", "torus2-with-one-generator", "a0-shape"])
+def test_flat_bundle_complex_names_the_bad_block(ranks, a0, monodromies,
+                                                 kind, reason):
+    # every block is read by numerics.read_blocks; a missing or extra block
+    # used to raise a bare IndexError, and a point dropped its generator
+    with pytest.raises(InputError) as exc:
+        spectral.flat_bundle_complex(ranks, a0, monodromies, kind)
+    assert str(exc.value) == reason
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()
+                          ).hexdigest()
+
+
+def test_koszul_complexes_are_the_ones_of_the_kind_branches():
+    # to_dict digests of three complexes as the point, circle and torus2
+    # branches built them, before the one Koszul loop replaced them
+    torus = workloads._filiform_payload(random.Random(0), 0, 5)
+    t2 = spectral.AffineModel(lie.abelian(2), [UNIP])
+    circle = spectral.flat_bundle_complex(
+        t2.ranks, t2.a0, list(zip(*map(t2.actions, range(3)))), "circle")
+    h3 = spectral.AffineModel(lie.heisenberg(3), [])
+    point = spectral.flat_bundle_complex(h3.ranks, h3.a0, [], "point")
+    assert [_sha256(torus), _sha256(circle.to_dict()),
+            _sha256(point.to_dict())] == [
+        "df6d7d6948f185c99635b9368172e8df76bbab8b120684ee789a023121fbf30e",
+        "a5e505a41146b79bd8b2543ca1be19ade330a06fbd92fa701b00792706b13efd",
+        "39be36d6b994f3ec16e55fd1651827e9c584c7c4d6b67d3e85aaaef8c7d26392"]
 
 
 def test_total_complex_bookkeeping():

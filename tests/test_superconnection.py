@@ -53,6 +53,41 @@ def test_base_model_validation():
     assert b.cell_volume == pytest.approx(6.0 / 256)
 
 
+def test_point_base_is_the_zero_torus():
+    # one grid point, no coordinate and no circumference; the kinds and
+    # their generator counts come from spectral.base_generators alone
+    b = sconn.BaseModel("point", 8)
+    assert (b.dim, b.npoints, b.circumferences) == (0, 1, ())
+    assert b.points().shape == b.points(stagger=()).shape == (1, 0)
+    assert b.cell_volume == 1.0
+    assert [spectral.base_generators(k) for k in ("point", "circle",
+                                                  "torus2")] == [0, 1, 2]
+    with pytest.raises(InputError, match="unsupported base kind 'torus3'"):
+        spectral.base_generators("torus3")
+    with pytest.raises(InputError, match="bad circumference list"):
+        sconn.BaseModel("point", 8, (1.0,))
+
+
+def test_point_base_solves_the_fiber_complex():
+    # over a point the Laplacian is the fiber's a0^T a0 + a0 a0^T: one
+    # Bloch block, and the same eigenvalues assembled
+    bundle = sconn.GradedBundle([1, 2], generators=0)
+    base = sconn.BaseModel("point", 8)
+    sc = sconn.Superconnection(bundle, base, a0=[[[3], [4]]])
+    h = sconn.MetricField.identity(bundle, base)
+    bare = sconn.MetricField(bundle, base, h.sample)  # always assembled
+    for p, want in ((0, [25.0]), (1, [0.0, 25.0]), (2, [])):
+        for metric in (h, bare):
+            assert np.allclose(sconn.spectrum(sc, metric, p).eigenvalues,
+                               want, rtol=1e-14, atol=1e-14)
+    with pytest.raises(InputError, match="a point base needs 0 monodromy "
+                                         "generators, the bundle has 1"):
+        sconn.Superconnection(sconn.GradedBundle([1]), base)
+    with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
+        sconn.Superconnection(sconn.GradedBundle([1, 1], generators=0), base,
+                              a2=[[[1]]])
+
+
 def test_base_model_points_stagger():
     b = circle(8)
     pts = b.points()
