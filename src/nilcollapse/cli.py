@@ -145,7 +145,8 @@ def run_cmd(scenario, out, formats, check):
     }
     click.echo(json.dumps(summary, indent=1, sort_keys=True))
     if check and not report.passed():
-        _fail(3, "scenario acceptance check failed")
+        _fail(3, "; ".join(["scenario acceptance check failed",
+                            *report.failures()]))
 
 
 if __name__ == "__main__":

@@ -202,9 +202,20 @@ class ScenarioReport:
             "pages": self.pages,
         }
 
+    def failures(self) -> list[str]:
+        """One line per degree whose prediction or kernel check failed,
+        with its predicted and observed counts, and its zero counts when
+        they change along the sweep."""
+        return [f"degree {d.degree}: predicted {d.predicted_small_count} "
+                f"small eigenvalues, observed {d.observed_small_count}"
+                + ("" if d.kernel_stable is not False else
+                   f", zero counts {', '.join(map(str, d.zero_counts))} "
+                   "change along the sweep")
+                for d in self.degrees
+                if d.prediction_matches is False or d.kernel_stable is False]
+
     def passed(self) -> bool:
-        return not any(d.prediction_matches is False or d.kernel_stable is False
-                       for d in self.degrees)
+        return not self.failures()
 
 
 def _fit_slopes(vals, lam, decays) -> list[SlopeFit]:
@@ -253,58 +264,57 @@ def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
 
 @dataclass(frozen=True)
 class Sweep:
-    """The solve step of a sweep scenario: `points[i]` is the
-    (superconnection, metric) that sweep value i solves in each degree by
-    `superconnection.spectra`. Every point shares the one flat
-    superconnection, and its metric differs only in the constant fiber
-    block."""
+    """The solve step of a sweep scenario: one flat superconnection `sc`,
+    one metric `h`, and `weights[i]`, the log fiber root per degree that
+    sweep value i solves with (`superconnection.spectrum`). Every point and
+    degree solves on one `DiscreteComplex`, which builds each degree's
+    symbol once; building the sweep checks, for every point and degree,
+    that the scaled Laplacian is finite (InputError naming both)."""
 
     config: ScenarioConfig
     predictions: list     # SmallCountPrediction per requested degree
-    points: list
+    sc: sconn.Superconnection
+    h: sconn.MetricField
+    weights: list
+    dc: sconn.DiscreteComplex = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dc = sconn.DiscreteComplex(self.sc, self.h)
+        for s, lam in zip(self.config.sweep_values, self.weights):
+            for p in self.config.degrees:
+                try:
+                    dc.check_weights(p, lam)
+                except InputError as exc:
+                    raise InputError(f"at sweep value {s}: {exc}") from None
+        object.__setattr__(self, "dc", dc)
 
     def __call__(self) -> ScenarioReport:
         cfg = self.config
-        per_point = [sconn.spectra(sc, h, cfg.degrees, count=cfg.count)
-                     for sc, h in self.points]
         return ScenarioReport(cfg, tuple(
-            _degree_report(p, cfg.sweep_values, s, pred, cfg.count)
-            for p, s, pred in zip(cfg.degrees, zip(*per_point),
-                                  self.predictions)))
-
-
-def _float_range(span: float, power: float, values, what: str) -> None:
-    """InputError unless s^(power w) stays a positive finite float for every
-    sweep value s and |w| <= span; `what` names the metric and its
-    weights."""
-    for s in values:
-        if s != 1 and span >= np.log(np.finfo(float).max) / abs(
-                power * np.log(s)):
-            raise InputError(f"{what} out of the float range at sweep "
-                             f"value {s}")
+            _degree_report(p, cfg.sweep_values, [
+                sconn.spectrum(self.sc, self.h, p, cfg.count, dc=self.dc,
+                               weights=lam) for lam in self.weights],
+                pred, cfg.count)
+            for p, pred in zip(cfg.degrees, self.predictions)))
 
 
 def _nil_rescale(cfg: ScenarioConfig, model: dict) -> Sweep:
     algebra = model["algebra"]
     grading = lie.lower_central_grading(algebra)
     # the form f^I of the adapted basis has weight w_I and squared length
-    # 1 / g_I, g_I the product of the Gram over I: the metric eps^(-w_I) /
-    # g_I gauges d to eps^(-N/2) d eps^(N/2) in orthonormal forms
+    # 1 / g_I, g_I the product of the Gram over I: the fiber metric
+    # eps^(-w_I) / g_I, whose log root is the weight below, gauges d to
+    # eps^(-N/2) d eps^(N/2) in orthonormal forms
     forms = [lie.multi_indices(algebra.n, b) for b in range(algebra.n + 1)]
     w = [np.array([grading.form_weight(I) for I in f], dtype=float)
          for f in forms]
     g = [np.array([float(prod(grading.gram[i] for i in I)) for I in f])
          for f in forms]
-    # the top form, of the largest weight, bounds every exponent
-    _float_range(w[-1][0], 1, cfg.sweep_values, f"the form weights of "
-                 f"{algebra.name or 'the algebra'}, up to {w[-1][0]:g}, take "
-                 f"the fiber metric eps^(-w_I)")
     preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
     base = sconn.BaseModel("point", cfg.resolution)
     sc = sconn.from_affine_bundle(grading.algebra, base)
-    h = sconn.MetricField.identity(sc.bundle, base)
-    return Sweep(cfg, preds, [
-        (sc, h.with_fiber([np.diag(eps ** -wb / gb) for wb, gb in zip(w, g)]))
+    return Sweep(cfg, preds, sc, sconn.MetricField.identity(sc.bundle, base), [
+        [(-wb * np.log(eps) - np.log(gb)) / 2 for wb, gb in zip(w, g)]
         for eps in cfg.sweep_values])
 
 
@@ -314,12 +324,10 @@ def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
     sc = sconn.from_affine_bundle(fiber, base, T=[1])
     # identity holonomies: the identity metric is equivariant, and the fiber
     # metric delta^-2b on b-forms gauges a2 to delta * a2
-    h = sconn.MetricField.identity(sc.bundle, base)
     preds = spectral.predict_small_counts(
         fiber, "torus2", cfg.degrees, monodromy_action=[one, one], T=[1])
-    return Sweep(cfg, preds, [
-        (sc, h.with_fiber([np.eye(r) * delta ** (-2 * b)
-                           for b, r in enumerate(sc.bundle.ranks)]))
+    return Sweep(cfg, preds, sc, sconn.MetricField.identity(sc.bundle, base), [
+        [np.full(r, -b * np.log(delta)) for b, r in enumerate(sc.bundle.ranks)]
         for delta in cfg.sweep_values])
 
 
@@ -338,11 +346,6 @@ def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
                 f"gauge_weights must grade the algebra: the bracket "
                 f"[e{i}, e{j}] has an e{k} term, but w[{k}] = {w[k]} is not "
                 f"w[{i}] + w[{j}] = {w[i] + w[j]}")
-    # the fiber metric t^(-2 w_I) below must neither overflow nor underflow
-    # to 0: |w_I| is at most the larger of the summed positive and negative w
-    _float_range(max(sum(x for x in w if x > 0), -sum(x for x in w if x < 0)),
-                 2, cfg.sweep_values,
-                 f"gauge_weights {w} take the fiber metric t^(-2 w_I)")
     base = sconn.BaseModel("circle", cfg.resolution, model["circumferences"])
     try:  # with a0 the fiber differential, only parallel_a0 can fail
         sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[phi])
@@ -353,13 +356,12 @@ def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
                                           monodromy_action=[phi])
     # the holonomy D(t) phi D(t)^-1 is D(t)'s gauge change of phi, which
     # moves diag(t^-2w_I) on b-forms into the metric, w_I = sum of w over I
-    h = sconn.MetricField.equivariant(sc.bundle, base)
     w_forms = [np.array([float(sum(w[i] for i in I))
                          for I in lie.multi_indices(algebra.n, b)])
                for b in range(algebra.n + 1)]
-    return Sweep(cfg, preds, [
-        (sc, h.with_fiber([np.diag(t ** (-2 * wb)) for wb in w_forms]))
-        for t in cfg.sweep_values])
+    h = sconn.MetricField.equivariant(sc.bundle, base)
+    return Sweep(cfg, preds, sc, h, [[-wb * np.log(t) for wb in w_forms]
+                                     for t in cfg.sweep_values])
 
 
 def _spectral_sequence_report(cfg: ScenarioConfig, model: dict):
@@ -410,8 +412,9 @@ def _read_model(cfg: ScenarioConfig) -> dict:
 def prepare(config: ScenarioConfig | str | dict):
     """Build and check everything exact of a scenario: the model that
     `_read_model` reads, the predictions, a bundle kind's one flat
-    superconnection, and each sweep point's metric, which takes that bundle
-    and base and is checked for equivariance once, when it is built. Bad
+    superconnection and one metric, which takes that bundle and base and is
+    checked for equivariance once, when it is built, and the weights of
+    every sweep point, checked to keep each scaled Laplacian finite. Bad
     input raises InputError here, never later. Returns the step that only
     solves (for a spectral_sequence_report, builds the pages) and returns
     the report."""

@@ -187,13 +187,14 @@ class MetricField:
 
     Only `identity` (over a bundle whose monodromies are all the identity)
     and `equivariant` record `logs[gen][b]`, real logarithms X of the
-    monodromies with h(x) = G(x)^T G(x), G(x) = exp(-sum_g x_g X_g / L_g);
-    `with_fiber` keeps them, with `fiber_roots[b]` = fiber[b]^{+-1/2} (else
-    identities). `spectrum` uses them to gauge the bundle to constant
-    coefficients; a bare callable records none and is only ever assembled.
+    monodromies with h(x) = G(x)^T G(x), G(x) = exp(-sum_g x_g X_g / L_g).
+    `spectrum` uses them to gauge the bundle to constant coefficients, and
+    its `weights` scale that gauge by a constant diagonal fiber root, for
+    the metric G(x)^T diag(e^{2 lambda_b}) G(x), equivariant for every
+    weight; a bare callable records none and is only ever assembled.
     """
 
-    logs = fiber_roots = None
+    logs = None
     # unit check points, sampled with their translates by one period
     _check_points = np.random.default_rng(0).uniform(size=8)
 
@@ -212,7 +213,6 @@ class MetricField:
                for gen in bundle.monodromies for m in gen):
             h.logs = [[np.zeros((r, r)) for r in bundle.ranks]
                       for _ in bundle.monodromies]
-            h.fiber_roots = [(np.eye(r),) * 2 for r in bundle.ranks]
         return h
 
     @classmethod
@@ -237,49 +237,17 @@ class MetricField:
                for per_degree in logs for X in per_degree):
             raise InputError(
                 "monodromy has no real logarithm; supply a metric explicitly")
-        return cls._gauged(bundle, base, [[np.real(X) for X in per_degree]
-                                          for per_degree in logs],
-                           [(np.eye(r),) * 2 for r in bundle.ranks])
+        logs = [[np.real(X) for X in per_degree] for per_degree in logs]
 
-    @classmethod
-    def _gauged(cls, bundle, base, logs, fiber_roots) -> "MetricField":
-        """h(x) = (S G(x))^T S G(x) for S = fiber_roots[b][0]."""
         def func(b, pts):
             r = bundle.rank(b)
-            M = fiber_roots[b][0] @ scipy.linalg.expm(sum(
+            G = scipy.linalg.expm(sum(
                 ((-pts[:, g, None, None] / base.circumferences[g]) * logs[g][b]
                  for g in range(base.dim)), np.zeros((len(pts), r, r))))
-            return M.transpose(0, 2, 1) @ M
+            return G.transpose(0, 2, 1) @ G
         h = cls(bundle, base, func)
-        h.logs, h.fiber_roots = logs, fiber_roots
+        h.logs = logs
         return h
-
-    def with_fiber(self, fiber) -> "MetricField":
-        """h(x) = G(x)^T fiber[b] G(x) with this metric's logarithms, for one
-        constant symmetric positive definite block per degree in the frame of
-        `bundle.monodromy`: equivariant for every such fiber. InputError for
-        a metric without logarithms, or a block of another shape or not SPD."""
-        if self.logs is None:
-            raise InputError("with_fiber needs a metric that records the "
-                             "holonomy logarithms (identity or equivariant)")
-        try:
-            blocks = [np.asarray(F, dtype=float) for F in fiber]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad fiber blocks: {exc}") from None
-        if [F.shape for F in blocks] != [(r, r) for r in self.bundle.ranks]:
-            raise InputError("need one fiber block per degree, of the "
-                             "degree's rank")
-        roots = []
-        for b, F in enumerate(blocks):
-            if not (np.isfinite(F).all() and np.array_equal(F, F.T)):
-                raise InputError(f"fiber[{b}] is not a finite symmetric block")
-            try:
-                S = _spd_power(F[None], 0.5)[0]
-                roots.append((S, np.linalg.inv(S)))
-            except InputError:
-                raise InputError(
-                    f"fiber[{b}] is not positive definite") from None
-        return self._gauged(self.bundle, self.base, self.logs, roots)
 
     def sample(self, b: int, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self._func(b, np.atleast_2d(pts)), dtype=float)
@@ -502,8 +470,16 @@ class DiscreteComplex:
             raise InputError("metric belongs to a different bundle")
         self.sc, self.h, self.base, self.bundle = sc, h, sc.base, sc.bundle
         self._weighted: dict[int, sp.csr_matrix] = {}
-        self._half_steps: dict[tuple, tuple] = {}
-        self._symbols: dict[int, np.ndarray] = {}
+        self._symbols: dict[int, tuple] = {}
+        self._ready = None
+        # real coefficients: the Bloch block at mode -m is the conjugate of
+        # the one at m, so only modes with index(m) <= index(-m mod N) solve
+        N, d = self.base.resolution, self.base.dim
+        modes = np.indices((N,) * d).reshape(d, self.base.npoints).T
+        mirror = (-modes % N) @ N ** np.arange(d - 1, -1, -1)
+        keep = np.arange(len(modes)) <= mirror
+        self._phase = np.exp(1j * (2 * np.pi * modes[keep] / N))
+        self._paired = mirror[keep] != np.flatnonzero(keep)
 
     # -- layout -------------------------------------------------------------
 
@@ -583,19 +559,18 @@ class DiscreteComplex:
     # -- Bloch reduction ----------------------------------------------------
 
     def bloch_ready(self) -> bool:
-        """Whether the gauge w = fiber^{1/2} G(x) v of the metric's recorded
-        holonomy logarithms makes every Laplacian translation invariant on
-        the grid: it does when a0 and a2 intertwine them, which flatness
-        implies for principal logarithms but not for others. Then each mass
-        block is vol * I in the gauge and the fiber maps stay constant."""
-        if self.h.logs is None:
-            return False
-        for X in self.h.logs:
-            for b in range(self.bundle.top):
-                if not (_intertwines(self.sc.a0_block(b), X[b + 1], X[b]) and
-                        _intertwines(self.sc.a2_block(b + 1), X[b], X[b + 1])):
-                    return False
-        return True
+        """Whether the gauge w = G(x) v of the metric's recorded holonomy
+        logarithms makes every Laplacian translation invariant on the grid:
+        it does when a0 and a2 intertwine them, which flatness implies for
+        principal logarithms but not for others. Then each mass block is
+        vol * I in the gauge and the fiber maps stay constant. Decided once
+        per complex."""
+        if self._ready is None:
+            self._ready = self.h.logs is not None and all(
+                _intertwines(self.sc.a0_block(b), X[b + 1], X[b]) and
+                _intertwines(self.sc.a2_block(b + 1), X[b], X[b + 1])
+                for X in self.h.logs for b in range(self.bundle.top))
+        return self._ready
 
     def _bloch_symbol(self, p: int, phase: np.ndarray) -> np.ndarray:
         """Fourier symbol of the gauged degree-p differential: one block per
@@ -605,7 +580,7 @@ class DiscreteComplex:
         src_off = np.cumsum([0] + [ranks[b] for _, b in src])
         dst_off = np.cumsum([0] + [ranks[b] for _, b in dst])
         out = np.zeros((len(phase), dst_off[-1], src_off[-1]), dtype=complex)
-        N, X, S = self.base.resolution, self.h.logs, self.h.fiber_roots
+        N, X = self.base.resolution, self.h.logs
         for i, j, gen, c in self.terms(p):
             dirs, b = src[j]
             blk = out[:, dst_off[i]:dst_off[i + 1], src_off[j]:src_off[j + 1]]
@@ -617,47 +592,71 @@ class DiscreteComplex:
                 if half:
                     c = c @ scipy.linalg.expm(
                         -sum(X[g][b] for g in half) / (2 * N))
-                blk += S[dst[i][1]][0] @ c @ S[b][1]
+                blk += c
             else:
                 # (Phi^{1/2N} e^{i theta} - Phi^{-1/2N}) / h
-                up, down = self._half_step(gen, b)
+                up = scipy.linalg.expm(X[gen][b] / (2 * N))
                 blk += (c / self.base.steps[gen]) * (
-                    phase[:, gen, None, None] * up - down)
+                    phase[:, gen, None, None] * up - np.linalg.inv(up))
         return out
 
-    def _half_step(self, gen: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Phi^{1/2N}, Phi^{-1/2N}) of generator gen on degree b in the
-        fiber gauge, S Phi^{+-1/2N} S^-1 for S = fiber^{1/2}, computed once
-        per complex."""
-        if (gen, b) not in self._half_steps:
-            up = scipy.linalg.expm(
-                self.h.logs[gen][b] / (2 * self.base.resolution))
-            S, S_inv = self.h.fiber_roots[b]
-            self._half_steps[(gen, b)] = (S @ up @ S_inv,
-                                          S @ np.linalg.inv(up) @ S_inv)
-        return self._half_steps[(gen, b)]
+    def _symbol(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """The degree-q symbol at the solved modes and the log of its
+        largest entry over them, -inf where it is zero: built once per
+        complex."""
+        if q not in self._symbols:
+            B = self._bloch_symbol(q, self._phase)
+            with np.errstate(divide="ignore"):  # log 0 = -inf
+                self._symbols[q] = B, np.log(abs(B).max(axis=0, initial=0))
+        return self._symbols[q]
 
-    def bloch_eigenvalues(self, p: int) -> np.ndarray:
+    def check_weights(self, p: int, weights) -> list[np.ndarray]:
+        """The log lambda_dst,i - lambda_src,j of the factor that scales
+        entry (i, j) of the degree-(p - 1) and degree-p symbols under
+        `weights`, one finite vector lambda_b per degree b; -inf where the
+        symbol is zero at every mode. InputError for other weights, off the
+        Bloch path, or when the degree-p Laplacian might overflow: its
+        eigenvalues are at most its dimension times the inner dimension
+        times the largest scaled entry squared."""
+        if not self.bloch_ready():
+            raise InputError("weights need a metric that records the "
+                             "holonomy logarithms (identity or equivariant)")
+        lam = [np.asarray(w, dtype=float) for w in weights]
+        if ([w.shape for w in lam] != [(r,) for r in self.bundle.ranks]
+                or not all(np.isfinite(w).all() for w in lam)):
+            raise InputError("weights must be one finite vector per degree, "
+                             "of the degree's rank")
+        at = [np.concatenate([lam[b] for _, b in self.components(q)]
+                             + [np.zeros(0)]) for q in (p - 1, p, p + 1)]
+        logs = [np.where(np.isfinite(self._symbol(q)[1]),
+                         at[k + 1][:, None] - at[k], -np.inf)
+                for k, q in enumerate((p - 1, p))]
+        peak = max(np.max(self._symbol(q)[1] + log, initial=-np.inf)
+                   for q, log in zip((p - 1, p), logs))
+        size = len(at[1]) * (len(at[0]) + len(at[2]))
+        if not 2 * peak + np.log(max(size, 1)) < np.log(np.finfo(float).max):
+            raise InputError(f"the weights take the degree-{p} Laplacian out "
+                             f"of the float range")
+        return logs
+
+    def bloch_eigenvalues(self, p: int, weights=None) -> np.ndarray:
         """Every eigenvalue of the degree-p Laplacian, ascending, from its
-        N^d Hermitian Fourier blocks D^H D + D' D'^H (needs bloch_ready).
-        The coefficients are real, so the block at mode -m is the conjugate
-        of the one at m: only modes with index(m) <= index(-m mod N) are
-        solved, each counted twice unless it is its own mirror. Each
-        degree's symbol is built once per complex."""
-        N, d = self.base.resolution, self.base.dim
-        modes = np.indices((N,) * d).reshape(d, self.base.npoints).T
-        mirror = (-modes % N) @ N ** np.arange(d - 1, -1, -1)
-        keep = np.arange(len(modes)) <= mirror
-        paired = mirror[keep] != np.flatnonzero(keep)
-        phase = np.exp(1j * (2 * np.pi * modes[keep] / N))
-        for q in (p - 1, p):
-            if q not in self._symbols:
-                self._symbols[q] = self._bloch_symbol(q, phase)
-        Dp, Dm = self._symbols[p], self._symbols[p - 1]
+        N^d Hermitian Fourier blocks D^H D + D' D'^H (needs bloch_ready),
+        one per conjugate pair of modes. `weights` give the metric
+        G(x)^T diag(e^{2 lambda}) G(x): in the gauge w = diag(e^lambda) G(x) v
+        the symbol, built once per degree, is scaled by the factors of
+        `check_weights`, nonzero entries only, so none overflows unless the
+        operator does."""
+        if weights is None:
+            Dm, Dp = (self._symbol(q)[0] for q in (p - 1, p))
+        else:
+            Dm, Dp = (self._symbol(q)[0] * np.exp(log) for q, log in
+                      zip((p - 1, p), self.check_weights(p, weights)))
         L = (np.conj(Dp.transpose(0, 2, 1)) @ Dp
              + Dm @ np.conj(Dm.transpose(0, 2, 1)))
         lam = np.linalg.eigvalsh(L)
-        return np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
+        return np.sort(np.concatenate([lam.ravel(),
+                                       lam[self._paired].ravel()]))
 
     # -- Laplacian ----------------------------------------------------------
 
@@ -735,7 +734,8 @@ def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12, *,
-             dc: DiscreteComplex | None = None) -> SpectrumReport:
+             dc: DiscreteComplex | None = None,
+             weights=None) -> SpectrumReport:
     """Lowest eigenvalues of the degree-p Laplacian.
 
     When the metric gauges the bundle to constant coefficients
@@ -745,8 +745,9 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12, *,
     `numerics.lowest_eigenvalues`. `SpectrumReport.from_eigenvalues` rounds
     either result. The metric was checked when it was built; the complex
     refuses one of another bundle or base. `dc` is a `DiscreteComplex` of
-    (sc, h) to solve on, built here when None (`spectra` shares one between
-    degrees).
+    (sc, h) to solve on, built here when None. `weights`, one vector
+    lambda_b per degree, solve the metric G(x)^T diag(e^{2 lambda_b}) G(x)
+    on the Bloch path (`DiscreteComplex.bloch_eigenvalues`).
     """
     if p < 0:
         raise InputError(f"degree must be >= 0, got {p}")
@@ -757,18 +758,11 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12, *,
     elif dc.sc is not sc or dc.h is not h:
         raise InputError("dc is a complex of another superconnection or metric")
     k = min(count, dc.dim(p))
-    lam = (dc.bloch_eigenvalues(p)[:k] if dc.bloch_ready()
+    # weights refuse a complex that is not bloch_ready
+    lam = (dc.bloch_eigenvalues(p, weights)[:k]
+           if weights is not None or dc.bloch_ready()
            else lowest_eigenvalues(dc.laplacian(p), k))
     return SpectrumReport.from_eigenvalues(p, lam)
-
-
-def spectra(sc: Superconnection, h: MetricField, degrees,
-            count: int = 12) -> list[SpectrumReport]:
-    """`spectrum` in each of `degrees`, in order, all solved on one
-    `DiscreteComplex`: a weighted differential or Bloch symbol that two degrees
-    share is built once."""
-    dc = DiscreteComplex(sc, h)
-    return [spectrum(sc, h, p, count, dc=dc) for p in degrees]
 
 
 @dataclass(frozen=True)

@@ -210,10 +210,11 @@ def spy(monkeypatch, owner, name, events, tag):
 
 def rescaled_spectra(algebra, p: int, sweep, count: int = 64):
     """The degree-p spectrum of `nil_rescale` at each sweep value, on the
-    scenario's own route: the (superconnection, metric) points over a point
-    base that `lab.prepare` builds, each solved by `superconnection.spectrum`.
-    `algebra` is anything `lie.load_algebra` reads."""
+    scenario's own route: the superconnection and metric over a point base
+    that `lab.prepare` builds, solved by `superconnection.spectrum` with each
+    sweep value's weights. `algebra` is anything `lie.load_algebra` reads."""
     step = lab.prepare({"kind": "nil_rescale", "model": {"algebra": algebra},
                         "sweep_values": list(sweep), "degrees": [p],
                         "count": count})
-    return [sconn.spectrum(sc, h, p, count=count) for sc, h in step.points]
+    return [sconn.spectrum(step.sc, step.h, p, count=count, weights=lam)
+            for lam in step.weights]

@@ -6,13 +6,15 @@ total differential on a window of filtration indices, page r of a
 spectral sequence built from r-tuple spaces, at the spots of the complex
 or over the whole (a_max + 1) x (b_max + r) rectangle of spots, empty ones
 included, each point of a bundle sweep built as a superconnection and
-metric of its own, and the number-operator rescaling of an algebra solved
-in floats without a base."""
+metric of its own, the metric of a recorded gauge and weights as a bare
+callable, and the number-operator rescaling of an algebra solved in floats
+without a base."""
 
 from fractions import Fraction
 from math import prod
 
 import numpy as np
+import scipy.linalg
 
 from nilcollapse import lie, spectral, superconnection as sconn
 from nilcollapse.numerics import (InputError, RationalMatrix,
@@ -205,6 +207,24 @@ def adiabatic_point(base, delta):
     sc = sconn.Superconnection(unit.bundle, base, a0=unit.a0,
                                a2=[unit.a2[0].scale(Fraction(delta))])
     return sc, sconn.MetricField.identity(sc.bundle, base)
+
+
+def weighted_metric(h, weights):
+    """The metric G(x)^T diag(e^{2 lambda_b}) G(x) on degree b, G(x) =
+    exp(-sum_g x_g X_g / L_g) of h's recorded logarithms X, as a bare
+    callable, so that `spectrum` assembles it: the metric that
+    `spectrum(..., weights=lambda)` solves in its Bloch gauge. Its
+    constructor checks that it is equivariant."""
+    base = h.base
+
+    def func(b, pts):
+        r = h.bundle.rank(b)
+        G = scipy.linalg.expm(sum(
+            ((-pts[:, g, None, None] / base.circumferences[g]) * h.logs[g][b]
+             for g in range(base.dim)), np.zeros((len(pts), r, r))))
+        M = np.exp(np.asarray(weights[b], dtype=float))[:, None] * G
+        return M.transpose(0, 2, 1) @ M
+    return sconn.MetricField(h.bundle, base, func)
 
 
 def rescaled_spectrum(grading, p: int, eps: float) -> SpectrumReport:

@@ -194,6 +194,11 @@ def test_run_check_failure_exits_three(runner, tmp_path):
     }))
     res = runner.invoke(main, ["run", str(path), "--check"])
     assert res.exit_code == 3
+    # stdout is the summary alone, and stderr names the failing degree
+    # with its predicted and observed counts
+    assert json.loads(res.stdout)["degrees"][0]["prediction_matches"] is False
+    assert res.stderr == ("error: scenario acceptance check failed; degree 1: "
+                          "predicted 3 small eigenvalues, observed 2\n")
 
 
 @pytest.mark.parametrize("payload, reason", [
@@ -559,18 +564,14 @@ BAD_MODELS = [
                  "gauge_weights must grade the algebra: the bracket [e0, e1] "
                  "has an e2 term, but w[2] = 0 is not w[0] + w[1] = 1",
                  id="weights-that-do-not-grade"),
-    # 0.1^(-2 w_I) for w_I = 200 overflows a float, and for -200 it
-    # underflows to 0; either is refused before the metric is built
+    # the fiber metric 0.1^(-2 w_I) overflows for w = [0, 200] and
+    # underflows for [-200, 0], and the holonomy's nilpotent part, from e1
+    # to e2, is scaled by 0.1^(w_1 - w_2) = 10^200: its square leaves the
+    # float range, and the sweep is refused before anything is solved
     *[pytest.param("monodromy_degeneration", dict(MONO, gauge_weights=w),
-                   f"gauge_weights {w} take the fiber metric t^(-2 w_I) out "
-                   f"of the float range at sweep value 0.1",
-                   id=f"metric-{way}")
-      for w, way in (([200, 0], "overflow"), ([0, -200], "underflow"))],
-    # filiform:7's top form has weight 365: 0.1^-365 overflows a float
-    pytest.param("nil_rescale", {"algebra": "filiform:7"},
-                 "the form weights of filiform:7, up to 365, take the fiber "
-                 "metric eps^(-w_I) out of the float range at sweep value "
-                 "0.1", id="nil-rescale-metric-overflow"),
+                   "at sweep value 0.1: the weights take the degree-1 "
+                   "Laplacian out of the float range", id=f"metric-{way}")
+      for w, way in (([0, 200], "overflow"), ([-200, 0], "underflow"))],
     pytest.param("monodromy_degeneration",
                  dict(MONO, monodromy=[[1, 1], [1, 1]]),
                  "holonomy is not invertible", id="singular-holonomy"),
@@ -602,6 +603,42 @@ def test_bad_scenario_models_exit_one(runner, tmp_path, kind, model, reason):
     for res in (validated, ran):
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
         assert f"error: {reason}" in res.output
+    assert validated.output == ran.output
+
+
+def test_gauge_weights_that_scale_no_entry_up_solve():
+    # w = [200, 0] and [0, -200] take the fiber metric out of the float
+    # range too, but they scale the nilpotent part down, by 10^-200: the
+    # sweep solves, with three zeros in degree 1 at t = 0.1. At [400, 0]
+    # the factor 10^400 of the symbol's zero entries would overflow: only
+    # nonzero entries are scaled
+    for w in ([200, 0], [0, -200], [400, 0]):
+        rep = lab.run({"kind": "monodromy_degeneration",
+                       "model": dict(MONO, gauge_weights=w),
+                       "sweep_values": [1.0, 0.1], "resolution": 8,
+                       "count": 4})
+        lam = rep.degrees[0].spectra[1].eigenvalues
+        assert [round(float(x), 2) for x in lam] == [0, 0, 0, 37.49]
+
+
+def test_nil_rescale_runs_while_its_laplacian_is_finite(runner, tmp_path):
+    # filiform:6 has form weights up to 122, so its fiber metric eps^(-w_I)
+    # leaves the float range at eps = 0.001, but the differential never
+    # raises a weight: at eps < 1 every scaled entry shrinks, and the sweep
+    # runs. At eps = 1000 filiform:7's entries grow past the float range,
+    # and validate and run refuse it alike
+    path = scenario_file(tmp_path, "nil_rescale", {"algebra": "filiform:6"},
+                         sweep_values=[0.01, 0.001])
+    res = runner.invoke(main, ["run", path])
+    assert res.exit_code == 0, res.output
+    path = scenario_file(tmp_path, "nil_rescale", {"algebra": "filiform:7"},
+                         sweep_values=[1000.0, 1.0])
+    validated, ran = (runner.invoke(main, [cmd, path])
+                      for cmd in ("validate", "run"))
+    for res in (validated, ran):
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert ("error: at sweep value 1000.0: the weights take the degree-1 "
+                "Laplacian out of the float range") in res.output
     assert validated.output == ran.output
 
 
@@ -798,7 +835,7 @@ def test_names_that_are_not_file_stems_exit_one(runner, tmp_path, monkeypatch,
     # `run --out` writes <name>.<ext>: a name that is not a file stem is
     # refused before any solve
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sconn, "spectra", None)
+    monkeypatch.setattr(sconn, "spectrum", None)
     path = scenario_file(tmp_path, "nil_rescale", MODELS["nil_rescale"],
                          **fields)
     res = runner.invoke(main, command + [path])

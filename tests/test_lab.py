@@ -208,8 +208,8 @@ def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
 
 
 def test_sweep_builds_each_bloch_symbol_once(monkeypatch):
-    # degrees 0, 1, 2 solve on the symbols of degrees -1 .. 2: 4 per point,
-    # 16 over the 4 points, each built once although two degrees read it
+    # degrees 0, 1, 2 solve on the symbols of degrees -1 .. 2, each built
+    # once for the whole sweep although two degrees and 4 points read it
     calls = []  # holding each complex keeps its id from being reused
     real = sconn.DiscreteComplex._bloch_symbol
 
@@ -221,7 +221,7 @@ def test_sweep_builds_each_bloch_symbol_once(monkeypatch):
     plain = json.dumps(lab.run(cfg).to_dict(), sort_keys=True)
     monkeypatch.setattr(sconn.DiscreteComplex, "_bloch_symbol", counted)
     assert json.dumps(lab.run(cfg).to_dict(), sort_keys=True) == plain
-    assert len(calls) == len({(id(dc), p) for dc, p in calls}) == 16
+    assert len(calls) == len({(id(dc), p) for dc, p in calls}) == 4
 
 
 def test_prediction_builds_each_holonomy_action_once(monkeypatch):
@@ -272,11 +272,12 @@ def test_monodromy_sweep_takes_each_logarithm_once(monkeypatch, name, want):
     events = []
     spy(monkeypatch, sconn, "_principal_log", events, "log")
     spy(monkeypatch, sconn.scipy.linalg, "logm", events, "logm")
-    spy(monkeypatch, sconn, "spectra", events, "solve")
+    spy(monkeypatch, sconn, "spectrum", events, "solve")
     cfg = dict(lab.PRESETS[name], degrees=(0, 1, 2))
     rep = lab.run(cfg)
     steps = [e for e in events if e != "logm"]
-    assert steps == ["log"] * want + ["solve"] * len(cfg["sweep_values"])
+    assert steps == ["log"] * want + ["solve"] * (
+        len(cfg["sweep_values"]) * len(cfg["degrees"]))
     assert events.count("logm") == {"example7_heisenberg_circle": 1,
                                     "example9_sol_circle": 0}[name]
     assert rep.passed()
@@ -286,13 +287,13 @@ def test_monodromy_sweep_takes_each_logarithm_once(monkeypatch, name, want):
                                   "example9_sol_circle"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
 def test_carried_logarithms_match_logm(name, reverse):
-    # every point solves the one bundle, and its metric shares the
-    # logarithms logm took of that bundle's monodromies
+    # every point solves the one bundle and its one metric, which holds
+    # the logarithms logm took of that bundle's monodromies
     cfg = lab.load_scenario(name)
     values = cfg.sweep_values[::-1] if reverse else cfg.sweep_values
-    cfg = dataclasses.replace(cfg, sweep_values=values)
-    (sc, h), *rest = lab.prepare(cfg).points
-    assert all(other is sc and g.logs is h.logs for other, g in rest)
+    step = lab.prepare(dataclasses.replace(cfg, sweep_values=values))
+    sc, h = step.sc, step.h
+    assert len(step.weights) == len(values)
     for b in range(len(sc.bundle.ranks)):
         want = scipy.linalg.logm(sc.bundle.monodromy(0, b))
         assert np.abs(np.imag(want)).max() <= 1e-12
@@ -316,19 +317,24 @@ UNIPOTENT_H3 = {"kind": "monodromy_degeneration",
 def test_sweep_points_match_their_own_bundles(scenario):
     # conjugating the holonomy by D(t) = diag(t^w), or scaling a2 by delta,
     # is a constant gauge change that moves diag(t^-2w_I), or delta^-2b on
-    # b-forms, into the fiber metric of the one bundle the sweep builds
+    # b-forms, into the fiber metric of the one bundle the sweep builds: the
+    # weights -w_I log t, or -b log delta
     cfg = lab.load_scenario(dict(scenario, degrees=(0, 1, 2, 3)))
     model = scenario["model"]
-    for t, (sc, h) in zip(cfg.sweep_values, lab.prepare(cfg).points):
+    step = lab.prepare(cfg)
+    sc = step.sc
+    for t, lam in zip(cfg.sweep_values, step.weights):
         if cfg.kind == "circle_bundle_adiabatic":
             oracle = oracles.adiabatic_point(sc.base, t)
         else:
             oracle = oracles.degeneration_point(
                 lie.load_algebra(model["algebra"]), sc.base,
                 RationalMatrix(model["monodromy"]), model["gauge_weights"], t)
-        got = sconn.spectra(sc, h, cfg.degrees, count=cfg.count)
-        want = sconn.spectra(*oracle, cfg.degrees, count=cfg.count)
-        for s, o in zip(got, want):
+        own = sconn.DiscreteComplex(*oracle)
+        for p in cfg.degrees:
+            s = sconn.spectrum(sc, step.h, p, cfg.count, dc=step.dc,
+                               weights=lam)
+            o = sconn.spectrum(*oracle, p, cfg.count, dc=own)
             zero = o.eigenvalues <= ZERO_TOL
             assert np.array_equal(s.eigenvalues <= ZERO_TOL, zero)
             assert np.all(np.abs(s.eigenvalues - o.eigenvalues)[~zero]
@@ -338,17 +344,14 @@ def test_sweep_points_match_their_own_bundles(scenario):
 @pytest.mark.parametrize("name", [n for n, cfg in lab.PRESETS.items()
                                   if cfg["kind"] != "nil_rescale"])
 def test_prepare_checks_each_metric_once(monkeypatch, name):
-    # each metric is checked when it is built: one per sweep point, and the
-    # one metric the points take their logarithms from
+    # a sweep builds one metric, checked when it is built; the points
+    # differ only in constant weights, for which it stays equivariant
     checked = []
     check = sconn.MetricField.check_equivariance
     monkeypatch.setattr(sconn.MetricField, "check_equivariance",
                         lambda h: checked.append(h) or check(h))
-    points = lab.prepare(name).points
-    metrics = {id(h) for _, h in points}
-    assert len({id(h) for h in checked}) == len(checked) == len(metrics) + 1
-    [source] = [h for h in checked if id(h) not in metrics]
-    assert all(h.logs is source.logs for _, h in points)
+    step = lab.prepare(name)
+    assert checked == [step.h]
 
 
 @pytest.mark.parametrize("name, case", [
@@ -412,15 +415,29 @@ def test_prepare_builds_everything_and_solves_nothing(monkeypatch):
     # the eigensolves, and the pages of a spectral_sequence_report, are the
     # step that prepare returns
     monkeypatch.setattr(sconn, "spectrum", forbidden)
-    monkeypatch.setattr(sconn, "spectra", forbidden)
+    monkeypatch.setattr(sconn.DiscreteComplex, "bloch_eigenvalues", forbidden)
     for name in lab.PRESETS:
         step = lab.prepare(name)
-        assert len(step.points) == len(step.config.sweep_values)
+        assert len(step.weights) == len(step.config.sweep_values)
         assert len(step.predictions) == len(step.config.degrees)
     monkeypatch.setattr(spectral, "spectral_sequence", forbidden)
     cx = oracles.from_algebra(lie.heisenberg(3))
     lab.prepare({"kind": "spectral_sequence_report",
                  "model": {"payload": cx.to_dict()}})
+
+
+def test_failures_name_each_failing_degree():
+    rep = lab.run(dict(lab.PRESETS["example1_heisenberg_point"],
+                       degrees=(0, 1)))
+    assert rep.passed() and rep.failures() == []
+    d0, d1 = rep.degrees
+    unstable = dataclasses.replace(d1, zero_counts=(2, 3, 3, 3),
+                                   kernel_stable=False)
+    rep = dataclasses.replace(rep, degrees=(d0, unstable))
+    assert not rep.passed()
+    assert rep.failures() == ["degree 1: predicted 3 small eigenvalues, "
+                              "observed 3, zero counts 2, 3, 3, 3 change "
+                              "along the sweep"]
 
 
 def test_run_is_deterministic():

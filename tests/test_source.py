@@ -14,14 +14,17 @@ through, and no function takes a `check_*` parameter to skip a check, an
 algebra's constants turn to floats only for the curvature command, a float
 eigenvalue is zero by one threshold, a scenario's model is read in one
 place, an input file is parsed in one place, and the exact modules divide
-only through `numerics.ratio`."""
+only through `numerics.ratio`; and the README's library example runs
+against the package as it is."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nilcollapse"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nilcollapse"
 MODULES = sorted(SRC.glob("*.py"))
 
 # each was a second construction of an object that now has one builder
@@ -74,8 +77,7 @@ MERGED = {
     # every MetricField constructor takes its base and recorded logarithms
     "_with_gauge",
     # a bundle sweep builds one superconnection and one set of logarithms,
-    # and each point takes a constant fiber metric: with_fiber(c I) is the
-    # conformal metric, and only identity and equivariant record logarithms
+    # and only identity and equivariant record logarithms
     "from_logs", "conformal", "gauged",
     # closeness_epsilon(s1, s2) <= eps is the one comparison
     "epsilon_close",
@@ -89,7 +91,13 @@ MERGED = {
     # exact block of a bundle or a model complex
     "rescaled_spectrum", "_differentials", "_solve_bundle", "_ratmat",
     "_read_blocks",
+    # a sweep point is the one Bloch symbol scaled by spectrum's `weights`,
+    # a log fiber root per form: no per-point fiber metric, root or float
+    # range, and every point and degree solves on one DiscreteComplex
+    "with_fiber", "fiber_roots", "_gauged", "_float_range",
 }
+# merged functions whose name a report field still uses (DegreeReport.spectra)
+MERGED_FUNCTIONS = {"spectra"}
 
 
 def _tree(path):
@@ -146,6 +154,10 @@ def test_merged_builders_stay_deleted(path):
                                                             ast.Store):
             defined.add(node.attr)  # a memo such as self._window_ranks
     assert not defined & MERGED, f"{path.name} defines {defined & MERGED}"
+    functions = {node.name for node in ast.walk(_tree(path))
+                 if isinstance(node, ast.FunctionDef)}
+    assert not functions & MERGED_FUNCTIONS, \
+        f"{path.name} defines {functions & MERGED_FUNCTIONS}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -385,3 +397,12 @@ def test_input_files_parsed_only_by_read_json():
               if isinstance(node, ast.Call) and _called_name(node) == "Path"
               and any(k.arg == "exists" for k in node.keywords)]
     assert not exists, f"cli.py checks paths through click: {exists}"
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block runs as printed, so the docs name no
+    # function or parameter that the package no longer has
+    [block] = re.findall(r"```python\n(.*?)```",
+                         (ROOT / "README.md").read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out

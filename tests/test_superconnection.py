@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from nilcollapse import lab, lie, report, spectral
 from nilcollapse import superconnection as sconn
 from nilcollapse.numerics import InputError, RationalMatrix, rank_exact
+from tests import oracles
 from tests.conftest import (canonical, check_model_flatness,
                             interpolated_metric, spy)
 
@@ -337,49 +338,58 @@ def test_equivariant_metric_passes_its_own_check():
 
 
 def test_with_fiber_keeps_the_logarithms_and_is_checked(monkeypatch):
-    bundle, base = sconn.GradedBundle([2], [[SOL]]), circle(16)
-    h = sconn.MetricField.equivariant(bundle, base)
+    # a constant diagonal fiber metric e^{2 lambda} is `spectrum`'s weights
+    # lambda: every weight solves on the one complex of the metric that
+    # records the logarithms, checked once when it was built
     checked = []
     check = sconn.MetricField.check_equivariance
     monkeypatch.setattr(sconn.MetricField, "check_equivariance",
                         lambda m: checked.append(m) or check(m))
-    fiber = np.array([[2.0, 1.0], [1.0, 3.0]])
-    g = h.with_fiber([fiber])
-    assert checked == [g]
-    assert g.logs is h.logs and (g.bundle, g.base) == (bundle, base)
-    # h(x) = G(x)^T fiber G(x) for the gauge G(x) = exp(-x X) of the
-    # recorded logarithm (circumference 1)
-    pts = base.points()
-    G = scipy.linalg.expm(-pts[:, 0, None, None] * h.logs[0][0])
-    want = G.transpose(0, 2, 1) @ fiber @ G
-    assert np.abs(g.sample(0, pts) - want).max() <= 1e-12 * np.abs(want).max()
-    # the identity fiber is the metric itself
-    same = h.with_fiber([np.eye(2)]).sample(0, pts)
-    assert np.abs(same - h.sample(0, pts)).max() <= 1e-12 * np.abs(same).max()
+    sc, h = twisted_circle(circle(16), SOL)
+    assert checked == [h]
+    dc = sconn.DiscreteComplex(sc, h)
+    for weights in ([[0.0], [0.5, -0.25], [1.0]], [[-1.0], [0.0, 0.3], [0.2]]):
+        for p in range(3):
+            sconn.spectrum(sc, h, p, 8, dc=dc, weights=weights)
+    assert checked == [h] and dc.h.logs is h.logs
+    # zero weights, the identity fiber, solve the metric itself
+    zero = [np.zeros(r) for r in sc.bundle.ranks]
+    for p in range(3):
+        assert np.array_equal(
+            sconn.spectrum(sc, h, p, 8, dc=dc, weights=zero).eigenvalues,
+            sconn.spectrum(sc, h, p, 8, dc=dc).eigenvalues)
+    # and a nonzero weight solves G(x)^T e^{2 lambda} G(x), checked when
+    # the oracle is built
+    for p in range(3):
+        assert_bloch_matches_assembled(sc, h, p,
+                                       weights=[[0.4], [0.5, -0.25], [1.0]])
 
 
 def test_with_fiber_checks_its_blocks():
-    # one constant symmetric positive definite block per degree, of the
-    # degree's rank, on a metric that records logarithms
-    bundle, base = sconn.GradedBundle([2, 1], [[SOL, np.eye(1)]]), circle(16)
-    h = sconn.MetricField.equivariant(bundle, base)
-    I2, I1 = np.eye(2), np.eye(1)
-    for fiber in ([], [I2], [I2, I1, I1], [I1, I2], [I2, I2], [I2, [1.0]]):
-        with pytest.raises(InputError, match="one fiber block per degree"):
-            h.with_fiber(fiber)
-    with pytest.raises(InputError, match="bad fiber blocks"):
-        h.with_fiber([[[1, 2], [3]], I1])
-    for fiber, message in [
-            ([[[1, 1], [0, 1]], I1], r"fiber\[0\] is not a finite symmetric"),
-            ([I2, [[np.nan]]], r"fiber\[1\] is not a finite symmetric"),
-            ([I2, [[np.inf]]], r"fiber\[1\] is not a finite symmetric"),
-            ([[[1, 2], [2, 1]], I1], r"fiber\[0\] is not positive definite"),
-            ([I2, [[0.0]]], r"fiber\[1\] is not positive definite")]:
-        with pytest.raises(InputError, match=message):
-            h.with_fiber(fiber)
-    # a bare callable records no logarithms to gauge a fiber with
+    # one finite vector per degree, of the degree's rank, on a metric that
+    # records logarithms
+    sc, h = twisted_circle(circle(8), SOL)
+    for weights in ([[0.0], [0.0, 0.0]], [[0.0], [0.0], [0.0]],
+                    [[0.0], [0.0, 0.0], [0.0], [0.0]],
+                    [[0.0, 0.0], [0.0], [0.0]]):
+        with pytest.raises(InputError, match="one finite vector per degree"):
+            sconn.spectrum(sc, h, 1, weights=weights)
+    # a bare callable records no logarithms to gauge the weights with
     with pytest.raises(InputError, match="records the holonomy logarithms"):
-        sconn.MetricField(bundle, base, h.sample).with_fiber([I2, I1])
+        sconn.spectrum(sc, bare(h), 0, weights=[[0.0], [0.0, 0.0], [0.0]])
+
+
+def test_conformal_factor_must_be_positive():
+    # a weight is the log of the fiber root, so every finite weight is a
+    # positive factor; the factor 0 (weight -inf), inf and NaN are refused
+    sc = sconn.from_affine_bundle(lie.abelian(1), circle(8))
+    h = sconn.MetricField.identity(sc.bundle, sc.base)
+    for bad in (-np.inf, np.inf, np.nan):
+        with pytest.raises(InputError, match="one finite vector per degree"):
+            sconn.spectrum(sc, h, 0, weights=[[0.0], [bad]])
+    for p in range(2):
+        assert_bloch_matches_assembled(sc, h, p,
+                                       weights=[[0.0], [np.log(2.0)]])
 
 
 def test_every_metric_takes_the_base_it_is_checked_on():
@@ -393,16 +403,6 @@ def test_every_metric_takes_the_base_it_is_checked_on():
     with pytest.raises(InputError, match="equivariance"):
         sconn.MetricField(bundle, circle(16), lambda b, pts: np.broadcast_to(
             np.eye(2), (len(pts), 2, 2)))
-
-
-def test_conformal_factor_must_be_positive():
-    h = sconn.MetricField.identity(sconn.GradedBundle([1]), circle(8))
-    for factor in (-1.0, 0.0):
-        with pytest.raises(InputError, match="not positive definite"):
-            h.with_fiber([[[factor]]])
-    with pytest.raises(InputError, match="not a finite symmetric"):
-        h.with_fiber([[[float("nan")]]])
-    assert h.with_fiber([[[2.0]]]).logs is h.logs
 
 
 def test_metric_singular_in_floats_is_refused_before_logm():
@@ -594,11 +594,15 @@ def bare(h):
     return sconn.MetricField(h.bundle, h.base, h.sample)
 
 
-def assert_bloch_matches_assembled(sc, h, p, count=8):
+def assert_bloch_matches_assembled(sc, h, p, count=8, weights=None):
+    """The Bloch spectrum of (sc, h), with `weights` if given, against the
+    assembled spectrum of the same metric as a bare callable."""
     assert sconn.DiscreteComplex(sc, h).bloch_ready()
-    bloch = sconn.spectrum(sc, h, p, count=count).eigenvalues
-    oracle = sconn.spectrum(sc, bare(h), p, count=count).eigenvalues
-    L = sconn.DiscreteComplex(sc, h).laplacian(p)
+    bloch = sconn.spectrum(sc, h, p, count=count, weights=weights).eigenvalues
+    metric = bare(h) if weights is None else oracles.weighted_metric(h,
+                                                                     weights)
+    oracle = sconn.spectrum(sc, metric, p, count=count).eigenvalues
+    L = sconn.DiscreteComplex(sc, metric).laplacian(p)
     scale = max(1.0, float(abs(L).max()))
     assert bloch.shape == oracle.shape
     assert np.abs(bloch - oracle).max(initial=0.0) <= 1e-10 * scale
@@ -607,35 +611,39 @@ def assert_bloch_matches_assembled(sc, h, p, count=8):
 
 
 def test_spectra_solve_every_degree_on_one_complex():
-    # each degree's report is the one `spectrum` gives alone, on the Bloch
-    # and on the assembled path; a complex of another metric is refused
+    # each degree's report on one shared complex is the one `spectrum`
+    # gives alone, on the Bloch and on the assembled path; a complex of
+    # another metric is refused
     sc, h = twisted_circle(circle(9), UNIPOTENT)
     for metric in (h, bare(h)):
         alone = [sconn.spectrum(sc, metric, p, count=5).to_dict()
                  for p in range(4)]
-        assert [rep.to_dict() for rep in
-                sconn.spectra(sc, metric, range(4), count=5)] == alone
+        dc = sconn.DiscreteComplex(sc, metric)
+        assert [sconn.spectrum(sc, metric, p, 5, dc=dc).to_dict()
+                for p in range(4)] == alone
     dc = sconn.DiscreteComplex(sc, bare(h))
     with pytest.raises(InputError, match="another superconnection or metric"):
         sconn.spectrum(sc, h, 0, dc=dc)
 
 
 def preset_bundles(name, torus_resolution=12):
-    """(sc, h) at every sweep point of a numerical preset, built by the
-    `lab.prepare` that `lab.run` solves; torus presets at a smaller
+    """(sc, h, weights) at every sweep point of a numerical preset, built by
+    the `lab.prepare` that `lab.run` solves; torus presets at a smaller
     resolution."""
     cfg = lab.load_scenario(name)
     if cfg.kind == "circle_bundle_adiabatic":
         cfg = dataclasses.replace(cfg, resolution=torus_resolution)
-    yield from lab.prepare(cfg).points
+    step = lab.prepare(cfg)
+    for lam in step.weights:
+        yield step.sc, step.h, lam
 
 
 @pytest.mark.parametrize("name", [n for n, cfg in lab.PRESETS.items()
                                   if cfg["kind"] != "nil_rescale"])
 def test_bloch_matches_assembled_on_presets(name):
-    for sc, h in preset_bundles(name):
+    for sc, h, lam in preset_bundles(name):
         for p in range(sc.base.dim + sc.bundle.top + 1):
-            assert_bloch_matches_assembled(sc, h, p)
+            assert_bloch_matches_assembled(sc, h, p, weights=lam)
 
 
 def test_bloch_matches_assembled_twisted_circles():
@@ -702,20 +710,26 @@ def test_conjugate_pair_solve_matches_all_modes(N):
             assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
 
-def test_bloch_matches_assembled_conformal_metrics():
-    # a constant fiber metric enters the Bloch gauge as its square root and
-    # the assembled mass as G(x)^T fiber G(x): two routes to one spectrum
-    base = circle(48)
-    sc = sconn.from_affine_bundle(lie.abelian(2), base, monodromy_action=[SOL])
-    h = sconn.MetricField.equivariant(sc.bundle, base).with_fiber(
-        [[[2.5]], [[2.0, 1.0], [1.0, 3.0]], [[0.5]]])
-    for p in range(3):
-        assert_bloch_matches_assembled(sc, h, p)
-    sc = circle_bundle(torus(10), 0.5)
-    h = sconn.MetricField.identity(sc.bundle, sc.base).with_fiber(
-        [[[np.e]], [[0.3]]])
-    for p in range(4):
-        assert_bloch_matches_assembled(sc, h, p)
+CONFORMAL_CASES = {
+    "sol": lambda: twisted_circle(circle(12), SOL),
+    "unipotent": lambda: twisted_circle(circle(12), UNIPOTENT),
+    "torus": lambda: heisenberg_torus_with_curvature(torus(8)),
+}
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_bloch_matches_assembled_conformal_metrics(data):
+    # constant diagonal fiber metrics e^{2 lambda_b} enter the Bloch path as
+    # weights that scale the symbol entrywise, and the assembled mass as
+    # G(x)^T e^{2 lambda} G(x): two routes to one spectrum. The oracle metric
+    # is checked for equivariance when it is built, for every weight
+    case = data.draw(st.sampled_from(sorted(CONFORMAL_CASES)))
+    sc, h = CONFORMAL_CASES[case]()
+    weights = [np.array(data.draw(st.lists(
+        st.floats(-2, 2), min_size=r, max_size=r))) for r in sc.bundle.ranks]
+    p = data.draw(st.integers(0, sc.base.dim + sc.bundle.top))
+    assert_bloch_matches_assembled(sc, h, p, count=12, weights=weights)
 
 
 def test_bloch_path_only_for_recorded_gauges(monkeypatch):
@@ -860,7 +874,9 @@ def test_metric_continuity_conformal():
     # a global conformal factor cancels out of the symmetrized operator
     sc = circle_bundle(torus(8), 0.5)
     h1 = sconn.MetricField.identity(sc.bundle, sc.base)
-    h2 = h1.with_fiber([np.e * np.eye(r) for r in sc.bundle.ranks])
+    h2 = sconn.MetricField(sc.bundle, sc.base, lambda b, pts: np.broadcast_to(
+        np.e * np.eye(sc.bundle.rank(b)),
+        (len(pts), sc.bundle.rank(b), sc.bundle.rank(b))))
     rep = sconn.metric_continuity_check(sc, h1, h2, 1, eps=1.0)
     assert rep.eps_out < 1e-8
 
