@@ -269,7 +269,8 @@ class Sweep:
     sweep value i solves with (`superconnection.spectrum`). Every point and
     degree solves on one `DiscreteComplex`, which builds each degree's
     symbol once; building the sweep checks, for every point and degree,
-    that the scaled Laplacian is finite (InputError naming both)."""
+    that the scaled Laplacian is finite (InputError naming both), and the
+    solve reads the factors that check left on the complex."""
 
     config: ScenarioConfig
     predictions: list     # SmallCountPrediction per requested degree

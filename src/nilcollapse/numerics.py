@@ -1,11 +1,10 @@
-"""Linear-algebra substrate: the one float eigensolver entry, the input
-readers and exact rational rank arithmetic.
+"""Linear-algebra substrate: the input readers and exact rational rank
+arithmetic.
 
-Floating-point spectra go through `lowest_eigenvalues` (LAPACK, or ARPACK
-for large sparse matrices); everything that feeds a dimension count (ranks,
-nullspaces, solves) is done in exact rational arithmetic so that rank
-decisions are never made by a tolerance. Loaders read files, objects and
-numbers by `read_json`, `read_fields` and `integer`, `real` or `rational`.
+Everything that feeds a dimension count (ranks, nullspaces, solves) is done
+in exact rational arithmetic so that rank decisions are never made by a
+tolerance. Loaders read files, objects and numbers by `read_json`,
+`read_fields` and `integer`, `real` or `rational`.
 """
 
 from __future__ import annotations
@@ -17,50 +16,10 @@ from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class InputError(ValueError):
     """Raised when an operation's preconditions are violated."""
-
-
-# ---------------------------------------------------------------------------
-# floating-point symmetric eigenproblems
-# ---------------------------------------------------------------------------
-
-# up to this many unknowns a spectrum is solved densely, above it by ARPACK
-_DENSE_LIMIT = 2200
-
-
-def lowest_eigenvalues(L, count: int) -> np.ndarray:
-    """The `count` lowest eigenvalues of a real symmetric matrix, ascending.
-
-    `L` is a dense array or a scipy sparse matrix, built symmetric by the
-    caller (nothing here checks or symmetrizes it). Up to `_DENSE_LIMIT`
-    unknowns, or when all eigenvalues are asked for, LAPACK solves the dense
-    matrix; otherwise ARPACK shift-inverts just below zero.
-    """
-    if not sp.issparse(L):
-        L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise InputError(f"matrix must be square, got shape {L.shape}")
-    n = L.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if n <= _DENSE_LIMIT or count >= n:
-        return np.linalg.eigvalsh(L.toarray() if sp.issparse(L) else L)[:count]
-    # imported here: loading ARPACK before the rest of the package, which
-    # a module-level import here would do, raises the peak RSS of a whole
-    # run by about 1 MB (x86-64 Linux, CPython 3.11, scipy 1.17)
-    import scipy.sparse.linalg as spla
-    scale = max(1.0, float(abs(L).max()))
-    # a fixed start vector makes the Lanczos run repeatable; not the
-    # constant vector, which spans an invariant subspace of every
-    # translation-invariant operator
-    lam = spla.eigsh(L, k=count, sigma=-1e-3 * scale, which="LM",
-                     v0=np.random.default_rng(0).standard_normal(n),
-                     return_eigenvectors=False)
-    return np.sort(lam)
 
 
 # ---------------------------------------------------------------------------

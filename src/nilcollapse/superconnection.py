@@ -4,12 +4,10 @@ The base is a flat k-torus, a point (k = 0), a circle or a square 2-torus;
 sections of a flat bundle with monodromy Phi are grid functions with a
 Phi-twisted wraparound, and over a point they are one fiber vector. Exterior
 derivatives are forward differences on the staggered (vertex / edge / face)
-grids, which keeps d^2 = 0 exact at the discrete level, and metrics enter
-through staggered mass matrices: weighted by their square roots, the
-differential W gives the symmetric Laplacian W^T W + W W^T.
-For metrics built from the holonomy's logarithms a gauge change makes that
-Laplacian translation invariant, and `spectrum` solves it one Fourier mode
-of the grid at a time.
+grids, which keeps d^2 = 0 exact at the discrete level. Every metric records
+the principal logarithms of the holonomy, and the gauge change they give
+makes the Laplacian d*d + dd* translation invariant on the grid, so
+`spectrum` solves it one Fourier mode of the grid at a time.
 """
 
 from __future__ import annotations
@@ -19,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import lie, spectral
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
-                       lowest_eigenvalues, read_blocks, read_fields, read_json,
-                       real)
-from .report import SpectrumReport, closeness_epsilon
+                       read_blocks, read_fields, read_json, real)
+from .report import SpectrumReport
 
 
 class FlatnessError(InputError):
@@ -177,6 +173,19 @@ def _principal_log(phi: np.ndarray) -> np.ndarray:
     return scipy.linalg.logm(phi)
 
 
+def _holonomy_logs(bundle: GradedBundle) -> list[list[np.ndarray]]:
+    """The principal logarithm of every monodromy block, [gen][b]: real
+    arrays when no imaginary part exceeds 1e-9, which rounding leaves on a
+    real logarithm such as a rotation's, and complex arrays otherwise."""
+    logs = [[_principal_log(bundle.monodromy(gen, b))
+             for b in range(len(bundle.ranks))]
+            for gen in range(len(bundle.monodromies))]
+    if any(np.abs(np.imag(X)).max(initial=0.0) > 1e-9
+           for X in itertools.chain(*logs)):
+        return logs
+    return [[np.real(X) for X in per_degree] for per_degree in logs]
+
+
 class MetricField:
     """Graded fiber inner product h^E over one base, sampled where needed:
     a callable (b, points) -> stack of SPD matrices. Every constructor takes
@@ -185,13 +194,15 @@ class MetricField:
     (`check_equivariance`). A `DiscreteComplex` refuses a metric of another
     bundle or base.
 
-    Only `identity` (over a bundle whose monodromies are all the identity)
-    and `equivariant` record `logs[gen][b]`, real logarithms X of the
-    monodromies with h(x) = G(x)^T G(x), G(x) = exp(-sum_g x_g X_g / L_g).
-    `spectrum` uses them to gauge the bundle to constant coefficients, and
-    its `weights` scale that gauge by a constant diagonal fiber root, for
-    the metric G(x)^T diag(e^{2 lambda_b}) G(x), equivariant for every
-    weight; a bare callable records none and is only ever assembled.
+    `identity` and `equivariant` record `logs[gen][b]`, the principal
+    logarithms X of the monodromies (`_holonomy_logs`), with
+    h(x) = G(x)^H G(x), G(x) = exp(-sum_g x_g X_g / L_g); over the identity
+    metric the monodromies are orthogonal, X is real or skew-Hermitian and
+    G(x) unitary. `spectrum` uses them to gauge the bundle to constant
+    coefficients, and its `weights` scale that gauge by a constant diagonal
+    fiber root, for the metric G(x)^T diag(e^{2 lambda_b}) G(x) of real
+    logarithms, equivariant for every weight. A bare callable records none,
+    and a `DiscreteComplex` refuses it.
     """
 
     logs = None
@@ -209,10 +220,8 @@ class MetricField:
             return np.broadcast_to(np.eye(bundle.rank(b)),
                                    (len(pts), bundle.rank(b), bundle.rank(b)))
         h = cls(bundle, base, func)
-        if all(m == RationalMatrix.identity(m.rows)
-               for gen in bundle.monodromies for m in gen):
-            h.logs = [[np.zeros((r, r)) for r in bundle.ranks]
-                      for _ in bundle.monodromies]
+        # the check passed, so every monodromy is orthogonal
+        h.logs = _holonomy_logs(bundle)
         return h
 
     @classmethod
@@ -231,13 +240,10 @@ class MetricField:
                for per_degree in phis for phi in per_degree):
             raise InputError("monodromy is singular in floats; supply a "
                              "metric explicitly")
-        logs = [[_principal_log(phi) for phi in per_degree]
-                for per_degree in phis]
-        if any(np.abs(np.imag(X)).max(initial=0.0) > 1e-9
-               for per_degree in logs for X in per_degree):
+        logs = _holonomy_logs(bundle)
+        if not all(np.isrealobj(X) for X in itertools.chain(*logs)):
             raise InputError(
                 "monodromy has no real logarithm; supply a metric explicitly")
-        logs = [[np.real(X) for X in per_degree] for per_degree in logs]
 
         def func(b, pts):
             r = bundle.rank(b)
@@ -442,24 +448,15 @@ _EXPLICIT_BUNDLE_FIELDS = {
 # discretization
 # ---------------------------------------------------------------------------
 
-def _point_blocks(rows, cols, blocks, shape, offset) -> sp.coo_matrix:
-    """COO matrix of the given shape with the r_out x r_in block blocks[k]
-    (or one block for every k) from grid point cols[k] to grid point
-    rows[k], placed `offset` = (row, column) entries in."""
-    blocks = np.broadcast_to(blocks, (len(rows),) + np.shape(blocks)[-2:])
-    _, r_out, r_in = blocks.shape
-    bi, bj = np.indices((r_out, r_in))
-    row_idx = offset[0] + (rows[:, None, None] * r_out + bi).ravel()
-    col_idx = offset[1] + (cols[:, None, None] * r_in + bj).ravel()
-    return sp.coo_matrix((blocks.ravel(), (row_idx, col_idx)), shape=shape)
-
-
 class DiscreteComplex:
-    """Total differential on the staggered grids, weighted by the mass and
-    assembled as sparse matrices or, for a gauged metric, as per-mode Fourier
-    symbols. The metric, checked when it was built, must be one of the
+    """Total differential on the staggered grids, in the gauge of the
+    metric's holonomy logarithms, as per-mode Fourier symbols of the grid.
+    The metric, checked when it was built, must be one of the
     superconnection's own base and bundle (the same ranks, exact monodromies
-    and Gram): InputError otherwise."""
+    and Gram) and record its logarithms (`MetricField.identity` or
+    `equivariant`), and a0 and a2 must intertwine them, which flatness
+    implies for principal logarithms: InputError otherwise. Then each mass
+    block is vol * I in the gauge and the fiber maps stay constant."""
 
     def __init__(self, sc: Superconnection, h: MetricField):
         if h.base != sc.base:
@@ -468,18 +465,28 @@ class DiscreteComplex:
         if (h.bundle.ranks, h.bundle.monodromies, h.bundle.gram) != (
                 sc.bundle.ranks, sc.bundle.monodromies, sc.bundle.gram):
             raise InputError("metric belongs to a different bundle")
+        if h.logs is None:
+            raise InputError("a DiscreteComplex needs a metric that records "
+                             "the holonomy logarithms: build it with "
+                             "MetricField.identity or MetricField.equivariant")
+        if not all(_intertwines(sc.a0_block(b), X[b + 1], X[b]) and
+                   _intertwines(sc.a2_block(b + 1), X[b], X[b + 1])
+                   for X in h.logs for b in range(sc.bundle.top)):
+            raise InputError("the metric's holonomy logarithms do not "
+                             "intertwine the fiber maps a0 and a2")
         self.sc, self.h, self.base, self.bundle = sc, h, sc.base, sc.bundle
-        self._weighted: dict[int, sp.csr_matrix] = {}
         self._symbols: dict[int, tuple] = {}
-        self._ready = None
+        self._factors: dict[tuple, list] = {}
+        self._real = all(np.isrealobj(X) for X in itertools.chain(*h.logs))
         # real coefficients: the Bloch block at mode -m is the conjugate of
-        # the one at m, so only modes with index(m) <= index(-m mod N) solve
+        # the one at m, so only modes with index(m) <= index(-m mod N) solve;
+        # a complex logarithm solves every mode
         N, d = self.base.resolution, self.base.dim
         modes = np.indices((N,) * d).reshape(d, self.base.npoints).T
         mirror = (-modes % N) @ N ** np.arange(d - 1, -1, -1)
-        keep = np.arange(len(modes)) <= mirror
+        keep = (np.arange(len(modes)) <= mirror) | (not self._real)
         self._phase = np.exp(1j * (2 * np.pi * modes[keep] / N))
-        self._paired = mirror[keep] != np.flatnonzero(keep)
+        self._paired = (mirror[keep] != np.flatnonzero(keep)) & self._real
 
     # -- layout -------------------------------------------------------------
 
@@ -507,7 +514,7 @@ class DiscreteComplex:
         dst and src index components(p + 1) and components(p). A block with
         gen set is coeff (a sign) times the twisted forward difference in
         direction gen; with gen None it is the pointwise fiber map coeff.
-        `differential` and the Bloch symbol both read this list.
+        The Bloch symbol reads this list.
         """
         src = self.components(p)
         dst = {comp: i for i, comp in enumerate(self.components(p + 1))}
@@ -531,46 +538,7 @@ class DiscreteComplex:
                 out.append((dst[((0, 1), b - 1)], j, None, self.sc.a2_block(b)))
         return out
 
-    def differential(self, p: int) -> sp.csr_matrix:
-        """The degree-p differential, one `_point_blocks` matrix per term."""
-        src, dst = self.components(p), self.components(p + 1)
-        src_off = np.cumsum([0] + [self.component_size(c) for c in src])
-        dst_off = np.cumsum([0] + [self.component_size(c) for c in dst])
-        N, pts = self.base.resolution, np.arange(self.base.npoints)
-        grid = pts.reshape((N,) * self.base.dim)
-        out = sp.csr_matrix((self.dim(p + 1), self.dim(p)))
-        for i, j, gen, c in self.terms(p):
-            at = (dst_off[i], src_off[j])
-            if gen is None:
-                out += _point_blocks(pts, pts, c, out.shape, at)
-                continue
-            # c (S - I) / h, where the one-step shift S crosses the seam
-            # through the monodromy
-            phi = self.bundle.monodromy(gen, src[j][1])
-            step, eye = self.base.steps[gen], np.eye(len(phi))
-            seam = (np.indices(grid.shape)[gen] == N - 1).ravel()
-            shift = np.where(seam[:, None, None], phi, eye)
-            out += _point_blocks(pts, np.roll(grid, -1, axis=gen).ravel(),
-                                 c * (shift / step), out.shape, at)
-            out += _point_blocks(pts, pts, c * (-eye / step), out.shape, at)
-        out.eliminate_zeros()
-        return out
-
     # -- Bloch reduction ----------------------------------------------------
-
-    def bloch_ready(self) -> bool:
-        """Whether the gauge w = G(x) v of the metric's recorded holonomy
-        logarithms makes every Laplacian translation invariant on the grid:
-        it does when a0 and a2 intertwine them, which flatness implies for
-        principal logarithms but not for others. Then each mass block is
-        vol * I in the gauge and the fiber maps stay constant. Decided once
-        per complex."""
-        if self._ready is None:
-            self._ready = self.h.logs is not None and all(
-                _intertwines(self.sc.a0_block(b), X[b + 1], X[b]) and
-                _intertwines(self.sc.a2_block(b + 1), X[b], X[b + 1])
-                for X in self.h.logs for b in range(self.bundle.top))
-        return self._ready
 
     def _bloch_symbol(self, p: int, phase: np.ndarray) -> np.ndarray:
         """Fourier symbol of the gauged degree-p differential: one block per
@@ -614,18 +582,20 @@ class DiscreteComplex:
         """The log lambda_dst,i - lambda_src,j of the factor that scales
         entry (i, j) of the degree-(p - 1) and degree-p symbols under
         `weights`, one finite vector lambda_b per degree b; -inf where the
-        symbol is zero at every mode. InputError for other weights, off the
-        Bloch path, or when the degree-p Laplacian might overflow: its
-        eigenvalues are at most its dimension times the inner dimension
-        times the largest scaled entry squared."""
-        if not self.bloch_ready():
-            raise InputError("weights need a metric that records the "
-                             "holonomy logarithms (identity or equivariant)")
+        symbol is zero at every mode. InputError for other weights, on a
+        metric with a complex logarithm, or when the degree-p Laplacian
+        might overflow: its eigenvalues are at most its dimension times the
+        inner dimension times the largest scaled entry squared. The complex
+        keeps the factors for `bloch_eigenvalues`, so weights checked
+        before a solve are not checked again."""
         lam = [np.asarray(w, dtype=float) for w in weights]
         if ([w.shape for w in lam] != [(r,) for r in self.bundle.ranks]
                 or not all(np.isfinite(w).all() for w in lam)):
             raise InputError("weights must be one finite vector per degree, "
                              "of the degree's rank")
+        if not self._real:
+            raise InputError("weights need a metric whose holonomy "
+                             "logarithms are real")
         at = [np.concatenate([lam[b] for _, b in self.components(q)]
                              + [np.zeros(0)]) for q in (p - 1, p, p + 1)]
         logs = [np.where(np.isfinite(self._symbol(q)[1]),
@@ -637,12 +607,13 @@ class DiscreteComplex:
         if not 2 * peak + np.log(max(size, 1)) < np.log(np.finfo(float).max):
             raise InputError(f"the weights take the degree-{p} Laplacian out "
                              f"of the float range")
+        self._factors[_weights_key(p, lam)] = logs
         return logs
 
     def bloch_eigenvalues(self, p: int, weights=None) -> np.ndarray:
         """Every eigenvalue of the degree-p Laplacian, ascending, from its
-        N^d Hermitian Fourier blocks D^H D + D' D'^H (needs bloch_ready),
-        one per conjugate pair of modes. `weights` give the metric
+        N^d Hermitian Fourier blocks D^H D + D' D'^H, one per conjugate pair
+        of modes when every logarithm is real. `weights` give the metric
         G(x)^T diag(e^{2 lambda}) G(x): in the gauge w = diag(e^lambda) G(x) v
         the symbol, built once per degree, is scaled by the factors of
         `check_weights`, nonzero entries only, so none overflows unless the
@@ -650,67 +621,22 @@ class DiscreteComplex:
         if weights is None:
             Dm, Dp = (self._symbol(q)[0] for q in (p - 1, p))
         else:
-            Dm, Dp = (self._symbol(q)[0] * np.exp(log) for q, log in
-                      zip((p - 1, p), self.check_weights(p, weights)))
+            key = _weights_key(p, [np.asarray(w, dtype=float)
+                                   for w in weights])
+            logs = self._factors.get(key) or self.check_weights(p, weights)
+            Dm, Dp = (self._symbol(q)[0] * np.exp(log)
+                      for q, log in zip((p - 1, p), logs))
         L = (np.conj(Dp.transpose(0, 2, 1)) @ Dp
              + Dm @ np.conj(Dm.transpose(0, 2, 1)))
         lam = np.linalg.eigvalsh(L)
         return np.sort(np.concatenate([lam.ravel(),
                                        lam[self._paired].ravel()]))
 
-    # -- Laplacian ----------------------------------------------------------
 
-    def _mass_power(self, p: int, power: float) -> sp.csr_matrix:
-        """M_p^power of the degree-p mass: cell volume times the metric at
-        each component's staggered points, one block per grid point."""
-        pts = np.arange(self.base.npoints)
-        out = sp.csr_matrix((self.dim(p), self.dim(p)))
-        offset = 0
-        for dirs, b in self.components(p):
-            mass = self.base.cell_volume * self.h.sample(
-                b, self.base.points(stagger=dirs))
-            out += _point_blocks(pts, pts, _spd_power(mass, power), out.shape,
-                                 (offset, offset))
-            offset += self.component_size((dirs, b))
-        return out
-
-    def weighted_differential(self, p: int) -> sp.csr_matrix:
-        """W_p = M_{p+1}^{1/2} D_p M_p^{-1/2}, the degree-p differential in
-        orthonormal frames of the mass, where its adjoint is W_p^T; built
-        once per complex."""
-        if p not in self._weighted:
-            self._weighted[p] = (self._mass_power(p + 1, 0.5)
-                                 @ self.differential(p)
-                                 @ self._mass_power(p, -0.5)).tocsr()
-        return self._weighted[p]
-
-    def laplacian(self, p: int) -> sp.csr_matrix:
-        """W_p^T W_p + W_{p-1} W_{p-1}^T: the degree-p Laplacian d*d + dd*
-        in the orthonormal frame of the mass, symmetric by construction."""
-        W = self.weighted_differential(p)
-        Wm = self.weighted_differential(p - 1)
-        return (W.T @ W + Wm @ Wm.T).tocsr()
-
-    def operator_norm(self, other: "DiscreteComplex") -> float:
-        """Weighted operator norm of the difference of the two total
-        differentials (both complexes must share the grid and metric)."""
-        worst = 0.0
-        top = self.base.dim + self.bundle.top
-        for p in range(top + 1):
-            A = self.weighted_differential(p) - other.weighted_differential(p)
-            if A.nnz == 0:
-                continue
-            G = (A.T @ A).toarray() if A.shape[1] <= 1500 else None
-            if G is not None:
-                worst = max(worst, float(np.sqrt(max(
-                    0.0, np.linalg.eigvalsh(0.5 * (G + G.T))[-1]))))
-            else:
-                # imported here, as in numerics.lowest_eigenvalues: no
-                # other part of the package loads ARPACK
-                import scipy.sparse.linalg as spla
-                s = spla.svds(A, k=1, return_singular_vectors=False)
-                worst = max(worst, float(s[0]))
-        return worst
+def _weights_key(p: int, lam: list[np.ndarray]) -> tuple:
+    """The degree and each weight vector's shape and bytes: equal keys are
+    equal weights."""
+    return p, tuple((w.shape, w.tobytes()) for w in lam)
 
 
 def _intertwines(a: np.ndarray, X_dst: np.ndarray, X_src: np.ndarray) -> bool:
@@ -722,13 +648,6 @@ def _intertwines(a: np.ndarray, X_dst: np.ndarray, X_src: np.ndarray) -> bool:
     return bool(np.abs(X_dst @ a - a @ X_src).max() <= 1e-10 * scale)
 
 
-def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
-    w, v = np.linalg.eigh(blocks)
-    if w.min() <= 0:
-        raise InputError("mass block not positive definite")
-    return np.einsum("pij,pj,pkj->pik", v, w ** power, v)
-
-
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
@@ -738,16 +657,15 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12, *,
              weights=None) -> SpectrumReport:
     """Lowest eigenvalues of the degree-p Laplacian.
 
-    When the metric gauges the bundle to constant coefficients
-    (`DiscreteComplex.bloch_ready`), the Laplacian splits into one small
-    Hermitian block per Fourier mode of the grid and all blocks are solved in
-    one batch. Otherwise it is assembled and solved by
-    `numerics.lowest_eigenvalues`. `SpectrumReport.from_eigenvalues` rounds
-    either result. The metric was checked when it was built; the complex
-    refuses one of another bundle or base. `dc` is a `DiscreteComplex` of
-    (sc, h) to solve on, built here when None. `weights`, one vector
-    lambda_b per degree, solve the metric G(x)^T diag(e^{2 lambda_b}) G(x)
-    on the Bloch path (`DiscreteComplex.bloch_eigenvalues`).
+    The metric's holonomy logarithms gauge the bundle to constant
+    coefficients, so the Laplacian splits into one small Hermitian block
+    per Fourier mode of the grid, and `DiscreteComplex.bloch_eigenvalues`
+    solves all blocks in one batch; `SpectrumReport.from_eigenvalues`
+    rounds the result. The metric was checked when it was built; the
+    complex refuses one of another bundle or base, or one that records no
+    logarithms. `dc` is a `DiscreteComplex` of (sc, h) to solve on, built
+    here when None. `weights`, one vector lambda_b per degree, solve the
+    metric G(x)^T diag(e^{2 lambda_b}) G(x).
     """
     if p < 0:
         raise InputError(f"degree must be >= 0, got {p}")
@@ -758,55 +676,5 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12, *,
     elif dc.sc is not sc or dc.h is not h:
         raise InputError("dc is a complex of another superconnection or metric")
     k = min(count, dc.dim(p))
-    # weights refuse a complex that is not bloch_ready
-    lam = (dc.bloch_eigenvalues(p, weights)[:k]
-           if weights is not None or dc.bloch_ready()
-           else lowest_eigenvalues(dc.laplacian(p), k))
-    return SpectrumReport.from_eigenvalues(p, lam)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Eq-style square-root eigenvalue continuity check between two flat
-    superconnections on the same bundle and metric."""
-
-    operator_norm: float
-    bound: float
-    max_difference: float
-    max_ratio: float
-    holds: bool
-
-
-PERTURBATION_CONSTANT = 2.0 + np.sqrt(2.0)
-
-
-def perturbation_check(sc1: Superconnection, sc2: Superconnection,
-                       h: MetricField, p: int, count: int = 8) -> PerturbationReport:
-    """The difference sc2 - sc1 is an endomorphism-valued form when both
-    live over h's base and bundle, which their complexes require."""
-    d1 = DiscreteComplex(sc1, h)
-    d2 = DiscreteComplex(sc2, h)
-    norm = d1.operator_norm(d2)
-    s1 = spectrum(sc1, h, p, count=count, dc=d1)
-    s2 = spectrum(sc2, h, p, count=count, dc=d2)
-    diffs = np.abs(np.sqrt(s1.eigenvalues) - np.sqrt(s2.eigenvalues))
-    bound = PERTURBATION_CONSTANT * norm
-    max_diff = float(diffs.max(initial=0.0))
-    ratio = max_diff / bound if bound > 0 else (0.0 if max_diff == 0 else np.inf)
-    return PerturbationReport(norm, bound, max_diff, ratio,
-                              bool(max_diff <= bound + 1e-9))
-
-
-@dataclass(frozen=True)
-class MetricContinuityReport:
-    eps_in: float
-    eps_out: float
-
-
-def metric_continuity_check(sc: Superconnection, h1: MetricField,
-                            h2: MetricField, p: int, eps: float,
-                            count: int = 8) -> MetricContinuityReport:
-    """Smallest eps' with eps'-close spectra for two eps-close metrics."""
-    s1 = spectrum(sc, h1, p, count=count)
-    s2 = spectrum(sc, h2, p, count=count)
-    return MetricContinuityReport(eps, closeness_epsilon(s1, s2))
+    return SpectrumReport.from_eigenvalues(
+        p, dc.bloch_eigenvalues(p, weights)[:k])

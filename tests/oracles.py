@@ -7,20 +7,23 @@ spectral sequence built from r-tuple spaces, at the spots of the complex
 or over the whole (a_max + 1) x (b_max + r) rectangle of spots, empty ones
 included, each point of a bundle sweep built as a superconnection and
 metric of its own, the metric of a recorded gauge and weights as a bare
-callable, and the number-operator rescaling of an algebra solved in floats
-without a base."""
+callable, the number-operator rescaling of an algebra solved in floats
+without a base, and the grid Laplacian assembled as a sparse matrix from
+the sampled mass of any metric, solved by LAPACK or ARPACK, with the
+square-root perturbation and metric-continuity checks built on it."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from nilcollapse import lie, spectral, superconnection as sconn
-from nilcollapse.numerics import (InputError, RationalMatrix,
-                                  lowest_eigenvalues, nullspace_exact,
+from nilcollapse.numerics import (InputError, RationalMatrix, nullspace_exact,
                                   rank_exact)
-from nilcollapse.report import SpectrumReport
+from nilcollapse.report import SpectrumReport, closeness_epsilon
 
 
 def from_numpy(A) -> RationalMatrix:
@@ -165,7 +168,7 @@ def tuple_page(cx, r: int, spots=None):
         ranks = {s: rank_exact(m) for s, m in cx.maps.get(0, {}).items()}
         return dict(cx.dims), {s: k for s, k in ranks.items() if k}
     spaces = {s: TupleSpace(cx, r, *s) for s in (spots or cx.dims)}
-    dims = {spot: sp.dimension() for spot, sp in spaces.items()}
+    dims = {spot: space.dimension() for spot, space in spaces.items()}
     d_ranks = {}
     for (a, b), d in dims.items():
         dst = (a + r, b - r + 1)
@@ -212,7 +215,7 @@ def adiabatic_point(base, delta):
 def weighted_metric(h, weights):
     """The metric G(x)^T diag(e^{2 lambda_b}) G(x) on degree b, G(x) =
     exp(-sum_g x_g X_g / L_g) of h's recorded logarithms X, as a bare
-    callable, so that `spectrum` assembles it: the metric that
+    callable for `assembled_spectrum`: the metric that
     `spectrum(..., weights=lambda)` solves in its Bloch gauge. Its
     constructor checks that it is equivariant."""
     base = h.base
@@ -256,3 +259,210 @@ def rescaled_spectrum(grading, p: int, eps: float) -> SpectrumReport:
         lap = lap + v @ v.T
     return SpectrumReport.from_eigenvalues(
         p, lowest_eigenvalues(lap, lap.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# the assembled grid Laplacian
+# ---------------------------------------------------------------------------
+
+# up to this many unknowns a spectrum is solved densely, above it by ARPACK
+_DENSE_LIMIT = 2200
+
+
+def lowest_eigenvalues(L, count: int) -> np.ndarray:
+    """The `count` lowest eigenvalues of a real symmetric matrix, ascending.
+
+    `L` is a dense array or a scipy sparse matrix, built symmetric by the
+    caller (nothing here checks or symmetrizes it). Up to `_DENSE_LIMIT`
+    unknowns, or when all eigenvalues are asked for, LAPACK solves the dense
+    matrix; otherwise ARPACK shift-inverts just below zero.
+    """
+    if not sp.issparse(L):
+        L = np.asarray(L, dtype=float)
+    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+        raise InputError(f"matrix must be square, got shape {L.shape}")
+    n = L.shape[0]
+    if n == 0:
+        return np.zeros(0)
+    if n <= _DENSE_LIMIT or count >= n:
+        return np.linalg.eigvalsh(L.toarray() if sp.issparse(L) else L)[:count]
+    # imported here: ARPACK loads only when a solve needs it
+    import scipy.sparse.linalg as spla
+    scale = max(1.0, float(abs(L).max()))
+    # a fixed start vector makes the Lanczos run repeatable; not the
+    # constant vector, which spans an invariant subspace of every
+    # translation-invariant operator
+    lam = spla.eigsh(L, k=count, sigma=-1e-3 * scale, which="LM",
+                     v0=np.random.default_rng(0).standard_normal(n),
+                     return_eigenvectors=False)
+    return np.sort(lam)
+
+
+def _point_blocks(rows, cols, blocks, shape, offset) -> sp.coo_matrix:
+    """COO matrix of the given shape with the r_out x r_in block blocks[k]
+    (or one block for every k) from grid point cols[k] to grid point
+    rows[k], placed `offset` = (row, column) entries in."""
+    blocks = np.broadcast_to(blocks, (len(rows),) + np.shape(blocks)[-2:])
+    _, r_out, r_in = blocks.shape
+    bi, bj = np.indices((r_out, r_in))
+    row_idx = offset[0] + (rows[:, None, None] * r_out + bi).ravel()
+    col_idx = offset[1] + (cols[:, None, None] * r_in + bj).ravel()
+    return sp.coo_matrix((blocks.ravel(), (row_idx, col_idx)), shape=shape)
+
+
+def _spd_power(blocks: np.ndarray, power: float) -> np.ndarray:
+    w, v = np.linalg.eigh(blocks)
+    if w.min() <= 0:
+        raise InputError("mass block not positive definite")
+    return np.einsum("pij,pj,pkj->pik", v, w ** power, v)
+
+
+class AssembledComplex(sconn.DiscreteComplex):
+    """The total differential of `DiscreteComplex`'s layout and terms,
+    assembled on the staggered grids as sparse matrices and weighted by the
+    mass that the metric samples, so any checked metric of sc's base and
+    bundle will do, a bare callable included: the route the Bloch solve is
+    checked against."""
+
+    def __init__(self, sc, h):
+        self.sc, self.h, self.base, self.bundle = sc, h, sc.base, sc.bundle
+        self._weighted = {}
+
+    def differential(self, p: int) -> sp.csr_matrix:
+        """The degree-p differential, one `_point_blocks` matrix per term."""
+        src, dst = self.components(p), self.components(p + 1)
+        src_off = np.cumsum([0] + [self.component_size(c) for c in src])
+        dst_off = np.cumsum([0] + [self.component_size(c) for c in dst])
+        N, pts = self.base.resolution, np.arange(self.base.npoints)
+        grid = pts.reshape((N,) * self.base.dim)
+        out = sp.csr_matrix((self.dim(p + 1), self.dim(p)))
+        for i, j, gen, c in self.terms(p):
+            at = (dst_off[i], src_off[j])
+            if gen is None:
+                out += _point_blocks(pts, pts, c, out.shape, at)
+                continue
+            # c (S - I) / h, where the one-step shift S crosses the seam
+            # through the monodromy
+            phi = self.bundle.monodromy(gen, src[j][1])
+            step, eye = self.base.steps[gen], np.eye(len(phi))
+            seam = (np.indices(grid.shape)[gen] == N - 1).ravel()
+            shift = np.where(seam[:, None, None], phi, eye)
+            out += _point_blocks(pts, np.roll(grid, -1, axis=gen).ravel(),
+                                 c * (shift / step), out.shape, at)
+            out += _point_blocks(pts, pts, c * (-eye / step), out.shape, at)
+        out.eliminate_zeros()
+        return out
+
+    def _mass_power(self, p: int, power: float) -> sp.csr_matrix:
+        """M_p^power of the degree-p mass: cell volume times the metric at
+        each component's staggered points, one block per grid point."""
+        pts = np.arange(self.base.npoints)
+        out = sp.csr_matrix((self.dim(p), self.dim(p)))
+        offset = 0
+        for dirs, b in self.components(p):
+            mass = self.base.cell_volume * self.h.sample(
+                b, self.base.points(stagger=dirs))
+            out += _point_blocks(pts, pts, _spd_power(mass, power), out.shape,
+                                 (offset, offset))
+            offset += self.component_size((dirs, b))
+        return out
+
+    def weighted_differential(self, p: int) -> sp.csr_matrix:
+        """W_p = M_{p+1}^{1/2} D_p M_p^{-1/2}, the degree-p differential in
+        orthonormal frames of the mass, where its adjoint is W_p^T; built
+        once per complex."""
+        if p not in self._weighted:
+            self._weighted[p] = (self._mass_power(p + 1, 0.5)
+                                 @ self.differential(p)
+                                 @ self._mass_power(p, -0.5)).tocsr()
+        return self._weighted[p]
+
+    def laplacian(self, p: int) -> sp.csr_matrix:
+        """W_p^T W_p + W_{p-1} W_{p-1}^T: the degree-p Laplacian d*d + dd*
+        in the orthonormal frame of the mass, symmetric by construction."""
+        W = self.weighted_differential(p)
+        Wm = self.weighted_differential(p - 1)
+        return (W.T @ W + Wm @ Wm.T).tocsr()
+
+    def operator_norm(self, other: "AssembledComplex") -> float:
+        """Weighted operator norm of the difference of the two total
+        differentials (both complexes must share the grid and metric)."""
+        worst = 0.0
+        top = self.base.dim + self.bundle.top
+        for p in range(top + 1):
+            A = self.weighted_differential(p) - other.weighted_differential(p)
+            if A.nnz == 0:
+                continue
+            G = (A.T @ A).toarray() if A.shape[1] <= 1500 else None
+            if G is not None:
+                worst = max(worst, float(np.sqrt(max(
+                    0.0, np.linalg.eigvalsh(0.5 * (G + G.T))[-1]))))
+            else:
+                # imported here, as in lowest_eigenvalues
+                import scipy.sparse.linalg as spla
+                s = spla.svds(A, k=1, return_singular_vectors=False)
+                worst = max(worst, float(s[0]))
+        return worst
+
+
+def assembled_spectrum(sc, h, p: int, count: int = 12,
+                       dc=None) -> SpectrumReport:
+    """The `count` lowest eigenvalues of the assembled degree-p Laplacian of
+    (sc, h), by `lowest_eigenvalues` and the rounding rule of every
+    spectrum; `dc` is an `AssembledComplex` of (sc, h), built when None."""
+    dc = AssembledComplex(sc, h) if dc is None else dc
+    return SpectrumReport.from_eigenvalues(
+        p, lowest_eigenvalues(dc.laplacian(p), min(count, dc.dim(p))))
+
+
+# ---------------------------------------------------------------------------
+# stability checks
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PerturbationReport:
+    """Eq-style square-root eigenvalue continuity check between two flat
+    superconnections on the same bundle and metric."""
+
+    operator_norm: float
+    bound: float
+    max_difference: float
+    max_ratio: float
+    holds: bool
+
+
+PERTURBATION_CONSTANT = 2.0 + np.sqrt(2.0)
+
+
+def perturbation_check(sc1, sc2, h, p: int,
+                       count: int = 8) -> PerturbationReport:
+    """The difference sc2 - sc1 is an endomorphism-valued form when both
+    live over h's base and bundle, which their complexes require. The
+    spectra are `superconnection.spectrum`'s, the operator norm that of
+    the assembled weighted differentials."""
+    d1 = sconn.DiscreteComplex(sc1, h)
+    d2 = sconn.DiscreteComplex(sc2, h)
+    norm = AssembledComplex(sc1, h).operator_norm(AssembledComplex(sc2, h))
+    s1 = sconn.spectrum(sc1, h, p, count=count, dc=d1)
+    s2 = sconn.spectrum(sc2, h, p, count=count, dc=d2)
+    diffs = np.abs(np.sqrt(s1.eigenvalues) - np.sqrt(s2.eigenvalues))
+    bound = PERTURBATION_CONSTANT * norm
+    max_diff = float(diffs.max(initial=0.0))
+    ratio = max_diff / bound if bound > 0 else (0.0 if max_diff == 0 else np.inf)
+    return PerturbationReport(norm, bound, max_diff, ratio,
+                              bool(max_diff <= bound + 1e-9))
+
+
+@dataclass(frozen=True)
+class MetricContinuityReport:
+    eps_in: float
+    eps_out: float
+
+
+def metric_continuity_check(sc, h1, h2, p: int, eps: float,
+                            count: int = 8) -> MetricContinuityReport:
+    """Smallest eps' with eps'-close spectra for two eps-close metrics,
+    each solved assembled, so that either may be a bare callable."""
+    s1 = assembled_spectrum(sc, h1, p, count=count)
+    s2 = assembled_spectrum(sc, h2, p, count=count)
+    return MetricContinuityReport(eps, closeness_epsilon(s1, s2))

@@ -478,7 +478,8 @@ def test_validate_rejects_fractional_complex_dims(runner, tmp_path):
 
 @pytest.fixture
 def flip_bundle_file(tmp_path):
-    # identity metric over the flip monodromy: spectrum assembles
+    # identity metric over the flip monodromy: spectrum solves every Bloch
+    # mode in the gauge of the flip's complex logarithm
     path = tmp_path / "flip.json"
     path.write_text(json.dumps({
         "base": {"kind": "circle", "resolution": 16}, "ranks": [2],
@@ -487,7 +488,7 @@ def flip_bundle_file(tmp_path):
 
 
 @pytest.mark.parametrize("path", ["bundle_file", "flip_bundle_file"],
-                         ids=["bloch", "assembled"])
+                         ids=["bloch", "flip"])
 def test_spectrum_rejects_negative_degree(runner, request, path):
     res = runner.invoke(main, ["spectrum", request.getfixturevalue(path),
                                "--p", "-1"])
@@ -857,9 +858,9 @@ def _loads(module, script):
 
 
 def test_importing_the_cli_loads_no_arpack():
-    # ARPACK is imported by its two callers when they need it, never when
-    # the package loads, which would raise the peak RSS of every run
-    assert not _loads("scipy.sparse.linalg", "import nilcollapse.cli")
+    # every spectrum solves on the Bloch path: the package imports neither
+    # ARPACK nor scipy.sparse, which would raise the peak RSS of every run
+    assert not _loads("scipy.sparse", "import nilcollapse.cli")
 
 
 def test_twisted_circle_solve_loads_no_scipy_special():

@@ -354,6 +354,21 @@ def test_prepare_checks_each_metric_once(monkeypatch, name):
     assert checked == [step.h]
 
 
+@pytest.mark.parametrize("name", list(lab.PRESETS))
+def test_each_weight_check_runs_once(monkeypatch, name):
+    # building the sweep checks every (sweep value, degree) pair, and the
+    # solve reads the factors that check left on the complex
+    plain = json.dumps(lab.run(name).to_dict(), sort_keys=True)
+    checked = []
+    spy(monkeypatch, sconn.DiscreteComplex, "check_weights", checked, name)
+    cfg = lab.load_scenario(name)
+    step = lab.prepare(cfg)
+    pairs = len(cfg.sweep_values) * len(cfg.degrees)
+    assert len(checked) == pairs
+    assert json.dumps(step().to_dict(), sort_keys=True) == plain
+    assert len(checked) == pairs
+
+
 @pytest.mark.parametrize("name, case", [
     ("example1_heisenberg_point", 1), ("example3_circle_bundle", 3),
     ("example7_heisenberg_circle", 2), ("example9_sol_circle", None),

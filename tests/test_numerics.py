@@ -1,7 +1,7 @@
-"""The float eigensolver entry checked against an independent
-inertia-bisection oracle, closed forms and its own sparse branch; exact
-rational linear algebra checked against brute-force floating-point rank
-counting."""
+"""The float eigensolver of the tests' assembled oracle checked against an
+independent inertia-bisection oracle, closed forms and its own sparse
+branch; exact rational linear algebra checked against brute-force
+floating-point rank counting."""
 
 from fractions import Fraction
 
@@ -13,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from nilcollapse import numerics, spectral
 from nilcollapse.numerics import (REQUIRED, InputError, RationalMatrix,
-                                  integer, lowest_eigenvalues, nullspace_exact,
-                                  rank_exact, read_fields, read_json,
-                                  row_reduce, solve_exact)
+                                  integer, nullspace_exact, rank_exact,
+                                  read_fields, read_json, row_reduce,
+                                  solve_exact)
 from tests import dense_oracle as oracle, oracles
 from tests.conftest import canonical
-from tests.oracles import quotient_dim
+from tests.oracles import lowest_eigenvalues, quotient_dim
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_dense_and_arpack_branches_agree(monkeypatch):
     L[0, n - 1] = L[n - 1, 0] = -1.0
     L = L.tocsr()
     dense = lowest_eigenvalues(L, 6)
-    monkeypatch.setattr(numerics, "_DENSE_LIMIT", n - 1)
+    monkeypatch.setattr(oracles, "_DENSE_LIMIT", n - 1)
     arpack = lowest_eigenvalues(L, 6)
     assert arpack.shape == dense.shape == (6,)
     assert np.all(np.diff(arpack) >= 0)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from nilcollapse import lie, superconnection as sconn
 from nilcollapse.numerics import InputError
 from nilcollapse.report import ZERO_TOL, SpectrumReport, closeness_epsilon
+from tests import oracles
 from tests.conftest import rescaled_spectra
 
 
@@ -39,10 +40,12 @@ def _lowest_set_to(real, value):
 def _spectrum_routes():
     sc = sconn.from_affine_bundle(lie.abelian(1), sconn.BaseModel("circle", 8))
     h = sconn.MetricField.identity(sc.bundle, sc.base)
-    bare = sconn.MetricField(sc.bundle, sc.base, h.sample)  # always assembled
+    bare = sconn.MetricField(sc.bundle, sc.base, h.sample)
     return {
-        "assembled": (sconn, "lowest_eigenvalues",
-                      lambda: sconn.spectrum(sc, bare, 1, count=4)),
+        # the tests' oracle assembles the grid Laplacian of a bare callable
+        "assembled": (oracles, "lowest_eigenvalues",
+                      lambda: oracles.assembled_spectrum(sc, bare, 1,
+                                                         count=4)),
         "bloch": (sconn.DiscreteComplex, "bloch_eigenvalues",
                   lambda: sconn.spectrum(sc, h, 1, count=4)),
         # the point base of nil_rescale solves its one Fourier block

@@ -3,10 +3,10 @@ use each other only through public names, functions merged into a single
 builder stay merged, exact matrices are read and built through their
 methods, never through a `.data` attribute or, outside `numerics`, their
 sparse rows, the superconnection layer converts holonomy actions that
-`spectral` built exactly instead of building its own, only the equivariant
-metric takes a matrix logarithm, every grid matrix is placed by one
-block builder, every spectrum comes from one of two solvers, the exact
-layer `spectral` decides nothing by a float rank or eigenvalue, flatness
+`spectral` built exactly instead of building its own, only the two metric
+constructors take matrix logarithms, every grid matrix of the tests'
+assembled oracle is placed by one block builder, every spectrum comes from
+the Bloch solver and no module imports scipy.sparse, the exact layer `spectral` decides nothing by a float rank or eigenvalue, flatness
 is decided by equality on exact blocks and only by the `Superconnection`
 constructor, which every superconnection passes through, equivariance is
 checked only by the `MetricField` constructor, which every metric passes
@@ -26,6 +26,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nilcollapse"
 MODULES = sorted(SRC.glob("*.py"))
+ORACLES = ROOT / "tests" / "oracles.py"
 
 # each was a second construction of an object that now has one builder
 MERGED = {
@@ -95,6 +96,15 @@ MERGED = {
     # a log fiber root per form: no per-point fiber metric, root or float
     # range, and every point and degree solves on one DiscreteComplex
     "with_fiber", "fiber_roots", "_gauged", "_float_range",
+    # every metric that a complex accepts records its holonomy logarithms,
+    # so every spectrum solves on the Bloch path: the assembled grid
+    # Laplacian, its eigensolver and the checks built on it are the tests'
+    # oracle (tests/oracles.py)
+    "bloch_ready", "_ready", "differential", "_mass_power",
+    "weighted_differential", "_weighted", "laplacian", "operator_norm",
+    "_point_blocks", "_spd_power", "lowest_eigenvalues", "_DENSE_LIMIT",
+    "perturbation_check", "PerturbationReport", "PERTURBATION_CONSTANT",
+    "metric_continuity_check", "MetricContinuityReport",
 }
 # merged functions whose name a report field still uses (DegreeReport.spectra)
 MERGED_FUNCTIONS = {"spectra"}
@@ -187,10 +197,11 @@ def _called_name(call):
         func, "id", None)
 
 
-def _callers(name):
-    """(module, class or None, function) around each call of `name`."""
+def _callers(name, paths=MODULES):
+    """(module, class or None, function) around each call of `name` in the
+    files `paths`, by default the package's modules."""
     out = set()
-    for path in MODULES:
+    for path in paths:
         parents = {child: node for node in ast.walk(_tree(path))
                    for child in ast.iter_child_nodes(node)}
         for node in parents:
@@ -229,15 +240,32 @@ def test_superconnection_builds_no_holonomy_action():
 
 
 def test_grid_matrices_placed_only_by_point_blocks():
-    # the differential and the mass powers are sums of _point_blocks
-    # matrices: no block assembly by scipy beside it
+    # the assembled oracle's differential and mass powers are sums of
+    # _point_blocks matrices: no block assembly by scipy beside it
     bad = [f"line {node.lineno}: {node.attr}"
-           for node in ast.walk(_tree(SRC / "superconnection.py"))
+           for node in ast.walk(_tree(ORACLES))
            if isinstance(node, ast.Attribute)
            and node.attr in ("bmat", "kron", "block_diag")]
-    assert not bad, f"superconnection.py assembles blocks by scipy: {bad}"
-    assert ("superconnection.py", "DiscreteComplex", "differential") in \
-        _callers("_point_blocks")
+    assert not bad, f"oracles.py assembles blocks by scipy: {bad}"
+    assert ("oracles.py", "AssembledComplex", "differential") in \
+        _callers("_point_blocks", [ORACLES])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_sparse(path):
+    # every spectrum solves on the Bloch path, so the package assembles no
+    # sparse matrix and loads neither scipy.sparse nor ARPACK
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        bad += [f"line {node.lineno}: {name}" for name in names
+                if name == "scipy.sparse" or name.startswith("scipy.sparse.")]
+    assert not bad, f"{path.name} imports scipy.sparse: {bad}"
 
 
 def test_flatness_decided_exactly():
@@ -283,25 +311,25 @@ def test_equivariance_checked_only_by_the_metric():
 
 
 def test_logarithms_taken_only_by_the_equivariant_metric():
-    # holonomy logarithms are taken by MetricField.equivariant alone, once
-    # per bundle in a monodromy sweep, through _principal_log, which is the
-    # one caller of the costly logm and calls it only for a monodromy
-    # without a well-conditioned eigenbasis
-    assert _callers("_principal_log") == {
+    # holonomy logarithms are taken by the two metric constructors that
+    # record them, identity and equivariant, once per bundle in a sweep,
+    # through _holonomy_logs and _principal_log, which is the one caller of
+    # the costly logm and calls it only for a monodromy without a
+    # well-conditioned eigenbasis
+    assert _callers("_holonomy_logs") == {
+        ("superconnection.py", "MetricField", "identity"),
         ("superconnection.py", "MetricField", "equivariant")}
+    assert _callers("_principal_log") == {
+        ("superconnection.py", None, "_holonomy_logs")}
     assert _callers("logm") == {("superconnection.py", None, "_principal_log")}
 
 
 def test_float_eigensolves_only_in_their_owners():
-    # a spectrum comes from numerics.lowest_eigenvalues or from the batched
-    # Bloch blocks; the other calls are a matrix power, a norm and the
+    # a spectrum comes from the batched Bloch blocks; the other call is the
     # eigenbasis of a holonomy logarithm
     callers = set().union(*map(_callers, ("eigvalsh", "eigh", "eigsh", "eig")))
     assert callers == {
-        ("numerics.py", None, "lowest_eigenvalues"),
         ("superconnection.py", "DiscreteComplex", "bloch_eigenvalues"),
-        ("superconnection.py", None, "_spd_power"),
-        ("superconnection.py", "DiscreteComplex", "operator_norm"),
         ("superconnection.py", None, "_principal_log"),
     }
 

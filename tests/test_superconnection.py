@@ -21,6 +21,7 @@ from tests.conftest import (canonical, check_model_flatness,
 SOL = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = (3.0 + np.sqrt(5.0)) / 2.0  # larger eigenvalue of SOL
 UNIPOTENT = np.array([[1.0, 1.0], [0.0, 1.0]])
+FLIP = [[[[0, 1], [1, 0]]]]  # one monodromy generator: the flip in degree 0
 
 
 def circle(n=32):
@@ -71,16 +72,16 @@ def test_point_base_is_the_zero_torus():
 
 def test_point_base_solves_the_fiber_complex():
     # over a point the Laplacian is the fiber's a0^T a0 + a0 a0^T: one
-    # Bloch block, and the same eigenvalues assembled
+    # Bloch block, and the same eigenvalues assembled by the oracle
     bundle = sconn.GradedBundle([1, 2], generators=0)
     base = sconn.BaseModel("point", 8)
     sc = sconn.Superconnection(bundle, base, a0=[[[3], [4]]])
     h = sconn.MetricField.identity(bundle, base)
-    bare = sconn.MetricField(bundle, base, h.sample)  # always assembled
+    bare = sconn.MetricField(bundle, base, h.sample)
     for p, want in ((0, [25.0]), (1, [0.0, 25.0]), (2, [])):
-        for metric in (h, bare):
-            assert np.allclose(sconn.spectrum(sc, metric, p).eigenvalues,
-                               want, rtol=1e-14, atol=1e-14)
+        for rep in (sconn.spectrum(sc, h, p),
+                    oracles.assembled_spectrum(sc, bare, p)):
+            assert np.allclose(rep.eigenvalues, want, rtol=1e-14, atol=1e-14)
     with pytest.raises(InputError, match="a point base needs 0 monodromy "
                                          "generators, the bundle has 1"):
         sconn.Superconnection(sconn.GradedBundle([1]), base)
@@ -303,7 +304,7 @@ def test_superconnection_is_flat_exactly_when_check_flatness_holds(data):
             sconn.Superconnection(bundle, base, a0=a0, a2=a2)
         return
     sc = sconn.Superconnection(bundle, base, a0=a0, a2=a2)
-    dc = sconn.DiscreteComplex(sc, interpolated_metric(bundle, base))
+    dc = oracles.AssembledComplex(sc, interpolated_metric(bundle, base))
     for p in range(base.dim + len(ranks)):
         prod = dc.differential(p + 1) @ dc.differential(p)
         assert prod.nnz == 0 or abs(prod).max() <= 1e-12
@@ -502,7 +503,7 @@ def test_equivariant_metric_over_a_zero_rank_degree():
 def test_discrete_differential_squares_to_zero():
     sc = circle_bundle(torus(8), 1.0)
     h = sconn.MetricField.identity(sc.bundle, sc.base)
-    dc = sconn.DiscreteComplex(sc, h)
+    dc = oracles.AssembledComplex(sc, h)
     for p in range(3):
         prod = dc.differential(p + 1) @ dc.differential(p)
         assert prod.nnz == 0 or abs(prod).max() < 1e-13
@@ -512,7 +513,7 @@ def test_discrete_differential_squares_to_zero_twisted():
     sc = sconn.from_affine_bundle(lie.abelian(2), circle(8),
                                   monodromy_action=[SOL])
     h = sconn.MetricField.equivariant(sc.bundle, sc.base)
-    dc = sconn.DiscreteComplex(sc, h)
+    dc = oracles.AssembledComplex(sc, h)
     for p in range(2):
         prod = dc.differential(p + 1) @ dc.differential(p)
         assert abs(prod).max() < 1e-12
@@ -590,20 +591,20 @@ def twisted_circle(base, phi):
 
 
 def bare(h):
-    """The same metric as a bare callable, which `spectrum` always assembles."""
+    """The same metric as a bare callable, which records no logarithms:
+    only the assembled oracle solves it."""
     return sconn.MetricField(h.bundle, h.base, h.sample)
 
 
 def assert_bloch_matches_assembled(sc, h, p, count=8, weights=None):
     """The Bloch spectrum of (sc, h), with `weights` if given, against the
     assembled spectrum of the same metric as a bare callable."""
-    assert sconn.DiscreteComplex(sc, h).bloch_ready()
     bloch = sconn.spectrum(sc, h, p, count=count, weights=weights).eigenvalues
     metric = bare(h) if weights is None else oracles.weighted_metric(h,
                                                                      weights)
-    oracle = sconn.spectrum(sc, metric, p, count=count).eigenvalues
-    L = sconn.DiscreteComplex(sc, metric).laplacian(p)
-    scale = max(1.0, float(abs(L).max()))
+    dc = oracles.AssembledComplex(sc, metric)
+    oracle = oracles.assembled_spectrum(sc, metric, p, count, dc=dc).eigenvalues
+    scale = max(1.0, float(abs(dc.laplacian(p)).max()))
     assert bloch.shape == oracle.shape
     assert np.abs(bloch - oracle).max(initial=0.0) <= 1e-10 * scale
     assert (np.sum(bloch <= report.ZERO_TOL)
@@ -612,16 +613,14 @@ def assert_bloch_matches_assembled(sc, h, p, count=8, weights=None):
 
 def test_spectra_solve_every_degree_on_one_complex():
     # each degree's report on one shared complex is the one `spectrum`
-    # gives alone, on the Bloch and on the assembled path; a complex of
-    # another metric is refused
+    # gives alone; a complex of another metric is refused
     sc, h = twisted_circle(circle(9), UNIPOTENT)
-    for metric in (h, bare(h)):
-        alone = [sconn.spectrum(sc, metric, p, count=5).to_dict()
-                 for p in range(4)]
-        dc = sconn.DiscreteComplex(sc, metric)
-        assert [sconn.spectrum(sc, metric, p, 5, dc=dc).to_dict()
-                for p in range(4)] == alone
-    dc = sconn.DiscreteComplex(sc, bare(h))
+    alone = [sconn.spectrum(sc, h, p, count=5).to_dict() for p in range(4)]
+    dc = sconn.DiscreteComplex(sc, h)
+    assert [sconn.spectrum(sc, h, p, 5, dc=dc).to_dict()
+            for p in range(4)] == alone
+    dc = sconn.DiscreteComplex(
+        sc, sconn.MetricField.equivariant(sc.bundle, sc.base))
     with pytest.raises(InputError, match="another superconnection or metric"):
         sconn.spectrum(sc, h, 0, dc=dc)
 
@@ -701,7 +700,8 @@ def test_conjugate_pair_solve_matches_all_modes(N):
              heisenberg_torus_with_curvature(torus(N))]
     for sc, h in cases:
         dc = sconn.DiscreteComplex(sc, h)
-        assert dc.bloch_ready()
+        # real logarithms: one block per conjugate pair of modes
+        assert len(dc._phase) < sc.base.npoints
         for p in range(sc.base.dim + sc.bundle.top + 1):
             want = all_modes_eigenvalues(dc, p)
             got = dc.bloch_eigenvalues(p)
@@ -733,26 +733,30 @@ def test_bloch_matches_assembled_conformal_metrics(data):
 
 
 def test_bloch_path_only_for_recorded_gauges(monkeypatch):
-    assembled = []
-    laplacian = sconn.DiscreteComplex.laplacian
-    monkeypatch.setattr(sconn.DiscreteComplex, "laplacian",
-                        lambda dc, p: assembled.append(p) or laplacian(dc, p))
+    solved = []
+    spy(monkeypatch, sconn.DiscreteComplex, "bloch_eigenvalues", solved, 0)
     base = circle(32)
     bundle = sconn.GradedBundle([2], [[SOL]])
     sc = sconn.Superconnection(bundle, base)
     h = sconn.MetricField.equivariant(bundle, base)
     want = sconn.spectrum(sc, h, 0, count=4).eigenvalues
-    assert assembled == []
-    # the same metric as a bare callable records no logarithms
-    got = sconn.spectrum(sc, bare(h), 0, count=4).eigenvalues
-    assert assembled == [0]
+    assert solved == [0]
+    # the same metric as a bare callable records no logarithms: refused,
+    # and only the assembled oracle solves it
+    with pytest.raises(InputError, match="MetricField.identity or "
+                                         "MetricField.equivariant"):
+        sconn.spectrum(sc, bare(h), 0, count=4)
+    got = oracles.assembled_spectrum(sc, bare(h), 0, count=4).eigenvalues
     assert np.allclose(got, want, rtol=1e-9)
-    # nor does an identity metric over an orthogonal monodromy
-    flip = sconn.GradedBundle([2], [[[[0, 1], [1, 0]]]])
-    assert sconn.MetricField.identity(flip, base).logs is None
+    # an identity metric over an orthogonal monodromy records the flip's
+    # complex logarithm and solves on the Bloch path too
+    flip = sconn.GradedBundle([2], FLIP)
+    flat = sconn.MetricField.identity(flip, base)
+    assert flat.logs is not None and np.iscomplexobj(flat.logs[0][0])
+    sconn.spectrum(sconn.Superconnection(flip, base), flat, 0, count=4)
+    assert solved == [0, 0]
     # a metric of another base with the same circumference, or of an
-    # untwisted bundle with the same ranks, is refused, not assembled
-    assembled.clear()
+    # untwisted bundle with the same ranks, is refused, not solved
     others = [
         (sconn.MetricField.equivariant(bundle, circle(16)), "built over"),
         (sconn.MetricField.identity(sconn.GradedBundle([2]), base),
@@ -761,27 +765,33 @@ def test_bloch_path_only_for_recorded_gauges(monkeypatch):
     for other, message in others:
         with pytest.raises(InputError, match=message):
             sconn.spectrum(sc, other, 0, count=4)
-    assert assembled == []
+    assert solved == [0, 0]
 
 
 def test_a_bare_callable_carries_no_logarithms():
     # only identity and equivariant record logarithms: the constructor takes
-    # none from its caller, so a zero logarithm cannot send the flip bundle,
-    # whose holonomy has none that is real, down the Bloch path
+    # none from its caller, and a complex refuses a metric without them, so
+    # no logarithm chosen by hand can gauge the flip bundle
     assert "logs" not in inspect.signature(sconn.MetricField).parameters
     base = circle(16)
-    flip = sconn.GradedBundle([2], [[[[0, 1], [1, 0]]]])
+    flip = sconn.GradedBundle([2], FLIP)
     sc = sconn.Superconnection(flip, base)
     h = sconn.MetricField(flip, base, lambda b, pts: np.broadcast_to(
         np.eye(2), (len(pts), 2, 2)))
-    assert h.logs is None and not sconn.DiscreteComplex(sc, h).bloch_ready()
-    # the periodic and the antiperiodic modes of the forward difference
-    lam = sconn.spectrum(sc, h, 0, count=4).eigenvalues
+    assert h.logs is None
+    with pytest.raises(InputError, match="records the holonomy logarithms"):
+        sconn.DiscreteComplex(sc, h)
+    # the periodic and the antiperiodic modes of the forward difference,
+    # assembled by the oracle and solved on the Bloch path of the identity
+    # metric, which records the flip's principal logarithm
     anti = (32 * np.sin(np.pi / 32)) ** 2
     periodic = (32 * np.sin(np.pi / 16)) ** 2
-    assert lam[0] <= report.ZERO_TOL
-    assert np.allclose(lam[1:], [anti, anti, periodic], rtol=1e-9, atol=0)
-    assert np.round(lam, 2).tolist() == [0.0, 9.84, 9.84, 38.97]
+    for lam in (oracles.assembled_spectrum(sc, h, 0, count=4).eigenvalues,
+                sconn.spectrum(sc, sconn.MetricField.identity(flip, base), 0,
+                               count=4).eigenvalues):
+        assert lam[0] <= report.ZERO_TOL
+        assert np.allclose(lam[1:], [anti, anti, periodic], rtol=1e-9, atol=0)
+        assert np.round(lam, 2).tolist() == [0.0, 9.84, 9.84, 38.97]
 
 
 def test_complex_refuses_a_metric_of_another_bundle_or_base():
@@ -807,11 +817,11 @@ def test_arpack_path_is_repeatable_and_matches_bloch():
     # 3 * 28^2 = 2352 unknowns in degree 1: above the dense cutoff
     sc = circle_bundle(torus(28), 0.3)
     h = sconn.MetricField.identity(sc.bundle, sc.base)
-    first = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
-    again = sconn.spectrum(sc, bare(h), 1, count=6).eigenvalues
+    first = oracles.assembled_spectrum(sc, bare(h), 1, count=6).eigenvalues
+    again = oracles.assembled_spectrum(sc, bare(h), 1, count=6).eigenvalues
     assert np.array_equal(first, again)
     bloch = sconn.spectrum(sc, h, 1, count=6).eigenvalues
-    scale = float(abs(sconn.DiscreteComplex(sc, h).laplacian(1)).max())
+    scale = float(abs(oracles.AssembledComplex(sc, h).laplacian(1)).max())
     assert np.abs(bloch - first).max() <= 1e-10 * scale
 
 
@@ -824,16 +834,17 @@ def test_perturbation_bound_on_coupling_pair():
     sc1 = circle_bundle(base, 0.7)
     sc2 = circle_bundle(base, 0.9)
     h = sconn.MetricField.identity(sc1.bundle, sc1.base)
-    rep = sconn.perturbation_check(sc1, sc2, h, 1)
+    rep = oracles.perturbation_check(sc1, sc2, h, 1)
     assert rep.holds
     assert rep.operator_norm == pytest.approx(0.2, rel=1e-6)
     assert rep.max_difference <= rep.bound
-    assert rep.bound == pytest.approx(sconn.PERTURBATION_CONSTANT * 0.2)
+    assert rep.bound == pytest.approx(oracles.PERTURBATION_CONSTANT * 0.2)
 
 
 def test_perturbation_check_solves_on_the_complexes_it_built(monkeypatch):
-    # one DiscreteComplex per superconnection serves both the operator norm
-    # and the spectrum; the report is the one of two fresh solves
+    # one DiscreteComplex per superconnection serves the spectrum, and the
+    # oracle's assembled complexes the operator norm; the report is the one
+    # of two fresh solves
     base = torus(8)
     sc1, sc2 = circle_bundle(base, 0.7), circle_bundle(base, 0.9)
     h = sconn.MetricField.identity(sc1.bundle, sc1.base)
@@ -841,7 +852,7 @@ def test_perturbation_check_solves_on_the_complexes_it_built(monkeypatch):
     init = sconn.DiscreteComplex.__init__
     monkeypatch.setattr(sconn.DiscreteComplex, "__init__",
                         lambda *a, **k: built.append(1) or init(*a, **k))
-    rep = sconn.perturbation_check(sc1, sc2, h, 1, count=6)
+    rep = oracles.perturbation_check(sc1, sc2, h, 1, count=6)
     assert len(built) == 2
     lam1 = sconn.spectrum(sc1, h, 1, count=6).eigenvalues
     lam2 = sconn.spectrum(sc2, h, 1, count=6).eigenvalues
@@ -856,7 +867,7 @@ def test_perturbation_check_requires_one_base():
     h = sconn.MetricField.identity(sc1.bundle, sc1.base)
     for base in (torus(12), sconn.BaseModel("torus2", 10, (1.0, 2.0))):
         with pytest.raises(InputError, match=re.escape(str(base))):
-            sconn.perturbation_check(sc1, circle_bundle(base, 0.9), h, 1)
+            oracles.perturbation_check(sc1, circle_bundle(base, 0.9), h, 1)
 
 
 def test_perturbation_check_requires_same_connection_part():
@@ -867,7 +878,7 @@ def test_perturbation_check_requires_same_connection_part():
     sc2 = sconn.Superconnection(b2, base)
     h = sconn.MetricField.equivariant(b1, base)
     with pytest.raises(InputError):
-        sconn.perturbation_check(sc1, sc2, h, 0)
+        oracles.perturbation_check(sc1, sc2, h, 0)
 
 
 def test_metric_continuity_conformal():
@@ -877,7 +888,7 @@ def test_metric_continuity_conformal():
     h2 = sconn.MetricField(sc.bundle, sc.base, lambda b, pts: np.broadcast_to(
         np.e * np.eye(sc.bundle.rank(b)),
         (len(pts), sc.bundle.rank(b), sc.bundle.rank(b))))
-    rep = sconn.metric_continuity_check(sc, h1, h2, 1, eps=1.0)
+    rep = oracles.metric_continuity_check(sc, h1, h2, 1, eps=1.0)
     assert rep.eps_out < 1e-8
 
 
@@ -920,22 +931,71 @@ def test_load_bundle_explicit_form():
     assert rep.eigenvalues[0] == pytest.approx(np.log(MU) ** 2, rel=1e-3)
 
 
-def test_orthogonal_flip_with_identity_metric_is_assembled():
-    # the identity metric is equivariant under the flip, which has no real
-    # logarithm, so spectrum assembles W^T W + W W^T; the flip's +1 and -1
-    # eigenvectors carry periodic and antiperiodic modes, each with the
-    # discrete eigenvalues 4 N^2 sin^2(theta / 2) in degrees 0 and 1
+def test_orthogonal_flip_with_identity_metric_solves_on_the_bloch_path(
+        monkeypatch):
+    # the identity metric is equivariant under the flip, whose principal
+    # logarithm is complex: spectrum solves every Fourier mode in its
+    # unitary gauge; the flip's +1 and -1 eigenvectors carry periodic and
+    # antiperiodic modes, each with the discrete eigenvalues
+    # 4 N^2 sin^2(theta / 2) in degrees 0 and 1
     N = 16
     sc, h = sconn.load_bundle({
         "base": {"kind": "circle", "resolution": N}, "ranks": [2],
-        "monodromy": [[[[0, 1], [1, 0]]]], "metric": "identity"})
-    assert not sconn.DiscreteComplex(sc, h).bloch_ready()
+        "monodromy": FLIP, "metric": "identity"})
+    solved = []
+    spy(monkeypatch, sconn.DiscreteComplex, "bloch_eigenvalues", solved, 0)
     k = np.arange(N)
     theta = np.concatenate([2 * np.pi * k / N, np.pi * (2 * k + 1) / N])
     want = np.sort(4 * N ** 2 * np.sin(theta / 2) ** 2)[:8]
     for p in (0, 1):
         got = sconn.spectrum(sc, h, p, count=8).eigenvalues
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+    assert len(solved) == 2
+
+
+ORTHOGONAL_BUNDLES = {
+    # e1 <-> e2 and e3 -> -e3, an automorphism of heisenberg:3 with the
+    # eigenvalue -1, so its logarithms on 1- and 2-forms are complex
+    "heisenberg3-swap": ({"base": {"kind": "circle", "resolution": 16},
+                          "fiber": "heisenberg:3", "monodromy_action": [
+                              [[0, 1, 0], [1, 0, 0], [0, 0, -1]]]}, 5),
+    "torus2-flip": ({"base": {"kind": "torus2", "resolution": 8},
+                     "ranks": [2], "monodromy": FLIP * 2}, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORTHOGONAL_BUNDLES))
+def test_identity_metric_over_orthogonal_holonomy_matches_assembled(name):
+    payload, degrees = ORTHOGONAL_BUNDLES[name]
+    sc, h = sconn.load_bundle(dict(payload, metric="identity"))
+    assert not sconn.DiscreteComplex(sc, h)._real
+    for p in range(degrees):
+        assert_bloch_matches_assembled(sc, h, p, count=12)
+
+
+def test_complex_logarithms_solve_every_mode():
+    # a complex logarithm breaks the conjugate symmetry of the Bloch
+    # blocks, so every mode solves; the quarter turn's logarithm is real
+    # up to rounding in its imaginary part, and keeps the pairs
+    cases = {"flip": (FLIP, False), "quarter-turn": ([[[[0, -1], [1, 0]]]],
+                                                    True)}
+    for name, (mono, real) in cases.items():
+        sc, h = sconn.load_bundle({"base": {"kind": "circle",
+                                            "resolution": 16},
+                                   "ranks": [2], "monodromy": mono})
+        dc = sconn.DiscreteComplex(sc, h)
+        assert dc._real == real and np.isrealobj(h.logs[0][0]) == real, name
+        assert (len(dc._phase) < sc.base.npoints) == real, name
+        assert dc._paired.any() == real, name
+        for p in range(2):
+            want = all_modes_eigenvalues(dc, p)
+            assert np.abs(dc.bloch_eigenvalues(p) - want).max() <= 1e-12 * (
+                np.abs(want).max())
+    # weights scale a real gauge only
+    with pytest.raises(InputError, match="holonomy logarithms are real"):
+        sconn.spectrum(*sconn.load_bundle(
+            {"base": {"kind": "circle", "resolution": 16}, "ranks": [2],
+             "monodromy": FLIP}), 0, weights=[[0.0, 0.5]])
 
 
 def test_load_bundle_errors():
