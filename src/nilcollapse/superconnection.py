@@ -13,10 +13,10 @@ makes the Laplacian d*d + dd* translation invariant on the grid, so
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import lie, spectral
 from .numerics import (REQUIRED, InputError, RationalMatrix, integer,
@@ -145,32 +145,127 @@ class GradedBundle:
         X = mat.to_numpy()
         if self._frames is None:
             return X
-        # (R_dst X R_src^-1)^T = R_src^-T (R_dst X)^T, a triangular solve
-        return scipy.linalg.solve_triangular(
-            self._frames[b_src], (self._frames[b_dst] @ X).T, trans="T").T
+        # (R_dst X R_src^-1)^T = R_src^-T (R_dst X)^T
+        return np.linalg.solve(self._frames[b_src].T,
+                               (self._frames[b_dst] @ X).T).T
+
+
+# ---------------------------------------------------------------------------
+# matrix exponential and logarithm
+# ---------------------------------------------------------------------------
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# the largest 1-norm of A / 2^s that _expm sums
+_EXPM_THETA = 1.0
+# the most square roots _logm takes, and the most Denman-Beavers steps of
+# one; a monodromy with a real principal logarithm needs a handful of each
+_MAX_STEPS = 64
+# a Denman-Beavers step from Y to Y' about equals the error of Y, and the
+# iteration converges quadratically, so after a step this small, relative
+# to Y', the error of Y' is near its square, below the unit roundoff
+_SQRT_TOL = 1e-10
+_NO_REAL_LOG = "monodromy has no real logarithm; supply a metric explicitly"
+
+
+def _norm1(A: np.ndarray) -> float:
+    """The largest 1-norm (column sum) over a matrix or a stack of them."""
+    return float(np.abs(A).sum(axis=-2).max(initial=0.0))
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a square matrix or a stack of them, real or complex, by
+    scaling and squaring a Taylor sum (Higham, SIAM J. Matrix Anal. Appl.
+    26, 2005). The 1-norm fixes both counts before any product: s squarings
+    take it to theta <= _EXPM_THETA, and the sum of exp(A / 2^s) stops at
+    the first m for which its relative remainder, at most
+    e^(2 theta) theta^(m+1) / (m+1)!, doubled by each squaring, is below
+    the unit roundoff."""
+    norm = _norm1(A)
+    s = max(0, math.ceil(math.log2(norm / _EXPM_THETA))) if norm else 0
+    theta = norm / 2 ** s
+    m, bound = 0, 2 ** s * math.exp(2 * theta) * theta
+    while bound > _UNIT_ROUNDOFF:
+        m += 1
+        bound *= theta / (m + 1)
+    B = A / 2 ** s
+    eye = np.eye(A.shape[-1], dtype=B.dtype)
+    E = eye + np.zeros_like(B)
+    for k in range(m, 0, -1):  # Horner: I + B (I + B (...) / 2) / 1
+        E = eye + B @ E / k
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+def _sqrtm(A: np.ndarray) -> np.ndarray:
+    """The principal square root of a real matrix by the Denman-Beavers
+    iteration Y <- (Y + Z^-1) / 2, Z <- (Z + Y^-1) / 2 from Y = A, Z = I.
+    InputError when it meets a singular iterate or does not converge in
+    _MAX_STEPS, as for A with an eigenvalue on the closed negative real
+    axis, which has no real principal square root."""
+    Y, Z = A, np.eye(len(A))
+    for _ in range(_MAX_STEPS):
+        try:
+            step = (np.linalg.inv(Z) - Y) / 2
+            Y, Z = Y + step, (Z + np.linalg.inv(Y)) / 2
+        except np.linalg.LinAlgError:
+            break
+        if _norm1(step) <= _SQRT_TOL * _norm1(Y):
+            return Y
+    raise InputError(_NO_REAL_LOG)
+
+
+def _logm(phi: np.ndarray) -> np.ndarray:
+    """The real principal logarithm of a real matrix by inverse scaling and
+    squaring (Al-Mohy and Higham, SIAM J. Sci. Comput. 34, 2012): k square
+    roots (`_sqrtm`) take E = phi^(1/2^k) - I to 1-norm rho <= 1/4, and
+    log phi = 2^k log(I + E), the series sum_j (-1)^(j+1) E^j / j cut at
+    the first m with rho^m / ((m+1)(1 - rho)) below the unit roundoff.
+    InputError when phi has no real principal logarithm, or when the roots
+    do not reach rho <= 1/4 in _MAX_STEPS."""
+    eye = np.eye(len(phi))
+    A = phi
+    for k in range(_MAX_STEPS):
+        E = A - eye
+        rho = _norm1(E)
+        if rho <= 0.25:
+            break
+        A = _sqrtm(A)
+    else:
+        raise InputError(_NO_REAL_LOG)
+    m = 1
+    while rho ** m > _UNIT_ROUNDOFF * (m + 1) * (1 - rho):
+        m += 1
+    S = (-1) ** (m + 1) / m * eye
+    for j in range(m - 1, 0, -1):  # Horner: E (I - E (I / 2 - ...))
+        S = (-1) ** (j + 1) / j * eye + E @ S
+    return 2 ** k * (E @ S)
+
+
+# the largest condition number of an eigenbasis whose logarithm is trusted:
+# over 2,800 random rational near-defective matrices with n = 2-5 the error
+# of V log(w) V^-1 against scipy's logm stayed below 1.5e-15 cond(V), so
+# below 1.5e-12 here, within a decade of the 1000 eps at which that logm
+# warns
+_EIGENBASIS_COND = 1e3
+
+
+def _principal_log(phi: np.ndarray) -> np.ndarray:
+    """The principal logarithm of the real matrix `phi`. With
+    phi = V diag(w) V^-1 and cond(V) <= _EIGENBASIS_COND it is
+    V diag(log w) V^-1, complex, the primary matrix function; a monodromy
+    without a well-conditioned eigenbasis, such as a Jordan block, goes to
+    `_logm`, real, which raises InputError for one without a real principal
+    logarithm. The block of a rank-0 degree is its own logarithm."""
+    w, V = np.linalg.eig(phi)
+    if not phi.size or np.linalg.cond(V) <= _EIGENBASIS_COND:
+        return (V * np.log(w.astype(complex))) @ np.linalg.inv(V)
+    return _logm(phi)
 
 
 # ---------------------------------------------------------------------------
 # metric fields
 # ---------------------------------------------------------------------------
-
-# the largest condition number of an eigenbasis whose logarithm is trusted:
-# over 2,800 random rational near-defective matrices with n = 2-5 the error
-# of V log(w) V^-1 against logm stayed below 1.5e-15 cond(V), so below
-# 1.5e-12 here, within a decade of the 1000 eps at which logm itself warns
-_EIGENBASIS_COND = 1e3
-
-
-def _principal_log(phi: np.ndarray) -> np.ndarray:
-    """The principal logarithm of `phi`, complex. With phi = V diag(w) V^-1
-    and cond(V) <= _EIGENBASIS_COND it is V diag(log w) V^-1, the same
-    primary matrix function that logm computes; a monodromy without a
-    well-conditioned eigenbasis, such as a Jordan block, goes to logm. The
-    block of a rank-0 degree is its own logarithm."""
-    w, V = np.linalg.eig(phi)
-    if not phi.size or np.linalg.cond(V) <= _EIGENBASIS_COND:
-        return (V * np.log(w.astype(complex))) @ np.linalg.inv(V)
-    return scipy.linalg.logm(phi)
 
 
 def _holonomy_logs(bundle: GradedBundle) -> list[list[np.ndarray]]:
@@ -228,7 +323,8 @@ class MetricField:
     def equivariant(cls, bundle: GradedBundle, base: BaseModel) -> "MetricField":
         """h(x) = (Phi^{-s})^T Phi^{-s} along each generator, built from the
         principal matrix logarithm (`_principal_log`: one eigendecomposition
-        when the eigenbasis is well conditioned, scipy's logm otherwise).
+        when the eigenbasis is well conditioned, inverse scaling and
+        squaring by `_logm` otherwise) and sampled by one batched `_expm`.
         This is the harmonic metric when the monodromy is diagonalizable with
         positive spectrum, and it degrades gracefully to unipotent blocks.
         Raises InputError for a monodromy that is invertible exactly but
@@ -242,12 +338,11 @@ class MetricField:
                              "metric explicitly")
         logs = _holonomy_logs(bundle)
         if not all(np.isrealobj(X) for X in itertools.chain(*logs)):
-            raise InputError(
-                "monodromy has no real logarithm; supply a metric explicitly")
+            raise InputError(_NO_REAL_LOG)
 
         def func(b, pts):
             r = bundle.rank(b)
-            G = scipy.linalg.expm(sum(
+            G = _expm(sum(
                 ((-pts[:, g, None, None] / base.circumferences[g]) * logs[g][b]
                  for g in range(base.dim)), np.zeros((len(pts), r, r))))
             return G.transpose(0, 2, 1) @ G
@@ -476,6 +571,7 @@ class DiscreteComplex:
                              "intertwine the fiber maps a0 and a2")
         self.sc, self.h, self.base, self.bundle = sc, h, sc.base, sc.bundle
         self._symbols: dict[int, tuple] = {}
+        self._half_steps: dict[tuple[int, int], tuple] = {}
         self._factors: dict[tuple, list] = {}
         self._real = all(np.isrealobj(X) for X in itertools.chain(*h.logs))
         # real coefficients: the Bloch block at mode -m is the conjugate of
@@ -558,15 +654,22 @@ class DiscreteComplex:
                 half = [g for g in range(self.base.dim)
                         if (g in dst[i][0]) != (g in dirs)]
                 if half:
-                    c = c @ scipy.linalg.expm(
-                        -sum(X[g][b] for g in half) / (2 * N))
+                    c = c @ _expm(-sum(X[g][b] for g in half) / (2 * N))
                 blk += c
             else:
                 # (Phi^{1/2N} e^{i theta} - Phi^{-1/2N}) / h
-                up = scipy.linalg.expm(X[gen][b] / (2 * N))
+                up, down = self._half_step(gen, b)
                 blk += (c / self.base.steps[gen]) * (
-                    phase[:, gen, None, None] * up - np.linalg.inv(up))
+                    phase[:, gen, None, None] * up - down)
         return out
+
+    def _half_step(self, gen: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Phi^{1/2N} and Phi^{-1/2N}, exp(+-X / 2N), of generator gen in
+        degree b: once per complex."""
+        if (gen, b) not in self._half_steps:
+            X = self.h.logs[gen][b] / (2 * self.base.resolution)
+            self._half_steps[gen, b] = _expm(X), _expm(-X)
+        return self._half_steps[gen, b]
 
     def _symbol(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """The degree-q symbol at the solved modes and the log of its

@@ -268,10 +268,10 @@ def test_monodromy_sweep_takes_each_logarithm_once(monkeypatch, name, want):
     # one logarithm per fiber degree (abelian:2 has 0-, 1- and 2-forms),
     # all taken before the first sweep point solves; only example7's
     # degree-1 Jordan block has no well-conditioned eigenbasis, so only it
-    # goes to logm
+    # goes to the inverse scaling and squaring fallback _logm
     events = []
     spy(monkeypatch, sconn, "_principal_log", events, "log")
-    spy(monkeypatch, sconn.scipy.linalg, "logm", events, "logm")
+    spy(monkeypatch, sconn, "_logm", events, "logm")
     spy(monkeypatch, sconn, "spectrum", events, "solve")
     cfg = dict(lab.PRESETS[name], degrees=(0, 1, 2))
     rep = lab.run(cfg)

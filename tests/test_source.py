@@ -6,7 +6,7 @@ sparse rows, the superconnection layer converts holonomy actions that
 `spectral` built exactly instead of building its own, only the two metric
 constructors take matrix logarithms, every grid matrix of the tests'
 assembled oracle is placed by one block builder, every spectrum comes from
-the Bloch solver and no module imports scipy.sparse, the exact layer `spectral` decides nothing by a float rank or eigenvalue, flatness
+the Bloch solver and no module imports scipy, the exact layer `spectral` decides nothing by a float rank or eigenvalue, flatness
 is decided by equality on exact blocks and only by the `Superconnection`
 constructor, which every superconnection passes through, equivariance is
 checked only by the `MetricField` constructor, which every metric passes
@@ -251,10 +251,9 @@ def test_grid_matrices_placed_only_by_point_blocks():
         _callers("_point_blocks", [ORACLES])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_module_imports_scipy_sparse(path):
-    # every spectrum solves on the Bloch path, so the package assembles no
-    # sparse matrix and loads neither scipy.sparse nor ARPACK
+def _imports(path, package):
+    """Every import in `path` of `package` or of one of its submodules, as
+    'line N: name'."""
     bad = []
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
@@ -264,8 +263,24 @@ def test_no_module_imports_scipy_sparse(path):
         else:
             continue
         bad += [f"line {node.lineno}: {name}" for name in names
-                if name == "scipy.sparse" or name.startswith("scipy.sparse.")]
+                if name == package or name.startswith(f"{package}.")]
+    return bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_sparse(path):
+    # every spectrum solves on the Bloch path, so the package assembles no
+    # sparse matrix and loads neither scipy.sparse nor ARPACK
+    bad = _imports(path, "scipy.sparse")
     assert not bad, f"{path.name} imports scipy.sparse: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    # the package runs on numpy alone: the holonomy logarithms and their
+    # exponentials are numpy matrix functions, and scipy is a test oracle
+    bad = _imports(path, "scipy")
+    assert not bad, f"{path.name} imports scipy: {bad}"
 
 
 def test_flatness_decided_exactly():
@@ -314,14 +329,14 @@ def test_logarithms_taken_only_by_the_equivariant_metric():
     # holonomy logarithms are taken by the two metric constructors that
     # record them, identity and equivariant, once per bundle in a sweep,
     # through _holonomy_logs and _principal_log, which is the one caller of
-    # the costly logm and calls it only for a monodromy without a
-    # well-conditioned eigenbasis
+    # the costly inverse scaling and squaring _logm and calls it only for a
+    # monodromy without a well-conditioned eigenbasis
     assert _callers("_holonomy_logs") == {
         ("superconnection.py", "MetricField", "identity"),
         ("superconnection.py", "MetricField", "equivariant")}
     assert _callers("_principal_log") == {
         ("superconnection.py", None, "_holonomy_logs")}
-    assert _callers("logm") == {("superconnection.py", None, "_principal_log")}
+    assert _callers("_logm") == {("superconnection.py", None, "_principal_log")}
 
 
 def test_float_eigensolves_only_in_their_owners():

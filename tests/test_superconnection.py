@@ -454,13 +454,14 @@ def h3_unipotent_compounds():
         "h3-degree3"])
 def test_principal_log_matches_logm_on_both_sides_of_the_bound(
         monkeypatch, phi, via_logm):
-    # the eigendecomposition path is the same primary function as logm; a
-    # basis conditioned worse than the bound, or defective, goes to logm
+    # the eigendecomposition path is the same primary function as scipy's
+    # logm; a basis conditioned worse than the bound, or defective, goes to
+    # the inverse scaling and squaring fallback _logm
     cond = np.linalg.cond(np.linalg.eig(phi)[1])
     assert (cond > sconn._EIGENBASIS_COND) == via_logm
     want = scipy.linalg.logm(phi)
     calls = []
-    spy(monkeypatch, sconn.scipy.linalg, "logm", calls, phi)
+    spy(monkeypatch, sconn, "_logm", calls, phi)
     X = sconn._principal_log(phi)
     assert len(calls) == via_logm
     assert np.abs(X - want).max() <= 1e-11 * np.abs(want).max()
@@ -470,15 +471,103 @@ def test_principal_log_matches_logm_on_both_sides_of_the_bound(
 
 @pytest.mark.parametrize("phi, via_logm", [
     (-np.eye(2), False), (np.array([[-1.0, 1.0], [0.0, -1.0]]), True),
-], ids=["minus-identity", "minus-jordan"])
+    (np.array([[-2.0, 1.0], [0.0, -2.0]]), True),
+], ids=["minus-identity", "minus-jordan", "minus-two-jordan"])
 def test_monodromy_without_real_logarithm_is_refused(monkeypatch, phi,
                                                      via_logm):
+    # the eigendecomposition gives -I a complex logarithm; a defective block
+    # on the negative axis has no real square root, so _logm's
+    # Denman-Beavers iteration meets a singular iterate (-1) or wanders
+    # until its step bound (-2)
     bundle = sconn.GradedBundle([2], [[phi]])
     calls = []
-    spy(monkeypatch, sconn.scipy.linalg, "logm", calls, phi)
+    spy(monkeypatch, sconn, "_logm", calls, phi)
     with pytest.raises(InputError, match="monodromy has no real logarithm"):
         sconn.MetricField.equivariant(bundle, circle(16))
     assert len(calls) == via_logm
+
+
+def _relative_error(got, want):
+    return np.abs(got - want).max(initial=0.0) / max(
+        np.abs(want).max(initial=0.0), np.finfo(float).tiny)
+
+
+ROTATION = np.array([[0.6, -0.8], [0.8, 0.6]])
+FLIP_LOG = sconn._principal_log(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# each log scaled to 1-norms 1e-8 ... 20; scipy's Pade approximant loses
+# 3e-13 on SOL's symmetric log at 1-norm 5 and 1e-12 at 20 against a
+# 50-digit reference, where _expm stays within 1e-15, so SOL's stops at 3
+EXPM_NORMS = {"sol-log": (scipy.linalg.logm(SOL), (1e-8, 1e-4, 0.1, 1, 3)),
+              "rotation-log": (np.array([[0.0, -1.0], [1.0, 0.0]]),
+                               (1e-8, 1e-4, 0.1, 1, 3, 20)),
+              "flip-log": (FLIP_LOG, (1e-8, 1, 20))}
+
+
+@pytest.mark.parametrize("A", [
+    *(norm / np.abs(X).sum(axis=0).max() * X
+      for X, norms in EXPM_NORMS.values() for norm in norms),
+    FLIP_LOG, -FLIP_LOG / 32,
+    np.linspace(-2.0, 2.0, 5)[:, None, None] * scipy.linalg.logm(SOL),
+    np.linspace(0.0, 1.0, 4)[:, None, None] * FLIP_LOG,
+    np.zeros((0, 0)), np.zeros((3, 0, 0)), np.zeros((3, 2, 2)),
+], ids=[*(f"{kind}-norm-{n:g}" for kind, (_, norms) in EXPM_NORMS.items()
+          for n in norms),
+        "flip-log", "flip-log-scaled", "sol-stack", "flip-stack", "empty",
+        "empty-stack", "zero-stack"])
+def test_expm_matches_scipy(A):
+    # scaling and squaring a Taylor sum, real or complex, on one matrix or
+    # a stack, against scipy's Pade approximant
+    got = sconn._expm(A)
+    assert got.shape == A.shape and got.dtype == np.result_type(A, float)
+    assert _relative_error(got, scipy.linalg.expm(A)) <= 1e-13
+
+
+def rational_defective(seed, count=12):
+    # Q J Q^-1 over Q: J upper bidiagonal, a Jordan block of each run of
+    # equal positive rational eigenvalues, Q an integer matrix of
+    # determinant +-1 from unit triangular factors
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        lam = [Fraction(int(p), int(q)) for p, q in
+               zip(rng.integers(1, 5, n), rng.integers(1, 4, n))]
+        J = [[0] * n for _ in range(n)]
+        for i in range(n):
+            if i and rng.random() < 0.6:
+                lam[i] = lam[i - 1]
+                J[i - 1][i] = 1
+            J[i][i] = lam[i]
+        L = np.tril(rng.integers(-2, 3, (n, n)), -1) + np.eye(n, dtype=int)
+        U = np.triu(rng.integers(-2, 3, (n, n)), 1) + np.eye(n, dtype=int)
+        Q = RationalMatrix((L @ U).tolist())
+        phi = Q @ RationalMatrix(J) @ spectral.inverse_exact(Q)
+        out.append(phi.to_numpy())
+    return out
+
+
+@pytest.mark.parametrize("phi", [
+    near_jordan(260), UNIPOTENT, *h3_unipotent_compounds(),
+    np.array([[2.0, 1.0], [0.0, 2.0]]), np.kron(ROTATION, UNIPOTENT),
+    *rational_defective(0),
+], ids=["above-bound", "jordan", *(f"h3-degree{b}" for b in range(4)),
+        "jordan-two", "rotation-jordan",
+        *(f"rational-{i}" for i in range(12))])
+def test_logm_fallback_matches_scipy(phi):
+    # inverse scaling and squaring: Denman-Beavers square roots to within
+    # 1/4 of the identity, then the series of log(I + E)
+    X = sconn._logm(phi)
+    assert np.isrealobj(X)
+    assert _relative_error(X, scipy.linalg.logm(phi)) <= 1e-11
+
+
+def test_logm_refuses_square_roots_that_never_converge(monkeypatch):
+    # an iteration that never nears the identity stops at its step bound
+    monkeypatch.setattr(sconn, "_sqrtm", lambda A: A)
+    with pytest.raises(InputError, match="no real logarithm"):
+        sconn._logm(SOL)
 
 
 def test_equivariant_metric_over_a_zero_rank_degree():
