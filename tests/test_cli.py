@@ -857,6 +857,24 @@ def _loads(module, script):
     return out.strip() == "True"
 
 
+def test_importing_the_cli_loads_no_arpack():
+    # every spectrum solves on the Bloch path: the package imports neither
+    # ARPACK nor scipy.sparse, which would raise the peak RSS of every run
+    assert not _loads("scipy.sparse", "import nilcollapse.cli")
+
+
+def test_twisted_circle_solve_loads_no_scipy_special():
+    # scipy's logm would import scipy.special for its quadrature nodes, some
+    # 7 MB of peak RSS; the equivariant metric of a hyperbolic holonomy takes
+    # its logarithm on numpy alone
+    assert not _loads("scipy.special", (
+        "import numpy as np; from nilcollapse import superconnection as s; "
+        "b = s.GradedBundle([2], [[np.array([[2, 1], [1, 1]])]]); "
+        "base = s.BaseModel('circle', 16); "
+        "s.spectrum(s.Superconnection(b, base), "
+        "s.MetricField.equivariant(b, base), 0)"))
+
+
 def test_presets_and_flip_spectrum_load_no_scipy(flip_bundle_file):
     # the package runs on numpy alone: importing the CLI, every preset (the
     # equivariant Sol metric of example9 and the Jordan block of example7,
