@@ -3,6 +3,7 @@ spectra checked against closed forms for flat and monodromy-twisted circles."""
 
 import dataclasses
 import inspect
+import itertools
 import re
 from fractions import Fraction
 
@@ -485,6 +486,38 @@ def test_monodromy_without_real_logarithm_is_refused(monkeypatch, phi,
     with pytest.raises(InputError, match="monodromy has no real logarithm"):
         sconn.MetricField.equivariant(bundle, circle(16))
     assert len(calls) == via_logm
+
+
+def orthogonal_with_repeated_minus_one():
+    # every 4 x 4 signed permutation with -1 at least twice among its
+    # eigenvalues, and diag(-1, -1, 1, 1) conjugated by the reflection in
+    # (1, 1, 1, 1), whose -1 eigenspace lies on no coordinate plane
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1, -1), repeat=4):
+            P = np.zeros((4, 4), dtype=int)
+            P[list(perm), range(4)] = signs
+            if np.isclose(np.linalg.eigvals(P), -1).sum() >= 2:
+                yield P.tolist()
+    H = RationalMatrix.identity(4) - RationalMatrix([[Fraction(1, 2)] * 4] * 4)
+    yield H @ RationalMatrix([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0],
+                              [0, 0, 0, 1]]) @ H
+
+
+def test_identity_metric_takes_orthogonal_logarithms_by_eigendecomposition(
+        monkeypatch):
+    # an orthogonal monodromy is normal, so its eigenbasis stays well
+    # conditioned even for a repeated eigenvalue -1, and its complex
+    # logarithm never reaches the real-only fallback _logm
+    calls = []
+    spy(monkeypatch, sconn, "_logm", calls, None)
+    cases = list(orthogonal_with_repeated_minus_one())
+    assert len(cases) == 104
+    for phi in cases:
+        bundle = sconn.GradedBundle([4], [[phi]])
+        X = sconn.MetricField.identity(bundle, circle(8)).logs[0][0]
+        want = bundle.monodromy(0, 0)
+        assert np.abs(scipy.linalg.expm(X) - want).max() <= 1e-12
+    assert not calls
 
 
 def _relative_error(got, want):
