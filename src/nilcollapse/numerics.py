@@ -92,7 +92,11 @@ def rational(x) -> int | Fraction:
     whose denominator is greater than 1. Reads an int, a NumPy integer, an
     integral float, a Fraction or a string `Fraction` reads, never a bool;
     InputError else."""
-    # strings first: they are most of every serialized matrix
+    # exact ints first: an int is never a Fraction, and `Fraction` is an ABC
+    # whose isinstance check costs a Python-level call
+    if x.__class__ is int:
+        return x
+    # strings next: they are most of every serialized matrix
     if isinstance(x, str):
         # plain ASCII integers skip the general parser; int() reads them
         # exactly as Fraction() does
@@ -139,6 +143,12 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, data, cols: int | None = None):
+        """Read `data`, rows of entries that `rational` reads, with `cols`
+        columns if it has no rows. A list row whose entries all equal the
+        string "0" is recognised by one `list.count` and stored empty;
+        every other row, tuple rows among them, is read entry by entry.
+        InputError for ragged rows, a string or other non-row, or an entry
+        `rational` refuses."""
         nz = []
         width = None
         try:
@@ -147,14 +157,19 @@ class RationalMatrix:
                     raise InputError(f"a matrix must be a list of rows, "
                                      f"got the string row {row!r}")
                 vals, j = {}, -1
-                for j, x in enumerate(row):
-                    # the zero literal, most of a serialized matrix, is
-                    # skipped unread; every other entry is read and checked
-                    if x.__class__ is str and x == "0":
-                        continue
-                    v = rational(x)
-                    if v:
-                        vals[j] = v
+                if row.__class__ is list and row.count("0") == len(row):
+                    # a row of zero literals, most rows of a serialized
+                    # complex, is counted in C and stored empty
+                    j = len(row) - 1
+                else:
+                    for j, x in enumerate(row):
+                        # the zero literal is skipped unread; every other
+                        # entry is read and checked
+                        if x.__class__ is str and x == "0":
+                            continue
+                        v = rational(x)
+                        if v:
+                            vals[j] = v
                 if width is None:
                     width = j + 1
                 elif j + 1 != width:

@@ -59,12 +59,17 @@ class BigradedComplex:
     def check_complex(self) -> None:
         """D^2 = 0, graded piece by graded piece: at each spot and total
         shift s, the products D_i D_j of stored maps with i + j = s sum to
-        zero."""
+        zero. A product with a zero factor is zero, so the stored maps that
+        are zero are passed over: every sum, and so every verdict, is the
+        one of all the products."""
+        maps = {i: {spot: mat for spot, mat in per_spot.items()
+                    if not mat.is_zero()}
+                for i, per_spot in self.maps.items()}
         sums = {}
-        for j, first in self.maps.items():
+        for j, first in maps.items():
             for (a, b), dj in first.items():
                 mid = (a + j, b + 1 - j)
-                for i, second in self.maps.items():
+                for i, second in maps.items():
                     di = second.get(mid)
                     if di is not None:
                         key = ((a, b), i + j)
@@ -85,12 +90,13 @@ class BigradedComplex:
     def block(self, row_spots, col_spots) -> RationalMatrix:
         """The total differential from the spots `col_spots` to the spots
         `row_spots`, one total degree higher, stacked in the order given:
-        the block from s to t is D_{t_a - s_a} at s, and zero if t_a < s_a."""
+        the block from s to t is D_{t_a - s_a} at s, and zero if t_a < s_a
+        or that map is not stored or is zero, which is passed over."""
         blocks = {}
         for r, t in enumerate(row_spots):
             for c, s in enumerate(col_spots):
                 mat = self.maps.get(t[0] - s[0], {}).get(s)
-                if mat is not None:
+                if mat is not None and not mat.is_zero():
                     blocks[r, c] = mat
         return RationalMatrix.from_blocks(
             blocks, [self.dim(*t) for t in row_spots],
@@ -409,8 +415,10 @@ def joint_generalized_one_eigenspace_dim(phis: list[RationalMatrix]) -> int:
     stacked = None
     for Phi in phis:
         A = Phi - RationalMatrix.identity(n)
-        P = RationalMatrix.identity(n)
-        for _ in range(n):
+        P = A
+        for _ in range(n - 1):  # (Phi - I)^n, whose kernel is the eigenspace
+            if P.is_zero():  # and so is every further power
+                break
             P = P @ A
         stacked = P if stacked is None else stacked.vstack(P)
     return n - rank_exact(stacked)

@@ -380,27 +380,38 @@ BAD_ENTRIES = [True, "", "x", 0.5, float("nan"), None]
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_zero_literals_read_as_every_other_entry(data):
-    # the reader skips the literal "0" without a Fraction: the matrix must
-    # be the one read entry by entry, and a bad entry among the zeros still
+    # the reader skips the literal "0" without a Fraction, and a list row of
+    # it with one count: the matrix must be the one read entry by entry,
+    # list and tuple rows alike, and a bad entry among the zeros still
     # raises wherever it sits
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
     entry = st.sampled_from(ZERO_SPELLINGS + NONZEROS)
-    dense = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                               min_size=rows, max_size=rows))
+    zero_or_any_row = st.one_of(st.just(["0"] * cols),
+                                st.lists(entry, min_size=cols, max_size=cols))
+    dense = data.draw(st.lists(zero_or_any_row, min_size=rows, max_size=rows))
+    tuples = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+
+    def read(dense):
+        return RationalMatrix([tuple(row) if t else list(row)
+                               for row, t in zip(dense, tuples)])
+
     want = RationalMatrix.from_entries(rows, cols, {
         (i, j): numerics.rational(x) for i, row in enumerate(dense)
         for j, x in enumerate(row)})
-    assert RationalMatrix(dense) == want
-    assert RationalMatrix(dense).tolist() == [[numerics.rational(x) for x in row]
-                                              for row in dense]
+    assert read(dense) == want
+    assert read(dense).tolist() == [[numerics.rational(x) for x in row]
+                                    for row in dense]
     i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    dense[i] = list(dense[i])
     dense[i][j] = data.draw(st.sampled_from(BAD_ENTRIES))
     with pytest.raises(InputError):
-        RationalMatrix(dense)
+        read(dense)
 
 
 @pytest.mark.parametrize("data", [[["0", "0"], ["0"]], [["0"], ["0", "1"]],
-                                  [["0"], 0], ["0", ["0"]], ["10", "01"]])
+                                  [["1", "2"], ["0", "0", "0"]], [[], ["0"]],
+                                  [["0"], []], [["0"], 0], ["0", ["0"]],
+                                  ["10", "01"]])
 def test_ragged_or_non_list_rows_of_zeros_raise(data):
     with pytest.raises(InputError):
         RationalMatrix(data)

@@ -19,7 +19,7 @@ from nilcollapse import lie, spectral
 from nilcollapse.numerics import (InputError, RationalMatrix, rank_exact,
                                  read_json)
 from tests.conftest import (HEIS3_SKEW, canonical, filiform_torus_complex,
-                            random_flat_complex, random_flat_complex_on,
+                            random_flat_complex, random_flat_complex_on, spy,
                             weight_complex)
 from tests.oracles import (from_algebra, from_numpy, leray_circle,
                            rectangle_page, tuple_page, window_rank)
@@ -78,16 +78,20 @@ def test_complex_rejects_filtration_lowering_map():
 def test_check_complex_sums_the_products_of_one_total_shift():
     # in total shift 2 at (0, 1) the products D_2 D_0 = 1, D_1 D_1 = -2 and
     # D_0 D_2 = c are each nonzero, and no two of them cancel: only their
-    # sum vanishes, at c = 1
+    # sum vanishes, at c = 1. The listed zero D_0 at (1, 1) is passed over,
+    # and stays stored
     def cx(c):
         one = RationalMatrix([[1]])
-        dims = {(0, 1): 1, (0, 2): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1}
+        dims = {(0, 1): 1, (0, 2): 1, (1, 1): 1, (1, 2): 1, (2, 0): 1,
+                (2, 1): 1}
         return spectral.BigradedComplex(dims, {
-            0: {(0, 1): one, (2, 0): RationalMatrix([[c]])},
+            0: {(0, 1): one, (1, 1): RationalMatrix([["0"]]),
+                (2, 0): RationalMatrix([[c]])},
             1: {(0, 1): one, (1, 1): RationalMatrix([[-2]])},
             2: {(0, 1): one, (0, 2): one}})
 
     assert cx(1).total_dim(1) == 1
+    assert cx(1).maps[0][(1, 1)].is_zero()
     with pytest.raises(InputError, match=r"D\^2 != 0 in total shift 2 at "
                        r"spot \(0, 1\)"):
         cx(-1)
@@ -384,6 +388,19 @@ def test_pairs_count_every_window_rank():
     assert any(length == 1 for _, length in cases[1].pairs(1))
 
 
+def test_check_complex_multiplies_only_nonzero_maps(monkeypatch):
+    # the seed-0 filiform:5 payload lists 32 maps, 18 of them zero: of the
+    # 48 products D_i D_j of listed maps, the 12 without a zero factor are
+    # formed, and the payload reads back as it was written
+    payload = workloads._filiform_payload(random.Random(0), 0, 5)
+    cx = spectral.BigradedComplex.from_dict(payload)
+    assert cx.to_dict() == payload
+    products = []
+    spy(monkeypatch, RationalMatrix, "__matmul__", products, None)
+    cx.check_complex()
+    assert len(products) == 12
+
+
 def test_benchmark_payload_is_stored_as_ints():
     # the seed-0 filiform:5 payload is all integer strings: reading it makes
     # no Fraction, so its eliminations do integer arithmetic
@@ -601,7 +618,7 @@ def test_unipotent_factor_conjugation_invariant():
         assert rep1.minimal_polynomial == rep2.minimal_polynomial
 
 
-def test_generalized_one_eigenspace_dims():
+def test_generalized_one_eigenspace_dims(monkeypatch):
     assert spectral.joint_generalized_one_eigenspace_dim([UNIP]) == 2
     assert spectral.joint_generalized_one_eigenspace_dim([SOL]) == 0
     assert spectral.joint_generalized_one_eigenspace_dim(
@@ -609,6 +626,17 @@ def test_generalized_one_eigenspace_dims():
     assert spectral.joint_generalized_one_eigenspace_dim(
         [UNIP, RationalMatrix.identity(2)]) == 2
     assert spectral.joint_generalized_one_eigenspace_dim([UNIP, SOL]) == 0
+    # the powers of Phi - I stop at the first zero one: none for the
+    # identity, A^2 for a Jordan block of size 2, A^n for an invertible A
+    jordan = RationalMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                             [0, 0, 0, 1]])
+    for phi, dim, matmuls in [(RationalMatrix.identity(4), 4, 0),
+                              (jordan, 4, 1), (SOL, 0, 1)]:
+        products = []
+        spy(monkeypatch, RationalMatrix, "__matmul__", products, None)
+        assert spectral.joint_generalized_one_eigenspace_dim([phi]) == dim
+        monkeypatch.undo()
+        assert len(products) == matmuls
 
 
 def test_exact_matrix_helpers():
