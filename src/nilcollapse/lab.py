@@ -4,7 +4,8 @@ A scenario sweeps a collapse parameter (fiber rescaling, monodromy gauge
 degeneration, or adiabatic coupling), records the low spectrum at every sweep
 point, fits decay rates for the vanishing eigenvalues, and compares the
 observed count of collapsing eigenvalues against the exact prediction from
-the spectral-sequence side.
+the spectral-sequence side. Each bundle kind is one flat affine bundle
+whose fiber metric at sweep value s is s^(-u_I) / g_I (`_affine_sweep`).
 """
 
 from __future__ import annotations
@@ -264,10 +265,10 @@ def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
 
 @dataclass(frozen=True)
 class Sweep:
-    """The solve step of a sweep scenario: one flat superconnection `sc`,
-    one metric `h`, and `weights[i]`, the log fiber root per degree that
-    sweep value i solves with (`superconnection.spectrum`). Every point and
-    degree solves on one `DiscreteComplex`, which builds each degree's
+    """The solve step that `_affine_sweep` builds: one flat superconnection
+    `sc`, its `equivariant` metric `h`, and `weights[i]`, the log fiber
+    root per degree that sweep value i solves with (`spectrum`). Every point
+    and degree solves on one `DiscreteComplex`, which builds each degree's
     symbol once; building the sweep checks, for every point and degree,
     that the scaled Laplacian is finite (InputError naming both), and the
     solve reads the factors that check left on the complex."""
@@ -299,37 +300,45 @@ class Sweep:
             for p, pred in zip(cfg.degrees, self.predictions)))
 
 
-def _nil_rescale(cfg: ScenarioConfig, model: dict) -> Sweep:
-    algebra = model["algebra"]
-    grading = lie.lower_central_grading(algebra)
-    # the form f^I of the adapted basis has weight w_I and squared length
-    # 1 / g_I, g_I the product of the Gram over I: the fiber metric
-    # eps^(-w_I) / g_I, whose log root is the weight below, gauges d to
-    # eps^(-N/2) d eps^(N/2) in orthonormal forms
+def _affine_sweep(cfg: ScenarioConfig, algebra, base_kind: str, circumferences,
+                  u, g=None, holonomies=None, T=None) -> Sweep:
+    """The sweep of one flat affine bundle: the fiber `algebra` over the
+    `base_kind` torus, with `holonomies` (identities when None), curvature
+    coefficient `T` and its `equivariant` metric. Sweep value s solves with
+    the fiber metric s^(-u_I) / g_I on the form f^I, u_I the sum of the
+    integer weights `u` over I and g_I the product of the Gram `g` (1 when
+    None): the log roots (-u_I log s - log g_I) / 2."""
+    base = sconn.BaseModel(base_kind, cfg.resolution, circumferences)
+    try:  # with a0 the fiber differential, only parallel_a0 can fail
+        sc = sconn.from_affine_bundle(algebra, base, holonomies, T)
+    except sconn.FlatnessError as exc:
+        raise InputError("monodromy is not an automorphism of the algebra: "
+                         f"{exc}") from None
+    preds = spectral.predict_small_counts(algebra, base_kind, cfg.degrees,
+                                          holonomies, T=T)
+    g = [1] * algebra.n if g is None else g
     forms = [lie.multi_indices(algebra.n, b) for b in range(algebra.n + 1)]
-    w = [np.array([grading.form_weight(I) for I in f], dtype=float)
-         for f in forms]
-    g = [np.array([float(prod(grading.gram[i] for i in I)) for I in f])
-         for f in forms]
-    preds = spectral.predict_small_counts(algebra, "point", cfg.degrees)
-    base = sconn.BaseModel("point", cfg.resolution)
-    sc = sconn.from_affine_bundle(grading.algebra, base)
-    return Sweep(cfg, preds, sc, sconn.MetricField.identity(sc.bundle, base), [
-        [(-wb * np.log(eps) - np.log(gb)) / 2 for wb, gb in zip(w, g)]
-        for eps in cfg.sweep_values])
+    u_I = [np.array([float(sum(u[i] for i in I)) for I in f]) for f in forms]
+    g_I = [np.array([float(prod(g[i] for i in I)) for I in f]) for f in forms]
+    h = sconn.MetricField.equivariant(sc.bundle, base)
+    return Sweep(cfg, preds, sc, h, [
+        [(-ub * np.log(s) - np.log(gb)) / 2 for ub, gb in zip(u_I, g_I)]
+        for s in cfg.sweep_values])
+
+
+def _nil_rescale(cfg: ScenarioConfig, model: dict) -> Sweep:
+    # the form f^I of the adapted basis has weight u_I, a sum of 3^k, and
+    # squared length 1 / g_I: the fiber metric eps^(-u_I) / g_I gauges d
+    # to eps^(-N/2) d eps^(N/2) in orthonormal forms
+    grading = lie.lower_central_grading(model["algebra"])
+    u = list(map(grading.vector_weight, range(grading.algebra.n)))
+    return _affine_sweep(cfg, grading.algebra, "point", None, u, grading.gram)
 
 
 def _circle_bundle_adiabatic(cfg: ScenarioConfig, model: dict) -> Sweep:
-    base = sconn.BaseModel("torus2", cfg.resolution, model["circumferences"])
-    fiber, one = lie.abelian(1), RationalMatrix.identity(1)
-    sc = sconn.from_affine_bundle(fiber, base, T=[1])
-    # identity holonomies: the identity metric is equivariant, and the fiber
-    # metric delta^-2b on b-forms gauges a2 to delta * a2
-    preds = spectral.predict_small_counts(
-        fiber, "torus2", cfg.degrees, monodromy_action=[one, one], T=[1])
-    return Sweep(cfg, preds, sc, sconn.MetricField.identity(sc.bundle, base), [
-        [np.full(r, -b * np.log(delta)) for b, r in enumerate(sc.bundle.ranks)]
-        for delta in cfg.sweep_values])
+    # the fiber metric delta^-2b on b-forms gauges a2 to delta * a2
+    return _affine_sweep(cfg, lie.abelian(1), "torus2",
+                         model["circumferences"], [2], T=[1])
 
 
 def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
@@ -347,22 +356,10 @@ def _monodromy_degeneration(cfg: ScenarioConfig, model: dict) -> Sweep:
                 f"gauge_weights must grade the algebra: the bracket "
                 f"[e{i}, e{j}] has an e{k} term, but w[{k}] = {w[k]} is not "
                 f"w[{i}] + w[{j}] = {w[i] + w[j]}")
-    base = sconn.BaseModel("circle", cfg.resolution, model["circumferences"])
-    try:  # with a0 the fiber differential, only parallel_a0 can fail
-        sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[phi])
-    except sconn.FlatnessError as exc:
-        raise InputError("monodromy is not an automorphism of the algebra: "
-                         f"{exc}") from None
-    preds = spectral.predict_small_counts(algebra, "circle", cfg.degrees,
-                                          monodromy_action=[phi])
     # the holonomy D(t) phi D(t)^-1 is D(t)'s gauge change of phi, which
-    # moves diag(t^-2w_I) on b-forms into the metric, w_I = sum of w over I
-    w_forms = [np.array([float(sum(w[i] for i in I))
-                         for I in lie.multi_indices(algebra.n, b)])
-               for b in range(algebra.n + 1)]
-    h = sconn.MetricField.equivariant(sc.bundle, base)
-    return Sweep(cfg, preds, sc, h, [[-wb * np.log(t) for wb in w_forms]
-                                     for t in cfg.sweep_values])
+    # moves diag(t^-2w_I) on b-forms, t^(-u_I) for u = 2w, into the metric
+    return _affine_sweep(cfg, algebra, "circle", model["circumferences"],
+                         [2 * x for x in w], holonomies=[phi])
 
 
 def _spectral_sequence_report(cfg: ScenarioConfig, model: dict):
@@ -412,13 +409,13 @@ def _read_model(cfg: ScenarioConfig) -> dict:
 
 def prepare(config: ScenarioConfig | str | dict):
     """Build and check everything exact of a scenario: the model that
-    `_read_model` reads, the predictions, a bundle kind's one flat
-    superconnection and one metric, which takes that bundle and base and is
-    checked for equivariance once, when it is built, and the weights of
-    every sweep point, checked to keep each scaled Laplacian finite. Bad
-    input raises InputError here, never later. Returns the step that only
-    solves (for a spectral_sequence_report, builds the pages) and returns
-    the report."""
+    `_read_model` reads, and for a bundle kind the base, flat
+    superconnection, predictions and `equivariant` metric, each built once
+    by `_affine_sweep` (the metric checked for equivariance when it is
+    built), and the weights of every sweep point, checked to keep each
+    scaled Laplacian finite. Bad input raises InputError here, never later.
+    Returns the step that only solves (for a spectral_sequence_report,
+    builds the pages) and returns the report."""
     cfg = config if isinstance(config, ScenarioConfig) else \
         load_scenario(config)
     return KINDS[cfg.kind][0](cfg, _read_model(cfg))

@@ -144,23 +144,26 @@ class RationalMatrix:
 
     def __init__(self, data, cols: int | None = None):
         """Read `data`, rows of entries that `rational` reads, with `cols`
-        columns if it has no rows. A list row whose entries all equal the
-        string "0" is recognised by one `list.count` and stored empty;
-        every other row, tuple rows among them, is read entry by entry.
+        columns if it has no rows. A list row of strings that all equal
+        "0" is recognised by one `list.count` and one `str.join` and stored
+        empty; every other row, tuple rows among them, is read entry by entry.
         InputError for ragged rows, a string or other non-row, or an entry
         `rational` refuses."""
         nz = []
         width = None
         try:
             for row in data:
-                if isinstance(row, str):  # its characters are no row
+                vals, j = {}, -1
+                try:  # a list row of "0" strings, most rows of a complex
+                    zero = row.__class__ is list and row.count(
+                        "0") == len(row) and "".join(row)
+                except (TypeError, ValueError):  # an entry such as an array
+                    zero = False  # is read below like any other
+                if zero:
+                    j = len(row) - 1
+                elif isinstance(row, str):  # its characters are no row
                     raise InputError(f"a matrix must be a list of rows, "
                                      f"got the string row {row!r}")
-                vals, j = {}, -1
-                if row.__class__ is list and row.count("0") == len(row):
-                    # a row of zero literals, most rows of a serialized
-                    # complex, is counted in C and stored empty
-                    j = len(row) - 1
                 else:
                     for j, x in enumerate(row):
                         # the zero literal is skipped unread; every other

@@ -191,10 +191,10 @@ def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
 
 
 def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
-    # the exact differentials do not depend on eps: heisenberg:3 needs d on
-    # the 0-, 1- and 2-forms for the prediction and d on the 0-, 1- and
-    # 2-forms of the adapted algebra for its one superconnection over a
-    # point, each built once for the 4 sweep points
+    # the exact differentials do not depend on eps: the prediction and the
+    # one superconnection over a point each need d on the 0-, 1- and
+    # 2-forms of heisenberg:3's adapted algebra, each built once for the 4
+    # sweep points
     calls = []
     real = lie.ce_differential
     plain = json.dumps(lab.run("example1_heisenberg_point").to_dict(),
@@ -316,9 +316,9 @@ UNIPOTENT_H3 = {"kind": "monodromy_degeneration",
     UNIPOTENT_H3], ids=["example7", "example9", "cor7@16", "heisenberg3"])
 def test_sweep_points_match_their_own_bundles(scenario):
     # conjugating the holonomy by D(t) = diag(t^w), or scaling a2 by delta,
-    # is a constant gauge change that moves diag(t^-2w_I), or delta^-2b on
-    # b-forms, into the fiber metric of the one bundle the sweep builds: the
-    # weights -w_I log t, or -b log delta
+    # is a constant gauge change that moves the fiber metric s^(-u_I) into
+    # the one bundle the sweep builds, u = 2w or u = [2] (u_I = 2b on
+    # b-forms): the weights -u_I log s / 2
     cfg = lab.load_scenario(dict(scenario, degrees=(0, 1, 2, 3)))
     model = scenario["model"]
     step = lab.prepare(cfg)

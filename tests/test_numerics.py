@@ -411,10 +411,22 @@ def test_zero_literals_read_as_every_other_entry(data):
 @pytest.mark.parametrize("data", [[["0", "0"], ["0"]], [["0"], ["0", "1"]],
                                   [["1", "2"], ["0", "0", "0"]], [[], ["0"]],
                                   [["0"], []], [["0"], 0], ["0", ["0"]],
-                                  ["10", "01"]])
+                                  ["10", "01"], [[np.array(["0"])]],
+                                  [[np.array(["0", "0"])]],
+                                  [["0", np.array(["0"])]]])
 def test_ragged_or_non_list_rows_of_zeros_raise(data):
+    # a NumPy array entry compares equal to "0" elementwise (or cannot say
+    # as one bool): it is no zero literal, and `rational` refuses it
     with pytest.raises(InputError):
         RationalMatrix(data)
+
+
+def test_string_subclass_zero_reads_as_zero():
+    # a NumPy string is a str: a row of them is zero like a row of "0"
+    m = RationalMatrix([[np.str_("0"), "0"], [np.str_("0"), np.str_("0")]])
+    assert (m.rows, m.cols, m.is_zero()) == (2, 2, True)
+    with pytest.raises(InputError, match="cannot interpret"):
+        RationalMatrix([["0", np.array(["0", "0"])]])
 
 
 @pytest.mark.parametrize("x", ["", "abc", "-", "--1", "+-1", "1/0", "0x10",

@@ -1,6 +1,7 @@
 """Source-layout rules checked on the syntax tree of the package: modules
 use each other only through public names, functions merged into a single
-builder stay merged, exact matrices are read and built through their
+builder stay merged, every sweep of a bundle kind is built by one
+affine-bundle builder, exact matrices are read and built through their
 methods, never through a `.data` attribute or, outside `numerics`, their
 sparse rows, the superconnection layer converts holonomy actions that
 `spectral` built exactly instead of building its own, only the two metric
@@ -213,6 +214,30 @@ def _callers(name, paths=MODULES):
                 out.add((path.name, getattr(owner, "name", None),
                          getattr(fn, "name", None)))
     return out
+
+
+SWEEP_PARTS = ("BaseModel", "from_affine_bundle", "predict_small_counts",
+               "MetricField.equivariant", "MetricField.identity")
+
+
+def test_sweeps_built_by_one_affine_bundle_builder():
+    # every bundle kind is one flat affine bundle whose fiber metric is
+    # s^(-u_I) / g_I: lab.py builds the base, the superconnection, the
+    # predictions and the equivariant metric at one site each, and never the
+    # identity metric, which the equivariant one equals for identity
+    # holonomies
+    sites = {name: [] for name in SWEEP_PARTS}
+    for node in ast.walk(_tree(SRC / "lab.py")):
+        if isinstance(node, ast.Call):
+            called = ast.unparse(node.func)
+            for name in SWEEP_PARTS:
+                if called == name or called.endswith(f".{name}"):
+                    sites[name].append(node.lineno)
+    assert {name: len(lines) for name, lines in sites.items()} == {
+        **dict.fromkeys(SWEEP_PARTS[:-1], 1), "MetricField.identity": 0}, sites
+    for name in SWEEP_PARTS[:-1]:
+        assert _callers(name.rsplit(".")[-1], [SRC / "lab.py"]) == {
+            ("lab.py", None, "_affine_sweep")}
 
 
 def test_superconnection_builds_no_holonomy_action():

@@ -618,6 +618,35 @@ def test_equivariant_metric_over_a_zero_rank_degree():
                           sconn.spectrum(*alone, 0).eigenvalues)
 
 
+@pytest.mark.parametrize("fiber, kind, T", [
+    ("heisenberg:3", "point", None), ("heisenberg:3", "circle", None),
+    ("abelian:1", "torus2", [1])], ids=["point", "circle", "torus2"])
+def test_equivariant_and_identity_metrics_agree_on_identity_holonomy(
+        fiber, kind, T):
+    # with identity holonomies every logarithm is zero and exp of a zero
+    # stack is exactly I, so the sweeps' equivariant metric is the identity
+    # metric bit for bit: the same logarithms, samples and spectra
+    base = sconn.BaseModel(kind, 8)
+    sc = sconn.from_affine_bundle(lie.load_algebra(fiber), base, T=T)
+    eq = sconn.MetricField.equivariant(sc.bundle, base)
+    ident = sconn.MetricField.identity(sc.bundle, base)
+    assert len(eq.logs) == len(ident.logs) == base.dim
+    for X, Y in zip(itertools.chain(*eq.logs), itertools.chain(*ident.logs)):
+        assert X.dtype == Y.dtype and np.array_equal(X, Y)
+    pts = np.random.default_rng(1).uniform(size=(5, base.dim))
+    for b, r in enumerate(sc.bundle.ranks):
+        assert np.array_equal(eq.sample(b, pts), np.broadcast_to(
+            np.eye(r), (5, r, r)))
+        assert np.array_equal(ident.sample(b, pts), eq.sample(b, pts))
+    rng = np.random.default_rng(2)
+    weights = [rng.normal(size=r) for r in sc.bundle.ranks]
+    dcs = [sconn.DiscreteComplex(sc, h) for h in (eq, ident)]
+    for p in range(base.dim + len(sc.bundle.ranks)):
+        for lam in (None, weights):
+            x, y = (dc.bloch_eigenvalues(p, lam) for dc in dcs)
+            assert np.array_equal(x, y)
+
+
 # ---------------------------------------------------------------------------
 # discrete complex
 # ---------------------------------------------------------------------------
