@@ -266,12 +266,14 @@ def _degree_report(p, values, spectra, pred, count) -> DegreeReport:
 @dataclass(frozen=True)
 class Sweep:
     """The solve step that `_affine_sweep` builds: one flat superconnection
-    `sc`, its `equivariant` metric `h`, and `weights[i]`, the log fiber
-    root per degree that sweep value i solves with (`spectrum`). Every point
-    and degree solves on one `DiscreteComplex`, which builds each degree's
-    symbol once; building the sweep checks, for every point and degree,
-    that the scaled Laplacian is finite (InputError naming both), and the
-    solve reads the factors that check left on the complex."""
+    `sc` and the `predictions`, both read off one exact
+    `spectral.AffineModel`, the `equivariant` metric `h` of `sc`, and
+    `weights[i]`, the log fiber root per degree that sweep value i solves
+    with (`spectrum`). Every point and degree solves on one
+    `DiscreteComplex`, which builds each degree's symbol once; building the
+    sweep checks, for every point and degree, that the scaled Laplacian is
+    finite (InputError naming both), and the solve reads the factors that
+    check left on the complex."""
 
     config: ScenarioConfig
     predictions: list     # SmallCountPrediction per requested degree
@@ -303,19 +305,23 @@ class Sweep:
 def _affine_sweep(cfg: ScenarioConfig, algebra, base_kind: str, circumferences,
                   u, g=None, holonomies=None, T=None) -> Sweep:
     """The sweep of one flat affine bundle: the fiber `algebra` over the
-    `base_kind` torus, with `holonomies` (identities when None), curvature
-    coefficient `T` and its `equivariant` metric. Sweep value s solves with
-    the fiber metric s^(-u_I) / g_I on the form f^I, u_I the sum of the
-    integer weights `u` over I and g_I the product of the Gram `g` (1 when
-    None): the log roots (-u_I log s - log g_I) / 2."""
+    `base_kind` torus, with `holonomies` (identities when None) and
+    curvature coefficient `T` in one exact `spectral.AffineModel`, which
+    the superconnection and the predictions both read, and its
+    `equivariant` metric. Sweep value s solves with the fiber metric
+    s^(-u_I) / g_I on the form f^I, u_I the sum of the integer weights `u`
+    over I and g_I the product of the Gram `g` (1 when None): the log roots
+    (-u_I log s - log g_I) / 2."""
     base = sconn.BaseModel(base_kind, cfg.resolution, circumferences)
+    if holonomies is None:
+        holonomies = [RationalMatrix.identity(algebra.n)] * base.dim
+    model = spectral.AffineModel(algebra, holonomies, T)
     try:  # with a0 the fiber differential, only parallel_a0 can fail
-        sc = sconn.from_affine_bundle(algebra, base, holonomies, T)
+        sc = sconn.from_affine_bundle(model, base)
     except sconn.FlatnessError as exc:
         raise InputError("monodromy is not an automorphism of the algebra: "
                          f"{exc}") from None
-    preds = spectral.predict_small_counts(algebra, base_kind, cfg.degrees,
-                                          holonomies, T=T)
+    preds = spectral.predict_small_counts(model, base_kind, cfg.degrees)
     g = [1] * algebra.n if g is None else g
     forms = [lie.multi_indices(algebra.n, b) for b in range(algebra.n + 1)]
     u_I = [np.array([float(sum(u[i] for i in I)) for I in f]) for f in forms]
@@ -409,9 +415,10 @@ def _read_model(cfg: ScenarioConfig) -> dict:
 
 def prepare(config: ScenarioConfig | str | dict):
     """Build and check everything exact of a scenario: the model that
-    `_read_model` reads, and for a bundle kind the base, flat
-    superconnection, predictions and `equivariant` metric, each built once
-    by `_affine_sweep` (the metric checked for equivariance when it is
+    `_read_model` reads, and for a bundle kind the base, the exact
+    `spectral.AffineModel`, the flat superconnection and the predictions
+    that both read it, and the `equivariant` metric, each built once by
+    `_affine_sweep` (the metric checked for equivariance when it is
     built), and the weights of every sweep point, checked to keep each
     scaled Laplacian finite. Bad input raises InputError here, never later.
     Returns the step that only solves (for a spectral_sequence_report,

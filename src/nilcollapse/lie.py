@@ -242,9 +242,6 @@ class AdaptedGrading:
     def vector_weight(self, i: int) -> int:
         return 3 ** self.filtration[i]
 
-    def form_weight(self, idx: tuple[int, ...]) -> int:
-        return sum(self.vector_weight(i) for i in idx)
-
 
 def lower_central_grading(algebra: NilpotentLieAlgebra) -> AdaptedGrading:
     """Filtration n_[k] = n'_[k] + center, with graded pieces and 3^k weights.

@@ -435,12 +435,15 @@ def inverse_exact(A: RationalMatrix) -> RationalMatrix:
 
 
 class AffineModel:
-    """Exact blocks of an affine bundle's flat model, which the predictions
-    and `superconnection.from_affine_bundle` read: `ranks[b]` = dim of the
-    fiber b-forms, `a0[b]` the fiber differential, `a2[b - 1]` the
-    contraction by T (None without T), and `actions(b)` each holonomy on
-    b-forms, the compound of its inverse transpose. Each holonomy is
-    inverted once; each degree's actions are built on first use and kept.
+    """Exact blocks of an affine bundle's flat model, built once per bundle
+    and read by `predict_small_counts` and
+    `superconnection.from_affine_bundle`: `ranks[b]` = dim of the fiber
+    b-forms, `a0[b]` the fiber differential, `a2[b - 1]` the contraction by
+    T (None without T), `generators` the holonomy count, and `actions(b)`
+    each holonomy on b-forms, the compound of its inverse transpose. The
+    holonomies (exact automorphisms of the fiber algebra) and T are read by
+    `RationalMatrix`. Each holonomy is inverted once; each degree's actions
+    are built on first use and kept.
 
     With a finite symmetry group F (`lie.FiniteSymmetryGroup`, checked
     here), the fiber forms are the F-invariant ones: `basis[b]` is their
@@ -454,6 +457,7 @@ class AffineModel:
                       for g in holonomies]
         if any((g.rows, g.cols) != (n, n) for g in holonomies):
             raise InputError(f"holonomies must be {n}x{n} matrices")
+        self.generators = len(holonomies)
         self._inverse_t = [inverse_exact(g).transpose().tolist()
                            for g in holonomies]
         self._actions: dict[int, list[RationalMatrix]] = {}
@@ -528,30 +532,22 @@ def contraction_blocks(v, n: int) -> list[RationalMatrix]:
     return out
 
 
-def predict_small_counts(algebra, base_kind: str, degrees,
-                         monodromy_action=None, F=None,
-                         T=None) -> list[SmallCountPrediction]:
+def predict_small_counts(model: AffineModel, base_kind: str,
+                         degrees) -> list[SmallCountPrediction]:
     """Number of collapsing eigenvalues in each total degree p of `degrees`,
-    in order, from the limit flat structure: base cohomology with
-    coefficients in the invariant fiber forms, holonomy replaced by its
-    semisimple part.
-
-    `monodromy_action`: per base generator, an exact automorphism matrix of
-    the fiber algebra (rows/entries rational). The semisimple replacement is
-    implemented by counting generalized 1-eigenspaces, which only depend on
-    the semisimple part. With a finite symmetry group `F` the fiber forms
-    are the F-invariant ones (`AffineModel`). One `AffineModel` serves the
+    in order, from the limit flat structure of `model` over the `base_kind`
+    torus, which needs one holonomy per base generator and, for a curvature
+    term, a 2-dimensional base: base cohomology with coefficients in the
+    invariant fiber forms, holonomy replaced by its semisimple part, which
+    counting generalized 1-eigenspaces implements. The model serves the
     counts and the obstruction cases, so each holonomy is inverted once and
     each of its actions built at most once."""
     gens = base_generators(base_kind)
-    n = algebra.n
-    if monodromy_action is None:
-        monodromy_action = [RationalMatrix.identity(n)] * gens
-    if len(monodromy_action) != gens:
+    n = len(model.ranks) - 1
+    if model.generators != gens:
         raise InputError("one holonomy generator per base circle factor")
-    if T is not None and gens < 2:
+    if model.a2 is not None and gens < 2:
         raise InputError("a2 needs a 2-dimensional base")
-    model = AffineModel(algebra, monodromy_action, T, F)
 
     def fixed_dim(b: int) -> int:
         """dim of the joint 1-generalized-eigenspace of the holonomies on

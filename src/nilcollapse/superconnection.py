@@ -70,10 +70,6 @@ class BaseModel:
     def steps(self) -> tuple[float, ...]:
         return tuple(c / self.resolution for c in self.circumferences)
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.steps))
-
     def form_components(self, a: int) -> list[tuple[int, ...]]:
         """Coordinate directions carried by each degree-a form component."""
         return list(itertools.combinations(range(self.dim), a))
@@ -469,36 +465,30 @@ def check_flatness(ranks, a0, monodromies, a2=None) -> None:
 # constructors
 # ---------------------------------------------------------------------------
 
-def from_affine_bundle(algebra, base: BaseModel, monodromy_action=None,
-                       T=None, F=None) -> Superconnection:
-    """Superconnection of an affine bundle: fiber differential + holonomy of
+def from_affine_bundle(model: spectral.AffineModel,
+                       base: BaseModel) -> Superconnection:
+    """Superconnection of an affine bundle over `base`, from the exact
+    blocks of its `spectral.AffineModel`: fiber differential + holonomy of
     the affine action + interior multiplication by the curvature 2-form.
-
-    `monodromy_action`: per base generator, an automorphism of the fiber
-    algebra as an exact n x n matrix. `T`: curvature coefficient, the n
-    vertical components of the area-form coefficient (2-torus base only).
-    Both are read by `RationalMatrix` (a non-integral float raises
-    InputError), and `spectral.AffineModel` builds the blocks exactly. With
-    a finite symmetry group `F` the model holds the blocks on the
+    With a finite symmetry group the model holds the blocks on the
     F-invariant forms in their exact basis B, whose Gram matrices B^T B the
-    bundle gets.
+    bundle gets. `Superconnection` checks the model against the base (one
+    holonomy per generator, a2 over the 2-torus only) and its flatness.
     """
-    n = algebra.n
-    if monodromy_action is None:
-        monodromy_action = [RationalMatrix.identity(n)] * base.dim
-    model = spectral.AffineModel(algebra, monodromy_action, T, F)
     gram = None if model.basis is None else [
         B.transpose() @ B for B in model.basis]
-    bundle = GradedBundle(model.ranks, zip(*map(model.actions, range(n + 1))),
-                          gram=gram)
+    bundle = GradedBundle(
+        model.ranks, zip(*map(model.actions, range(len(model.ranks)))),
+        gram=gram)
     return Superconnection(bundle, base, a0=model.a0, a2=model.a2)
 
 
 def load_bundle(source) -> tuple[Superconnection, MetricField]:
     """Superconnection plus metric from a JSON file path or a parsed dict:
-    a fiber algebra with its holonomy actions and curvature term, or
-    explicit per-degree blocks (identity monodromies, a zero a0 and no a2
-    by default). Either way `Superconnection` tests the flatness identities
+    a fiber algebra with its holonomy actions (identities when absent) and
+    curvature term, read into one `spectral.AffineModel`, or explicit
+    per-degree blocks (identity monodromies, a zero a0 and no a2 by
+    default). Either way `Superconnection` tests the flatness identities
     exactly on the blocks as read (FlatnessError if they fail), and the
     metric, `identity` or `equivariant`, is built for the bundle and base
     and checked by its constructor (InputError if it is not equivariant)."""
@@ -510,8 +500,11 @@ def load_bundle(source) -> tuple[Superconnection, MetricField]:
     if b["metric"] not in ("identity", "equivariant"):
         raise InputError(f"unknown metric kind {b['metric']!r}")
     if fiber_shape:
-        sc = from_affine_bundle(b["fiber"], base, T=b["a2"],
-                                monodromy_action=b["monodromy_action"])
+        holonomies = b["monodromy_action"]
+        if holonomies is None:
+            holonomies = [RationalMatrix.identity(b["fiber"].n)] * base.dim
+        sc = from_affine_bundle(spectral.AffineModel(
+            b["fiber"], holonomies, b["a2"]), base)
     else:
         bundle = GradedBundle(b["ranks"], b["monodromy"], generators=base.dim)
         sc = Superconnection(bundle, base, a0=b["a0_blocks"],

@@ -101,8 +101,8 @@ def weight_complex(algebra):
     raises f, never lowers a."""
     grading = lie.lower_central_grading(algebra)
     n = algebra.n
-    weights = [[grading.form_weight(I) for I in lie.multi_indices(n, p)]
-               for p in range(n + 1)]
+    weights = [[sum(map(grading.vector_weight, I))
+                for I in lie.multi_indices(n, p)] for p in range(n + 1)]
     f_max = max(map(max, weights))
     off = f_max - min(map(min, weights))
     where = {}  # (p, form index) -> (spot, index at the spot)

@@ -198,7 +198,7 @@ def degeneration_point(algebra, base, phi: RationalMatrix, weights, t):
     conj = RationalMatrix([[v * Fraction(t) ** (weights[i] - weights[j])
                             for j, v in enumerate(row)]
                            for i, row in enumerate(phi.tolist())])
-    sc = sconn.from_affine_bundle(algebra, base, monodromy_action=[conj])
+    sc = sconn.from_affine_bundle(spectral.AffineModel(algebra, [conj]), base)
     return sc, sconn.MetricField.equivariant(sc.bundle, base)
 
 
@@ -206,7 +206,8 @@ def adiabatic_point(base, delta):
     """Point delta of the adiabatic circle bundle sweep as its own
     superconnection: a2 = delta * a2 of the T = 1 bundle, with the identity
     metric."""
-    unit = sconn.from_affine_bundle(lie.abelian(1), base, T=[1])
+    unit = sconn.from_affine_bundle(spectral.AffineModel(
+        lie.abelian(1), [RationalMatrix.identity(1)] * base.dim, T=[1]), base)
     sc = sconn.Superconnection(unit.bundle, base, a0=unit.a0,
                                a2=[unit.a2[0].scale(Fraction(delta))])
     return sc, sconn.MetricField.identity(sc.bundle, base)
@@ -244,8 +245,8 @@ def rescaled_spectrum(grading, p: int, eps: float) -> SpectrumReport:
 
     def scaled(q):
         src, dst = lie.multi_indices(alg.n, q), lie.multi_indices(alg.n, q + 1)
-        src_w = np.array([grading.form_weight(I) for I in src])
-        dst_w = np.array([grading.form_weight(I) for I in dst])
+        src_w, dst_w = (np.array([sum(map(grading.vector_weight, I))
+                                  for I in forms]) for forms in (src, dst))
         src_g, dst_g = (np.array([float(prod(grading.gram[i] for i in I))
                                   for I in forms]) for forms in (src, dst))
         scale = np.power(eps, 0.5 * (src_w[None, :] - dst_w[:, None]))
@@ -360,7 +361,7 @@ class AssembledComplex(sconn.DiscreteComplex):
         out = sp.csr_matrix((self.dim(p), self.dim(p)))
         offset = 0
         for dirs, b in self.components(p):
-            mass = self.base.cell_volume * self.h.sample(
+            mass = float(np.prod(self.base.steps)) * self.h.sample(
                 b, self.base.points(stagger=dirs))
             out += _point_blocks(pts, pts, _spd_power(mass, power), out.shape,
                                  (offset, offset))

@@ -73,7 +73,8 @@ def test_harmonic_form_counts_heisenberg3():
 
 def test_rescaled_family_collapse_count():
     alg = lie.heisenberg(3)
-    [pred] = spectral.predict_small_counts(alg, "point", [1])
+    [pred] = spectral.predict_small_counts(spectral.AffineModel(alg, []),
+                                           "point", [1])
     assert pred.count == 3
     sweep = (1e-1, 1e-2, 1e-3, 1e-4)
     for eps, rep in zip(sweep, rescaled_spectra(alg, 1, sweep)):
@@ -193,10 +194,9 @@ def test_square_root_perturbation_bound():
     for k in range(50):
         if k % 2 == 0:
             c1, c2 = rng.uniform(0.1, 1.5, size=2)
-            sc1 = sconn.from_affine_bundle(lie.abelian(1), base_t,
-                                           T=[Fraction(c1)])
-            sc2 = sconn.from_affine_bundle(lie.abelian(1), base_t,
-                                           T=[Fraction(c2)])
+            sc1, sc2 = (sconn.from_affine_bundle(spectral.AffineModel(
+                lie.abelian(1), [np.eye(1)] * 2, T=[Fraction(c)]), base_t)
+                for c in (c1, c2))
             h = sconn.MetricField.identity(sc1.bundle, sc1.base)
             rep = oracles.perturbation_check(sc1, sc2, h, 1, count=6)
         else:
@@ -219,17 +219,17 @@ def test_all_constructed_superconnections_are_flat():
     circle = sconn.BaseModel("circle", 8)
     torus = sconn.BaseModel("torus2", 8)
     cases = [
-        (lie.heisenberg(3), circle, {}),
-        (lie.heisenberg(5), circle, {}),
-        (lie.abelian(2), circle, dict(monodromy_action=[UNIP.to_numpy()])),
-        (lie.abelian(2), circle, dict(monodromy_action=[[[2, 1], [1, 1]]])),
-        (lie.abelian(3), torus, {}),
-        (lie.heisenberg(3), torus, dict(T=[0.0, 0.0, 1.0])),
-        (lie.abelian(1), torus, dict(T=[1])),
-        (lie.abelian(1), torus, dict(T=["1/4"])),
+        (lie.heisenberg(3), circle, None, None),
+        (lie.heisenberg(5), circle, None, None),
+        (lie.abelian(2), circle, [UNIP.to_numpy()], None),
+        (lie.abelian(2), circle, [[[2, 1], [1, 1]]], None),
+        (lie.abelian(3), torus, None, None),
+        (lie.heisenberg(3), torus, None, [0.0, 0.0, 1.0]),
+        (lie.abelian(1), torus, None, [1]),
+        (lie.abelian(1), torus, None, ["1/4"]),
     ]
-    for alg, base, data in cases:
-        model = check_model_flatness(alg, data.get(
-            "monodromy_action", [np.eye(alg.n)] * base.dim), data.get("T"))
-        sc = sconn.from_affine_bundle(alg, base, **data)
+    for alg, base, holonomies, T in cases:
+        model = check_model_flatness(
+            alg, holonomies or [np.eye(alg.n)] * base.dim, T)
+        sc = sconn.from_affine_bundle(model, base)
         assert sc.bundle.ranks == tuple(model.ranks)

@@ -171,30 +171,32 @@ def test_prediction_builds_the_twisted_pages_once_per_scenario(monkeypatch):
 
 
 def test_bundle_scenarios_build_each_sweep_point_once(monkeypatch):
-    models, supers = [], []
-    real, init = sconn.from_affine_bundle, sconn.Superconnection.__init__
-    monkeypatch.setattr(sconn, "from_affine_bundle",
-                        lambda *a, **kw: models.append(1) or real(*a, **kw))
-    monkeypatch.setattr(sconn.Superconnection, "__init__",
-                        lambda *a, **kw: supers.append(1) or init(*a, **kw))
+    events = []
+    spy(monkeypatch, sconn, "from_affine_bundle", events, "bundle")
+    spy(monkeypatch, sconn.Superconnection, "__init__", events, "super")
+    spy(monkeypatch, spectral.AffineModel, "__init__", events, "model")
     # a sweep point changes only the constant fiber metric, so each
-    # scenario builds its one flat superconnection once, over a point for
-    # nil_rescale
+    # scenario builds its one exact affine model and its one flat
+    # superconnection once, over a point for nil_rescale; the model serves
+    # the superconnection and the predictions alike
     for name in lab.PRESETS:
-        models.clear()
-        supers.clear()
+        events.clear()
         cfg = dict(lab.PRESETS[name], degrees=(0, 1, 2))
         rep = lab.run(cfg)
-        assert len(models) == len(supers) == 1, name
+        assert Counter(events) == {"model": 1, "bundle": 1, "super": 1}, name
         assert [len(d.spectra) for d in rep.degrees] == [
             len(cfg["sweep_values"])] * 3
+    events.clear()
+    lab.prepare({"kind": "nil_rescale", "model": {"algebra": "filiform:5"},
+                 "sweep_values": [1e-1, 1e-2, 1e-3, 1e-4]})
+    assert Counter(events) == {"model": 1, "bundle": 1, "super": 1}
 
 
 def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
-    # the exact differentials do not depend on eps: the prediction and the
-    # one superconnection over a point each need d on the 0-, 1- and
-    # 2-forms of heisenberg:3's adapted algebra, each built once for the 4
-    # sweep points
+    # the exact differentials do not depend on eps: the one affine model,
+    # which the prediction and the one superconnection over a point both
+    # read, builds d on the 0-, 1- and 2-forms of heisenberg:3's adapted
+    # algebra once for the 4 sweep points
     calls = []
     real = lie.ce_differential
     plain = json.dumps(lab.run("example1_heisenberg_point").to_dict(),
@@ -204,7 +206,7 @@ def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
     rep = lab.run("example1_heisenberg_point")
     assert json.dumps(rep.to_dict(), sort_keys=True) == plain
     assert len(rep.degrees[0].spectra) == 4
-    assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+    assert sorted(calls) == [0, 1, 2]
 
 
 def test_sweep_builds_each_bloch_symbol_once(monkeypatch):
@@ -231,21 +233,13 @@ def test_prediction_builds_each_holonomy_action_once(monkeypatch):
                         lambda g: inversions.append(g) or inverse(g))
     monkeypatch.setattr(lie, "compound_matrix",
                         lambda rows, b: compounds.append(b) or compound(rows, b))
-    predict = spectral.predict_small_counts
-    counts = []
-
-    def counted(*args, **kw):
-        before = len(inversions), len(compounds)
-        out = predict(*args, **kw)
-        counts.append((len(inversions) - before[0], len(compounds) - before[1]))
-        return out
-
-    monkeypatch.setattr(spectral, "predict_small_counts", counted)
     rep = lab.run(dict(lab.PRESETS["example3_circle_bundle"],
                        degrees=(0, 1, 2)))
-    # two torus generators, each inverted once for all degrees and cases,
-    # and acting on the 0- and 1-forms of the circle fiber: 2 x 2 compounds
-    assert counts == [(2, 4)]
+    # two torus generators, each inverted once by the one affine model for
+    # the superconnection, all degrees and all cases, and acting on the 0-
+    # and 1-forms of the circle fiber: 2 x 2 compounds; the bundle inverts
+    # its 2 x 2 degree blocks once more, for their floats
+    assert (len(inversions), len(compounds)) == (2 + 4, 4)
     assert [d.predicted_small_count for d in rep.degrees] == [1, 3, 3]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nilcollapse import lie, superconnection as sconn
+from nilcollapse import lie, spectral, superconnection as sconn
 from nilcollapse.numerics import InputError
 from nilcollapse.report import ZERO_TOL, SpectrumReport, closeness_epsilon
 from tests import oracles
@@ -38,7 +38,9 @@ def _lowest_set_to(real, value):
 
 
 def _spectrum_routes():
-    sc = sconn.from_affine_bundle(lie.abelian(1), sconn.BaseModel("circle", 8))
+    sc = sconn.from_affine_bundle(
+        spectral.AffineModel(lie.abelian(1), [np.eye(1)]),
+        sconn.BaseModel("circle", 8))
     h = sconn.MetricField.identity(sc.bundle, sc.base)
     bare = sconn.MetricField(sc.bundle, sc.base, h.sample)
     return {

@@ -1,7 +1,8 @@
 """Source-layout rules checked on the syntax tree of the package: modules
 use each other only through public names, functions merged into a single
 builder stay merged, every sweep of a bundle kind is built by one
-affine-bundle builder, exact matrices are read and built through their
+affine-bundle builder, each bundle's exact affine model is built once and
+read by both the superconnection and the predictions, exact matrices are read and built through their
 methods, never through a `.data` attribute or, outside `numerics`, their
 sparse rows, the superconnection layer converts holonomy actions that
 `spectral` built exactly instead of building its own, only the two metric
@@ -70,6 +71,9 @@ MERGED = {
     # only tests called these: AffineModel(...).actions(b) and
     # predict_small_counts(...)[0] say the same
     "form_action", "predict_small_count",
+    # only tests called these: sum(map(grading.vector_weight, I)) and
+    # np.prod(base.steps) say the same
+    "form_weight", "cell_volume",
     # a float eigenvalue is zero by report.ZERO_TOL alone; the largest-gap
     # split and its floor decided nothing
     "gap_split", "SMALL_FLOOR",
@@ -216,16 +220,17 @@ def _callers(name, paths=MODULES):
     return out
 
 
-SWEEP_PARTS = ("BaseModel", "from_affine_bundle", "predict_small_counts",
-               "MetricField.equivariant", "MetricField.identity")
+SWEEP_PARTS = ("BaseModel", "AffineModel", "from_affine_bundle",
+               "predict_small_counts", "MetricField.equivariant",
+               "MetricField.identity")
 
 
 def test_sweeps_built_by_one_affine_bundle_builder():
     # every bundle kind is one flat affine bundle whose fiber metric is
-    # s^(-u_I) / g_I: lab.py builds the base, the superconnection, the
-    # predictions and the equivariant metric at one site each, and never the
-    # identity metric, which the equivariant one equals for identity
-    # holonomies
+    # s^(-u_I) / g_I: lab.py builds the base, the exact affine model, the
+    # superconnection, the predictions and the equivariant metric at one
+    # site each, and never the identity metric, which the equivariant one
+    # equals for identity holonomies
     sites = {name: [] for name in SWEEP_PARTS}
     for node in ast.walk(_tree(SRC / "lab.py")):
         if isinstance(node, ast.Call):
@@ -238,6 +243,15 @@ def test_sweeps_built_by_one_affine_bundle_builder():
     for name in SWEEP_PARTS[:-1]:
         assert _callers(name.rsplit(".")[-1], [SRC / "lab.py"]) == {
             ("lab.py", None, "_affine_sweep")}
+
+
+def test_affine_model_built_only_by_the_two_bundle_readers():
+    # one exact model per bundle, which the superconnection and the
+    # predictions both read: from_affine_bundle and predict_small_counts
+    # take it and build none
+    assert _callers("AffineModel") == {
+        ("lab.py", None, "_affine_sweep"),
+        ("superconnection.py", None, "load_bundle")}
 
 
 def test_superconnection_builds_no_holonomy_action():

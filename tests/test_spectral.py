@@ -666,46 +666,62 @@ def test_form_action_is_multiplicative():
 # ---------------------------------------------------------------------------
 
 def test_predict_nil_fiber_over_point():
-    [pred] = spectral.predict_small_counts(lie.heisenberg(3), "point", [1])
+    [pred] = spectral.predict_small_counts(
+        spectral.AffineModel(lie.heisenberg(3), []), "point", [1])
     assert pred.count == 3
     assert pred.obstruction_case == 1
 
 
 def test_predict_unipotent_circle():
-    [pred] = spectral.predict_small_counts(lie.abelian(2), "circle", [1],
-                                           monodromy_action=[UNIP])
+    [pred] = spectral.predict_small_counts(
+        spectral.AffineModel(lie.abelian(2), [UNIP]), "circle", [1])
     assert pred.count == 3
     assert pred.obstruction_case == 2
     assert pred.per_bidegree == {(0, 1): 2, (1, 0): 1}
 
 
 def test_predict_hyperbolic_circle():
-    [pred] = spectral.predict_small_counts(lie.abelian(2), "circle", [1],
-                                           monodromy_action=[SOL])
+    [pred] = spectral.predict_small_counts(
+        spectral.AffineModel(lie.abelian(2), [SOL]), "circle", [1])
     assert pred.count == 1
     assert pred.obstruction_case is None
     assert pred.per_bidegree == {(1, 0): 1}
 
 
 def test_predict_circle_bundle_over_torus():
-    [pred] = spectral.predict_small_counts(lie.abelian(1), "torus2", [1],
-                                           T=[Fraction(1)])
+    eye = [RationalMatrix.identity(1)] * 2
+    [pred] = spectral.predict_small_counts(
+        spectral.AffineModel(lie.abelian(1), eye, T=[Fraction(1)]), "torus2",
+        [1])
     assert pred.count == 3
     assert pred.obstruction_case == 3
     # without the curvature data the obstruction is invisible
-    [pred0] = spectral.predict_small_counts(lie.abelian(1), "torus2", [1])
+    [pred0] = spectral.predict_small_counts(
+        spectral.AffineModel(lie.abelian(1), eye), "torus2", [1])
     assert pred0.count == 3 and pred0.obstruction_case is None
 
 
 def test_predict_product_bundle():
-    [pred] = spectral.predict_small_counts(lie.abelian(2), "circle", [1])
+    [pred] = spectral.predict_small_counts(spectral.AffineModel(
+        lie.abelian(2), [RationalMatrix.identity(2)]), "circle", [1])
     assert pred.count == 3
     assert pred.obstruction_case is None
 
 
 def test_predict_rejects_unknown_base():
     with pytest.raises(InputError):
-        spectral.predict_small_counts(lie.abelian(2), "sphere", [1])
+        spectral.predict_small_counts(spectral.AffineModel(
+            lie.abelian(2), [RationalMatrix.identity(2)]), "sphere", [1])
+
+
+def test_predict_needs_one_holonomy_per_base_generator():
+    # the model carries its holonomies; the base kind must have as many
+    # generators
+    model = spectral.AffineModel(lie.abelian(2), [UNIP])
+    for kind in ("point", "torus2"):
+        with pytest.raises(InputError, match="one holonomy generator per "
+                           "base circle factor"):
+            spectral.predict_small_counts(model, kind, [1])
 
 
 def test_curvature_term_needs_a_two_dimensional_base():
@@ -714,15 +730,15 @@ def test_curvature_term_needs_a_two_dimensional_base():
     alg, T = lie.heisenberg(3), [0, 0, 1]
     for kind, holonomies in (("circle", [RationalMatrix.identity(3)]),
                              ("point", [])):
-        with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
-            spectral.predict_small_counts(alg, kind, [0, 1, 2],
-                                          monodromy_action=holonomies, T=T)
         model = spectral.AffineModel(alg, holonomies, T=T)
+        with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
+            spectral.predict_small_counts(model, kind, [0, 1, 2])
         monos = [list(m) for m in zip(*map(model.actions, range(4)))]
         with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
             spectral.flat_bundle_complex(model.ranks, model.a0, monos, kind,
                                          a2=model.a2)
-    counts = spectral.predict_small_counts(alg, "circle", [0, 1, 2])
+    counts = spectral.predict_small_counts(spectral.AffineModel(
+        alg, [RationalMatrix.identity(3)]), "circle", [0, 1, 2])
     assert [pred.count for pred in counts] == [1, 4, 6]
 
 
@@ -738,39 +754,38 @@ def test_invariant_sector_counts_the_joint_fixed_space():
     # holonomies, though each one fixes a line
     holonomies = [RationalMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]]),
                   RationalMatrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]])]
-    [pred] = spectral.predict_small_counts(lie.abelian(3), "torus2", [1],
-                                           monodromy_action=holonomies,
-                                           F=FLIP3)
+    [pred] = spectral.predict_small_counts(
+        spectral.AffineModel(lie.abelian(3), holonomies, F=FLIP3), "torus2",
+        [1])
     assert pred.count == 2
     assert pred.per_bidegree == {(1, 0): 2}
 
 
 def test_invariant_sector_decides_case_two():
     # a unipotent block on the invariant 1-forms e1, e2
-    [pred] = spectral.predict_small_counts(
-        lie.abelian(3), "circle", [1], F=FLIP3,
-        monodromy_action=[RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])])
+    [pred] = spectral.predict_small_counts(spectral.AffineModel(
+        lie.abelian(3), [RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])],
+        F=FLIP3), "circle", [1])
     assert pred.obstruction_case == 2
 
 
 def test_holonomy_leaving_the_invariant_sector_is_rejected():
     # e1 + e3 is not F-invariant, and this holonomy sends e3 to it
     with pytest.raises(InputError, match="F-invariant"):
-        spectral.predict_small_counts(
-            lie.abelian(3), "circle", [1], F=FLIP3,
-            monodromy_action=[RationalMatrix([[1, 0, 1], [0, 1, 0],
-                                              [0, 0, 1]])])
+        spectral.AffineModel(
+            lie.abelian(3), [RationalMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])],
+            F=FLIP3)
 
 
 def test_invariant_sector_predictions_heisenberg3():
     F = lie.FiniteSymmetryGroup([np.eye(3), np.diag([-1, -1, 1])])
     alg = lie.heisenberg(3)
-    circle = spectral.predict_small_counts(
-        alg, "circle", range(5), F=F,
-        monodromy_action=[RationalMatrix([[2, 0, 0], [0, "1/2", 0],
-                                          [0, 0, 1]])])
-    torus = spectral.predict_small_counts(alg, "torus2", range(6), F=F,
-                                          T=[0, 0, 1])
+    circle = spectral.predict_small_counts(spectral.AffineModel(
+        alg, [RationalMatrix([[2, 0, 0], [0, "1/2", 0], [0, 0, 1]])], F=F),
+        "circle", range(5))
+    torus = spectral.predict_small_counts(spectral.AffineModel(
+        alg, [RationalMatrix.identity(3)] * 2, T=[0, 0, 1], F=F), "torus2",
+        range(6))
     assert [p.count for p in circle] == [1, 2, 2, 2, 1]
     assert [p.count for p in torus] == [1, 3, 4, 4, 3, 1]
     # de3 = -e1^e2 pairs the only invariant 1- and 2-forms

@@ -36,7 +36,8 @@ def torus(n=12):
 def circle_bundle(base, delta):
     """Invariant-forms model of an oriented circle bundle with curvature
     coupling delta: the abelian(1) fiber with T = [delta]."""
-    return sconn.from_affine_bundle(lie.abelian(1), base, T=[Fraction(delta)])
+    return sconn.from_affine_bundle(spectral.AffineModel(
+        lie.abelian(1), [np.eye(1)] * base.dim, T=[Fraction(delta)]), base)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def test_base_model_validation():
     b = sconn.BaseModel("torus2", 16, (2.0, 3.0))
     assert b.dim == 2 and b.npoints == 256
     assert b.steps == (2.0 / 16, 3.0 / 16)
-    assert b.cell_volume == pytest.approx(6.0 / 256)
+    assert float(np.prod(b.steps)) == pytest.approx(6.0 / 256)
 
 
 def test_point_base_is_the_zero_torus():
@@ -62,7 +63,7 @@ def test_point_base_is_the_zero_torus():
     b = sconn.BaseModel("point", 8)
     assert (b.dim, b.npoints, b.circumferences) == (0, 1, ())
     assert b.points().shape == b.points(stagger=()).shape == (1, 0)
-    assert b.cell_volume == 1.0
+    assert float(np.prod(b.steps)) == 1.0
     assert [spectral.base_generators(k) for k in ("point", "circle",
                                                   "torus2")] == [0, 1, 2]
     with pytest.raises(InputError, match="unsupported base kind 'torus3'"):
@@ -168,8 +169,8 @@ def test_small_invertible_holonomy_action_builds():
     # absolute bound such as |det| < 1e-12 calls singular
     phi = RationalMatrix.from_entries(5, 5, {(i, i): v for i, v in
                                              enumerate([3, 3, 9, 27, 81])})
-    sc = sconn.from_affine_bundle(lie.filiform(5), circle(8),
-                                  monodromy_action=[phi])
+    sc = sconn.from_affine_bundle(spectral.AffineModel(lie.filiform(5), [phi]),
+                                  circle(8))
     assert sc.bundle.ranks == (1, 5, 10, 10, 5, 1)
     assert abs(np.linalg.det(sc.bundle.monodromy(0, 2))) < 1e-12
 
@@ -198,7 +199,7 @@ def test_superconnection_shape_validation():
         # a2 needs a two-dimensional base
         sconn.Superconnection(bundle, circle(), a2=[np.ones((1, 1))])
     with pytest.raises(InputError, match="contraction vector"):
-        sconn.from_affine_bundle(lie.heisenberg(3), torus(8), T=[0, 1])
+        spectral.AffineModel(lie.heisenberg(3), [np.eye(3)] * 2, T=[0, 1])
 
 
 def test_superconnection_needs_one_monodromy_per_base_direction():
@@ -208,9 +209,9 @@ def test_superconnection_needs_one_monodromy_per_base_direction():
     # a second generator over a circle used to be ignored
     with pytest.raises(InputError, match="circle base needs 1 monodromy"):
         sconn.Superconnection(sconn.GradedBundle([1], generators=2), circle())
-    with pytest.raises(InputError):
-        sconn.from_affine_bundle(lie.abelian(2), torus(8),
-                                 monodromy_action=[np.eye(2)])
+    with pytest.raises(InputError, match="torus2 base needs 2 monodromy"):
+        sconn.from_affine_bundle(
+            spectral.AffineModel(lie.abelian(2), [np.eye(2)]), torus(8))
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +222,13 @@ def test_flatness_of_affine_models():
     for alg, base in [(lie.heisenberg(3), circle(8)),
                       (lie.abelian(2), circle(8)),
                       (lie.abelian(3), torus(8))]:
-        check_model_flatness(alg, [np.eye(alg.n)] * base.dim)
-        sconn.from_affine_bundle(alg, base)
+        model = check_model_flatness(alg, [np.eye(alg.n)] * base.dim)
+        sconn.from_affine_bundle(model, base)
 
 
 def test_flatness_of_twisted_circle():
-    check_model_flatness(lie.abelian(2), [SOL])
-    sc = sconn.from_affine_bundle(lie.abelian(2), circle(8),
-                                  monodromy_action=[SOL])
+    model = check_model_flatness(lie.abelian(2), [SOL])
+    sc = sconn.from_affine_bundle(model, circle(8))
     assert np.array_equal(sc.bundle.monodromy(0, 1), np.linalg.inv(SOL).T)
 
 
@@ -243,8 +243,8 @@ def test_circle_bundle_model_is_flat():
 def test_from_affine_bundle_rejects_non_automorphism():
     bad = np.diag([1.0, 1.0, 2.0])  # scales the center only: not compatible
     with pytest.raises(sconn.FlatnessError):
-        sconn.from_affine_bundle(lie.heisenberg(3), circle(8),
-                                 monodromy_action=[bad])
+        sconn.from_affine_bundle(
+            spectral.AffineModel(lie.heisenberg(3), [bad]), circle(8))
 
 
 def test_flatness_report_names_violated_identity():
@@ -314,7 +314,8 @@ def test_superconnection_is_flat_exactly_when_check_flatness_holds(data):
 def test_contraction_matrix_matches_exact_blocks():
     v = [1, -2, 3]
     blocks = spectral.contraction_blocks(v, 3)
-    sc = sconn.from_affine_bundle(lie.abelian(3), torus(8), T=v)
+    sc = sconn.from_affine_bundle(
+        spectral.AffineModel(lie.abelian(3), [np.eye(3)] * 2, T=v), torus(8))
     for b in range(1, 4):
         assert sc.a2[b - 1] == blocks[b - 1]
         assert np.array_equal(sc.a2_block(b), blocks[b - 1].to_numpy())
@@ -384,7 +385,8 @@ def test_with_fiber_checks_its_blocks():
 def test_conformal_factor_must_be_positive():
     # a weight is the log of the fiber root, so every finite weight is a
     # positive factor; the factor 0 (weight -inf), inf and NaN are refused
-    sc = sconn.from_affine_bundle(lie.abelian(1), circle(8))
+    sc = sconn.from_affine_bundle(
+        spectral.AffineModel(lie.abelian(1), [np.eye(1)]), circle(8))
     h = sconn.MetricField.identity(sc.bundle, sc.base)
     for bad in (-np.inf, np.inf, np.nan):
         with pytest.raises(InputError, match="one finite vector per degree"):
@@ -436,9 +438,9 @@ def near_jordan(k):
 def h3_unipotent_compounds():
     # the degree-b monodromies of heisenberg:3 under the unipotent holonomy
     # of the lab's unipotent degeneration: Jordan blocks in degrees 1 and 2
-    sc = sconn.from_affine_bundle(
-        lie.heisenberg(3), circle(8),
-        monodromy_action=[RationalMatrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]])])
+    sc = sconn.from_affine_bundle(spectral.AffineModel(
+        lie.heisenberg(3), [RationalMatrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]])]),
+        circle(8))
     return [sc.bundle.monodromy(0, b) for b in range(4)]
 
 
@@ -626,8 +628,9 @@ def test_equivariant_and_identity_metrics_agree_on_identity_holonomy(
     # with identity holonomies every logarithm is zero and exp of a zero
     # stack is exactly I, so the sweeps' equivariant metric is the identity
     # metric bit for bit: the same logarithms, samples and spectra
-    base = sconn.BaseModel(kind, 8)
-    sc = sconn.from_affine_bundle(lie.load_algebra(fiber), base, T=T)
+    base, alg = sconn.BaseModel(kind, 8), lie.load_algebra(fiber)
+    sc = sconn.from_affine_bundle(
+        spectral.AffineModel(alg, [np.eye(alg.n)] * base.dim, T=T), base)
     eq = sconn.MetricField.equivariant(sc.bundle, base)
     ident = sconn.MetricField.identity(sc.bundle, base)
     assert len(eq.logs) == len(ident.logs) == base.dim
@@ -661,8 +664,8 @@ def test_discrete_differential_squares_to_zero():
 
 
 def test_discrete_differential_squares_to_zero_twisted():
-    sc = sconn.from_affine_bundle(lie.abelian(2), circle(8),
-                                  monodromy_action=[SOL])
+    sc = sconn.from_affine_bundle(spectral.AffineModel(lie.abelian(2), [SOL]),
+                                  circle(8))
     h = sconn.MetricField.equivariant(sc.bundle, sc.base)
     dc = oracles.AssembledComplex(sc, h)
     for p in range(2):
@@ -730,14 +733,14 @@ HYPERBOLIC_4 = [[4, 0, 0], [0, "1/4", 0], [0, 0, 1]]
 
 
 def heisenberg_torus_with_curvature(base):
-    sc = sconn.from_affine_bundle(
-        lie.heisenberg(3), base, T=[0, 0, 1],
-        monodromy_action=[HYPERBOLIC_2, HYPERBOLIC_4])
+    sc = sconn.from_affine_bundle(spectral.AffineModel(
+        lie.heisenberg(3), [HYPERBOLIC_2, HYPERBOLIC_4], T=[0, 0, 1]), base)
     return sc, sconn.MetricField.equivariant(sc.bundle, base)
 
 
 def twisted_circle(base, phi):
-    sc = sconn.from_affine_bundle(lie.abelian(2), base, monodromy_action=[phi])
+    sc = sconn.from_affine_bundle(spectral.AffineModel(lie.abelian(2), [phi]),
+                                  base)
     return sc, sconn.MetricField.equivariant(sc.bundle, base)
 
 
@@ -809,7 +812,8 @@ def test_bloch_matches_assembled_twisted_circles():
 
 def test_bloch_matches_assembled_heisenberg_over_torus():
     base = torus(8)
-    sc = sconn.from_affine_bundle(lie.heisenberg(3), base, T=[0, 0, 1])
+    sc = sconn.from_affine_bundle(spectral.AffineModel(
+        lie.heisenberg(3), [np.eye(3)] * 2, T=[0, 0, 1]), base)
     h = sconn.MetricField.identity(sc.bundle, sc.base)
     for p in range(5):
         assert_bloch_matches_assembled(sc, h, p, count=12)
@@ -1225,10 +1229,9 @@ def test_load_bundle_rejects_inexact_and_malformed_entries():
 def test_from_affine_bundle_converts_the_exact_model_blocks():
     # heisenberg:3 over the torus, hyperbolic holonomies fixing e3, T = e3:
     # every float block is the exact builder's block, converted once
-    holonomies = [HYPERBOLIC_2, HYPERBOLIC_4]
-    sc = sconn.from_affine_bundle(lie.heisenberg(3), torus(8),
-                                  monodromy_action=holonomies, T=[0, 0, 1])
-    model = spectral.AffineModel(lie.heisenberg(3), holonomies, T=[0, 0, 1])
+    model = spectral.AffineModel(lie.heisenberg(3),
+                                 [HYPERBOLIC_2, HYPERBOLIC_4], T=[0, 0, 1])
+    sc = sconn.from_affine_bundle(model, torus(8))
     for b in range(3):
         assert np.array_equal(sc.a0_block(b), model.a0[b].to_numpy())
         assert np.array_equal(sc.a2_block(b + 1), model.a2[b].to_numpy())
@@ -1242,14 +1245,14 @@ def test_from_affine_bundle_converts_the_exact_model_blocks():
 
 
 def test_from_affine_bundle_takes_exact_data_only():
+    # the exact model that from_affine_bundle reads refuses float data
     with pytest.raises(InputError, match="non-integral float"):
-        sconn.from_affine_bundle(lie.heisenberg(3), torus(8), monodromy_action=[
+        spectral.AffineModel(lie.heisenberg(3), [
             np.diag([2.0, 0.5, 1.0]), np.diag([4.0, 0.25, 1.0])])
     with pytest.raises(InputError, match="non-integral float 0.1"):
-        sconn.from_affine_bundle(lie.abelian(1), torus(8), T=[0.1])
+        spectral.AffineModel(lie.abelian(1), [np.eye(1)] * 2, T=[0.1])
     with pytest.raises(InputError, match="3x3"):
-        sconn.from_affine_bundle(lie.heisenberg(3), circle(8),
-                                 monodromy_action=[np.eye(2)])
+        spectral.AffineModel(lie.heisenberg(3), [np.eye(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -1259,10 +1262,11 @@ def test_from_affine_bundle_takes_exact_data_only():
 Z2_HEIS3 = lie.FiniteSymmetryGroup([np.eye(3), np.diag([-1, -1, 1])])
 SECTOR_MODELS = {
     # hyperbolic holonomy commuting with F, equivariant metric
-    "circle": (circle(12), dict(monodromy_action=[HYPERBOLIC_2]), "equivariant",
+    "circle": (circle(12), dict(holonomies=[HYPERBOLIC_2]), "equivariant",
                [1, 1, 0, 1, 1]),
     # identity holonomies, curvature along the F-fixed e3, identity metric
-    "torus2": (torus(12), dict(T=[0, 0, 1]), "identity", [1, 2, 1, 1, 2, 1]),
+    "torus2": (torus(12), dict(holonomies=[np.eye(3)] * 2, T=[0, 0, 1]),
+               "identity", [1, 2, 1, 1, 2, 1]),
 }
 
 
@@ -1270,11 +1274,10 @@ SECTOR_MODELS = {
 def test_invariant_sector_zero_counts_are_the_total_betti_numbers(kind):
     base, data, metric, want = SECTOR_MODELS[kind]
     alg = lie.heisenberg(3)
-    sc = sconn.from_affine_bundle(alg, base, F=Z2_HEIS3, **data)
+    model = spectral.AffineModel(alg, F=Z2_HEIS3, **data)
+    sc = sconn.from_affine_bundle(model, base)
     h = (sconn.MetricField.equivariant(sc.bundle, base) if metric == "equivariant"
          else sconn.MetricField.identity(sc.bundle, sc.base))
-    holonomies = data.get("monodromy_action", [np.eye(3)] * base.dim)
-    model = spectral.AffineModel(alg, holonomies, T=data.get("T"), F=Z2_HEIS3)
     monos = list(zip(*map(model.actions, range(alg.n + 1))))
     betti = spectral.spectral_sequence(spectral.flat_bundle_complex(
         model.ranks, model.a0, monos, kind, a2=model.a2)).betti
@@ -1288,15 +1291,18 @@ CYCLIC3 = lie.FiniteSymmetryGroup([np.eye(3), C3, C3 @ C3])
 
 
 @pytest.mark.parametrize("base, data", [
-    (circle(8), dict(monodromy_action=[[[3, 1, 1], [1, 3, 1], [1, 1, 3]]])),
-    (torus(8), dict(T=[1, 1, 1]))], ids=["circle", "torus2"])
+    (circle(8), dict(holonomies=[[[3, 1, 1], [1, 3, 1], [1, 1, 3]]])),
+    (torus(8), dict(holonomies=[np.eye(3)] * 2, T=[1, 1, 1]))],
+    ids=["circle", "torus2"])
 def test_invariant_sector_spectrum_is_part_of_the_full_spectrum(base, data):
     # F permutes the coordinates, so its invariant forms have no basis of
     # unit vectors and the sector blocks go through the QR frame change; F
     # commutes with the holonomy, T and both metrics, so the sector's
     # Laplacian is the full one restricted to an invariant subspace
-    full = sconn.from_affine_bundle(lie.abelian(3), base, **data)
-    sector = sconn.from_affine_bundle(lie.abelian(3), base, F=CYCLIC3, **data)
+    full = sconn.from_affine_bundle(
+        spectral.AffineModel(lie.abelian(3), **data), base)
+    sector = sconn.from_affine_bundle(
+        spectral.AffineModel(lie.abelian(3), F=CYCLIC3, **data), base)
     assert sector.bundle.ranks == (1, 1, 1, 1)
 
     def eigenvalues(sc, p):
