@@ -273,7 +273,8 @@ class Sweep:
     `DiscreteComplex`, which builds each degree's symbol once; building the
     sweep checks, for every point and degree, that the scaled Laplacian is
     finite (InputError naming both), and the solve reads the factors that
-    check left on the complex."""
+    check left on the complex, and that `count` covers each prediction and
+    one eigenvalue more, or the whole degree (InputError otherwise)."""
 
     config: ScenarioConfig
     predictions: list     # SmallCountPrediction per requested degree
@@ -290,6 +291,13 @@ class Sweep:
                     dc.check_weights(p, lam)
                 except InputError as exc:
                     raise InputError(f"at sweep value {s}: {exc}") from None
+        for p, pred in zip(self.config.degrees, self.predictions):
+            need = min(pred.count + 1, dc.dim(p))
+            if self.config.count < need:
+                raise InputError(
+                    f"degree {p} predicts {pred.count} small eigenvalues, so "
+                    f"it needs count >= {need} to show them, got count "
+                    f"{self.config.count}")
         object.__setattr__(self, "dc", dc)
 
     def __call__(self) -> ScenarioReport:
@@ -420,7 +428,8 @@ def prepare(config: ScenarioConfig | str | dict):
     that both read it, and the `equivariant` metric, each built once by
     `_affine_sweep` (the metric checked for equivariance when it is
     built), and the weights of every sweep point, checked to keep each
-    scaled Laplacian finite. Bad input raises InputError here, never later.
+    scaled Laplacian finite, and a `count` that can show each prediction.
+    Bad input raises InputError here, never later.
     Returns the step that only solves (for a spectral_sequence_report,
     builds the pages) and returns the report."""
     cfg = config if isinstance(config, ScenarioConfig) else \

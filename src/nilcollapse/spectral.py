@@ -272,6 +272,19 @@ def base_generators(kind: str) -> int:
         raise InputError(f"unsupported base kind {kind!r}") from None
 
 
+def check_base(kind: str, generators: int, a2=None) -> int:
+    """The generator count k of base `kind`, checked against a bundle's
+    `generators` monodromies and curvature term `a2` (None without one): a
+    k-torus takes k monodromies, and a2 needs the 2-torus."""
+    k = base_generators(kind)
+    if generators != k:
+        raise InputError(f"a {kind} base needs {k} monodromy generators, "
+                         f"got {generators}")
+    if a2 is not None and k < 2:
+        raise InputError("a2 needs a 2-dimensional base")
+    return k
+
+
 def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
                         a2=None) -> BigradedComplex:
     """Group-cochain model of the twisted cohomology over the base T^k: the
@@ -279,25 +292,22 @@ def flat_bundle_complex(ranks, a0, monodromies, base_kind: str,
 
     ranks: fiber dims per degree. a0: per-degree fiber differential (zero
     when None). monodromies: per base generator, a per-degree list of
-    holonomy matrices. a2: optional per-degree contraction blocks (T^2 only;
-    the rank pattern is what matters, so the base area is taken to be 1).
-    Every block is read by `numerics.read_blocks`. Spot (a, b) holds one
-    copy of the fiber b-forms per component J in combinations(range(k), a);
-    D_0 is (-1)^a a0 on each, D_1 takes J to J + {g} by
-    (-1)^#(j in J, j > g) (Phi_g - I), and D_2 is a2.
+    holonomy matrices, as `AffineModel.monodromies`. a2: optional
+    per-degree contraction blocks (T^2 only; the rank pattern is what
+    matters, so the base area is taken to be 1). `check_base` checks both
+    against the base; `numerics.read_blocks` reads every block. Spot
+    (a, b) holds one copy of the fiber b-forms per component J in
+    combinations(range(k), a); D_0 is (-1)^a a0 on each, D_1 takes J to
+    J + {g} by (-1)^#(j in J, j > g) (Phi_g - I), and D_2 is a2.
     """
-    k = base_generators(base_kind)
-    if a2 is not None and k < 2:
-        raise InputError("a2 needs a 2-dimensional base")
+    monodromies = list(monodromies)
+    k = check_base(base_kind, len(monodromies), a2)
     ranks = [int(r) for r in ranks]
     m = len(ranks) - 1
     a0 = read_blocks(a0, [(ranks[b + 1], ranks[b]) for b in range(m)], "a0")
     steps = [[phi - RationalMatrix.identity(r) for phi, r in zip(
         read_blocks(gen, [(r, r) for r in ranks], f"monodromy[{g}]"), ranks)]
         for g, gen in enumerate(monodromies)]
-    if len(steps) != k:
-        raise InputError(f"a {base_kind} base needs {k} monodromy "
-                         f"generators, got {len(steps)}")
     comps = [list(combinations(range(k), a)) for a in range(k + 2)]
     dims, d0, d1 = {}, {}, {}
     for a, here in enumerate(comps[:-1]):
@@ -439,11 +449,12 @@ class AffineModel:
     and read by `predict_small_counts` and
     `superconnection.from_affine_bundle`: `ranks[b]` = dim of the fiber
     b-forms, `a0[b]` the fiber differential, `a2[b - 1]` the contraction by
-    T (None without T), `generators` the holonomy count, and `actions(b)`
-    each holonomy on b-forms, the compound of its inverse transpose. The
+    T (None without T), and `monodromies[gen][b]` each holonomy's action on
+    b-forms, the compound of its inverse transpose, in the layout of
+    `superconnection.GradedBundle` and `flat_bundle_complex`. The
     holonomies (exact automorphisms of the fiber algebra) and T are read by
-    `RationalMatrix`. Each holonomy is inverted once; each degree's actions
-    are built on first use and kept.
+    `RationalMatrix`. Each holonomy is inverted once, and every block is
+    built here, when the model is built.
 
     With a finite symmetry group F (`lie.FiniteSymmetryGroup`, checked
     here), the fiber forms are the F-invariant ones: `basis[b]` is their
@@ -457,10 +468,7 @@ class AffineModel:
                       for g in holonomies]
         if any((g.rows, g.cols) != (n, n) for g in holonomies):
             raise InputError(f"holonomies must be {n}x{n} matrices")
-        self.generators = len(holonomies)
-        self._inverse_t = [inverse_exact(g).transpose().tolist()
-                           for g in holonomies]
-        self._actions: dict[int, list[RationalMatrix]] = {}
+        inverse_t = [inverse_exact(g).transpose().tolist() for g in holonomies]
         self.basis = None
         if F is not None:
             F.check(algebra)
@@ -472,9 +480,9 @@ class AffineModel:
         self.a2 = None if T is None else [
             self._restrict(blk, b, b - 1)
             for b, blk in enumerate(contraction_blocks(T, n), start=1)]
-        if F is not None:  # a holonomy leaving the sector fails here
-            for b in range(n + 1):
-                self.actions(b)
+        self.monodromies = [
+            [self._restrict(RationalMatrix(lie.compound_matrix(inv_t, b)), b, b)
+             for b in range(n + 1)] for inv_t in inverse_t]
 
     def _restrict(self, mat: RationalMatrix, b_src: int,
                   b_dst: int) -> RationalMatrix:
@@ -486,14 +494,6 @@ class AffineModel:
         except InputError:
             raise InputError("a holonomy or T does not preserve the "
                              f"F-invariant {b_src}-forms") from None
-
-    def actions(self, b: int) -> list[RationalMatrix]:
-        """Every holonomy's action on b-forms, in generator order."""
-        if b not in self._actions:
-            self._actions[b] = [
-                self._restrict(RationalMatrix(lie.compound_matrix(inv_t, b)),
-                               b, b) for inv_t in self._inverse_t]
-        return self._actions[b]
 
 
 # ---------------------------------------------------------------------------
@@ -536,18 +536,13 @@ def predict_small_counts(model: AffineModel, base_kind: str,
                          degrees) -> list[SmallCountPrediction]:
     """Number of collapsing eigenvalues in each total degree p of `degrees`,
     in order, from the limit flat structure of `model` over the `base_kind`
-    torus, which needs one holonomy per base generator and, for a curvature
-    term, a 2-dimensional base: base cohomology with coefficients in the
-    invariant fiber forms, holonomy replaced by its semisimple part, which
-    counting generalized 1-eigenspaces implements. The model serves the
-    counts and the obstruction cases, so each holonomy is inverted once and
-    each of its actions built at most once."""
-    gens = base_generators(base_kind)
+    torus, checked against it by `check_base`: base cohomology with
+    coefficients in the invariant fiber forms, holonomy replaced by its
+    semisimple part, which counting generalized 1-eigenspaces implements.
+    The counts and the obstruction cases read the model's blocks
+    `model.monodromies[gen][b]` as they are and build none."""
+    gens = check_base(base_kind, len(model.monodromies), model.a2)
     n = len(model.ranks) - 1
-    if model.generators != gens:
-        raise InputError("one holonomy generator per base circle factor")
-    if model.a2 is not None and gens < 2:
-        raise InputError("a2 needs a 2-dimensional base")
 
     def fixed_dim(b: int) -> int:
         """dim of the joint 1-generalized-eigenspace of the holonomies on
@@ -556,7 +551,8 @@ def predict_small_counts(model: AffineModel, base_kind: str,
             return 0
         if gens == 0:
             return model.ranks[b]
-        return joint_generalized_one_eigenspace_dim(model.actions(b))
+        return joint_generalized_one_eigenspace_dim(
+            [gen[b] for gen in model.monodromies])
 
     cases = classify_obstructions(base_kind, degrees, model)
     out = []
@@ -602,14 +598,13 @@ def classify_obstructions(base_kind: str, degrees,
         for q in range(min(p, n) + 1):
             if q not in semisimple:
                 semisimple[q] = all(
-                    unipotent_factor(cohomology_action(model.a0, act, q))
-                    .semisimple for act in model.actions(q))
+                    unipotent_factor(cohomology_action(model.a0, gen[q], q))
+                    .semisimple for gen in model.monodromies)
             if not semisimple[q]:
                 return 2
         # case 3: page 2 of the twisted model differs from the stable page
         if late is None:
-            monos = zip(*map(model.actions, range(n + 1)))  # per generator
-            cx = flat_bundle_complex(model.ranks, model.a0, list(monos),
+            cx = flat_bundle_complex(model.ranks, model.a0, model.monodromies,
                                      base_kind, a2=model.a2)
             late = spectral_sequence(cx).stabilizes_at > 2
         return 3 if late else None

@@ -88,13 +88,13 @@ class BaseModel:
 
 class GradedBundle:
     """Z-graded bundle given by per-degree ranks and grading-preserving
-    monodromy matrices, one per base generator (identities when None), read
-    exactly by `RationalMatrix` and invertible by `spectral.inverse_exact`;
-    `Superconnection` tests that they commute. `gram[b]`, symmetric positive
-    definite, is the exact Gram matrix of the fiber inner product that the
-    degree-b blocks are written in (the identity when None). `monodromies`
-    holds the exact blocks, `monodromy` and `inverse` the floats
-    (`to_float`) of them and of their exact inverses."""
+    monodromies[gen][b], as `spectral.AffineModel` holds them (`generators`
+    identities when None), read exactly by `RationalMatrix` and invertible
+    by `spectral.inverse_exact`; `Superconnection` tests that they commute.
+    `gram[b]`, symmetric positive definite, is the exact Gram matrix of the
+    fiber inner product that the degree-b blocks are written in (the
+    identity when None). `monodromies` holds the exact blocks, `monodromy`
+    and `inverse` the floats (`to_float`) of them and of their inverses."""
 
     def __init__(self, ranks, monodromies=None, generators: int = 1,
                  gram=None):
@@ -306,7 +306,7 @@ class MetricField:
     _check_points = np.random.default_rng(0).uniform(size=8)
 
     def __init__(self, bundle: GradedBundle, base: BaseModel, func):
-        _require_generators(bundle, base)
+        spectral.check_base(base.kind, len(bundle.monodromies))
         self.bundle, self.base, self._func = bundle, base, func
         self.check_equivariance()
 
@@ -373,13 +373,6 @@ class MetricField:
                         f"metric violates monodromy equivariance (degree {b})")
 
 
-def _require_generators(bundle: GradedBundle, base: BaseModel) -> None:
-    if len(bundle.monodromies) != base.dim:
-        raise InputError(f"a {base.kind} base needs {base.dim} monodromy "
-                         f"generators, the bundle has "
-                         f"{len(bundle.monodromies)}")
-
-
 # ---------------------------------------------------------------------------
 # the superconnection
 # ---------------------------------------------------------------------------
@@ -390,18 +383,17 @@ class Superconnection:
     a0[b] : E^b -> E^{b+1} is the constant fiber differential; the connection
     is (monodromy, zero local potential); a2[b - 1] : E^b -> E^{b-1} is the
     coefficient of the base area form in the curvature term (2-torus only).
-    Both are read exactly, as the monodromies are (zeros when None), and
+    `spectral.check_base` checks the bundle and a2 against the base. Both
+    are read exactly, as the monodromies are (zeros when None), and
     `check_flatness` tests them, so every superconnection is flat. `a0` and
     `a2` hold the exact blocks, `a0_block` and `a2_block` their floats.
     """
 
     def __init__(self, bundle: GradedBundle, base: BaseModel,
                  a0=None, a2=None):
-        _require_generators(bundle, base)
+        spectral.check_base(base.kind, len(bundle.monodromies), a2)
         self.bundle = bundle
         self.base = base
-        if a2 is not None and base.dim < 2:
-            raise InputError("a2 needs a 2-dimensional base")
         m, rank = bundle.top, bundle.rank
         self.a0 = read_blocks(a0, [(rank(b + 1), rank(b))
                                     for b in range(m)], "a0")
@@ -472,14 +464,13 @@ def from_affine_bundle(model: spectral.AffineModel,
     the affine action + interior multiplication by the curvature 2-form.
     With a finite symmetry group the model holds the blocks on the
     F-invariant forms in their exact basis B, whose Gram matrices B^T B the
-    bundle gets. `Superconnection` checks the model against the base (one
-    holonomy per generator, a2 over the 2-torus only) and its flatness.
+    bundle gets. The bundle takes the model's `monodromies[gen][b]` as they
+    are, and `Superconnection` checks the model against the base
+    (`spectral.check_base`) and its flatness.
     """
     gram = None if model.basis is None else [
         B.transpose() @ B for B in model.basis]
-    bundle = GradedBundle(
-        model.ranks, zip(*map(model.actions, range(len(model.ranks)))),
-        gram=gram)
+    bundle = GradedBundle(model.ranks, model.monodromies, gram=gram)
     return Superconnection(bundle, base, a0=model.a0, a2=model.a2)
 
 

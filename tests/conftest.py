@@ -39,9 +39,7 @@ def conjugated(c, q):
 def check_model_flatness(alg, holonomies, T=None):
     """`check_flatness` on the exact blocks of the affine model."""
     model = spectral.AffineModel(alg, holonomies, T)
-    sconn.check_flatness(model.ranks, model.a0,
-                         list(zip(*map(model.actions, range(alg.n + 1)))),
-                         model.a2)
+    sconn.check_flatness(model.ranks, model.a0, model.monodromies, model.a2)
     return model
 
 

@@ -147,13 +147,13 @@ def test_circle_closed_form_matches_stable_page():
         ranks = [1, 2, 1]
         a0 = [RationalMatrix.zeros(2, 1), RationalMatrix.zeros(1, 2)]
         model = spectral.AffineModel(lie.abelian(2), [g])
-        acts = [model.actions(q)[0] for q in range(3)]
+        acts = model.monodromies[0]
         cx = spectral.flat_bundle_complex(ranks, a0, [acts], "circle")
         assert spectral.spectral_sequence(cx).stable.totals() == \
             [leray_circle(acts, p) for p in range(4)]
         checked += 1
     model = spectral.AffineModel(lie.abelian(2), [UNIP])
-    acts = [model.actions(q)[0] for q in range(3)]
+    acts = model.monodromies[0]
     assert [leray_circle(acts, p) for p in range(4)] == [1, 2, 2, 1]
 
 

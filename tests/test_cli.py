@@ -251,7 +251,7 @@ def test_run_check_failure_exits_three(runner, tmp_path):
      "a2 needs a 2-dimensional base"),
     ({"base": {"kind": "point", "resolution": 8}, "ranks": [1],
       "monodromy": [[[[1]]]]},
-     "a point base needs 0 monodromy generators, the bundle has 1"),
+     "a point base needs 0 monodromy generators, got 1"),
 ], ids=["inexact-interior", "resolution", "circumferences", "not-flat",
         "not-squaring-to-zero", "a2-not-parallel", "non-commuting-holonomies",
         "a0-a2-anticommutator", "metric-not-equivariant", "holonomy-not-automorphism", "row-not-list",
@@ -629,7 +629,7 @@ def test_nil_rescale_runs_while_its_laplacian_is_finite(runner, tmp_path):
     # runs. At eps = 1000 filiform:7's entries grow past the float range,
     # and validate and run refuse it alike
     path = scenario_file(tmp_path, "nil_rescale", {"algebra": "filiform:6"},
-                         sweep_values=[0.01, 0.001])
+                         sweep_values=[0.01, 0.001], count=6)
     res = runner.invoke(main, ["run", path])
     assert res.exit_code == 0, res.output
     path = scenario_file(tmp_path, "nil_rescale", {"algebra": "filiform:7"},
@@ -640,6 +640,30 @@ def test_nil_rescale_runs_while_its_laplacian_is_finite(runner, tmp_path):
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
         assert ("error: at sweep value 1000.0: the weights take the degree-1 "
                 "Laplacian out of the float range") in res.output
+    assert validated.output == ran.output
+
+
+@pytest.mark.parametrize("algebra, fields, reason", [
+    # 10 two-forms, all predicted to collapse over a point: with count 8
+    # the check read "predicted 10 small eigenvalues, observed 8"
+    ("heisenberg:5", {"degrees": [2], "count": 8},
+     "degree 2 predicts 10 small eigenvalues, so it needs count >= 10 to "
+     "show them, got count 8"),
+    # 20 three-forms, under the default count 12
+    ("filiform:6", {"degrees": [3], "count": None,
+                    "sweep_values": [0.01, 0.001]},
+     "degree 3 predicts 20 small eigenvalues, so it needs count >= 20 to "
+     "show them, got count 12"),
+], ids=["heisenberg5-degree2", "filiform6-default-count"])
+def test_count_that_cannot_show_the_prediction_exits_one(
+        runner, tmp_path, algebra, fields, reason):
+    path = scenario_file(tmp_path, "nil_rescale", {"algebra": algebra},
+                         **fields)
+    validated, ran = (runner.invoke(main, [cmd, path])
+                      for cmd in ("validate", "run"))
+    for res in (validated, ran):
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert f"error: {reason}" in res.output
     assert validated.output == ran.output
 
 
@@ -663,7 +687,7 @@ ACCEPTED = [
     ("monodromy_degeneration",
      dict(MONO, algebra="heisenberg:3",
           monodromy=[[1, 0, 0], [0, 1, 0], [0, 0, 1]], gauge_weights=[0, 1, 1]),
-     {}),
+     {"count": 5}),
     ("circle_bundle_adiabatic", {}, {"degrees": [0, 1, 2, 3, 4]}),
     ("circle_bundle_adiabatic", {"circumferences": [1.0, 2.0]},
      {"sweep_values": [0.1, 1.0]}),

@@ -127,13 +127,19 @@ def test_nil_rescale_matches_the_float_formula(algebra):
 
 
 def test_nil_rescale_reports_count_eigenvalues():
-    # heisenberg:5 has 10 two-forms: like every kind, the scenario reports
-    # the lowest `count` of them at each sweep point
+    # like every kind, a scenario reports the lowest `count` eigenvalues at
+    # each sweep point, or the whole degree when it has fewer: heisenberg:5
+    # has 5 one-forms and 10 two-forms, all predicted to collapse over a
+    # point, so `count` must cover them; the circle bundle over the torus
+    # predicts 3 in degree 1, and `count` 4 is one more
     rep = lab.run({"kind": "nil_rescale", "model": {"algebra": "heisenberg:5"},
                    "sweep_values": [0.1, 0.01], "degrees": [1, 2],
-                   "count": 4})
+                   "count": 12})
     assert [[len(s.eigenvalues) for s in d.spectra] for d in rep.degrees] \
-        == [[4, 4], [4, 4]]
+        == [[5, 5], [10, 10]]
+    rep = lab.run(dict(lab.PRESETS["example3_circle_bundle"], count=4))
+    assert rep.degrees[0].predicted_small_count == 3
+    assert [len(s.eigenvalues) for s in rep.degrees[0].spectra] == [4] * 4
 
 
 def test_monodromy_degeneration_sol_scenario():
@@ -241,6 +247,25 @@ def test_prediction_builds_each_holonomy_action_once(monkeypatch):
     # its 2 x 2 degree blocks once more, for their floats
     assert (len(inversions), len(compounds)) == (2 + 4, 4)
     assert [d.predicted_small_count for d in rep.degrees] == [1, 3, 3]
+
+
+def test_affine_model_builds_every_holonomy_block_once(monkeypatch):
+    # k holonomies on an n-dimensional fiber: one compound per generator
+    # and fiber degree, k (n + 1), all built with the model; the
+    # superconnection and the predictions take its blocks as they are
+    compounds = []
+    compound = lie.compound_matrix
+    monkeypatch.setattr(lie, "compound_matrix",
+                        lambda rows, b: compounds.append(b) or compound(rows, b))
+    A = RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    model = spectral.AffineModel(lie.heisenberg(3), [A, A @ A], T=[0, 0, 1])
+    assert sorted(compounds) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert [len(gen) for gen in model.monodromies] == [4, 4]
+    sc = sconn.from_affine_bundle(model, sconn.BaseModel("torus2", 8))
+    preds = spectral.predict_small_counts(model, "torus2", range(6))
+    assert len(compounds) == 2 * (3 + 1)
+    assert sc.bundle.monodromies == model.monodromies
+    assert [pred.count for pred in preds] == [1, 5, 10, 10, 5, 1]
 
 
 def test_obstruction_case_two_decided_once_per_fiber_degree(monkeypatch):

@@ -2,7 +2,9 @@
 use each other only through public names, functions merged into a single
 builder stay merged, every sweep of a bundle kind is built by one
 affine-bundle builder, each bundle's exact affine model is built once and
-read by both the superconnection and the predictions, exact matrices are read and built through their
+read by both the superconnection and the predictions in its own
+[generator][degree] layout, one function checks a bundle against its base,
+exact matrices are read and built through their
 methods, never through a `.data` attribute or, outside `numerics`, their
 sparse rows, the superconnection layer converts holonomy actions that
 `spectral` built exactly instead of building its own, only the two metric
@@ -68,12 +70,15 @@ MERGED = {
     # flatness is tested once, exactly, by check_flatness on the blocks
     # both bundle readers hold as RationalMatrix
     "FlatnessReport", "_require_flat",
-    # only tests called these: AffineModel(...).actions(b) and
+    # only tests called these: AffineModel(...).monodromies and
     # predict_small_counts(...)[0] say the same
     "form_action", "predict_small_count",
     # only tests called these: sum(map(grading.vector_weight, I)) and
     # np.prod(base.steps) say the same
     "form_weight", "cell_volume",
+    # an AffineModel builds monodromies[gen][b] when it is built, and
+    # spectral.check_base checks every bundle against its base
+    "actions", "_require_generators",
     # a float eigenvalue is zero by report.ZERO_TOL alone; the largest-gap
     # split and its floor decided nothing
     "gap_split", "SMALL_FLOOR",
@@ -252,6 +257,44 @@ def test_affine_model_built_only_by_the_two_bundle_readers():
     assert _callers("AffineModel") == {
         ("lab.py", None, "_affine_sweep"),
         ("superconnection.py", None, "load_bundle")}
+
+
+BASE_MESSAGES = ("monodromy generators", "a2 needs a 2-dimensional base")
+
+
+def test_bundle_checked_against_its_base_only_by_check_base():
+    # a k-torus takes k monodromies and a2 needs the 2-torus: one rule, so
+    # one raiser of each message, spectral.check_base
+    raisers = set()
+    for path in MODULES:
+        tree = _tree(path)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in parents:
+            if not isinstance(node, ast.Raise):
+                continue
+            text = "".join(c.value for c in ast.walk(node)
+                           if isinstance(c, ast.Constant)
+                           and isinstance(c.value, str))
+            if any(m in text for m in BASE_MESSAGES):
+                fn = node
+                while fn in parents and not isinstance(fn, ast.FunctionDef):
+                    fn = parents[fn]
+                raisers.add((path.name, getattr(fn, "name", None)))
+    assert raisers == {("spectral.py", "check_base")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_holonomy_blocks_not_transposed(path):
+    # AffineModel.monodromies is [generator][degree], the layout that
+    # GradedBundle and flat_bundle_complex take: no reader regroups blocks
+    # with zip(*map(...))
+    bad = [f"line {node.lineno}" for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Call) and _called_name(node) == "zip"
+           and any(isinstance(arg, ast.Starred)
+                   and isinstance(arg.value, ast.Call)
+                   and _called_name(arg.value) == "map" for arg in node.args)]
+    assert not bad, f"{path.name} transposes blocks by zip(*map(...)): {bad}"
 
 
 def test_superconnection_builds_no_holonomy_action():

@@ -35,7 +35,7 @@ def torus_fiber_actions(g):
     """The action of g (an exact 2x2 holonomy) on the 0-, 1- and 2-forms of
     the 2-torus fiber."""
     model = spectral.AffineModel(lie.abelian(2), [g])
-    return [model.actions(b)[0] for b in range(3)]
+    return model.monodromies[0]
 
 
 def circle_model(g):
@@ -151,7 +151,7 @@ def test_koszul_complexes_are_the_ones_of_the_kind_branches():
     torus = workloads._filiform_payload(random.Random(0), 0, 5)
     t2 = spectral.AffineModel(lie.abelian(2), [UNIP])
     circle = spectral.flat_bundle_complex(
-        t2.ranks, t2.a0, list(zip(*map(t2.actions, range(3)))), "circle")
+        t2.ranks, t2.a0, t2.monodromies, "circle")
     h3 = spectral.AffineModel(lie.heisenberg(3), [])
     point = spectral.flat_bundle_complex(h3.ranks, h3.a0, [], "point")
     assert [_sha256(torus), _sha256(circle.to_dict()),
@@ -365,9 +365,9 @@ def twisted_heisenberg_torus_complex():
     A and A^2 and a2 the contraction by the central direction e3."""
     A = RationalMatrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     model = spectral.AffineModel(lie.heisenberg(3), [A, A @ A], T=[0, 0, 1])
-    monos = [list(m) for m in zip(*map(model.actions, range(4)))]
-    return spectral.flat_bundle_complex(model.ranks, model.a0, monos,
-                                        "torus2", a2=model.a2)
+    return spectral.flat_bundle_complex(model.ranks, model.a0,
+                                        model.monodromies, "torus2",
+                                        a2=model.a2)
 
 
 def test_pairs_count_every_window_rank():
@@ -656,8 +656,7 @@ def test_exact_matrix_helpers():
 
 def test_form_action_is_multiplicative():
     model = spectral.AffineModel(lie.abelian(2), [UNIP @ SOL, UNIP, SOL])
-    for b in range(3):
-        both, unip, sol = model.actions(b)
+    for both, unip, sol in zip(*model.monodromies):  # per degree
         assert both == unip @ sol
 
 
@@ -718,9 +717,9 @@ def test_predict_needs_one_holonomy_per_base_generator():
     # the model carries its holonomies; the base kind must have as many
     # generators
     model = spectral.AffineModel(lie.abelian(2), [UNIP])
-    for kind in ("point", "torus2"):
-        with pytest.raises(InputError, match="one holonomy generator per "
-                           "base circle factor"):
+    for kind, k in (("point", 0), ("torus2", 2)):
+        with pytest.raises(InputError, match=f"a {kind} base needs {k} "
+                           "monodromy generators, got 1"):
             spectral.predict_small_counts(model, kind, [1])
 
 
@@ -733,10 +732,9 @@ def test_curvature_term_needs_a_two_dimensional_base():
         model = spectral.AffineModel(alg, holonomies, T=T)
         with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
             spectral.predict_small_counts(model, kind, [0, 1, 2])
-        monos = [list(m) for m in zip(*map(model.actions, range(4)))]
         with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
-            spectral.flat_bundle_complex(model.ranks, model.a0, monos, kind,
-                                         a2=model.a2)
+            spectral.flat_bundle_complex(model.ranks, model.a0,
+                                         model.monodromies, kind, a2=model.a2)
     counts = spectral.predict_small_counts(spectral.AffineModel(
         alg, [RationalMatrix.identity(3)]), "circle", [0, 1, 2])
     assert [pred.count for pred in counts] == [1, 4, 6]

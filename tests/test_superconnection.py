@@ -85,7 +85,7 @@ def test_point_base_solves_the_fiber_complex():
                     oracles.assembled_spectrum(sc, bare, p)):
             assert np.allclose(rep.eigenvalues, want, rtol=1e-14, atol=1e-14)
     with pytest.raises(InputError, match="a point base needs 0 monodromy "
-                                         "generators, the bundle has 1"):
+                                         "generators, got 1"):
         sconn.Superconnection(sconn.GradedBundle([1]), base)
     with pytest.raises(InputError, match="a2 needs a 2-dimensional base"):
         sconn.Superconnection(sconn.GradedBundle([1, 1], generators=0), base,
@@ -1238,9 +1238,9 @@ def test_from_affine_bundle_converts_the_exact_model_blocks():
     for gen in range(2):
         for b in range(4):
             assert np.array_equal(sc.bundle.monodromy(gen, b),
-                                  model.actions(b)[gen].to_numpy())
+                                  model.monodromies[gen][b].to_numpy())
     # on 1-forms the action is the inverse transpose
-    assert model.actions(1)[0] == spectral.inverse_exact(
+    assert model.monodromies[0][1] == spectral.inverse_exact(
         RationalMatrix(HYPERBOLIC_2)).transpose()
 
 
@@ -1278,9 +1278,8 @@ def test_invariant_sector_zero_counts_are_the_total_betti_numbers(kind):
     sc = sconn.from_affine_bundle(model, base)
     h = (sconn.MetricField.equivariant(sc.bundle, base) if metric == "equivariant"
          else sconn.MetricField.identity(sc.bundle, sc.base))
-    monos = list(zip(*map(model.actions, range(alg.n + 1))))
     betti = spectral.spectral_sequence(spectral.flat_bundle_complex(
-        model.ranks, model.a0, monos, kind, a2=model.a2)).betti
+        model.ranks, model.a0, model.monodromies, kind, a2=model.a2)).betti
     zeros = [int(np.sum(sconn.spectrum(sc, h, p, count=64).eigenvalues
                         <= report.ZERO_TOL)) for p in range(len(betti))]
     assert zeros == betti == want
