@@ -270,7 +270,9 @@ class Sweep:
     `spectral.AffineModel`, the `equivariant` metric `h` of `sc`, and
     `weights[i]`, the log fiber root per degree that sweep value i solves
     with (`spectrum`). Every point and degree solves on one
-    `DiscreteComplex`, which builds each degree's symbol once; building the
+    `DiscreteComplex`, which builds each degree's symbol once, as d + 1
+    constant coefficient blocks, and solves at each point only the Fourier
+    modes that can hold one of the lowest `count` eigenvalues; building the
     sweep checks, for every point and degree, that the scaled Laplacian is
     finite (InputError naming both), and the solve reads the factors that
     check left on the complex, and that `count` covers each prediction and

@@ -534,8 +534,12 @@ _EXPLICIT_BUNDLE_FIELDS = {
 
 class DiscreteComplex:
     """Total differential on the staggered grids, in the gauge of the
-    metric's holonomy logarithms, as per-mode Fourier symbols of the grid.
-    The metric, checked when it was built, must be one of the
+    metric's holonomy logarithms, as Fourier symbols of the grid: each
+    degree's symbol is d + 1 constant blocks, D_p(theta) = C_0 +
+    sum_g (e^{i theta_g} - 1) C_g, built once per complex, and each solve
+    forms the Laplacian block of every solved mode from one product and
+    `eigvalsh`-solves only the modes that can hold a reported eigenvalue
+    (`bloch_eigenvalues`). The metric, checked when it was built, must be one of the
     superconnection's own base and bundle (the same ranks, exact monodromies
     and Gram) and record its logarithms (`MetricField.identity` or
     `equivariant`), and a0 and a2 must intertwine them, which flatness
@@ -569,8 +573,20 @@ class DiscreteComplex:
         modes = np.indices((N,) * d).reshape(d, self.base.npoints).T
         mirror = (-modes % N) @ N ** np.arange(d - 1, -1, -1)
         keep = (np.arange(len(modes)) <= mirror) | (not self._real)
-        self._phase = np.exp(1j * (2 * np.pi * modes[keep] / N))
         self._paired = (mirror[keep] != np.flatnonzero(keep)) & self._real
+        # psi_0 = 1 and psi_g = e^{i theta_g} - 1 at each solved mode: the
+        # symbol there is sum_a psi_a C_a and its Laplacian block
+        # sum_ab conj(psi_a) psi_b K_ab, one row of _Q
+        theta = 2 * np.pi * modes[keep] / N
+        sin2 = np.sin(theta / 2) ** 2
+        self._psi = np.hstack([np.ones((len(theta), 1)),
+                               -2 * sin2 + 1j * np.sin(theta)])
+        self._Q = (np.conj(self._psi)[:, :, None]
+                   * self._psi[:, None, :]).reshape(len(theta), -1)
+        # the solved modes, lowest base symbol sum_g 4 sin^2(theta_g/2)/h_g^2
+        # first: the order in which a pruned solve takes them
+        self._base_symbol = (4 * sin2 / np.square(self.base.steps)).sum(axis=1)
+        self._order = np.argsort(self._base_symbol, kind="stable")
 
     # -- layout -------------------------------------------------------------
 
@@ -624,41 +640,46 @@ class DiscreteComplex:
 
     # -- Bloch reduction ----------------------------------------------------
 
-    def _bloch_symbol(self, p: int, phase: np.ndarray) -> np.ndarray:
-        """Fourier symbol of the gauged degree-p differential: one block per
-        grid mode, phase[m, g] = exp(i theta_g) of mode m."""
-        src, dst = self.components(p), self.components(p + 1)
+    def _coefficients(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """The Fourier symbol of the gauged degree-q differential as d + 1
+        constant blocks C, D_q(theta) = C_0 + sum_g (e^{i theta_g} - 1) C_g
+        with C_0 = D_q(0), and the log of the largest entry of D_q over the
+        solved modes, -inf where it is zero at every one."""
+        src, dst = self.components(q), self.components(q + 1)
         ranks = self.bundle.ranks
         src_off = np.cumsum([0] + [ranks[b] for _, b in src])
         dst_off = np.cumsum([0] + [ranks[b] for _, b in dst])
-        out = np.zeros((len(phase), dst_off[-1], src_off[-1]), dtype=complex)
-        N, X = self.base.resolution, self.h.logs
-        for i, j, gen, c in self.terms(p):
+        d, N, X = self.base.dim, self.base.resolution, self.h.logs
+        C = np.zeros((d + 1, dst_off[-1], src_off[-1]), dtype=complex)
+        half_steps = {}  # (gen, b) -> (Phi^{1/2N}, Phi^{-1/2N})
+        for i, j, gen, c in self.terms(q):
             dirs, b = src[j]
-            blk = out[:, dst_off[i]:dst_off[i + 1], src_off[j]:src_off[j + 1]]
+            blk = C[:, dst_off[i]:dst_off[i + 1], src_off[j]:src_off[j + 1]]
             if gen is None:
                 # a2 reads vertex values at face centres, half a step on in
                 # both directions: G(y) a2 G(x)^-1 = a2 G(y - x)
-                half = [g for g in range(self.base.dim)
-                        if (g in dst[i][0]) != (g in dirs)]
+                half = [g for g in range(d) if (g in dst[i][0]) != (g in dirs)]
                 if half:
                     c = c @ _expm(-sum(X[g][b] for g in half) / (2 * N))
-                blk += c
+                blk[0] += c
             else:
                 # (Phi^{1/2N} e^{i theta} - Phi^{-1/2N}) / h
-                Xh = X[gen][b] / (2 * N)
-                blk += (c / self.base.steps[gen]) * (
-                    phase[:, gen, None, None] * _expm(Xh) - _expm(-Xh))
-        return out
+                if (gen, b) not in half_steps:
+                    Xh = X[gen][b] / (2 * N)
+                    half_steps[gen, b] = _expm(Xh), _expm(-Xh)
+                up, down = half_steps[gen, b]
+                c = c / self.base.steps[gen]
+                blk[0] += c * (up - down)
+                blk[1 + gen] += c * up
+        D = self._psi @ C.reshape(d + 1, C[0].size)
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            peak = np.log(abs(D).max(axis=0, initial=0)).reshape(C.shape[1:])
+        return C, peak
 
     def _symbol(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """The degree-q symbol at the solved modes and the log of its
-        largest entry over them, -inf where it is zero: built once per
-        complex."""
+        """`_coefficients(q)`, built once per complex."""
         if q not in self._symbols:
-            B = self._bloch_symbol(q, self._phase)
-            with np.errstate(divide="ignore"):  # log 0 = -inf
-                self._symbols[q] = B, np.log(abs(B).max(axis=0, initial=0))
+            self._symbols[q] = self._coefficients(q)
         return self._symbols[q]
 
     def check_weights(self, p: int, weights) -> list[np.ndarray]:
@@ -693,27 +714,87 @@ class DiscreteComplex:
         self._factors[_weights_key(p, lam)] = logs
         return logs
 
-    def bloch_eigenvalues(self, p: int, weights=None) -> np.ndarray:
-        """Every eigenvalue of the degree-p Laplacian, ascending, from its
-        N^d Hermitian Fourier blocks D^H D + D' D'^H, one per conjugate pair
-        of modes when every logarithm is real. `weights` give the metric
+    def _laplacian_blocks(self, p: int, weights) -> np.ndarray:
+        """The Hermitian Fourier block D^H D + D' D'^H of the degree-p
+        Laplacian at every solved mode, D the degree-p symbol and D' the
+        degree-(p - 1) one. `weights` give the metric
         G(x)^T diag(e^{2 lambda}) G(x): in the gauge w = diag(e^lambda) G(x) v
-        the symbol, built once per degree, is scaled by the factors of
-        `check_weights`, nonzero entries only, so none overflows unless the
-        operator does."""
-        if weights is None:
-            Dm, Dp = (self._symbol(q)[0] for q in (p - 1, p))
-        else:
+        the coefficients, built once per degree, are scaled by the factors
+        of `check_weights`, nonzero entries only, so none overflows unless
+        the operator does. With C_a and B_a the coefficients of D and D',
+        the (d + 1)^2 Gram blocks K_ab = C_a^H C_b + B_b B_a^H take two
+        products, and every mode's block is its row of _Q times K."""
+        (B, _), (C, _) = self._symbol(p - 1), self._symbol(p)
+        if weights is not None:
             key = _weights_key(p, [np.asarray(w, dtype=float)
                                    for w in weights])
             logs = self._factors.get(key) or self.check_weights(p, weights)
-            Dm, Dp = (self._symbol(q)[0] * np.exp(log)
-                      for q, log in zip((p - 1, p), logs))
-        L = (np.conj(Dp.transpose(0, 2, 1)) @ Dp
-             + Dm @ np.conj(Dm.transpose(0, 2, 1)))
-        lam = np.linalg.eigvalsh(L)
-        return np.sort(np.concatenate([lam.ravel(),
-                                       lam[self._paired].ravel()]))
+            B, C = B * np.exp(logs[0]), C * np.exp(logs[1])
+        a, n = len(C), C.shape[2]
+        rows = C.transpose(1, 0, 2).reshape(C.shape[1], a * n)  # [C_0 C_1 ..]
+        cols = B.reshape(a * n, B.shape[2])                     # [B_0; B_1; ..]
+        CC = (np.conj(rows.T) @ rows).reshape(a, n, a, n)      # C_a^H C_b
+        BB = (cols @ np.conj(cols.T)).reshape(a, n, a, n)      # B_a B_b^H
+        K = CC.transpose(0, 2, 1, 3) + BB.transpose(2, 0, 1, 3)
+        return (self._Q @ K.reshape(a * a, n * n)).reshape(len(self._Q), n, n)
+
+    def bloch_eigenvalues(self, p: int, weights, count: int) -> np.ndarray:
+        """The lowest `count` eigenvalues of the degree-p Laplacian (all of
+        them should it have fewer), ascending, from the Fourier blocks of
+        `_laplacian_blocks`; with real logarithms one block stands for a
+        conjugate pair of modes and counts twice. `eigvalsh` solves the
+        shortest prefix of the modes in base-symbol order that holds
+        `count` eigenvalues, and every mode that ties with its last one.
+        With mu the count-th eigenvalue so far, one batched Cholesky
+        factorization of L - (mu + 1e-8 |mu|) I certifies that every other
+        mode's eigenvalues lie above mu; the modes it refuses (`_refused`)
+        are solved too, which can only lower mu, so one round suffices."""
+        L = self._laplacian_blocks(p, weights)
+        n, order = L.shape[-1], self._order
+        if not n:
+            return np.zeros(0)
+        held = np.cumsum(n * (1 + self._paired[order]))
+        k = min(int(np.searchsorted(held, count)) + 1, len(order))
+        ties = np.flatnonzero(self._base_symbol[order[k:]]
+                              != self._base_symbol[order[k - 1]])
+        k += ties[0] if len(ties) else len(order) - k
+        solved, rest = order[:k], order[k:]
+        lam = np.linalg.eigvalsh(L[solved])
+        low = _lowest(lam, self._paired[solved], count)
+        if len(rest):
+            mu = low[-1]
+            more = rest[self._refused(L[rest] - (mu + 1e-8 * abs(mu))
+                                      * np.eye(n))]
+            if len(more):
+                solved = np.concatenate([solved, more])
+                lam = np.concatenate([lam, np.linalg.eigvalsh(L[more])])
+                low = _lowest(lam, self._paired[solved], count)
+        return low
+
+    @staticmethod
+    def _refused(A: np.ndarray) -> np.ndarray:
+        """The indices, ascending, of the blocks in the stack A that are not
+        positive definite: a batch that `np.linalg.cholesky` factors holds
+        none, and one it refuses is halved until each refused block stands
+        alone."""
+        out, stack = [], [(0, len(A))]
+        while stack:
+            lo, hi = stack.pop()
+            try:
+                np.linalg.cholesky(A[lo:hi])
+            except np.linalg.LinAlgError:
+                if hi - lo == 1:
+                    out.append(lo)
+                else:
+                    mid = (lo + hi) // 2
+                    stack += [(mid, hi), (lo, mid)]
+        return np.array(sorted(out), dtype=int)
+
+
+def _lowest(lam: np.ndarray, paired: np.ndarray, count: int) -> np.ndarray:
+    """The lowest `count` of the per-mode eigenvalues `lam`, ascending, a
+    paired mode's counted twice."""
+    return np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))[:count]
 
 
 def _weights_key(p: int, lam: list[np.ndarray]) -> tuple:
@@ -743,8 +824,9 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12, *,
     The metric's holonomy logarithms gauge the bundle to constant
     coefficients, so the Laplacian splits into one small Hermitian block
     per Fourier mode of the grid, and `DiscreteComplex.bloch_eigenvalues`
-    solves all blocks in one batch; `SpectrumReport.from_eigenvalues`
-    rounds the result. The metric was checked when it was built; the
+    solves the modes that can hold the lowest `count` eigenvalues and
+    certifies by Cholesky that the others hold none of them;
+    `SpectrumReport.from_eigenvalues` rounds the result. The metric was checked when it was built; the
     complex refuses one of another bundle or base, or one that records no
     logarithms. `dc` is a `DiscreteComplex` of (sc, h) to solve on, built
     here when None. `weights`, one vector lambda_b per degree, solve the
@@ -758,6 +840,5 @@ def spectrum(sc: Superconnection, h: MetricField, p: int, count: int = 12, *,
         dc = DiscreteComplex(sc, h)
     elif dc.sc is not sc or dc.h is not h:
         raise InputError("dc is a complex of another superconnection or metric")
-    k = min(count, dc.dim(p))
     return SpectrumReport.from_eigenvalues(
-        p, dc.bloch_eigenvalues(p, weights)[:k])
+        p, dc.bloch_eigenvalues(p, weights, count))

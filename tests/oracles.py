@@ -10,7 +10,8 @@ metric of its own, the metric of a recorded gauge and weights as a bare
 callable, the number-operator rescaling of an algebra solved in floats
 without a base, and the grid Laplacian assembled as a sparse matrix from
 the sampled mass of any metric, solved by LAPACK or ARPACK, with the
-square-root perturbation and metric-continuity checks built on it."""
+square-root perturbation and metric-continuity checks built on it, and the
+Bloch solve of every solved Fourier mode that the package prunes."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -404,6 +405,16 @@ class AssembledComplex(sconn.DiscreteComplex):
                 s = spla.svds(A, k=1, return_singular_vectors=False)
                 worst = max(worst, float(s[0]))
         return worst
+
+
+def all_mode_eigenvalues(dc, p: int, weights=None) -> np.ndarray:
+    """Every eigenvalue of the degree-p Laplacian of the `DiscreteComplex`
+    `dc` under `weights`, ascending: `eigvalsh` on the Fourier block of
+    every solved mode, a paired mode's eigenvalues counted twice. This is
+    the solve that `bloch_eigenvalues` prunes to the modes that can hold
+    its lowest `count`."""
+    lam = np.linalg.eigvalsh(dc._laplacian_blocks(p, weights))
+    return np.sort(np.concatenate([lam.ravel(), lam[dc._paired].ravel()]))
 
 
 def assembled_spectrum(sc, h, p: int, count: int = 12,

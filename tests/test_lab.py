@@ -217,17 +217,18 @@ def test_rescaling_sweep_builds_each_differential_once(monkeypatch):
 
 def test_sweep_builds_each_bloch_symbol_once(monkeypatch):
     # degrees 0, 1, 2 solve on the symbols of degrees -1 .. 2, each built
-    # once for the whole sweep although two degrees and 4 points read it
+    # as its d + 1 coefficient blocks once for the whole sweep although two
+    # degrees and 4 points read it
     calls = []  # holding each complex keeps its id from being reused
-    real = sconn.DiscreteComplex._bloch_symbol
+    real = sconn.DiscreteComplex._coefficients
 
-    def counted(dc, p, phase):
+    def counted(dc, p):
         calls.append((dc, p))
-        return real(dc, p, phase)
+        return real(dc, p)
 
     cfg = dict(lab.PRESETS["example7_heisenberg_circle"], degrees=(0, 1, 2))
     plain = json.dumps(lab.run(cfg).to_dict(), sort_keys=True)
-    monkeypatch.setattr(sconn.DiscreteComplex, "_bloch_symbol", counted)
+    monkeypatch.setattr(sconn.DiscreteComplex, "_coefficients", counted)
     assert json.dumps(lab.run(cfg).to_dict(), sort_keys=True) == plain
     assert len(calls) == len({(id(dc), p) for dc, p in calls}) == 4
 

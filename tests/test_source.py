@@ -10,7 +10,8 @@ sparse rows, the superconnection layer converts holonomy actions that
 `spectral` built exactly instead of building its own, only the two metric
 constructors take matrix logarithms, every grid matrix of the tests'
 assembled oracle is placed by one block builder, every spectrum comes from
-the Bloch solver and no module imports scipy, the exact layer `spectral` decides nothing by a float rank or eigenvalue, flatness
+the Bloch solver, which certifies the modes it skips by Cholesky, and no
+module imports scipy, the exact layer `spectral` decides nothing by a float rank or eigenvalue, flatness
 is decided by equality on exact blocks and only by the `Superconnection`
 constructor, which every superconnection passes through, equivariance is
 checked only by the `MetricField` constructor, which every metric passes
@@ -115,6 +116,10 @@ MERGED = {
     "_point_blocks", "_spd_power", "lowest_eigenvalues", "_DENSE_LIMIT",
     "perturbation_check", "PerturbationReport", "PERTURBATION_CONSTANT",
     "metric_continuity_check", "MetricContinuityReport",
+    # a degree's symbol is d + 1 constant coefficient blocks, built once per
+    # complex: no per-mode symbol or phase table, and the all-mode solve is
+    # the tests' oracle (oracles.all_mode_eigenvalues)
+    "_bloch_symbol", "_phase",
 }
 # merged functions whose name a report field still uses (DegreeReport.spectra)
 MERGED_FUNCTIONS = {"spectra"}
@@ -423,11 +428,17 @@ def test_logarithms_taken_only_by_the_equivariant_metric():
 
 def test_float_eigensolves_only_in_their_owners():
     # a spectrum comes from the batched Bloch blocks; the other call is the
-    # eigenbasis of a holonomy logarithm
+    # eigenbasis of a holonomy logarithm. A Cholesky factorization certifies
+    # the Bloch modes that the solve skips, and factors an exact Gram into
+    # the orthonormal frame of a bundle
     callers = set().union(*map(_callers, ("eigvalsh", "eigh", "eigsh", "eig")))
     assert callers == {
         ("superconnection.py", "DiscreteComplex", "bloch_eigenvalues"),
         ("superconnection.py", None, "_principal_log"),
+    }
+    assert _callers("cholesky") == {
+        ("superconnection.py", "DiscreteComplex", "_refused"),
+        ("superconnection.py", "GradedBundle", "__init__"),
     }
 
 

@@ -646,7 +646,7 @@ def test_equivariant_and_identity_metrics_agree_on_identity_holonomy(
     dcs = [sconn.DiscreteComplex(sc, h) for h in (eq, ident)]
     for p in range(base.dim + len(sc.bundle.ranks)):
         for lam in (None, weights):
-            x, y = (dc.bloch_eigenvalues(p, lam) for dc in dcs)
+            x, y = (dc.bloch_eigenvalues(p, lam, dc.dim(p)) for dc in dcs)
             assert np.array_equal(x, y)
 
 
@@ -839,11 +839,16 @@ def test_bloch_matches_assembled_at_odd_resolution():
 
 
 def all_modes_eigenvalues(dc, p):
-    """The Bloch spectrum solved on every one of the N^d modes."""
+    """The Bloch spectrum solved on every one of the N^d modes, both of
+    each conjugate pair, with each mode's symbol
+    D(theta) = C_0 + sum_g (e^{i theta_g} - 1) C_g formed from the
+    complex's coefficient blocks and squared as D^H D + D' D'^H."""
     N, d = dc.base.resolution, dc.base.dim
     theta = np.meshgrid(*[2 * np.pi * np.arange(N) / N] * d, indexing="ij")
-    phase = np.exp(1j * np.stack(theta, axis=-1).reshape(-1, d))
-    Dp, Dm = dc._bloch_symbol(p, phase), dc._bloch_symbol(p - 1, phase)
+    psi = np.exp(1j * np.stack(theta, axis=-1).reshape(-1, d)) - 1
+    psi = np.hstack([np.ones((len(psi), 1)), psi])
+    Dp, Dm = (np.einsum("ma,aij->mij", psi, dc._symbol(q)[0])
+              for q in (p, p - 1))
     L = (np.conj(Dp.transpose(0, 2, 1)) @ Dp
          + Dm @ np.conj(Dm.transpose(0, 2, 1)))
     return np.sort(np.linalg.eigvalsh(L).ravel())
@@ -856,13 +861,94 @@ def test_conjugate_pair_solve_matches_all_modes(N):
     for sc, h in cases:
         dc = sconn.DiscreteComplex(sc, h)
         # real logarithms: one block per conjugate pair of modes
-        assert len(dc._phase) < sc.base.npoints
+        assert len(dc._paired) < sc.base.npoints
         for p in range(sc.base.dim + sc.bundle.top + 1):
             want = all_modes_eigenvalues(dc, p)
-            got = dc.bloch_eigenvalues(p)
+            got = dc.bloch_eigenvalues(p, None, dc.dim(p))
             scale = max(1.0, float(np.abs(want).max(initial=0.0)))
             assert got.shape == want.shape
             assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+PRUNED_CASES = {
+    "sol": lambda: twisted_circle(circle(12), SOL),
+    "unipotent": lambda: twisted_circle(circle(12), UNIPOTENT),
+    "torus": lambda: heisenberg_torus_with_curvature(torus(8)),
+    # the flip's logarithm is complex: every mode solves, none paired
+    "flip": lambda: sconn.load_bundle({
+        "base": {"kind": "circle", "resolution": 16}, "ranks": [2],
+        "monodromy": FLIP, "metric": "identity"}),
+}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pruned_solve_matches_the_all_mode_solve_bitwise(data):
+    # the lowest `count` eigenvalues of the prefix and the certified modes
+    # are the lowest `count` of every mode's `eigvalsh`, bit for bit: one
+    # block's eigvalsh does not depend on the batch it is solved in
+    case = data.draw(st.sampled_from(sorted(PRUNED_CASES)))
+    sc, h = PRUNED_CASES[case]()
+    dc = sconn.DiscreteComplex(sc, h)
+    weights = None
+    if dc._real and data.draw(st.booleans()):
+        weights = [np.array(data.draw(st.lists(
+            st.floats(-2, 2), min_size=r, max_size=r)))
+            for r in sc.bundle.ranks]
+    p = data.draw(st.integers(0, sc.base.dim + sc.bundle.top))
+    count = data.draw(st.integers(1, dc.dim(p) + 3))
+    want = oracles.all_mode_eigenvalues(dc, p, weights)[:count]
+    got = dc.bloch_eigenvalues(p, weights, count)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["example3_circle_bundle",
+                                  "example7_heisenberg_circle",
+                                  "cor7_heisenberg_T2"])
+def test_certificate_solves_the_lowest_modes_when_they_come_last(
+        monkeypatch, name):
+    # with the mode order reversed the prefix holds the highest modes, so
+    # mu is large and the Cholesky certificate refuses every mode that
+    # holds a reported eigenvalue: the fallback solves each of them, and
+    # the spectrum is the all-mode one bit for bit
+    count, p = lab.load_scenario(name).count, 1
+    for sc, h, lam in preset_bundles(name):
+        dc = sconn.DiscreteComplex(sc, h)
+        L = dc._laplacian_blocks(p, lam)
+        want = oracles.all_mode_eigenvalues(dc, p, lam)[:count]
+        holders = np.flatnonzero(np.linalg.eigvalsh(L)[:, 0] <= want[-1])
+        solves, eigvalsh = [], np.linalg.eigvalsh
+        with monkeypatch.context() as m:
+            m.setattr(dc, "_order", dc._order[::-1])
+            m.setattr(np.linalg, "eigvalsh",
+                      lambda A: solves.append(A) or eigvalsh(A))
+            got = dc.bloch_eigenvalues(p, lam, count)
+        assert np.array_equal(got, want)
+        prefix, fallback = solves
+        for mode in holders:
+            assert not any(np.array_equal(L[mode], B) for B in prefix)
+            assert any(np.array_equal(L[mode], B) for B in fallback)
+
+
+def test_modes_that_tie_at_the_reported_eigenvalue_solve_in_the_prefix(
+        monkeypatch):
+    # on the flat square torus the modes (1, 0) and (0, 1) share one base
+    # symbol, and each holds 4 N^2 sin^2(pi / N) twice, with its conjugate:
+    # at count 2 or 3 the prefix ends at the first of them and takes the
+    # other as a tie, so the certificate refuses nothing
+    base = torus(8)
+    bundle = sconn.GradedBundle([1], generators=2)
+    dc = sconn.DiscreteComplex(sconn.Superconnection(bundle, base),
+                               sconn.MetricField.identity(bundle, base))
+    refused, real = [], sconn.DiscreteComplex._refused
+    monkeypatch.setattr(sconn.DiscreteComplex, "_refused", staticmethod(
+        lambda A: refused.append(real(A)) or refused[-1]))
+    lam1 = 4 * 8 ** 2 * np.sin(np.pi / 8) ** 2
+    for count in (2, 3, 4, 5):
+        got = dc.bloch_eigenvalues(0, None, count)
+        assert np.array_equal(got, oracles.all_mode_eigenvalues(dc, 0)[:count])
+        assert got[0] < 1e-12 and np.allclose(got[1:], lam1, rtol=1e-12)
+    assert len(refused) == 4 and not any(map(len, refused))
 
 
 CONFORMAL_CASES = {
@@ -1140,12 +1226,12 @@ def test_complex_logarithms_solve_every_mode():
                                    "ranks": [2], "monodromy": mono})
         dc = sconn.DiscreteComplex(sc, h)
         assert dc._real == real and np.isrealobj(h.logs[0][0]) == real, name
-        assert (len(dc._phase) < sc.base.npoints) == real, name
+        assert (len(dc._paired) < sc.base.npoints) == real, name
         assert dc._paired.any() == real, name
         for p in range(2):
             want = all_modes_eigenvalues(dc, p)
-            assert np.abs(dc.bloch_eigenvalues(p) - want).max() <= 1e-12 * (
-                np.abs(want).max())
+            got = dc.bloch_eigenvalues(p, None, dc.dim(p))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # weights scale a real gauge only
     with pytest.raises(InputError, match="holonomy logarithms are real"):
         sconn.spectrum(*sconn.load_bundle(
