@@ -269,14 +269,12 @@ class Sweep:
     `sc` and the `predictions`, both read off one exact
     `spectral.AffineModel`, the `equivariant` metric `h` of `sc`, and
     `weights[i]`, the log fiber root per degree that sweep value i solves
-    with (`spectrum`). Every point and degree solves on one
-    `DiscreteComplex`, which builds each degree's symbol once, as d + 1
-    constant coefficient blocks, and solves at each point only the Fourier
-    modes that can hold one of the lowest `count` eigenvalues; building the
-    sweep checks, for every point and degree, that the scaled Laplacian is
-    finite (InputError naming both), and the solve reads the factors that
-    check left on the complex, and that `count` covers each prediction and
-    one eigenvalue more, or the whole degree (InputError otherwise)."""
+    with (`spectrum`), all on one `DiscreteComplex`. Building the sweep
+    checks each degree's weights once, as one stack of every point, for a
+    finite scaled Laplacian (InputError naming the first point and degree
+    to fail, points outer), then that `count` covers each prediction and
+    one eigenvalue more, or the whole degree. A degree's first `spectrum`
+    solves its whole stack, and the other points read their rows."""
 
     config: ScenarioConfig
     predictions: list     # SmallCountPrediction per requested degree
@@ -287,12 +285,16 @@ class Sweep:
 
     def __post_init__(self):
         dc = sconn.DiscreteComplex(self.sc, self.h)
-        for s, lam in zip(self.config.sweep_values, self.weights):
-            for p in self.config.degrees:
-                try:
-                    dc.check_weights(p, lam)
-                except InputError as exc:
-                    raise InputError(f"at sweep value {s}: {exc}") from None
+        refused = []  # (point, degree index, reason): the least is named
+        for k, p in enumerate(self.config.degrees):
+            try:
+                dc.check_weights(p, self.weights)
+            except sconn.WeightsError as exc:
+                refused.append((exc.point, k, str(exc)))
+        if refused:
+            i, _, reason = min(refused)
+            raise InputError(f"at sweep value {self.config.sweep_values[i]}: "
+                             f"{reason}")
         for p, pred in zip(self.config.degrees, self.predictions):
             need = min(pred.count + 1, dc.dim(p))
             if self.config.count < need:

@@ -397,10 +397,9 @@ def minimal_polynomial(A: RationalMatrix) -> list:
 
 @dataclass(frozen=True)
 class HolonomyFactorReport:
-    """Jordan structure of a holonomy at the eigenvalue one, plus global
-    semisimplicity, both decided exactly."""
+    """Semisimplicity of a holonomy, decided exactly from its minimal
+    polynomial: semisimple iff the polynomial is squarefree."""
 
-    has_unipotent_block: bool
     semisimple: bool
     minimal_polynomial: tuple
 
@@ -408,14 +407,11 @@ class HolonomyFactorReport:
 def unipotent_factor(Phi: RationalMatrix) -> HolonomyFactorReport:
     if Phi.rows != Phi.cols:
         raise InputError("holonomy must be square")
-    n = Phi.rows
-    if n == 0:
-        return HolonomyFactorReport(False, True, (1,))
-    A = Phi - RationalMatrix.identity(n)
-    unip = rank_exact(A @ A) < rank_exact(A)
+    if Phi.rows == 0:
+        return HolonomyFactorReport(True, (1,))
     m = minimal_polynomial(Phi)
     g = _poly_gcd(m, _poly_deriv(m))
-    return HolonomyFactorReport(bool(unip), len(g) <= 1, tuple(m))
+    return HolonomyFactorReport(len(g) <= 1, tuple(m))
 
 
 def joint_generalized_one_eigenspace_dim(phis: list[RationalMatrix]) -> int:

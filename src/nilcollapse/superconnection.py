@@ -28,6 +28,14 @@ class FlatnessError(InputError):
     """A constructed superconnection violates one of the flatness identities."""
 
 
+class WeightsError(InputError):
+    """Weights refused by `check_weights`, first at stack index `point`."""
+
+    def __init__(self, message: str, point: int):
+        super().__init__(message)
+        self.point = point
+
+
 # ---------------------------------------------------------------------------
 # base models
 # ---------------------------------------------------------------------------
@@ -303,7 +311,10 @@ class MetricField:
 
     logs = None
     # unit check points, sampled with their translates by one period
-    _check_points = np.random.default_rng(0).uniform(size=8)
+    _check_points = np.array([
+        0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+        0.016527635528529094, 0.8132702392002724, 0.9127555772777217,
+        0.6066357757671799, 0.7294965609839984])
 
     def __init__(self, bundle: GradedBundle, base: BaseModel, func):
         spectral.check_base(base.kind, len(bundle.monodromies))
@@ -536,10 +547,11 @@ class DiscreteComplex:
     """Total differential on the staggered grids, in the gauge of the
     metric's holonomy logarithms, as Fourier symbols of the grid: each
     degree's symbol is d + 1 constant blocks, D_p(theta) = C_0 +
-    sum_g (e^{i theta_g} - 1) C_g, built once per complex, and each solve
-    forms the Laplacian block of every solved mode from one product and
-    `eigvalsh`-solves only the modes that can hold a reported eigenvalue
-    (`bloch_eigenvalues`). The metric, checked when it was built, must be one of the
+    sum_g (e^{i theta_g} - 1) C_g, built once per complex. A sweep's
+    weights are checked as one stack per degree (`check_weights`), and one
+    solve forms every point's Laplacian blocks and `eigvalsh`-solves only
+    the modes that can hold a reported eigenvalue (`bloch_eigenvalues`).
+    The metric, checked when it was built, must be one of the
     superconnection's own base and bundle (the same ranks, exact monodromies
     and Gram) and record its logarithms (`MetricField.identity` or
     `equivariant`), and a0 and a2 must intertwine them, which flatness
@@ -564,12 +576,22 @@ class DiscreteComplex:
                              "intertwine the fiber maps a0 and a2")
         self.sc, self.h, self.base, self.bundle = sc, h, sc.base, sc.bundle
         self._symbols: dict[int, tuple] = {}
-        self._factors: dict[tuple, list] = {}
+        self._layouts: dict[int, tuple] = {}
+        # degree -> (checked weights stack, its factors, {count: rows})
+        self._sweeps: dict[int, tuple] = {}
         self._real = all(np.isrealobj(X) for X in itertools.chain(*h.logs))
+        N, d, ranks = self.base.resolution, self.base.dim, self.bundle.ranks
+        # Phi_g^{+-1/2N} of each generator g and degree b, by block size
+        self._half_steps = {}
+        for r in set(ranks) if d else ():
+            keys = [(g, b) for g in range(d) for b in range(len(ranks))
+                    if ranks[b] == r]
+            Xh = np.array([h.logs[g][b] for g, b in keys]) / (2 * N)
+            self._half_steps.update(
+                zip(keys, zip(*_expm(np.stack([Xh, -Xh])))))
         # real coefficients: the Bloch block at mode -m is the conjugate of
         # the one at m, so only modes with index(m) <= index(-m mod N) solve;
         # a complex logarithm solves every mode
-        N, d = self.base.resolution, self.base.dim
         modes = np.indices((N,) * d).reshape(d, self.base.npoints).T
         mirror = (-modes % N) @ N ** np.arange(d - 1, -1, -1)
         keep = (np.arange(len(modes)) <= mirror) | (not self._real)
@@ -605,6 +627,17 @@ class DiscreteComplex:
 
     def dim(self, p: int) -> int:
         return sum(self.component_size(c) for c in self.components(p))
+
+    def _layout(self, q: int) -> tuple[list, list, np.ndarray]:
+        """`components(q)`, their fiber offsets, and each entry's index in
+        the weights of all degrees end to end; built once per complex."""
+        if q not in self._layouts:
+            comps, ranks = self.components(q), self.bundle.ranks
+            at = [range(sum(ranks[:b]), sum(ranks[:b + 1])) for _, b in comps]
+            off = [0, *itertools.accumulate(map(len, at))]
+            self._layouts[q] = comps, off, np.array(
+                [i for r in at for i in r], dtype=int)
+        return self._layouts[q]
 
     # -- differential -------------------------------------------------------
 
@@ -643,15 +676,13 @@ class DiscreteComplex:
     def _coefficients(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """The Fourier symbol of the gauged degree-q differential as d + 1
         constant blocks C, D_q(theta) = C_0 + sum_g (e^{i theta_g} - 1) C_g
-        with C_0 = D_q(0), and the log of the largest entry of D_q over the
+        with C_0 = D_q(0), read off `terms` and the complex's table of
+        Phi^{+-1/2N}, and the log of the largest entry of D_q over the
         solved modes, -inf where it is zero at every one."""
-        src, dst = self.components(q), self.components(q + 1)
-        ranks = self.bundle.ranks
-        src_off = np.cumsum([0] + [ranks[b] for _, b in src])
-        dst_off = np.cumsum([0] + [ranks[b] for _, b in dst])
+        (src, src_off, _), (dst, dst_off, _) = (self._layout(q),
+                                                self._layout(q + 1))
         d, N, X = self.base.dim, self.base.resolution, self.h.logs
         C = np.zeros((d + 1, dst_off[-1], src_off[-1]), dtype=complex)
-        half_steps = {}  # (gen, b) -> (Phi^{1/2N}, Phi^{-1/2N})
         for i, j, gen, c in self.terms(q):
             dirs, b = src[j]
             blk = C[:, dst_off[i]:dst_off[i + 1], src_off[j]:src_off[j + 1]]
@@ -664,10 +695,7 @@ class DiscreteComplex:
                 blk[0] += c
             else:
                 # (Phi^{1/2N} e^{i theta} - Phi^{-1/2N}) / h
-                if (gen, b) not in half_steps:
-                    Xh = X[gen][b] / (2 * N)
-                    half_steps[gen, b] = _expm(Xh), _expm(-Xh)
-                up, down = half_steps[gen, b]
+                up, down = self._half_steps[gen, b]
                 c = c / self.base.steps[gen]
                 blk[0] += c * (up - down)
                 blk[1 + gen] += c * up
@@ -682,94 +710,112 @@ class DiscreteComplex:
             self._symbols[q] = self._coefficients(q)
         return self._symbols[q]
 
-    def check_weights(self, p: int, weights) -> list[np.ndarray]:
+    def check_weights(self, p: int, stack) -> list[np.ndarray]:
         """The log lambda_dst,i - lambda_src,j of the factor that scales
-        entry (i, j) of the degree-(p - 1) and degree-p symbols under
-        `weights`, one finite vector lambda_b per degree b; -inf where the
-        symbol is zero at every mode. InputError for other weights, on a
-        metric with a complex logarithm, or when the degree-p Laplacian
-        might overflow: its eigenvalues are at most its dimension times the
-        inner dimension times the largest scaled entry squared. The complex
-        keeps the factors for `bloch_eigenvalues`, so weights checked
-        before a solve are not checked again."""
-        lam = [np.asarray(w, dtype=float) for w in weights]
-        if ([w.shape for w in lam] != [(r,) for r in self.bundle.ranks]
-                or not all(np.isfinite(w).all() for w in lam)):
-            raise InputError("weights must be one finite vector per degree, "
-                             "of the degree's rank")
+        entry (i, j) of the degree-(p - 1) and degree-p symbols, one row per
+        point of `stack`, whose weights are one finite vector lambda_b per
+        degree b; -inf where the symbol is zero at every mode. WeightsError
+        at the first point with other weights, on a metric with a complex
+        logarithm, or whose degree-p Laplacian might overflow: its
+        eigenvalues are at most its dimension times the inner dimension
+        times the largest scaled entry squared. The complex keeps the stack
+        and factors for `bloch_eigenvalues`, which checks nothing again."""
+        lam = [[np.asarray(w, dtype=float) for w in weights]
+               for weights in stack]
+        fits = [[w.shape for w in point] == [(r,) for r in self.bundle.ranks]
+                for point in lam]
+        if all(fits):
+            flat = np.array([np.concatenate(point) for point in lam])
+            fits = np.isfinite(flat).all(axis=1)
+        if not all(fits):
+            raise WeightsError("weights must be one finite vector per degree, "
+                               "of the degree's rank", int(np.argmin(fits)))
         if not self._real:
-            raise InputError("weights need a metric whose holonomy "
-                             "logarithms are real")
-        at = [np.concatenate([lam[b] for _, b in self.components(q)]
-                             + [np.zeros(0)]) for q in (p - 1, p, p + 1)]
+            raise WeightsError("weights need a metric whose holonomy "
+                               "logarithms are real", 0)
+        at = [flat[:, self._layout(q)[2]] for q in (p - 1, p, p + 1)]
         logs = [np.where(np.isfinite(self._symbol(q)[1]),
-                         at[k + 1][:, None] - at[k], -np.inf)
+                         at[k + 1][:, :, None] - at[k][:, None], -np.inf)
                 for k, q in enumerate((p - 1, p))]
-        peak = max(np.max(self._symbol(q)[1] + log, initial=-np.inf)
-                   for q, log in zip((p - 1, p), logs))
-        size = len(at[1]) * (len(at[0]) + len(at[2]))
-        if not 2 * peak + np.log(max(size, 1)) < np.log(np.finfo(float).max):
-            raise InputError(f"the weights take the degree-{p} Laplacian out "
-                             f"of the float range")
-        self._factors[_weights_key(p, lam)] = logs
+        peak = np.max([(self._symbol(q)[1] + log).reshape(len(lam), -1).max(
+            axis=1, initial=-np.inf) for q, log in zip((p - 1, p), logs)],
+            axis=0)
+        size = at[1].shape[1] * (at[0].shape[1] + at[2].shape[1])
+        over = ~(2 * peak + np.log(max(size, 1)) < np.log(np.finfo(float).max))
+        if over.any():
+            raise WeightsError(f"the weights take the degree-{p} Laplacian "
+                               f"out of the float range", int(np.argmax(over)))
+        self._sweeps[p] = list(stack), logs, {}
         return logs
 
-    def _laplacian_blocks(self, p: int, weights) -> np.ndarray:
-        """The Hermitian Fourier block D^H D + D' D'^H of the degree-p
-        Laplacian at every solved mode, D the degree-p symbol and D' the
-        degree-(p - 1) one. `weights` give the metric
-        G(x)^T diag(e^{2 lambda}) G(x): in the gauge w = diag(e^lambda) G(x) v
-        the coefficients, built once per degree, are scaled by the factors
-        of `check_weights`, nonzero entries only, so none overflows unless
-        the operator does. With C_a and B_a the coefficients of D and D',
-        the (d + 1)^2 Gram blocks K_ab = C_a^H C_b + B_b B_a^H take two
-        products, and every mode's block is its row of _Q times K."""
+    def _laplacian_blocks(self, p: int, logs) -> np.ndarray:
+        """The Hermitian Fourier blocks D^H D + D' D'^H of the degree-p
+        Laplacian, (points, modes, n, n), D the degree-p symbol and D' the
+        degree-(p - 1) one. The factors `logs` of `check_weights` (None: one
+        unscaled point) give the metric G(x)^T diag(e^{2 lambda}) G(x): in
+        the gauge w = diag(e^lambda) G(x) v they scale the coefficients,
+        nonzero entries only, so none overflows unless the operator does.
+        With C_a and B_a the coefficients of D and D', each point's Gram
+        blocks K_ab = C_a^H C_b + B_b B_a^H take two products, and every
+        mode's block is its row of _Q times K."""
         (B, _), (C, _) = self._symbol(p - 1), self._symbol(p)
-        if weights is not None:
-            key = _weights_key(p, [np.asarray(w, dtype=float)
-                                   for w in weights])
-            logs = self._factors.get(key) or self.check_weights(p, weights)
-            B, C = B * np.exp(logs[0]), C * np.exp(logs[1])
-        a, n = len(C), C.shape[2]
-        rows = C.transpose(1, 0, 2).reshape(C.shape[1], a * n)  # [C_0 C_1 ..]
-        cols = B.reshape(a * n, B.shape[2])                     # [B_0; B_1; ..]
-        CC = (np.conj(rows.T) @ rows).reshape(a, n, a, n)      # C_a^H C_b
-        BB = (cols @ np.conj(cols.T)).reshape(a, n, a, n)      # B_a B_b^H
-        K = CC.transpose(0, 2, 1, 3) + BB.transpose(2, 0, 1, 3)
-        return (self._Q @ K.reshape(a * a, n * n)).reshape(len(self._Q), n, n)
+        B, C = B[None], C[None]
+        if logs is not None:
+            B, C = B * np.exp(logs[0])[:, None], C * np.exp(logs[1])[:, None]
+        P, a, n = len(C), C.shape[1], C.shape[3]
+        rows = C.transpose(0, 2, 1, 3).reshape(P, C.shape[2], a * n)
+        cols = B.reshape(P, a * n, B.shape[3])               # [B_0; B_1; ..]
+        CC = np.conj(rows.transpose(0, 2, 1)) @ rows          # C_a^H C_b
+        BB = cols @ np.conj(cols.transpose(0, 2, 1))          # B_a B_b^H
+        K = (CC.reshape(P, a, n, a, n).transpose(0, 1, 3, 2, 4)
+             + BB.reshape(P, a, n, a, n).transpose(0, 3, 1, 2, 4))
+        return (self._Q @ K.reshape(P, a * a, n * n)).reshape(
+            P, len(self._Q), n, n)
 
     def bloch_eigenvalues(self, p: int, weights, count: int) -> np.ndarray:
-        """The lowest `count` eigenvalues of the degree-p Laplacian (all of
-        them should it have fewer), ascending, from the Fourier blocks of
-        `_laplacian_blocks`; with real logarithms one block stands for a
-        conjugate pair of modes and counts twice. `eigvalsh` solves the
-        shortest prefix of the modes in base-symbol order that holds
-        `count` eigenvalues, and every mode that ties with its last one.
-        With mu the count-th eigenvalue so far, one batched Cholesky
-        factorization of L - (mu + 1e-8 |mu|) I certifies that every other
-        mode's eigenvalues lie above mu; the modes it refuses (`_refused`)
-        are solved too, which can only lower mu, so one round suffices."""
-        L = self._laplacian_blocks(p, weights)
+        """The lowest `count` eigenvalues of the degree-p Laplacian under
+        `weights` (all should it have fewer), ascending. A point of the
+        stack `check_weights` last took in degree p (the same object) reads
+        its row of one solve of the stack per `count`; other weights, or
+        None, are a stack of one. Over every point's Fourier blocks (one
+        per conjugate pair of modes with real logarithms), `eigvalsh`
+        solves the shortest prefix of the modes in base-symbol order that
+        holds `count` eigenvalues, and the modes that tie with its last.
+        With mu a point's count-th eigenvalue so far, one batched Cholesky
+        factorization of L - (mu + 1e-8 |mu|) I over the point's other
+        modes certifies that their eigenvalues lie above mu; the modes it
+        refuses (`_refused`) are solved too, which can only lower mu."""
+        stack = self._sweeps.get(p, ((),))[0]
+        i = next((i for i, w in enumerate(stack) if w is weights), None)
+        if i is None:  # any other weights, or None: a stack of one
+            self._sweeps[p], i = ([None], None, {}), 0
+            if weights is not None:
+                self.check_weights(p, [weights])
+        _, logs, rows = self._sweeps[p]
+        if count in rows:
+            return rows[count][i].copy()
+        L = self._laplacian_blocks(p, logs)
         n, order = L.shape[-1], self._order
-        if not n:
-            return np.zeros(0)
         held = np.cumsum(n * (1 + self._paired[order]))
         k = min(int(np.searchsorted(held, count)) + 1, len(order))
         ties = np.flatnonzero(self._base_symbol[order[k:]]
                               != self._base_symbol[order[k - 1]])
         k += ties[0] if len(ties) else len(order) - k
         solved, rest = order[:k], order[k:]
-        lam = np.linalg.eigvalsh(L[solved])
-        low = _lowest(lam, self._paired[solved], count)
-        if len(rest):
-            mu = low[-1]
-            more = rest[self._refused(L[rest] - (mu + 1e-8 * abs(mu))
+        lam = np.linalg.eigvalsh(L.take(solved, axis=1))
+        rows[count] = low = _lowest(lam, self._paired[solved], count)
+        # one certificate per point: a stacked one would hold the shifted
+        # blocks of every point at once, temporaries large enough to cost
+        # page faults on every solve
+        for j in range(len(L)) if len(rest) else ():
+            mu = low[j, -1]
+            more = rest[self._refused(L[j, rest] - (mu + 1e-8 * abs(mu))
                                       * np.eye(n))]
             if len(more):
-                solved = np.concatenate([solved, more])
-                lam = np.concatenate([lam, np.linalg.eigvalsh(L[more])])
-                low = _lowest(lam, self._paired[solved], count)
-        return low
+                both = np.concatenate([lam[j], np.linalg.eigvalsh(L[j, more])])
+                low[j] = _lowest(both[None], self._paired[np.concatenate(
+                    [solved, more])], count)
+        return low[i].copy()
 
     @staticmethod
     def _refused(A: np.ndarray) -> np.ndarray:
@@ -792,15 +838,10 @@ class DiscreteComplex:
 
 
 def _lowest(lam: np.ndarray, paired: np.ndarray, count: int) -> np.ndarray:
-    """The lowest `count` of the per-mode eigenvalues `lam`, ascending, a
-    paired mode's counted twice."""
-    return np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))[:count]
-
-
-def _weights_key(p: int, lam: list[np.ndarray]) -> tuple:
-    """The degree and each weight vector's shape and bytes: equal keys are
-    equal weights."""
-    return p, tuple((w.shape, w.tobytes()) for w in lam)
+    """The lowest `count` of each point's per-mode eigenvalues `lam`,
+    (points, modes, n), ascending, a paired mode's counted twice."""
+    both = np.concatenate([lam, lam[:, paired]], axis=1)
+    return np.sort(both.reshape(len(lam), -1), axis=1)[:, :count]
 
 
 def _intertwines(a: np.ndarray, X_dst: np.ndarray, X_src: np.ndarray) -> bool:

@@ -412,8 +412,10 @@ def all_mode_eigenvalues(dc, p: int, weights=None) -> np.ndarray:
     `dc` under `weights`, ascending: `eigvalsh` on the Fourier block of
     every solved mode, a paired mode's eigenvalues counted twice. This is
     the solve that `bloch_eigenvalues` prunes to the modes that can hold
-    its lowest `count`."""
-    lam = np.linalg.eigvalsh(dc._laplacian_blocks(p, weights))
+    its lowest `count`. Weights are checked by `check_weights`, which
+    keeps them as the complex's stack of one in degree p."""
+    logs = None if weights is None else dc.check_weights(p, [weights])
+    lam = np.linalg.eigvalsh(dc._laplacian_blocks(p, logs)[0])
     return np.sort(np.concatenate([lam.ravel(), lam[dc._paired].ravel()]))
 
 

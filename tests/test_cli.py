@@ -643,6 +643,30 @@ def test_nil_rescale_runs_while_its_laplacian_is_finite(runner, tmp_path):
     assert validated.output == ran.output
 
 
+@pytest.mark.parametrize("sweep, degrees, named", [
+    ([79.0, 100.0], [1, 2], "79.0: the weights take the degree-2"),
+    ([79.0, 100.0], [2, 1], "79.0: the weights take the degree-2"),
+    ([100.0, 79.0], [1, 2], "100.0: the weights take the degree-1"),
+    ([100.0, 1000.0], [2, 1], "100.0: the weights take the degree-2"),
+])
+def test_sweep_refusal_names_the_first_point_then_degree(
+        runner, tmp_path, sweep, degrees, named):
+    # filiform:7's degree-2 Laplacian leaves the float range at
+    # eps ~ 78.8, its degree-1 one at ~ 79.6: each degree is checked once
+    # over the whole sweep, yet the refusal names the first sweep value
+    # that fails and, there, the first degree in the config's order. Count
+    # 4 shows no prediction either, but the float range is checked first
+    path = scenario_file(tmp_path, "nil_rescale", {"algebra": "filiform:7"},
+                         sweep_values=sweep, degrees=degrees)
+    validated, ran = (runner.invoke(main, [cmd, path])
+                      for cmd in ("validate", "run"))
+    for res in (validated, ran):
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert (f"error: at sweep value {named} Laplacian out of the float "
+                "range\n") == res.output
+    assert validated.output == ran.output
+
+
 @pytest.mark.parametrize("algebra, fields, reason", [
     # 10 two-forms, all predicted to collapse over a point: with count 8
     # the check read "predicted 10 small eigenvalues, observed 8"

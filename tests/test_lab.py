@@ -376,17 +376,42 @@ def test_prepare_checks_each_metric_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", list(lab.PRESETS))
 def test_each_weight_check_runs_once(monkeypatch, name):
-    # building the sweep checks every (sweep value, degree) pair, and the
-    # solve reads the factors that check left on the complex
+    # building the sweep checks each degree once, over every sweep point,
+    # and the solve reads the factors that check left on the complex
     plain = json.dumps(lab.run(name).to_dict(), sort_keys=True)
     checked = []
-    spy(monkeypatch, sconn.DiscreteComplex, "check_weights", checked, name)
-    cfg = lab.load_scenario(name)
+    real = sconn.DiscreteComplex.check_weights
+    monkeypatch.setattr(sconn.DiscreteComplex, "check_weights",
+                        lambda dc, p, stack: checked.append(
+                            (p, len(stack))) or real(dc, p, stack))
+    cfg = lab.load_scenario(dict(lab.PRESETS[name], degrees=(0, 1, 2)))
     step = lab.prepare(cfg)
-    pairs = len(cfg.sweep_values) * len(cfg.degrees)
-    assert len(checked) == pairs
+    want = [(p, len(cfg.sweep_values)) for p in cfg.degrees]
+    assert checked == want
+    step()
+    assert checked == want
+    assert json.dumps(lab.run(name).to_dict(), sort_keys=True) == plain
+
+
+@pytest.mark.parametrize("name", list(lab.PRESETS))
+def test_each_degree_solves_its_sweep_once(monkeypatch, name):
+    # one Gram product per degree covers every sweep point, while
+    # `spectrum` still reports each point; a second solve of the step reads
+    # the rows it kept
+    cfg = dict(lab.PRESETS[name], degrees=(0, 1, 2))
+    plain = json.dumps(lab.run(cfg).to_dict(), sort_keys=True)
+    blocks, solves = [], []
+    real = sconn.DiscreteComplex._laplacian_blocks
+    monkeypatch.setattr(sconn.DiscreteComplex, "_laplacian_blocks",
+                        lambda dc, p, logs: blocks.append(p) or real(
+                            dc, p, logs))
+    spy(monkeypatch, sconn, "spectrum", solves, 0)
+    step = lab.prepare(cfg)
     assert json.dumps(step().to_dict(), sort_keys=True) == plain
-    assert len(checked) == pairs
+    assert blocks == [0, 1, 2]
+    assert len(solves) == 3 * len(cfg["sweep_values"])
+    step()
+    assert blocks == [0, 1, 2]
 
 
 @pytest.mark.parametrize("name, case", [

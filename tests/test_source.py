@@ -11,7 +11,7 @@ sparse rows, the superconnection layer converts holonomy actions that
 constructors take matrix logarithms, every grid matrix of the tests'
 assembled oracle is placed by one block builder, every spectrum comes from
 the Bloch solver, which certifies the modes it skips by Cholesky, and no
-module imports scipy, the exact layer `spectral` decides nothing by a float rank or eigenvalue, flatness
+module imports scipy or names numpy.random, the exact layer `spectral` decides nothing by a float rank or eigenvalue, flatness
 is decided by equality on exact blocks and only by the `Superconnection`
 constructor, which every superconnection passes through, equivariance is
 checked only by the `MetricField` constructor, which every metric passes
@@ -23,7 +23,10 @@ only through `numerics.ratio`; and the README's library example runs
 against the package as it is."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,9 @@ MERGED = {
     # complex: no per-mode symbol or phase table, and the all-mode solve is
     # the tests' oracle (oracles.all_mode_eigenvalues)
     "_bloch_symbol", "_phase",
+    # a sweep's weights are checked and solved as one stack per degree,
+    # whose points are its own objects: no per-point weights key
+    "_weights_key",
 }
 # merged functions whose name a report field still uses (DegreeReport.spectra)
 MERGED_FUNCTIONS = {"spectra"}
@@ -368,6 +374,29 @@ def test_no_module_imports_scipy(path):
     # exponentials are numpy matrix functions, and scipy is a test oracle
     bad = _imports(path, "scipy")
     assert not bad, f"{path.name} imports scipy: {bad}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_numpy_random(path):
+    # the equivariance check samples fixed points, written as literals:
+    # numpy.random and the libraries it loads would add some 5 MB to the
+    # peak RSS of a bare import
+    bad = _imports(path, "numpy.random") + [
+        f"line {node.lineno}: {node.value.id}.random"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "random"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")]
+    assert not bad, f"{path.name} names numpy.random: {bad}"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nilcollapse; "
+         "print('numpy.random' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_flatness_decided_exactly():

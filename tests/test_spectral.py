@@ -600,12 +600,9 @@ def test_poly_gcd_of_integer_polynomials_stays_exact():
 
 
 def test_unipotent_factor_flags():
-    rep = spectral.unipotent_factor(UNIP)
-    assert rep.has_unipotent_block and not rep.semisimple
-    rep = spectral.unipotent_factor(SOL)
-    assert not rep.has_unipotent_block and rep.semisimple
-    rep = spectral.unipotent_factor(RationalMatrix.identity(2))
-    assert not rep.has_unipotent_block and rep.semisimple
+    assert not spectral.unipotent_factor(UNIP).semisimple
+    assert spectral.unipotent_factor(SOL).semisimple
+    assert spectral.unipotent_factor(RationalMatrix.identity(2)).semisimple
 
 
 def test_unipotent_factor_conjugation_invariant():

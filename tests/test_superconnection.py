@@ -902,6 +902,82 @@ def test_pruned_solve_matches_the_all_mode_solve_bitwise(data):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_sweep_stack_matches_each_point_alone_bitwise(data):
+    # a checked stack of 2-4 weights solves once, and each point's row is
+    # the solve of that point alone and the all-mode solve, bit for bit,
+    # in either mode order: reversed, the prefix holds the highest modes
+    # and the certificate refuses the lowest. A complex logarithm takes no
+    # weights, so the flip solves its one unweighted point
+    case = data.draw(st.sampled_from(sorted(PRUNED_CASES)))
+    sc, h = PRUNED_CASES[case]()
+    dc = sconn.DiscreteComplex(sc, h)
+    p = data.draw(st.integers(0, sc.base.dim + sc.bundle.top))
+    count = data.draw(st.integers(1, dc.dim(p) + 3))
+    stack = [None]
+    if dc._real:
+        stack = [[np.array(data.draw(st.lists(
+            st.floats(-2, 2), min_size=r, max_size=r)))
+            for r in sc.bundle.ranks] for _ in range(data.draw(
+                st.integers(2, 4)))]
+        dc.check_weights(p, stack)
+    order = dc._order[::-1] if data.draw(st.booleans()) else dc._order
+    dc._order = order
+    rows = [dc.bloch_eigenvalues(p, w, count) for w in stack]
+    for weights, row in zip(stack, rows):
+        alone = sconn.DiscreteComplex(sc, h)
+        alone._order = order
+        assert np.array_equal(row, alone.bloch_eigenvalues(p, weights, count))
+        want = oracles.all_mode_eigenvalues(alone, p, weights)[:count]
+        assert row.dtype == want.dtype and np.array_equal(row, want)
+
+
+ZERO_WEIGHTS = [np.zeros(1), np.zeros(2), np.zeros(1)]
+REFUSING_STACKS = {
+    # these weights put a low eigenvalue of the middle point past the
+    # prefix, while the unweighted points hold theirs in it
+    "unipotent": [ZERO_WEIGHTS, [np.array([-0.267]),
+                                 np.array([-1.469, 1.967]),
+                                 np.array([0.199])], ZERO_WEIGHTS],
+    # the first point's count-th eigenvalue, 40.7, lies below the
+    # second's, 81.2: certified at the first point's mu, the second would
+    # pass a mode that holds one of its lowest eigenvalues
+    "sol": [[np.array([-1.03]), np.array([-0.02, 0.09]), np.array([-0.08])],
+            [np.array([0.16]), np.array([-1.15, 1.11]), np.array([-0.89])]],
+}
+
+
+@pytest.mark.parametrize("case, count", [("unipotent", 10), ("sol", 8)])
+def test_certificate_refuses_modes_at_one_point_of_a_stack(
+        monkeypatch, case, count):
+    # after one Gram product and one prefix solve for the stack, each
+    # point's certificate runs with its own mu, only the weighted point's
+    # refuses a mode, which is solved too, and every row is the point's
+    # own solve
+    sc, h = PRUNED_CASES[case]()
+    stack = [[w.copy() for w in weights] for weights in REFUSING_STACKS[case]]
+    dc = sconn.DiscreteComplex(sc, h)
+    dc.check_weights(1, stack)
+    refused, blocks, solves = [], [], []
+    real = sconn.DiscreteComplex._refused
+    monkeypatch.setattr(sconn.DiscreteComplex, "_refused", staticmethod(
+        lambda A: refused.append(real(A)) or refused[-1]))
+    spy(monkeypatch, sconn.DiscreteComplex, "_laplacian_blocks", blocks, 1)
+    spy(monkeypatch, np.linalg, "eigvalsh", solves, 1)
+    rows = [dc.bloch_eigenvalues(1, w, count) for w in stack]
+    assert blocks == [1] and [len(r) > 0 for r in refused] == [
+        i == 1 for i in range(len(stack))]
+    # the prefix of every point, then the refusing point's modes
+    assert solves == [1, 1]
+    monkeypatch.undo()
+    for weights, row in zip(stack, rows):
+        alone = sconn.DiscreteComplex(sc, h)
+        assert np.array_equal(row, alone.bloch_eigenvalues(1, weights, count))
+        assert np.array_equal(
+            row, oracles.all_mode_eigenvalues(alone, 1, weights)[:count])
+
+
 @pytest.mark.parametrize("name", ["example3_circle_bundle",
                                   "example7_heisenberg_circle",
                                   "cor7_heisenberg_T2"])
@@ -914,7 +990,7 @@ def test_certificate_solves_the_lowest_modes_when_they_come_last(
     count, p = lab.load_scenario(name).count, 1
     for sc, h, lam in preset_bundles(name):
         dc = sconn.DiscreteComplex(sc, h)
-        L = dc._laplacian_blocks(p, lam)
+        L = dc._laplacian_blocks(p, dc.check_weights(p, [lam]))[0]
         want = oracles.all_mode_eigenvalues(dc, p, lam)[:count]
         holders = np.flatnonzero(np.linalg.eigvalsh(L)[:, 0] <= want[-1])
         solves, eigvalsh = [], np.linalg.eigvalsh
@@ -926,7 +1002,8 @@ def test_certificate_solves_the_lowest_modes_when_they_come_last(
         assert np.array_equal(got, want)
         prefix, fallback = solves
         for mode in holders:
-            assert not any(np.array_equal(L[mode], B) for B in prefix)
+            assert not any(np.array_equal(L[mode], B)
+                           for B in prefix.reshape(-1, *L.shape[1:]))
             assert any(np.array_equal(L[mode], B) for B in fallback)
 
 
